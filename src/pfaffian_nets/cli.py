@@ -335,8 +335,7 @@ def _stage_lines(ctx):
             failures += 1
         records.append(rec)
     payload = {"field": field.name, "count": len(points), "lines": records}
-    order = field.p ** getattr(field, "k", 1)
-    if order <= 3:
+    if field.order <= 3:
         generic = jumping = 0
         census_ok = True
         for a1, a2 in find_lines_on_y(net, field):
@@ -359,7 +358,7 @@ def _stage_lines(ctx):
 
 def _jw_plans(ctx):
     plans = [SamplePlan(f, seed=ctx["seed"]) for f in ctx["fields"]
-             if f.p ** getattr(f, "k", 1) <= 3]
+             if f.order <= 3]
     plans.append(SamplePlan(GF(7), count=ctx["samples"], seed=ctx["seed"],
                             mode="random"))
     return plans

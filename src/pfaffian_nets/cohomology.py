@@ -182,18 +182,18 @@ def chi_cubic_instanton(k, t):
 def charge2_instanton_table(net):
     """H^p of the twists of the charge-2 instanton (the theta sheaf twisted
     down by one) for p in [0,3], t in [-3,1], checked cell-for-cell against
-    the two-spike pattern: 6 at (0,1) and (3,-3), zero elsewhere."""
+    expected_instanton_table(3, 2): 6 at (0,1) and (3,-3), zero elsewhere."""
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the charge-2 table is the n=5, 2m=6 case")
-    table = CohomologyTable(range(4), range(-3, 2))
+    table = expected_instanton_table(3, 2)
     for t in range(-3, 2):
         row = theta_cohomology(net, t - 1)
         if row[4] != 0:
             raise ValueError("h^4 = %d at twist %d: sheaf has too much "
                              "support" % (row[4], t - 1))
         for p in range(4):
-            expected = 6 if (p, t) in ((0, 1), (3, -3)) else 0
-            table.set_cell(p, t, computed=row[p], expected=expected)
+            table.set_cell(p, t, computed=row[p],
+                           expected=table.cells[(p, t)]["expected"])
         table.add_euler_check(t, chi_cubic_instanton(2, t))
     return table
 
@@ -358,23 +358,21 @@ def _expected_cell(d, k, p, t):
     return 0
 
 
+# (name, cell a, cell b, offset(d, k)): each relation reads a - b = offset
 INSTANTON_RELATIONS = (
-    ("h3(-3) = h0(1)", (3, -3), (0, 1), 0),
-    ("h2(-3) = h1(1)", (2, -3), (1, 1), 0),
-    ("h0(1) - h1(1) = 2d - 2k + 4", (0, 1), (1, 1), None),
+    ("h3(-3) = h0(1)", (3, -3), (0, 1), lambda d, k: 0),
+    ("h2(-3) = h1(1)", (2, -3), (1, 1), lambda d, k: 0),
+    ("h0(1) - h1(1) = 2d - 2k + 4", (0, 1), (1, 1),
+     lambda d, k: 2 * d - 2 * k + 4),
 )
 
 
 def check_instanton_relations(table, d, k):
     """The three cross-cell equalities tying the corners of the grid."""
     out = []
-    for name, cell_a, cell_b, _ in INSTANTON_RELATIONS:
+    for name, cell_a, cell_b, offset in INSTANTON_RELATIONS:
         a = table.computed(*cell_a)
         b = table.computed(*cell_b)
-        if name.startswith("h0"):
-            ok = (a - b) == 2 * d - 2 * k + 4
-        else:
-            ok = a == b
         out.append({"name": name, "lhs": a, "rhs": b,
-                    "verdict": "pass" if ok else "fail"})
+                    "verdict": "pass" if a - b == offset(d, k) else "fail"})
     return out

@@ -17,15 +17,15 @@ import numpy as np
 
 from . import modnum
 from .fields import GF, QQ, FieldElement, FieldMismatchError, reduce_scalar
-from .grassmann import (GrassmannLine, PluckerPoint, enumerate_grassmannian,
-                        enumerate_projective, pair_indices, pencil_line,
-                        plane_from_plucker, plucker_from_basis,
-                        plucker_quadrics)
+from .grassmann import (GrassmannLine, PluckerPoint, _echelon_pairs,
+                        enumerate_grassmannian, enumerate_projective,
+                        pair_indices, pencil_line, plane_from_plucker,
+                        plucker_from_basis, plucker_quadrics)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, SECOND_PRIME, EmptinessResult,
                      HomogeneousIdeal, is_empty_projective, minors_ideal)
 from .matrices import ExactMatrix, pfaffian_scalar
-from .multipoly import (MultiPoly, SkewPolyMatrix, exact_divide, det_poly,
+from .multipoly import (MultiPoly, SkewPolyMatrix, exact_divide, minor_polys,
                         pfaffian_poly)
 
 
@@ -361,12 +361,13 @@ def q_quartic(net, normalize=True):
     divisions must agree."""
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
-    fv = FvMatrix(net)
+    # the column combinations come in lexicographic order, so the one that
+    # leaves out column i is at position 5 - i
+    minors = minor_polys(FvMatrix(net).grid, 5)
     quotient = None
     found = 0
     for i in range(6):
-        cols = [k for k in range(6) if k != i]
-        delta = det_poly([[fv.grid[r][k] for k in cols] for r in range(5)])
+        delta = minors[5 - i]
         if delta.is_zero():
             continue
         vi = MultiPoly.variable(net.field, 6, i)
@@ -572,29 +573,9 @@ def find_lines_on_y(net, field):
     exhaustive over the lines of the projective space."""
     cubic = pfaffian_hypersurface(net).map_field(field) \
         if net.field != field else pfaffian_hypersurface(net)
-    n = net.n
-    elements = [e.value for e in field.elements()]
-    zero, one = field.zero_value, field.one_value
-    out = []
-    # canonical line = row space of a 2 x n RREF matrix, as in the
-    # Grassmannian enumeration
-    for c1 in range(n - 1):
-        for c2 in range(c1 + 1, n):
-            free1 = [j for j in range(c1 + 1, n) if j != c2]
-            free2 = [j for j in range(c2 + 1, n)]
-            for vals in itertools.product(elements,
-                                          repeat=len(free1) + len(free2)):
-                r1 = [zero] * n
-                r2 = [zero] * n
-                r1[c1] = one
-                r2[c2] = one
-                for j, v in zip(free1, vals):
-                    r1[j] = v
-                for j, v in zip(free2, vals[len(free1):]):
-                    r2[j] = v
-                if line_on_hypersurface(cubic, r1, r2):
-                    out.append((tuple(r1), tuple(r2)))
-    return out
+    return [(tuple(r1), tuple(r2))
+            for r1, r2 in _echelon_pairs(net.n, field)
+            if line_on_hypersurface(cubic, r1, r2)]
 
 
 # -- C-point search -----------------------------------------------------------

@@ -305,6 +305,7 @@ class RationalField(Field):
     name = "QQ"
     key = ("QQ",)
     characteristic = 0
+    order = None
     zero_value = Fraction(0)
     one_value = Fraction(1)
 

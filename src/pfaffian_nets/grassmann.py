@@ -176,40 +176,47 @@ def plucker_quadrics(two_m, field):
     return out
 
 
-def enumerate_grassmannian(two_m, field, limit=10_000_000):
-    """One representative per 2-plane via reduced echelon canonical forms,
-    streamed in (pivot pair, free entries) lexicographic order."""
-    q = getattr(field, "order", None)
-    if q is None:
-        raise ValueError("enumeration needs a finite field")
-    total = gaussian_binomial(two_m, 2, q)
-    if total > limit:
-        raise ValueError("Gr(2,%d) over GF(%d) has %d points, over the "
-                         "limit %d" % (two_m, q, total, limit))
+def _echelon_pairs(n, field):
+    """The two rows of every 2 x n reduced echelon matrix over a finite
+    field, one per 2-plane of field^n, in (pivot pair, free entries)
+    lexicographic order."""
     elements = [e.value for e in field.elements()]
     zero, one = field.zero_value, field.one_value
-    for c1 in range(two_m - 1):
-        for c2 in range(c1 + 1, two_m):
-            free1 = [j for j in range(c1 + 1, two_m) if j != c2]
-            free2 = [j for j in range(c2 + 1, two_m)]
+    for c1 in range(n - 1):
+        for c2 in range(c1 + 1, n):
+            free1 = [j for j in range(c1 + 1, n) if j != c2]
+            free2 = [j for j in range(c2 + 1, n)]
             for vals in itertools.product(elements,
                                           repeat=len(free1) + len(free2)):
-                r1 = [zero] * two_m
-                r2 = [zero] * two_m
+                r1 = [zero] * n
+                r2 = [zero] * n
                 r1[c1] = one
                 r2[c2] = one
                 for j, v in zip(free1, vals):
                     r1[j] = v
                 for j, v in zip(free2, vals[len(free1):]):
                     r2[j] = v
-                yield plucker_from_basis(ExactMatrix(field, [r1, r2]))
+                yield r1, r2
+
+
+def enumerate_grassmannian(two_m, field, limit=10_000_000):
+    """One representative per 2-plane via reduced echelon canonical forms,
+    streamed in (pivot pair, free entries) lexicographic order."""
+    q = field.order
+    if q is None:
+        raise ValueError("enumeration needs a finite field")
+    total = gaussian_binomial(two_m, 2, q)
+    if total > limit:
+        raise ValueError("Gr(2,%d) over GF(%d) has %d points, over the "
+                         "limit %d" % (two_m, q, total, limit))
+    for r1, r2 in _echelon_pairs(two_m, field):
+        yield plucker_from_basis(ExactMatrix(field, [r1, r2]))
 
 
 def enumerate_projective(field, dim):
     """Points of P^dim over a finite field as coordinate tuples (payloads),
     first nonzero coordinate scaled to 1."""
-    q = getattr(field, "order", None)
-    if q is None:
+    if field.order is None:
         raise ValueError("enumeration needs a finite field")
     elements = [e.value for e in field.elements()]
     zero, one = field.zero_value, field.one_value

@@ -23,7 +23,7 @@ import numpy as np
 from . import modnum
 from .fields import GF, QQ
 from .matrices import ExactMatrix
-from .multipoly import MultiPoly, monomials_of_degree
+from .multipoly import minor_polys, monomials_of_degree
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
@@ -458,8 +458,7 @@ def jacobian_ideal(ideal, codim=None):
     if codim is None:
         raise ValueError("codimension required for a non-hypersurface")
     jac = [[g.partial(i) for i in range(n)] for g in gens]
-    minors = _all_minors(jac, codim, ideal.field, n)
-    return HomogeneousIdeal(ideal.field, n, gens + minors)
+    return HomogeneousIdeal(ideal.field, n, gens + minor_polys(jac, codim))
 
 
 def minors_ideal(entries, r):
@@ -471,26 +470,4 @@ def minors_ideal(entries, r):
     nvars = entries[0][0].nvars
     if r > min(len(entries), len(entries[0])):
         raise ValueError("minor size exceeds matrix dimensions")
-    return HomogeneousIdeal(field, nvars,
-                            _all_minors(entries, r, field, nvars))
-
-
-def _all_minors(entries, r, field, nvars):
-    from itertools import combinations, permutations
-    nr, nc = len(entries), len(entries[0])
-    out = []
-    for rows in combinations(range(nr), r):
-        for cols in combinations(range(nc), r):
-            total = MultiPoly.zero(field, nvars)
-            for perm in permutations(range(r)):
-                sign = 1
-                for i in range(r):
-                    for j in range(i + 1, r):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                term = MultiPoly.constant(field, nvars, 1)
-                for i in range(r):
-                    term = term * entries[rows[i]][cols[perm[i]]]
-                total = total + term if sign > 0 else total - term
-            out.append(total)
-    return out
+    return HomogeneousIdeal(field, nvars, minor_polys(entries, r))

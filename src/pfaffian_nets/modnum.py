@@ -166,15 +166,14 @@ def kernel_from_rref(piv_cols, basis, ncols, p):
     return K
 
 
-def batch_rank(mats, p):
-    """Ranks of a stack of small matrices (N x r x c) mod p."""
-    _check_prime(p)
-    m = np.asarray(mats, dtype=np.int64) % p
+def _batch_rank(m, mul, sub, inv):
+    """Ranks of a stack of small matrices (N x r x c) by one vectorized
+    pivot loop; mul(a, b) and sub(a, b) act elementwise on arrays of field
+    codes and inv[a] is the inverse code of a (inv[0] = 0)."""
     if m.ndim != 3:
         raise ValueError("expected a 3d stack of matrices")
     m = m.copy()
     N, r, c = m.shape
-    invtab = inverse_table(p)
     rank = np.zeros(N, dtype=np.int64)
     if N == 0 or r == 0 or c == 0:
         return rank
@@ -193,15 +192,23 @@ def batch_rank(mats, p):
         m[idx, ri, :] = m[idx, pr, :]
         m[idx, pr, :] = tmp
         pv = m[idx, ri, col]
-        m[idx, ri, :] = m[idx, ri, :] * invtab[pv][:, None] % p
+        m[idx, ri, :] = mul(m[idx, ri, :], inv[pv][:, None])
         below = rows_idx[None, :] > ri[:, None]
         f = np.where(below, m[idx, :, col], 0)
-        m[idx] = (m[idx] - f[:, :, None] * m[idx, ri, :][:, None, :]) % p
+        m[idx] = sub(m[idx], mul(f[:, :, None], m[idx, ri, :][:, None, :]))
         row[idx] += 1
         rank[idx] += 1
-        if rank.max() == min(r, c) and bool((rank == min(r, c)).all()):
+        if bool((rank == min(r, c)).all()):
             break
     return rank
+
+
+def batch_rank(mats, p):
+    """Ranks of a stack of small matrices (N x r x c) mod p."""
+    _check_prime(p)
+    return _batch_rank(np.asarray(mats, dtype=np.int64) % p,
+                       lambda a, b: a * b % p, lambda a, b: (a - b) % p,
+                       inverse_table(p))
 
 
 def small_field_tables(field, limit=64):
@@ -212,7 +219,7 @@ def small_field_tables(field, limit=64):
     'add', 'sub', 'mul' (q x q int64 arrays), 'inv' (length q, inv[0] = 0),
     and 'decode' (list mapping code -> payload).
     """
-    q = getattr(field, "order", None)
+    q = field.order
     if q is None or q > limit:
         raise ValueError("need a finite field of order <= %d" % limit)
     elements = [e.value for e in field.elements()]
@@ -235,40 +242,10 @@ def small_field_tables(field, limit=64):
 def batch_rank_table(mats, tables):
     """Ranks of a stack of small matrices whose entries are field codes,
     using the operation tables from small_field_tables."""
-    add_t, sub_t, mul_t, inv_t = (tables["add"], tables["sub"],
-                                  tables["mul"], tables["inv"])
-    m = np.asarray(mats, dtype=np.int64).copy()
-    if m.ndim != 3:
-        raise ValueError("expected a 3d stack of matrices")
-    N, r, c = m.shape
-    rank = np.zeros(N, dtype=np.int64)
-    if N == 0 or r == 0 or c == 0:
-        return rank
-    row = np.zeros(N, dtype=np.int64)
-    rows_idx = np.arange(r)
-    for col in range(c):
-        colvals = m[:, :, col]
-        active = (rows_idx[None, :] >= row[:, None]) & (colvals != 0)
-        has = active.any(axis=1)
-        idx = np.nonzero(has)[0]
-        if idx.size == 0:
-            continue
-        pr = np.argmax(active[idx], axis=1)
-        ri = row[idx]
-        tmp = m[idx, ri, :].copy()
-        m[idx, ri, :] = m[idx, pr, :]
-        m[idx, pr, :] = tmp
-        pv = m[idx, ri, col]
-        m[idx, ri, :] = mul_t[m[idx, ri, :], inv_t[pv][:, None]]
-        below = rows_idx[None, :] > ri[:, None]
-        f = np.where(below, m[idx, :, col], 0)
-        prod = mul_t[f[:, :, None], m[idx, ri, :][:, None, :]]
-        m[idx] = sub_t[m[idx], prod]
-        row[idx] += 1
-        rank[idx] += 1
-        if bool((rank == min(r, c)).all()):
-            break
-    return rank
+    mul_t, sub_t = tables["mul"], tables["sub"]
+    return _batch_rank(np.asarray(mats, dtype=np.int64),
+                       lambda a, b: mul_t[a, b], lambda a, b: sub_t[a, b],
+                       tables["inv"])
 
 
 def monomial_values(points, exps, p):

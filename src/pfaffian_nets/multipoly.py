@@ -10,6 +10,7 @@ this package stay small, so no packing tricks are needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .fields import FieldElement, FieldMismatchError, reduce_scalar
@@ -515,26 +516,48 @@ def pfaffian_poly(m):
     return expand(tuple(range(m.size)))
 
 
+def minor_polys(entries, r):
+    """Every r x r minor of a grid of polynomials, in (row combination,
+    column combination) lexicographic order.
+
+    One first-row Laplace expansion, memoized on (rows, cols), so each
+    sub-minor is built once for the whole grid; zero entries and zero
+    sub-minors contribute no products."""
+    if r < 1:
+        raise ValueError("minor size must be positive")
+    memo = {}
+
+    def minor(rows, cols):
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        row = entries[rows[0]]
+        if len(rows) == 1:
+            got = row[cols[0]]
+        else:
+            got = MultiPoly.zero(row[0].field, row[0].nvars)
+            for j, c in enumerate(cols):
+                if row[c].is_zero():
+                    continue
+                sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+                if sub.is_zero():
+                    continue
+                term = row[c] * sub
+                got = got - term if j % 2 else got + term
+        memo[(rows, cols)] = got
+        return got
+
+    return [minor(rows, cols)
+            for rows in combinations(range(len(entries)), r)
+            for cols in combinations(range(len(entries[0])), r)]
+
+
 def det_poly(entries):
-    """Polynomial determinant by permutation expansion, sizes <= 6 (a
-    test-support routine for the Pf^2 = det identity)."""
-    import itertools
+    """Polynomial determinant of a square grid, sizes <= 6: the single
+    maximal minor."""
     n = len(entries)
     if n > 6:
         raise ValueError("polynomial determinant limited to size 6")
     if n == 0:
         raise ValueError("empty determinant")
-    f = entries[0][0].field
-    nv = entries[0][0].nvars
-    total = MultiPoly.zero(f, nv)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = MultiPoly.constant(f, nv, 1)
-        for i in range(n):
-            term = term * entries[i][perm[i]]
-        total = total + term if sign > 0 else total - term
-    return total
+    return minor_polys(entries, n)[0]

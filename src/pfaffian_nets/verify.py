@@ -27,12 +27,6 @@ from .matrices import ExactMatrix
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
 
 
-def _field_order(field):
-    if field.characteristic == 0:
-        return None
-    return field.p ** getattr(field, "k", 1)
-
-
 def _element_values(field):
     return [e.value for e in field.elements()]
 
@@ -46,11 +40,10 @@ class SamplePlan:
     def __init__(self, field, count=1000, seed=0, mode="auto"):
         if mode not in ("auto", "enumerate", "random"):
             raise ValueError("mode must be auto, enumerate or random")
-        order = _field_order(field)
-        if order is None:
+        if field.order is None:
             raise ValueError("sampling needs a finite field")
         if mode == "auto":
-            mode = "enumerate" if order <= 3 else "random"
+            mode = "enumerate" if field.order <= 3 else "random"
         if mode == "random" and count < 1:
             raise ValueError("random mode needs a positive sample count")
         self.field = field
@@ -371,7 +364,7 @@ def jw1_section_check(net, plan):
 
 def count_points(ideal, field, limit=200000):
     """Brute-force projective point count of V(ideal) over a finite field."""
-    order = _field_order(field)
+    order = field.order
     if order is None:
         raise ValueError("point counting needs a finite field")
     n = ideal.nvars

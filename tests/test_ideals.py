@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from pfaffian_nets.correspondence import FvMatrix
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   HilbertEngine, HomogeneousIdeal,
@@ -11,7 +13,9 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   hilbert_function, is_empty_projective,
                                   jacobian_ideal, macaulay_matrix,
                                   minors_ideal, _interpolate)
-from pfaffian_nets.multipoly import MultiPoly, monomials_of_degree
+from pfaffian_nets.matrices import ExactMatrix
+from pfaffian_nets.multipoly import (MultiPoly, minor_polys,
+                                     monomials_of_degree)
 
 
 def x(field, nvars, i):
@@ -292,3 +296,48 @@ def test_minors_of_rank_deficient_grid():
     grid = [[x0, x1], [x0, x1]]
     ideal = minors_ideal(grid, 2)
     assert ideal.generators == []
+
+
+def _random_form(field, nvars, degree, rng):
+    return MultiPoly(field, nvars,
+                     {e: field.random(rng, 3).value
+                      for e in monomials_of_degree(nvars, degree)})
+
+
+def _minor_test_grid(kind, field, pinned_net, rng):
+    if kind == "fv":
+        net = pinned_net if field == QQ else pinned_net.map_field(field)
+        return FvMatrix(net).grid
+    if kind == "quadrics":
+        return [[_random_form(field, 4, 2, rng) for _ in range(4)]
+                for _ in range(3)]
+    # zero entries in a pattern, plus a whole zero row
+    zero = MultiPoly.zero(field, 3)
+    return [[zero if i == 2 or (i + j) % 3 == 0
+             else _random_form(field, 3, 1, rng) for j in range(5)]
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("kind", ["fv", "quadrics", "zeros"])
+def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
+    rng = random.Random(11)
+    grid = _minor_test_grid(kind, field, pinned_net, rng)
+    nrows, ncols = len(grid), len(grid[0])
+    nvars = grid[0][0].nvars
+    points = [[field.random(rng).value for _ in range(nvars)]
+              for _ in range(3)]
+    values = [[[e.evaluate(pt).value for e in row] for row in grid]
+              for pt in points]
+    for r in range(1, min(nrows, ncols) + 1):
+        minors = minor_polys(grid, r)
+        subsets = [(rows, cols) for rows in combinations(range(nrows), r)
+                   for cols in combinations(range(ncols), r)]
+        assert len(minors) == len(subsets)
+        for minor, (rows, cols) in zip(minors, subsets):
+            for pt, vals in zip(points, values):
+                sub = ExactMatrix(field, [[vals[i][j] for j in cols]
+                                          for i in rows])
+                assert minor.evaluate(pt) == sub.det()
+        assert minors_ideal(grid, r).generators == [
+            m for m in minors if not m.is_zero()]
