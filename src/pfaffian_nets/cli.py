@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from fractions import Fraction
 
 from .cohomology import (charge2_instanton_table, exceptional_pair_check_y,
@@ -32,6 +32,7 @@ from .fields import GF, QQ, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME, SECOND_PRIME,
                      fit_hilbert_polynomial)
 from .matrices import ExactMatrix
+from .modnum import MAX_PRIME
 from .multipoly import MultiPoly
 from .verify import SamplePlan, jw1_section_check, jw_pointwise
 
@@ -161,16 +162,23 @@ def _options(args):
     fields_spec = _resolve(args, "fields", "FIELDS", "2,3")
     fields = [_field_from_token(t) for t in str(fields_spec).split(",") if t]
     prime = _resolve(args, "prime", "PRIME", DEFAULT_PRIME, int)
+    cap = _resolve(args, "degree_cap", "DEGREE_CAP", DEFAULT_DEGREE_CAP, int)
+    samples = _resolve(args, "samples", "SAMPLES", 1000, int)
+    if prime > MAX_PRIME:
+        raise ValueError("prime %d is above the largest supported prime %d"
+                         % (prime, MAX_PRIME))
+    if cap < 0:
+        raise ValueError("degree cap must be at least 0, got %d" % cap)
+    if samples < 1:
+        raise ValueError("sample count must be at least 1, got %d" % samples)
     second = SECOND_PRIME if prime != SECOND_PRIME else DEFAULT_PRIME
     return {
         "fields": fields,
         "prime": prime,
         "second_prime": second,
-        "cap": _resolve(args, "degree_cap", "DEGREE_CAP",
-                        DEFAULT_DEGREE_CAP, int),
-        "samples": _resolve(args, "samples", "SAMPLES", 1000, int),
+        "cap": cap,
+        "samples": samples,
         "seed": _resolve(args, "seed", "SEED", 0, int),
-        "workers": getattr(args, "workers", None) or 1,
     }
 
 
@@ -303,7 +311,7 @@ def _stage_lines(ctx):
         return "inconclusive", {"reason": "no curve points found on the "
                                           "small-field ladder"}
     field, points = found
-    reduced = net.map_field(field)
+    reduced = net.over(field)
     cubic = pfaffian_hypersurface(reduced)
     records = []
     failures = 0
@@ -401,11 +409,17 @@ _GATED = ("regularity", "classification")
 
 
 def _run_stage(name, fn, ctx):
+    """Run one stage; a ValueError is the stage's own `fail`, any other
+    exception the verdict `error`, so the report is always written."""
     start = time.monotonic()
     try:
         verdict, payload = fn(ctx)
     except ValueError as exc:
         verdict, payload = "fail", {"error": str(exc)}
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        verdict = "error"
+        payload = {"error": "%s: %s" % (type(exc).__name__, exc)}
     print("%-17s %-12s %6.2fs" % (name, verdict,
                                   time.monotonic() - start),
           file=sys.stderr)
@@ -414,7 +428,7 @@ def _run_stage(name, fn, ctx):
 
 def _overall(results):
     verdicts = [r["verdict"] for r in results]
-    if "fail" in verdicts:
+    if "fail" in verdicts or "error" in verdicts:
         return "fail"
     if "inconclusive" in verdicts:
         return "inconclusive"
@@ -423,7 +437,7 @@ def _overall(results):
 
 def build_report(doc, opts):
     """Run the whole pipeline on a parsed fixture; deterministic for fixed
-    (fixture, options), whatever the worker count."""
+    (fixture, options)."""
     net = net_from_fixture(doc)
     ctx = dict(opts)
     ctx["net"] = net
@@ -436,14 +450,8 @@ def build_report(doc, opts):
                                 "detail": {"reason": "net is not regular"}})
             break
     else:
-        rest = STAGES[len(_GATED):]
-        if ctx["workers"] > 1:
-            with ThreadPoolExecutor(max_workers=ctx["workers"]) as pool:
-                futures = [(name, pool.submit(_run_stage, name, fn, ctx))
-                           for name, fn in rest]
-                results.extend(f.result() for _, f in futures)
-        else:
-            results.extend(_run_stage(name, fn, ctx) for name, fn in rest)
+        results.extend(_run_stage(name, fn, ctx)
+                       for name, fn in STAGES[len(_GATED):])
     return {
         "schema": REPORT_SCHEMA,
         "fingerprint": fingerprint(doc),
@@ -484,7 +492,7 @@ def cmd_generate(args):
 
 
 _EXIT_BY_VERDICT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-                    "inconclusive": EXIT_INCONCLUSIVE,
+                    "error": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE,
                     "skipped": EXIT_PASS}
 
 
@@ -578,9 +586,6 @@ def _add_common(sub):
     sub.add_argument("--samples", type=int,
                      help="random sample count for pointwise checks")
     sub.add_argument("--seed", type=int, help="sampling seed")
-    sub.add_argument("--workers", type=int,
-                     help="stage thread pool size (output is identical "
-                          "for any value)")
 
 
 def make_parser():

@@ -31,7 +31,11 @@ from .multipoly import (MultiPoly, SkewPolyMatrix, exact_divide, minor_polys,
 
 class ANet:
     """n linearly independent skew 2m x 2m matrices F_1..F_n over one field;
-    f(a) = sum a_i F_i is the induced pencil-of-nets map A -> Lambda^2 V*."""
+    f(a) = sum a_i F_i is the induced pencil-of-nets map A -> Lambda^2 V*.
+
+    A net is never changed after construction, so it owns what is derived
+    from it: `derived` builds each object (the cubic, the quartic, the f_v
+    grid, point sets, reductions to other fields) once per instance."""
 
     def __init__(self, field, matrices):
         if not matrices:
@@ -54,6 +58,21 @@ class ANet:
                                     for F in self.matrices])
         if coeff.rank() != self.n:
             raise ValueError("net matrices are linearly dependent")
+        self._derived = {}
+
+    def derived(self, key, build):
+        """The value of `build()`, built once per key for this net; a build
+        that raises is not remembered and raises again on the next call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def over(self, field):
+        """This net with its entries reduced into `field`: the net itself
+        when it is already over `field`, else one memoized reduction."""
+        if field == self.field:
+            return self
+        return self.derived(("over", field), lambda: self.map_field(field))
 
     # -- construction and serialization --------------------------------------
 
@@ -133,14 +152,11 @@ class FvMatrix:
         self.field = f
         self.nrows = net.n
         self.ncols = net.two_m
-        grid = []
-        for F in net.matrices:
-            row = []
-            for k in range(net.two_m):
-                coeffs = [F.rows[l][k] for l in range(net.two_m)]
-                row.append(MultiPoly.linear_form(f, coeffs))
-            grid.append(row)
-        self.grid = grid
+        self.grid = net.derived("fv_grid", lambda: [
+            [MultiPoly.linear_form(f, [F.rows[l][k]
+                                       for l in range(net.two_m)])
+             for k in range(net.two_m)]
+            for F in net.matrices])
 
     def evaluate(self, v):
         f = self.field
@@ -202,7 +218,7 @@ def _rank_deficient_witness(net, max_rank, search_fields=(3, 7)):
     for p in search_fields:
         fp = GF(p)
         try:
-            reduced = net if net.field == fp else net.map_field(fp)
+            reduced = net.over(fp)
         except (FieldMismatchError, ValueError):
             continue
         pts = list(enumerate_projective(fp, net.n - 1))
@@ -241,7 +257,7 @@ def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
 
 def pfaffian_hypersurface(net):
     """The form Pf(f(a)) cutting out Y in P(A); degree m in n variables."""
-    pf = pfaffian_poly(net.symbolic())
+    pf = net.derived("cubic", lambda: pfaffian_poly(net.symbolic()))
     if pf.is_zero():
         raise ValueError("Pf(f(a)) vanishes identically: degenerate net")
     return pf
@@ -267,13 +283,11 @@ def kappa(net, a):
 
 def y_points(net, field):
     """All points of Y over a small finite field, via the reduced cubic."""
-    cubic = pfaffian_hypersurface(net).map_field(field) \
-        if net.field != field else pfaffian_hypersurface(net)
-    out = []
-    for a in enumerate_projective(field, net.n - 1):
-        if not cubic.evaluate(list(a)):
-            out.append(a)
-    return out
+    def build():
+        cubic = pfaffian_hypersurface(net).map_field(field)
+        return [a for a in enumerate_projective(field, net.n - 1)
+                if not cubic.evaluate(list(a))]
+    return list(net.derived(("y_points", field), build))
 
 
 # -- X side -------------------------------------------------------------------
@@ -296,12 +310,16 @@ def x_ideal(net):
 def x_points(net, field):
     """All Grassmannian points killed by the net's linear forms over a small
     field (enumeration of Gr(2, 2m) filtered by the n linear conditions)."""
-    reduced = net if net.field == field else net.map_field(field)
+    reduced = net.over(field)
+    return list(reduced.derived("x_points", lambda: _x_points(reduced)))
+
+
+def _x_points(net):
+    f = net.field
     pairs, _ = pair_indices(net.two_m)
-    coeffs = [[F.rows[i][j] for i, j in pairs] for F in reduced.matrices]
-    f = field
+    coeffs = [[F.rows[i][j] for i, j in pairs] for F in net.matrices]
     out = []
-    for pt in enumerate_grassmannian(net.two_m, field):
+    for pt in enumerate_grassmannian(net.two_m, f):
         ok = True
         for form in coeffs:
             acc = f.zero_value
@@ -348,9 +366,9 @@ def tangent_test_x(net, point, checked=True):
 
 
 def singular_x_points(net, field):
-    return [pt for pt in x_points(net, field)
-            if tangent_test_x(net.map_field(field) if net.field != field
-                              else net, pt, checked=False)]
+    reduced = net.over(field)
+    return [pt for pt in x_points(reduced, field)
+            if tangent_test_x(reduced, pt, checked=False)]
 
 
 # -- Q and C ------------------------------------------------------------------
@@ -359,6 +377,11 @@ def q_quartic(net, normalize=True):
     """The quartic image of the projection from P_X(U) to P(V): each maximal
     minor of the f_v matrix factors as Delta_i = (-1)^i Q v_i, and the six
     divisions must agree."""
+    return net.derived(("quartic", normalize),
+                       lambda: _quartic(net, normalize))
+
+
+def _quartic(net, normalize):
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
     # the column combinations come in lexicographic order, so the one that
@@ -405,9 +428,9 @@ def fv_rank_profile(net, field):
     """Counts {rank: #points} of f_v over all of P(V) for a small prime
     field, vectorized; also returns the lists of rank <= 3 and rank-4
     points."""
+    reduced = net.over(field)
     if field.kind == "GF(p)":
         p = field.p
-        reduced = net if net.field == field else net.map_field(field)
         pts = np.array(list(enumerate_projective(field, net.two_m - 1)),
                        dtype=np.int64)
         mats = np.zeros((pts.shape[0], net.n, net.two_m), dtype=np.int64)
@@ -417,7 +440,6 @@ def fv_rank_profile(net, field):
         ranks = modnum.batch_rank(mats, p)
     else:
         tables = modnum.small_field_tables(field)
-        reduced = net if net.field == field else net.map_field(field)
         encode = tables["encode"]
         pts_payload = list(enumerate_projective(field, net.two_m - 1))
         pts = np.array([[encode[v] for v in pt] for pt in pts_payload],
@@ -571,8 +593,7 @@ def _kernel_sections(f, F1, F2, s):
 def find_lines_on_y(net, field):
     """All lines of P(A) lying on Y over a small field, as spanning pairs;
     exhaustive over the lines of the projective space."""
-    cubic = pfaffian_hypersurface(net).map_field(field) \
-        if net.field != field else pfaffian_hypersurface(net)
+    cubic = pfaffian_hypersurface(net).map_field(field)
     return [(tuple(r1), tuple(r2))
             for r1, r2 in _echelon_pairs(net.n, field)
             if line_on_hypersurface(cubic, r1, r2)]
@@ -590,7 +611,7 @@ def find_c_points(net, ladder=SEARCH_LADDER, max_points=8):
     for p, k in ladder:
         field = GF(p, k)
         try:
-            reduced = net if net.field == field else net.map_field(field)
+            reduced = net.over(field)
         except (FieldMismatchError, ValueError):
             continue
         profile, low, _ = fv_rank_profile(reduced, field)
@@ -635,7 +656,7 @@ def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
                                    prime=prime, cap=cap)
     per_field = {}
     for field in fields:
-        reduced = net.map_field(field)
+        reduced = net.over(field)
         sing = set(singular_x_points(reduced, field))
         # the cubic is taken over the original field and reduced afterwards,
         # so characteristic 2 stays reachable

@@ -113,10 +113,6 @@ class JwReport:
             self.name, self.checked, self.on_w, self.passed)
 
 
-def _reduce(net, field):
-    return net if net.field == field else net.map_field(field)
-
-
 def _quotient_coords(red_rows, piv, comp, vec, field):
     """Coordinates of vec + U in the complement basis picked by the RREF
     pivots of U."""
@@ -131,9 +127,8 @@ def _quotient_coords(red_rows, piv, comp, vec, field):
 
 
 def _plane_basis(point):
-    basis = point.basis if point.basis is not None \
+    return point.basis if point.basis is not None \
         else plane_from_plucker(point)
-    return basis
 
 
 def w_membership(reduced, a, u_basis):
@@ -200,13 +195,25 @@ def _check_jw_pair(reduced, a, u_basis, report):
     return membership
 
 
-def _enumerated_pairs(net, field):
+def _pairs(net, plan):
+    """The reduced net and the (a, u_basis) pairs a plan checks: all of
+    Y x X when enumerating, else plan.count seeded draws.  Memoized on the
+    net by the plan's value, so jw and jw1 walk one stream of pairs."""
+    key = ("pairs", plan.field, plan.mode, plan.count, plan.seed)
+    return net.derived(key, lambda: _build_pairs(net, plan))
+
+
+def _build_pairs(net, plan):
+    field = plan.field
+    reduced = net.over(field)
+    if plan.mode == "random":
+        return reduced, _random_pairs(reduced, plan)
     ys = y_points(net, field)
     xs = [_plane_basis(p) for p in x_points(net, field)]
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    return ys, xs
+    return reduced, [(a, u_basis) for a in ys for u_basis in xs]
 
 
 def _random_nonzero(rng, elements, length, field):
@@ -216,12 +223,11 @@ def _random_nonzero(rng, elements, length, field):
             return v
 
 
-def _random_pair_source(net, plan):
-    """Closure producing random (a, u_basis) pairs: a by rejection against
-    the cubic, U by rejection against the quartic followed by the fiber of
-    phi (every plane of X through a vector v arises that way)."""
+def _random_pairs(reduced, plan):
+    """plan.count random (a, u_basis) pairs: a by rejection against the
+    cubic, U by rejection against the quartic followed by the fiber of phi
+    (every plane of X through a vector v arises that way)."""
     field = plan.field
-    reduced = _reduce(net, field)
     cubic = pfaffian_hypersurface(reduced)
     quartic = q_quartic(reduced)
     elements = _element_values(field)
@@ -254,28 +260,18 @@ def _random_pair_source(net, plan):
                 u = u.point_at(s, t)
             return _plane_basis(u)
 
-    return reduced, draw_a, draw_u
+    return [(draw_a(), draw_u()) for _ in range(plan.count)]
 
 
 def jw_pointwise(net, plan):
     """Exactness-off-W and corank-one-on-W checks at sampled pairs."""
     report = JwReport("jw_pointwise", plan)
-    if plan.mode == "enumerate":
-        reduced = _reduce(net, plan.field)
-        ys, xs = _enumerated_pairs(net, plan.field)
-        for a in ys:
-            for u_basis in xs:
-                m = _check_jw_pair(reduced, a, u_basis, report)
-                report.checked += 1
-                report.on_w += 1 if m.on_w else 0
-                report.off_w += 0 if m.on_w else 1
-    else:
-        reduced, draw_a, draw_u = _random_pair_source(net, plan)
-        for _ in range(plan.count):
-            m = _check_jw_pair(reduced, draw_a(), draw_u(), report)
-            report.checked += 1
-            report.on_w += 1 if m.on_w else 0
-            report.off_w += 0 if m.on_w else 1
+    reduced, pairs = _pairs(net, plan)
+    for a, u_basis in pairs:
+        m = _check_jw_pair(reduced, a, u_basis, report)
+        report.checked += 1
+        report.on_w += 1 if m.on_w else 0
+        report.off_w += 0 if m.on_w else 1
     return report
 
 
@@ -304,61 +300,38 @@ def _check_jw1_triple(reduced, a, comp, v, report, u_coords):
 def jw1_section_check(net, plan):
     """The incidence locus inside Y x P(U-bundle) is cut out by the section
     hf; checked triple by triple, including the agreement of the two
-    membership predicates."""
+    membership predicates.  Enumeration tries every v in U; random mode
+    one seeded v per pair."""
     report = JwReport("jw1_section_check", plan)
     f = plan.field
     elements = _element_values(f)
-    if plan.mode == "enumerate":
-        reduced = _reduce(net, plan.field)
-        ys, xs = _enumerated_pairs(net, plan.field)
-        for a in ys:
-            for u_basis in xs:
-                membership = w_membership(reduced, a, u_basis)
-                piv, red = u_basis.rref()
-                comp = [c for c in range(reduced.two_m) if c not in piv]
-                u1, u2 = red.rows
-                hits = 0
-                params = [(f.one_value, f.zero_value)] \
-                    + [(x, f.one_value) for x in elements]
-                for s, t in params:
-                    v = [f.add(f.mul(s, x), f.mul(t, y))
-                         for x, y in zip(u1, u2)]
-                    hits += 1 if _check_jw1_triple(
-                        reduced, a, comp, v, report,
-                        membership.u_coords) else 0
-                    report.checked += 1
-                if (hits > 0) != membership.on_w:
-                    report.fail(a, membership.u_coords,
-                                "section zero locus disagrees with "
-                                "kernel-intersection membership")
-                if membership.on_w:
-                    report.on_w += 1
-                else:
-                    report.off_w += 1
-                    if hits:
-                        report.fail(a, membership.u_coords,
-                                    "section vanishes off W")
-    else:
-        reduced, draw_a, draw_u = _random_pair_source(net, plan)
-        rng = random.Random(plan.seed + 1)
-        for _ in range(plan.count):
-            a = draw_a()
-            u_basis = draw_u()
-            membership = w_membership(reduced, a, u_basis)
-            piv, red = u_basis.rref()
-            comp = [c for c in range(reduced.two_m) if c not in piv]
-            u1, u2 = red.rows
-            s, t = rng.choice([(f.one_value, x) for x in elements]
-                              + [(f.zero_value, f.one_value)])
+    every_v = [(f.one_value, f.zero_value)] \
+        + [(x, f.one_value) for x in elements]
+    one_v = [(f.one_value, x) for x in elements] \
+        + [(f.zero_value, f.one_value)]
+    rng = random.Random(plan.seed + 1)
+    reduced, pairs = _pairs(net, plan)
+    for a, u_basis in pairs:
+        membership = w_membership(reduced, a, u_basis)
+        piv, red = u_basis.rref()
+        comp = [c for c in range(reduced.two_m) if c not in piv]
+        u1, u2 = red.rows
+        params = every_v if plan.mode == "enumerate" \
+            else [rng.choice(one_v)]
+        hits = 0
+        for s, t in params:
             v = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(u1, u2)]
-            zero = _check_jw1_triple(reduced, a, comp, v, report,
-                                     membership.u_coords)
-            if zero and not membership.on_w:
-                report.fail(a, membership.u_coords,
-                            "section vanishes off W")
+            hits += 1 if _check_jw1_triple(
+                reduced, a, comp, v, report, membership.u_coords) else 0
             report.checked += 1
-            report.on_w += 1 if membership.on_w else 0
-            report.off_w += 0 if membership.on_w else 1
+        if plan.mode == "enumerate" and (hits > 0) != membership.on_w:
+            report.fail(a, membership.u_coords,
+                        "section zero locus disagrees with "
+                        "kernel-intersection membership")
+        if hits and not membership.on_w:
+            report.fail(a, membership.u_coords, "section vanishes off W")
+        report.on_w += 1 if membership.on_w else 0
+        report.off_w += 0 if membership.on_w else 1
     return report
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfaffian_nets.cli import canonical_json, main, net_to_fixture
+from pfaffian_nets.cli import _line_key, canonical_json, main, net_to_fixture
 from pfaffian_nets.cohomology import (charge2_instanton_table,
                                       exceptional_pair_check_y,
                                       h1_pattern_check,
@@ -46,11 +46,6 @@ def _random_skew(field, size, draw):
             rows[i][j] = v
             rows[j][i] = field.neg(v)
     return ExactMatrix(field, rows)
-
-
-def _line_key(field, a1, a2):
-    _, red = ExactMatrix(field, [list(a1), list(a2)]).rref()
-    return tuple(tuple(row) for row in red.rows)
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +233,10 @@ def test_10_report_determinism(pinned_net, tmp_path):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(canonical_json(net_to_fixture(pinned_net)))
     outputs = []
-    for name, extra in (("a.json", []), ("b.json", []),
-                        ("c.json", ["--workers", "4"])):
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
-        assert main(["pipeline", str(fixture), "-o", str(out)] + extra) == 0
+        assert main(["pipeline", str(fixture), "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     json.loads(outputs[0])
     _budget("byte-identical reports", 120, start)

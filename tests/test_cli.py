@@ -2,6 +2,7 @@
 byte-determinism of reports."""
 
 import json
+import os
 import random
 
 import pytest
@@ -14,6 +15,9 @@ from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
 
 from conftest import PINNED_UPPERS
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                      "pinned_report.json")
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +145,27 @@ class TestPipeline:
               "--samples", "50"])
         assert again.read_bytes() == first
 
-    def test_byte_identical_across_workers(self, pipeline_run,
-                                           fixture_path, tmp_path):
+    def test_matches_golden_report(self, pipeline_run):
         _, _, first = pipeline_run
-        wide = tmp_path / "wide.json"
-        main(["pipeline", fixture_path, "-o", str(wide),
-              "--samples", "50", "--workers", "4"])
-        assert wide.read_bytes() == first
+        with open(GOLDEN, "rb") as fh:
+            assert first == fh.read()
+
+    def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        doc = net_to_fixture(net)
+        doc["matrices"][0][0] = "1/3"  # no reduction mod 3 exists
+        fx = tmp_path / "third.json"
+        fx.write_text(canonical_json(doc))
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", str(fx), "-o", str(out),
+                     "--samples", "5"]) == 1
+        report = json.loads(out.read_text())
+        assert report["overall"] == "fail"
+        stages = {s["name"]: s for s in report["stages"]}
+        assert stages["regularity"]["verdict"] == "pass"
+        assert stages["classification"]["verdict"] == "error"
+        assert stages["classification"]["detail"]["error"].startswith(
+            "ZeroDivisionError: ")
 
 
 class TestGating:
@@ -229,6 +247,23 @@ class TestErrors:
     def test_bad_field_token(self, fixture_path):
         assert main(["verify", fixture_path, "regularity",
                      "--fields", "6"]) == 3
+
+    @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
+                             ids=["pipeline", "verify"])
+    @pytest.mark.parametrize("option, value", [
+        ("samples", "0"), ("degree-cap", "-1"), ("prime", "46349")])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_out_of_range_option(self, fixture_path, monkeypatch, capsys,
+                                 command, option, value, from_env):
+        argv = command[:1] + [fixture_path] + command[1:]
+        if from_env:
+            name = "PFAFFIAN_NETS_" + option.upper().replace("-", "_")
+            monkeypatch.setenv(name, value)
+        else:
+            argv += ["--" + option, value]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err
 
 
 class TestReportDiff:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pfaffian_nets.cli import _line_key
 from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
@@ -101,6 +102,32 @@ class TestANet:
         red = pinned.map_field(F7)
         assert red.matrices[0].rows[0][1] == F7.coerce_value(
             pinned.matrices[0].rows[0][1])
+
+    def test_over_is_memoized(self, pinned):
+        assert pinned.over(QQ) is pinned
+        red = pinned.over(F7)
+        assert red is pinned.over(F7)
+        assert red.over(F7) is red
+        assert [m.rows for m in red.matrices] == \
+            [m.rows for m in pinned.map_field(F7).matrices]
+
+    def test_failed_reduction_raises_every_time(self):
+        net = ANet.from_upper_triangles(QQ, 4, [
+            tri({(0, 1): 1}, 4), tri({(0, 1): 1, (2, 3): 2}, 4)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dependent"):
+                net.over(F2)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_memoized_points_match_a_fresh_net(self, pinned, field):
+        fresh = ANet.from_upper_triangles(QQ, 6, pinned.upper_triangles())
+        for _ in range(2):
+            ys, xs = y_points(pinned, field), x_points(pinned, field)
+            assert ys == y_points(fresh, field)
+            assert xs == x_points(fresh, field)
+            assert xs == x_points(pinned.over(field), field)
+            ys.clear()  # a caller's copy: the memo keeps its own list
+            xs.clear()
 
 
 class TestPfaffianHypersurface:
@@ -366,12 +393,6 @@ class TestLines:
         net3 = pinned.map_field(F3)
         with pytest.raises(ValueError, match="does not lie"):
             splitting_type_on_line(net3, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
-
-
-def _line_key(field, a1, a2):
-    m = ExactMatrix(field, [list(a1), list(a2)])
-    _, basis = m.rref()
-    return tuple(tuple(row) for row in basis.rows)
 
 
 class TestXSide:

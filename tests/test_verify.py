@@ -1,6 +1,8 @@
 import pytest
 
-from pfaffian_nets.correspondence import pfaffian_hypersurface, y_points
+from pfaffian_nets import verify
+from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
+                                          y_points)
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
@@ -96,6 +98,34 @@ class TestJw1:
         report = jw1_section_check(pinned_net, SamplePlan(GF(7), count=150,
                                                           seed=11))
         assert report.passed
+
+    def test_random_mode_shares_jw_pairs(self, pinned_net, monkeypatch):
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        seen, fibers = [], []
+        membership, phi_fiber = verify.w_membership, verify.phi_fiber
+
+        def record(reduced, a, u_basis):
+            m = membership(reduced, a, u_basis)
+            seen[-1].append((m.a, m.u_coords))
+            return m
+
+        def count_fiber(reduced, v):
+            fibers.append(v)
+            return phi_fiber(reduced, v)
+
+        monkeypatch.setattr(verify, "w_membership", record)
+        monkeypatch.setattr(verify, "phi_fiber", count_fiber)
+        # a fresh plan for each check: the stream is keyed on the plan's value
+        plan = lambda: SamplePlan(GF(7), count=30, seed=5, mode="random")
+        seen.append([])
+        pointwise = jw_pointwise(net, plan())
+        drawn = len(fibers)
+        seen.append([])
+        sections = jw1_section_check(net, plan())
+        assert len(seen[0]) == 30 and seen[0] == seen[1]
+        assert drawn >= 30 and len(fibers) == drawn
+        assert (pointwise.checked, pointwise.on_w, pointwise.off_w) \
+            == (sections.checked, sections.on_w, sections.off_w)
 
     def test_report_shape(self, pinned_net):
         d = jw1_section_check(pinned_net, SamplePlan(GF(2))).as_dict()
