@@ -5,8 +5,8 @@ Fixtures and reports are JSON with a canonical serialization (sorted keys,
 two-space indent, trailing newline), so identical inputs produce
 byte-identical files.  Timings and progress go to stderr only; nothing
 time-dependent enters a report.  Exit codes: 0 all checks pass, 1 at least
-one failure, 2 inconclusive (a degree cap or search ladder ran out), 3
-unusable input.
+one failure, 2 inconclusive (a degree cap below an ideal's Macaulay bound,
+or a search ladder, ran out), 3 unusable input.
 """
 
 from __future__ import annotations

@@ -165,18 +165,6 @@ class FvMatrix:
         return ExactMatrix(f, [[e.evaluate(vals).value for e in row]
                                for row in self.grid])
 
-    def times_variable_vector(self):
-        """The length-n polynomial vector (row_i . v); identically zero
-        because each f(e_i) is alternating."""
-        f = self.field
-        out = []
-        for row in self.grid:
-            acc = MultiPoly.zero(f, self.ncols)
-            for k, e in enumerate(row):
-                acc = acc + e * MultiPoly.variable(f, self.ncols, k)
-            out.append(acc)
-        return out
-
 
 # -- regularity ---------------------------------------------------------------
 
@@ -236,10 +224,16 @@ def _rank_deficient_witness(net, max_rank, search_fields=(3, 7)):
 def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regular means rank f(a) >= 2m-2 away from a = 0, i.e. the principal
     sub-Pfaffian ideal has empty projective zero set.  Over QQ the emptiness
-    certificate modulo one prime lifts (ranks only drop under reduction)."""
+    certificate modulo one prime lifts (ranks only drop under reduction).
+    The verdict is memoized on the net per (prime, cap)."""
     if net.field.characteristic == 2:
         raise ValueError("regularity needs characteristic != 2 "
                          "(sub-Pfaffians are taken)")
+    return net.derived(("regular", prime, cap),
+                       lambda: _regularity(net, prime, cap))
+
+
+def _regularity(net, prime, cap):
     ideal = sub_pfaffian_ideal(net)
     res = is_empty_projective(ideal, prime=prime, cap=cap)
     if res.status == EMPTY:

@@ -418,13 +418,24 @@ class EmptinessResult:
 
 
 def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
-    """Tri-state projective emptiness from the Hilbert function.
+    """Tri-state projective emptiness over the algebraic closure of GF(p),
+    from the Hilbert function, climbing t = 0, 1, ... up to `cap`.
 
-    HF(t) = 0 at any t is a genuine certificate of emptiness (all degree-t
-    monomials lie in the ideal).  Otherwise the verdict is read at the cap:
-    HF positive and no longer strictly decreasing there is reported NONEMPTY;
-    HF positive but still strictly dropping stays INCONCLUSIVE, since it may
-    yet reach zero a few degrees later.
+    HF(t) = 0 at any t certifies EMPTY: every degree-t monomial lies in the
+    ideal.  For a rational ideal the certificate lifts to QQ, since ranks
+    only drop under reduction mod p.
+
+    The climb also stops at the Macaulay bound B.  Take the generators the
+    engine works on (reduced mod p, so those that vanish there are gone),
+    in n variables, with degrees d_1 >= d_2 >= ...  With at least n of them,
+    B = d_1 + ... + d_n - n + 1, and the zero set is empty iff HF(B) = 0
+    (Lazard 1983); with fewer than n the zero set is never empty, B = 0.
+    So HF(t) > 0 at t = B certifies NONEMPTY over the closure of GF(p).
+
+    Only a cap below B leaves the climb short of a certificate.  There HF
+    positive and no longer strictly decreasing at the cap is reported
+    NONEMPTY (evidence only); HF still strictly dropping stays
+    INCONCLUSIVE, since it may yet reach zero a few degrees later.
     """
     if ideal.field.kind in ("QQ", "GF(p)"):
         engine = HilbertEngine(ideal, prime=prime) \
@@ -432,12 +443,18 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
             else HilbertEngine(ideal, prime=ideal.field.p)
     else:
         raise ValueError("emptiness check needs QQ or prime-field input")
+    n = engine.n
+    degrees = sorted((g.homogeneous_degree() for g in engine.ideal.generators),
+                     reverse=True)
+    bound = sum(degrees[:n]) - n + 1 if len(degrees) >= n else 0
     tail = []
     for t in range(cap + 1):
         hf = engine.hilbert_function(t)
         tail.append(hf)
         if hf == 0:
             return EmptinessResult(EMPTY, t, tail)
+        if t >= bound:
+            return EmptinessResult(NONEMPTY, t, tail)
     if len(tail) >= 2 and tail[-1] >= tail[-2]:
         return EmptinessResult(NONEMPTY, cap, tail)
     return EmptinessResult(INCONCLUSIVE, cap, tail)

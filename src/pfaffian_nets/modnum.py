@@ -152,20 +152,6 @@ def rank_mod(a, p, panel=64):
     return len(rref_mod(a, p, panel=panel)[0])
 
 
-def kernel_from_rref(piv_cols, basis, ncols, p):
-    """Kernel basis (ncols x nullity) from an RREF basis of the row space.
-    Column j corresponds to the j-th free column: unit there, minus the RREF
-    column at the pivot rows."""
-    pivset = set(piv_cols)
-    free = [c for c in range(ncols) if c not in pivset]
-    K = np.zeros((ncols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        if piv_cols:
-            K[piv_cols, j] = (-basis[:, fc]) % p
-    return K
-
-
 def _batch_rank(m, mul, sub, inv):
     """Ranks of a stack of small matrices (N x r x c) by one vectorized
     pivot loop; mul(a, b) and sub(a, b) act elementwise on arrays of field

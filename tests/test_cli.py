@@ -4,9 +4,12 @@ byte-determinism of reports."""
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import pfaffian_nets
 from pfaffian_nets import cli
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
@@ -223,6 +226,17 @@ class TestVerify:
                             io.StringIO(open(fixture_path).read()))
         assert main(["verify", "-", "regularity"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+class TestEntryPoint:
+    def test_module_help(self):
+        src = os.path.dirname(os.path.dirname(pfaffian_nets.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "pfaffian_nets", "--help"], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "pipeline" in done.stdout
 
 
 class TestErrors:

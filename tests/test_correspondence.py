@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pfaffian_nets import correspondence
 from pfaffian_nets.cli import _line_key
 from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           degenerate_net, find_c_points,
@@ -29,6 +30,18 @@ from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 F2 = GF(2)
 F3 = GF(3)
 F7 = GF(7)
+
+
+def times_variable_vector(fv):
+    """The length-n polynomial vector (row_i . v) of an f_v grid."""
+    out = []
+    for row in fv.grid:
+        acc = MultiPoly.zero(fv.field, fv.ncols)
+        for k, e in enumerate(row):
+            acc = acc + e * MultiPoly.variable(fv.field, fv.ncols, k)
+        out.append(acc)
+    return out
+
 
 # a pinned net over QQ: regular, smooth Pfaffian cubic, and clean reductions
 # modulo 2 and 3 (found by seeded search, frozen here for determinism)
@@ -170,6 +183,29 @@ class TestRegularity:
         fp = GF(p)
         assert net.map_field(fp).f_at(point).rank() <= 2
 
+    def test_classify_reuses_the_regularity_verdict(self, monkeypatch):
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
+        sub_pf = sub_pfaffian_ideal(net).generators
+        real = correspondence.is_empty_projective
+        calls = []
+
+        def counting(ideal, **kw):
+            calls.append(ideal.generators == sub_pf)
+            return real(ideal, **kw)
+
+        monkeypatch.setattr(correspondence, "is_empty_projective", counting)
+        assert is_regular(net).status == EMPTY
+        assert calls == [True]
+        cls = classify(net)
+        assert cls.regular.status == EMPTY
+        assert calls == [True, False]  # only the Jacobian ladder of Y
+
+    def test_characteristic_two_raises_every_time(self):
+        net = ANet.from_upper_triangles(F2, 6, PINNED_UPPER)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="characteristic"):
+                is_regular(net)
+
     def test_sub_pfaffian_ideal_sizes(self, pinned):
         ideal = sub_pfaffian_ideal(pinned)
         assert len(ideal.generators) == 15
@@ -180,7 +216,7 @@ class TestFvMatrix:
     def test_contraction_identity(self, pinned):
         # row_i(v) . v = f(e_i)(v, v) = 0 identically
         assert all(p.is_zero()
-                   for p in FvMatrix(pinned).times_variable_vector())
+                   for p in times_variable_vector(FvMatrix(pinned)))
 
     def test_evaluate_matches_bilinear_form(self, pinned):
         fv = FvMatrix(pinned)

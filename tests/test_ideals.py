@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,8 @@ from math import comb
 
 import pytest
 
-from pfaffian_nets.correspondence import FvMatrix
+from pfaffian_nets.cli import net_from_fixture
+from pfaffian_nets.correspondence import FvMatrix, sub_pfaffian_ideal
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   HilbertEngine, HomogeneousIdeal,
@@ -16,6 +18,8 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import (MultiPoly, minor_polys,
                                      monomials_of_degree)
+
+from test_cli import dead_fixture_text
 
 
 def x(field, nvars, i):
@@ -234,8 +238,52 @@ def test_inconclusive_surfaced_not_coerced():
 
 
 def test_curve_judged_nonempty_at_cap():
+    # 3 quadrics in 4 variables: fewer forms than variables, so the Macaulay
+    # bound is 0 and HF(0) = 1 already certifies a nonempty zero set
     res = is_empty_projective(twisted_cubic_ideal(GF(7)), cap=5)
-    assert res.status == NONEMPTY and res.witness_degree == 5
+    assert res.status == NONEMPTY and res.witness_degree == 0
+    assert res.tail == [1]
+
+
+def test_irregular_net_certified_nonempty_at_the_bound():
+    # 15 quadric sub-Pfaffians in 5 variables: bound 2*5 - 5 + 1 = 6, and
+    # HF never reaches 0, so the climb stops at 6 instead of the cap
+    net = net_from_fixture(json.loads(dead_fixture_text()))
+    res = is_empty_projective(sub_pfaffian_ideal(net), cap=16)
+    assert res.status == NONEMPTY and res.witness_degree == 6
+    assert len(res.tail) == 7 and all(v > 0 for v in res.tail)
+
+
+def test_constant_generator_empty_at_zero():
+    field = GF(7)
+    one = MultiPoly.constant(field, 3, 1)
+    res = is_empty_projective(HomogeneousIdeal(field, 3, [one]))
+    assert res.status == EMPTY and res.witness_degree == 0
+    assert res.tail == [0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stopping_at_the_bound_matches_a_longer_climb(seed):
+    rng = random.Random(seed)
+    field = GF(7)
+    nvars = rng.choice((3, 4))
+    gens = [_random_form(field, nvars, rng.randint(1, 3), rng)
+            for _ in range(rng.randint(nvars - 1, nvars + 2))]
+    if seed % 3 == 0:
+        # a shared factor puts a hypersurface inside the zero set
+        factor = _random_form(field, nvars, 1, rng)
+        gens = [factor * g for g in gens[:-1]]
+    ideal = HomogeneousIdeal(field, nvars, gens)
+    degrees = sorted((g.homogeneous_degree() for g in ideal.generators),
+                     reverse=True)
+    bound = (sum(degrees[:nvars]) - nvars + 1
+             if len(degrees) >= nvars else 0)
+    engine = HilbertEngine(ideal, prime=7)
+    climb = [engine.hilbert_function(t) for t in range(bound + 5)]
+    expected = EMPTY if 0 in climb else NONEMPTY
+    res = is_empty_projective(ideal, prime=7, cap=bound)
+    assert res.status == expected
+    assert res.tail == climb[:len(res.tail)]
 
 
 def test_emptiness_stable_under_redundant_generators():
