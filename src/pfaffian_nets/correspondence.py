@@ -147,23 +147,28 @@ class FvMatrix:
     the functional f(e_i)(v, -); entry (i, k) = sum_l (F_i)_{lk} v_l."""
 
     def __init__(self, net):
-        f = net.field
         self.net = net
-        self.field = f
+        self.field = net.field
         self.nrows = net.n
         self.ncols = net.two_m
-        self.grid = net.derived("fv_grid", lambda: [
-            [MultiPoly.linear_form(f, [F.rows[l][k]
-                                       for l in range(net.two_m)])
+
+    @property
+    def grid(self):
+        net = self.net
+        return net.derived("fv_grid", lambda: [
+            [MultiPoly.linear_form(net.field, [F.rows[l][k]
+                                               for l in range(net.two_m)])
              for k in range(net.two_m)]
             for F in net.matrices])
 
     def evaluate(self, v):
+        """The matrix at a point v; row i is v^T F_i, read straight from the
+        net's matrices."""
         f = self.field
-        vals = [x.value if isinstance(x, FieldElement) else f.coerce_value(x)
-                for x in v]
-        return ExactMatrix(f, [[e.evaluate(vals).value for e in row]
-                               for row in self.grid])
+        vt = ExactMatrix(f, [[x.value if isinstance(x, FieldElement)
+                              else f.coerce_value(x) for x in v]])
+        return ExactMatrix(f, [(vt @ F).rows[0] for F in self.net.matrices],
+                           ncols=self.ncols)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -419,52 +424,36 @@ def rank_fv(net, v):
 
 
 def fv_rank_profile(net, field):
-    """Counts {rank: #points} of f_v over all of P(V) for a small prime
-    field, vectorized; also returns the lists of rank <= 3 and rank-4
+    """Counts {rank: #points} of f_v over all of P(V) for a finite field of
+    order <= 64, vectorized on its operation tables (for GF(p) the codes
+    are the residues); also returns the lists of rank <= 3 and rank-4
     points."""
     reduced = net.over(field)
-    if field.kind == "GF(p)":
-        p = field.p
-        pts = np.array(list(enumerate_projective(field, net.two_m - 1)),
-                       dtype=np.int64)
-        mats = np.zeros((pts.shape[0], net.n, net.two_m), dtype=np.int64)
-        for i, F in enumerate(reduced.matrices):
-            arr = np.array(F.rows, dtype=np.int64)
-            mats[:, i, :] = pts @ arr % p
-        ranks = modnum.batch_rank(mats, p)
-    else:
-        tables = modnum.small_field_tables(field)
-        encode = tables["encode"]
-        pts_payload = list(enumerate_projective(field, net.two_m - 1))
-        pts = np.array([[encode[v] for v in pt] for pt in pts_payload],
-                       dtype=np.int64)
-        add_t, mul_t = tables["add"], tables["mul"]
-        N = pts.shape[0]
-        mats = np.zeros((N, net.n, net.two_m), dtype=np.int64)
-        for i, F in enumerate(reduced.matrices):
-            codes = [[encode[F.rows[l][k]] for k in range(net.two_m)]
-                     for l in range(net.two_m)]
-            for k in range(net.two_m):
-                acc = np.zeros(N, dtype=np.int64)
-                for l in range(net.two_m):
-                    c = codes[l][k]
-                    if c:
-                        acc = add_t[acc, mul_t[c, pts[:, l]]]
-                mats[:, i, k] = acc
-        ranks = modnum.batch_rank_table(mats, tables)
-        pts_payload_arr = pts_payload
+    tables = modnum.small_field_tables(field)
+    encode = tables["encode"]
+    pts_payload = list(enumerate_projective(field, net.two_m - 1))
+    pts = np.array([[encode[v] for v in pt] for pt in pts_payload],
+                   dtype=np.int64)
+    add_t, mul_t = tables["add"], tables["mul"]
+    N = pts.shape[0]
+    mats = np.zeros((N, net.n, net.two_m), dtype=np.int64)
+    for i, F in enumerate(reduced.matrices):
+        codes = [[encode[F.rows[l][k]] for k in range(net.two_m)]
+                 for l in range(net.two_m)]
+        for k in range(net.two_m):
+            acc = np.zeros(N, dtype=np.int64)
+            for l in range(net.two_m):
+                c = codes[l][k]
+                if c:
+                    acc = add_t[acc, mul_t[c, pts[:, l]]]
+            mats[:, i, k] = acc
+    ranks = modnum.batch_rank_table(mats, tables)
     profile = {int(r): int(c) for r, c in
                zip(*np.unique(ranks, return_counts=True))}
     low = np.nonzero(ranks <= net.two_m // 2)[0]
     rank4 = np.nonzero(ranks == 4)[0]
-    if field.kind == "GF(p)":
-        as_tuple = lambda row: tuple(int(x) for x in row)
-        low_pts = [as_tuple(pts[i]) for i in low]
-        r4_pts = [as_tuple(pts[i]) for i in rank4[:64]]
-    else:
-        low_pts = [pts_payload_arr[i] for i in low]
-        r4_pts = [pts_payload_arr[i] for i in rank4[:64]]
-    return profile, low_pts, r4_pts
+    return (profile, [pts_payload[i] for i in low],
+            [pts_payload[i] for i in rank4[:64]])
 
 
 # -- fibers of psi and phi ----------------------------------------------------

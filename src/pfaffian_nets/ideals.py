@@ -335,16 +335,19 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
     """
     if expected_dim < 0:
         raise ValueError("expected_dim must be nonnegative")
+
+    def window_mod(p):
+        return _hf_until_stable(HilbertEngine(ideal, prime=p).hilbert_function,
+                                expected_dim, cap)
+
     if ideal.field.kind == "GF(p)":
-        values, stable = _hf_until_stable(ideal, expected_dim, cap,
-                                          ideal.field.p)
+        values, stable = window_mod(ideal.field.p)
     else:
-        values, stable = _hf_until_stable(ideal, expected_dim, cap, primes[0])
+        values, stable = window_mod(primes[0])
         if ideal.field.kind == "QQ" and len(primes) > 1:
-            check, stable2 = _hf_until_stable(ideal, expected_dim, cap,
-                                              primes[1])
-            if values != check or stable != stable2:
-                values, stable = _hf_exact_window(ideal, expected_dim, cap)
+            if (values, stable) != window_mod(primes[1]):
+                values, stable = _hf_until_stable(
+                    lambda t: hilbert_function(ideal, t), expected_dim, cap)
     if stable is None:
         raise ValueError(
             "Hilbert function did not stabilize to a degree-%d polynomial "
@@ -373,24 +376,13 @@ def _fit_window_found(values, expected_dim, need):
     return None
 
 
-def _hf_until_stable(ideal, expected_dim, cap, prime):
-    engine = HilbertEngine(ideal, prime=prime)
+def _hf_until_stable(hf, expected_dim, cap):
+    """HF(0), HF(1), ... from the function `hf` until `_fit_window_found`
+    sees a window or t passes cap; returns (values, window start or None)."""
     need = expected_dim + 2
     values = []
     for t in range(cap + 1):
-        values.append(engine.hilbert_function(t))
-        if len(values) >= need:
-            t0 = _fit_window_found(values, expected_dim, need)
-            if t0 is not None:
-                return values, t0
-    return values, None
-
-
-def _hf_exact_window(ideal, expected_dim, cap):
-    need = expected_dim + 2
-    values = []
-    for t in range(cap + 1):
-        values.append(hilbert_function(ideal, t))
+        values.append(hf(t))
         if len(values) >= need:
             t0 = _fit_window_found(values, expected_dim, need)
             if t0 is not None:

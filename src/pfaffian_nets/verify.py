@@ -61,17 +61,26 @@ class SamplePlan:
 
 
 class WMembership:
-    """A sampled pair (a in Y, U in X) with dim(Ker f(a) - cap - U); the
-    pair lies on the incidence locus W exactly when that dimension is
-    positive, and 2 would mean U is the whole kernel plane, a singular
-    point of X."""
+    """The fiber of one pair (a in Y, U in X), read by every check:
+    `a_side` = (a, f(a), rank f(a), Ker f(a) as rows) and `u_side` = (U's
+    Plucker coordinates, RREF basis `red`, pivot columns `piv`, complement
+    columns `comp`), which enumeration shares between pairs; plus
+    `uf = red @ f(a)`, row b the functional u_b^T f(a), and dim(Ker f(a)
+    cap U).  The pair lies on the incidence locus W exactly when that
+    dimension is positive, and 2 would mean U is the whole kernel plane, a
+    singular point of X."""
 
-    __slots__ = ("a", "u_coords", "intersection_dim")
+    __slots__ = ("a", "fa", "rank", "kernel", "u_coords", "red", "piv",
+                 "comp", "uf", "intersection_dim")
 
-    def __init__(self, a, u_coords, intersection_dim):
-        self.a = tuple(a)
-        self.u_coords = tuple(u_coords)
-        self.intersection_dim = intersection_dim
+    def __init__(self, a_side, u_side):
+        self.a, self.fa, self.rank, self.kernel = a_side
+        self.u_coords, self.red, self.piv, self.comp = u_side
+        stacked = ExactMatrix(self.fa.field, self.kernel.rows + self.red.rows,
+                              ncols=self.red.ncols)
+        self.intersection_dim = self.kernel.nrows + self.red.nrows \
+            - stacked.rank()
+        self.uf = self.red @ self.fa
 
     @property
     def on_w(self):
@@ -97,6 +106,10 @@ class JwReport:
         self.failures.append({"a": [repr(x) for x in a],
                               "u": [repr(x) for x in u_coords],
                               "reason": reason})
+
+    def tally(self, membership):
+        self.on_w += 1 if membership.on_w else 0
+        self.off_w += 0 if membership.on_w else 1
 
     @property
     def passed(self):
@@ -131,52 +144,46 @@ def _plane_basis(point):
         else plane_from_plucker(point)
 
 
-def w_membership(reduced, a, u_basis):
-    """Kernel-intersection membership for one pair, over the net's own
-    field."""
-    f = reduced.field
-    _, kern = reduced.f_at(a).rank_kernel()
-    stacked = ExactMatrix(f, kern.transpose().rows + u_basis.rows)
-    inter = kern.ncols + u_basis.nrows - stacked.rank()
-    return WMembership(a, plucker_from_basis(u_basis).coords, inter)
+def _a_side(reduced, a):
+    fa = reduced.f_at(a)
+    rank, kern = fa.rank_kernel()
+    return tuple(a), fa, rank, kern.transpose()
 
 
-def _check_jw_pair(reduced, a, u_basis, report):
-    f = reduced.field
-    two_m = reduced.two_m
-    Fa = reduced.f_at(a)
-    rank_a, kern = Fa.rank_kernel()
-    membership = w_membership(reduced, a, u_basis)
-    u_coords = membership.u_coords
-    if rank_a != two_m - 2:
-        report.fail(a, u_coords, "rank f(a) = %d on Y" % rank_a)
-        return membership
+def _u_side(u_basis):
     piv, red = u_basis.rref()
-    comp = [c for c in range(two_m) if c not in piv]
+    comp = [c for c in range(red.ncols) if c not in piv]
+    return plucker_from_basis(u_basis).coords, red, piv, comp
 
-    gram = (red @ Fa) @ red.transpose()
-    if any(not f.is_zero_value(x) for row in gram.rows for x in row):
+
+def w_membership(reduced, a, u_basis):
+    """The fiber record of one pair, over the net's own field."""
+    return WMembership(_a_side(reduced, a), _u_side(u_basis))
+
+
+def _check_jw_pair(m, report):
+    f = m.fa.field
+    a, u_coords = m.a, m.u_coords
+    if m.rank != m.fa.nrows - 2:
+        report.fail(a, u_coords, "rank f(a) = %d on Y" % m.rank)
+        return
+
+    gram = m.uf @ m.red.transpose()
+    if not gram.is_zero():
         report.fail(a, u_coords, "f(a) does not vanish on U x U")
-        return membership
+        return
 
-    kernel_vecs = [[kern.rows[r][j] for r in range(two_m)]
-                   for j in range(kern.ncols)]
-    first_cols = [_quotient_coords(red.rows, piv, comp, v, f)
-                  for v in kernel_vecs]
-    first = ExactMatrix(f, [[col[c] for col in first_cols]
-                            for c in range(len(comp))],
-                        ncols=len(kernel_vecs))
-    second = ExactMatrix(
-        f, [[Fa.rows[comp[c]][l] for c in range(len(comp))]
-            for l in range(two_m)], ncols=len(comp))
-    second = red @ second  # row b: functional u_b on the complement lifts
-    composed = second @ first
-    if any(not f.is_zero_value(x) for row in composed.rows for x in row):
+    first = ExactMatrix.from_columns(
+        f, [_quotient_coords(m.red.rows, m.piv, m.comp, v, f)
+            for v in m.kernel.rows])
+    # row b: the functional u_b on the complement lifts
+    second = m.uf.submatrix(range(m.uf.nrows), m.comp)
+    if not (second @ first).is_zero():
         report.fail(a, u_coords, "composition Ker -> V/U -> U* nonzero")
-        return membership
+        return
 
     r1, r2 = first.rank(), second.rank()
-    dim = membership.intersection_dim
+    dim = m.intersection_dim
     if dim == 0:
         if r1 != 2:
             report.fail(a, u_coords, "first map not injective off W "
@@ -192,13 +199,12 @@ def _check_jw_pair(reduced, a, u_basis, report):
             report.fail(a, u_coords, "first map rank %d on W" % r1)
     else:
         report.fail(a, u_coords, "Ker f(a) = U: U is a singular point of X")
-    return membership
 
 
 def _pairs(net, plan):
-    """The reduced net and the (a, u_basis) pairs a plan checks: all of
-    Y x X when enumerating, else plan.count seeded draws.  Memoized on the
-    net by the plan's value, so jw and jw1 walk one stream of pairs."""
+    """One WMembership per pair a plan checks: all of Y x X when
+    enumerating, else plan.count seeded draws.  Memoized on the
+    net by the plan's value, so jw and jw1 read one stream of fibers."""
     key = ("pairs", plan.field, plan.mode, plan.count, plan.seed)
     return net.derived(key, lambda: _build_pairs(net, plan))
 
@@ -207,13 +213,17 @@ def _build_pairs(net, plan):
     field = plan.field
     reduced = net.over(field)
     if plan.mode == "random":
-        return reduced, _random_pairs(reduced, plan)
+        return [w_membership(reduced, a, u_basis)
+                for a, u_basis in _random_pairs(reduced, plan)]
     ys = y_points(net, field)
-    xs = [_plane_basis(p) for p in x_points(net, field)]
+    xs = x_points(net, field)
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    return reduced, [(a, u_basis) for a in ys for u_basis in xs]
+    u_sides = [_u_side(_plane_basis(p)) for p in xs]
+    return [WMembership(a_side, u_side)
+            for a_side in (_a_side(reduced, a) for a in ys)
+            for u_side in u_sides]
 
 
 def _random_nonzero(rng, elements, length, field):
@@ -266,33 +276,23 @@ def _random_pairs(reduced, plan):
 def jw_pointwise(net, plan):
     """Exactness-off-W and corank-one-on-W checks at sampled pairs."""
     report = JwReport("jw_pointwise", plan)
-    reduced, pairs = _pairs(net, plan)
-    for a, u_basis in pairs:
-        m = _check_jw_pair(reduced, a, u_basis, report)
+    for m in _pairs(net, plan):
+        _check_jw_pair(m, report)
         report.checked += 1
-        report.on_w += 1 if m.on_w else 0
-        report.off_w += 0 if m.on_w else 1
+        report.tally(m)
     return report
 
 
-def _check_jw1_triple(reduced, a, comp, v, report, u_coords):
-    """hf(a, U, v) reads the functional f(a)(v, -) on the complement lifts;
-    it must vanish exactly when v lies in Ker f(a)."""
-    f = reduced.field
-    Fa = reduced.f_at(a)
-    two_m = reduced.two_m
-    hf = []
-    for c in comp:
-        acc = f.zero_value
-        for l in range(two_m):
-            if not f.is_zero_value(v[l]):
-                acc = f.add(acc, f.mul(v[l], Fa.rows[l][c]))
-        hf.append(acc)
-    hf_zero = all(f.is_zero_value(x) for x in hf)
-    image = Fa.apply(v)
-    in_kernel = all(not x for x in image)
+def _check_jw1_triple(f, m, s, t, report):
+    """hf(a, U, v) for v = s u1 + t u2 reads the functional f(a)(v, -) on
+    the complement lifts; it must vanish exactly when v lies in Ker f(a).
+    The functional is s (u1^T f(a)) + t (u2^T f(a)), and f(a) v is its
+    negative because f(a) is skew."""
+    row = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(*m.uf.rows)]
+    hf_zero = all(f.is_zero_value(row[c]) for c in m.comp)
+    in_kernel = all(f.is_zero_value(x) for x in row)
     if hf_zero != in_kernel:
-        report.fail(a, u_coords,
+        report.fail(m.a, m.u_coords,
                     "hf vanishing disagrees with kernel membership")
     return hf_zero
 
@@ -310,28 +310,20 @@ def jw1_section_check(net, plan):
     one_v = [(f.one_value, x) for x in elements] \
         + [(f.zero_value, f.one_value)]
     rng = random.Random(plan.seed + 1)
-    reduced, pairs = _pairs(net, plan)
-    for a, u_basis in pairs:
-        membership = w_membership(reduced, a, u_basis)
-        piv, red = u_basis.rref()
-        comp = [c for c in range(reduced.two_m) if c not in piv]
-        u1, u2 = red.rows
+    for m in _pairs(net, plan):
         params = every_v if plan.mode == "enumerate" \
             else [rng.choice(one_v)]
         hits = 0
         for s, t in params:
-            v = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(u1, u2)]
-            hits += 1 if _check_jw1_triple(
-                reduced, a, comp, v, report, membership.u_coords) else 0
+            hits += 1 if _check_jw1_triple(f, m, s, t, report) else 0
             report.checked += 1
-        if plan.mode == "enumerate" and (hits > 0) != membership.on_w:
-            report.fail(a, membership.u_coords,
+        if plan.mode == "enumerate" and (hits > 0) != m.on_w:
+            report.fail(m.a, m.u_coords,
                         "section zero locus disagrees with "
                         "kernel-intersection membership")
-        if hits and not membership.on_w:
-            report.fail(a, membership.u_coords, "section vanishes off W")
-        report.on_w += 1 if membership.on_w else 0
-        report.off_w += 0 if membership.on_w else 1
+        if hits and not m.on_w:
+            report.fail(m.a, m.u_coords, "section vanishes off W")
+        report.tally(m)
     return report
 
 

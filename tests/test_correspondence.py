@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +231,19 @@ class TestFvMatrix:
                     acc = QQ.add(acc, QQ.mul(vv[l], F.rows[l][k]))
                 assert m.rows[i][k] == acc
 
+
+    def test_evaluate_matches_the_grid(self, pinned):
+        # every point of P^5(GF(3)) and a few rational points
+        net3 = pinned.over(GF(3))
+        points = [(pinned, v) for v in ([1, 0, 0, 0, 0, 0],
+                                        [Fraction(1, 2), -3, 0, 7, 1, 2],
+                                        [2, -1, 4, Fraction(-5, 3), 0, 1])]
+        points += [(net3, v) for v in enumerate_projective(GF(3), 5)]
+        for net, v in points:
+            fv = FvMatrix(net)
+            grid = [[e.evaluate(list(v)).value for e in row]
+                    for row in fv.grid]
+            assert fv.evaluate(v).rows == grid
 
 class TestQuartic:
     def test_column_quotients_agree(self, pinned):

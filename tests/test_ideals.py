@@ -200,6 +200,25 @@ def test_fit_single_quartic_binomial_identity():
         assert engine.hilbert_function(t) == comb(t + 5, 5) - comb(t + 1, 5)
 
 
+def test_fit_falls_back_to_exact_ranks_when_primes_disagree(monkeypatch):
+    # 32009 divides the second generator: mod 32003 HF is 1, 1, ... and
+    # stabilizes at once, mod 32009 only x0 survives and HF(t) = t + 1 never
+    # settles on a constant; the exact QQ ranks decide
+    import pfaffian_nets.ideals as ideals
+    exact = []
+
+    def counted(ideal, t):
+        exact.append(t)
+        return hilbert_function(ideal, t)
+    monkeypatch.setattr(ideals, "hilbert_function", counted)
+    x0, x1, _ = variables(QQ, 3)
+    ideal = HomogeneousIdeal(QQ, 3, [x0, x1.scale(32009)])
+    data = fit_hilbert_polynomial(ideal, 0)
+    assert data.fitted == (1,)
+    assert data.values == [1, 1]
+    assert exact == [0, 1]
+
+
 def test_fit_failure_reports_cap():
     ideal = HomogeneousIdeal(GF(7), 3, [])
     with pytest.raises(ValueError, match="did not stabilize"):

@@ -99,33 +99,57 @@ class TestJw1:
                                                           seed=11))
         assert report.passed
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count calls of the functions that build fibers; jw1 should make
+        none of them, because it reads jw's memoized records."""
+        calls = {}
+        targets = [(verify, "w_membership"), (verify, "phi_fiber"),
+                   (ANet, "f_at"), (ExactMatrix, "rref")]
+        for owner, name in targets:
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        streams = []
+        pairs = verify._pairs
+
+        def record(net, plan):
+            streams.append(pairs(net, plan))
+            return streams[-1]
+        monkeypatch.setattr(verify, "_pairs", record)
+        return calls, streams
+
     def test_random_mode_shares_jw_pairs(self, pinned_net, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
-        seen, fibers = [], []
-        membership, phi_fiber = verify.w_membership, verify.phi_fiber
-
-        def record(reduced, a, u_basis):
-            m = membership(reduced, a, u_basis)
-            seen[-1].append((m.a, m.u_coords))
-            return m
-
-        def count_fiber(reduced, v):
-            fibers.append(v)
-            return phi_fiber(reduced, v)
-
-        monkeypatch.setattr(verify, "w_membership", record)
-        monkeypatch.setattr(verify, "phi_fiber", count_fiber)
+        calls, streams = self._count_calls(monkeypatch)
         # a fresh plan for each check: the stream is keyed on the plan's value
         plan = lambda: SamplePlan(GF(7), count=30, seed=5, mode="random")
-        seen.append([])
         pointwise = jw_pointwise(net, plan())
-        drawn = len(fibers)
-        seen.append([])
+        assert calls["w_membership"] == 30 and calls["phi_fiber"] >= 30
+        calls.clear()
         sections = jw1_section_check(net, plan())
-        assert len(seen[0]) == 30 and seen[0] == seen[1]
-        assert drawn >= 30 and len(fibers) == drawn
+        assert calls == {}
+        assert len(streams) == 2 and streams[0] is streams[1]
+        assert len(streams[0]) == 30
         assert (pointwise.checked, pointwise.on_w, pointwise.off_w) \
             == (sections.checked, sections.on_w, sections.off_w)
+
+    def test_enumerate_mode_builds_each_side_once(self, pinned_net,
+                                                   monkeypatch):
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        ys = y_points(net, GF(2))
+        calls, streams = self._count_calls(monkeypatch)
+        pointwise = jw_pointwise(net, SamplePlan(GF(2)))
+        # one f(a) per point of Y, shared by all |X| pairs through it
+        assert len(ys) == 19 and calls["f_at"] == 19
+        calls.clear()
+        sections = jw1_section_check(net, SamplePlan(GF(2)))
+        assert calls == {}
+        assert streams[0] is streams[1]
+        assert pointwise.checked == len(streams[0]) == 361
+        assert (pointwise.on_w, pointwise.off_w) \
+            == (sections.on_w, sections.off_w)
 
     def test_report_shape(self, pinned_net):
         d = jw1_section_check(pinned_net, SamplePlan(GF(2))).as_dict()
