@@ -18,9 +18,9 @@ import numpy as np
 from . import modnum
 from .fields import GF, QQ, FieldElement, FieldMismatchError, reduce_scalar
 from .grassmann import (GrassmannLine, PluckerPoint, _echelon_pairs,
-                        enumerate_grassmannian, enumerate_projective,
-                        pair_indices, pencil_line, plane_from_plucker,
-                        plucker_from_basis, plucker_quadrics)
+                        enumerate_projective, pair_indices, pencil_line,
+                        plane_from_plucker, plucker_from_basis,
+                        plucker_quadrics)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, SECOND_PRIME, EmptinessResult,
                      HomogeneousIdeal, is_empty_projective, minors_ideal)
@@ -171,6 +171,148 @@ class FvMatrix:
                            ncols=self.ncols)
 
 
+# -- the point oracle ---------------------------------------------------------
+
+_TABLE_POINTS = 100_000  # the largest space a single-point lookup tabulates
+_CHUNK = 2048  # points, planes or lines handled per vectorized block
+
+
+def _chunks(items):
+    """Lists of up to _CHUNK consecutive items."""
+    items = iter(items)
+    while True:
+        chunk = list(itertools.islice(items, _CHUNK))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _combine(ops, coeffs, stack):
+    """Field codes of sum_j coeffs[:, j] * stack[j], for an (N, k) array of
+    coefficient codes and a stack of k code arrays of one shape."""
+    add_t, mul_t = ops["add"], ops["mul"]
+    tail = (None,) * (stack.ndim - 1)
+    out = np.zeros(coeffs.shape[:1] + stack.shape[1:], dtype=np.int64)
+    for j in range(stack.shape[0]):
+        out = add_t[out, mul_t[coeffs[(slice(None), j) + tail], stack[j]]]
+    return out
+
+
+class RankOracle:
+    """The rank of the matrix a net assigns to each point of a projective
+    space over a finite field: side "a" is f(a) = sum a_i F_i on P(A), side
+    "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for a
+    stack of matrices C_j read from the net's entries reduced into the field
+    one by one, without the independence check of `ANet`: in characteristic
+    2 a QQ net can reduce to a dependent family while its cubic stays fine,
+    and Pf is an integer polynomial in the entries, so the two agree.
+
+    Over a field with `small_field_tables` the ranks of the whole space form
+    one int8 table in `enumerate_projective` order, built in chunks by
+    `batch_rank_table`.  A point's index is the offset of the block where
+    its leading 1 sits plus the base-q code of its normalized tail.  One
+    point's rank reads the table when the space has at most _TABLE_POINTS
+    points, and is computed from the stack otherwise."""
+
+    def __init__(self, net, field, side):
+        q = field.order
+        if q is None:
+            raise ValueError("rank tables need a finite field")
+        mats = [[[reduce_scalar(FieldElement(net.field, x), field).value
+                  for x in row] for row in F.rows] for F in net.matrices]
+        if side == "v":
+            mats = [[F[l] for F in mats] for l in range(net.two_m)]
+        elif side != "a":
+            raise ValueError("side must be 'a' or 'v'")
+        self.field = field
+        self.stack = [ExactMatrix(field, m) for m in mats]
+        k = self.ncoords = len(mats)
+        self.size = (q ** k - 1) // (q - 1)
+        try:
+            self.ops = modnum.small_field_tables(field)
+        except ValueError:
+            self.ops = None
+        self._table = None
+        # coordinate j weighs q^(k-1-j); block l (leading 1 at l) has
+        # q^(k-1-l) points, and its tail is the coordinates after l
+        self._weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self._offsets = np.concatenate(([0], np.cumsum(self._weights)[:-1]))
+        self._tail = np.triu(np.tile(self._weights, (k, 1)), 1)
+
+    @property
+    def table(self):
+        """The rank at every point, in enumeration order."""
+        if self._table is None:
+            ops = self.ops
+            if ops is None:
+                raise ValueError("no rank table over %s" % self.field)
+            enc = ops["encode"]
+            stack = np.array([[[enc[x] for x in row] for row in C.rows]
+                              for C in self.stack], dtype=np.int64)
+            table = np.empty(self.size, dtype=np.int8)
+            for lo in range(0, self.size, _CHUNK):
+                idx = np.arange(lo, min(self.size, lo + _CHUNK))
+                mats = _combine(ops, self._codes_at(idx), stack)
+                table[lo:lo + idx.size] = modnum.batch_rank_table(mats, ops)
+            self._table = table
+        return self._table
+
+    def _codes_at(self, idx):
+        """The normalized points at the given indices, as code rows."""
+        lead = np.searchsorted(self._offsets, idx, side="right") - 1
+        digits = (idx - self._offsets[lead])[:, None] // self._weights \
+            % self.field.order
+        codes = np.where(self._tail[lead] > 0, digits, 0)
+        codes[np.arange(idx.size), lead] = \
+            self.ops["encode"][self.field.one_value]
+        return codes
+
+    def indices(self, codes):
+        """Table indices of an (N, k) array of nonzero code rows."""
+        mul_t, inv_t = self.ops["mul"], self.ops["inv"]
+        lead = (codes != 0).argmax(axis=1)
+        scale = inv_t[codes[np.arange(len(codes)), lead]]
+        normal = mul_t[scale[:, None], codes]
+        return self._offsets[lead] + (normal * self._tail[lead]).sum(axis=1)
+
+    def points(self, idx):
+        """The points at the given indices, as payload tuples."""
+        decode = self.ops["decode"]
+        codes = self._codes_at(np.asarray(idx, dtype=np.int64))
+        return [tuple(decode[c] for c in row) for row in codes.tolist()]
+
+    def select(self, keep):
+        """The points, in enumeration order, whose rank passes `keep`."""
+        if self.ops is None:
+            return [x for x in enumerate_projective(self.field,
+                                                    self.ncoords - 1)
+                    if keep(self.rank(x))]
+        return self.points(np.nonzero(keep(self.table))[0])
+
+    def rank(self, x):
+        """The rank at one nonzero point x, given by field payloads."""
+        f = self.field
+        if self._table is not None or (self.ops is not None
+                                       and self.size <= _TABLE_POINTS):
+            enc = self.ops["encode"]
+            codes = [enc[c] for c in x]
+            lead = next(j for j, c in enumerate(codes) if c)
+            scale = self.ops["mul"][self.ops["inv"][codes[lead]]]
+            tail = 0
+            for c in codes[lead + 1:]:
+                tail = tail * f.order + int(scale[c])
+            return int(self.table[int(self._offsets[lead]) + tail])
+        terms = [C.scale(c) for c, C in zip(x, self.stack)
+                 if not f.is_zero_value(c)]
+        return sum(terms[1:], terms[0]).rank()
+
+
+def rank_oracle(net, field, side):
+    """The RankOracle of (net, field, side), built once per net."""
+    return net.derived(("ranks", field, side),
+                       lambda: RankOracle(net, field, side))
+
+
 # -- regularity ---------------------------------------------------------------
 
 class RegularityResult:
@@ -281,11 +423,12 @@ def kappa(net, a):
 
 
 def y_points(net, field):
-    """All points of Y over a small finite field, via the reduced cubic."""
+    """All points of Y over a small finite field, in enumeration order: the
+    a with rank f(a) < 2m, because Pf^2 = det."""
     def build():
-        cubic = pfaffian_hypersurface(net).map_field(field)
-        return [a for a in enumerate_projective(field, net.n - 1)
-                if not cubic.evaluate(list(a))]
+        pfaffian_hypersurface(net)  # a degenerate net raises here
+        return rank_oracle(net, field, "a").select(
+            lambda rank: rank < net.two_m)
     return list(net.derived(("y_points", field), build))
 
 
@@ -314,22 +457,28 @@ def x_points(net, field):
 
 
 def _x_points(net):
+    """U = <u1, u2> lies on X iff u1^T F_i u2 = 0 for every i, which is
+    l_i(p) = 0 at its Plucker point p; tested on code arrays of the echelon
+    rows, and only the survivors become Plucker points."""
     f = net.field
-    pairs, _ = pair_indices(net.two_m)
-    coeffs = [[F.rows[i][j] for i, j in pairs] for F in net.matrices]
+    two_m = net.two_m
+    ops = modnum.small_field_tables(f)
+    add_t, mul_t, enc = ops["add"], ops["mul"], ops["encode"]
+    # stack[k][i] is column k of F_i, so combining with u2 gives F_i u2
+    stack = np.array([[[enc[F.rows[j][k]] for j in range(two_m)]
+                       for F in net.matrices] for k in range(two_m)],
+                     dtype=np.int64)
     out = []
-    for pt in enumerate_grassmannian(net.two_m, f):
-        ok = True
-        for form in coeffs:
-            acc = f.zero_value
-            for c, v in zip(form, pt.coords):
-                if not f.is_zero_value(c) and not f.is_zero_value(v):
-                    acc = f.add(acc, f.mul(c, v))
-            if not f.is_zero_value(acc):
-                ok = False
-                break
-        if ok:
-            out.append(pt)
+    for chunk in _chunks(_echelon_pairs(two_m, f)):
+        u1 = np.array([[enc[x] for x in r1] for r1, _ in chunk])
+        u2 = np.array([[enc[x] for x in r2] for _, r2 in chunk])
+        fu2 = _combine(ops, u2, stack)
+        forms = np.zeros(fu2.shape[:2], dtype=np.int64)
+        for j in range(two_m):
+            forms = add_t[forms, mul_t[u1[:, j, None], fu2[:, :, j]]]
+        out.extend(plucker_from_basis(ExactMatrix(f, [r1, r2]))
+                   for (r1, r2), off in zip(chunk, forms.any(axis=1))
+                   if not off)
     return out
 
 
@@ -419,41 +568,17 @@ def c_ideal(net):
     return minors_ideal(FvMatrix(net).grid, 4)
 
 
-def rank_fv(net, v):
-    return FvMatrix(net).evaluate(v).rank()
-
-
 def fv_rank_profile(net, field):
     """Counts {rank: #points} of f_v over all of P(V) for a finite field of
-    order <= 64, vectorized on its operation tables (for GF(p) the codes
-    are the residues); also returns the lists of rank <= 3 and rank-4
-    points."""
-    reduced = net.over(field)
-    tables = modnum.small_field_tables(field)
-    encode = tables["encode"]
-    pts_payload = list(enumerate_projective(field, net.two_m - 1))
-    pts = np.array([[encode[v] for v in pt] for pt in pts_payload],
-                   dtype=np.int64)
-    add_t, mul_t = tables["add"], tables["mul"]
-    N = pts.shape[0]
-    mats = np.zeros((N, net.n, net.two_m), dtype=np.int64)
-    for i, F in enumerate(reduced.matrices):
-        codes = [[encode[F.rows[l][k]] for k in range(net.two_m)]
-                 for l in range(net.two_m)]
-        for k in range(net.two_m):
-            acc = np.zeros(N, dtype=np.int64)
-            for l in range(net.two_m):
-                c = codes[l][k]
-                if c:
-                    acc = add_t[acc, mul_t[c, pts[:, l]]]
-            mats[:, i, k] = acc
-    ranks = modnum.batch_rank_table(mats, tables)
+    order <= 64, read from the f_v rank table; also returns the lists of
+    rank <= 3 and (the first 64) rank-4 points."""
+    oracle = rank_oracle(net, field, "v")
+    ranks = oracle.table
     profile = {int(r): int(c) for r, c in
                zip(*np.unique(ranks, return_counts=True))}
     low = np.nonzero(ranks <= net.two_m // 2)[0]
     rank4 = np.nonzero(ranks == 4)[0]
-    return (profile, [pts_payload[i] for i in low],
-            [pts_payload[i] for i in rank4[:64]])
+    return profile, oracle.points(low), oracle.points(rank4[:64])
 
 
 # -- fibers of psi and phi ----------------------------------------------------
@@ -574,12 +699,42 @@ def _kernel_sections(f, F1, F2, s):
 
 
 def find_lines_on_y(net, field):
-    """All lines of P(A) lying on Y over a small field, as spanning pairs;
-    exhaustive over the lines of the projective space."""
-    cubic = pfaffian_hypersurface(net).map_field(field)
-    return [(tuple(r1), tuple(r2))
-            for r1, r2 in _echelon_pairs(net.n, field)
-            if line_on_hypersurface(cubic, r1, r2)]
+    """All lines of P(A) lying on Y over a small field, as spanning pairs in
+    `_echelon_pairs` order; exhaustive over the lines of the projective
+    space.  Pf restricted to a line is a binary form of degree m, zero or
+    with at most m zeros, so a line with more than m points lies on Y iff
+    all of them do.  Over a prime field with fewer than m elements the
+    points are read over its first extension with at least m (Y(GF(4)) for
+    the cubic over GF(2))."""
+    pfaffian_hypersurface(net)  # a degenerate net raises here
+    m = net.two_m // 2
+    ext = field
+    if field.order < m:
+        if field.kind != "GF(p)":
+            raise ValueError("lines over %s need an extension with at "
+                             "least %d elements" % (field, m))
+        k = 2
+        while field.order ** k < m:
+            k += 1
+        ext = GF(field.p, k)
+    oracle = rank_oracle(net, ext, "a")
+    ops = oracle.ops
+    code = {e.value: ops["encode"][reduce_scalar(e, ext).value]
+            for e in field.elements()}
+    one = ops["encode"][ext.one_value]
+    params = [(one, 0)] + [(x, one) for x in range(ext.order)]
+    add_t, mul_t = ops["add"], ops["mul"]
+    out = []
+    for chunk in _chunks(_echelon_pairs(net.n, field)):
+        r1 = np.array([[code[x] for x in a1] for a1, _ in chunk])
+        r2 = np.array([[code[x] for x in a2] for _, a2 in chunk])
+        on_y = np.ones(len(chunk), dtype=bool)
+        for s, t in params:
+            pts = add_t[mul_t[s, r1], mul_t[t, r2]]
+            on_y &= oracle.table[oracle.indices(pts)] < net.two_m
+        out.extend((tuple(a1), tuple(a2))
+                   for (a1, a2), keep in zip(chunk, on_y) if keep)
+    return out
 
 
 # -- C-point search -----------------------------------------------------------

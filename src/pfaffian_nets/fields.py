@@ -450,11 +450,6 @@ class ExtensionField(Field):
             return tuple(c % p for c in x)
         raise TypeError("cannot coerce %r into %s" % (x, self))
 
-    def from_coeffs(self, coeffs):
-        """Element with given ascending coefficients (any length <= k)."""
-        c = list(coeffs) + [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(v % self.p for v in c[:self.k]))
-
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))

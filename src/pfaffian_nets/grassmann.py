@@ -155,12 +155,6 @@ def plucker_quadrics(two_m, field):
         raise ValueError("need 2m >= 4")
     pairs, pos = pair_indices(two_m)
     nv = len(pairs)
-
-    def var_exps(a, b):
-        e = [0] * nv
-        e[pos[(a, b)]] += 1
-        return e
-
     out = []
     one = field.one_value
     neg1 = field.neg(one)
@@ -176,10 +170,17 @@ def plucker_quadrics(two_m, field):
     return out
 
 
-def _echelon_pairs(n, field):
+def _echelon_pairs(n, field, limit=10_000_000):
     """The two rows of every 2 x n reduced echelon matrix over a finite
     field, one per 2-plane of field^n, in (pivot pair, free entries)
-    lexicographic order."""
+    lexicographic order; at most `limit` planes."""
+    q = field.order
+    if q is None:
+        raise ValueError("enumeration needs a finite field")
+    total = gaussian_binomial(n, 2, q)
+    if total > limit:
+        raise ValueError("Gr(2,%d) over GF(%d) has %d points, over the "
+                         "limit %d" % (n, q, total, limit))
     elements = [e.value for e in field.elements()]
     zero, one = field.zero_value, field.one_value
     for c1 in range(n - 1):
@@ -202,14 +203,7 @@ def _echelon_pairs(n, field):
 def enumerate_grassmannian(two_m, field, limit=10_000_000):
     """One representative per 2-plane via reduced echelon canonical forms,
     streamed in (pivot pair, free entries) lexicographic order."""
-    q = field.order
-    if q is None:
-        raise ValueError("enumeration needs a finite field")
-    total = gaussian_binomial(two_m, 2, q)
-    if total > limit:
-        raise ValueError("Gr(2,%d) over GF(%d) has %d points, over the "
-                         "limit %d" % (two_m, q, total, limit))
-    for r1, r2 in _echelon_pairs(two_m, field):
+    for r1, r2 in _echelon_pairs(two_m, field, limit):
         yield plucker_from_basis(ExactMatrix(field, [r1, r2]))
 
 
@@ -257,9 +251,6 @@ class GrassmannLine:
              for a, b in zip(self.w1, self.w2)]
         return plucker_from_basis(ExactMatrix(self.field,
                                               [list(self.v), w]))
-
-    def parameter_points(self, params):
-        return [self.point_at(s, t) for s, t in params]
 
     def __repr__(self):
         return "GrassmannLine(span=%r)" % (self.span,)

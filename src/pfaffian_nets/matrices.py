@@ -93,9 +93,6 @@ class ExactMatrix:
     def column(self, j):
         return [FieldElement(self.field, row[j]) for row in self.rows]
 
-    def row_elements(self, i):
-        return [FieldElement(self.field, x) for x in self.rows[i]]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -232,26 +232,3 @@ def batch_rank_table(mats, tables):
     return _batch_rank(np.asarray(mats, dtype=np.int64),
                        lambda a, b: mul_t[a, b], lambda a, b: sub_t[a, b],
                        tables["inv"])
-
-
-def monomial_values(points, exps, p):
-    """Evaluate monomials at many points mod p.
-
-    points: (N, n) int array; exps: (M, n) exponent array.
-    Returns (N, M) with entry [i, j] = prod_k points[i, k] ** exps[j, k].
-    """
-    pts = np.asarray(points, dtype=np.int64) % p
-    exps = np.asarray(exps)
-    N, n = pts.shape
-    M = exps.shape[0]
-    out = np.ones((N, M), dtype=np.int64)
-    maxe = int(exps.max()) if M else 0
-    for k in range(n):
-        if not np.any(exps[:, k]):
-            continue
-        powers = np.empty((maxe + 1, N), dtype=np.int64)
-        powers[0] = 1
-        for e in range(1, maxe + 1):
-            powers[e] = powers[e - 1] * pts[:, k] % p
-        out = out * powers[exps[:, k]].T % p
-    return out

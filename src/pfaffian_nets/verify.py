@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .correspondence import (pfaffian_hypersurface, phi_fiber, q_quartic,
+from .correspondence import (pfaffian_hypersurface, phi_fiber, rank_oracle,
                              x_points, y_points)
 from .grassmann import (GrassmannLine, enumerate_projective,
                         plane_from_plucker, plucker_from_basis)
@@ -236,10 +236,16 @@ def _random_nonzero(rng, elements, length, field):
 def _random_pairs(reduced, plan):
     """plan.count random (a, u_basis) pairs: a by rejection against the
     cubic, U by rejection against the quartic followed by the fiber of phi
-    (every plane of X through a vector v arises that way)."""
+    (every plane of X through a vector v arises that way).  Both tests read
+    the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
+    Q(v) = 0 iff rank f_v < 5, because f_v v = 0 makes the maximal minors
+    of f_v the products +-v_i Q(v)."""
     field = plan.field
-    cubic = pfaffian_hypersurface(reduced)
-    quartic = q_quartic(reduced)
+    if (reduced.n, reduced.two_m) != (5, 6):
+        raise ValueError("the quartic construction is the n=5, 2m=6 case")
+    pfaffian_hypersurface(reduced)  # a degenerate net raises here
+    on_y = rank_oracle(reduced, field, "a")
+    on_q = rank_oracle(reduced, field, "v")
     elements = _element_values(field)
     rng = random.Random(plan.seed)
     budget = [_TRY_FACTOR * plan.count * max(4, len(elements))]
@@ -254,14 +260,14 @@ def _random_pairs(reduced, plan):
         while True:
             spend()
             a = _random_nonzero(rng, elements, 5, field)
-            if not cubic.evaluate(a):
+            if on_y.rank(a) < 6:
                 return tuple(a)
 
     def draw_u():
         while True:
             spend()
             v = _random_nonzero(rng, elements, 6, field)
-            if quartic.evaluate(v):
+            if on_q.rank(v) == 5:
                 continue
             u = phi_fiber(reduced, v)
             if isinstance(u, GrassmannLine):

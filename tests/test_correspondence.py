@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pfaffian_nets import correspondence
+from pfaffian_nets import correspondence, modnum
 from pfaffian_nets.cli import _line_key
 from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           degenerate_net, find_c_points,
@@ -14,13 +15,14 @@ from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           net_linear_forms,
                                           pfaffian_hypersurface, phi_fiber,
                                           psi_fiber, q_quartic, random_net,
-                                          random_regular_net, rank_fv,
+                                          random_regular_net, rank_oracle,
                                           singular_x_points,
                                           splitting_type_on_line,
                                           sub_pfaffian_ideal, tangent_test_x,
                                           x_ideal, x_points, y_points)
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
+                                     _echelon_pairs, enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
                                      plucker_from_basis)
 from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
@@ -31,6 +33,10 @@ from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 F2 = GF(2)
 F3 = GF(3)
 F7 = GF(7)
+
+
+def rank_fv(net, v):
+    return FvMatrix(net).evaluate(v).rank()
 
 
 def times_variable_vector(fv):
@@ -467,6 +473,112 @@ class TestXSide:
         ideal = x_ideal(pinned)
         # 15 Plucker quadrics plus 5 hyperplanes
         assert len(ideal.generators) == 20
+
+
+class TestRankOracle:
+    """The rank tables answer every pointwise membership question exactly
+    as the polynomials do."""
+
+    @pytest.mark.parametrize("field", [F2, F3, GF(2, 2), GF(5), F7], ids=str)
+    def test_table_zeros_are_the_cubic_zeros(self, pinned, field):
+        cubic = pfaffian_hypersurface(pinned).map_field(field)
+        oracle = rank_oracle(pinned, field, "a")
+        pts = list(enumerate_projective(field, 4))
+        assert len(oracle.table) == len(pts)
+        for a, rank in zip(pts, oracle.table):
+            assert (rank < 6) == (not cubic.evaluate(list(a)))
+
+    @pytest.mark.parametrize("field", [F3, GF(2, 2), GF(5)], ids=str)
+    def test_table_zeros_are_the_quartic_zeros(self, pinned, field):
+        # the integer quotient, so that it reduces modulo 2 as well
+        quartic = q_quartic(pinned, normalize=False).map_field(field)
+        oracle = rank_oracle(pinned, field, "v")
+        pts = list(enumerate_projective(field, 5))
+        assert len(oracle.table) == len(pts)
+        for v, rank in zip(pts, oracle.table):
+            assert (rank <= 4) == (not quartic.evaluate(list(v)))
+
+    @pytest.mark.parametrize("field", [F3, GF(2, 2)], ids=str)
+    def test_indices_follow_the_enumeration(self, pinned, field):
+        oracle = rank_oracle(pinned, field, "v")
+        pts = list(enumerate_projective(field, 5))
+        assert oracle.points(range(len(pts))) == pts
+        fv = FvMatrix(pinned.map_field(field))
+        scalars = [e.value for e in field.elements()][1:]
+        for i, v in enumerate(pts):
+            assert oracle.table[i] == fv.evaluate(v).rank()
+            c = scalars[i % len(scalars)]
+            scaled = [field.mul(c, x) for x in v]
+            assert oracle.rank(scaled) == oracle.table[i]
+
+    def test_direct_ranks_beyond_the_table(self, pinned):
+        field = GF(101)
+        oracle = rank_oracle(pinned, field, "a")
+        net = pinned.map_field(field)
+        for a in ([1, 2, 3, 4, 5], [0, 0, 7, 100, 1], [0, 0, 0, 0, 9]):
+            assert oracle.rank(a) == net.f_at(a).rank()
+        with pytest.raises(ValueError, match="no rank table"):
+            oracle.table
+
+    def test_characteristic_two_reads_the_reduced_entries(self):
+        # F_5 = F_1 + 2 G: independent over QQ, dependent modulo 2
+        rng = random.Random(1)
+        tris = [[rng.randint(-3, 3) for _ in range(15)] for _ in range(4)]
+        g = [rng.randint(-3, 3) for _ in range(15)]
+        tris.append([x + 2 * y for x, y in zip(tris[0], g)])
+        net = ANet.from_upper_triangles(QQ, 6, tris)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            net.over(F2)
+        cubic = pfaffian_hypersurface(net).map_field(F2)
+        expected = [a for a in enumerate_projective(F2, 4)
+                    if not cubic.evaluate(list(a))]
+        assert len(expected) == 15
+        assert y_points(net, F2) == expected
+
+    @staticmethod
+    def _symbolic_lines(net, field):
+        cubic = pfaffian_hypersurface(net).map_field(field)
+        return [(tuple(r1), tuple(r2))
+                for r1, r2 in _echelon_pairs(net.n, field)
+                if line_on_hypersurface(cubic, r1, r2)]
+
+    @pytest.mark.parametrize("field, counts", [
+        (F2, [14, 7, 12, 13, 6]), (F3, [18, 17, 12, 10, 32])], ids=str)
+    def test_lines_match_the_symbolic_restriction(self, pinned_family,
+                                                  field, counts):
+        found = [find_lines_on_y(net, field) for net in pinned_family]
+        assert [len(lines) for lines in found] == counts
+        assert found == [self._symbolic_lines(net, field)
+                         for net in pinned_family]
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_x_points_are_the_filtered_grassmannian(self, pinned, field):
+        forms = net_linear_forms(pinned.over(field))
+        expected = [pt for pt in enumerate_grassmannian(6, field)
+                    if not any(f.evaluate(list(pt.coords)) for f in forms)]
+        assert x_points(pinned, field) == expected
+
+    def test_x_points_over_gf4_are_cut_by_the_plucker_forms(self, pinned):
+        # Plucker points for all 93,093 planes are slow to build over GF(4),
+        # so the coordinates p_jk = u1_j u2_k - u1_k u2_j are formed on codes
+        field = GF(2, 2)
+        reduced = pinned.over(field)
+        ops = modnum.small_field_tables(field)
+        enc, add, sub, mul = (ops["encode"], ops["add"], ops["sub"],
+                              ops["mul"])
+        pairs, _ = pair_indices(6)
+        rows = list(_echelon_pairs(6, field))
+        u1 = np.array([[enc[x] for x in r1] for r1, _ in rows])
+        u2 = np.array([[enc[x] for x in r2] for _, r2 in rows])
+        forms = np.zeros((len(rows), 5), dtype=np.int64)
+        for i, j in pairs:
+            p = sub[mul[u1[:, i], u2[:, j]], mul[u1[:, j], u2[:, i]]]
+            coeffs = np.array([enc[F.rows[i][j]] for F in reduced.matrices])
+            forms = add[forms, mul[p[:, None], coeffs[None, :]]]
+        expected = [plucker_from_basis(ExactMatrix(field, list(r)))
+                    for r, off in zip(rows, forms.any(axis=1)) if not off]
+        assert expected
+        assert x_points(pinned, field) == expected
 
 
 class TestClassification:

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from pfaffian_nets import verify
 from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
+                                          phi_fiber, q_quartic, rank_oracle,
                                           y_points)
 from pfaffian_nets.fields import GF, QQ
+from pfaffian_nets.grassmann import GrassmannLine
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
@@ -82,6 +86,64 @@ class TestJwRandom:
         monkeypatch.setattr(verify, "_TRY_FACTOR", 0)
         with pytest.raises(ValueError, match="budget"):
             jw_pointwise(pinned_net, SamplePlan(GF(7), count=5, seed=0))
+
+
+def evaluating_sampler(reduced, plan):
+    """The GF(q) sampler as it was written on the polynomials: the same
+    draws, with membership decided by evaluating the cubic and the
+    quartic at each point."""
+    field = plan.field
+    cubic = pfaffian_hypersurface(reduced)
+    quartic = q_quartic(reduced)
+    elements = [e.value for e in field.elements()]
+    rng = random.Random(plan.seed)
+
+    def draw(length):
+        while True:
+            v = [rng.choice(elements) for _ in range(length)]
+            if not all(field.is_zero_value(x) for x in v):
+                return v
+
+    def draw_a():
+        while True:
+            a = draw(5)
+            if not cubic.evaluate(a):
+                return tuple(a)
+
+    def draw_u():
+        while True:
+            v = draw(6)
+            if quartic.evaluate(v):
+                continue
+            u = phi_fiber(reduced, v)
+            if isinstance(u, GrassmannLine):
+                s, t = rng.choice([(field.one_value, x) for x in elements]
+                                  + [(field.zero_value, field.one_value)])
+                u = u.point_at(s, t)
+            return u.basis
+
+    return [(draw_a(), draw_u()) for _ in range(plan.count)]
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("q, count, tabulated", [
+        ((7, 1), 200, True), ((5, 2), 4, False), ((101, 1), 8, False)],
+        ids=["GF(7)", "GF(25)", "GF(101)"])
+    def test_draws_equal_the_evaluating_sampler(self, pinned_net, q, count,
+                                                tabulated):
+        field = GF(*q)
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        reduced = net.over(field)
+        plan = SamplePlan(field, count=count, seed=4, mode="random")
+        drawn = verify._random_pairs(reduced, plan)
+        expected = evaluating_sampler(reduced, plan)
+        assert [(a, u.rows) for a, u in drawn] \
+            == [(a, u.rows) for a, u in expected]
+        # GF(7) reads the rank tables; P^4 over GF(25) and GF(101) has
+        # over 100,000 points, so there each rank is computed directly
+        for side in ("a", "v"):
+            oracle = rank_oracle(reduced, field, side)
+            assert (oracle._table is not None) == tabulated
 
 
 class TestJw1:
