@@ -28,7 +28,7 @@ from .correspondence import (ANet, c_ideal, classify, find_c_points,
                              phi_fiber, psi_fiber, q_quartic,
                              random_regular_net, splitting_type_on_line,
                              x_ideal)
-from .fields import GF, QQ, FieldElement, field_from_name
+from .fields import GF, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME, SECOND_PRIME,
                      fit_hilbert_polynomial)
 from .matrices import ExactMatrix
@@ -372,24 +372,23 @@ def _jw_plans(ctx):
     return plans
 
 
-def _stage_jw(ctx):
+def _fiber_stage(ctx, check):
+    """jw and jw1: one report of `check` per plan, on a net classified
+    smooth."""
     cls = ctx.get("classification")
     if cls is not None and not cls.all_smooth:
         return "skipped", {"reason": "net is not classified smooth"}
-    reports = [jw_pointwise(ctx["net"], plan).as_dict()
-               for plan in _jw_plans(ctx)]
+    reports = [check(ctx["net"], plan).as_dict() for plan in _jw_plans(ctx)]
     ok = all(r["passed"] for r in reports)
     return ("pass" if ok else "fail"), {"reports": reports}
+
+
+def _stage_jw(ctx):
+    return _fiber_stage(ctx, jw_pointwise)
 
 
 def _stage_jw1(ctx):
-    cls = ctx.get("classification")
-    if cls is not None and not cls.all_smooth:
-        return "skipped", {"reason": "net is not classified smooth"}
-    reports = [jw1_section_check(ctx["net"], plan).as_dict()
-               for plan in _jw_plans(ctx)]
-    ok = all(r["passed"] for r in reports)
-    return ("pass" if ok else "fail"), {"reports": reports}
+    return _fiber_stage(ctx, jw1_section_check)
 
 
 STAGES = (

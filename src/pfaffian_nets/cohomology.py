@@ -356,23 +356,3 @@ def _expected_cell(d, k, p, t):
     if t == 1:
         return 2 * d if k == 2 else ("<=", 2 * d)
     return 0
-
-
-# (name, cell a, cell b, offset(d, k)): each relation reads a - b = offset
-INSTANTON_RELATIONS = (
-    ("h3(-3) = h0(1)", (3, -3), (0, 1), lambda d, k: 0),
-    ("h2(-3) = h1(1)", (2, -3), (1, 1), lambda d, k: 0),
-    ("h0(1) - h1(1) = 2d - 2k + 4", (0, 1), (1, 1),
-     lambda d, k: 2 * d - 2 * k + 4),
-)
-
-
-def check_instanton_relations(table, d, k):
-    """The three cross-cell equalities tying the corners of the grid."""
-    out = []
-    for name, cell_a, cell_b, offset in INSTANTON_RELATIONS:
-        a = table.computed(*cell_a)
-        b = table.computed(*cell_b)
-        out.append({"name": name, "lhs": a, "rhs": b,
-                    "verdict": "pass" if a - b == offset(d, k) else "fail"})
-    return out

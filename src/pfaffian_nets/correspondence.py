@@ -17,13 +17,12 @@ import numpy as np
 
 from . import modnum
 from .fields import GF, QQ, FieldElement, FieldMismatchError, reduce_scalar
-from .grassmann import (GrassmannLine, PluckerPoint, _echelon_pairs,
-                        enumerate_projective, pair_indices, pencil_line,
-                        plane_from_plucker, plucker_from_basis,
+from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
+                        pencil_line, plane_from_plucker, plucker_from_basis,
                         plucker_quadrics)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
-                     DEFAULT_PRIME, SECOND_PRIME, EmptinessResult,
-                     HomogeneousIdeal, is_empty_projective, minors_ideal)
+                     DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
+                     minors_ideal)
 from .matrices import ExactMatrix, pfaffian_scalar
 from .multipoly import (MultiPoly, SkewPolyMatrix, exact_divide, minor_polys,
                         pfaffian_poly)
@@ -347,24 +346,21 @@ def sub_pfaffian_ideal(net):
     return HomogeneousIdeal(net.field, net.n, gens)
 
 
-def _rank_deficient_witness(net, max_rank, search_fields=(3, 7)):
-    """Scan P(A) over small prime fields for a point with rank f(a) <=
-    max_rank; returns (prime, point) or None."""
-    for p in search_fields:
+def _rank_deficient_witness(net, max_rank):
+    """The first point of P(A) over GF(3), then GF(7), with rank f(a) <=
+    max_rank, read from the rank table; (prime, point) or None.  A field
+    the net does not reduce to (a denominator p divides, or a dependent
+    reduction) is skipped."""
+    for p in (3, 7):
         fp = GF(p)
         try:
-            reduced = net.over(fp)
+            net.over(fp)
         except (FieldMismatchError, ValueError):
             continue
-        pts = list(enumerate_projective(fp, net.n - 1))
-        mats = np.zeros((len(pts), net.two_m, net.two_m), dtype=np.int64)
-        for idx, a in enumerate(pts):
-            fa = reduced.f_at(a)
-            mats[idx] = np.array(fa.rows, dtype=np.int64)
-        ranks = modnum.batch_rank(mats, p)
-        hits = np.nonzero(ranks <= max_rank)[0]
+        oracle = rank_oracle(net, fp, "a")
+        hits = np.nonzero(oracle.table <= max_rank)[0]
         if hits.size:
-            return p, pts[int(hits[0])]
+            return p, oracle.points(hits[:1])[0]
     return None
 
 
@@ -625,7 +621,7 @@ def phi_fiber(net, v):
 
 # -- lines and splitting types ------------------------------------------------
 
-def line_on_hypersurface(poly, a1, a2, params=None):
+def line_on_hypersurface(poly, a1, a2):
     """Whether the form vanishes on the whole pencil s*a1 + t*a2, via the
     symbolic restriction to the (s, t) parameters."""
     f = poly.field
@@ -740,13 +736,15 @@ def find_lines_on_y(net, field):
 # -- C-point search -----------------------------------------------------------
 
 SEARCH_LADDER = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3))
+_C_POINTS = 8  # curve points handed to the lines stage
 
 
-def find_c_points(net, ladder=SEARCH_LADDER, max_points=8):
-    """Climb small fields until points of the curve C are found: rank f_v
-    <= 3 among all points of P(V).  Returns (field, points) or None when the
-    whole ladder is exhausted (the caller decides how loudly to complain)."""
-    for p, k in ladder:
+def find_c_points(net):
+    """Climb SEARCH_LADDER until points of the curve C are found: rank f_v
+    <= 3 among all points of P(V).  Returns (field, the first _C_POINTS
+    points) or None when the whole ladder is exhausted (the caller decides
+    how loudly to complain)."""
+    for p, k in SEARCH_LADDER:
         field = GF(p, k)
         try:
             reduced = net.over(field)
@@ -758,7 +756,7 @@ def find_c_points(net, ladder=SEARCH_LADDER, max_points=8):
             raise ValueError("rank f_v = %d point found over %s: violates "
                              "the minimal-rank bound" % (bad, field))
         if low:
-            return field, low[:max_points]
+            return field, low[:_C_POINTS]
     return None
 
 
@@ -834,11 +832,9 @@ def random_net(field, n, two_m, rng, bound=3):
             continue
 
 
-def random_regular_net(seed, bound=3, n=5, two_m=6, max_tries=400,
-                       require_clean_fields=(), prime=DEFAULT_PRIME):
+def random_regular_net(seed, bound=3, n=5, two_m=6, max_tries=400):
     """Rejection-sample integer nets over QQ until one is regular with a
-    smooth Pfaffian hypersurface (and, when asked, clean enumerated
-    classification over the given small fields).  Deterministic per seed."""
+    smooth Pfaffian hypersurface.  Deterministic per seed."""
     import random as _random
     rng = _random.Random(seed)
     tries = 0
@@ -846,19 +842,13 @@ def random_regular_net(seed, bound=3, n=5, two_m=6, max_tries=400,
         tries += 1
         net = random_net(QQ, n, two_m, rng, bound=bound)
         try:
-            cls = classify(net, fields=require_clean_fields, prime=prime)
+            cls = classify(net)
             ok = cls.regular.is_regular and cls.y_smooth.is_empty
         except ValueError:
-            # covers inconclusive verdicts, identically-zero Pfaffians, and
-            # reductions that collapse to a dependent family
+            # covers inconclusive verdicts and identically-zero Pfaffians
             continue
-        if not ok:
-            continue
-        if require_clean_fields and not all(
-                d["x_smooth"] and d["sets_equal"] and not d["x_cap_kappa"]
-                for d in cls.per_field.values()):
-            continue
-        return net, tries
+        if ok:
+            return net, tries
     raise ValueError("no regular net with smooth Y in %d tries (seed %r, "
                      "bound %d)" % (max_tries, seed, bound))
 

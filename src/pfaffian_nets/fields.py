@@ -245,9 +245,6 @@ class FieldElement:
             e >>= 1
         return result
 
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field == other.field and self.value == other.value

@@ -10,7 +10,6 @@ scaling the first nonzero coordinate to 1, so equal points compare equal.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 from .fields import FieldElement
 from .matrices import ExactMatrix
@@ -64,19 +63,6 @@ class PluckerPoint:
         self.two_m = two_m
         self.coords = tuple(field.mul(inv, v) for v in vals)
         self.basis = basis
-
-    def coordinate(self, i, j):
-        """Signed coordinate p_ij, valid for i != j in either order."""
-        _, pos = pair_indices(self.two_m)
-        if i < j:
-            return FieldElement(self.field, self.coords[pos[(i, j)]])
-        if j < i:
-            return FieldElement(self.field,
-                                self.field.neg(self.coords[pos[(j, i)]]))
-        raise ValueError("p_ii is not a coordinate")
-
-    def vector(self):
-        return [FieldElement(self.field, v) for v in self.coords]
 
     def satisfies_quadrics(self):
         f = self.field
@@ -218,10 +204,6 @@ def enumerate_projective(field, dim):
     for lead in range(n):
         for tail in itertools.product(elements, repeat=n - lead - 1):
             yield (zero,) * lead + (one,) + tail
-
-
-def projective_count(q, dim):
-    return (q ** (dim + 1) - 1) // (q - 1)
 
 
 class GrassmannLine:

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from . import modnum
-from .fields import GF, QQ
+from .fields import GF
 from .matrices import ExactMatrix
 from .multipoly import minor_polys, monomials_of_degree
 
@@ -247,12 +247,6 @@ class HilbertData:
         self.values = list(values)
         self.fitted = fitted
         self.stable_from = stable_from
-
-    def value(self, t):
-        lo, hi = self.window
-        if not lo <= t <= hi:
-            raise KeyError("degree %d outside window %s" % (t, self.window))
-        return self.values[t - lo]
 
     @property
     def polynomial_degree(self):

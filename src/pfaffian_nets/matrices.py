@@ -53,13 +53,6 @@ class ExactMatrix:
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one_value
-        return m
-
-    @classmethod
     def from_columns(cls, field, cols, nrows=None):
         cols = list(cols)
         if not cols:
@@ -68,17 +61,6 @@ class ExactMatrix:
         n = len(cols[0])
         return cls(field, [[cols[j][i] for j in range(len(cols))]
                            for i in range(n)])
-
-    @classmethod
-    def vstack(cls, mats):
-        mats = list(mats)
-        field = mats[0].field
-        rows = []
-        for m in mats:
-            if m.field != field:
-                raise FieldMismatchError("vstack over mixed fields")
-            rows.extend(m.rows)
-        return cls(field, rows, ncols=mats[0].ncols)
 
     def copy(self):
         return ExactMatrix(self.field, [row[:] for row in self.rows],
@@ -89,9 +71,6 @@ class ExactMatrix:
     def __getitem__(self, key):
         i, j = key
         return FieldElement(self.field, self.rows[i][j])
-
-    def column(self, j):
-        return [FieldElement(self.field, row[j]) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -152,19 +131,6 @@ class ExactMatrix:
                 new.append(acc)
             out.append(new)
         return ExactMatrix(f, out, ncols=other.ncols)
-
-    def apply(self, vec):
-        """Matrix times a payload/element vector, as a list of FieldElements."""
-        f = self.field
-        v = [_payload(f, x) for x in vec]
-        out = []
-        for row in self.rows:
-            acc = f.zero_value
-            for a, b in zip(row, v):
-                if not f.is_zero_value(a) and not f.is_zero_value(b):
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(FieldElement(f, acc))
-        return out
 
     def transpose(self):
         return ExactMatrix(self.field, [list(col) for col in zip(*self.rows)],
@@ -240,25 +206,6 @@ class ExactMatrix:
 
     def rank(self):
         return len(self.rref()[0])
-
-    def kernel(self):
-        return self.rank_kernel()[1]
-
-    def solve(self, rhs):
-        """Solve self @ x = rhs for full-column-rank self; rhs an ExactMatrix."""
-        if self.field != rhs.field or self.nrows != rhs.nrows:
-            raise ValueError("shape or field mismatch in solve")
-        aug = ExactMatrix(self.field,
-                          [r1 + list(r2) for r1, r2 in zip(self.rows, rhs.rows)],
-                          ncols=self.ncols + rhs.ncols)
-        piv, basis = aug.rref()
-        lead = [c for c in piv if c < self.ncols]
-        if len(lead) != self.ncols:
-            raise ValueError("matrix is column-rank deficient")
-        if any(c >= self.ncols for c in piv):
-            raise ValueError("inconsistent system")
-        sol = [basis.rows[i][self.ncols:] for i in range(self.ncols)]
-        return ExactMatrix(self.field, sol, ncols=rhs.ncols)
 
     def det(self):
         if self.nrows != self.ncols:

@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME = 46337  # (p-1)^2 must fit comfortably; see module docstring
+_PANEL = 64  # columns per Gauss-Jordan panel in rref_mod
+_COL_CHUNK = 2048  # columns per float64 matmul in addmul_mod
+_TABLE_ORDER = 64  # the largest field small_field_tables tabulates
 
 _inv_tables = {}
 
@@ -69,7 +72,7 @@ def _panel_sweep(E, p, seq=None):
     return seq
 
 
-def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None, chunk=2048):
+def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None):
     """target[:, J] += delta @ rows[:, J] (mod p) for all column ranges J,
     optionally skipping [col_lo, col_hi).  Exact float64 matmul inside."""
     C = target.shape[1]
@@ -83,13 +86,13 @@ def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None, chunk=2048):
         if col_hi < C:
             spans.append((col_hi, C))
     for lo, hi in spans:
-        for j0 in range(lo, hi, chunk):
-            j1 = min(hi, j0 + chunk)
+        for j0 in range(lo, hi, _COL_CHUNK):
+            j1 = min(hi, j0 + _COL_CHUNK)
             prod = deltaf @ rows[:, j0:j1].astype(np.float64)
             target[:, j0:j1] = (target[:, j0:j1] + prod.astype(np.int64)) % p
 
 
-def rref_mod(a, p, panel=64):
+def rref_mod(a, p):
     """Reduced row echelon form mod p.
 
     Returns (piv_cols, basis): pivot column indices (increasing) and a
@@ -105,10 +108,10 @@ def rref_mod(a, p, panel=64):
     basis_rows = []
     groups = []  # (first_index_into_basis_rows, count) per panel, for backfill
     nfree = R
-    for c0 in range(0, C, panel):
+    for c0 in range(0, C, _PANEL):
         if nfree == 0:
             break
-        c1 = min(C, c0 + panel)
+        c1 = min(C, c0 + _PANEL)
         E = work[:nfree, c0:c1].copy()
         seq = _panel_sweep(E, p)
         if not seq:
@@ -146,10 +149,6 @@ def rref_mod(a, p, panel=64):
         if np.any(coef):
             addmul_mod(basis[:start], (-coef) % p, block, p)
     return piv_cols, basis
-
-
-def rank_mod(a, p, panel=64):
-    return len(rref_mod(a, p, panel=panel)[0])
 
 
 def _batch_rank(m, mul, sub, inv):
@@ -197,8 +196,8 @@ def batch_rank(mats, p):
                        inverse_table(p))
 
 
-def small_field_tables(field, limit=64):
-    """Dense operation tables for a finite field of order <= limit.
+def small_field_tables(field):
+    """Dense operation tables for a finite field of order <= _TABLE_ORDER.
 
     Elements are encoded as integer codes: the residue itself for GF(p),
     base-p digits of the coefficient tuple for GF(p^k).  Returns a dict with
@@ -206,8 +205,8 @@ def small_field_tables(field, limit=64):
     and 'decode' (list mapping code -> payload).
     """
     q = field.order
-    if q is None or q > limit:
-        raise ValueError("need a finite field of order <= %d" % limit)
+    if q is None or q > _TABLE_ORDER:
+        raise ValueError("need a finite field of order <= %d" % _TABLE_ORDER)
     elements = [e.value for e in field.elements()]
     code_of = {v: i for i, v in enumerate(elements)}
     add = np.zeros((q, q), dtype=np.int64)

@@ -334,69 +334,6 @@ class MultiPoly:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    @classmethod
-    def parse(cls, field, nvars, text, names=None):
-        """Inverse of render (also accepts terms with the coefficient 1
-        left implicit)."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(field, nvars)
-        if names is None:
-            names = ["x%d" % i for i in range(nvars)]
-        index = {nm: i for i, nm in enumerate(names)}
-        terms = {}
-        for chunk in text.split(" + "):
-            chunk = chunk.strip()
-            if chunk.startswith("("):
-                close = chunk.index(")")
-                coeff_txt = chunk[:close + 1]
-                rest = chunk[close + 1:].lstrip("*")
-            else:
-                head, _, tail = chunk.partition("*")
-                if head in index or head.split("^")[0] in index:
-                    coeff_txt, rest = "1", chunk
-                else:
-                    coeff_txt, rest = head, tail
-            exps = [0] * nvars
-            if rest:
-                for factor in rest.split("*"):
-                    nm, _, e = factor.partition("^")
-                    if nm not in index:
-                        raise ValueError("unknown variable %r" % nm)
-                    exps[index[nm]] += int(e) if e else 1
-            c = _parse_coeff(field, coeff_txt)
-            exps = tuple(exps)
-            prev = terms.get(exps, field.zero_value)
-            terms[exps] = field.add(prev, c)
-        return cls(field, nvars, terms)
-
-
-def _parse_coeff(field, text):
-    text = text.strip()
-    if field.kind == "QQ":
-        return Fraction(text)
-    if field.kind == "GF(p)":
-        return int(text) % field.p
-    # extension field: "(c*g^i+...)" or a bare integer
-    if not text.startswith("("):
-        return field.coerce_value(int(text))
-    body = text[1:-1]
-    acc = field.zero_value
-    for part in body.split("+"):
-        part = part.strip()
-        c_txt, _, g_txt = part.partition("*")
-        if not g_txt and c_txt.startswith("g"):
-            g_txt, c_txt = c_txt, "1"
-        if g_txt:
-            _, _, e = g_txt.partition("^")
-            deg = int(e) if e else 1
-            mono = [0] * field.k
-            mono[deg] = int(c_txt) % field.p
-            acc = field.add(acc, tuple(mono))
-        else:
-            acc = field.add(acc, field.coerce_value(int(c_txt)))
-    return acc
-
 
 def exact_divide(num, den):
     """Single-divisor long division under graded-lex; the remainder must

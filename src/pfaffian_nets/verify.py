@@ -20,8 +20,7 @@ import random
 
 from .correspondence import (pfaffian_hypersurface, phi_fiber, rank_oracle,
                              x_points, y_points)
-from .grassmann import (GrassmannLine, enumerate_projective,
-                        plane_from_plucker, plucker_from_basis)
+from .grassmann import GrassmannLine, enumerate_projective, plane_from_plucker
 from .matrices import ExactMatrix
 
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
@@ -139,26 +138,24 @@ def _quotient_coords(red_rows, piv, comp, vec, field):
     return [w[c] for c in comp]
 
 
-def _plane_basis(point):
-    return point.basis if point.basis is not None \
-        else plane_from_plucker(point)
-
-
 def _a_side(reduced, a):
     fa = reduced.f_at(a)
     rank, kern = fa.rank_kernel()
     return tuple(a), fa, rank, kern.transpose()
 
 
-def _u_side(u_basis):
-    piv, red = u_basis.rref()
+def _u_side(point):
+    basis = point.basis if point.basis is not None \
+        else plane_from_plucker(point)
+    piv, red = basis.rref()
     comp = [c for c in range(red.ncols) if c not in piv]
-    return plucker_from_basis(u_basis).coords, red, piv, comp
+    return point.coords, red, piv, comp
 
 
-def w_membership(reduced, a, u_basis):
-    """The fiber record of one pair, over the net's own field."""
-    return WMembership(_a_side(reduced, a), _u_side(u_basis))
+def w_membership(reduced, a, point):
+    """The fiber record of one pair (a, U), U given by its Plucker point,
+    over the net's own field."""
+    return WMembership(_a_side(reduced, a), _u_side(point))
 
 
 def _check_jw_pair(m, report):
@@ -213,14 +210,14 @@ def _build_pairs(net, plan):
     field = plan.field
     reduced = net.over(field)
     if plan.mode == "random":
-        return [w_membership(reduced, a, u_basis)
-                for a, u_basis in _random_pairs(reduced, plan)]
+        return [w_membership(reduced, a, u)
+                for a, u in _random_pairs(reduced, plan)]
     ys = y_points(net, field)
     xs = x_points(net, field)
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    u_sides = [_u_side(_plane_basis(p)) for p in xs]
+    u_sides = [_u_side(p) for p in xs]
     return [WMembership(a_side, u_side)
             for a_side in (_a_side(reduced, a) for a in ys)
             for u_side in u_sides]
@@ -234,10 +231,11 @@ def _random_nonzero(rng, elements, length, field):
 
 
 def _random_pairs(reduced, plan):
-    """plan.count random (a, u_basis) pairs: a by rejection against the
+    """plan.count random pairs (a, U), U the Plucker point (with its
+    basis) that the fiber of phi returns: a by rejection against the
     cubic, U by rejection against the quartic followed by the fiber of phi
-    (every plane of X through a vector v arises that way).  Both tests read
-    the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
+    (every plane of X through a vector v arises that way).  Both tests
+    read the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
     Q(v) = 0 iff rank f_v < 5, because f_v v = 0 makes the maximal minors
     of f_v the products +-v_i Q(v)."""
     field = plan.field
@@ -274,7 +272,7 @@ def _random_pairs(reduced, plan):
                 s, t = rng.choice([(field.one_value, x) for x in elements]
                                   + [(field.zero_value, field.one_value)])
                 u = u.point_at(s, t)
-            return _plane_basis(u)
+            return u
 
     return [(draw_a(), draw_u()) for _ in range(plan.count)]
 

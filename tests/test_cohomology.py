@@ -5,7 +5,6 @@ import pytest
 from pfaffian_nets.cohomology import (
     CohomologyTable,
     charge2_instanton_table,
-    check_instanton_relations,
     chi_cubic_instanton,
     chi_hypersurface,
     exceptional_pair_check_y,
@@ -27,6 +26,27 @@ from pfaffian_nets.correspondence import (
 )
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
+
+
+# (name, cell a, cell b, offset(d, k)): each relation reads a - b = offset
+INSTANTON_RELATIONS = (
+    ("h3(-3) = h0(1)", (3, -3), (0, 1), lambda d, k: 0),
+    ("h2(-3) = h1(1)", (2, -3), (1, 1), lambda d, k: 0),
+    ("h0(1) - h1(1) = 2d - 2k + 4", (0, 1), (1, 1),
+     lambda d, k: 2 * d - 2 * k + 4),
+)
+
+
+def check_instanton_relations(table, d, k):
+    """The three cross-cell equalities tying the corners of the grid, as
+    the reference the charge-2 table is read against."""
+    out = []
+    for name, cell_a, cell_b, offset in INSTANTON_RELATIONS:
+        a = table.computed(*cell_a)
+        b = table.computed(*cell_b)
+        out.append({"name": name, "lhs": a, "rhs": b,
+                    "verdict": "pass" if a - b == offset(d, k) else "fail"})
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           splitting_type_on_line,
                                           sub_pfaffian_ideal, tangent_test_x,
                                           x_ideal, x_points, y_points)
-from pfaffian_nets.fields import GF, QQ
+from pfaffian_nets.fields import GF, QQ, FieldMismatchError
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      _echelon_pairs, enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
@@ -92,6 +92,34 @@ def block_net():
         tri({(0, 1): 1}), tri({(2, 3): 1}), tri({(4, 5): 1})])
 
 
+def kernel_e5_triangles(seed):
+    """Five random skew forms that all kill e_5, so every f(a) has rank at
+    most 4 and the net is irregular; seed 7 is the irregular fixture of
+    the command-line tests."""
+    rng = random.Random(seed)
+    pairs, _ = pair_indices(6)
+    return [[rng.randint(-3, 3) if j < 5 else 0 for (i, j) in pairs]
+            for _ in range(5)]
+
+
+def scanning_witness(net, max_rank):
+    """The rank-deficient witness search as it was written before the rank
+    tables: every point of P(A) over GF(3), then GF(7), through f_at and
+    batch_rank, skipping a field the net does not reduce to."""
+    for p in (3, 7):
+        fp = GF(p)
+        try:
+            reduced = net.over(fp)
+        except (FieldMismatchError, ValueError):
+            continue
+        pts = list(enumerate_projective(fp, net.n - 1))
+        mats = np.array([reduced.f_at(a).rows for a in pts], dtype=np.int64)
+        hits = np.nonzero(modnum.batch_rank(mats, p) <= max_rank)[0]
+        if hits.size:
+            return p, pts[int(hits[0])]
+    return None
+
+
 class TestANet:
     def test_round_trip(self, pinned):
         assert pinned.upper_triangles() == [
@@ -107,7 +135,8 @@ class TestANet:
             ANet.from_upper_triangles(QQ, 6, [a, b])
 
     def test_rejects_non_skew(self):
-        m = ExactMatrix.identity(QQ, 6)
+        m = ExactMatrix(QQ, [[int(i == j) for j in range(6)]
+                             for i in range(6)])
         with pytest.raises(ValueError, match="skew"):
             ANet(QQ, [m])
 
@@ -189,6 +218,30 @@ class TestRegularity:
         p, point = res.witness
         fp = GF(p)
         assert net.map_field(fp).f_at(point).rank() <= 2
+
+    def test_witness_of_the_irregular_fixture(self):
+        net = ANet.from_upper_triangles(QQ, 6, kernel_e5_triangles(7))
+        found = correspondence._rank_deficient_witness(net, 2)
+        assert found == scanning_witness(net, 2) == (3, (1, 1, 0, 0, 0))
+
+    @pytest.mark.parametrize("seed", [8, 9, 10, 11])
+    def test_witness_equals_the_scan(self, seed):
+        net = ANet.from_upper_triangles(QQ, 6, kernel_e5_triangles(seed))
+        found = correspondence._rank_deficient_witness(net, 2)
+        assert found is not None and found == scanning_witness(net, 2)
+
+    def test_witness_skips_a_dependent_reduction(self):
+        # F_5 = F_1 + 3 G: independent over QQ, F_5 = F_1 over GF(3), where
+        # a = e_1 - e_5 gives f(a) = 0, a point that does not lift
+        tris = kernel_e5_triangles(7)
+        extra = kernel_e5_triangles(12)[0]
+        tris[4] = [x + 3 * y for x, y in zip(tris[0], extra)]
+        net = ANet.from_upper_triangles(QQ, 6, tris)
+        with pytest.raises(ValueError, match="dependent"):
+            net.over(F3)
+        found = correspondence._rank_deficient_witness(net, 2)
+        assert found == scanning_witness(net, 2)
+        assert found[0] == 7
 
     def test_classify_reuses_the_regularity_verdict(self, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)

@@ -184,7 +184,7 @@ def test_fit_twisted_cubic(field):
     assert data.scheme_degree == 3
     assert data.arithmetic_genus == 0
     assert data.stable_from == 0  # saturated ideal: on the polynomial from t=0
-    assert data.value(2) == 7
+    assert data.values[2] == 7
 
 
 def test_fit_single_quartic_binomial_identity():

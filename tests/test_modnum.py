@@ -96,7 +96,7 @@ def test_rref_properties_and_kernel():
         assert not np.any(a @ K % p)
         assert not np.any(basis @ K % p)
         # row spaces agree: stacking changes no ranks
-        assert modnum.rank_mod(np.vstack([a, basis]), p) == rank
+        assert len(modnum.rref_mod(np.vstack([a, basis]), p)[0]) == rank
 
 
 def test_rref_empty_and_zero():
@@ -121,7 +121,7 @@ def test_batch_rank_matches_per_matrix():
     stack = np.array(mats, dtype=np.int64)
     ranks = modnum.batch_rank(stack, p)
     for i in range(len(mats)):
-        assert ranks[i] == modnum.rank_mod(stack[i], p)
+        assert ranks[i] == len(modnum.rref_mod(stack[i], p)[0])
     assert modnum.batch_rank(np.zeros((0, 5, 6), dtype=np.int64), p).size == 0
 
 

@@ -7,7 +7,7 @@ from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
                                           phi_fiber, q_quartic, rank_oracle,
                                           y_points)
 from pfaffian_nets.fields import GF, QQ
-from pfaffian_nets.grassmann import GrassmannLine
+from pfaffian_nets.grassmann import GrassmannLine, plucker_from_basis
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
@@ -120,7 +120,7 @@ def evaluating_sampler(reduced, plan):
                 s, t = rng.choice([(field.one_value, x) for x in elements]
                                   + [(field.zero_value, field.one_value)])
                 u = u.point_at(s, t)
-            return u.basis
+            return u
 
     return [(draw_a(), draw_u()) for _ in range(plan.count)]
 
@@ -137,8 +137,8 @@ class TestSamplerOracle:
         plan = SamplePlan(field, count=count, seed=4, mode="random")
         drawn = verify._random_pairs(reduced, plan)
         expected = evaluating_sampler(reduced, plan)
-        assert [(a, u.rows) for a, u in drawn] \
-            == [(a, u.rows) for a, u in expected]
+        assert [(a, u.basis.rows) for a, u in drawn] \
+            == [(a, u.basis.rows) for a, u in expected]
         # GF(7) reads the rank tables; P^4 over GF(25) and GF(101) has
         # over 100,000 points, so there each rank is computed directly
         for side in ("a", "v"):
@@ -233,19 +233,18 @@ class TestSingularNetDetection:
         a = (1, 0, 0, 0, 0)
         u_basis = ExactMatrix(field, [[1, 0, 0, 0, 0, 0],
                                       [0, 1, 0, 0, 0, 0]])
-        m = w_membership(reduced, a, u_basis)
+        m = w_membership(reduced, a, plucker_from_basis(u_basis))
         assert m.intersection_dim == 2
         assert m.on_w
 
     def test_off_w_membership(self, pinned_net):
         from pfaffian_nets.correspondence import x_points
-        from pfaffian_nets.grassmann import plane_from_plucker
         field = GF(3)
         reduced = pinned_net.map_field(field)
         seen = set()
         for a in y_points(pinned_net, field)[:5]:
             for pt in x_points(pinned_net, field)[:5]:
-                m = w_membership(reduced, a, plane_from_plucker(pt))
+                m = w_membership(reduced, a, pt)
                 seen.add(m.intersection_dim)
         assert 0 in seen
         assert 2 not in seen
