@@ -16,7 +16,8 @@ import itertools
 import numpy as np
 
 from . import modnum
-from .fields import GF, QQ, FieldElement, FieldMismatchError, reduce_scalar
+from .cohomology import mu_matrix
+from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
                         pencil_line, plane_from_plucker, plucker_from_basis,
                         plucker_quadrics)
@@ -86,7 +87,7 @@ class ANet:
                                  % (len(pairs), len(tri)))
             m = ExactMatrix.zeros(field, two_m, two_m)
             for (i, j), v in zip(pairs, tri):
-                val = field.coerce_value(v)
+                val = field.value_of(v)
                 m.rows[i][j] = val
                 m.rows[j][i] = field.neg(val)
             mats.append(m)
@@ -99,8 +100,8 @@ class ANet:
     def map_field(self, target):
         mats = []
         for F in self.matrices:
-            rows = [[reduce_scalar(FieldElement(self.field, v), target).value
-                     for v in row] for row in F.rows]
+            rows = [[reduce_value(v, self.field, target) for v in row]
+                    for row in F.rows]
             mats.append(ExactMatrix(target, rows))
         return ANet(target, mats)
 
@@ -112,8 +113,7 @@ class ANet:
     def f_at(self, a):
         """The skew matrix f(a) = sum a_i F_i at a coefficient vector a."""
         f = self.field
-        vals = [x.value if isinstance(x, FieldElement) else f.coerce_value(x)
-                for x in a]
+        vals = [f.value_of(x) for x in a]
         if len(vals) != self.n:
             raise ValueError("expected %d coefficients" % self.n)
         out = ExactMatrix.zeros(f, self.two_m, self.two_m)
@@ -164,8 +164,7 @@ class FvMatrix:
         """The matrix at a point v; row i is v^T F_i, read straight from the
         net's matrices."""
         f = self.field
-        vt = ExactMatrix(f, [[x.value if isinstance(x, FieldElement)
-                              else f.coerce_value(x) for x in v]])
+        vt = ExactMatrix(f, [v])
         return ExactMatrix(f, [(vt @ F).rows[0] for F in self.net.matrices],
                            ncols=self.ncols)
 
@@ -217,8 +216,8 @@ class RankOracle:
         q = field.order
         if q is None:
             raise ValueError("rank tables need a finite field")
-        mats = [[[reduce_scalar(FieldElement(net.field, x), field).value
-                  for x in row] for row in F.rows] for F in net.matrices]
+        mats = [[[reduce_value(x, net.field, field) for x in row]
+                 for row in F.rows] for F in net.matrices]
         if side == "v":
             mats = [[F[l] for F in mats] for l in range(net.two_m)]
         elif side != "a":
@@ -605,8 +604,7 @@ def phi_fiber(net, v):
     perp_dim = kern.ncols
     if perp_dim == net.two_m - net.n:
         raise ValueError("v is not on Q: Im f_v has full rank")
-    vv = [x.value if isinstance(x, FieldElement) else f.coerce_value(x)
-          for x in v]
+    vv = [f.value_of(x) for x in v]
     if perp_dim == 2:
         basis = kern.transpose()
         stacked = ExactMatrix(f, basis.rows + [vv])
@@ -639,59 +637,29 @@ def splitting_type_on_line(net, a1, a2):
     N(0) distinguishes (0,2) from (1,1), and the reported type is
     (e1+1, e2+1): the jumping value is (1,3), the generic one (2,2).
     """
-    f = net.field
     cubic = pfaffian_hypersurface(net)
     if not line_on_hypersurface(cubic, a1, a2):
         raise ValueError("the pencil does not lie on the Pfaffian "
                          "hypersurface")
-    F1 = net.f_at(a1)
-    F2 = net.f_at(a2)
+    pencil = ANet(net.field, [net.f_at(a1), net.f_at(a2)])
     # corank must be exactly 2 across the pencil; probe a few parameters
     probes = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
     for s, t in probes:
-        m = _pencil_value(f, F1, F2, s, t)
-        r = m.rank()
+        r = pencil.f_at((s, t)).rank()
         if r > net.two_m - 2:
             raise ValueError("pencil point of full rank: line not on Y?")
         if r < net.two_m - 2:
             raise ValueError("pencil rank drops to %d: kernel sheaf is not "
                              "a rank-2 bundle here" % r)
-    ladder = [_kernel_sections(f, F1, F2, s) for s in range(3)]
+    # N(s): the kernel of multiplication by the pencil from degree s to s+1
+    ladder = [net.two_m * (s + 1) - mu_matrix(pencil, s + 1).rank()
+              for s in range(3)]
     profiles = {(0, 2): [1, 2, 4], (1, 1): [0, 2, 4]}
     for (e1, e2), expect in profiles.items():
         if ladder == expect:
             return (e1 + 1, e2 + 1)
     raise ValueError("section ladder %s matches no rank-2 splitting with "
                      "e1 + e2 = 2; this is a finding to surface" % (ladder,))
-
-
-def _pencil_value(f, F1, F2, s, t):
-    sv, tv = f.coerce_value(s), f.coerce_value(t)
-    return F1.scale(sv) + F2.scale(tv)
-
-
-def _kernel_sections(f, F1, F2, s):
-    """dim ker of (V x binary forms of degree s) -> (V* x degree s+1) under
-    multiplication by the pencil matrix s*F1 + t*F2."""
-    two_m = F1.nrows
-    src = two_m * (s + 1)
-    dst = two_m * (s + 2)
-    rows = [[f.zero_value] * src for _ in range(dst)]
-    for k in range(two_m):
-        for i in range(s + 1):
-            col = k * (s + 1) + i
-            # sigma * F1 contribution: degree index stays i
-            for l in range(two_m):
-                if not f.is_zero_value(F1.rows[l][k]):
-                    rows[l * (s + 2) + i][col] = \
-                        f.add(rows[l * (s + 2) + i][col], F1.rows[l][k])
-            # tau * F2 contribution: degree index moves to i + 1
-            for l in range(two_m):
-                if not f.is_zero_value(F2.rows[l][k]):
-                    rows[l * (s + 2) + i + 1][col] = \
-                        f.add(rows[l * (s + 2) + i + 1][col], F2.rows[l][k])
-    m = ExactMatrix(f, rows, ncols=src)
-    return src - m.rank()
 
 
 def find_lines_on_y(net, field):
@@ -715,7 +683,7 @@ def find_lines_on_y(net, field):
         ext = GF(field.p, k)
     oracle = rank_oracle(net, ext, "a")
     ops = oracle.ops
-    code = {e.value: ops["encode"][reduce_scalar(e, ext).value]
+    code = {e.value: ops["encode"][reduce_value(e.value, field, ext)]
             for e in field.elements()}
     one = ops["encode"][ext.one_value]
     params = [(one, 0)] + [(x, one) for x in range(ext.order)]

@@ -9,7 +9,10 @@ on the field kind:
                  polynomial in ascending degree order
 
 Mixing elements of different fields raises FieldMismatchError; there is no
-implicit field tower.  Plain Python ints (and Fractions over QQ) are coerced.
+implicit field tower.  This module is the only one that knows the payload
+shapes: `Field.value_of` turns an int, a Fraction, a tuple or an element of
+the field into its payload, and `reduce_value` moves a payload to another
+field.
 """
 
 from __future__ import annotations
@@ -40,30 +43,12 @@ def _poly_trim(a):
 
 
 def _poly_mulmod(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod_rem(prod, mod, p)
-
-
-def _poly_divmod_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    return _poly_trim(a[:dm])
+    return _poly_divmod(_poly_mul(a, b, p), mod, p)[1]
 
 
 def _poly_powmod(base, e, mod, p):
     result = [1]
-    base = _poly_divmod_rem(base, mod, p)
+    base = _poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -110,29 +95,13 @@ def _poly_sub(a, b, p):
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        # a mod b
-        dm = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        for i in range(len(r) - 1, dm - 1, -1):
-            c = r[i]
-            if c:
-                f = c * inv_lead % p
-                for j in range(dm + 1):
-                    r[i - dm + j] = (r[i - dm + j] - f * b[j]) % p
-        a, b = b, _poly_trim(r[:dm])
+        a, b = b, _poly_divmod(a, b, p)[1]
     return a
 
 
 def _is_irreducible(coeffs, p, k):
     """coeffs: the k low-order coefficients of a monic degree-k candidate."""
     f = list(coeffs) + [1]
-    if k == 1:
-        return True
-    if k <= 3:
-        # degree 2 or 3: irreducible over GF(p) iff it has no root
-        return all(sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
-                   for x in range(p))
     # no factor of degree j < k  <=>  gcd(f, x^(p^j) - x) = 1 for all j < k
     xp = [0, 1]
     for _ in range(k - 1):
@@ -270,14 +239,20 @@ class Field:
 
     kind = None
 
-    def el(self, x):
-        """Coerce x (int, Fraction, FieldElement of self) to an element."""
+    def value_of(self, x):
+        """This field's payload of x: an int, a Fraction, a payload tuple or
+        an element of this field.  An element of another field raises
+        FieldMismatchError; moving it is `reduce_value`'s job."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise FieldMismatchError(
                     "element of %s given to %s" % (x.field, self))
-            return x
-        return FieldElement(self, self.coerce_value(x))
+            return x.value
+        return self.coerce_value(x)
+
+    def el(self, x):
+        """x (int, Fraction, FieldElement of self) as an element."""
+        return FieldElement(self, self.value_of(x))
 
     @property
     def zero(self):
@@ -432,7 +407,7 @@ class ExtensionField(Field):
         self._fold = []
         xq = [0] * k + [1]
         for _ in range(k - 1):
-            red = _poly_divmod_rem(xq, list(self.modulus), p)
+            red = _poly_divmod(xq, list(self.modulus), p)[1]
             red = tuple(red) + (0,) * (k - len(red))
             self._fold.append(red)
             xq = [0] + list(red)
@@ -521,16 +496,6 @@ class ExtensionField(Field):
         for combo in itertools.product(range(self.p), repeat=self.k):
             yield FieldElement(self, combo)
 
-    def embed(self, x):
-        """Embed an element of the prime subfield GF(p)."""
-        if isinstance(x, FieldElement):
-            if x.field == self:
-                return x
-            if x.field.key == ("GF", self.p, 1):
-                return FieldElement(self, self.coerce_value(x.value))
-            raise FieldMismatchError("cannot embed %s into %s" % (x.field, self))
-        return self.el(x)
-
 
 QQ = RationalField()
 
@@ -568,19 +533,24 @@ def field_from_name(name):
     raise ValueError("unrecognized field name %r" % name)
 
 
+def reduce_value(v, source, target):
+    """Move a payload of `source` into `target`: QQ -> GF(p) by reduction
+    (a denominator that p divides raises ZeroDivisionError), QQ -> GF(p^k)
+    through GF(p), and GF(p) -> GF(p^k) by the prime-subfield embedding.
+    Any other pair of distinct fields raises FieldMismatchError."""
+    if source == target:
+        return v
+    if source.kind == "QQ" and target.kind == "GF(p^k)":
+        return target.coerce_value(GF(target.p).coerce_value(v))
+    if source.kind == "QQ" or (source.kind == "GF(p)"
+                               and target.kind == "GF(p^k)"
+                               and target.p == source.p):
+        return target.coerce_value(v)
+    raise FieldMismatchError("no reduction from %s to %s" % (source, target))
+
+
 def reduce_scalar(x, target):
-    """Move a scalar into `target`: QQ -> GF(p) by reduction (denominator must
-    be invertible), GF(p) -> GF(p^k) by the prime-subfield embedding."""
+    """`reduce_value` for an element; an int or Fraction is coerced."""
     if isinstance(x, FieldElement):
-        if x.field == target:
-            return x
-        if x.field.kind == "QQ":
-            return target.el(x.value) if target.kind != "GF(p^k)" \
-                else FieldElement(target, target.coerce_value(
-                    GF(target.p).coerce_value(x.value)))
-        if x.field.kind == "GF(p)" and isinstance(target, ExtensionField) \
-                and target.p == x.field.p:
-            return target.embed(x)
-        raise FieldMismatchError("no reduction from %s to %s"
-                                 % (x.field, target))
+        return FieldElement(target, reduce_value(x.value, x.field, target))
     return target.el(x)

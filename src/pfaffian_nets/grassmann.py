@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import FieldElement
 from .matrices import ExactMatrix
 from .multipoly import MultiPoly
 
@@ -44,14 +43,7 @@ class PluckerPoint:
 
     def __init__(self, field, two_m, coords, basis=None):
         pairs, _ = pair_indices(two_m)
-        vals = []
-        for c in coords:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise ValueError("coordinate field mismatch")
-                vals.append(c.value)
-            else:
-                vals.append(field.coerce_value(c))
+        vals = [field.value_of(c) for c in coords]
         if len(vals) != len(pairs):
             raise ValueError("expected %d coordinates, got %d"
                              % (len(pairs), len(vals)))
@@ -227,8 +219,7 @@ class GrassmannLine:
     def point_at(self, s, t):
         """U(s:t) = span(v, s*w1 + t*w2); (s, t) not both zero."""
         f = self.field
-        s = f.coerce_value(s) if not isinstance(s, FieldElement) else s.value
-        t = f.coerce_value(t) if not isinstance(t, FieldElement) else t.value
+        s, t = f.value_of(s), f.value_of(t)
         w = [f.add(f.mul(s, a), f.mul(t, b))
              for a, b in zip(self.w1, self.w2)]
         return plucker_from_basis(ExactMatrix(self.field,
@@ -249,8 +240,7 @@ def pencil_line(v, w_basis):
     piv, basis = W.rref()
     if len(piv) != 3:
         raise ValueError("W must be 3-dimensional, got rank %d" % len(piv))
-    vv = [x.value if isinstance(x, FieldElement) else f.coerce_value(x)
-          for x in v]
+    vv = [f.value_of(x) for x in v]
     # coordinates of v in the reduced basis are its values at pivot columns
     alphas = [vv[c] for c in piv]
     recon = [f.zero_value] * W.ncols

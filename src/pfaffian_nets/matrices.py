@@ -19,21 +19,13 @@ from . import modnum
 _NUMPY_CUTOVER = 1200  # entry count above which prime fields use modnum
 
 
-def _payload(field, x):
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise FieldMismatchError(
-                "matrix over %s given a %s entry" % (field, x.field))
-        return x.value
-    return field.coerce_value(x)
-
-
 class ExactMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        self.rows = [[_payload(field, x) for x in row] for row in rows]
+        value_of = field.value_of
+        self.rows = [[value_of(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -111,7 +103,7 @@ class ExactMatrix:
 
     def scale(self, c):
         f = self.field
-        c = _payload(f, c)
+        c = f.value_of(c)
         return ExactMatrix(f, [[f.mul(c, a) for a in row] for row in self.rows],
                            ncols=self.ncols)
 

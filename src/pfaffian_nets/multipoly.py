@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .fields import FieldElement, FieldMismatchError, reduce_scalar
+from .fields import FieldElement, FieldMismatchError, reduce_value
 
 
 def grlex_key(exps):
@@ -34,15 +34,6 @@ def monomials_of_degree(nvars, d):
             yield (e0,) + rest
 
 
-def _coerce_coeff(field, c):
-    if isinstance(c, FieldElement):
-        if c.field != field:
-            raise FieldMismatchError("coefficient from %s in a %s polynomial"
-                                     % (c.field, field))
-        return c.value
-    return field.coerce_value(c)
-
-
 class MultiPoly:
     __slots__ = ("field", "nvars", "terms")
 
@@ -55,7 +46,7 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError("bad exponent tuple %r" % (exps,))
-                v = _coerce_coeff(field, c)
+                v = field.value_of(c)
                 if not field.is_zero_value(v):
                     clean[exps] = v
         self.terms = clean
@@ -74,7 +65,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, nvars, c):
-        v = _coerce_coeff(field, c)
+        v = field.value_of(c)
         if field.is_zero_value(v):
             return cls.zero(field, nvars)
         return cls._raw(field, nvars, {(0,) * nvars: v})
@@ -93,7 +84,7 @@ class MultiPoly:
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
-            v = _coerce_coeff(field, c)
+            v = field.value_of(c)
             if not field.is_zero_value(v):
                 terms[tuple(1 if j == i else 0 for j in range(n))] = v
         return cls._raw(field, n, terms)
@@ -187,7 +178,7 @@ class MultiPoly:
 
     def scale(self, c):
         f = self.field
-        v = _coerce_coeff(f, c)
+        v = f.value_of(c)
         if f.is_zero_value(v):
             return MultiPoly.zero(f, self.nvars)
         return MultiPoly._raw(f, self.nvars,
@@ -235,7 +226,7 @@ class MultiPoly:
             if e == 0:
                 continue
             new = exps[:i] + (e - 1,) + exps[i + 1:]
-            v = f.mul(f.coerce_value(e), c)
+            v = f.mul(f.value_of(e), c)
             if not f.is_zero_value(v):
                 s = f.add(out.get(new, f.zero_value), v)
                 if f.is_zero_value(s):
@@ -247,7 +238,7 @@ class MultiPoly:
     def evaluate(self, point):
         """Value at a point given as payloads/FieldElements/ints."""
         f = self.field
-        vals = [_coerce_coeff(f, x) for x in point]
+        vals = [f.value_of(x) for x in point]
         if len(vals) != self.nvars:
             raise ValueError("point has %d coordinates, expected %d"
                              % (len(vals), self.nvars))
@@ -275,7 +266,7 @@ class MultiPoly:
         out = MultiPoly.zero(f, nv)
         # horner-free: powers built per term; degrees here are tiny
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(f, nv, FieldElement(f, c))
+            term = MultiPoly.constant(f, nv, c)
             for s, e in zip(subs, exps):
                 for _ in range(e):
                     term = term * s
@@ -283,10 +274,10 @@ class MultiPoly:
         return out
 
     def map_field(self, target):
-        """Move coefficients into `target` via reduce_scalar."""
+        """Move coefficients into `target` via reduce_value."""
         out = {}
         for exps, c in self.terms.items():
-            v = reduce_scalar(FieldElement(self.field, c), target).value
+            v = reduce_value(c, self.field, target)
             if not target.is_zero_value(v):
                 out[exps] = v
         return MultiPoly._raw(target, self.nvars, out)
@@ -354,8 +345,7 @@ def exact_divide(num, den):
                              % (den.render(), num.render()))
         c = f.mul(nc, dc_inv)
         q_terms[step] = c
-        rem = rem - MultiPoly.monomial(f, num.nvars, step,
-                                       FieldElement(f, c)) * den
+        rem = rem - MultiPoly.monomial(f, num.nvars, step, c) * den
     return MultiPoly._raw(f, num.nvars, q_terms)
 
 

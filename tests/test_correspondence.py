@@ -24,7 +24,7 @@ from pfaffian_nets.fields import GF, QQ, FieldMismatchError
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      _echelon_pairs, enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
-                                     plucker_from_basis)
+                                     pencil_line, plucker_from_basis)
 from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
                                   fit_hilbert_polynomial)
 from pfaffian_nets.matrices import ExactMatrix
@@ -463,6 +463,29 @@ class TestFibers:
             pt = line.point_at(s, t)
             assert all(F3.is_zero_value(f.evaluate(list(pt.coords)))
                        for f in forms)
+
+
+# each entry point that takes scalars, fed one GF(7) element over another
+# field; an element is never read as a bare payload of the wrong field
+FOREIGN_CALLS = {
+    "f_at": lambda net, x: net.f_at([x, 0, 0, 0, 0]),
+    "FvMatrix.evaluate": lambda net, x: FvMatrix(net.over(F3)).evaluate(
+        [x, 0, 0, 0, 0, 1]),
+    "phi_fiber": lambda net, x: phi_fiber(net.over(F3), [x, 0, 0, 0, 0, 0]),
+    "psi_fiber": lambda net, x: psi_fiber(net.over(F3), [x, 0, 0, 0, 0, 0]),
+    "PluckerPoint": lambda net, x: PluckerPoint(F3, 4, [x, 0, 0, 0, 0, 1]),
+    "GrassmannLine.point_at": lambda net, x: GrassmannLine(
+        F3, 4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]).point_at(x, 1),
+    "pencil_line": lambda net, x: pencil_line(
+        [x, 0, 0, 0], ExactMatrix(F3, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 0]])),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FOREIGN_CALLS))
+def test_foreign_element_raises(pinned, call):
+    with pytest.raises(FieldMismatchError):
+        FOREIGN_CALLS[call](pinned, F7.el(5))
 
 
 class TestLines:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pfaffian_nets.fields import (
     QQ, GF, FieldElement, FieldMismatchError, field_from_name, reduce_scalar,
+    reduce_value,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(7), GF(32003), GF(2, 2), GF(3, 2), GF(5, 3), GF(2, 4)]
@@ -91,6 +92,16 @@ def test_known_moduli():
     assert GF(2, 2).modulus == (1, 1, 1)          # x^2 + x + 1
     assert GF(3, 2).modulus == (1, 0, 1)          # x^2 + 1
     assert GF(2, 4).modulus == (1, 1, 0, 0, 1)    # x^4 + x + 1
+    # the moduli fix the order of extension-field codes, so a change to
+    # the irreducibility test must not pick a different first modulus
+    assert GF(2, 3).modulus == (1, 1, 0, 1)
+    assert GF(2, 5).modulus == (1, 0, 1, 0, 0, 1)
+    assert GF(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
+    assert GF(3, 3).modulus == (1, 2, 0, 1)
+    assert GF(3, 4).modulus == (2, 1, 0, 0, 1)
+    assert GF(5, 2).modulus == (2, 0, 1)
+    assert GF(7, 2).modulus == (1, 0, 1)
+    assert GF(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
     # construction is deterministic
     assert GF(5, 3).modulus == GF(5, 3).modulus
 
@@ -118,12 +129,22 @@ def test_extension_frobenius_order():
 def test_embed_prime_subfield():
     f9 = GF(3, 2)
     a = GF(3).el(2)
-    lifted = f9.embed(a)
+    lifted = reduce_scalar(a, f9)
     assert lifted == f9.el(2)
     assert reduce_scalar(a, f9) == lifted
     assert reduce_scalar(QQ.el(Fraction(1, 2)), GF(7)).value == 4
     with pytest.raises(FieldMismatchError):
-        f9.embed(GF(5).el(1))
+        reduce_scalar(GF(5).el(1), f9)
+    # payloads: QQ -> GF(p^k) goes through GF(p); 1/2 = 2 in GF(3)
+    assert reduce_value(Fraction(1, 2), QQ, f9) == (2, 0)
+    assert reduce_value(Fraction(-3, 5), QQ, GF(2, 3)) == (1, 0, 0)
+    assert reduce_value((1, 2), f9, f9) == (1, 2)
+    with pytest.raises(FieldMismatchError):
+        reduce_value(1, GF(5), f9)
+    with pytest.raises(FieldMismatchError):
+        reduce_value((1, 0), f9, GF(3))
+    with pytest.raises(ZeroDivisionError):
+        reduce_value(Fraction(1, 3), QQ, GF(3))
 
 
 def test_field_from_name_roundtrip():
