@@ -97,7 +97,10 @@ def net_from_fixture(doc):
     if len(tris) != doc["n"]:
         raise ValueError("fixture lists %d matrices but n = %d"
                          % (len(tris), doc["n"]))
-    return ANet.from_upper_triangles(field, doc["two_m"], tris)
+    try:
+        return ANet.from_upper_triangles(field, doc["two_m"], tris)
+    except TypeError as exc:  # an entry the field cannot take
+        raise ValueError("bad matrix entry: %s" % exc) from exc
 
 
 def fingerprint(doc):

@@ -196,6 +196,29 @@ def _combine(ops, coeffs, stack):
     return out
 
 
+def _kernels(ops, one, stack, coeffs):
+    """sum_j coeffs[k, j] stack[j] for each row k of coeffs, its rank, and
+    its kernel as the rows `ExactMatrix.rank_kernel` gives: one per free
+    column of the RREF, ascending, with the unit `one` there and minus the
+    reduced rows' entries in that column at the pivot columns.  Kernels
+    are zero-padded to the largest nullity."""
+    mats = _combine(ops, coeffs, stack)
+    rank, red, piv = modnum.batch_rref_table(mats, ops)
+    n, r, c = red.shape
+    row_of = np.clip(np.cumsum(piv, axis=1) - 1, 0, r - 1)
+    # at_pivots[k, j, col]: the entry in column j of the row pivoting at col
+    at_pivots = red[np.arange(n)[:, None], row_of].transpose(0, 2, 1)
+    full = np.where(piv[:, None, :], ops["sub"][0, at_pivots],
+                    np.eye(c, dtype=np.int64) * one)
+    nullity = c - rank
+    width = int(nullity.max()) if n else 0
+    order = np.argsort(piv, axis=1, kind="stable")[:, :width]
+    rows = np.take_along_axis(full, order[:, :, None], axis=1)
+    kernel = np.where(
+        np.arange(width)[None, :, None] < nullity[:, None, None], rows, 0)
+    return mats, rank, kernel
+
+
 class RankOracle:
     """The rank of the matrix a net assigns to each point of a projective
     space over a finite field: side "a" is f(a) = sum a_i F_i on P(A), side
@@ -244,9 +267,7 @@ class RankOracle:
             ops = self.ops
             if ops is None:
                 raise ValueError("no rank table over %s" % self.field)
-            enc = ops["encode"]
-            stack = np.array([[[enc[x] for x in row] for row in C.rows]
-                              for C in self.stack], dtype=np.int64)
+            stack = self.codes(ops)
             table = np.empty(self.size, dtype=np.int8)
             for lo in range(0, self.size, _CHUNK):
                 idx = np.arange(lo, min(self.size, lo + _CHUNK))
@@ -254,6 +275,12 @@ class RankOracle:
                 table[lo:lo + idx.size] = modnum.batch_rank_table(mats, ops)
             self._table = table
         return self._table
+
+    def codes(self, ops):
+        """The stack as one int64 array of the codes of `ops`."""
+        enc = ops["encode"]
+        return np.array([[[enc[x] for x in row] for row in C.rows]
+                         for C in self.stack], dtype=np.int64)
 
     def _codes_at(self, idx):
         """The normalized points at the given indices, as code rows."""
@@ -446,35 +473,61 @@ def x_ideal(net):
 
 def x_points(net, field):
     """All Grassmannian points killed by the net's linear forms over a small
-    field (enumeration of Gr(2, 2m) filtered by the n linear conditions)."""
+    field, in the echelon order of `enumerate_grassmannian`."""
     reduced = net.over(field)
     return list(reduced.derived("x_points", lambda: _x_points(reduced)))
 
 
 def _x_points(net):
-    """U = <u1, u2> lies on X iff u1^T F_i u2 = 0 for every i, which is
-    l_i(p) = 0 at its Plucker point p; tested on code arrays of the echelon
-    rows, and only the survivors become Plucker points."""
+    """U = <u1, u2> lies on X iff u1^T F_i u2 = 0 for every i.  As every
+    v^T F_i v is 0, that holds iff U lies in Ker f_v (row i of f_v is
+    v^T F_i) for one, and then every, v in U.  A plane has one reduced
+    echelon basis (r1, r2): r1 is a normalized point of P(V), and r2 is a
+    normalized point of S, the vectors of Ker f_r1 that vanish up to the
+    leading column c1 of r1, with r1 zero at the leading column of r2.  S
+    is spanned by the rows of the RREF of Ker f_r1 that pivot after c1.
+    So the planes are read off the points of the f_v rank table where
+    dim Ker f_v >= 2, sorted into `_echelon_pairs` order, and only they
+    become Plucker points."""
     f = net.field
     two_m = net.two_m
-    ops = modnum.small_field_tables(f)
+    oracle = rank_oracle(net, f, "v")
+    candidates = np.nonzero(oracle.table <= two_m - 2)[0]
+    ops = oracle.ops
     add_t, mul_t, enc = ops["add"], ops["mul"], ops["encode"]
-    # stack[k][i] is column k of F_i, so combining with u2 gives F_i u2
-    stack = np.array([[[enc[F.rows[j][k]] for j in range(two_m)]
-                       for F in net.matrices] for k in range(two_m)],
-                     dtype=np.int64)
-    out = []
-    for chunk in _chunks(_echelon_pairs(two_m, f)):
-        u1 = np.array([[enc[x] for x in r1] for r1, _ in chunk])
-        u2 = np.array([[enc[x] for x in r2] for _, r2 in chunk])
-        fu2 = _combine(ops, u2, stack)
-        forms = np.zeros(fu2.shape[:2], dtype=np.int64)
-        for j in range(two_m):
-            forms = add_t[forms, mul_t[u1[:, j, None], fu2[:, :, j]]]
-        out.extend(plucker_from_basis(ExactMatrix(f, [r1, r2]))
-                   for (r1, r2), off in zip(chunk, forms.any(axis=1))
-                   if not off)
-    return out
+    r1 = oracle._codes_at(candidates)
+    _, rank, kernel = _kernels(ops, enc[f.one_value], oracle.codes(ops), r1)
+    nullity = two_m - rank
+    _, basis, piv = modnum.batch_rref_table(kernel, ops)
+    lead = (r1 != 0).argmax(axis=1)
+    # S: the last `dims` of the `nullity` rows of the RREF of the kernel
+    dims = (piv & (np.arange(two_m)[None, :] > lead[:, None])).sum(axis=1)
+    firsts, seconds = [], []
+    for dim in range(1, int(dims.max(initial=0)) + 1):
+        sel = np.nonzero(dims == dim)[0]
+        rows = (nullity[sel] - dim)[:, None] + np.arange(dim)
+        span = np.take_along_axis(basis[sel], rows[:, :, None], axis=1)
+        alphas = np.array([[enc[x] for x in pt]
+                           for pt in enumerate_projective(f, dim - 1)])
+        r2 = np.zeros((sel.size, len(alphas), two_m), dtype=np.int64)
+        for i in range(dim):
+            r2 = add_t[r2, mul_t[alphas[None, :, i, None], span[:, None, i]]]
+        first = np.broadcast_to(r1[sel, None], r2.shape)
+        ok = np.take_along_axis(first, (r2 != 0).argmax(axis=2)[:, :, None],
+                                axis=2)[:, :, 0] == 0
+        firsts.append(first[ok])
+        seconds.append(r2[ok])
+    if not firsts:
+        return []
+    u1, u2 = np.concatenate(firsts), np.concatenate(seconds)
+    keys = np.concatenate([u2[:, ::-1], u1[:, ::-1],
+                           (u2 != 0).argmax(axis=1)[:, None],
+                           (u1 != 0).argmax(axis=1)[:, None]], axis=1)
+    decode = ops["decode"]
+    return [plucker_from_basis(ExactMatrix(f, [[decode[c] for c in row]
+                                               for row in pair]))
+            for pair in np.stack([u1, u2], axis=1)[np.lexsort(keys.T)]
+            .tolist()]
 
 
 def tangent_test_x(net, point, checked=True):

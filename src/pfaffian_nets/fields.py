@@ -548,9 +548,3 @@ def reduce_value(v, source, target):
         return target.coerce_value(v)
     raise FieldMismatchError("no reduction from %s to %s" % (source, target))
 
-
-def reduce_scalar(x, target):
-    """`reduce_value` for an element; an int or Fraction is coerced."""
-    if isinstance(x, FieldElement):
-        return FieldElement(target, reduce_value(x.value, x.field, target))
-    return target.el(x)

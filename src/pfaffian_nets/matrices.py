@@ -128,20 +128,11 @@ class ExactMatrix:
         return ExactMatrix(self.field, [list(col) for col in zip(*self.rows)],
                            ncols=self.nrows)
 
-    def submatrix(self, row_idx, col_idx):
-        return ExactMatrix(self.field,
-                           [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                           ncols=len(col_idx))
-
     def _compat(self, other):
         if self.field != other.field:
             raise FieldMismatchError("mixed-field matrix arithmetic")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-
-    def is_zero(self):
-        f = self.field
-        return all(f.is_zero_value(x) for row in self.rows for x in row)
 
     def is_skew_symmetric(self):
         if self.nrows != self.ncols:

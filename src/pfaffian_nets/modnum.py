@@ -151,41 +151,47 @@ def rref_mod(a, p):
     return piv_cols, basis
 
 
-def _batch_rank(m, mul, sub, inv):
-    """Ranks of a stack of small matrices (N x r x c) by one vectorized
-    pivot loop; mul(a, b) and sub(a, b) act elementwise on arrays of field
-    codes and inv[a] is the inverse code of a (inv[0] = 0)."""
+def _batch_rref(m, mul, sub, inv):
+    """Reduced row echelon forms of a stack of small matrices (N x r x c)
+    by one vectorized pivot loop; mul(a, b) and sub(a, b) act elementwise
+    on arrays of field codes and inv[a] is the inverse code of a (inv[0] =
+    0).  Returns (ranks, reduced, pivots): the first ranks[k] rows of
+    reduced[k] are the RREF of matrix k with unit pivots, the rest are
+    zero, and pivots[k] marks its pivot columns."""
     if m.ndim != 3:
         raise ValueError("expected a 3d stack of matrices")
     m = m.copy()
     N, r, c = m.shape
     rank = np.zeros(N, dtype=np.int64)
+    pivots = np.zeros((N, c), dtype=bool)
     if N == 0 or r == 0 or c == 0:
-        return rank
-    row = np.zeros(N, dtype=np.int64)
+        return rank, m, pivots
     rows_idx = np.arange(r)
     for col in range(c):
-        colvals = m[:, :, col]
-        active = (rows_idx[None, :] >= row[:, None]) & (colvals != 0)
-        has = active.any(axis=1)
-        idx = np.nonzero(has)[0]
+        active = (rows_idx[None, :] >= rank[:, None]) & (m[:, :, col] != 0)
+        idx = np.nonzero(active.any(axis=1))[0]
         if idx.size == 0:
             continue
         pr = np.argmax(active[idx], axis=1)
-        ri = row[idx]
+        ri = rank[idx]
         tmp = m[idx, ri, :].copy()
         m[idx, ri, :] = m[idx, pr, :]
         m[idx, pr, :] = tmp
-        pv = m[idx, ri, col]
-        m[idx, ri, :] = mul(m[idx, ri, :], inv[pv][:, None])
-        below = rows_idx[None, :] > ri[:, None]
-        f = np.where(below, m[idx, :, col], 0)
-        m[idx] = sub(m[idx], mul(f[:, :, None], m[idx, ri, :][:, None, :]))
-        row[idx] += 1
+        prow = mul(m[idx, ri, :], inv[m[idx, ri, col]][:, None])
+        m[idx, ri, :] = prow
+        f = m[idx, :, col]
+        f[np.arange(idx.size), ri] = 0
+        m[idx] = sub(m[idx], mul(f[:, :, None], prow[:, None, :]))
+        pivots[idx, col] = True
         rank[idx] += 1
         if bool((rank == min(r, c)).all()):
             break
-    return rank
+    return rank, m, pivots
+
+
+def _batch_rank(m, mul, sub, inv):
+    """The ranks of `_batch_rref`."""
+    return _batch_rref(m, mul, sub, inv)[0]
 
 
 def batch_rank(mats, p):
@@ -224,10 +230,45 @@ def small_field_tables(field):
             "decode": elements, "encode": code_of}
 
 
-def batch_rank_table(mats, tables):
-    """Ranks of a stack of small matrices whose entries are field codes,
-    using the operation tables from small_field_tables."""
+class _Residues:
+    """An elementwise operation mod p, indexed like an operation table:
+    t[a, b] = op(a, b) % p for arrays of residues."""
+
+    def __init__(self, op, p):
+        self.op = op
+        self.p = p
+
+    def __getitem__(self, ab):
+        a, b = ab
+        return self.op(a, b) % self.p
+
+
+def field_ops(field):
+    """Code arithmetic for a finite field: the small_field_tables of a
+    field of order <= _TABLE_ORDER, and for a larger prime p the same keys
+    with the residues as codes and add, sub and mul computed mod p."""
+    q = field.order
+    if q is not None and q <= _TABLE_ORDER:
+        return small_field_tables(field)
+    if field.kind != "GF(p)":
+        raise ValueError("no code arithmetic over %s" % field)
+    _check_prime(q)
+    residues = range(q)
+    return {"q": q, "add": _Residues(np.add, q),
+            "sub": _Residues(np.subtract, q),
+            "mul": _Residues(np.multiply, q), "inv": inverse_table(q),
+            "decode": residues, "encode": residues}
+
+
+def batch_rref_table(mats, tables):
+    """`_batch_rref` of a stack of small matrices whose entries are field
+    codes, using tables from small_field_tables or field_ops."""
     mul_t, sub_t = tables["mul"], tables["sub"]
-    return _batch_rank(np.asarray(mats, dtype=np.int64),
+    return _batch_rref(np.asarray(mats, dtype=np.int64),
                        lambda a, b: mul_t[a, b], lambda a, b: sub_t[a, b],
                        tables["inv"])
+
+
+def batch_rank_table(mats, tables):
+    """The ranks of `batch_rref_table`."""
+    return batch_rref_table(mats, tables)[0]

@@ -12,15 +12,23 @@ of small matrices over GF(q), so they are checked literally: full
 enumeration of Y x X over GF(2) and GF(3), seeded random sampling through
 the quartic hypersurface Q for larger fields.  A single failed pair is a
 hard failure; larger samples only ever widen coverage.
+
+The pairs of a plan are held as arrays of field codes (`modnum.field_ops`)
+and checked in vectorized blocks; only a failing pair becomes a Python
+record.
 """
 
 from __future__ import annotations
 
 import random
 
-from .correspondence import (pfaffian_hypersurface, phi_fiber, rank_oracle,
-                             x_points, y_points)
-from .grassmann import GrassmannLine, enumerate_projective, plane_from_plucker
+import numpy as np
+
+from . import modnum
+from .correspondence import (_CHUNK, _kernels, pfaffian_hypersurface,
+                             rank_oracle, x_points, y_points)
+from .grassmann import (enumerate_projective, plane_from_plucker,
+                        plucker_from_basis)
 from .matrices import ExactMatrix
 
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
@@ -59,27 +67,94 @@ class SamplePlan:
             self.field.name, self.mode, self.count, self.seed)
 
 
-class WMembership:
-    """The fiber of one pair (a in Y, U in X), read by every check:
-    `a_side` = (a, f(a), rank f(a), Ker f(a) as rows) and `u_side` = (U's
-    Plucker coordinates, RREF basis `red`, pivot columns `piv`, complement
-    columns `comp`), which enumeration shares between pairs; plus
-    `uf = red @ f(a)`, row b the functional u_b^T f(a), and dim(Ker f(a)
+def _matmul(ops, x, y):
+    """The products x[k] @ y[k] of two stacks of code matrices."""
+    add_t, mul_t = ops["add"], ops["mul"]
+    out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
+    for l in range(x.shape[-1]):
+        out = add_t[out, mul_t[x[..., :, l, None], y[..., l, None, :]]]
+    return out
+
+
+def _u_sides(ops, bases):
+    """U's RREF basis, its pivot columns and its complement columns (both
+    ascending), for a stack of 2 x 2m bases."""
+    two_m = bases.shape[2]
+    _, red, piv = modnum.batch_rref_table(bases, ops)
+    order = np.argsort(piv, axis=1, kind="stable")
+    return red, order[:, two_m - 2:], order[:, :two_m - 2]
+
+
+class FiberRecords:
+    """The fiber records of a list of pairs (a in Y, U in X), read by every
+    check, as arrays of field codes.  The a-sides are rank f(a) and the
+    kernel rows of f(a) (`_kernels`); the U-sides are U's RREF basis
+    `red`, its pivot columns `piv` and complement columns `comp`.
+    Each side is built once per point; pair k reads a-side a_idx[k] and
+    U-side u_idx[k].  Per pair, built in blocks of _CHUNK pairs: `uf` =
+    red @ f(a), row b the functional u_b^T f(a), and `dim` = dim(Ker f(a)
     cap U).  The pair lies on the incidence locus W exactly when that
     dimension is positive, and 2 would mean U is the whole kernel plane, a
     singular point of X."""
 
-    __slots__ = ("a", "fa", "rank", "kernel", "u_coords", "red", "piv",
-                 "comp", "uf", "intersection_dim")
+    def __init__(self, net, a_points, u_points, a_idx, u_idx):
+        field = self.field = net.field
+        ops = self.ops = modnum.field_ops(field)
+        enc = ops["encode"]
+        two_m = net.two_m
+        self.a_points, self.u_points = a_points, u_points
+        self.a_idx, self.u_idx = a_idx, u_idx
+        a_codes = np.array([[enc[field.value_of(x)] for x in a]
+                            for a in a_points], dtype=np.int64)
+        fa, self.rank, self.kernel = _kernels(
+            ops, enc[field.one_value],
+            rank_oracle(net, field, "a").codes(ops), a_codes)
+        bases = [p.basis if p.basis is not None else plane_from_plucker(p)
+                 for p in u_points]
+        self.red, self.piv, self.comp = _u_sides(ops, np.array(
+            [[[enc[x] for x in row] for row in b.rows] for b in bases],
+            dtype=np.int64))
+        self.uf = np.empty((len(a_idx), 2, two_m), dtype=np.int64)
+        self.dim = np.empty(len(a_idx), dtype=np.int64)
+        for lo, hi in self.blocks():
+            ai, ui = a_idx[lo:hi], u_idx[lo:hi]
+            self.uf[lo:hi] = _matmul(ops, self.red[ui], fa[ai])
+            stacked = np.concatenate([self.kernel[ai], self.red[ui]], axis=1)
+            self.dim[lo:hi] = two_m - self.rank[ai] + 2 \
+                - modnum.batch_rank_table(stacked, ops)
 
-    def __init__(self, a_side, u_side):
-        self.a, self.fa, self.rank, self.kernel = a_side
-        self.u_coords, self.red, self.piv, self.comp = u_side
-        stacked = ExactMatrix(self.fa.field, self.kernel.rows + self.red.rows,
-                              ncols=self.red.ncols)
-        self.intersection_dim = self.kernel.nrows + self.red.nrows \
-            - stacked.rank()
-        self.uf = self.red @ self.fa
+    def __len__(self):
+        return len(self.a_idx)
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError("pair %d of %d" % (k, len(self)))
+        return WMembership(self, k)
+
+    def blocks(self):
+        """(lo, hi) bounds of consecutive blocks of up to _CHUNK pairs."""
+        return [(lo, min(len(self), lo + _CHUNK))
+                for lo in range(0, len(self), _CHUNK)]
+
+    def fail(self, report, k, reason):
+        report.fail(self.a_points[self.a_idx[k]],
+                    self.u_points[self.u_idx[k]].coords, reason)
+
+
+class WMembership:
+    """One pair of a FiberRecords: a, U's Plucker coordinates, rank f(a),
+    uf = red @ f(a) as a matrix over the field, and dim(Ker f(a) cap U)."""
+
+    def __init__(self, records, k):
+        ai, ui = records.a_idx[k], records.u_idx[k]
+        decode = records.ops["decode"]
+        self.a = tuple(records.a_points[ai])
+        self.u_coords = records.u_points[ui].coords
+        self.rank = int(records.rank[ai])
+        self.uf = ExactMatrix(records.field,
+                              [[decode[c] for c in row]
+                               for row in records.uf[k].tolist()])
+        self.intersection_dim = int(records.dim[k])
 
     @property
     def on_w(self):
@@ -106,9 +181,9 @@ class JwReport:
                               "u": [repr(x) for x in u_coords],
                               "reason": reason})
 
-    def tally(self, membership):
-        self.on_w += 1 if membership.on_w else 0
-        self.off_w += 0 if membership.on_w else 1
+    def tally(self, records):
+        self.on_w = int(np.count_nonzero(records.dim))
+        self.off_w = len(records) - self.on_w
 
     @property
     def passed(self):
@@ -125,83 +200,58 @@ class JwReport:
             self.name, self.checked, self.on_w, self.passed)
 
 
-def _quotient_coords(red_rows, piv, comp, vec, field):
-    """Coordinates of vec + U in the complement basis picked by the RREF
-    pivots of U."""
-    w = list(vec)
-    for j, p in enumerate(piv):
-        c = w[p]
-        if not field.is_zero_value(c):
-            row = red_rows[j]
-            for l in range(len(w)):
-                w[l] = field.sub(w[l], field.mul(c, row[l]))
-    return [w[c] for c in comp]
-
-
-def _a_side(reduced, a):
-    fa = reduced.f_at(a)
-    rank, kern = fa.rank_kernel()
-    return tuple(a), fa, rank, kern.transpose()
-
-
-def _u_side(point):
-    basis = point.basis if point.basis is not None \
-        else plane_from_plucker(point)
-    piv, red = basis.rref()
-    comp = [c for c in range(red.ncols) if c not in piv]
-    return point.coords, red, piv, comp
-
-
 def w_membership(reduced, a, point):
     """The fiber record of one pair (a, U), U given by its Plucker point,
     over the net's own field."""
-    return WMembership(_a_side(reduced, a), _u_side(point))
+    only = np.zeros(1, dtype=np.int64)
+    return FiberRecords(reduced, [a], [point], only, only)[0]
 
 
-def _check_jw_pair(m, report):
-    f = m.fa.field
-    a, u_coords = m.a, m.u_coords
-    if m.rank != m.fa.nrows - 2:
-        report.fail(a, u_coords, "rank f(a) = %d on Y" % m.rank)
-        return
-
-    gram = m.uf @ m.red.transpose()
-    if not gram.is_zero():
-        report.fail(a, u_coords, "f(a) does not vanish on U x U")
-        return
-
-    first = ExactMatrix.from_columns(
-        f, [_quotient_coords(m.red.rows, m.piv, m.comp, v, f)
-            for v in m.kernel.rows])
-    # row b: the functional u_b on the complement lifts
-    second = m.uf.submatrix(range(m.uf.nrows), m.comp)
-    if not (second @ first).is_zero():
-        report.fail(a, u_coords, "composition Ker -> V/U -> U* nonzero")
-        return
-
-    r1, r2 = first.rank(), second.rank()
-    dim = m.intersection_dim
-    if dim == 0:
-        if r1 != 2:
-            report.fail(a, u_coords, "first map not injective off W "
-                                     "(rank %d)" % r1)
-        elif r2 != 2:
-            report.fail(a, u_coords, "second map not surjective off W "
-                                     "(rank %d)" % r2)
-    elif dim == 1:
-        if r2 != 1:
-            report.fail(a, u_coords, "cokernel of V/U -> U* has dim %d on W"
-                        % (2 - r2))
-        elif r1 != 1:
-            report.fail(a, u_coords, "first map rank %d on W" % r1)
-    else:
-        report.fail(a, u_coords, "Ker f(a) = U: U is a singular point of X")
+def _jw_block(records, lo, hi, report):
+    """Check pairs lo..hi: the first map sends a kernel row to its
+    coordinates in V/U on the complement columns (the row minus its pivot
+    entries times U's reduced rows), the second reads uf on the complement
+    columns."""
+    ops, two_m = records.ops, records.uf.shape[2]
+    ai, ui = records.a_idx[lo:hi], records.u_idx[lo:hi]
+    red, comp, uf = records.red[ui], records.comp[ui], records.uf[lo:hi]
+    kernel, rank, dim = records.kernel[ai], records.rank[ai], \
+        records.dim[lo:hi]
+    gram = _matmul(ops, uf, red.transpose(0, 2, 1)).any(axis=(1, 2))
+    lead = np.take_along_axis(kernel, records.piv[ui][:, None, :], axis=2)
+    lifted = ops["sub"][kernel, _matmul(ops, lead, red)]
+    first = np.take_along_axis(lifted, comp[:, None, :], axis=2)
+    second = np.take_along_axis(uf, comp[:, None, :], axis=2)
+    composite = _matmul(ops, second, first.transpose(0, 2, 1)) \
+        .any(axis=(1, 2))
+    r1 = modnum.batch_rank_table(first, ops)
+    r2 = modnum.batch_rank_table(second, ops)
+    # the first failing check of each pair, in the order they are proved:
+    # f(a) has corank 2 and vanishes on U x U, Ker f(a) -> V/U -> U* is a
+    # complex, exact off W and of corank one on W
+    checks = [
+        (rank != two_m - 2, "rank f(a) = %d on Y", rank),
+        (gram, "f(a) does not vanish on U x U", None),
+        (composite, "composition Ker -> V/U -> U* nonzero", None),
+        ((dim == 0) & (r1 != 2), "first map not injective off W (rank %d)",
+         r1),
+        ((dim == 0) & (r2 != 2), "second map not surjective off W (rank %d)",
+         r2),
+        ((dim == 1) & (r2 != 1), "cokernel of V/U -> U* has dim %d on W",
+         2 - r2),
+        ((dim == 1) & (r1 != 1), "first map rank %d on W", r1),
+        (dim > 1, "Ker f(a) = U: U is a singular point of X", None)]
+    which = np.select([c for c, _, _ in checks], range(len(checks)), -1)
+    for k in np.nonzero(which >= 0)[0].tolist():
+        _, reason, value = checks[which[k]]
+        records.fail(report, lo + k,
+                     reason if value is None else reason % value[k])
 
 
 def _pairs(net, plan):
-    """One WMembership per pair a plan checks: all of Y x X when
-    enumerating, else plan.count seeded draws.  Memoized on the
-    net by the plan's value, so jw and jw1 read one stream of fibers."""
+    """The FiberRecords of the pairs a plan checks: all of Y x X when
+    enumerating, else plan.count seeded draws.  Memoized on the net by
+    the plan's value, so jw and jw1 read one set of records."""
     key = ("pairs", plan.field, plan.mode, plan.count, plan.seed)
     return net.derived(key, lambda: _build_pairs(net, plan))
 
@@ -210,17 +260,18 @@ def _build_pairs(net, plan):
     field = plan.field
     reduced = net.over(field)
     if plan.mode == "random":
-        return [w_membership(reduced, a, u)
-                for a, u in _random_pairs(reduced, plan)]
+        pairs = _random_pairs(reduced, plan)
+        idx = np.arange(len(pairs))
+        return FiberRecords(reduced, [a for a, _ in pairs],
+                            [u for _, u in pairs], idx, idx)
     ys = y_points(net, field)
     xs = x_points(net, field)
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    u_sides = [_u_side(p) for p in xs]
-    return [WMembership(a_side, u_side)
-            for a_side in (_a_side(reduced, a) for a in ys)
-            for u_side in u_sides]
+    return FiberRecords(reduced, ys, xs,
+                        np.repeat(np.arange(len(ys)), len(xs)),
+                        np.tile(np.arange(len(xs)), len(ys)))
 
 
 def _random_nonzero(rng, elements, length, field):
@@ -230,6 +281,29 @@ def _random_nonzero(rng, elements, length, field):
             return v
 
 
+def _phi_bases(ops, one, stack, vs, params):
+    """The basis of U that `phi_fiber` (and `GrassmannLine.point_at` on a
+    line) gives for each v: the kernel rows of f_v when rank f_v = 4; when
+    it is 3, (v, s w1 + t w2) with (s, t) = params[k] and w1, w2 the rows
+    of the RREF of Ker f_v other than the first one at whose pivot column
+    v is nonzero (`pencil_line`)."""
+    add_t, mul_t = ops["add"], ops["mul"]
+    _, rank, kernel = _kernels(ops, one, stack, vs)
+    bases = kernel[:, :2].copy()
+    line = np.nonzero(rank == 3)[0]
+    if line.size:
+        _, w, w_piv = modnum.batch_rref_table(kernel[line, :3], ops)
+        pivots = np.argsort(~w_piv, axis=1, kind="stable")[:, :3]
+        alphas = np.take_along_axis(vs[line], pivots, axis=1)
+        others = np.array([[1, 2], [0, 2], [0, 1]])[(alphas != 0).argmax(1)]
+        w1, w2 = np.moveaxis(
+            np.take_along_axis(w, others[:, :, None], axis=1), 1, 0)
+        s, t = params[line, :1], params[line, 1:]
+        bases[line] = np.stack([vs[line],
+                                add_t[mul_t[s, w1], mul_t[t, w2]]], axis=1)
+    return bases
+
+
 def _random_pairs(reduced, plan):
     """plan.count random pairs (a, U), U the Plucker point (with its
     basis) that the fiber of phi returns: a by rejection against the
@@ -237,7 +311,9 @@ def _random_pairs(reduced, plan):
     (every plane of X through a vector v arises that way).  Both tests
     read the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
     Q(v) = 0 iff rank f_v < 5, because f_v v = 0 makes the maximal minors
-    of f_v the products +-v_i Q(v)."""
+    of f_v the products +-v_i Q(v).  rank f_v = 3 makes the fiber a line,
+    on which one more seeded draw picks the point; the fibers are built
+    together once all draws are made."""
     field = plan.field
     if (reduced.n, reduced.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
@@ -245,6 +321,7 @@ def _random_pairs(reduced, plan):
     on_y = rank_oracle(reduced, field, "a")
     on_q = rank_oracle(reduced, field, "v")
     elements = _element_values(field)
+    zero, one = field.zero_value, field.one_value
     rng = random.Random(plan.seed)
     budget = [_TRY_FACTOR * plan.count * max(4, len(elements))]
 
@@ -261,73 +338,96 @@ def _random_pairs(reduced, plan):
             if on_y.rank(a) < 6:
                 return tuple(a)
 
-    def draw_u():
+    def draw_v():
         while True:
             spend()
             v = _random_nonzero(rng, elements, 6, field)
-            if on_q.rank(v) == 5:
+            rank = on_q.rank(v)
+            if rank == 5:
                 continue
-            u = phi_fiber(reduced, v)
-            if isinstance(u, GrassmannLine):
-                s, t = rng.choice([(field.one_value, x) for x in elements]
-                                  + [(field.zero_value, field.one_value)])
-                u = u.point_at(s, t)
-            return u
+            if rank < 3:
+                raise ValueError(
+                    "(Im f_v)^perp has dimension %d; rank f_v = %d <= 2 "
+                    "violates the minimal-rank bound" % (6 - rank, rank))
+            if rank == 4:
+                return v, (zero, zero)
+            return v, rng.choice([(one, x) for x in elements]
+                                 + [(zero, one)])
 
-    return [(draw_a(), draw_u()) for _ in range(plan.count)]
+    draws = [(draw_a(), draw_v()) for _ in range(plan.count)]
+    ops = modnum.field_ops(field)
+    enc, decode = ops["encode"], ops["decode"]
+    vs, params = (np.array([[enc[x] for x in row] for row in rows],
+                           dtype=np.int64)
+                  for rows in zip(*(u for _, u in draws)))
+    bases = _phi_bases(ops, enc[one], on_q.codes(ops), vs, params)
+    return [(a, plucker_from_basis(ExactMatrix(
+        field, [[decode[c] for c in row] for row in basis])))
+        for (a, _), basis in zip(draws, bases.tolist())]
 
 
 def jw_pointwise(net, plan):
     """Exactness-off-W and corank-one-on-W checks at sampled pairs."""
     report = JwReport("jw_pointwise", plan)
-    for m in _pairs(net, plan):
-        _check_jw_pair(m, report)
-        report.checked += 1
-        report.tally(m)
+    records = _pairs(net, plan)
+    for lo, hi in records.blocks():
+        _jw_block(records, lo, hi, report)
+    report.checked = len(records)
+    report.tally(records)
     return report
-
-
-def _check_jw1_triple(f, m, s, t, report):
-    """hf(a, U, v) for v = s u1 + t u2 reads the functional f(a)(v, -) on
-    the complement lifts; it must vanish exactly when v lies in Ker f(a).
-    The functional is s (u1^T f(a)) + t (u2^T f(a)), and f(a) v is its
-    negative because f(a) is skew."""
-    row = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(*m.uf.rows)]
-    hf_zero = all(f.is_zero_value(row[c]) for c in m.comp)
-    in_kernel = all(f.is_zero_value(x) for x in row)
-    if hf_zero != in_kernel:
-        report.fail(m.a, m.u_coords,
-                    "hf vanishing disagrees with kernel membership")
-    return hf_zero
 
 
 def jw1_section_check(net, plan):
     """The incidence locus inside Y x P(U-bundle) is cut out by the section
     hf; checked triple by triple, including the agreement of the two
-    membership predicates.  Enumeration tries every v in U; random mode
-    one seeded v per pair."""
+    membership predicates.  hf(a, U, v) for v = s u1 + t u2 reads the
+    functional s (u1^T f(a)) + t (u2^T f(a)) on the complement lifts; it
+    must vanish exactly when v lies in Ker f(a), where the whole functional
+    (-f(a) v, as f(a) is skew) vanishes.  Enumeration tries every v in U;
+    random mode one seeded v per pair."""
     report = JwReport("jw1_section_check", plan)
     f = plan.field
+    records = _pairs(net, plan)
+    ops = records.ops
+    add_t, mul_t, enc = ops["add"], ops["mul"], ops["encode"]
     elements = _element_values(f)
-    every_v = [(f.one_value, f.zero_value)] \
-        + [(x, f.one_value) for x in elements]
-    one_v = [(f.one_value, x) for x in elements] \
-        + [(f.zero_value, f.one_value)]
-    rng = random.Random(plan.seed + 1)
-    for m in _pairs(net, plan):
-        params = every_v if plan.mode == "enumerate" \
-            else [rng.choice(one_v)]
-        hits = 0
-        for s, t in params:
-            hits += 1 if _check_jw1_triple(f, m, s, t, report) else 0
-            report.checked += 1
-        if plan.mode == "enumerate" and (hits > 0) != m.on_w:
-            report.fail(m.a, m.u_coords,
-                        "section zero locus disagrees with "
-                        "kernel-intersection membership")
-        if hits and not m.on_w:
-            report.fail(m.a, m.u_coords, "section vanishes off W")
-        report.tally(m)
+    if plan.mode == "enumerate":
+        params = [(f.one_value, f.zero_value)] \
+            + [(x, f.one_value) for x in elements]
+    else:
+        one_v = [(f.one_value, x) for x in elements] \
+            + [(f.zero_value, f.one_value)]
+        rng = random.Random(plan.seed + 1)
+        params = [rng.choice(one_v) for _ in range(len(records))]
+    params = np.array([[enc[s], enc[t]] for s, t in params], dtype=np.int64)
+    probes = len(params) if plan.mode == "enumerate" else 1
+    for lo, hi in records.blocks():
+        # st[k, j]: probe j of pair k; one probe list for all when enumerating
+        st = params[None] if plan.mode == "enumerate" \
+            else params[lo:hi, None]
+        uf = records.uf[lo:hi]
+        row = add_t[mul_t[st[..., :1], uf[:, None, 0]],
+                    mul_t[st[..., 1:], uf[:, None, 1]]]
+        comp = records.comp[records.u_idx[lo:hi]]
+        hf_zero = ~np.take_along_axis(row, comp[:, None, :], axis=2) \
+            .any(axis=2)
+        disagree = hf_zero != ~row.any(axis=2)
+        hits = hf_zero.any(axis=1)
+        on_w = records.dim[lo:hi] > 0
+        locus = (hits != on_w) & (plan.mode == "enumerate")
+        off_w = hits & ~on_w
+        for k in np.nonzero(disagree.any(axis=1) | locus | off_w)[0]:
+            for _ in range(int(disagree[k].sum())):
+                records.fail(report, lo + k,
+                             "hf vanishing disagrees with kernel membership")
+            if locus[k]:
+                records.fail(report, lo + k,
+                             "section zero locus disagrees with "
+                             "kernel-intersection membership")
+            if off_w[k]:
+                records.fail(report, lo + k, "section vanishes off W")
+    report.checked = len(records) * probes
+    report.tally(records)
     return report
 
 

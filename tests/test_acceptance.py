@@ -228,6 +228,22 @@ def test_09_resolution_fiber_checks(pinned_net):
     _budget("fiber exactness on and off W", 120, start)
 
 
+def test_09b_exhaustive_fiber_checks_over_gf7(pinned_net):
+    # all of Y x X over F_7, where the pipeline samples 1,000 pairs; a
+    # fresh net, so the 183,184 records are not kept for the session
+    start = time.monotonic()
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    plan = SamplePlan(GF(7), mode="enumerate")
+    pointwise = jw_pointwise(net, plan)
+    sections = jw1_section_check(net, plan)
+    assert pointwise.passed, pointwise.failures[:5]
+    assert sections.passed, sections.failures[:5]
+    assert pointwise.checked == 428 * 428 == 183184
+    assert sections.checked == 8 * pointwise.checked
+    assert sections.on_w == pointwise.on_w > 0
+    _budget("exhaustive fiber checks over GF(7)", 10, start)
+
+
 def test_10_report_determinism(pinned_net, tmp_path):
     start = time.monotonic()
     fixture = tmp_path / "fixture.json"

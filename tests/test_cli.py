@@ -280,6 +280,26 @@ class TestErrors:
         assert err.startswith("error: ") and value in err
 
 
+    @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
+                             ids=["pipeline", "verify"])
+    @pytest.mark.parametrize("field, entry", [
+        ("QQ", [1, 2]), ("QQ", 0.5), ("GF(3,2)", "1/2")],
+        ids=["list-over-QQ", "float-over-QQ", "fraction-over-GF(9)"])
+    def test_entry_the_field_cannot_take(self, tmp_path, capsys, command,
+                                         field, entry):
+        doc = net_to_fixture(ANet.from_upper_triangles(QQ, 6,
+                                                       PINNED_UPPERS[0]))
+        doc["field"] = field
+        doc["matrices"][0][0] = entry
+        fx = tmp_path / "bad_entry.json"
+        fx.write_text(json.dumps(doc))
+        argv = command[:1] + [str(fx)] + command[1:]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad matrix entry: ")
+        assert "Traceback" not in err
+
+
 class TestReportDiff:
     def test_identical(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -627,12 +627,23 @@ class TestRankOracle:
         assert found == [self._symbolic_lines(net, field)
                          for net in pinned_family]
 
+    @staticmethod
+    def _filtered_grassmannian(net, field):
+        forms = net_linear_forms(net.over(field))
+        return [pt for pt in enumerate_grassmannian(6, field)
+                if not any(f.evaluate(list(pt.coords)) for f in forms)]
+
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_x_points_are_the_filtered_grassmannian(self, pinned, field):
-        forms = net_linear_forms(pinned.over(field))
-        expected = [pt for pt in enumerate_grassmannian(6, field)
-                    if not any(f.evaluate(list(pt.coords)) for f in forms)]
-        assert x_points(pinned, field) == expected
+        assert x_points(pinned, field) \
+            == self._filtered_grassmannian(pinned, field)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_x_points_of_a_singular_x(self, degenerate, field):
+        # over GF(3) f_v of the degenerate net has rank 2 at one point, so
+        # Ker f_v has dimension 4 there
+        assert x_points(degenerate, field) \
+            == self._filtered_grassmannian(degenerate, field)
 
     def test_x_points_over_gf4_are_cut_by_the_plucker_forms(self, pinned):
         # Plucker points for all 93,093 planes are slow to build over GF(4),

@@ -147,6 +147,62 @@ def test_batch_rank_table_matches_exact():
         assert got.tolist() == exact
 
 
+@pytest.mark.parametrize("q", [(3, 1), (2, 2), (101, 1)], ids=str)
+def test_batch_rref_table_matches_exact_rref(q):
+    """Ranks, reduced rows and pivot masks against ExactMatrix.rref, with
+    code tables over GF(3) and GF(4) and residues mod 101."""
+    from pfaffian_nets.fields import GF
+    from pfaffian_nets.matrices import ExactMatrix
+    field = GF(*q)
+    ops = modnum.field_ops(field)
+    enc, decode = ops["encode"], ops["decode"]
+    rng = random.Random(13)
+    shapes = [(5, 6), (6, 6), (2, 6), (8, 6), (3, 2)]
+    for nrows, ncols in shapes:
+        mats = []
+        for _ in range(40):
+            cap = rng.choice([None, 1, 2])
+            rows = [[field.random(rng).value for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if cap is not None:
+                a = ExactMatrix(field, [[field.random(rng).value
+                                         for _ in range(cap)]
+                                        for _ in range(nrows)])
+                b = ExactMatrix(field, [[field.random(rng).value
+                                         for _ in range(ncols)]
+                                        for _ in range(cap)])
+                rows = (a @ b).rows
+            mats.append(ExactMatrix(field, rows))
+        codes = np.array([[[enc[v] for v in row] for row in m.rows]
+                          for m in mats], dtype=np.int64)
+        ranks, reduced, pivots = modnum.batch_rref_table(codes, ops)
+        assert ranks.tolist() == modnum.batch_rank_table(codes, ops).tolist()
+        for m, rank, red, mask in zip(mats, ranks, reduced, pivots):
+            piv, basis = m.rref()
+            assert rank == len(piv)
+            assert np.nonzero(mask)[0].tolist() == piv
+            assert [[decode[c] for c in row]
+                    for row in red[:rank].tolist()] == basis.rows
+            assert not red[rank:].any()
+
+
+def test_field_ops_residues_match_the_field():
+    from pfaffian_nets.fields import GF
+    field = GF(101)
+    ops = modnum.field_ops(field)
+    a = np.arange(101)[:, None]
+    b = np.arange(101)[None, :]
+    for key, op in (("add", field.add), ("sub", field.sub),
+                    ("mul", field.mul)):
+        table = ops[key][a, b]
+        assert all(table[x, y] == op(x, y) for x in range(0, 101, 7)
+                   for y in range(0, 101, 5))
+    assert ops["mul"][np.arange(1, 101), ops["inv"][1:]].tolist() \
+        == [1] * 100
+    with pytest.raises(ValueError):
+        modnum.field_ops(GF(11, 2))
+
+
 def test_small_field_tables_guard():
     from pfaffian_nets.fields import GF
     with pytest.raises(ValueError):

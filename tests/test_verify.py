@@ -1,13 +1,17 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from pfaffian_nets import verify
+from pfaffian_nets import correspondence, modnum, verify
 from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
                                           phi_fiber, q_quartic, rank_oracle,
-                                          y_points)
+                                          x_points, y_points)
 from pfaffian_nets.fields import GF, QQ
-from pfaffian_nets.grassmann import GrassmannLine, plucker_from_basis
+from pfaffian_nets.grassmann import (GrassmannLine, enumerate_grassmannian,
+                                     enumerate_projective, plane_from_plucker,
+                                     plucker_from_basis)
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
@@ -146,6 +150,264 @@ class TestSamplerOracle:
             assert (oracle._table is not None) == tabulated
 
 
+# -- the per-pair reference: each fiber record and each check written one
+# pair at a time on ExactMatrix, as the batched arrays must reproduce them
+
+class ReferenceMembership:
+    def __init__(self, a_side, u_side):
+        self.a, self.fa, self.rank, self.kernel = a_side
+        self.u_coords, self.red, self.piv, self.comp = u_side
+        stacked = ExactMatrix(self.fa.field, self.kernel.rows + self.red.rows,
+                              ncols=self.red.ncols)
+        self.intersection_dim = self.kernel.nrows + self.red.nrows \
+            - stacked.rank()
+        self.uf = self.red @ self.fa
+
+    @property
+    def on_w(self):
+        return self.intersection_dim > 0
+
+
+def _quotient_coords(red_rows, piv, comp, vec, field):
+    """Coordinates of vec + U in the complement basis picked by the RREF
+    pivots of U."""
+    w = list(vec)
+    for j, p in enumerate(piv):
+        c = w[p]
+        if not field.is_zero_value(c):
+            row = red_rows[j]
+            for l in range(len(w)):
+                w[l] = field.sub(w[l], field.mul(c, row[l]))
+    return [w[c] for c in comp]
+
+
+def _a_side(reduced, a):
+    fa = reduced.f_at(a)
+    rank, kern = fa.rank_kernel()
+    return tuple(a), fa, rank, kern.transpose()
+
+
+def _u_side(point):
+    basis = point.basis if point.basis is not None \
+        else plane_from_plucker(point)
+    piv, red = basis.rref()
+    comp = [c for c in range(red.ncols) if c not in piv]
+    return point.coords, red, piv, comp
+
+
+def _check_jw_pair(m, report):
+    f = m.fa.field
+    a, u_coords = m.a, m.u_coords
+    if m.rank != m.fa.nrows - 2:
+        report.fail(a, u_coords, "rank f(a) = %d on Y" % m.rank)
+        return
+    if m.uf @ m.red.transpose() != ExactMatrix.zeros(f, 2, 2):
+        report.fail(a, u_coords, "f(a) does not vanish on U x U")
+        return
+    first = ExactMatrix.from_columns(
+        f, [_quotient_coords(m.red.rows, m.piv, m.comp, v, f)
+            for v in m.kernel.rows], nrows=len(m.comp))
+    second = ExactMatrix(f, [[row[c] for c in m.comp] for row in m.uf.rows],
+                         ncols=len(m.comp))
+    if second @ first != ExactMatrix.zeros(f, 2, first.ncols):
+        report.fail(a, u_coords, "composition Ker -> V/U -> U* nonzero")
+        return
+    r1, r2 = first.rank(), second.rank()
+    dim = m.intersection_dim
+    if dim == 0:
+        if r1 != 2:
+            report.fail(a, u_coords, "first map not injective off W "
+                                     "(rank %d)" % r1)
+        elif r2 != 2:
+            report.fail(a, u_coords, "second map not surjective off W "
+                                     "(rank %d)" % r2)
+    elif dim == 1:
+        if r2 != 1:
+            report.fail(a, u_coords, "cokernel of V/U -> U* has dim %d on W"
+                        % (2 - r2))
+        elif r1 != 1:
+            report.fail(a, u_coords, "first map rank %d on W" % r1)
+    else:
+        report.fail(a, u_coords, "Ker f(a) = U: U is a singular point of X")
+
+
+def _check_jw1_triple(f, m, s, t, report):
+    row = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(*m.uf.rows)]
+    hf_zero = all(f.is_zero_value(row[c]) for c in m.comp)
+    in_kernel = all(f.is_zero_value(x) for x in row)
+    if hf_zero != in_kernel:
+        report.fail(m.a, m.u_coords,
+                    "hf vanishing disagrees with kernel membership")
+    return hf_zero
+
+
+def reference_records(reduced, pairs):
+    return [ReferenceMembership(_a_side(reduced, a), _u_side(u))
+            for a, u in pairs]
+
+
+def plan_pairs(net, plan):
+    """The pairs (a, U) a plan checks, in order."""
+    if plan.mode == "random":
+        return verify._random_pairs(net.over(plan.field), plan)
+    return [(a, u) for a in y_points(net, plan.field)
+            for u in x_points(net, plan.field)]
+
+
+def reference_jw(refs, plan):
+    report = verify.JwReport("jw_pointwise", plan)
+    for m in refs:
+        _check_jw_pair(m, report)
+    report.checked = len(refs)
+    report.on_w = sum(m.on_w for m in refs)
+    report.off_w = len(refs) - report.on_w
+    return report
+
+
+def reference_jw1(refs, plan):
+    report = verify.JwReport("jw1_section_check", plan)
+    f = plan.field
+    elements = [e.value for e in f.elements()]
+    every_v = [(f.one_value, f.zero_value)] \
+        + [(x, f.one_value) for x in elements]
+    one_v = [(f.one_value, x) for x in elements] \
+        + [(f.zero_value, f.one_value)]
+    rng = random.Random(plan.seed + 1)
+    for m in refs:
+        params = every_v if plan.mode == "enumerate" \
+            else [rng.choice(one_v)]
+        hits = 0
+        for s, t in params:
+            hits += 1 if _check_jw1_triple(f, m, s, t, report) else 0
+            report.checked += 1
+        if plan.mode == "enumerate" and (hits > 0) != m.on_w:
+            report.fail(m.a, m.u_coords,
+                        "section zero locus disagrees with "
+                        "kernel-intersection membership")
+        if hits and not m.on_w:
+            report.fail(m.a, m.u_coords, "section vanishes off W")
+    report.on_w = sum(m.on_w for m in refs)
+    report.off_w = len(refs) - report.on_w
+    return report
+
+
+def _rows(records):
+    return [(m.a, m.u_coords, m.rank, m.intersection_dim, m.uf.rows, m.on_w)
+            for m in records]
+
+
+@pytest.fixture(scope="module", params=[
+    ("pinned", (2, 1), "enumerate", 1000),
+    ("pinned", (3, 1), "enumerate", 1000),
+    ("pinned", (7, 1), "random", 200),
+    ("pinned", (3, 2), "random", 50),
+    ("degenerate", (2, 1), "enumerate", 1000)],
+    ids=["pinned-GF(2)", "pinned-GF(3)", "pinned-GF(7)-random",
+         "pinned-GF(9)-random", "degenerate-GF(2)"])
+def batched_case(request, pinned_net, degenerate_fixture):
+    name, q, mode, count = request.param
+    net = pinned_net if name == "pinned" else degenerate_fixture
+    net = ANet.from_upper_triangles(QQ, net.two_m, net.upper_triangles())
+    plan = SamplePlan(GF(*q), count=count, seed=3, mode=mode)
+    refs = reference_records(net.over(plan.field), plan_pairs(net, plan))
+    return net, plan, refs
+
+
+class TestBatchedRecords:
+    """The batched records and checks against the per-pair reference."""
+
+    def test_rows_equal_the_reference(self, batched_case):
+        net, plan, refs = batched_case
+        records = verify._pairs(net, plan)
+        assert len(records) == len(refs)
+        assert _rows(records) == _rows(refs)
+
+    def test_jw_equals_the_reference(self, batched_case):
+        net, plan, refs = batched_case
+        assert jw_pointwise(net, plan).as_dict() \
+            == reference_jw(refs, plan).as_dict()
+
+    def test_jw1_equals_the_reference(self, batched_case):
+        net, plan, refs = batched_case
+        assert jw1_section_check(net, plan).as_dict() \
+            == reference_jw1(refs, plan).as_dict()
+
+    def test_degenerate_failures_are_covered(self, degenerate_fixture):
+        reasons = [f["reason"] for f in jw_pointwise(
+            degenerate_fixture, SamplePlan(GF(2))).failures]
+        assert "Ker f(a) = U: U is a singular point of X" in reasons
+        assert "rank f(a) = 2 on Y" in reasons
+
+    @pytest.mark.parametrize("mode", ["enumerate", "random"])
+    @pytest.mark.parametrize("q", [(2, 1), (2, 2)], ids=str)
+    def test_arbitrary_pairs_equal_the_reference(self, pinned_net,
+                                                 monkeypatch, q, mode):
+        """Points off Y (rank f(a) = 6, no kernel) and planes off X (f(a)
+        not zero on U x U) reach failures a plan on a smooth net never
+        does; jw and jw1 read these records in place of the plan's."""
+        field = GF(*q)
+        reduced = pinned_net.over(field)
+        a_points = list(enumerate_projective(field, 4))[-24:]
+        u_points = list(itertools.islice(enumerate_grassmannian(6, field),
+                                         30))
+        pairs = [(a, u) for a in a_points for u in u_points]
+        a_idx = np.repeat(np.arange(len(a_points)), len(u_points))
+        u_idx = np.tile(np.arange(len(u_points)), len(a_points))
+        records = verify.FiberRecords(reduced, a_points, u_points, a_idx,
+                                      u_idx)
+        refs = reference_records(reduced, pairs)
+        assert _rows(records) == _rows(refs)
+        monkeypatch.setattr(verify, "_pairs", lambda net, plan: records)
+        plan = SamplePlan(field, seed=5, mode=mode)
+        expected = reference_jw(refs, plan)
+        assert jw_pointwise(reduced, plan).as_dict() == expected.as_dict()
+        assert {"rank f(a) = 6 on Y", "f(a) does not vanish on U x U"} \
+            <= {f["reason"] for f in expected.failures}
+        expected = reference_jw1(refs, plan)
+        assert jw1_section_check(reduced, plan).as_dict() \
+            == expected.as_dict()
+        assert expected.failures
+
+
+class TestPhiBases:
+    @pytest.mark.parametrize("q", [(3, 1), (7, 1)], ids=str)
+    def test_bases_equal_phi_fiber(self, pinned_net, q):
+        """Every v of rank f_v 3 or 4 (all of Q over GF(3), the curve C and
+        64 rank-4 points over GF(7)), with every (s:t) on a line."""
+        field = GF(*q)
+        reduced = pinned_net.over(field)
+        oracle = rank_oracle(reduced, field, "v")
+        ranks = oracle.table
+        low = np.nonzero(ranks == 3)[0]
+        high = np.nonzero(ranks == 4)[0]
+        if field.order > 3:
+            high = high[:64]
+        elements = [e.value for e in field.elements()]
+        params = [(field.one_value, x) for x in elements] \
+            + [(field.zero_value, field.one_value)]
+        vs, st, expected = [], [], []
+        for v in oracle.points(high):
+            vs.append(v)
+            st.append((field.zero_value, field.zero_value))
+            expected.append(phi_fiber(reduced, v).basis.rows)
+        for v in oracle.points(low):
+            line = phi_fiber(reduced, v)
+            assert isinstance(line, GrassmannLine)
+            for s, t in params:
+                vs.append(v)
+                st.append((s, t))
+                expected.append(line.point_at(s, t).basis.rows)
+        assert low.size and high.size
+        ops = modnum.field_ops(field)
+        enc, decode = ops["encode"], ops["decode"]
+        bases = verify._phi_bases(
+            ops, enc[field.one_value], oracle.codes(ops),
+            np.array([[enc[x] for x in v] for v in vs]),
+            np.array([[enc[x] for x in p] for p in st]))
+        assert [[[decode[c] for c in row] for row in b]
+                for b in bases.tolist()] == expected
+
+
 class TestJw1:
     def test_enumerated_gf3(self, pinned_net):
         plan = SamplePlan(GF(3))
@@ -163,14 +425,18 @@ class TestJw1:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Count calls of the functions that build fibers; jw1 should make
-        none of them, because it reads jw's memoized records."""
+        """Count the calls that build fiber sides, with the number of
+        points each builds; jw1 should make none of them, because it reads
+        jw's memoized records."""
         calls = {}
-        targets = [(verify, "w_membership"), (verify, "phi_fiber"),
-                   (ANet, "f_at"), (ExactMatrix, "rref")]
-        for owner, name in targets:
-            def counted(*args, _name=name, _real=getattr(owner, name)):
-                calls[_name] = calls.get(_name, 0) + 1
+        targets = [(verify, "_kernels", 3), (verify, "_u_sides", 1),
+                   (correspondence, "phi_fiber", None),
+                   (ANet, "f_at", None), (ExactMatrix, "rref", None)]
+        for owner, name, arg in targets:
+            def counted(*args, _name=name, _arg=arg,
+                        _real=getattr(owner, name)):
+                points = 1 if _arg is None else len(args[_arg])
+                calls.setdefault(_name, []).append(points)
                 return _real(*args)
             monkeypatch.setattr(owner, name, counted)
         streams = []
@@ -188,7 +454,10 @@ class TestJw1:
         # a fresh plan for each check: the stream is keyed on the plan's value
         plan = lambda: SamplePlan(GF(7), count=30, seed=5, mode="random")
         pointwise = jw_pointwise(net, plan())
-        assert calls["w_membership"] == 30 and calls["phi_fiber"] >= 30
+        # one batch of 30 fibers f_v, one of 30 a-sides f(a), one of 30
+        # U-sides; no fiber is built one pair at a time
+        assert calls["_kernels"] == [30, 30] and calls["_u_sides"] == [30]
+        assert "phi_fiber" not in calls and "f_at" not in calls
         calls.clear()
         sections = jw1_section_check(net, plan())
         assert calls == {}
@@ -200,11 +469,14 @@ class TestJw1:
     def test_enumerate_mode_builds_each_side_once(self, pinned_net,
                                                    monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
-        ys = y_points(net, GF(2))
+        ys, xs = y_points(net, GF(2)), x_points(net, GF(2))
         calls, streams = self._count_calls(monkeypatch)
         pointwise = jw_pointwise(net, SamplePlan(GF(2)))
-        # one f(a) per point of Y, shared by all |X| pairs through it
-        assert len(ys) == 19 and calls["f_at"] == 19
+        # one a-side per point of Y and one U-side per point of X, shared
+        # by all pairs through it
+        assert len(ys) == 19 and calls["_kernels"] == [19]
+        assert len(xs) == 19 and calls["_u_sides"] == [19]
+        assert "f_at" not in calls
         calls.clear()
         sections = jw1_section_check(net, SamplePlan(GF(2)))
         assert calls == {}
