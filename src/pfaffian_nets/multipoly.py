@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd, lcm, prod
 
+import numpy as np
+
+from . import modnum
 from .fields import FieldElement, FieldMismatchError, reduce_value
 
 
@@ -443,40 +446,164 @@ def pfaffian_poly(m):
     return expand(tuple(range(m.size)))
 
 
+_INT64_SAFE = 1 << 62  # a bound on every code below this keeps int64 exact
+
+
+def _monomials(nvars, lo, hi):
+    """The monomials of degrees lo..hi, each degree in `monomials_of_degree`
+    order, and their positions."""
+    monos = [e for d in range(lo, hi + 1)
+             for e in monomials_of_degree(nvars, d)]
+    return monos, {e: i for i, e in enumerate(monos)}
+
+
+class _MinorCodes:
+    """The minor engine's exact arithmetic on arrays of field codes,
+    combined elementwise by add, sub and mul and reduced after each level.
+
+    * QQ: integers, row i of the grid scaled by the lcm of its
+      denominators; a minor is divided back by its rows' scales.
+    * GF(p): residues, reduced mod p.
+    * GF(p^k): the `modnum.field_ops` table codes up to order 64; above
+      that, the payloads themselves through the field's own operations.
+
+    Integer codes are int64 where a bound proves that no level overflows:
+    every partial sum in a k x k minor is at most k M B, with M the largest
+    1-norm of an entry's codes and B the bound of the (k-1) x (k-1) minors,
+    which is p - 1 over GF(p) once reduced; so r! M^r over QQ and
+    r M (p - 1) over GF(p).  Otherwise they are Python ints in object
+    arrays."""
+
+    def __init__(self, field, entries):
+        self.field = field
+        self.scales = [1] * len(entries)
+        self.add, self.sub, self.mul = np.add, np.subtract, np.multiply
+        self.modulus = None
+        self.zero = 0
+        self.dtype = object
+        self.encode = lambda c, i: c
+        self.value = lambda c, scale: c
+        self.nonzero = lambda x: x != 0
+        if field.kind == "QQ":
+            self.scales = [lcm(*(c.denominator for e in row
+                                 for c in e.terms.values()))
+                           for row in entries]
+            self.encode = lambda c, i: \
+                c.numerator * (self.scales[i] // c.denominator)
+            self.value = Fraction
+        elif field.kind == "GF(p)":
+            self.modulus = field.p
+        elif field.order <= modnum._TABLE_ORDER:
+            ops = modnum.field_ops(field)
+            add_t, sub_t, mul_t = ops["add"], ops["sub"], ops["mul"]
+            self.add = lambda a, b: add_t[a, b]
+            self.sub = lambda a, b: sub_t[a, b]
+            self.mul = lambda a, b: mul_t[a, b]
+            self.encode = lambda c, i: ops["encode"][c]
+            self.value = lambda c, scale: ops["decode"][c]
+            self.dtype = np.int64
+        else:
+            self.add, self.sub, self.mul = (
+                np.frompyfunc(op, 2, 1)
+                for op in (field.add, field.sub, field.mul))
+            self.zero = field.zero_value
+            is_zero = np.frompyfunc(field.is_zero_value, 1, 1)
+            self.nonzero = lambda x: ~is_zero(x).astype(bool)
+
+    def zeros(self, shape):
+        out = np.empty(shape, dtype=self.dtype)
+        out.fill(self.zero)
+        return out
+
+    def reduce(self, x):
+        return x if self.modulus is None else x % self.modulus
+
+    def narrow(self, grid, r):
+        """The grid's codes, as int64 if the bound allows it."""
+        if self.field.kind not in ("QQ", "GF(p)"):
+            return grid
+        norm = int(np.abs(grid).sum(axis=2).max())
+        bound = factorial(r) * norm ** r if self.modulus is None \
+            else r * norm * (self.modulus - 1)
+        if bound >= _INT64_SAFE:
+            return grid
+        self.dtype = np.int64
+        return grid.astype(np.int64)
+
+
 def minor_polys(entries, r):
     """Every r x r minor of a grid of polynomials, in (row combination,
     column combination) lexicographic order.
 
-    One first-row Laplace expansion, memoized on (rows, cols), so each
-    sub-minor is built once for the whole grid; zero entries and zero
-    sub-minors contribute no products."""
+    A dense first-row Laplace expansion, one level k = 1..r at a time.
+    Level k holds minor(rows, cols) for every k-combination of the columns
+    and every k-combination of the rows that an r x r minor expands down
+    to, as one array of coefficient codes over the monomials of its
+    degrees: minor(rows, cols) = sum_j +-entry(rows[0], cols[j])
+    minor(rows[1:], cols without cols[j]).  Multiplying by an entry sums,
+    over its monomials mu, its coefficient times the sub-minor scattered
+    through the positions of mu times each monomial, which are distinct
+    because multiplication by mu is injective.  The arithmetic is exact
+    (`_MinorCodes`); only the r x r minors become MultiPolys."""
     if r < 1:
         raise ValueError("minor size must be positive")
-    memo = {}
-
-    def minor(rows, cols):
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        row = entries[rows[0]]
-        if len(rows) == 1:
-            got = row[cols[0]]
-        else:
-            got = MultiPoly.zero(row[0].field, row[0].nvars)
-            for j, c in enumerate(cols):
-                if row[c].is_zero():
-                    continue
-                sub = minor(rows[1:], cols[:j] + cols[j + 1:])
-                if sub.is_zero():
-                    continue
-                term = row[c] * sub
-                got = got - term if j % 2 else got + term
-        memo[(rows, cols)] = got
-        return got
-
-    return [minor(rows, cols)
-            for rows in combinations(range(len(entries)), r)
-            for cols in combinations(range(len(entries[0])), r)]
+    nrows, ncols = len(entries), len(entries[0])
+    if r > min(nrows, ncols):
+        return []
+    field, nvars = entries[0][0].field, entries[0][0].nvars
+    codes = _MinorCodes(field, entries)
+    degrees = {sum(e) for row in entries for p in row for e in p.terms} \
+        or {0}
+    lo, hi = min(degrees), max(degrees)
+    entry_monos, entry_index = _monomials(nvars, lo, hi)
+    grid = codes.zeros((nrows, ncols, len(entry_monos)))
+    for i, row in enumerate(entries):
+        for j, p in enumerate(row):
+            for e, c in p.terms.items():
+                grid[i, j, entry_index[e]] = codes.encode(c, i)
+    grid = codes.narrow(grid, r)
+    used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
+    # level 1: the entries in rows r - 1, r, ..., keyed row-major
+    row_sets = [(i,) for i in range(r - 1, nrows)]
+    col_sets = [(c,) for c in range(ncols)]
+    level = grid[r - 1:].reshape(-1, len(entry_monos))
+    monos = entry_monos
+    for k in range(2, r + 1):
+        row_index = {s: i for i, s in enumerate(row_sets)}
+        col_index = {s: i for i, s in enumerate(col_sets)}
+        nsub = len(col_sets)
+        row_sets = list(combinations(range(r - k, nrows), k))
+        col_sets = list(combinations(range(ncols), k))
+        nr, nc = len(row_sets), len(col_sets)
+        first = np.repeat([s[0] for s in row_sets], nc)
+        sub_rows = np.repeat([row_index[s[1:]] for s in row_sets], nc) * nsub
+        cols = np.tile(np.array(col_sets), (nr, 1))
+        sub_cols = np.tile(np.array(
+            [[col_index[s[:j] + s[j + 1:]] for j in range(k)]
+             for s in col_sets]), (nr, 1))
+        sub_monos = monos
+        monos, index = _monomials(nvars, k * lo, k * hi)
+        shift = np.array([[index[tuple(x + y for x, y in zip(mu, nu))]
+                           for nu in sub_monos] for mu in entry_monos],
+                         dtype=np.int64)
+        out = codes.zeros((nr * nc, len(monos)))
+        for j in range(k):
+            combine = codes.sub if j % 2 else codes.add
+            coef = grid[first, cols[:, j]]
+            sub = level[sub_rows + sub_cols[:, j]]
+            for mu in used:
+                at = shift[mu]
+                out[:, at] = combine(out[:, at],
+                                     codes.mul(coef[:, mu, None], sub))
+        level = codes.reduce(out)
+    nc = len(col_sets)
+    scales = [prod(codes.scales[i] for i in s) for s in row_sets]
+    terms = [{} for _ in range(len(row_sets) * nc)]
+    keys, at = np.nonzero(codes.nonzero(level))
+    for key, m, c in zip(keys.tolist(), at.tolist(),
+                         level[keys, at].tolist()):
+        terms[key][monos[m]] = codes.value(c, scales[key // nc])
+    return [MultiPoly._raw(field, nvars, t) for t in terms]
 
 
 def det_poly(entries):

@@ -260,7 +260,7 @@ def _build_pairs(net, plan):
     field = plan.field
     reduced = net.over(field)
     if plan.mode == "random":
-        pairs = _random_pairs(reduced, plan)
+        pairs = _random_pairs(net, plan)
         idx = np.arange(len(pairs))
         return FiberRecords(reduced, [a for a, _ in pairs],
                             [u for _, u in pairs], idx, idx)
@@ -304,20 +304,23 @@ def _phi_bases(ops, one, stack, vs, params):
     return bases
 
 
-def _random_pairs(reduced, plan):
-    """plan.count random pairs (a, U), U the Plucker point (with its
-    basis) that the fiber of phi returns: a by rejection against the
-    cubic, U by rejection against the quartic followed by the fiber of phi
-    (every plane of X through a vector v arises that way).  Both tests
+def _random_pairs(net, plan):
+    """plan.count random pairs (a, U) over the plan's field, U the Plucker
+    point (with its basis) that the fiber of phi returns: a by rejection
+    against the cubic, U by rejection against the quartic followed by the
+    fiber of phi (every plane of X through a vector v arises that way).
+    The net is checked for degeneracy where it was given, as `y_points`
+    does, since Pfaffians are not computed in characteristic 2.  Both tests
     read the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
     Q(v) = 0 iff rank f_v < 5, because f_v v = 0 makes the maximal minors
     of f_v the products +-v_i Q(v).  rank f_v = 3 makes the fiber a line,
     on which one more seeded draw picks the point; the fibers are built
     together once all draws are made."""
     field = plan.field
-    if (reduced.n, reduced.two_m) != (5, 6):
+    if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
-    pfaffian_hypersurface(reduced)  # a degenerate net raises here
+    pfaffian_hypersurface(net)  # a degenerate net raises here
+    reduced = net.over(field)
     on_y = rank_oracle(reduced, field, "a")
     on_q = rank_oracle(reduced, field, "v")
     elements = _element_values(field)

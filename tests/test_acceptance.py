@@ -129,6 +129,14 @@ def test_04_curve_hilbert_polynomial(pinned_net):
     _budget("curve Hilbert polynomial", 600, start)
 
 
+def test_04b_minor_engine_budget(pinned_net):
+    start = time.monotonic()
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    assert q_quartic(net).homogeneous_degree() == 4
+    assert len(c_ideal(net).generators) == 75
+    _budget("quartic and curve minors over QQ", 1, start)
+
+
 def test_05_singular_locus_enumeration(pinned_family, degenerate_fixture):
     start = time.monotonic()
     fields = (GF(2), GF(3))

@@ -385,7 +385,7 @@ def _minor_test_grid(kind, field, pinned_net, rng):
             for i in range(4)]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2, 2)], ids=str)
 @pytest.mark.parametrize("kind", ["fv", "quadrics", "zeros"])
 def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
     rng = random.Random(11)
@@ -408,3 +408,93 @@ def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
                 assert minor.evaluate(pt) == sub.det()
         assert minors_ideal(grid, r).generators == [
             m for m in minors if not m.is_zero()]
+
+
+# -- the sparse reference: the memoized first-row Laplace expansion on
+# MultiPoly terms that the dense engine replaced, one sub-minor per
+# (rows, cols) reached, skipping zero entries and zero sub-minors
+
+def sparse_minor_polys(entries, r):
+    memo = {}
+
+    def minor(rows, cols):
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        row = entries[rows[0]]
+        if len(rows) == 1:
+            got = row[cols[0]]
+        else:
+            got = MultiPoly.zero(row[0].field, row[0].nvars)
+            for j, c in enumerate(cols):
+                if row[c].is_zero():
+                    continue
+                sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+                if sub.is_zero():
+                    continue
+                term = row[c] * sub
+                got = got - term if j % 2 else got + term
+        memo[(rows, cols)] = got
+        return got
+
+    return [minor(rows, cols)
+            for rows in combinations(range(len(entries)), r)
+            for cols in combinations(range(len(entries[0])), r)]
+
+
+def _reference_grid(kind, pinned_net):
+    rng = random.Random(5)
+    if kind.startswith("fv-"):
+        field = {"QQ": QQ, "GF(7)": GF(7), "GF(4)": GF(2, 2),
+                 "GF(81)": GF(3, 4)}[kind[3:]]
+        net = pinned_net if field == QQ else pinned_net.map_field(field)
+        return FvMatrix(net).grid
+    if kind == "fractions":
+        # one denominator set per row, so each row has its own lcm
+        dens = [[1], [2, 3], [5, 7], [4, 9]]
+        return [[MultiPoly(QQ, 3, {e: Fraction(rng.randint(-5, 5),
+                                                rng.choice(row_dens))
+                                   for e in monomials_of_degree(3, 1)})
+                 for _ in range(4)] for row_dens in dens]
+    if kind == "jacobian":
+        # the grid jacobian_ideal(..., codim=2) takes minors of: rows of
+        # degrees 1 and 2
+        x0, x1, x2, x3 = variables(QQ, 4)
+        quadric = x0 * x1 - x2 * x3 + x0 * x0
+        cubic = x0 * x1 * x2 + x3 ** 3 - x1 * x1 * x2
+        return [[g.partial(i) for i in range(4)] for g in (quadric, cubic)]
+    return _minor_test_grid("zeros", QQ, pinned_net, rng)
+
+
+def _exact_terms(poly):
+    return [(e, type(c), c) for e, c in poly.sorted_terms()]
+
+
+@pytest.mark.parametrize("kind", ["fv-QQ", "fv-GF(7)", "fv-GF(4)",
+                                  "fv-GF(81)", "fractions", "jacobian",
+                                  "zeros"])
+def test_minor_polys_equal_the_sparse_reference(kind, pinned_net):
+    grid = _reference_grid(kind, pinned_net)
+    for r in range(1, min(len(grid), len(grid[0])) + 1):
+        dense = minor_polys(grid, r)
+        sparse = sparse_minor_polys(grid, r)
+        assert len(dense) == len(sparse)
+        for got, want in zip(dense, sparse):
+            assert (got.field, got.nvars) == (want.field, want.nvars)
+            assert _exact_terms(got) == _exact_terms(want)
+
+
+def test_minor_polys_of_the_pinned_grid_multiply_no_polynomials(
+        pinned_net, monkeypatch):
+    grid = FvMatrix(pinned_net).grid
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert len(minor_polys(grid, 4)) == 75
+    assert len(minor_polys(grid, 5)) == 6
+    assert calls == []

@@ -23,6 +23,8 @@ from pfaffian_nets.verify import (
     w_membership,
 )
 
+from test_cohomology import dead_coordinate_net
+
 
 class TestSamplePlan:
     def test_auto_mode(self):
@@ -90,6 +92,21 @@ class TestJwRandom:
         monkeypatch.setattr(verify, "_TRY_FACTOR", 0)
         with pytest.raises(ValueError, match="budget"):
             jw_pointwise(pinned_net, SamplePlan(GF(7), count=5, seed=0))
+
+    @pytest.mark.parametrize("k", [2, 3], ids=["GF(4)", "GF(8)"])
+    def test_characteristic_two_samples_pass(self, pinned_net, k):
+        # the net is over QQ, so its cubic exists although GF(2^k) has none
+        plan = SamplePlan(GF(2, k), count=50, mode="random")
+        report = jw_pointwise(pinned_net, plan)
+        assert report.passed
+        assert report.checked == 50
+        assert jw1_section_check(pinned_net, plan).passed
+
+    @pytest.mark.parametrize("q", [(7, 1), (2, 2)], ids=["GF(7)", "GF(4)"])
+    def test_degenerate_net_raises(self, q):
+        plan = SamplePlan(GF(*q), count=5, mode="random")
+        with pytest.raises(ValueError, match="degenerate net"):
+            jw_pointwise(dead_coordinate_net(), plan)
 
 
 def evaluating_sampler(reduced, plan):
