@@ -125,6 +125,7 @@ class HilbertEngine:
         for g in ideal.generators:
             self._gens_by_degree.setdefault(g.homogeneous_degree(),
                                             []).append(g)
+        self._t0 = min(self._gens_by_degree, default=None)
         self._ranks = {}
         self._mono_cache = {}
         self._state = None  # (t, piv_cols list, basis ndarray)
@@ -154,11 +155,10 @@ class HilbertEngine:
         got = self._ranks.get(t)
         if got is not None:
             return got
-        degrees = self.ideal.degrees
-        if not degrees or t < degrees[0]:
+        t0 = self._t0
+        if t0 is None or t < t0:
             self._ranks[t] = 0
             return 0
-        t0 = degrees[0]
         if self._state is None or self._state[0] > t:
             piv, basis = modnum.rref_mod(self._gen_rows(t0), self.p)
             self._state = (t0, piv, basis)

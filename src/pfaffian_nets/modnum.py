@@ -1,13 +1,16 @@
 """Vectorized linear algebra mod p on numpy int64 arrays.
 
 These kernels back the exact-matrix and ideal machinery for prime fields.
-All arithmetic is exact: products stay below 2^31 because p < 2^16, and the
-blocked updates use float64 matmuls whose accumulated sums stay below 2^53
-(panel width times (p-1)^2), so nothing is ever rounded.
+All arithmetic is exact: residue products stay below 2^31 (p <= MAX_PRIME),
+and `addmul_mod` sums K products plus a residue in float64, which is exact
+while K*(p-1)^2 + p < 2^53, so for K < 2^22.  K is at most the panel width
+inside `rref_mod`, but up to the pivot count of a graded piece when
+`HilbertEngine.absorb` reduces against a whole basis (185 on the pinned net).
 
-The reduced row echelon form of a row space is unique, which is what makes
-the panel/blocked strategy here deterministic even though pivot rows are
-picked up in a swap-compacted order.
+`rref_mod` sweeps each panel of _PANEL columns once, building the transform
+T of its pivot rows alongside, and one blocked float64 update applies T - I
+to the columns outside the panel.  The RREF of a row space is unique, so the
+result is deterministic although pivot rows are picked up swap-compacted.
 """
 
 from __future__ import annotations
@@ -23,11 +26,17 @@ _inv_tables = {}
 
 
 def inverse_table(p):
-    """Array t with t[a] = a^-1 mod p (t[0] = 0)."""
+    """Array t with t[a] = a^-1 mod p (t[0] = 0): a^(p-2) for all residues at
+    once, by square-and-multiply on int64 arrays (products below 2^31)."""
     t = _inv_tables.get(p)
     if t is None:
-        t = np.zeros(p, dtype=np.int64)
-        t[1:] = np.array([pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+        a = np.arange(p, dtype=np.int64)
+        t = np.ones(p, dtype=np.int64)
+        for bit in bin(p - 2)[2:]:
+            t = t * t % p
+            if bit == "1":
+                t = t * a % p
+        t[0] = 0
         _inv_tables[p] = t
     return t
 
@@ -37,39 +46,41 @@ def _check_prime(p):
         raise ValueError("prime %d too large for the int64/float64 kernels" % p)
 
 
-def _panel_sweep(E, p, seq=None):
-    """Gauss-Jordan on a panel.  If seq is None, discover the pivot sequence
-    (destroying E); otherwise replay a known sequence on a wider array."""
+def _panel_sweep(E, p):
+    """Gauss-Jordan on a panel E (n x w), in place and in one sweep.
+    Returns the pivots (row, col) in the order found and the transform T
+    (n x len(found)): the sweep adds (T - I) @ E[pivot rows] to E as given,
+    I having a 1 at (row, i) for pivot i.  When row r becomes pivot k,
+    T[r, k] = 1 and each later step acts on E and T[:, :k+1] together: a
+    row not yet a pivot keeps transform column e_r, which is zero in every
+    earlier pivot row, so no other column of T moves."""
     invtab = inverse_table(p)
-    if seq is None:
-        n, w = E.shape
-        found = []
-        used = np.zeros(n, dtype=bool)
-        for c in range(w):
-            col = E[:, c]
-            nz = np.nonzero((col != 0) & ~used)[0]
-            if nz.size == 0:
-                continue
-            r = int(nz[0])
-            used[r] = True
-            found.append((r, c))
-            E[r] = E[r] * invtab[col[r]] % p
-            f = E[:, c].copy()
-            f[r] = 0
-            rows = np.nonzero(f)[0]
-            if rows.size:
-                E[rows] = (E[rows] - f[rows, None] * E[r][None, :]) % p
-            if len(found) == min(n, w):
-                break
-        return found
-    for r, c in seq:
-        E[r] = E[r] * invtab[E[r, c]] % p
-        f = E[:, c].copy()
+    n, w = E.shape
+    W = np.zeros((n, w + min(n, w)), dtype=np.int64)
+    W[:, :w] = E
+    found = []
+    used = np.zeros(n, dtype=bool)
+    for c in range(w):
+        col = W[:, c]
+        nz = np.nonzero((col != 0) & ~used)[0]
+        if nz.size == 0:
+            continue
+        r = int(nz[0])
+        used[r] = True
+        k = len(found)
+        found.append((r, c))
+        W[r, w + k] = 1
+        live = W[:, :w + k + 1]
+        live[r] = live[r] * invtab[col[r]] % p
+        f = W[:, c].copy()
         f[r] = 0
         rows = np.nonzero(f)[0]
         if rows.size:
-            E[rows] = (E[rows] - f[rows, None] * E[r][None, :]) % p
-    return seq
+            live[rows] = (live[rows] - f[rows, None] * live[r][None, :]) % p
+        if len(found) == min(n, w):
+            break
+    E[:] = W[:, :w]
+    return found, W[:, w:w + len(found)]
 
 
 def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None):
@@ -77,14 +88,7 @@ def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None):
     optionally skipping [col_lo, col_hi).  Exact float64 matmul inside."""
     C = target.shape[1]
     deltaf = delta.astype(np.float64)
-    spans = []
-    if col_lo is None:
-        spans.append((0, C))
-    else:
-        if col_lo > 0:
-            spans.append((0, col_lo))
-        if col_hi < C:
-            spans.append((col_hi, C))
+    spans = [(0, C)] if col_lo is None else [(0, col_lo), (col_hi, C)]
     for lo, hi in spans:
         for j0 in range(lo, hi, _COL_CHUNK):
             j1 = min(hi, j0 + _COL_CHUNK)
@@ -102,7 +106,6 @@ def rref_mod(a, p):
     work = np.asarray(a, dtype=np.int64) % p
     if work.ndim != 2:
         raise ValueError("expected a 2d array")
-    work = work.copy()
     R, C = work.shape
     piv_cols = []
     basis_rows = []
@@ -112,23 +115,15 @@ def rref_mod(a, p):
         if nfree == 0:
             break
         c1 = min(C, c0 + _PANEL)
-        E = work[:nfree, c0:c1].copy()
-        seq = _panel_sweep(E, p)
+        seq, delta = _panel_sweep(work[:nfree, c0:c1], p)
         if not seq:
             continue
         k = len(seq)
         lrows = [r for r, _ in seq]
-        E2 = np.concatenate(
-            [work[:nfree, c0:c1], np.zeros((nfree, k), dtype=np.int64)], axis=1)
-        for i, (r, _) in enumerate(seq):
-            E2[r, c1 - c0 + i] = 1
-        _panel_sweep(E2, p, seq=seq)
-        delta = E2[:, c1 - c0:]
-        for i, (r, _) in enumerate(seq):
-            delta[r, i] = (delta[r, i] - 1) % p
+        diag = (lrows, np.arange(k))
+        delta[diag] = (delta[diag] - 1) % p
         old_piv = work[lrows, :].copy()
         addmul_mod(work[:nfree], delta, old_piv, p, col_lo=c0, col_hi=c1)
-        work[:nfree, c0:c1] = E2[:, :c1 - c0]
         groups.append((len(basis_rows), k))
         for r, c in seq:
             piv_cols.append(c0 + c)

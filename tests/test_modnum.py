@@ -77,6 +77,47 @@ def test_rref_multi_panel_boundaries():
         assert basis.tolist() == basis_o
 
 
+def staircase_matrix(rng, nrows, ncols, rank, p):
+    """A random (nrows x ncols) matrix of the given rank whose pivot columns
+    are spread over the whole width, like the graded pieces of a Hilbert
+    ladder: random combinations of echelon rows with random pivot columns."""
+    pivots = sorted(rng.sample(range(ncols), rank))
+    echelon = np.zeros((rank, ncols), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        echelon[i, c] = 1
+        echelon[i, c + 1:] = [rng.randrange(p) for _ in range(ncols - c - 1)]
+    left = np.array([[rng.randrange(p) for _ in range(rank)]
+                     for _ in range(nrows)], dtype=np.int64)
+    return left @ echelon % p, pivots
+
+
+@pytest.mark.parametrize("p", [32003, modnum.MAX_PRIME])
+@pytest.mark.parametrize("shape", [(120, 200, 40), (5, 200, 5), (5, 200, 3)],
+                         ids=str)
+def test_rref_matches_naive_oracle_on_ladder_shapes(p, shape):
+    """Tall, rank-deficient matrices with pivots in several panels, and
+    fewer rows than the panel width, against the textbook oracle."""
+    nrows, ncols, rank = shape
+    rng = random.Random(p + nrows + rank)
+    a, pivots = staircase_matrix(rng, nrows, ncols, rank, p)
+    piv_o, basis_o = naive_rref(a.tolist(), p)
+    assert piv_o == pivots
+    piv, basis = modnum.rref_mod(a, p)
+    assert list(piv) == piv_o
+    assert basis.tolist() == basis_o
+    dense = np.array(random_matrix(rng, nrows, ncols, p), dtype=np.int64)
+    piv, basis = modnum.rref_mod(dense, p)
+    assert (list(piv), basis.tolist()) == naive_rref(dense.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 32003, 32009, modnum.MAX_PRIME])
+def test_inverse_table_inverts_every_residue(p):
+    t = modnum.inverse_table(p)
+    assert t.shape == (p,) and t[0] == 0
+    a = np.arange(1, p, dtype=np.int64)
+    assert np.all(a * t[1:] % p == 1)
+
+
 def test_rref_properties_and_kernel():
     p = 32003
     rng = random.Random(42)
