@@ -3,10 +3,9 @@ Y with the kernel embedding kappa, and the dual linear section X of the
 Grassmannian, together with the quartic Q, the curve C, fibers, lines, and
 classification of fixtures.
 
-Everything is exact.  Heavy point sweeps (rank profiles over all of P^5,
-singular-locus enumerations) run on the vectorized kernels from modnum;
-individual geometric constructions use the generic matrix layer so they work
-over any of the package fields.
+Everything is exact.  Over small finite fields every pointwise question
+(rank tables, the points of X and Y, kernel planes, the tangent test of X)
+is answered on arrays of field codes by the batched kernels of modnum.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from . import modnum
 from .cohomology import mu_matrix
 from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
-                        pencil_line, plane_from_plucker, plucker_from_basis,
-                        plucker_quadrics)
+                        pencil_line, plucker_from_basis, plucker_quadrics)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal)
@@ -185,15 +183,23 @@ def _chunks(items):
         yield chunk
 
 
-def _combine(ops, coeffs, stack):
-    """Field codes of sum_j coeffs[:, j] * stack[j], for an (N, k) array of
-    coefficient codes and a stack of k code arrays of one shape."""
+def _matmul(ops, x, y):
+    """The products x[k] @ y[k] of two stacks of code matrices, the stack
+    dimensions broadcast against each other."""
     add_t, mul_t = ops["add"], ops["mul"]
-    tail = (None,) * (stack.ndim - 1)
-    out = np.zeros(coeffs.shape[:1] + stack.shape[1:], dtype=np.int64)
-    for j in range(stack.shape[0]):
-        out = add_t[out, mul_t[coeffs[(slice(None), j) + tail], stack[j]]]
+    out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
+    for l in range(x.shape[-1]):
+        out = add_t[out, mul_t[x[..., :, l, None], y[..., l, None, :]]]
     return out
+
+
+def _u_sides(ops, bases):
+    """U's RREF basis, its pivot columns and its complement columns (both
+    ascending), for a stack of 2 x 2m bases."""
+    two_m = bases.shape[2]
+    _, red, piv = modnum.batch_rref_table(bases, ops)
+    order = np.argsort(piv, axis=1, kind="stable")
+    return red, order[:, two_m - 2:], order[:, :two_m - 2]
 
 
 def _kernels(ops, one, stack, coeffs):
@@ -202,7 +208,8 @@ def _kernels(ops, one, stack, coeffs):
     column of the RREF, ascending, with the unit `one` there and minus the
     reduced rows' entries in that column at the pivot columns.  Kernels
     are zero-padded to the largest nullity."""
-    mats = _combine(ops, coeffs, stack)
+    mats = _matmul(ops, coeffs, stack.reshape(len(stack), -1)).reshape(
+        (len(coeffs),) + stack.shape[1:])
     rank, red, piv = modnum.batch_rref_table(mats, ops)
     n, r, c = red.shape
     row_of = np.clip(np.cumsum(piv, axis=1) - 1, 0, r - 1)
@@ -268,10 +275,12 @@ class RankOracle:
             if ops is None:
                 raise ValueError("no rank table over %s" % self.field)
             stack = self.codes(ops)
+            flat = stack.reshape(len(stack), -1)
             table = np.empty(self.size, dtype=np.int8)
             for lo in range(0, self.size, _CHUNK):
                 idx = np.arange(lo, min(self.size, lo + _CHUNK))
-                mats = _combine(ops, self._codes_at(idx), stack)
+                mats = _matmul(ops, self._codes_at(idx), flat).reshape(
+                    (idx.size,) + stack.shape[1:])
                 table[lo:lo + idx.size] = modnum.batch_rank_table(mats, ops)
             self._table = table
         return self._table
@@ -381,7 +390,7 @@ def _rank_deficient_witness(net, max_rank):
         fp = GF(p)
         try:
             net.over(fp)
-        except (FieldMismatchError, ValueError):
+        except (FieldMismatchError, ValueError, ZeroDivisionError):
             continue
         oracle = rank_oracle(net, fp, "a")
         hits = np.nonzero(oracle.table <= max_rank)[0]
@@ -494,7 +503,7 @@ def _x_points(net):
     oracle = rank_oracle(net, f, "v")
     candidates = np.nonzero(oracle.table <= two_m - 2)[0]
     ops = oracle.ops
-    add_t, mul_t, enc = ops["add"], ops["mul"], ops["encode"]
+    enc = ops["encode"]
     r1 = oracle._codes_at(candidates)
     _, rank, kernel = _kernels(ops, enc[f.one_value], oracle.codes(ops), r1)
     nullity = two_m - rank
@@ -509,9 +518,7 @@ def _x_points(net):
         span = np.take_along_axis(basis[sel], rows[:, :, None], axis=1)
         alphas = np.array([[enc[x] for x in pt]
                            for pt in enumerate_projective(f, dim - 1)])
-        r2 = np.zeros((sel.size, len(alphas), two_m), dtype=np.int64)
-        for i in range(dim):
-            r2 = add_t[r2, mul_t[alphas[None, :, i, None], span[:, None, i]]]
+        r2 = _matmul(ops, alphas[None], span)
         first = np.broadcast_to(r1[sel, None], r2.shape)
         ok = np.take_along_axis(first, (r2 != 0).argmax(axis=2)[:, :, None],
                                 axis=2)[:, :, 0] == 0
@@ -528,43 +535,6 @@ def _x_points(net):
                                                for row in pair]))
             for pair in np.stack([u1, u2], axis=1)[np.lexsort(keys.T)]
             .tolist()]
-
-
-def tangent_test_x(net, point, checked=True):
-    """True when X is singular at the given Plucker point: the n x 2(2m-2)
-    matrix of a |-> f(a) restricted to U x (V/U) drops below rank n."""
-    f = net.field
-    if checked:
-        for form in net_linear_forms(net):
-            if form.evaluate(list(point.coords)):
-                raise ValueError("point is not on X (linear form nonzero)")
-        if not point.satisfies_quadrics():
-            raise ValueError("point is not on X (not decomposable)")
-    basis = point.basis if point.basis is not None \
-        else plane_from_plucker(point)
-    piv, red = basis.rref()
-    comp_cols = [c for c in range(net.two_m) if c not in piv]
-    rows = []
-    for F in net.matrices:
-        row = []
-        for u in red.rows:
-            img = [None] * len(comp_cols)
-            for b, c in enumerate(comp_cols):
-                acc = f.zero_value
-                for l in range(net.two_m):
-                    if not f.is_zero_value(u[l]):
-                        acc = f.add(acc, f.mul(u[l], F.rows[l][c]))
-                img[b] = acc
-            row.extend(img)
-        rows.append(row)
-    m = ExactMatrix(f, rows, ncols=2 * (net.two_m - 2))
-    return m.rank() < net.n
-
-
-def singular_x_points(net, field):
-    reduced = net.over(field)
-    return [pt for pt in x_points(reduced, field)
-            if tangent_test_x(reduced, pt, checked=False)]
 
 
 # -- Q and C ------------------------------------------------------------------
@@ -769,7 +739,7 @@ def find_c_points(net):
         field = GF(p, k)
         try:
             reduced = net.over(field)
-        except (FieldMismatchError, ValueError):
+        except (FieldMismatchError, ValueError, ZeroDivisionError):
             continue
         profile, low, _ = fv_rank_profile(reduced, field)
         if any(r <= 2 for r in profile if profile[r]):
@@ -804,6 +774,31 @@ class NetClassification:
                    sorted(self.per_field)))
 
 
+def _x_masks(net, field, xs):
+    """Two masks over the planes xs of X over a small field, both read on
+    code arrays.  sing(X): the n x 2(2m-2) matrix of a |-> f(a) restricted
+    to U x (V/U), row i the products red @ F_i on U's complement columns,
+    drops below rank n.  kappa(Y): U's RREF is that of the first two kernel
+    rows of f(a) at a point of Y with rank f(a) = 2m-2 (kappa is undefined
+    at deeper degeneracies)."""
+    oracle = rank_oracle(net, field, "a")
+    ops, enc = oracle.ops, oracle.ops["encode"]
+    stack = oracle.codes(ops)
+    bases = np.array([[[enc[x] for x in row] for row in p.basis.rows]
+                      for p in xs], dtype=np.int64)
+    red, _, comp = _u_sides(ops, bases.reshape(len(xs), 2, net.two_m))
+    products = _matmul(ops, red[:, None], stack[None])
+    tangent = np.take_along_axis(products, comp[:, None, None, :], axis=3)
+    sing = modnum.batch_rank_table(
+        tangent.reshape(len(xs), net.n, 2 * (net.two_m - 2)), ops) < net.n
+    corank_two = oracle._codes_at(np.nonzero(oracle.table
+                                             == net.two_m - 2)[0])
+    _, _, kernel = _kernels(ops, enc[field.one_value], stack, corank_two)
+    _, planes, _ = modnum.batch_rref_table(kernel[:, :2], ops)
+    kappa_planes = {plane.tobytes() for plane in planes}
+    return sing, [plane.tobytes() in kappa_planes for plane in red]
+
+
 def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regularity, Y-smoothness over the working prime, and per-small-field
     comparison of sing(X) with X intersect kappa(Y) by full enumeration."""
@@ -813,26 +808,19 @@ def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
                                    prime=prime, cap=cap)
     per_field = {}
     for field in fields:
-        reduced = net.over(field)
-        sing = set(singular_x_points(reduced, field))
+        xs = x_points(net, field)
         # the cubic is taken over the original field and reduced afterwards,
         # so characteristic 2 stays reachable
         on_y = y_points(net, field)
-        kap = set()
-        for a in on_y:
-            fa = reduced.f_at(a)
-            rank, kern = fa.rank_kernel()
-            if rank != net.two_m - 2:
-                continue  # deeper degeneracy: kappa undefined there
-            kap.add(plucker_from_basis(kern.transpose()))
-        x_set = set(x_points(reduced, field))
-        x_cap_kappa = kap & x_set
+        sing_x, x_cap_kappa = (
+            sorted(tuple(p.coords) for p, hit in zip(xs, mask) if hit)
+            for mask in _x_masks(net, field, xs))
         per_field[field.name] = {
-            "x_smooth": not sing,
-            "sing_x": sorted(tuple(p.coords) for p in sing),
-            "x_cap_kappa": sorted(tuple(p.coords) for p in x_cap_kappa),
-            "sets_equal": sing == x_cap_kappa,
-            "x_count": len(x_set),
+            "x_smooth": not sing_x,
+            "sing_x": sing_x,
+            "x_cap_kappa": x_cap_kappa,
+            "sets_equal": sing_x == x_cap_kappa,
+            "x_count": len(xs),
             "y_count": len(on_y),
         }
     return NetClassification(regular, y_smooth, per_field)

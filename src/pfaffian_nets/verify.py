@@ -25,8 +25,9 @@ import random
 import numpy as np
 
 from . import modnum
-from .correspondence import (_CHUNK, _kernels, pfaffian_hypersurface,
-                             rank_oracle, x_points, y_points)
+from .correspondence import (_CHUNK, _kernels, _matmul, _u_sides,
+                             pfaffian_hypersurface, rank_oracle, x_points,
+                             y_points)
 from .grassmann import (enumerate_projective, plane_from_plucker,
                         plucker_from_basis)
 from .matrices import ExactMatrix
@@ -65,24 +66,6 @@ class SamplePlan:
     def __repr__(self):
         return "SamplePlan(%s, mode=%s, count=%d, seed=%d)" % (
             self.field.name, self.mode, self.count, self.seed)
-
-
-def _matmul(ops, x, y):
-    """The products x[k] @ y[k] of two stacks of code matrices."""
-    add_t, mul_t = ops["add"], ops["mul"]
-    out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
-    for l in range(x.shape[-1]):
-        out = add_t[out, mul_t[x[..., :, l, None], y[..., l, None, :]]]
-    return out
-
-
-def _u_sides(ops, bases):
-    """U's RREF basis, its pivot columns and its complement columns (both
-    ascending), for a stack of 2 x 2m bases."""
-    two_m = bases.shape[2]
-    _, red, piv = modnum.batch_rref_table(bases, ops)
-    order = np.argsort(piv, axis=1, kind="stable")
-    return red, order[:, two_m - 2:], order[:, :two_m - 2]
 
 
 class FiberRecords:

@@ -153,6 +153,20 @@ def test_05_singular_locus_enumeration(pinned_family, degenerate_fixture):
     _budget("sing(X) vs X cap kappa(Y)", 120, start)
 
 
+def test_05b_classification_over_seven_fields(pinned_net):
+    start = time.monotonic()
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    fields = (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2))
+    cls = classify(net, fields=fields)
+    for name, data in cls.per_field.items():
+        # X mod 5 is singular at one plane, which is a kernel plane
+        assert len(data["sing_x"]) == (name == "GF(5)"), name
+        assert data["sets_equal"], name
+        assert data["x_count"] == data["y_count"], name
+    assert len(cls.per_field) == len(fields)
+    _budget("classification over seven fields", 3, start)
+
+
 def test_06_minimal_rank_bound(pinned_net):
     start = time.monotonic()
     profile, _, _ = fv_rank_profile(pinned_net, GF(7))

@@ -184,6 +184,22 @@ class TestGating:
         assert all(s["verdict"] == "skipped"
                    for s in report["stages"][1:])
 
+    def test_witness_search_skips_a_field_a_denominator_blocks(self,
+                                                             tmp_path):
+        # matrix 0 over 3 has no reduction mod 3, so the witness search
+        # skips GF(3) and finds its point over GF(7)
+        net = net_from_fixture(json.loads(dead_fixture_text()))
+        tris = net.upper_triangles()
+        tris[0] = [x / 3 for x in tris[0]]
+        fx = tmp_path / "thirds.json"
+        fx.write_text(canonical_json(net_to_fixture(
+            ANet.from_upper_triangles(QQ, 6, tris))))
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 1
+        regularity = json.loads(out.read_text())["stages"][0]
+        assert regularity["verdict"] == "fail"
+        assert regularity["detail"]["witness"] == [7, [1, 1, 0, 3, 2]]
+
     def test_degenerate_net_report(self, degenerate_fixture, tmp_path):
         fx = tmp_path / "degen.json"
         fx.write_text(canonical_json(net_to_fixture(degenerate_fixture)))

@@ -16,11 +16,10 @@ from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
                                           pfaffian_hypersurface, phi_fiber,
                                           psi_fiber, q_quartic, random_net,
                                           random_regular_net, rank_oracle,
-                                          singular_x_points,
                                           splitting_type_on_line,
-                                          sub_pfaffian_ideal, tangent_test_x,
-                                          x_ideal, x_points, y_points)
-from pfaffian_nets.fields import GF, QQ, FieldMismatchError
+                                          sub_pfaffian_ideal, x_ideal,
+                                          x_points, y_points)
+from pfaffian_nets.fields import GF, QQ, FieldMismatchError, reduce_value
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      _echelon_pairs, enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
@@ -100,6 +99,28 @@ def kernel_e5_triangles(seed):
     pairs, _ = pair_indices(6)
     return [[rng.randint(-3, 3) if j < 5 else 0 for (i, j) in pairs]
             for _ in range(5)]
+
+
+def tangent_test_x(net, point):
+    """The scalar tangent test that `classify` batches: True when X is
+    singular at the Plucker point (given with its basis), i.e. the
+    n x 2(2m-2) matrix of a |-> f(a) restricted to U x (V/U) drops below
+    rank n."""
+    f = net.field
+    piv, red = point.basis.rref()
+    comp_cols = [c for c in range(net.two_m) if c not in piv]
+    rows = []
+    for F in net.matrices:
+        row = []
+        for u in red.rows:
+            for c in comp_cols:
+                acc = f.zero_value
+                for l in range(net.two_m):
+                    acc = f.add(acc, f.mul(u[l], F.rows[l][c]))
+                row.append(acc)
+        rows.append(row)
+    m = ExactMatrix(f, rows, ncols=2 * (net.two_m - 2))
+    return m.rank() < net.n
 
 
 def scanning_witness(net, max_rank):
@@ -537,14 +558,6 @@ class TestXSide:
             assert all(F2.is_zero_value(f.evaluate(list(p.coords)))
                        for f in forms)
 
-    def test_tangent_test_validates_membership(self, pinned):
-        net3 = pinned.map_field(F3)
-        outside = plucker_from_basis(ExactMatrix(F3, [
-            [F3.one_value] + [F3.zero_value] * 5,
-            [F3.zero_value, F3.one_value] + [F3.zero_value] * 4]))
-        with pytest.raises(ValueError, match="not on X"):
-            tangent_test_x(net3, outside)
-
     def test_x_ideal_generator_count(self, pinned):
         ideal = x_ideal(pinned)
         # 15 Plucker quadrics plus 5 hyperplanes
@@ -707,6 +720,74 @@ class TestClassification:
         expect[pos[(0, 1)]] = QQ.one_value
         assert list(k.coords) == expect
         assert tangent_test_x(degenerate, k)
+
+    def test_classify_builds_no_scalar_kernels(self, monkeypatch):
+        # the only scalar RREF per field is the independence check of the
+        # reduced net; the planes and kernels are read on code arrays
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
+        classify(net)  # regularity and Y-smoothness
+        calls = {"rref": 0, "rank_kernel": 0}
+        for name in calls:
+            def counted(self, name=name, original=getattr(ExactMatrix, name)):
+                calls[name] += 1
+                return original(self)
+            monkeypatch.setattr(ExactMatrix, name, counted)
+        classify(net, fields=(F2, F3))
+        assert calls["rank_kernel"] == 0
+        assert calls["rref"] <= 2
+
+
+# (#sing X, #X cap kappa(Y)); over GF(4) the degenerate net is singular at
+# planes that are no kernel plane
+SINGULAR_COUNTS = {
+    "pinned": {"GF(2)": (0, 0), "GF(3)": (0, 0), "GF(2^2)": (0, 0),
+               "GF(5)": (1, 1), "GF(7)": (0, 0)},
+    "degenerate": {"GF(2)": (1, 1), "GF(3)": (1, 1), "GF(2^2)": (9, 1),
+                   "GF(5)": (1, 1), "GF(7)": (1, 1)},
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(2, 2), GF(5), F7], ids=str)
+@pytest.mark.parametrize("name", sorted(SINGULAR_COUNTS))
+def test_classify_matches_the_scalar_tests(request, name, field):
+    """classify's sing(X) and X cap kappa(Y) against the scalar tangent test
+    plane by plane and kappa point by point."""
+    net = request.getfixturevalue(name)
+    reduced = net.over(field)
+    xs = x_points(net, field)
+    sing = sorted(tuple(p.coords) for p in xs if tangent_test_x(reduced, p))
+    kap = {kappa(reduced, a) for a in y_points(net, field)
+           if reduced.f_at(a).rank() == net.two_m - 2}
+    on_kappa = sorted(tuple(p.coords) for p in xs if p in kap)
+    d = classify(net, fields=(field,), cap=10).per_field[field.name]
+    assert (d["sing_x"], d["x_cap_kappa"]) == (sing, on_kappa)
+    assert d["sets_equal"] == (sing == on_kappa)
+    assert (len(sing), len(on_kappa)) == SINGULAR_COUNTS[name][field.name]
+
+
+def test_classify_masks_of_an_empty_x(pinned):
+    sing, on_kappa = correspondence._x_masks(pinned, F3, [])
+    assert sing.shape == (0,) and list(on_kappa) == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["pinned", "degenerate"])
+def test_subfield_descent(request, name, p):
+    """X, Y and sing X over F_p, moved into F_{p^2}, are the F_p-rational
+    points of the same sets over F_{p^2}: those whose normalized
+    coordinates all lie in F_p."""
+    net = request.getfixturevalue(name)
+    small, big = GF(p), GF(p, 2)
+    prime = {reduce_value(e.value, small, big) for e in small.elements()}
+    per_field = classify(net, fields=(small, big), cap=10).per_field
+    sets = {field: (
+        [pt.coords for pt in x_points(net, field)], y_points(net, field),
+        per_field[field.name]["sing_x"]) for field in (small, big)}
+    for lifted, points in zip(sets[small], sets[big]):
+        assert {tuple(reduce_value(c, small, big) for c in pt)
+                for pt in lifted} \
+            == {tuple(pt) for pt in points if set(pt) <= prime}
+    assert bool(sets[small][2]) == (name == "degenerate")
 
 
 class TestFixtureGeneration:
