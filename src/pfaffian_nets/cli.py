@@ -22,16 +22,14 @@ from fractions import Fraction
 
 from .cohomology import (charge2_instanton_table, exceptional_pair_check_y,
                          h1_pattern_check, line_ideal_membership)
-from .correspondence import (ANet, c_ideal, classify, find_c_points,
-                             find_lines_on_y, is_regular,
+from .correspondence import (ANet, c_ideal, classify, curve_fibers,
+                             find_c_points, find_lines_on_y, is_regular,
                              line_on_hypersurface, pfaffian_hypersurface,
-                             phi_fiber, psi_fiber, q_quartic,
-                             random_regular_net, splitting_type_on_line,
-                             x_ideal)
+                             q_quartic, random_regular_net,
+                             splitting_type_on_line)
 from .fields import GF, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME, SECOND_PRIME,
                      fit_hilbert_polynomial)
-from .matrices import ExactMatrix
 from .modnum import MAX_PRIME
 from .multipoly import MultiPoly
 from .verify import SamplePlan, jw1_section_check, jw_pointwise
@@ -170,6 +168,7 @@ def _options(args):
     if prime > MAX_PRIME:
         raise ValueError("prime %d is above the largest supported prime %d"
                          % (prime, MAX_PRIME))
+    GF(prime)  # raises on a non-prime
     if cap < 0:
         raise ValueError("degree cap must be at least 0, got %d" % cap)
     if samples < 1:
@@ -279,31 +278,6 @@ def _stage_exceptional_pair(ctx):
     return ("pass" if verdict.passed else "fail"), verdict.as_dict()
 
 
-def _line_key(field, a1, a2):
-    _, red = ExactMatrix(field, [list(a1), list(a2)]).rref()
-    return tuple(tuple(row) for row in red.rows)
-
-
-def _certify_line_on_x(reduced, pencil):
-    """Evaluate every generator of the X ideal at deg+1 distinct parameter
-    points of the pencil; vanishing there pins a degree-deg binary form to
-    zero."""
-    f = reduced.field
-    elements = [e.value for e in f.elements()]
-    params = [(f.one_value, f.zero_value)] \
-        + [(x, f.one_value) for x in elements]
-    for gen in x_ideal(reduced).generators:
-        need = gen.degree() + 1
-        if need > len(params):
-            return False, "field too small to certify degree %d" % \
-                gen.degree()
-        for s, t in params[:need]:
-            pt = pencil.point_at(s, t)
-            if gen.evaluate(list(pt.coords)):
-                return False, "generator does not vanish on the pencil"
-    return True, None
-
-
 def _stage_lines(ctx):
     net = ctx["net"]
     if (net.n, net.two_m) != (5, 6):
@@ -319,22 +293,11 @@ def _stage_lines(ctx):
     records = []
     failures = 0
     m_keys = set()
-    for c in points:
-        rec = {"c": _jsonable(tuple(c))}
-        pencil = phi_fiber(reduced, c)
-        ok_x, why = _certify_line_on_x(reduced, pencil)
-        rec["l_on_x"] = "pass" if ok_x else "fail"
-        if why:
-            rec["l_on_x_detail"] = why
-        kind, line = psi_fiber(reduced, c)
-        if kind != "line":
-            rec["m_on_y"] = "fail"
-            rec["m_detail"] = "psi fiber is a %s" % kind
-            failures += 1
-            records.append(rec)
-            continue
-        a1, a2 = line
-        m_keys.add(_line_key(field, a1, a2))
+    for c, (ok_x, (a1, a2), key) in zip(points,
+                                         curve_fibers(reduced, points)):
+        rec = {"c": _jsonable(tuple(c)),
+               "l_on_x": "pass" if ok_x else "fail"}
+        m_keys.add(key)
         on_y = line_on_hypersurface(cubic, a1, a2)
         rec["m_on_y"] = "pass" if on_y else "fail"
         split = splitting_type_on_line(reduced, a1, a2)
@@ -351,7 +314,7 @@ def _stage_lines(ctx):
         census_ok = True
         for a1, a2 in find_lines_on_y(net, field):
             split = splitting_type_on_line(reduced, a1, a2)
-            is_mc = _line_key(field, a1, a2) in m_keys
+            is_mc = (a1, a2) in m_keys  # lines come in RREF
             if split == (1, 3):
                 jumping += 1
                 census_ok = census_ok and is_mc

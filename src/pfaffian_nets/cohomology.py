@@ -270,7 +270,10 @@ def exceptional_pair_check_y(d=3, n=5):
     return PairVerdict(checks)
 
 
-def line_ideal_membership(net, a1, a2, twists=(0, -1)):
+MEMBERSHIP_TWISTS = (0, -1)
+
+
+def line_ideal_membership(net, a1, a2):
     """Vanishing of all cohomology of the ideal sheaf of a line M on the
     Pfaffian cubic, in the twists that certify membership in the right
     orthogonal of the pair (O, O(1)).
@@ -289,10 +292,7 @@ def line_ideal_membership(net, a1, a2, twists=(0, -1)):
     f = net.field
     subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
     checks = []
-    for t in twists:
-        if t not in (0, -1):
-            raise ValueError("membership is certified by twists 0 and -1, "
-                             "not %d" % t)
+    for t in MEMBERSHIP_TWISTS:
         ambient = list(monomials_of_degree(5, t)) if t >= 0 else []
         # restriction: degree-t forms on P^4 -> binary degree-t forms on M
         cols = []

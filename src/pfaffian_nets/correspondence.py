@@ -4,8 +4,9 @@ Grassmannian, together with the quartic Q, the curve C, fibers, lines, and
 classification of fixtures.
 
 Everything is exact.  Over small finite fields every pointwise question
-(rank tables, the points of X and Y, kernel planes, the tangent test of X)
-is answered on arrays of field codes by the batched kernels of modnum.
+(rank tables, the points of X and Y, kernel planes, the tangent test of X,
+the fibers at curve points) is answered on arrays of field codes by the
+batched kernels of modnum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import modnum
 from .cohomology import mu_matrix
 from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
-                        pencil_line, plucker_from_basis, plucker_quadrics)
+                        pencil_line, plucker_from_basis)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal)
@@ -224,6 +225,29 @@ def _kernels(ops, one, stack, coeffs):
     kernel = np.where(
         np.arange(width)[None, :, None] < nullity[:, None, None], rows, 0)
     return mats, rank, kernel
+
+
+def _phi_bases(ops, one, stack, vs, params):
+    """The basis of U that `phi_fiber` (and `GrassmannLine.point_at` on a
+    line) gives for each v: the kernel rows of f_v when rank f_v = 4; when
+    it is 3, (v, s w1 + t w2) with (s, t) = params[k] and w1, w2 the rows
+    of the RREF of Ker f_v other than the first one at whose pivot column
+    v is nonzero (`pencil_line`)."""
+    add_t, mul_t = ops["add"], ops["mul"]
+    _, rank, kernel = _kernels(ops, one, stack, vs)
+    bases = kernel[:, :2].copy()
+    line = np.nonzero(rank == 3)[0]
+    if line.size:
+        _, w, w_piv = modnum.batch_rref_table(kernel[line, :3], ops)
+        pivots = np.argsort(~w_piv, axis=1, kind="stable")[:, :3]
+        alphas = np.take_along_axis(vs[line], pivots, axis=1)
+        others = np.array([[1, 2], [0, 2], [0, 1]])[(alphas != 0).argmax(1)]
+        w1, w2 = np.moveaxis(
+            np.take_along_axis(w, others[:, :, None], axis=1), 1, 0)
+        s, t = params[line, :1], params[line, 1:]
+        bases[line] = np.stack([vs[line],
+                                add_t[mul_t[s, w1], mul_t[t, w2]]], axis=1)
+    return bases
 
 
 class RankOracle:
@@ -465,21 +489,6 @@ def y_points(net, field):
 
 # -- X side -------------------------------------------------------------------
 
-def net_linear_forms(net):
-    """The n linear forms l_i(p) = sum_{j<k} (F_i)_{jk} p_{jk} in Plucker
-    variables; X = Gr(2,V) cut by all of them."""
-    pairs, _ = pair_indices(net.two_m)
-    return [MultiPoly.linear_form(net.field,
-                                  [F.rows[i][j] for i, j in pairs])
-            for F in net.matrices]
-
-
-def x_ideal(net):
-    gens = plucker_quadrics(net.two_m, net.field) + net_linear_forms(net)
-    nvars = len(pair_indices(net.two_m)[0])
-    return HomogeneousIdeal(net.field, nvars, gens)
-
-
 def x_points(net, field):
     """All Grassmannian points killed by the net's linear forms over a small
     field, in the echelon order of `enumerate_grassmannian`."""
@@ -601,23 +610,6 @@ def fv_rank_profile(net, field):
 
 # -- fibers of psi and phi ----------------------------------------------------
 
-def psi_fiber(net, v):
-    """P(Ker f_v) inside P(A): the a with f(a)(v, -) = 0.  One point when
-    rank f_v = 4, the line M_c when rank f_v = 3."""
-    m = FvMatrix(net).evaluate(v)
-    rank, kern = m.transpose().rank_kernel()
-    dim = kern.ncols
-    if dim == 0:
-        raise ValueError("v is not on Q: f_v has full rank %d" % rank)
-    cols = [[kern.rows[r][j] for r in range(net.n)] for j in range(dim)]
-    if dim == 1:
-        return ("point", tuple(cols[0]))
-    if dim == 2:
-        return ("line", (tuple(cols[0]), tuple(cols[1])))
-    raise ValueError("corank %d fiber: rank f_v = %d <= 2 violates the "
-                     "minimal-rank bound" % (dim, rank))
-
-
 def phi_fiber(net, v):
     """The planes U with v in U inside (Im f_v)^perp: a single Grassmannian
     point over Q - C, the pencil line L_c over c in C."""
@@ -638,6 +630,47 @@ def phi_fiber(net, v):
         return pencil_line(vv, kern.transpose())
     raise ValueError("(Im f_v)^perp has dimension %d; rank f_v = %d <= 2 "
                      "violates the minimal-rank bound" % (perp_dim, rank))
+
+
+def curve_fibers(net, points):
+    """Both fibers at points c of the curve C over a small field, read on
+    code arrays: per point, whether the pencil L_c (phi's fiber) lies on
+    X, the two rows spanning the jumping line M_c (psi's fiber), and the
+    RREF of those rows, which is the form of a line `find_lines_on_y`
+    returns.
+
+    L_c is read at its planes U(1:0) and U(0:1) from `_phi_bases`, and
+    lies on X when u1^T F_i u2 = 0 for every i at both.  That suffices:
+    every point of L_c is decomposable, v ^ (s w1 + t w2), so the Plucker
+    quadrics hold on it identically, and a linear form that vanishes at two
+    points of a line vanishes on the whole line.  M_c = P(Ker f_c^T): the
+    kernel rows of the transposed f_v stack from `_kernels`, which are the
+    columns `ExactMatrix.rank_kernel` gives for f_c^T.  A point with
+    rank f_c other than 3 is not on C and raises."""
+    field = net.field
+    oracle = rank_oracle(net, field, "v")
+    ops = oracle.ops
+    enc, decode = ops["encode"], ops["decode"]
+    one = enc[field.one_value]
+    stack = oracle.codes(ops)
+    vs = np.array([[enc[field.value_of(x)] for x in c] for c in points],
+                  dtype=np.int64)
+    _, rank, kernel = _kernels(ops, one, stack.transpose(0, 2, 1), vs)
+    if (rank != 3).any():
+        raise ValueError("rank f_c = %d at a curve point, expected 3"
+                         % rank[rank != 3][0])
+    params = np.repeat([[one, 0], [0, one]], len(vs), axis=0)
+    bases = _phi_bases(ops, one, stack, np.concatenate([vs, vs]), params)
+    f_u1 = _matmul(ops, bases[:, 0], stack.reshape(len(stack), -1))
+    forms = _matmul(ops, f_u1.reshape(len(bases), net.n, net.two_m),
+                    bases[:, 1, :, None])
+    on_x = ~forms.reshape(2, len(vs), -1).any(axis=(0, 2))
+    _, keys, _ = modnum.batch_rref_table(kernel, ops)
+
+    def decoded(pair):
+        return tuple(tuple(decode[c] for c in row) for row in pair)
+    return [(bool(ok), decoded(line), decoded(key)) for ok, line, key
+            in zip(on_x, kernel.tolist(), keys.tolist())]
 
 
 # -- lines and splitting types ------------------------------------------------

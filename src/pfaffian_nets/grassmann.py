@@ -1,10 +1,9 @@
-"""Plucker geometry of Gr(2, 2m): coordinates, quadric relations, lines, and
-exhaustive enumeration over small finite fields.
+"""Plucker geometry of Gr(2, 2m): coordinates, planes, lines, and exhaustive
+enumeration over small finite fields.
 
-Pair indexing is lexicographic on (i < j) throughout, and the three-term
-relation carries the sign pattern  p_ij p_kl - p_ik p_jl + p_il p_jk  over
-4-subsets i < j < k < l.  Projective representatives are canonicalized by
-scaling the first nonzero coordinate to 1, so equal points compare equal.
+Pair indexing is lexicographic on (i < j) throughout.  Projective
+representatives are canonicalized by scaling the first nonzero coordinate
+to 1, so equal points compare equal.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 from .matrices import ExactMatrix
-from .multipoly import MultiPoly
 
 _pair_cache = {}
 
@@ -55,18 +53,6 @@ class PluckerPoint:
         self.two_m = two_m
         self.coords = tuple(field.mul(inv, v) for v in vals)
         self.basis = basis
-
-    def satisfies_quadrics(self):
-        f = self.field
-        _, pos = pair_indices(self.two_m)
-        c = self.coords
-        for i, j, k, l in itertools.combinations(range(self.two_m), 4):
-            t1 = f.mul(c[pos[(i, j)]], c[pos[(k, l)]])
-            t2 = f.mul(c[pos[(i, k)]], c[pos[(j, l)]])
-            t3 = f.mul(c[pos[(i, l)]], c[pos[(j, k)]])
-            if not f.is_zero_value(f.add(f.sub(t1, t2), t3)):
-                return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, PluckerPoint):
@@ -125,27 +111,6 @@ def plane_from_plucker(point):
         raise ValueError("coordinates violate the Plucker relations "
                          "(not a decomposable 2-vector)")
     return basis
-
-
-def plucker_quadrics(two_m, field):
-    """The C(2m, 4) three-term relations as quadrics in C(2m, 2) variables."""
-    if two_m < 4:
-        raise ValueError("need 2m >= 4")
-    pairs, pos = pair_indices(two_m)
-    nv = len(pairs)
-    out = []
-    one = field.one_value
-    neg1 = field.neg(one)
-    for i, j, k, l in itertools.combinations(range(two_m), 4):
-        terms = {}
-        for (a, b, cc, d), s in (((i, j, k, l), one), ((i, k, j, l), neg1),
-                                 ((i, l, j, k), one)):
-            e = [0] * nv
-            e[pos[(a, b)]] += 1
-            e[pos[(cc, d)]] += 1
-            terms[tuple(e)] = s
-        out.append(MultiPoly(field, nv, terms))
-    return out
 
 
 def _echelon_pairs(n, field, limit=10_000_000):

@@ -25,9 +25,9 @@ import random
 import numpy as np
 
 from . import modnum
-from .correspondence import (_CHUNK, _kernels, _matmul, _u_sides,
-                             pfaffian_hypersurface, rank_oracle, x_points,
-                             y_points)
+from .correspondence import (_CHUNK, _kernels, _matmul, _phi_bases,
+                             _u_sides, pfaffian_hypersurface, rank_oracle,
+                             x_points, y_points)
 from .grassmann import (enumerate_projective, plane_from_plucker,
                         plucker_from_basis)
 from .matrices import ExactMatrix
@@ -262,29 +262,6 @@ def _random_nonzero(rng, elements, length, field):
         v = [rng.choice(elements) for _ in range(length)]
         if any(not field.is_zero_value(x) for x in v):
             return v
-
-
-def _phi_bases(ops, one, stack, vs, params):
-    """The basis of U that `phi_fiber` (and `GrassmannLine.point_at` on a
-    line) gives for each v: the kernel rows of f_v when rank f_v = 4; when
-    it is 3, (v, s w1 + t w2) with (s, t) = params[k] and w1, w2 the rows
-    of the RREF of Ker f_v other than the first one at whose pivot column
-    v is nonzero (`pencil_line`)."""
-    add_t, mul_t = ops["add"], ops["mul"]
-    _, rank, kernel = _kernels(ops, one, stack, vs)
-    bases = kernel[:, :2].copy()
-    line = np.nonzero(rank == 3)[0]
-    if line.size:
-        _, w, w_piv = modnum.batch_rref_table(kernel[line, :3], ops)
-        pivots = np.argsort(~w_piv, axis=1, kind="stable")[:, :3]
-        alphas = np.take_along_axis(vs[line], pivots, axis=1)
-        others = np.array([[1, 2], [0, 2], [0, 1]])[(alphas != 0).argmax(1)]
-        w1, w2 = np.moveaxis(
-            np.take_along_axis(w, others[:, :, None], axis=1), 1, 0)
-        s, t = params[line, :1], params[line, 1:]
-        bases[line] = np.stack([vs[line],
-                                add_t[mul_t[s, w1], mul_t[t, w2]]], axis=1)
-    return bases
 
 
 def _random_pairs(net, plan):

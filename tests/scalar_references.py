@@ -1,0 +1,103 @@
+"""Scalar references for the line correspondence, one point at a time on
+ExactMatrix and MultiPoly: the fiber of psi, the ideal of X with its
+certificate on a pencil, and the RREF key of a line.  The package reads
+the same things from code arrays (`correspondence.curve_fibers`); the
+tests compare the two."""
+
+import itertools
+
+from pfaffian_nets.correspondence import FvMatrix
+from pfaffian_nets.grassmann import pair_indices
+from pfaffian_nets.ideals import HomogeneousIdeal
+from pfaffian_nets.matrices import ExactMatrix
+from pfaffian_nets.multipoly import MultiPoly
+
+
+def psi_fiber(net, v):
+    """P(Ker f_v) inside P(A): the a with f(a)(v, -) = 0.  One point when
+    rank f_v = 4, the line M_c when rank f_v = 3."""
+    m = FvMatrix(net).evaluate(v)
+    rank, kern = m.transpose().rank_kernel()
+    dim = kern.ncols
+    if dim == 0:
+        raise ValueError("v is not on Q: f_v has full rank %d" % rank)
+    cols = [[kern.rows[r][j] for r in range(net.n)] for j in range(dim)]
+    if dim == 1:
+        return ("point", tuple(cols[0]))
+    if dim == 2:
+        return ("line", (tuple(cols[0]), tuple(cols[1])))
+    raise ValueError("corank %d fiber: rank f_v = %d <= 2 violates the "
+                     "minimal-rank bound" % (dim, rank))
+
+
+def line_key(field, a1, a2):
+    """The RREF of the two rows spanning a line."""
+    _, red = ExactMatrix(field, [list(a1), list(a2)]).rref()
+    return tuple(tuple(row) for row in red.rows)
+
+
+def plucker_quadrics(two_m, field):
+    """The C(2m, 4) three-term relations p_ij p_kl - p_ik p_jl + p_il p_jk
+    over 4-subsets i < j < k < l, as quadrics in C(2m, 2) variables."""
+    if two_m < 4:
+        raise ValueError("need 2m >= 4")
+    pairs, pos = pair_indices(two_m)
+    nv = len(pairs)
+    out = []
+    one = field.one_value
+    neg1 = field.neg(one)
+    for i, j, k, l in itertools.combinations(range(two_m), 4):
+        terms = {}
+        for (a, b, cc, d), s in (((i, j, k, l), one), ((i, k, j, l), neg1),
+                                 ((i, l, j, k), one)):
+            e = [0] * nv
+            e[pos[(a, b)]] += 1
+            e[pos[(cc, d)]] += 1
+            terms[tuple(e)] = s
+        out.append(MultiPoly(field, nv, terms))
+    return out
+
+
+def satisfies_quadrics(point):
+    """Whether a PluckerPoint satisfies every three-term relation."""
+    f = point.field
+    _, pos = pair_indices(point.two_m)
+    c = point.coords
+    for i, j, k, l in itertools.combinations(range(point.two_m), 4):
+        t1 = f.mul(c[pos[(i, j)]], c[pos[(k, l)]])
+        t2 = f.mul(c[pos[(i, k)]], c[pos[(j, l)]])
+        t3 = f.mul(c[pos[(i, l)]], c[pos[(j, k)]])
+        if not f.is_zero_value(f.add(f.sub(t1, t2), t3)):
+            return False
+    return True
+
+
+def net_linear_forms(net):
+    """The n linear forms l_i(p) = sum_{j<k} (F_i)_{jk} p_{jk} in Plucker
+    variables; X = Gr(2,V) cut by all of them."""
+    pairs, _ = pair_indices(net.two_m)
+    return [MultiPoly.linear_form(net.field,
+                                  [F.rows[i][j] for i, j in pairs])
+            for F in net.matrices]
+
+
+def x_ideal(net):
+    gens = plucker_quadrics(net.two_m, net.field) + net_linear_forms(net)
+    nvars = len(pair_indices(net.two_m)[0])
+    return HomogeneousIdeal(net.field, nvars, gens)
+
+
+def certify_line_on_x(reduced, pencil):
+    """Whether every generator of the X ideal vanishes at deg+1 distinct
+    parameter points of the pencil, which pins a binary form of degree
+    deg to zero."""
+    f = reduced.field
+    params = [(f.one_value, f.zero_value)] \
+        + [(e.value, f.one_value) for e in f.elements()]
+    for gen in x_ideal(reduced).generators:
+        need = gen.degree() + 1
+        assert need <= len(params)
+        if any(gen.evaluate(list(pencil.point_at(s, t).coords))
+               for s, t in params[:need]):
+            return False
+    return True

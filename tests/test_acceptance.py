@@ -9,26 +9,28 @@ from fractions import Fraction
 
 import pytest
 
-from pfaffian_nets.cli import _line_key, canonical_json, main, net_to_fixture
+from pfaffian_nets.cli import canonical_json, main, net_to_fixture
 from pfaffian_nets.cohomology import (charge2_instanton_table,
                                       exceptional_pair_check_y,
                                       h1_pattern_check,
                                       line_ideal_membership)
 from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
-                                          classify, c_ideal, find_c_points,
+                                          classify, c_ideal, curve_fibers,
+                                          find_c_points,
                                           find_lines_on_y, is_regular,
                                           line_on_hypersurface,
                                           pfaffian_hypersurface, phi_fiber,
-                                          psi_fiber, q_quartic, random_net,
+                                          q_quartic, random_net,
                                           fv_rank_profile,
-                                          splitting_type_on_line,
-                                          x_ideal)
+                                          splitting_type_on_line)
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.ideals import (fit_hilbert_polynomial,
                                   is_empty_projective, minors_ideal)
 from pfaffian_nets.matrices import ExactMatrix, pfaffian_scalar
 from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 from pfaffian_nets.verify import SamplePlan, jw1_section_check, jw_pointwise
+
+from scalar_references import x_ideal
 
 
 def _budget(label, budget_s, start):
@@ -193,26 +195,27 @@ def test_07_line_correspondences(pinned_net, found_curve_points):
         + [(x, field.one_value) for x in elements]
     generators = x_ideal(reduced).generators
     m_keys = set()
-    for c in points:
+    for c, (on_x, (a1, a2), key) in zip(points,
+                                         curve_fibers(reduced, points)):
+        assert on_x
+        # and, independently, the X ideal on every point of the pencil
         pencil = phi_fiber(reduced, c)
         for gen in generators:
             assert len(params) >= gen.degree() + 1
             for s, t in params:
                 pt = pencil.point_at(s, t)
                 assert not gen.evaluate(list(pt.coords))
-        kind, (a1, a2) = psi_fiber(reduced, c)
-        assert kind == "line"
         assert line_on_hypersurface(cubic, a1, a2)
         assert splitting_type_on_line(reduced, a1, a2) == (1, 3)
-        m_keys.add(_line_key(field, a1, a2))
+        m_keys.add(key)
     assert field.name == "GF(3)"
     enumerated = find_lines_on_y(pinned_net, field)
     seen_jumping = set()
     for a1, a2 in enumerated:
         split = splitting_type_on_line(reduced, a1, a2)
-        if _line_key(field, a1, a2) in m_keys:
+        if (a1, a2) in m_keys:
             assert split == (1, 3)
-            seen_jumping.add(_line_key(field, a1, a2))
+            seen_jumping.add((a1, a2))
         else:
             assert split == (2, 2)
     assert seen_jumping == m_keys
@@ -224,9 +227,7 @@ def test_08_pair_and_ideal_membership(pinned_net, found_curve_points):
     assert exceptional_pair_check_y().passed
     field, points = found_curve_points
     reduced = pinned_net.map_field(field)
-    for c in points:
-        kind, (a1, a2) = psi_fiber(reduced, c)
-        assert kind == "line"
+    for _, (a1, a2), _ in curve_fibers(reduced, points):
         verdict = line_ideal_membership(reduced, a1, a2)
         assert verdict.passed
         assert {c["name"] for c in verdict.checks} \

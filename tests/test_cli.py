@@ -10,12 +10,14 @@ import sys
 import pytest
 
 import pfaffian_nets
-from pfaffian_nets import cli
+from pfaffian_nets import cli, correspondence, grassmann
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
-from pfaffian_nets.correspondence import ANet
+from pfaffian_nets.correspondence import ANet, FvMatrix, find_c_points
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
+from pfaffian_nets.matrices import ExactMatrix
+from pfaffian_nets.multipoly import MultiPoly
 
 from conftest import PINNED_UPPERS
 
@@ -220,6 +222,27 @@ class TestGating:
         assert stages["jw1"]["verdict"] == "skipped"
 
 
+class TestLinesStage:
+    def test_reads_both_fibers_on_code_arrays(self, monkeypatch):
+        """Once the curve points are found, the stage builds no scalar
+        kernel, f_v matrix, polynomial value or Plucker point."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        find_c_points(net)
+        targets = [(ExactMatrix, "rank_kernel"), (FvMatrix, "evaluate"),
+                   (MultiPoly, "evaluate"),
+                   (grassmann, "plucker_from_basis"),
+                   (correspondence, "plucker_from_basis")]
+        calls = []
+        for owner, name in targets:
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        verdict, payload = cli._stage_lines({"net": net})
+        assert verdict == "pass" and payload["count"] == 5
+        assert calls == []
+
+
 class TestVerify:
     def test_single_check(self, fixture_path, capsys):
         assert main(["verify", fixture_path, "regularity"]) == 0
@@ -281,7 +304,8 @@ class TestErrors:
     @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
                              ids=["pipeline", "verify"])
     @pytest.mark.parametrize("option, value", [
-        ("samples", "0"), ("degree-cap", "-1"), ("prime", "46349")])
+        ("samples", "0"), ("degree-cap", "-1"), ("prime", "46349"),
+        ("prime", "32004"), ("prime", "1")])
     @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
     def test_out_of_range_option(self, fixture_path, monkeypatch, capsys,
                                  command, option, value, from_env):

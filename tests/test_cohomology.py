@@ -21,11 +21,12 @@ from pfaffian_nets.correspondence import (
     is_regular,
     line_on_hypersurface,
     pfaffian_hypersurface,
-    psi_fiber,
     random_net,
 )
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
+
+from scalar_references import psi_fiber
 
 
 # (name, cell a, cell b, offset(d, k)): each relation reads a - b = offset
@@ -296,9 +297,3 @@ class TestLineIdealMembership:
         assert not line_on_hypersurface(cubic, e0, e1)
         with pytest.raises(ValueError, match="does not lie"):
             line_ideal_membership(reduced, e0, e1)
-
-    def test_unsupported_twist_rejected(self, jumping_lines):
-        reduced, lines = jumping_lines
-        a1, a2 = lines[0]
-        with pytest.raises(ValueError, match="twists 0 and -1"):
-            line_ideal_membership(reduced, a1, a2, twists=(1,))

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from pfaffian_nets import correspondence, modnum
-from pfaffian_nets.cli import _line_key
-from pfaffian_nets.correspondence import (ANet, FvMatrix, c_ideal, classify,
+from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
+                                          c_ideal, classify, curve_fibers,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
                                           is_regular, kappa,
                                           line_on_hypersurface,
-                                          net_linear_forms,
                                           pfaffian_hypersurface, phi_fiber,
-                                          psi_fiber, q_quartic, random_net,
+                                          q_quartic, random_net,
                                           random_regular_net, rank_oracle,
                                           splitting_type_on_line,
-                                          sub_pfaffian_ideal, x_ideal,
-                                          x_points, y_points)
+                                          sub_pfaffian_ideal, x_points,
+                                          y_points)
 from pfaffian_nets.fields import GF, QQ, FieldMismatchError, reduce_value
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      _echelon_pairs, enumerate_grassmannian,
@@ -28,6 +27,9 @@ from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
                                   fit_hilbert_polynomial)
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
+
+from scalar_references import (certify_line_on_x, line_key, net_linear_forms,
+                               psi_fiber, satisfies_quadrics, x_ideal)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -408,7 +410,7 @@ class TestKappa:
         sample = pts[:40]
         images = [kappa(net7, a) for a in sample]
         for a, k in zip(sample, images):
-            assert k.satisfies_quadrics()
+            assert satisfies_quadrics(k)
             fa = net7.f_at(a)
             for row in k.basis.rows:
                 out = [F7.zero_value] * 6
@@ -486,6 +488,53 @@ class TestFibers:
                        for f in forms)
 
 
+class TestCurveFibers:
+    """`curve_fibers` against the scalar references at every point of C
+    over the ladder fields up to GF(9); P^5 over GF(25) or GF(27) has
+    millions of points."""
+
+    @pytest.mark.parametrize("q", SEARCH_LADDER[:4], ids=str)
+    def test_matches_the_scalar_fibers(self, pinned_family, q):
+        field = GF(*q)
+        checked = 0
+        for net in pinned_family[:3]:
+            reduced = net.over(field)
+            oracle = rank_oracle(reduced, field, "v")
+            points = oracle.points(np.nonzero(oracle.table == 3)[0])
+            for c, (on_x, line, key) in zip(points,
+                                            curve_fibers(reduced, points)):
+                assert on_x == certify_line_on_x(reduced,
+                                                 phi_fiber(reduced, c))
+                assert ("line", line) == psi_fiber(reduced, c)
+                assert key == line_key(field, *line)
+                checked += on_x
+        assert checked
+
+    def test_a_pencil_moved_off_x_fails(self, pinned, monkeypatch):
+        """l_on_x reads u1^T F_i u2 at both planes: moving the first
+        point's U(0:1) to <c, e_k>, column k of f_c nonzero, takes only
+        that pencil off X."""
+        net3 = pinned.over(F3)
+        _, low, _ = fv_rank_profile(net3, F3)
+        fc = FvMatrix(net3).evaluate(low[0])
+        k = next(k for k in range(6) if any(row[k] for row in fc.rows))
+        real = correspondence._phi_bases
+
+        def moved(ops, one, stack, vs, params):
+            bases = real(ops, one, stack, vs, params)
+            bases[len(low), 1] = np.eye(6, dtype=np.int64)[k] * one
+            return bases
+        monkeypatch.setattr(correspondence, "_phi_bases", moved)
+        assert [on_x for on_x, _, _ in curve_fibers(net3, low)] \
+            == [False] + [True] * (len(low) - 1)
+
+    def test_rejects_a_point_off_the_curve(self, pinned):
+        net7 = pinned.over(F7)
+        _, low, r4 = fv_rank_profile(net7, F7)
+        with pytest.raises(ValueError, match="rank f_c = 4"):
+            curve_fibers(net7, low[:2] + r4[:1])
+
+
 # each entry point that takes scalars, fed one GF(7) element over another
 # field; an element is never read as a bare payload of the wrong field
 FOREIGN_CALLS = {
@@ -493,7 +542,6 @@ FOREIGN_CALLS = {
     "FvMatrix.evaluate": lambda net, x: FvMatrix(net.over(F3)).evaluate(
         [x, 0, 0, 0, 0, 1]),
     "phi_fiber": lambda net, x: phi_fiber(net.over(F3), [x, 0, 0, 0, 0, 0]),
-    "psi_fiber": lambda net, x: psi_fiber(net.over(F3), [x, 0, 0, 0, 0, 0]),
     "PluckerPoint": lambda net, x: PluckerPoint(F3, 4, [x, 0, 0, 0, 0, 1]),
     "GrassmannLine.point_at": lambda net, x: GrassmannLine(
         F3, 4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]).point_at(x, 1),
@@ -521,17 +569,11 @@ class TestLines:
     def test_jumping_lines_are_exactly_the_psi_lines(self, pinned):
         net3 = pinned.map_field(F3)
         lines = find_lines_on_y(net3, F3)
-        jumping = set()
-        for a1, a2 in lines:
-            if splitting_type_on_line(net3, a1, a2) == (1, 3):
-                jumping.add(_line_key(net3.field, a1, a2))
+        jumping = {(a1, a2) for a1, a2 in lines
+                   if splitting_type_on_line(net3, a1, a2) == (1, 3)}
 
         _, low, _ = fv_rank_profile(pinned, F3)
-        psi_lines = set()
-        for c in low:
-            kind, (a1, a2) = psi_fiber(net3, c)
-            assert kind == "line"
-            psi_lines.add(_line_key(net3.field, a1, a2))
+        psi_lines = {key for _, _, key in curve_fibers(net3, low)}
         assert jumping == psi_lines
         assert len(jumping) == len(low)
 
@@ -554,7 +596,7 @@ class TestXSide:
         pts = x_points(net2, F2)
         forms = net_linear_forms(net2)
         for p in pts:
-            assert p.satisfies_quadrics()
+            assert satisfies_quadrics(p)
             assert all(F2.is_zero_value(f.evaluate(list(p.coords)))
                        for f in forms)
 
@@ -637,6 +679,9 @@ class TestRankOracle:
                                                   field, counts):
         found = [find_lines_on_y(net, field) for net in pinned_family]
         assert [len(lines) for lines in found] == counts
+        # each line comes as its own RREF, the key of a jumping line
+        assert all(line == line_key(field, *line)
+                   for lines in found for line in lines)
         assert found == [self._symbolic_lines(net, field)
                          for net in pinned_family]
 

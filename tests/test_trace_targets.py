@@ -1,11 +1,22 @@
-"""The traced benchmark (`perfbench/`) wraps package functions by path, and
-skips a path that no longer resolves; every path must still name one."""
+"""The benchmark (`perfbench/`), imported read-only: its traced layers wrap
+package functions by path, and skip a path that no longer resolves, so
+every path must still name one; and its correctness gate compares each
+workload's default-option report with the digest in `reference.json`."""
 
+import hashlib
 import importlib
+import json
 import os
 import sys
 
-PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+import pytest
+
+import pfaffian_nets
+from pfaffian_nets.cli import main
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(TESTS, os.pardir, "perfbench")
+SRC = os.path.dirname(os.path.dirname(pfaffian_nets.__file__))
 
 
 def _resolves(path):
@@ -27,3 +38,23 @@ def test_every_traced_target_resolves(monkeypatch):
     paths = [target.path for target in layers.TARGETS]
     assert "pfaffian_nets.correspondence:phi_fiber" in paths
     assert [path for path in paths if not _resolves(path)] == []
+
+
+@pytest.mark.parametrize("name", ["pinned", "irregular", "singular"])
+def test_default_reports_match_the_benchmark_digests(monkeypatch, tmp_path,
+                                                     name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)  # restores sys.path afterwards
+    for key in list(os.environ):
+        if key.startswith("PFAFFIAN_NETS_"):
+            monkeypatch.delenv(key)
+    workloads = importlib.import_module("workloads")
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        reference = json.load(fh)
+    fixture, report = tmp_path / "fixture.json", tmp_path / "report.json"
+    fixture.write_text(workloads.fixture_text(name, SRC, TESTS))
+    code = main(["pipeline", str(fixture), "-o", str(report)])
+    assert workloads.check_report(name, code,
+                                  json.loads(report.read_text())) == []
+    assert hashlib.sha256(report.read_bytes()).hexdigest() \
+        == reference["reports"][name]

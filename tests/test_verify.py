@@ -417,7 +417,7 @@ class TestPhiBases:
         assert low.size and high.size
         ops = modnum.field_ops(field)
         enc, decode = ops["encode"], ops["decode"]
-        bases = verify._phi_bases(
+        bases = correspondence._phi_bases(
             ops, enc[field.one_value], oracle.codes(ops),
             np.array([[enc[x] for x in v] for v in vs]),
             np.array([[enc[x] for x in p] for p in st]))
@@ -446,7 +446,9 @@ class TestJw1:
         points each builds; jw1 should make none of them, because it reads
         jw's memoized records."""
         calls = {}
-        targets = [(verify, "_kernels", 3), (verify, "_u_sides", 1),
+        # verify and correspondence each call _kernels under their own name
+        targets = [(verify, "_kernels", 3), (correspondence, "_kernels", 3),
+                   (verify, "_u_sides", 1),
                    (correspondence, "phi_fiber", None),
                    (ANet, "f_at", None), (ExactMatrix, "rref", None)]
         for owner, name, arg in targets:
