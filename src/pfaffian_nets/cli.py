@@ -292,15 +292,14 @@ def _stage_lines(ctx):
     cubic = pfaffian_hypersurface(reduced)
     records = []
     failures = 0
-    m_keys = set()
+    splits = {}  # the splitting type of each line M_c, by its RREF key
     for c, (ok_x, (a1, a2), key) in zip(points,
                                          curve_fibers(reduced, points)):
         rec = {"c": _jsonable(tuple(c)),
                "l_on_x": "pass" if ok_x else "fail"}
-        m_keys.add(key)
         on_y = line_on_hypersurface(cubic, a1, a2)
         rec["m_on_y"] = "pass" if on_y else "fail"
-        split = splitting_type_on_line(reduced, a1, a2)
+        split = splits[key] = splitting_type_on_line(reduced, a1, a2)
         rec["splitting"] = list(split)
         rec["splitting_verdict"] = "pass" if split == (1, 3) else "fail"
         membership = line_ideal_membership(reduced, a1, a2)
@@ -313,8 +312,9 @@ def _stage_lines(ctx):
         generic = jumping = 0
         census_ok = True
         for a1, a2 in find_lines_on_y(net, field):
-            split = splitting_type_on_line(reduced, a1, a2)
-            is_mc = (a1, a2) in m_keys  # lines come in RREF
+            is_mc = (a1, a2) in splits  # lines come in RREF
+            split = splits[a1, a2] if is_mc \
+                else splitting_type_on_line(reduced, a1, a2)
             if split == (1, 3):
                 jumping += 1
                 census_ok = census_ok and is_mc
@@ -325,7 +325,7 @@ def _stage_lines(ctx):
                 census_ok = False
         payload["census"] = {"generic": generic, "jumping": jumping,
                              "matches_curve": census_ok}
-        if not census_ok or jumping != len(m_keys):
+        if not census_ok or jumping != len(splits):
             failures += 1
     return ("pass" if failures == 0 else "fail"), payload
 

@@ -187,10 +187,10 @@ def _chunks(items):
 def _matmul(ops, x, y):
     """The products x[k] @ y[k] of two stacks of code matrices, the stack
     dimensions broadcast against each other."""
-    add_t, mul_t = ops["add"], ops["mul"]
+    add, mul = modnum.lookup(ops, "add"), modnum.lookup(ops, "mul")
     out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
     for l in range(x.shape[-1]):
-        out = add_t[out, mul_t[x[..., :, l, None], y[..., l, None, :]]]
+        out = add(out, mul(x[..., :, l, None], y[..., l, None, :]))
     return out
 
 
@@ -264,7 +264,8 @@ class RankOracle:
     `batch_rank_table`.  A point's index is the offset of the block where
     its leading 1 sits plus the base-q code of its normalized tail.  One
     point's rank reads the table when the space has at most _TABLE_POINTS
-    points, and is computed from the stack otherwise."""
+    points, and is computed from the stack otherwise; so are the ranks of
+    a batch of points (`ranks`)."""
 
     def __init__(self, net, field, side):
         q = field.order
@@ -298,16 +299,26 @@ class RankOracle:
             ops = self.ops
             if ops is None:
                 raise ValueError("no rank table over %s" % self.field)
-            stack = self.codes(ops)
-            flat = stack.reshape(len(stack), -1)
             table = np.empty(self.size, dtype=np.int8)
             for lo in range(0, self.size, _CHUNK):
                 idx = np.arange(lo, min(self.size, lo + _CHUNK))
-                mats = _matmul(ops, self._codes_at(idx), flat).reshape(
-                    (idx.size,) + stack.shape[1:])
-                table[lo:lo + idx.size] = modnum.batch_rank_table(mats, ops)
+                table[lo:lo + idx.size] = self._computed(ops,
+                                                         self._codes_at(idx))
             self._table = table
         return self._table
+
+    @property
+    def _tabulated(self):
+        """Whether a lookup reads the table (building it if need be)."""
+        return self._table is not None or (self.ops is not None
+                                           and self.size <= _TABLE_POINTS)
+
+    def _computed(self, ops, codes):
+        """The ranks of sum_j codes[k, j] C_j, from the stack."""
+        stack = self.codes(ops)
+        mats = _matmul(ops, codes, stack.reshape(len(stack), -1)).reshape(
+            (len(codes),) + stack.shape[1:])
+        return modnum.batch_rank_table(mats, ops)
 
     def codes(self, ops):
         """The stack as one int64 array of the codes of `ops`."""
@@ -347,11 +358,22 @@ class RankOracle:
                     if keep(self.rank(x))]
         return self.points(np.nonzero(keep(self.table))[0])
 
+    def ranks(self, codes):
+        """The ranks at an (N, k) array of nonzero code rows of
+        `modnum.field_ops`, read from the table where `rank` reads it, else
+        computed _CHUNK points at a time."""
+        if self._tabulated:
+            return self.table[self.indices(codes)]
+        ops = modnum.field_ops(self.field)
+        out = np.empty(len(codes), dtype=np.int8)
+        for lo in range(0, len(codes), _CHUNK):
+            out[lo:lo + _CHUNK] = self._computed(ops, codes[lo:lo + _CHUNK])
+        return out
+
     def rank(self, x):
         """The rank at one nonzero point x, given by field payloads."""
         f = self.field
-        if self._table is not None or (self.ops is not None
-                                       and self.size <= _TABLE_POINTS):
+        if self._tabulated:
             enc = self.ops["encode"]
             codes = [enc[c] for c in x]
             lead = next(j for j, c in enumerate(codes) if c)

@@ -152,7 +152,12 @@ def _batch_rref(m, mul, sub, inv):
     on arrays of field codes and inv[a] is the inverse code of a (inv[0] =
     0).  Returns (ranks, reduced, pivots): the first ranks[k] rows of
     reduced[k] are the RREF of matrix k with unit pivots, the rest are
-    zero, and pivots[k] marks its pivot columns."""
+    zero, and pivots[k] marks its pivot columns.
+
+    At column col the rows from rank[k] down are zero in every earlier
+    column, so the swap, the scaling and the elimination act on columns
+    col onwards only; when every matrix has a pivot there, they act on the
+    stack in place rather than on a gathered copy."""
     if m.ndim != 3:
         raise ValueError("expected a 3d stack of matrices")
     m = m.copy()
@@ -164,19 +169,26 @@ def _batch_rref(m, mul, sub, inv):
     rows_idx = np.arange(r)
     for col in range(c):
         active = (rows_idx[None, :] >= rank[:, None]) & (m[:, :, col] != 0)
-        idx = np.nonzero(active.any(axis=1))[0]
-        if idx.size == 0:
-            continue
+        has = active.any(axis=1)
+        if has.all():
+            idx, w = slice(None), m[:, :, col:]
+        else:
+            idx = np.nonzero(has)[0]
+            if idx.size == 0:
+                continue
+            w = m[idx, :, col:]
         pr = np.argmax(active[idx], axis=1)
         ri = rank[idx]
-        tmp = m[idx, ri, :].copy()
-        m[idx, ri, :] = m[idx, pr, :]
-        m[idx, pr, :] = tmp
-        prow = mul(m[idx, ri, :], inv[m[idx, ri, col]][:, None])
-        m[idx, ri, :] = prow
-        f = m[idx, :, col]
-        f[np.arange(idx.size), ri] = 0
-        m[idx] = sub(m[idx], mul(f[:, :, None], prow[:, None, :]))
+        at = np.arange(len(ri))
+        prow = w[at, pr]
+        w[at, pr] = w[at, ri]
+        prow = mul(prow, inv[prow[:, 0]][:, None])
+        w[at, ri] = prow
+        f = w[:, :, 0].copy()
+        f[at, ri] = 0
+        w[...] = sub(w, mul(f[:, :, None], prow[:, None, :]))
+        if not isinstance(idx, slice):
+            m[idx, :, col:] = w
         pivots[idx, col] = True
         rank[idx] += 1
         if bool((rank == min(r, c)).all()):
@@ -255,12 +267,22 @@ def field_ops(field):
             "decode": residues, "encode": residues}
 
 
+def lookup(tables, key):
+    """tables[key][a, b] as a function of two arrays of codes.  An
+    operation table is read flattened, at a * q + b: one gather from a
+    vector costs less than numpy's two-index gather."""
+    table, q = tables[key], tables["q"]
+    if isinstance(table, np.ndarray):
+        flat = table.ravel()
+        return lambda a, b: flat[a * q + b]
+    return lambda a, b: table[a, b]
+
+
 def batch_rref_table(mats, tables):
     """`_batch_rref` of a stack of small matrices whose entries are field
     codes, using tables from small_field_tables or field_ops."""
-    mul_t, sub_t = tables["mul"], tables["sub"]
     return _batch_rref(np.asarray(mats, dtype=np.int64),
-                       lambda a, b: mul_t[a, b], lambda a, b: sub_t[a, b],
+                       lookup(tables, "mul"), lookup(tables, "sub"),
                        tables["inv"])
 
 

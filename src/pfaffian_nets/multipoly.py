@@ -495,10 +495,8 @@ class _MinorCodes:
             self.modulus = field.p
         elif field.order <= modnum._TABLE_ORDER:
             ops = modnum.field_ops(field)
-            add_t, sub_t, mul_t = ops["add"], ops["sub"], ops["mul"]
-            self.add = lambda a, b: add_t[a, b]
-            self.sub = lambda a, b: sub_t[a, b]
-            self.mul = lambda a, b: mul_t[a, b]
+            self.add, self.sub, self.mul = (modnum.lookup(ops, key)
+                                            for key in ("add", "sub", "mul"))
             self.encode = lambda c, i: ops["encode"][c]
             self.value = lambda c, scale: ops["decode"][c]
             self.dtype = np.int64

@@ -15,11 +15,20 @@ hard failure; larger samples only ever widen coverage.
 
 The pairs of a plan are held as arrays of field codes (`modnum.field_ops`)
 and checked in vectorized blocks; only a failing pair becomes a Python
-record.
+record, with field payloads and Plucker coordinates.
+
+Random plans draw from random.Random(seed) as a loop of `choice` calls
+over the field's elements would, one coordinate at a time.  The report
+digest pins those draws, so `_random_pairs` replays that stream exactly:
+it takes the generator's 32-bit words in blocks and decodes each `choice`
+by CPython's `_randbelow_with_getrandbits` rule (the top
+len(seq).bit_length() bits of a word, the word skipped while they are
+>= len(seq)).  A test fails if the interpreter's rule changes.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import numpy as np
@@ -70,33 +79,29 @@ class SamplePlan:
 
 class FiberRecords:
     """The fiber records of a list of pairs (a in Y, U in X), read by every
-    check, as arrays of field codes.  The a-sides are rank f(a) and the
-    kernel rows of f(a) (`_kernels`); the U-sides are U's RREF basis
-    `red`, its pivot columns `piv` and complement columns `comp`.
-    Each side is built once per point; pair k reads a-side a_idx[k] and
-    U-side u_idx[k].  Per pair, built in blocks of _CHUNK pairs: `uf` =
-    red @ f(a), row b the functional u_b^T f(a), and `dim` = dim(Ker f(a)
-    cap U).  The pair lies on the incidence locus W exactly when that
-    dimension is positive, and 2 would mean U is the whole kernel plane, a
-    singular point of X."""
+    check, as arrays of field codes (`modnum.field_ops`).  The points a
+    come as code rows `a_codes`, the planes U as 2 x 2m code bases
+    `bases`.  The a-sides are rank f(a) and the kernel rows of f(a)
+    (`_kernels`); the U-sides are U's RREF basis `red`, its pivot columns
+    `piv` and complement columns `comp`.  Each side is built once per
+    point; pair k reads a-side a_idx[k] and U-side u_idx[k].  Per pair,
+    built in blocks of _CHUNK pairs: `uf` = red @ f(a), row b the
+    functional u_b^T f(a), and `dim` = dim(Ker f(a) cap U).  The pair lies
+    on the incidence locus W exactly when that dimension is positive, and 2
+    would mean U is the whole kernel plane, a singular point of X.  Field
+    payloads and Plucker points are made only for a pair that is reported
+    (`point_a`, `point_u`)."""
 
-    def __init__(self, net, a_points, u_points, a_idx, u_idx):
+    def __init__(self, net, a_codes, bases, a_idx, u_idx):
         field = self.field = net.field
         ops = self.ops = modnum.field_ops(field)
-        enc = ops["encode"]
         two_m = net.two_m
-        self.a_points, self.u_points = a_points, u_points
+        self.a_codes = a_codes
         self.a_idx, self.u_idx = a_idx, u_idx
-        a_codes = np.array([[enc[field.value_of(x)] for x in a]
-                            for a in a_points], dtype=np.int64)
         fa, self.rank, self.kernel = _kernels(
-            ops, enc[field.one_value],
+            ops, ops["encode"][field.one_value],
             rank_oracle(net, field, "a").codes(ops), a_codes)
-        bases = [p.basis if p.basis is not None else plane_from_plucker(p)
-                 for p in u_points]
-        self.red, self.piv, self.comp = _u_sides(ops, np.array(
-            [[[enc[x] for x in row] for row in b.rows] for b in bases],
-            dtype=np.int64))
+        self.red, self.piv, self.comp = _u_sides(ops, bases)
         self.uf = np.empty((len(a_idx), 2, two_m), dtype=np.int64)
         self.dim = np.empty(len(a_idx), dtype=np.int64)
         for lo, hi in self.blocks():
@@ -119,9 +124,22 @@ class FiberRecords:
         return [(lo, min(len(self), lo + _CHUNK))
                 for lo in range(0, len(self), _CHUNK)]
 
+    def _decoded(self, codes):
+        decode = self.ops["decode"]
+        return [decode[c] for c in codes.tolist()]
+
+    def point_a(self, k):
+        """Pair k's a, as a tuple of field payloads."""
+        return tuple(self._decoded(self.a_codes[self.a_idx[k]]))
+
+    def point_u(self, k):
+        """Pair k's U, as the Plucker point of its reduced basis."""
+        red = self.red[self.u_idx[k]]
+        return plucker_from_basis(ExactMatrix(
+            self.field, [self._decoded(row) for row in red]))
+
     def fail(self, report, k, reason):
-        report.fail(self.a_points[self.a_idx[k]],
-                    self.u_points[self.u_idx[k]].coords, reason)
+        report.fail(self.point_a(k), self.point_u(k).coords, reason)
 
 
 class WMembership:
@@ -129,14 +147,11 @@ class WMembership:
     uf = red @ f(a) as a matrix over the field, and dim(Ker f(a) cap U)."""
 
     def __init__(self, records, k):
-        ai, ui = records.a_idx[k], records.u_idx[k]
-        decode = records.ops["decode"]
-        self.a = tuple(records.a_points[ai])
-        self.u_coords = records.u_points[ui].coords
-        self.rank = int(records.rank[ai])
+        self.a = records.point_a(k)
+        self.u_coords = records.point_u(k).coords
+        self.rank = int(records.rank[records.a_idx[k]])
         self.uf = ExactMatrix(records.field,
-                              [[decode[c] for c in row]
-                               for row in records.uf[k].tolist()])
+                              [records._decoded(row) for row in records.uf[k]])
         self.intersection_dim = int(records.dim[k])
 
     @property
@@ -183,11 +198,27 @@ class JwReport:
             self.name, self.checked, self.on_w, self.passed)
 
 
+def _point_codes(ops, field, points):
+    """An (N, k) code array of points given by field values."""
+    enc = ops["encode"]
+    return np.array([[enc[field.value_of(x)] for x in pt] for pt in points],
+                    dtype=np.int64)
+
+
+def _plane_codes(ops, points):
+    """An (N, 2, 2m) code array of bases of Plucker points."""
+    return np.stack([_point_codes(
+        ops, p.field, (p.basis if p.basis is not None
+                       else plane_from_plucker(p)).rows) for p in points])
+
+
 def w_membership(reduced, a, point):
     """The fiber record of one pair (a, U), U given by its Plucker point,
     over the net's own field."""
+    ops = modnum.field_ops(reduced.field)
     only = np.zeros(1, dtype=np.int64)
-    return FiberRecords(reduced, [a], [point], only, only)[0]
+    return FiberRecords(reduced, _point_codes(ops, reduced.field, [a]),
+                        _plane_codes(ops, [point]), only, only)[0]
 
 
 def _jw_block(records, lo, hi, report):
@@ -243,39 +274,56 @@ def _build_pairs(net, plan):
     field = plan.field
     reduced = net.over(field)
     if plan.mode == "random":
-        pairs = _random_pairs(net, plan)
-        idx = np.arange(len(pairs))
-        return FiberRecords(reduced, [a for a, _ in pairs],
-                            [u for _, u in pairs], idx, idx)
+        a_codes, bases = _random_pairs(net, plan)
+        idx = np.arange(len(a_codes))
+        return FiberRecords(reduced, a_codes, bases, idx, idx)
     ys = y_points(net, field)
     xs = x_points(net, field)
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    return FiberRecords(reduced, ys, xs,
+    ops = modnum.field_ops(field)
+    return FiberRecords(reduced, _point_codes(ops, field, ys),
+                        _plane_codes(ops, xs),
                         np.repeat(np.arange(len(ys)), len(xs)),
                         np.tile(np.arange(len(xs)), len(ys)))
 
 
-def _random_nonzero(rng, elements, length, field):
-    while True:
-        v = [rng.choice(elements) for _ in range(length)]
-        if any(not field.is_zero_value(x) for x in v):
-            return v
+_BLOCK = 4 * _CHUNK  # stream words _random_pairs draws and ranks at a time
+
+
+def _stream_words(rng, n):
+    """The next n 32-bit outputs of rng, in the order it makes them."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"),
+                         dtype="<u4").astype(np.int64)
 
 
 def _random_pairs(net, plan):
-    """plan.count random pairs (a, U) over the plan's field, U the Plucker
-    point (with its basis) that the fiber of phi returns: a by rejection
-    against the cubic, U by rejection against the quartic followed by the
-    fiber of phi (every plane of X through a vector v arises that way).
-    The net is checked for degeneracy where it was given, as `y_points`
-    does, since Pfaffians are not computed in characteristic 2.  Both tests
-    read the rank oracle: Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0,
-    Q(v) = 0 iff rank f_v < 5, because f_v v = 0 makes the maximal minors
-    of f_v the products +-v_i Q(v).  rank f_v = 3 makes the fiber a line,
-    on which one more seeded draw picks the point; the fibers are built
-    together once all draws are made."""
+    """plan.count random pairs (a, U) over the plan's field: the code rows
+    of the a, and the code bases of the U that the fiber of phi gives.  a
+    is drawn by rejection against the cubic, U by rejection against the
+    quartic followed by the fiber of phi (every plane of X through a
+    vector v arises that way).  The net is checked for degeneracy where it
+    was given, as `y_points` does, since Pfaffians are not computed in
+    characteristic 2.  Both tests read the rank oracle: Pf(f(a)) = 0 iff
+    rank f(a) < 6, and for v != 0, Q(v) = 0 iff rank f_v < 5, because
+    f_v v = 0 makes the maximal minors of f_v the products +-v_i Q(v).
+
+    The draws are those of a loop on random.Random(plan.seed) that picks
+    each coordinate by `choice` over the field's elements, and the report
+    digest pins them, so the stream is replayed exactly.  Pairs alternate
+    a, v.  An a-trial is 5 picks and a v-trial 6; an all-zero trial is
+    drawn again and costs none of the _TRY_FACTOR tries per sample that
+    any other spends.  a is kept when rank f(a) < 6.  v is rejected at
+    rank f_v = 5 and refused at rank <= 2; at rank 3 the fiber is a line,
+    and one more `choice` over its q + 1 points (1 : x), (0 : 1) picks U.
+
+    The replay decodes _BLOCK words at a time by the rule in the module
+    docstring.  The element picks form one stream S of codes, read in
+    windows of 5 and 6; the pencil pick decodes the raw words, with its
+    own bit width, where the walk reaches it, and S resumes after the word
+    it took.  The ranks of every window of S in a block come from one
+    `RankOracle.ranks` call per side."""
     field = plan.field
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
@@ -283,50 +331,79 @@ def _random_pairs(net, plan):
     reduced = net.over(field)
     on_y = rank_oracle(reduced, field, "a")
     on_q = rank_oracle(reduced, field, "v")
-    elements = _element_values(field)
-    zero, one = field.zero_value, field.one_value
+    ops = modnum.field_ops(field)
+    enc = ops["encode"]
+    q = field.order
+    codes = np.array([enc[x] for x in _element_values(field)],
+                     dtype=np.int64)
+    zero, one = enc[field.zero_value], enc[field.one_value]
+    pencil = [(one, c) for c in codes.tolist()] + [(zero, one)]
+    elem_shift, pencil_shift = 32 - q.bit_length(), 32 - (q + 1).bit_length()
+    budget = _TRY_FACTOR * plan.count * max(4, q)
     rng = random.Random(plan.seed)
-    budget = [_TRY_FACTOR * plan.count * max(4, len(elements))]
-
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError("rejection budget exhausted over %s"
-                             % field.name)
-
-    def draw_a():
-        while True:
-            spend()
-            a = _random_nonzero(rng, elements, 5, field)
-            if on_y.rank(a) < 6:
-                return tuple(a)
-
-    def draw_v():
-        while True:
-            spend()
-            v = _random_nonzero(rng, elements, 6, field)
-            rank = on_q.rank(v)
+    words = np.empty(0, dtype=np.int64)
+    a_rows, v_rows, params = [], [], []
+    phase = "a"  # what the walk draws next: an a-trial, a v-trial, a pencil
+    while len(params) < plan.count:
+        words = np.concatenate([words, _stream_words(rng, _BLOCK)])
+        picks = words >> elem_shift
+        pos = np.flatnonzero(picks < q)
+        stream = codes[picks[pos]]
+        ranks = {}
+        for width, oracle in ((5, on_y), (6, on_q)):
+            windows = np.lib.stride_tricks.sliding_window_view(stream, width)
+            live = windows.any(axis=1)
+            rank = np.full(len(windows), -1, dtype=np.int64)
+            rank[live] = oracle.ranks(windows[live])
+            ranks[width] = rank.tolist()
+        on_line = np.flatnonzero(words >> pencil_shift <= q).tolist()
+        pos, stream = pos.tolist(), stream.tolist()
+        j = 0  # the next value of S
+        cursor = 0  # the next raw word
+        while len(params) < plan.count:
+            if phase == "pencil":
+                k = bisect.bisect_left(on_line, cursor)
+                if k == len(on_line):
+                    break
+                cursor = on_line[k] + 1
+                params.append(pencil[int(words[cursor - 1]) >> pencil_shift])
+                j = bisect.bisect_left(pos, cursor)
+                phase = "a"
+                continue
+            width = 5 if phase == "a" else 6
+            if j + width > len(stream):
+                break
+            rank = ranks[width][j]
+            j += width
+            cursor = pos[j - 1] + 1
+            if rank < 0:
+                continue
+            budget -= 1
+            if budget < 0:
+                raise ValueError("rejection budget exhausted over %s"
+                                 % field.name)
+            if phase == "a":
+                if rank < 6:
+                    a_rows.append(stream[j - 5:j])
+                    phase = "v"
+                continue
             if rank == 5:
                 continue
             if rank < 3:
                 raise ValueError(
                     "(Im f_v)^perp has dimension %d; rank f_v = %d <= 2 "
                     "violates the minimal-rank bound" % (6 - rank, rank))
+            v_rows.append(stream[j - 6:j])
             if rank == 4:
-                return v, (zero, zero)
-            return v, rng.choice([(one, x) for x in elements]
-                                 + [(zero, one)])
-
-    draws = [(draw_a(), draw_v()) for _ in range(plan.count)]
-    ops = modnum.field_ops(field)
-    enc, decode = ops["encode"], ops["decode"]
-    vs, params = (np.array([[enc[x] for x in row] for row in rows],
-                           dtype=np.int64)
-                  for rows in zip(*(u for _, u in draws)))
-    bases = _phi_bases(ops, enc[one], on_q.codes(ops), vs, params)
-    return [(a, plucker_from_basis(ExactMatrix(
-        field, [[decode[c] for c in row] for row in basis])))
-        for (a, _), basis in zip(draws, bases.tolist())]
+                params.append((zero, zero))
+                phase = "a"
+            else:
+                phase = "pencil"
+        words = words[cursor:]
+    bases = _phi_bases(ops, one, on_q.codes(ops),
+                       np.array(v_rows, dtype=np.int64),
+                       np.array(params, dtype=np.int64))
+    return np.array(a_rows, dtype=np.int64), bases
 
 
 def jw_pointwise(net, plan):

@@ -1,12 +1,19 @@
-"""Scalar references for the line correspondence, one point at a time on
-ExactMatrix and MultiPoly: the fiber of psi, the ideal of X with its
-certificate on a pencil, and the RREF key of a line.  The package reads
-the same things from code arrays (`correspondence.curve_fibers`); the
-tests compare the two."""
+"""Scalar references, one point at a time on ExactMatrix and MultiPoly:
+for the line correspondence, the fiber of psi, the ideal of X with its
+certificate on a pencil, and the RREF key of a line, which the package
+reads from code arrays (`correspondence.curve_fibers`); and the random
+sampler drawing one `random.Random.choice` and one rank lookup at a time,
+which the package replays in blocks (`verify._random_pairs`).  The tests
+compare the two."""
 
 import itertools
+import random
 
-from pfaffian_nets.correspondence import FvMatrix
+import numpy as np
+
+from pfaffian_nets import modnum, verify
+from pfaffian_nets.correspondence import (FvMatrix, _phi_bases,
+                                          pfaffian_hypersurface, rank_oracle)
 from pfaffian_nets.grassmann import pair_indices
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
@@ -101,3 +108,65 @@ def certify_line_on_x(reduced, pencil):
                for s, t in params[:need]):
             return False
     return True
+
+
+def random_pairs(net, plan):
+    """The sampler of `verify._random_pairs`, one draw at a time: the code
+    rows of the a, the code bases of the U, and the (s : t) picked on each
+    fiber line ((0, 0) where the fiber is a point)."""
+    field = plan.field
+    if (net.n, net.two_m) != (5, 6):
+        raise ValueError("the quartic construction is the n=5, 2m=6 case")
+    pfaffian_hypersurface(net)  # a degenerate net raises here
+    reduced = net.over(field)
+    on_y = rank_oracle(reduced, field, "a")
+    on_q = rank_oracle(reduced, field, "v")
+    elements = [e.value for e in field.elements()]
+    zero, one = field.zero_value, field.one_value
+    rng = random.Random(plan.seed)
+    budget = [verify._TRY_FACTOR * plan.count * max(4, len(elements))]
+
+    def spend():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ValueError("rejection budget exhausted over %s"
+                             % field.name)
+
+    def random_nonzero(length):
+        while True:
+            v = [rng.choice(elements) for _ in range(length)]
+            if any(not field.is_zero_value(x) for x in v):
+                return v
+
+    def draw_a():
+        while True:
+            spend()
+            a = random_nonzero(5)
+            if on_y.rank(a) < 6:
+                return tuple(a)
+
+    def draw_v():
+        while True:
+            spend()
+            v = random_nonzero(6)
+            rank = on_q.rank(v)
+            if rank == 5:
+                continue
+            if rank < 3:
+                raise ValueError(
+                    "(Im f_v)^perp has dimension %d; rank f_v = %d <= 2 "
+                    "violates the minimal-rank bound" % (6 - rank, rank))
+            if rank == 4:
+                return v, (zero, zero)
+            return v, rng.choice([(one, x) for x in elements]
+                                 + [(zero, one)])
+
+    draws = [(draw_a(), draw_v()) for _ in range(plan.count)]
+    ops = modnum.field_ops(field)
+    enc = ops["encode"]
+    a_codes, vs, params = (
+        np.array([[enc[x] for x in row] for row in rows], dtype=np.int64)
+        for rows in ([a for a, _ in draws], [v for _, (v, _) in draws],
+                     [st for _, (_, st) in draws]))
+    bases = _phi_bases(ops, enc[one], on_q.codes(ops), vs, params)
+    return a_codes, bases, params

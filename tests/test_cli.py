@@ -242,6 +242,21 @@ class TestLinesStage:
         assert verdict == "pass" and payload["count"] == 5
         assert calls == []
 
+    def test_one_splitting_type_per_line(self, monkeypatch):
+        """The census reads a jumping line's splitting type back from its
+        curve point, by RREF key: one computation for each of the 18 lines
+        of Y over GF(3)."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        calls = []
+        real = cli.splitting_type_on_line
+        monkeypatch.setattr(cli, "splitting_type_on_line",
+                            lambda *args: calls.append(args) or real(*args))
+        verdict, payload = cli._stage_lines({"net": net})
+        assert verdict == "pass" and payload["field"] == "GF(3)"
+        assert payload["census"] == {"generic": 13, "jumping": 5,
+                                     "matches_curve": True}
+        assert len(calls) == 18
+
 
 class TestVerify:
     def test_single_check(self, fixture_path, capsys):

@@ -641,13 +641,21 @@ class TestRankOracle:
             c = scalars[i % len(scalars)]
             scaled = [field.mul(c, x) for x in v]
             assert oracle.rank(scaled) == oracle.table[i]
+        enc = modnum.field_ops(field)["encode"]
+        scaled = [[enc[field.mul(scalars[i % len(scalars)], x)] for x in v]
+                  for i, v in enumerate(pts)]
+        assert oracle.ranks(np.array(scaled)).tolist() \
+            == oracle.table.tolist()
 
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)
         oracle = rank_oracle(pinned, field, "a")
         net = pinned.map_field(field)
-        for a in ([1, 2, 3, 4, 5], [0, 0, 7, 100, 1], [0, 0, 0, 0, 9]):
+        points = [[1, 2, 3, 4, 5], [0, 0, 7, 100, 1], [0, 0, 0, 0, 9]]
+        for a in points:
             assert oracle.rank(a) == net.f_at(a).rank()
+        assert oracle.ranks(np.array(points)).tolist() \
+            == [net.f_at(a).rank() for a in points]
         with pytest.raises(ValueError, match="no rank table"):
             oracle.table
 

@@ -227,6 +227,40 @@ def test_batch_rref_table_matches_exact_rref(q):
             assert not red[rank:].any()
 
 
+@pytest.mark.parametrize("p", [2, 7])
+@pytest.mark.parametrize("shape", [(5, 6), (6, 6), (8, 6), (2, 6), (3, 1)],
+                         ids=str)
+def test_batch_rref_matches_naive_oracle(p, shape):
+    """Stacks mixing zero columns, all-zero matrices and full rank, so that
+    a column finds a pivot in some matrices and not in others; and a
+    full-rank stack, where every column up to the rank pivots in all."""
+    rng = random.Random(31 * p + shape[0])
+    nrows, ncols = shape
+    mats = [[[0] * ncols for _ in range(nrows)]]
+    for _ in range(60):
+        mat = random_matrix(rng, nrows, ncols, p,
+                            rank_cap=rng.choice([None, 1, 2]))
+        for col in range(ncols):
+            if rng.random() < 0.2:
+                for row in mat:
+                    row[col] = 0
+        mats.append(mat)
+    full = np.eye(nrows, ncols, dtype=np.int64)
+    eyes = [(full + np.triu(rng.randrange(p) * np.ones_like(full), 1)) % p
+            for _ in range(8)]
+    for stack in (np.array(mats, dtype=np.int64), np.array(eyes)):
+        ranks, reduced, pivots = modnum._batch_rref(
+            stack, lambda a, b: a * b % p, lambda a, b: (a - b) % p,
+            modnum.inverse_table(p))
+        for mat, rank, red, mask in zip(stack, ranks, reduced, pivots):
+            piv, basis = naive_rref(mat.tolist(), p)
+            assert rank == len(piv)
+            assert np.nonzero(mask)[0].tolist() == piv
+            assert red[:rank].tolist() == basis
+            assert not red[rank:].any()
+    assert (ranks == min(nrows, ncols)).all()
+
+
 def test_field_ops_residues_match_the_field():
     from pfaffian_nets.fields import GF
     field = GF(101)

@@ -23,6 +23,8 @@ from pfaffian_nets.verify import (
     w_membership,
 )
 
+import scalar_references
+from conftest import PINNED_UPPERS
 from test_cohomology import dead_coordinate_net
 
 
@@ -146,6 +148,16 @@ def evaluating_sampler(reduced, plan):
     return [(draw_a(), draw_u()) for _ in range(plan.count)]
 
 
+def decoded_pairs(field, a_codes, bases):
+    """Sampled pairs as payloads: a as a tuple, U as the Plucker point of
+    its basis."""
+    decode = modnum.field_ops(field)["decode"]
+    return [(tuple(decode[c] for c in a),
+             plucker_from_basis(ExactMatrix(
+                 field, [[decode[c] for c in row] for row in basis])))
+            for a, basis in zip(a_codes.tolist(), bases.tolist())]
+
+
 class TestSamplerOracle:
     @pytest.mark.parametrize("q, count, tabulated", [
         ((7, 1), 200, True), ((5, 2), 4, False), ((101, 1), 8, False)],
@@ -156,7 +168,7 @@ class TestSamplerOracle:
         net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
         reduced = net.over(field)
         plan = SamplePlan(field, count=count, seed=4, mode="random")
-        drawn = verify._random_pairs(reduced, plan)
+        drawn = decoded_pairs(field, *verify._random_pairs(reduced, plan))
         expected = evaluating_sampler(reduced, plan)
         assert [(a, u.basis.rows) for a, u in drawn] \
             == [(a, u.basis.rows) for a, u in expected]
@@ -165,6 +177,104 @@ class TestSamplerOracle:
         for side in ("a", "v"):
             oracle = rank_oracle(reduced, field, side)
             assert (oracle._table is not None) == tabulated
+
+
+class TestSamplerReplay:
+    """`_random_pairs` replays the seeded stream in blocks; the reference
+    draws it one `choice` and one rank lookup at a time."""
+
+    @pytest.mark.parametrize("q, count, seed, lines", [
+        ((2, 1), 300, 0, 30), ((2, 2), 200, 4, 10), ((2, 3), 100, 1, 0),
+        ((7, 1), 300, 0, 2), ((3, 2), 100, 0, 1), ((5, 2), 3, 4, 0),
+        ((101, 1), 5, 1, 0)], ids=str)
+    def test_draws_equal_the_one_at_a_time_loop(self, pinned_net, q, count,
+                                                seed, lines):
+        """GF(2) meets all-zero trials; over GF(4) and GF(8) half the words
+        are redrawn; GF(7) picks on a line with one bit more than it picks
+        an element; P^4 over GF(25) and GF(101) is not tabulated.  `lines`
+        counts the pairs whose U was picked on a fiber line."""
+        field = GF(*q)
+        plan = SamplePlan(field, count=count, seed=seed, mode="random")
+        a_codes, bases = verify._random_pairs(pinned_net, plan)
+        ref_a, ref_bases, params = scalar_references.random_pairs(
+            pinned_net, plan)
+        assert a_codes.tolist() == ref_a.tolist()
+        assert bases.tolist() == ref_bases.tolist()
+        assert int(params.any(axis=1).sum()) == lines
+
+    def test_choice_replay_rule(self):
+        assert random.Random._randbelow \
+            is random.Random._randbelow_with_getrandbits, (
+                "random.Random._randbelow is no longer "
+                "_randbelow_with_getrandbits: verify._random_pairs replays "
+                "Random.choice by that rule, so under this interpreter its "
+                "draws, and every report digest, would differ")
+        for n in (2, 3, 7, 8, 9, 26, 101):
+            drawn = random.Random(n)
+            expected = [drawn.choice(range(n)) for _ in range(200)]
+            words = verify._stream_words(random.Random(n), 800)
+            picks = words >> (32 - n.bit_length())
+            assert picks[picks < n][:200].tolist() == expected
+
+    def test_refused_rank_raises_as_the_reference(self, pinned_net,
+                                                  monkeypatch):
+        """rank f_v <= 2 stops both samplers with the same error."""
+        plan = SamplePlan(GF(7), count=20, seed=2, mode="random")
+        ranks, rank = correspondence.RankOracle.ranks, \
+            correspondence.RankOracle.rank
+        monkeypatch.setattr(correspondence.RankOracle, "ranks",
+                            lambda self, codes: np.minimum(
+                                ranks(self, codes), 2))
+        monkeypatch.setattr(correspondence.RankOracle, "rank",
+                            lambda self, x: min(rank(self, x), 2))
+        errors = []
+        for sampler in (verify._random_pairs,
+                        scalar_references.random_pairs):
+            with pytest.raises(ValueError, match="minimal-rank") as info:
+                sampler(pinned_net, plan)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @staticmethod
+    def _fresh_gf7(plan):
+        """A fresh pinned net with its reduction, cubic and oracles built."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        reduced = net.over(plan.field)
+        pfaffian_hypersurface(net)
+        for side in ("a", "v"):
+            rank_oracle(reduced, plan.field, side)
+        return net
+
+    def test_pairs_make_no_scalar_objects(self, monkeypatch):
+        """The pipeline's GF(7) plan draws, ranks and records its pairs on
+        code arrays only."""
+        plan = SamplePlan(GF(7), count=1000, seed=0, mode="random")
+        net = self._fresh_gf7(plan)
+        calls = []
+        for owner, name in [(random.Random, "choice"),
+                            (correspondence.RankOracle, "rank"),
+                            (verify, "plucker_from_basis"),
+                            (ExactMatrix, "__init__")]:
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert len(verify._pairs(net, plan)) == 1000
+        assert calls == []
+
+    def test_failure_row_renders_the_payloads(self):
+        """A failing pair is reported by a's payloads and the Plucker
+        coordinates of U, as when the sampler returned Plucker points."""
+        plan = SamplePlan(GF(7), count=50, seed=3, mode="random")
+        net = self._fresh_gf7(plan)
+        records = verify._pairs(net, plan)
+        records.rank[17] = 5  # the a-side of pair 17 (a_idx is 0..49)
+        report = jw_pointwise(net, plan)
+        a, u = decoded_pairs(
+            plan.field, *scalar_references.random_pairs(net, plan)[:2])[17]
+        assert report.failures == [{"a": [repr(x) for x in a],
+                                    "u": [repr(x) for x in u.coords],
+                                    "reason": "rank f(a) = 5 on Y"}]
 
 
 # -- the per-pair reference: each fiber record and each check written one
@@ -266,7 +376,8 @@ def reference_records(reduced, pairs):
 def plan_pairs(net, plan):
     """The pairs (a, U) a plan checks, in order."""
     if plan.mode == "random":
-        return verify._random_pairs(net.over(plan.field), plan)
+        return decoded_pairs(plan.field, *verify._random_pairs(
+            net.over(plan.field), plan))
     return [(a, u) for a in y_points(net, plan.field)
             for u in x_points(net, plan.field)]
 
@@ -370,8 +481,10 @@ class TestBatchedRecords:
         pairs = [(a, u) for a in a_points for u in u_points]
         a_idx = np.repeat(np.arange(len(a_points)), len(u_points))
         u_idx = np.tile(np.arange(len(u_points)), len(a_points))
-        records = verify.FiberRecords(reduced, a_points, u_points, a_idx,
-                                      u_idx)
+        ops = modnum.field_ops(field)
+        records = verify.FiberRecords(
+            reduced, verify._point_codes(ops, field, a_points),
+            verify._plane_codes(ops, u_points), a_idx, u_idx)
         refs = reference_records(reduced, pairs)
         assert _rows(records) == _rows(refs)
         monkeypatch.setattr(verify, "_pairs", lambda net, plan: records)
