@@ -30,7 +30,7 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
 from .fields import GF, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME, SECOND_PRIME,
                      fit_hilbert_polynomial)
-from .modnum import MAX_PRIME
+from .modnum import MAX_PRIME, TABLE_ORDER
 from .multipoly import MultiPoly
 from .verify import SamplePlan, jw1_section_check, jw_pointwise
 
@@ -161,7 +161,13 @@ def _resolve(args, attr, env, default, conv=None):
 
 def _options(args):
     fields_spec = _resolve(args, "fields", "FIELDS", "2,3")
-    fields = [_field_from_token(t) for t in str(fields_spec).split(",") if t]
+    tokens = [t for t in str(fields_spec).split(",") if t]
+    fields = [_field_from_token(t) for t in tokens]
+    for tok, field in zip(tokens, fields):
+        if field.order > TABLE_ORDER:
+            raise ValueError("field %r: %s has more than %d elements, the "
+                             "most with rank tables"
+                             % (tok, field, TABLE_ORDER))
     prime = _resolve(args, "prime", "PRIME", DEFAULT_PRIME, int)
     cap = _resolve(args, "degree_cap", "DEGREE_CAP", DEFAULT_DEGREE_CAP, int)
     samples = _resolve(args, "samples", "SAMPLES", 1000, int)

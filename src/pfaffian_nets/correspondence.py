@@ -170,7 +170,7 @@ class FvMatrix:
 
 # -- the point oracle ---------------------------------------------------------
 
-_TABLE_POINTS = 100_000  # the largest space a single-point lookup tabulates
+_TABLE_POINTS = 100_000  # the largest space `RankOracle.ranks` tabulates
 _CHUNK = 2048  # points, planes or lines handled per vectorized block
 
 
@@ -184,40 +184,39 @@ def _chunks(items):
         yield chunk
 
 
-def _matmul(ops, x, y):
-    """The products x[k] @ y[k] of two stacks of code matrices, the stack
-    dimensions broadcast against each other."""
-    add, mul = modnum.lookup(ops, "add"), modnum.lookup(ops, "mul")
+def _matmul(fc, x, y):
+    """The products x[k] @ y[k] of two stacks of code matrices of the
+    FieldCodes `fc`, the stack dimensions broadcast against each other."""
     out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
     for l in range(x.shape[-1]):
-        out = add(out, mul(x[..., :, l, None], y[..., l, None, :]))
+        out = fc.add(out, fc.mul(x[..., :, l, None], y[..., l, None, :]))
     return out
 
 
-def _u_sides(ops, bases):
+def _u_sides(fc, bases):
     """U's RREF basis, its pivot columns and its complement columns (both
     ascending), for a stack of 2 x 2m bases."""
     two_m = bases.shape[2]
-    _, red, piv = modnum.batch_rref_table(bases, ops)
+    _, red, piv = modnum.batch_rref_table(bases, fc)
     order = np.argsort(piv, axis=1, kind="stable")
     return red, order[:, two_m - 2:], order[:, :two_m - 2]
 
 
-def _kernels(ops, one, stack, coeffs):
+def _kernels(fc, stack, coeffs):
     """sum_j coeffs[k, j] stack[j] for each row k of coeffs, its rank, and
     its kernel as the rows `ExactMatrix.rank_kernel` gives: one per free
-    column of the RREF, ascending, with the unit `one` there and minus the
+    column of the RREF, ascending, with the unit there and minus the
     reduced rows' entries in that column at the pivot columns.  Kernels
     are zero-padded to the largest nullity."""
-    mats = _matmul(ops, coeffs, stack.reshape(len(stack), -1)).reshape(
+    mats = _matmul(fc, coeffs, stack.reshape(len(stack), -1)).reshape(
         (len(coeffs),) + stack.shape[1:])
-    rank, red, piv = modnum.batch_rref_table(mats, ops)
+    rank, red, piv = modnum.batch_rref_table(mats, fc)
     n, r, c = red.shape
     row_of = np.clip(np.cumsum(piv, axis=1) - 1, 0, r - 1)
     # at_pivots[k, j, col]: the entry in column j of the row pivoting at col
     at_pivots = red[np.arange(n)[:, None], row_of].transpose(0, 2, 1)
-    full = np.where(piv[:, None, :], ops["sub"][0, at_pivots],
-                    np.eye(c, dtype=np.int64) * one)
+    full = np.where(piv[:, None, :], fc.sub(fc.zero, at_pivots),
+                    np.eye(c, dtype=np.int64) * fc.one)
     nullity = c - rank
     width = int(nullity.max()) if n else 0
     order = np.argsort(piv, axis=1, kind="stable")[:, :width]
@@ -227,50 +226,48 @@ def _kernels(ops, one, stack, coeffs):
     return mats, rank, kernel
 
 
-def _phi_bases(ops, one, stack, vs, params):
+def _phi_bases(fc, stack, vs, params):
     """The basis of U that `phi_fiber` (and `GrassmannLine.point_at` on a
     line) gives for each v: the kernel rows of f_v when rank f_v = 4; when
     it is 3, (v, s w1 + t w2) with (s, t) = params[k] and w1, w2 the rows
     of the RREF of Ker f_v other than the first one at whose pivot column
     v is nonzero (`pencil_line`)."""
-    add_t, mul_t = ops["add"], ops["mul"]
-    _, rank, kernel = _kernels(ops, one, stack, vs)
+    _, rank, kernel = _kernels(fc, stack, vs)
     bases = kernel[:, :2].copy()
     line = np.nonzero(rank == 3)[0]
     if line.size:
-        _, w, w_piv = modnum.batch_rref_table(kernel[line, :3], ops)
+        _, w, w_piv = modnum.batch_rref_table(kernel[line, :3], fc)
         pivots = np.argsort(~w_piv, axis=1, kind="stable")[:, :3]
         alphas = np.take_along_axis(vs[line], pivots, axis=1)
         others = np.array([[1, 2], [0, 2], [0, 1]])[(alphas != 0).argmax(1)]
         w1, w2 = np.moveaxis(
             np.take_along_axis(w, others[:, :, None], axis=1), 1, 0)
         s, t = params[line, :1], params[line, 1:]
-        bases[line] = np.stack([vs[line],
-                                add_t[mul_t[s, w1], mul_t[t, w2]]], axis=1)
+        bases[line] = np.stack(
+            [vs[line], fc.add(fc.mul(s, w1), fc.mul(t, w2))], axis=1)
     return bases
 
 
 class RankOracle:
     """The rank of the matrix a net assigns to each point of a projective
     space over a finite field: side "a" is f(a) = sum a_i F_i on P(A), side
-    "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for a
-    stack of matrices C_j read from the net's entries reduced into the field
-    one by one, without the independence check of `ANet`: in characteristic
-    2 a QQ net can reduce to a dependent family while its cubic stays fine,
-    and Pf is an integer polynomial in the entries, so the two agree.
+    "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for the
+    stack of code matrices C_j (`stack`) read from the net's entries
+    reduced into the field one by one, without the independence check of
+    `ANet`: in characteristic 2 a QQ net can reduce to a dependent family
+    while its cubic stays fine, and Pf is an integer polynomial in the
+    entries, so the two agree.
 
-    Over a field with `small_field_tables` the ranks of the whole space form
-    one int8 table in `enumerate_projective` order, built in chunks by
-    `batch_rank_table`.  A point's index is the offset of the block where
-    its leading 1 sits plus the base-q code of its normalized tail.  One
-    point's rank reads the table when the space has at most _TABLE_POINTS
-    points, and is computed from the stack otherwise; so are the ranks of
-    a batch of points (`ranks`)."""
+    Over a field of order <= `modnum.TABLE_ORDER` the ranks of the whole
+    space form one int8 table in `enumerate_projective` order, built in
+    chunks by `batch_rank_table`.  A point's index is the offset of the
+    block where its leading 1 sits plus the base-q code of its normalized
+    tail.  The ranks of a batch of points (`ranks`) read the table when the
+    space has at most _TABLE_POINTS points, and are computed from the stack
+    otherwise."""
 
     def __init__(self, net, field, side):
-        q = field.order
-        if q is None:
-            raise ValueError("rank tables need a finite field")
+        fc = self.fc = modnum.field_codes(field)
         mats = [[[reduce_value(x, net.field, field) for x in row]
                  for row in F.rows] for F in net.matrices]
         if side == "v":
@@ -278,13 +275,9 @@ class RankOracle:
         elif side != "a":
             raise ValueError("side must be 'a' or 'v'")
         self.field = field
-        self.stack = [ExactMatrix(field, m) for m in mats]
-        k = self.ncoords = len(mats)
+        self.stack = fc.encode(mats)
+        q, k = fc.q, len(mats)
         self.size = (q ** k - 1) // (q - 1)
-        try:
-            self.ops = modnum.small_field_tables(field)
-        except ValueError:
-            self.ops = None
         self._table = None
         # coordinate j weighs q^(k-1-j); block l (leading 1 at l) has
         # q^(k-1-l) points, and its tail is the coordinates after l
@@ -296,95 +289,62 @@ class RankOracle:
     def table(self):
         """The rank at every point, in enumeration order."""
         if self._table is None:
-            ops = self.ops
-            if ops is None:
+            if self.fc.q > modnum.TABLE_ORDER:
                 raise ValueError("no rank table over %s" % self.field)
             table = np.empty(self.size, dtype=np.int8)
             for lo in range(0, self.size, _CHUNK):
                 idx = np.arange(lo, min(self.size, lo + _CHUNK))
-                table[lo:lo + idx.size] = self._computed(ops,
-                                                         self._codes_at(idx))
+                table[lo:lo + idx.size] = self._computed(self._codes_at(idx))
             self._table = table
         return self._table
 
-    @property
-    def _tabulated(self):
-        """Whether a lookup reads the table (building it if need be)."""
-        return self._table is not None or (self.ops is not None
-                                           and self.size <= _TABLE_POINTS)
-
-    def _computed(self, ops, codes):
+    def _computed(self, codes):
         """The ranks of sum_j codes[k, j] C_j, from the stack."""
-        stack = self.codes(ops)
-        mats = _matmul(ops, codes, stack.reshape(len(stack), -1)).reshape(
-            (len(codes),) + stack.shape[1:])
-        return modnum.batch_rank_table(mats, ops)
-
-    def codes(self, ops):
-        """The stack as one int64 array of the codes of `ops`."""
-        enc = ops["encode"]
-        return np.array([[[enc[x] for x in row] for row in C.rows]
-                         for C in self.stack], dtype=np.int64)
+        mats = _matmul(self.fc, codes,
+                       self.stack.reshape(len(self.stack), -1)).reshape(
+            (len(codes),) + self.stack.shape[1:])
+        return modnum.batch_rank_table(mats, self.fc)
 
     def _codes_at(self, idx):
         """The normalized points at the given indices, as code rows."""
         lead = np.searchsorted(self._offsets, idx, side="right") - 1
         digits = (idx - self._offsets[lead])[:, None] // self._weights \
-            % self.field.order
+            % self.fc.q
         codes = np.where(self._tail[lead] > 0, digits, 0)
-        codes[np.arange(idx.size), lead] = \
-            self.ops["encode"][self.field.one_value]
+        codes[np.arange(idx.size), lead] = self.fc.one
         return codes
 
     def indices(self, codes):
         """Table indices of an (N, k) array of nonzero code rows."""
-        mul_t, inv_t = self.ops["mul"], self.ops["inv"]
         lead = (codes != 0).argmax(axis=1)
-        scale = inv_t[codes[np.arange(len(codes)), lead]]
-        normal = mul_t[scale[:, None], codes]
+        scale = self.fc.inv[codes[np.arange(len(codes)), lead]]
+        normal = self.fc.mul(scale[:, None], codes)
         return self._offsets[lead] + (normal * self._tail[lead]).sum(axis=1)
 
     def points(self, idx):
         """The points at the given indices, as payload tuples."""
-        decode = self.ops["decode"]
         codes = self._codes_at(np.asarray(idx, dtype=np.int64))
-        return [tuple(decode[c] for c in row) for row in codes.tolist()]
+        return [tuple(row) for row in self.fc.decode(codes)]
 
     def select(self, keep):
         """The points, in enumeration order, whose rank passes `keep`."""
-        if self.ops is None:
-            return [x for x in enumerate_projective(self.field,
-                                                    self.ncoords - 1)
-                    if keep(self.rank(x))]
         return self.points(np.nonzero(keep(self.table))[0])
 
     def ranks(self, codes):
-        """The ranks at an (N, k) array of nonzero code rows of
-        `modnum.field_ops`, read from the table where `rank` reads it, else
-        computed _CHUNK points at a time."""
-        if self._tabulated:
+        """The ranks at an (N, k) array of nonzero code rows, read from the
+        table when the space has at most _TABLE_POINTS points (or the table
+        is built), else computed _CHUNK points at a time."""
+        if self._table is not None or (self.fc.q <= modnum.TABLE_ORDER
+                                       and self.size <= _TABLE_POINTS):
             return self.table[self.indices(codes)]
-        ops = modnum.field_ops(self.field)
         out = np.empty(len(codes), dtype=np.int8)
         for lo in range(0, len(codes), _CHUNK):
-            out[lo:lo + _CHUNK] = self._computed(ops, codes[lo:lo + _CHUNK])
+            out[lo:lo + _CHUNK] = self._computed(codes[lo:lo + _CHUNK])
         return out
 
     def rank(self, x):
         """The rank at one nonzero point x, given by field payloads."""
-        f = self.field
-        if self._tabulated:
-            enc = self.ops["encode"]
-            codes = [enc[c] for c in x]
-            lead = next(j for j, c in enumerate(codes) if c)
-            scale = self.ops["mul"][self.ops["inv"][codes[lead]]]
-            tail = 0
-            for c in codes[lead + 1:]:
-                tail = tail * f.order + int(scale[c])
-            return int(self.table[int(self._offsets[lead]) + tail])
-        terms = [C.scale(c) for c, C in zip(x, self.stack)
-                 if not f.is_zero_value(c)]
-        return sum(terms[1:], terms[0]).rank()
+        return int(self.ranks(self.fc.encode([x]))[0])
 
 
 def rank_oracle(net, field, side):
@@ -532,13 +492,12 @@ def _x_points(net):
     f = net.field
     two_m = net.two_m
     oracle = rank_oracle(net, f, "v")
+    fc = oracle.fc
     candidates = np.nonzero(oracle.table <= two_m - 2)[0]
-    ops = oracle.ops
-    enc = ops["encode"]
     r1 = oracle._codes_at(candidates)
-    _, rank, kernel = _kernels(ops, enc[f.one_value], oracle.codes(ops), r1)
+    _, rank, kernel = _kernels(fc, oracle.stack, r1)
     nullity = two_m - rank
-    _, basis, piv = modnum.batch_rref_table(kernel, ops)
+    _, basis, piv = modnum.batch_rref_table(kernel, fc)
     lead = (r1 != 0).argmax(axis=1)
     # S: the last `dims` of the `nullity` rows of the RREF of the kernel
     dims = (piv & (np.arange(two_m)[None, :] > lead[:, None])).sum(axis=1)
@@ -547,9 +506,8 @@ def _x_points(net):
         sel = np.nonzero(dims == dim)[0]
         rows = (nullity[sel] - dim)[:, None] + np.arange(dim)
         span = np.take_along_axis(basis[sel], rows[:, :, None], axis=1)
-        alphas = np.array([[enc[x] for x in pt]
-                           for pt in enumerate_projective(f, dim - 1)])
-        r2 = _matmul(ops, alphas[None], span)
+        alphas = fc.encode(list(enumerate_projective(f, dim - 1)))
+        r2 = _matmul(fc, alphas[None], span)
         first = np.broadcast_to(r1[sel, None], r2.shape)
         ok = np.take_along_axis(first, (r2 != 0).argmax(axis=2)[:, :, None],
                                 axis=2)[:, :, 0] == 0
@@ -561,11 +519,8 @@ def _x_points(net):
     keys = np.concatenate([u2[:, ::-1], u1[:, ::-1],
                            (u2 != 0).argmax(axis=1)[:, None],
                            (u1 != 0).argmax(axis=1)[:, None]], axis=1)
-    decode = ops["decode"]
-    return [plucker_from_basis(ExactMatrix(f, [[decode[c] for c in row]
-                                               for row in pair]))
-            for pair in np.stack([u1, u2], axis=1)[np.lexsort(keys.T)]
-            .tolist()]
+    return [plucker_from_basis(ExactMatrix(f, pair)) for pair in fc.decode(
+        np.stack([u1, u2], axis=1)[np.lexsort(keys.T)])]
 
 
 # -- Q and C ------------------------------------------------------------------
@@ -671,28 +626,25 @@ def curve_fibers(net, points):
     rank f_c other than 3 is not on C and raises."""
     field = net.field
     oracle = rank_oracle(net, field, "v")
-    ops = oracle.ops
-    enc, decode = ops["encode"], ops["decode"]
-    one = enc[field.one_value]
-    stack = oracle.codes(ops)
-    vs = np.array([[enc[field.value_of(x)] for x in c] for c in points],
-                  dtype=np.int64)
-    _, rank, kernel = _kernels(ops, one, stack.transpose(0, 2, 1), vs)
+    fc, stack = oracle.fc, oracle.stack
+    vs = fc.encode([[field.value_of(x) for x in c] for c in points])
+    _, rank, kernel = _kernels(fc, stack.transpose(0, 2, 1), vs)
     if (rank != 3).any():
         raise ValueError("rank f_c = %d at a curve point, expected 3"
                          % rank[rank != 3][0])
-    params = np.repeat([[one, 0], [0, one]], len(vs), axis=0)
-    bases = _phi_bases(ops, one, stack, np.concatenate([vs, vs]), params)
-    f_u1 = _matmul(ops, bases[:, 0], stack.reshape(len(stack), -1))
-    forms = _matmul(ops, f_u1.reshape(len(bases), net.n, net.two_m),
+    params = np.repeat([[fc.one, fc.zero], [fc.zero, fc.one]], len(vs),
+                       axis=0)
+    bases = _phi_bases(fc, stack, np.concatenate([vs, vs]), params)
+    f_u1 = _matmul(fc, bases[:, 0], stack.reshape(len(stack), -1))
+    forms = _matmul(fc, f_u1.reshape(len(bases), net.n, net.two_m),
                     bases[:, 1, :, None])
     on_x = ~forms.reshape(2, len(vs), -1).any(axis=(0, 2))
-    _, keys, _ = modnum.batch_rref_table(kernel, ops)
+    _, keys, _ = modnum.batch_rref_table(kernel, fc)
 
     def decoded(pair):
-        return tuple(tuple(decode[c] for c in row) for row in pair)
+        return tuple(tuple(row) for row in pair)
     return [(bool(ok), decoded(line), decoded(key)) for ok, line, key
-            in zip(on_x, kernel.tolist(), keys.tolist())]
+            in zip(on_x, fc.decode(kernel), fc.decode(keys))]
 
 
 # -- lines and splitting types ------------------------------------------------
@@ -760,19 +712,17 @@ def find_lines_on_y(net, field):
             k += 1
         ext = GF(field.p, k)
     oracle = rank_oracle(net, ext, "a")
-    ops = oracle.ops
-    code = {e.value: ops["encode"][reduce_value(e.value, field, ext)]
-            for e in field.elements()}
-    one = ops["encode"][ext.one_value]
-    params = [(one, 0)] + [(x, one) for x in range(ext.order)]
-    add_t, mul_t = ops["add"], ops["mul"]
+    fc = oracle.fc
+    params = [(fc.one, fc.zero)] + [(x, fc.one) for x in range(fc.q)]
     out = []
     for chunk in _chunks(_echelon_pairs(net.n, field)):
-        r1 = np.array([[code[x] for x in a1] for a1, _ in chunk])
-        r2 = np.array([[code[x] for x in a2] for _, a2 in chunk])
+        pairs = chunk if ext == field else [
+            [[reduce_value(x, field, ext) for x in row] for row in pair]
+            for pair in chunk]
+        r1, r2 = np.moveaxis(fc.encode(pairs), 1, 0)
         on_y = np.ones(len(chunk), dtype=bool)
         for s, t in params:
-            pts = add_t[mul_t[s, r1], mul_t[t, r2]]
+            pts = fc.add(fc.mul(s, r1), fc.mul(t, r2))
             on_y &= oracle.table[oracle.indices(pts)] < net.two_m
         out.extend((tuple(a1), tuple(a2))
                    for (a1, a2), keep in zip(chunk, on_y) if keep)
@@ -837,19 +787,17 @@ def _x_masks(net, field, xs):
     rows of f(a) at a point of Y with rank f(a) = 2m-2 (kappa is undefined
     at deeper degeneracies)."""
     oracle = rank_oracle(net, field, "a")
-    ops, enc = oracle.ops, oracle.ops["encode"]
-    stack = oracle.codes(ops)
-    bases = np.array([[[enc[x] for x in row] for row in p.basis.rows]
-                      for p in xs], dtype=np.int64)
-    red, _, comp = _u_sides(ops, bases.reshape(len(xs), 2, net.two_m))
-    products = _matmul(ops, red[:, None], stack[None])
+    fc, stack = oracle.fc, oracle.stack
+    bases = fc.encode([p.basis.rows for p in xs])
+    red, _, comp = _u_sides(fc, bases.reshape(len(xs), 2, net.two_m))
+    products = _matmul(fc, red[:, None], stack[None])
     tangent = np.take_along_axis(products, comp[:, None, None, :], axis=3)
     sing = modnum.batch_rank_table(
-        tangent.reshape(len(xs), net.n, 2 * (net.two_m - 2)), ops) < net.n
+        tangent.reshape(len(xs), net.n, 2 * (net.two_m - 2)), fc) < net.n
     corank_two = oracle._codes_at(np.nonzero(oracle.table
                                              == net.two_m - 2)[0])
-    _, _, kernel = _kernels(ops, enc[field.one_value], stack, corank_two)
-    _, planes, _ = modnum.batch_rref_table(kernel[:, :2], ops)
+    _, _, kernel = _kernels(fc, stack, corank_two)
+    _, planes, _ = modnum.batch_rref_table(kernel[:, :2], fc)
     kappa_planes = {plane.tobytes() for plane in planes}
     return sing, [plane.tobytes() in kappa_planes for plane in red]
 

@@ -11,16 +11,27 @@ inside `rref_mod`, but up to the pivot count of a graded piece when
 T of its pivot rows alongside, and one blocked float64 update applies T - I
 to the columns outside the panel.  The RREF of a row space is unique, so the
 result is deterministic although pivot rows are picked up swap-compacted.
+
+Pointwise work over a small finite field runs on arrays of field codes.
+The code of an element is its index in `field.elements()`: the residue
+itself over GF(p), and over GF(p^k) the coefficient tuple read as base-p
+digits, first coefficient most significant; zero is code 0.  A field has
+codes when its order is at most TABLE_ORDER, or when it is a prime up to
+MAX_PRIME.  `FieldCodes` holds the arithmetic on codes and converts
+payloads to codes and back, and `_batch_rref` row-reduces stacks of small
+code matrices with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fields import GF
+
 MAX_PRIME = 46337  # (p-1)^2 must fit comfortably; see module docstring
 _PANEL = 64  # columns per Gauss-Jordan panel in rref_mod
 _COL_CHUNK = 2048  # columns per float64 matmul in addmul_mod
-_TABLE_ORDER = 64  # the largest field small_field_tables tabulates
+TABLE_ORDER = 64  # the largest field whose codes read operation tables
 
 _inv_tables = {}
 
@@ -146,11 +157,10 @@ def rref_mod(a, p):
     return piv_cols, basis
 
 
-def _batch_rref(m, mul, sub, inv):
+def _batch_rref(m, codes):
     """Reduced row echelon forms of a stack of small matrices (N x r x c)
-    by one vectorized pivot loop; mul(a, b) and sub(a, b) act elementwise
-    on arrays of field codes and inv[a] is the inverse code of a (inv[0] =
-    0).  Returns (ranks, reduced, pivots): the first ranks[k] rows of
+    of codes, by one vectorized pivot loop in the FieldCodes `codes`.
+    Returns (ranks, reduced, pivots): the first ranks[k] rows of
     reduced[k] are the RREF of matrix k with unit pivots, the rest are
     zero, and pivots[k] marks its pivot columns.
 
@@ -162,6 +172,7 @@ def _batch_rref(m, mul, sub, inv):
         raise ValueError("expected a 3d stack of matrices")
     m = m.copy()
     N, r, c = m.shape
+    mul, sub, inv = codes.mul, codes.sub, codes.inv
     rank = np.zeros(N, dtype=np.int64)
     pivots = np.zeros((N, c), dtype=bool)
     if N == 0 or r == 0 or c == 0:
@@ -196,96 +207,83 @@ def _batch_rref(m, mul, sub, inv):
     return rank, m, pivots
 
 
-def _batch_rank(m, mul, sub, inv):
-    """The ranks of `_batch_rref`."""
-    return _batch_rref(m, mul, sub, inv)[0]
-
-
 def batch_rank(mats, p):
     """Ranks of a stack of small matrices (N x r x c) mod p."""
-    _check_prime(p)
-    return _batch_rank(np.asarray(mats, dtype=np.int64) % p,
-                       lambda a, b: a * b % p, lambda a, b: (a - b) % p,
-                       inverse_table(p))
+    return _batch_rref(np.asarray(mats, dtype=np.int64) % p,
+                       field_codes(GF(p)))[0]
 
 
-def small_field_tables(field):
-    """Dense operation tables for a finite field of order <= _TABLE_ORDER.
+class FieldCodes:
+    """The code arithmetic of one finite field (see the module docstring):
+    `q` codes, the codes `zero` and `one`, `inv` with inv[a] the inverse
+    code of a (inv[0] = 0), and add, sub and mul, elementwise on arrays
+    of codes.  Over a field of order <= TABLE_ORDER they read operation
+    tables flattened, at a * q + b: one gather from a vector costs less
+    than numpy's two-index gather.  Over a larger prime they compute mod
+    p.  Any other field has no codes and raises ValueError."""
 
-    Elements are encoded as integer codes: the residue itself for GF(p),
-    base-p digits of the coefficient tuple for GF(p^k).  Returns a dict with
-    'add', 'sub', 'mul' (q x q int64 arrays), 'inv' (length q, inv[0] = 0),
-    and 'decode' (list mapping code -> payload).
-    """
-    q = field.order
-    if q is None or q > _TABLE_ORDER:
-        raise ValueError("need a finite field of order <= %d" % _TABLE_ORDER)
-    elements = [e.value for e in field.elements()]
-    code_of = {v: i for i, v in enumerate(elements)}
-    add = np.zeros((q, q), dtype=np.int64)
-    sub = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    inv = np.zeros(q, dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            add[i, j] = code_of[field.add(a, b)]
-            sub[i, j] = code_of[field.sub(a, b)]
-            mul[i, j] = code_of[field.mul(a, b)]
-        if not field.is_zero_value(a):
-            inv[i] = code_of[field.inv(a)]
-    return {"q": q, "add": add, "sub": sub, "mul": mul, "inv": inv,
-            "decode": elements, "encode": code_of}
+    def __init__(self, field):
+        q = self.q = field.order
+        if q is None or (q > TABLE_ORDER and field.kind != "GF(p)"):
+            raise ValueError("no code arithmetic over %s" % field)
+        self.zero = 0
+        self._digits = None  # the weights of a GF(p^k) payload's digits
+        if field.kind == "GF(p^k)":
+            self._digits = field.p ** np.arange(field.k - 1, -1, -1)
+        self.one = int(self.encode(field.one_value))
+        if q > TABLE_ORDER:
+            _check_prime(q)
+            self.inv = inverse_table(q)
+            self.add = lambda a, b: (a + b) % q
+            self.sub = lambda a, b: (a - b) % q
+            self.mul = lambda a, b: a * b % q
+            return
+        values = [e.value for e in field.elements()]
+        self._payloads = np.fromiter(values, dtype=object, count=q)
+        tables = np.zeros((3, q, q), dtype=np.int64)
+        self.inv = np.zeros(q, dtype=np.int64)
+        for i, a in enumerate(values):
+            for k, op in enumerate((field.add, field.sub, field.mul)):
+                tables[k, i] = self.encode([op(a, b) for b in values])
+            if i:
+                self.inv[i] = self.encode(field.inv(a))
+        add, sub, mul = tables.reshape(3, q * q)
+        self.add = lambda a, b: add[a * q + b]
+        self.sub = lambda a, b: sub[a * q + b]
+        self.mul = lambda a, b: mul[a * q + b]
 
+    def encode(self, rows):
+        """The int64 code array of payloads nested in equal-length lists."""
+        codes = np.asarray(rows, dtype=np.int64)
+        if self._digits is not None and codes.size:
+            codes = codes @ self._digits
+        return codes
 
-class _Residues:
-    """An elementwise operation mod p, indexed like an operation table:
-    t[a, b] = op(a, b) % p for arrays of residues."""
-
-    def __init__(self, op, p):
-        self.op = op
-        self.p = p
-
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.op(a, b) % self.p
-
-
-def field_ops(field):
-    """Code arithmetic for a finite field: the small_field_tables of a
-    field of order <= _TABLE_ORDER, and for a larger prime p the same keys
-    with the residues as codes and add, sub and mul computed mod p."""
-    q = field.order
-    if q is not None and q <= _TABLE_ORDER:
-        return small_field_tables(field)
-    if field.kind != "GF(p)":
-        raise ValueError("no code arithmetic over %s" % field)
-    _check_prime(q)
-    residues = range(q)
-    return {"q": q, "add": _Residues(np.add, q),
-            "sub": _Residues(np.subtract, q),
-            "mul": _Residues(np.multiply, q), "inv": inverse_table(q),
-            "decode": residues, "encode": residues}
+    def decode(self, codes):
+        """The payloads of a code array as nested lists, or of one code."""
+        if self.q > TABLE_ORDER:  # a residue is its own payload
+            return np.asarray(codes).tolist()
+        out = self._payloads[codes]
+        return out.tolist() if isinstance(out, np.ndarray) else out
 
 
-def lookup(tables, key):
-    """tables[key][a, b] as a function of two arrays of codes.  An
-    operation table is read flattened, at a * q + b: one gather from a
-    vector costs less than numpy's two-index gather."""
-    table, q = tables[key], tables["q"]
-    if isinstance(table, np.ndarray):
-        flat = table.ravel()
-        return lambda a, b: flat[a * q + b]
-    return lambda a, b: table[a, b]
+_field_codes = {}
 
 
-def batch_rref_table(mats, tables):
-    """`_batch_rref` of a stack of small matrices whose entries are field
-    codes, using tables from small_field_tables or field_ops."""
-    return _batch_rref(np.asarray(mats, dtype=np.int64),
-                       lookup(tables, "mul"), lookup(tables, "sub"),
-                       tables["inv"])
+def field_codes(field):
+    """The FieldCodes of a finite field, built once per field."""
+    codes = _field_codes.get(field)
+    if codes is None:
+        codes = _field_codes[field] = FieldCodes(field)
+    return codes
 
 
-def batch_rank_table(mats, tables):
+def batch_rref_table(mats, codes):
+    """`_batch_rref` of a stack of small matrices whose entries are codes
+    of the FieldCodes `codes`."""
+    return _batch_rref(np.asarray(mats, dtype=np.int64), codes)
+
+
+def batch_rank_table(mats, codes):
     """The ranks of `batch_rref_table`."""
-    return batch_rref_table(mats, tables)[0]
+    return batch_rref_table(mats, codes)[0]

@@ -464,8 +464,8 @@ class _MinorCodes:
     * QQ: integers, row i of the grid scaled by the lcm of its
       denominators; a minor is divided back by its rows' scales.
     * GF(p): residues, reduced mod p.
-    * GF(p^k): the `modnum.field_ops` table codes up to order 64; above
-      that, the payloads themselves through the field's own operations.
+    * GF(p^k): the `modnum.field_codes` up to order 64; above that, the
+      payloads themselves through the field's own operations.
 
     Integer codes are int64 where a bound proves that no level overflows:
     every partial sum in a k x k minor is at most k M B, with M the largest
@@ -493,12 +493,11 @@ class _MinorCodes:
             self.value = Fraction
         elif field.kind == "GF(p)":
             self.modulus = field.p
-        elif field.order <= modnum._TABLE_ORDER:
-            ops = modnum.field_ops(field)
-            self.add, self.sub, self.mul = (modnum.lookup(ops, key)
-                                            for key in ("add", "sub", "mul"))
-            self.encode = lambda c, i: ops["encode"][c]
-            self.value = lambda c, scale: ops["decode"][c]
+        elif field.order <= modnum.TABLE_ORDER:
+            fc = modnum.field_codes(field)
+            self.add, self.sub, self.mul = fc.add, fc.sub, fc.mul
+            self.encode = lambda c, i: fc.encode(c)
+            self.value = lambda c, scale: fc.decode(c)
             self.dtype = np.int64
         else:
             self.add, self.sub, self.mul = (

@@ -13,7 +13,7 @@ enumeration of Y x X over GF(2) and GF(3), seeded random sampling through
 the quartic hypersurface Q for larger fields.  A single failed pair is a
 hard failure; larger samples only ever widen coverage.
 
-The pairs of a plan are held as arrays of field codes (`modnum.field_ops`)
+The pairs of a plan are held as arrays of field codes (`modnum.FieldCodes`)
 and checked in vectorized blocks; only a failing pair becomes a Python
 record, with field payloads and Plucker coordinates.
 
@@ -79,7 +79,7 @@ class SamplePlan:
 
 class FiberRecords:
     """The fiber records of a list of pairs (a in Y, U in X), read by every
-    check, as arrays of field codes (`modnum.field_ops`).  The points a
+    check, as arrays of field codes (`modnum.FieldCodes`).  The points a
     come as code rows `a_codes`, the planes U as 2 x 2m code bases
     `bases`.  The a-sides are rank f(a) and the kernel rows of f(a)
     (`_kernels`); the U-sides are U's RREF basis `red`, its pivot columns
@@ -94,22 +94,21 @@ class FiberRecords:
 
     def __init__(self, net, a_codes, bases, a_idx, u_idx):
         field = self.field = net.field
-        ops = self.ops = modnum.field_ops(field)
+        fc = self.fc = modnum.field_codes(field)
         two_m = net.two_m
         self.a_codes = a_codes
         self.a_idx, self.u_idx = a_idx, u_idx
         fa, self.rank, self.kernel = _kernels(
-            ops, ops["encode"][field.one_value],
-            rank_oracle(net, field, "a").codes(ops), a_codes)
-        self.red, self.piv, self.comp = _u_sides(ops, bases)
+            fc, rank_oracle(net, field, "a").stack, a_codes)
+        self.red, self.piv, self.comp = _u_sides(fc, bases)
         self.uf = np.empty((len(a_idx), 2, two_m), dtype=np.int64)
         self.dim = np.empty(len(a_idx), dtype=np.int64)
         for lo, hi in self.blocks():
             ai, ui = a_idx[lo:hi], u_idx[lo:hi]
-            self.uf[lo:hi] = _matmul(ops, self.red[ui], fa[ai])
+            self.uf[lo:hi] = _matmul(fc, self.red[ui], fa[ai])
             stacked = np.concatenate([self.kernel[ai], self.red[ui]], axis=1)
             self.dim[lo:hi] = two_m - self.rank[ai] + 2 \
-                - modnum.batch_rank_table(stacked, ops)
+                - modnum.batch_rank_table(stacked, fc)
 
     def __len__(self):
         return len(self.a_idx)
@@ -124,19 +123,14 @@ class FiberRecords:
         return [(lo, min(len(self), lo + _CHUNK))
                 for lo in range(0, len(self), _CHUNK)]
 
-    def _decoded(self, codes):
-        decode = self.ops["decode"]
-        return [decode[c] for c in codes.tolist()]
-
     def point_a(self, k):
         """Pair k's a, as a tuple of field payloads."""
-        return tuple(self._decoded(self.a_codes[self.a_idx[k]]))
+        return tuple(self.fc.decode(self.a_codes[self.a_idx[k]]))
 
     def point_u(self, k):
         """Pair k's U, as the Plucker point of its reduced basis."""
-        red = self.red[self.u_idx[k]]
         return plucker_from_basis(ExactMatrix(
-            self.field, [self._decoded(row) for row in red]))
+            self.field, self.fc.decode(self.red[self.u_idx[k]])))
 
     def fail(self, report, k, reason):
         report.fail(self.point_a(k), self.point_u(k).coords, reason)
@@ -150,8 +144,7 @@ class WMembership:
         self.a = records.point_a(k)
         self.u_coords = records.point_u(k).coords
         self.rank = int(records.rank[records.a_idx[k]])
-        self.uf = ExactMatrix(records.field,
-                              [records._decoded(row) for row in records.uf[k]])
+        self.uf = ExactMatrix(records.field, records.fc.decode(records.uf[k]))
         self.intersection_dim = int(records.dim[k])
 
     @property
@@ -198,27 +191,20 @@ class JwReport:
             self.name, self.checked, self.on_w, self.passed)
 
 
-def _point_codes(ops, field, points):
-    """An (N, k) code array of points given by field values."""
-    enc = ops["encode"]
-    return np.array([[enc[field.value_of(x)] for x in pt] for pt in points],
-                    dtype=np.int64)
-
-
-def _plane_codes(ops, points):
+def _plane_codes(fc, points):
     """An (N, 2, 2m) code array of bases of Plucker points."""
-    return np.stack([_point_codes(
-        ops, p.field, (p.basis if p.basis is not None
-                       else plane_from_plucker(p)).rows) for p in points])
+    return fc.encode([(p.basis if p.basis is not None
+                       else plane_from_plucker(p)).rows for p in points])
 
 
 def w_membership(reduced, a, point):
     """The fiber record of one pair (a, U), U given by its Plucker point,
     over the net's own field."""
-    ops = modnum.field_ops(reduced.field)
+    field = reduced.field
+    fc = modnum.field_codes(field)
     only = np.zeros(1, dtype=np.int64)
-    return FiberRecords(reduced, _point_codes(ops, reduced.field, [a]),
-                        _plane_codes(ops, [point]), only, only)[0]
+    return FiberRecords(reduced, fc.encode([[field.value_of(x) for x in a]]),
+                        _plane_codes(fc, [point]), only, only)[0]
 
 
 def _jw_block(records, lo, hi, report):
@@ -226,20 +212,20 @@ def _jw_block(records, lo, hi, report):
     coordinates in V/U on the complement columns (the row minus its pivot
     entries times U's reduced rows), the second reads uf on the complement
     columns."""
-    ops, two_m = records.ops, records.uf.shape[2]
+    fc, two_m = records.fc, records.uf.shape[2]
     ai, ui = records.a_idx[lo:hi], records.u_idx[lo:hi]
     red, comp, uf = records.red[ui], records.comp[ui], records.uf[lo:hi]
     kernel, rank, dim = records.kernel[ai], records.rank[ai], \
         records.dim[lo:hi]
-    gram = _matmul(ops, uf, red.transpose(0, 2, 1)).any(axis=(1, 2))
+    gram = _matmul(fc, uf, red.transpose(0, 2, 1)).any(axis=(1, 2))
     lead = np.take_along_axis(kernel, records.piv[ui][:, None, :], axis=2)
-    lifted = ops["sub"][kernel, _matmul(ops, lead, red)]
+    lifted = fc.sub(kernel, _matmul(fc, lead, red))
     first = np.take_along_axis(lifted, comp[:, None, :], axis=2)
     second = np.take_along_axis(uf, comp[:, None, :], axis=2)
-    composite = _matmul(ops, second, first.transpose(0, 2, 1)) \
+    composite = _matmul(fc, second, first.transpose(0, 2, 1)) \
         .any(axis=(1, 2))
-    r1 = modnum.batch_rank_table(first, ops)
-    r2 = modnum.batch_rank_table(second, ops)
+    r1 = modnum.batch_rank_table(first, fc)
+    r2 = modnum.batch_rank_table(second, fc)
     # the first failing check of each pair, in the order they are proved:
     # f(a) has corank 2 and vanishes on U x U, Ker f(a) -> V/U -> U* is a
     # complex, exact off W and of corank one on W
@@ -282,9 +268,8 @@ def _build_pairs(net, plan):
     if not ys or not xs:
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    ops = modnum.field_ops(field)
-    return FiberRecords(reduced, _point_codes(ops, field, ys),
-                        _plane_codes(ops, xs),
+    fc = modnum.field_codes(field)
+    return FiberRecords(reduced, fc.encode(ys), _plane_codes(fc, xs),
                         np.repeat(np.arange(len(ys)), len(xs)),
                         np.tile(np.arange(len(xs)), len(ys)))
 
@@ -331,12 +316,10 @@ def _random_pairs(net, plan):
     reduced = net.over(field)
     on_y = rank_oracle(reduced, field, "a")
     on_q = rank_oracle(reduced, field, "v")
-    ops = modnum.field_ops(field)
-    enc = ops["encode"]
-    q = field.order
-    codes = np.array([enc[x] for x in _element_values(field)],
-                     dtype=np.int64)
-    zero, one = enc[field.zero_value], enc[field.one_value]
+    fc = on_q.fc
+    q = fc.q
+    codes = fc.encode(_element_values(field))
+    zero, one = fc.zero, fc.one
     pencil = [(one, c) for c in codes.tolist()] + [(zero, one)]
     elem_shift, pencil_shift = 32 - q.bit_length(), 32 - (q + 1).bit_length()
     budget = _TRY_FACTOR * plan.count * max(4, q)
@@ -400,8 +383,7 @@ def _random_pairs(net, plan):
             else:
                 phase = "pencil"
         words = words[cursor:]
-    bases = _phi_bases(ops, one, on_q.codes(ops),
-                       np.array(v_rows, dtype=np.int64),
+    bases = _phi_bases(fc, on_q.stack, np.array(v_rows, dtype=np.int64),
                        np.array(params, dtype=np.int64))
     return np.array(a_rows, dtype=np.int64), bases
 
@@ -428,8 +410,7 @@ def jw1_section_check(net, plan):
     report = JwReport("jw1_section_check", plan)
     f = plan.field
     records = _pairs(net, plan)
-    ops = records.ops
-    add_t, mul_t, enc = ops["add"], ops["mul"], ops["encode"]
+    fc = records.fc
     elements = _element_values(f)
     if plan.mode == "enumerate":
         params = [(f.one_value, f.zero_value)] \
@@ -439,15 +420,15 @@ def jw1_section_check(net, plan):
             + [(f.zero_value, f.one_value)]
         rng = random.Random(plan.seed + 1)
         params = [rng.choice(one_v) for _ in range(len(records))]
-    params = np.array([[enc[s], enc[t]] for s, t in params], dtype=np.int64)
+    params = fc.encode(params)
     probes = len(params) if plan.mode == "enumerate" else 1
     for lo, hi in records.blocks():
         # st[k, j]: probe j of pair k; one probe list for all when enumerating
         st = params[None] if plan.mode == "enumerate" \
             else params[lo:hi, None]
         uf = records.uf[lo:hi]
-        row = add_t[mul_t[st[..., :1], uf[:, None, 0]],
-                    mul_t[st[..., 1:], uf[:, None, 1]]]
+        row = fc.add(fc.mul(st[..., :1], uf[:, None, 0]),
+                     fc.mul(st[..., 1:], uf[:, None, 1]))
         comp = records.comp[records.u_idx[lo:hi]]
         hf_zero = ~np.take_along_axis(row, comp[:, None, :], axis=2) \
             .any(axis=2)

@@ -9,9 +9,7 @@ compare the two."""
 import itertools
 import random
 
-import numpy as np
-
-from pfaffian_nets import modnum, verify
+from pfaffian_nets import verify
 from pfaffian_nets.correspondence import (FvMatrix, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle)
 from pfaffian_nets.grassmann import pair_indices
@@ -162,11 +160,10 @@ def random_pairs(net, plan):
                                  + [(zero, one)])
 
     draws = [(draw_a(), draw_v()) for _ in range(plan.count)]
-    ops = modnum.field_ops(field)
-    enc = ops["encode"]
+    fc = on_q.fc
     a_codes, vs, params = (
-        np.array([[enc[x] for x in row] for row in rows], dtype=np.int64)
-        for rows in ([a for a, _ in draws], [v for _, (v, _) in draws],
-                     [st for _, (_, st) in draws]))
-    bases = _phi_bases(ops, enc[one], on_q.codes(ops), vs, params)
+        fc.encode(rows) for rows in ([a for a, _ in draws],
+                                     [v for _, (v, _) in draws],
+                                     [st for _, (_, st) in draws]))
+    bases = _phi_bases(fc, on_q.stack, vs, params)
     return a_codes, bases, params

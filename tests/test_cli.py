@@ -320,7 +320,8 @@ class TestErrors:
                              ids=["pipeline", "verify"])
     @pytest.mark.parametrize("option, value", [
         ("samples", "0"), ("degree-cap", "-1"), ("prime", "46349"),
-        ("prime", "32004"), ("prime", "1")])
+        ("prime", "32004"), ("prime", "1"), ("fields", "101"),
+        ("fields", "81")])
     @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
     def test_out_of_range_option(self, fixture_path, monkeypatch, capsys,
                                  command, option, value, from_env):

@@ -520,9 +520,9 @@ class TestCurveFibers:
         k = next(k for k in range(6) if any(row[k] for row in fc.rows))
         real = correspondence._phi_bases
 
-        def moved(ops, one, stack, vs, params):
-            bases = real(ops, one, stack, vs, params)
-            bases[len(low), 1] = np.eye(6, dtype=np.int64)[k] * one
+        def moved(fc, stack, vs, params):
+            bases = real(fc, stack, vs, params)
+            bases[len(low), 1] = np.eye(6, dtype=np.int64)[k] * fc.one
             return bases
         monkeypatch.setattr(correspondence, "_phi_bases", moved)
         assert [on_x for on_x, _, _ in curve_fibers(net3, low)] \
@@ -641,10 +641,9 @@ class TestRankOracle:
             c = scalars[i % len(scalars)]
             scaled = [field.mul(c, x) for x in v]
             assert oracle.rank(scaled) == oracle.table[i]
-        enc = modnum.field_ops(field)["encode"]
-        scaled = [[enc[field.mul(scalars[i % len(scalars)], x)] for x in v]
+        scaled = [[field.mul(scalars[i % len(scalars)], x) for x in v]
                   for i, v in enumerate(pts)]
-        assert oracle.ranks(np.array(scaled)).tolist() \
+        assert oracle.ranks(oracle.fc.encode(scaled)).tolist() \
             == oracle.table.tolist()
 
     def test_direct_ranks_beyond_the_table(self, pinned):
@@ -716,18 +715,15 @@ class TestRankOracle:
         # so the coordinates p_jk = u1_j u2_k - u1_k u2_j are formed on codes
         field = GF(2, 2)
         reduced = pinned.over(field)
-        ops = modnum.small_field_tables(field)
-        enc, add, sub, mul = (ops["encode"], ops["add"], ops["sub"],
-                              ops["mul"])
+        fc = modnum.field_codes(field)
         pairs, _ = pair_indices(6)
         rows = list(_echelon_pairs(6, field))
-        u1 = np.array([[enc[x] for x in r1] for r1, _ in rows])
-        u2 = np.array([[enc[x] for x in r2] for _, r2 in rows])
+        u1, u2 = np.moveaxis(fc.encode(rows), 1, 0)
         forms = np.zeros((len(rows), 5), dtype=np.int64)
         for i, j in pairs:
-            p = sub[mul[u1[:, i], u2[:, j]], mul[u1[:, j], u2[:, i]]]
-            coeffs = np.array([enc[F.rows[i][j]] for F in reduced.matrices])
-            forms = add[forms, mul[p[:, None], coeffs[None, :]]]
+            p = fc.sub(fc.mul(u1[:, i], u2[:, j]), fc.mul(u1[:, j], u2[:, i]))
+            coeffs = fc.encode([F.rows[i][j] for F in reduced.matrices])
+            forms = fc.add(forms, fc.mul(p[:, None], coeffs[None, :]))
         expected = [plucker_from_basis(ExactMatrix(field, list(r)))
                     for r, off in zip(rows, forms.any(axis=1)) if not off]
         assert expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfaffian_nets import modnum
+from pfaffian_nets.fields import GF
 
 
 def naive_rref(a, p):
@@ -170,7 +171,7 @@ def test_batch_rank_table_matches_exact():
     from pfaffian_nets.fields import GF
     from pfaffian_nets.matrices import ExactMatrix
     for field in (GF(5), GF(3, 2), GF(2, 3)):
-        t = modnum.small_field_tables(field)
+        fc = modnum.field_codes(field)
         rng = random.Random(7)
         mats, exact = [], []
         for _ in range(60):
@@ -183,8 +184,8 @@ def test_batch_rank_table_matches_exact():
                                          for _ in range(6)] for _ in range(2)])
                 em = a @ b
             exact.append(em.rank())
-            mats.append([[t["encode"][v] for v in row] for row in em.rows])
-        got = modnum.batch_rank_table(np.array(mats), t)
+            mats.append(em.rows)
+        got = modnum.batch_rank_table(fc.encode(mats), fc)
         assert got.tolist() == exact
 
 
@@ -195,8 +196,7 @@ def test_batch_rref_table_matches_exact_rref(q):
     from pfaffian_nets.fields import GF
     from pfaffian_nets.matrices import ExactMatrix
     field = GF(*q)
-    ops = modnum.field_ops(field)
-    enc, decode = ops["encode"], ops["decode"]
+    fc = modnum.field_codes(field)
     rng = random.Random(13)
     shapes = [(5, 6), (6, 6), (2, 6), (8, 6), (3, 2)]
     for nrows, ncols in shapes:
@@ -214,16 +214,14 @@ def test_batch_rref_table_matches_exact_rref(q):
                                         for _ in range(cap)])
                 rows = (a @ b).rows
             mats.append(ExactMatrix(field, rows))
-        codes = np.array([[[enc[v] for v in row] for row in m.rows]
-                          for m in mats], dtype=np.int64)
-        ranks, reduced, pivots = modnum.batch_rref_table(codes, ops)
-        assert ranks.tolist() == modnum.batch_rank_table(codes, ops).tolist()
+        codes = fc.encode([m.rows for m in mats])
+        ranks, reduced, pivots = modnum.batch_rref_table(codes, fc)
+        assert ranks.tolist() == modnum.batch_rank_table(codes, fc).tolist()
         for m, rank, red, mask in zip(mats, ranks, reduced, pivots):
             piv, basis = m.rref()
             assert rank == len(piv)
             assert np.nonzero(mask)[0].tolist() == piv
-            assert [[decode[c] for c in row]
-                    for row in red[:rank].tolist()] == basis.rows
+            assert fc.decode(red[:rank]) == basis.rows
             assert not red[rank:].any()
 
 
@@ -250,8 +248,7 @@ def test_batch_rref_matches_naive_oracle(p, shape):
             for _ in range(8)]
     for stack in (np.array(mats, dtype=np.int64), np.array(eyes)):
         ranks, reduced, pivots = modnum._batch_rref(
-            stack, lambda a, b: a * b % p, lambda a, b: (a - b) % p,
-            modnum.inverse_table(p))
+            stack, modnum.field_codes(GF(p)))
         for mat, rank, red, mask in zip(stack, ranks, reduced, pivots):
             piv, basis = naive_rref(mat.tolist(), p)
             assert rank == len(piv)
@@ -261,27 +258,45 @@ def test_batch_rref_matches_naive_oracle(p, shape):
     assert (ranks == min(nrows, ncols)).all()
 
 
-def test_field_ops_residues_match_the_field():
-    from pfaffian_nets.fields import GF
-    field = GF(101)
-    ops = modnum.field_ops(field)
-    a = np.arange(101)[:, None]
-    b = np.arange(101)[None, :]
-    for key, op in (("add", field.add), ("sub", field.sub),
-                    ("mul", field.mul)):
-        table = ops[key][a, b]
-        assert all(table[x, y] == op(x, y) for x in range(0, 101, 7)
-                   for y in range(0, 101, 5))
-    assert ops["mul"][np.arange(1, 101), ops["inv"][1:]].tolist() \
-        == [1] * 100
-    with pytest.raises(ValueError):
-        modnum.field_ops(GF(11, 2))
+@pytest.mark.parametrize("q", [(2, 1), (2, 2), (7, 1), (2, 3), (3, 2),
+                               (2, 6), (101, 1), (32003, 1)], ids=str)
+def test_field_codes_match_the_field(q):
+    """add, sub and mul against the field's own operations on sampled
+    pairs, with inv, zero, one and the encode/decode round trip; tables up
+    to order 64, residues above."""
+    field = GF(*q)
+    fc = modnum.field_codes(field)
+    assert fc.q == field.order and modnum.field_codes(field) is fc
+    rng = random.Random(q[0] * 10 + q[1])
+    values = [field.random(rng).value for _ in range(120)]
+    values += [field.zero_value, field.one_value]
+    codes = fc.encode(values)
+    assert fc.decode(codes) == values
+    assert [fc.decode(int(c)) for c in codes[-4:]] == values[-4:]
+    assert (fc.decode(fc.zero), fc.decode(fc.one)) \
+        == (field.zero_value, field.one_value)
+    a, b = codes[:, None], codes[None, :]
+    for op, exact in ((fc.add, field.add), (fc.sub, field.sub),
+                      (fc.mul, field.mul)):
+        assert fc.decode(op(a, b)) == [[exact(x, y) for y in values]
+                                       for x in values]
+    nonzero = [(c, x) for c, x in zip(codes.tolist(), values)
+               if not field.is_zero_value(x)]
+    assert [fc.decode(int(fc.inv[c])) for c, _ in nonzero] \
+        == [field.inv(x) for _, x in nonzero]
+    assert fc.inv[fc.zero] == 0
+    # a stack round-trips with its shape, payload tuples of GF(p^k) included
+    stack = [[values[:6], values[6:12]], [values[12:18], values[18:24]]]
+    assert fc.encode(stack).shape == (2, 2, 6)
+    assert fc.decode(fc.encode(stack)) == stack
 
 
-def test_small_field_tables_guard():
-    from pfaffian_nets.fields import GF
+@pytest.mark.parametrize("q", [(3, 4), (11, 2), (46349, 1)], ids=str)
+def test_field_codes_refuse_fields_without_codes(q):
+    """GF(81) and GF(121) are past the tables and not prime; 46349 is past
+    MAX_PRIME."""
     with pytest.raises(ValueError):
-        modnum.small_field_tables(GF(32003))
+        modnum.field_codes(GF(*q))
 
 
 def monomial_values(points, exps, p):

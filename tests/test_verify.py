@@ -151,11 +151,9 @@ def evaluating_sampler(reduced, plan):
 def decoded_pairs(field, a_codes, bases):
     """Sampled pairs as payloads: a as a tuple, U as the Plucker point of
     its basis."""
-    decode = modnum.field_ops(field)["decode"]
-    return [(tuple(decode[c] for c in a),
-             plucker_from_basis(ExactMatrix(
-                 field, [[decode[c] for c in row] for row in basis])))
-            for a, basis in zip(a_codes.tolist(), bases.tolist())]
+    fc = modnum.field_codes(field)
+    return [(tuple(a), plucker_from_basis(ExactMatrix(field, basis)))
+            for a, basis in zip(fc.decode(a_codes), fc.decode(bases))]
 
 
 class TestSamplerOracle:
@@ -177,6 +175,32 @@ class TestSamplerOracle:
         for side in ("a", "v"):
             oracle = rank_oracle(reduced, field, side)
             assert (oracle._table is not None) == tabulated
+
+    def test_codes_and_stacks_are_built_once(self, monkeypatch):
+        """On a fresh net, the GF(7) f_v table (10 chunks of 2048 points)
+        and the GF(7) plan's pairs build one FieldCodes and encode each
+        oracle's stack once, not once per chunk."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        monkeypatch.setattr(modnum, "_field_codes", {})
+        built, stacks = [], []
+        init, encode = modnum.FieldCodes.__init__, modnum.FieldCodes.encode
+
+        def counted_init(self, field):
+            built.append(field)
+            init(self, field)
+
+        def counted_encode(self, rows):
+            codes = encode(self, rows)
+            if codes.ndim == 3:
+                stacks.append(codes.shape)
+            return codes
+        monkeypatch.setattr(modnum.FieldCodes, "__init__", counted_init)
+        monkeypatch.setattr(modnum.FieldCodes, "encode", counted_encode)
+        field = GF(7)
+        assert rank_oracle(net.over(field), field, "v").table.size == 19608
+        assert len(verify._pairs(net, SamplePlan(field, count=100))) == 100
+        assert built == [field]
+        assert sorted(stacks) == [(5, 6, 6), (6, 5, 6)]
 
 
 class TestSamplerReplay:
@@ -481,10 +505,10 @@ class TestBatchedRecords:
         pairs = [(a, u) for a in a_points for u in u_points]
         a_idx = np.repeat(np.arange(len(a_points)), len(u_points))
         u_idx = np.tile(np.arange(len(u_points)), len(a_points))
-        ops = modnum.field_ops(field)
+        fc = modnum.field_codes(field)
         records = verify.FiberRecords(
-            reduced, verify._point_codes(ops, field, a_points),
-            verify._plane_codes(ops, u_points), a_idx, u_idx)
+            reduced, fc.encode(a_points), verify._plane_codes(fc, u_points),
+            a_idx, u_idx)
         refs = reference_records(reduced, pairs)
         assert _rows(records) == _rows(refs)
         monkeypatch.setattr(verify, "_pairs", lambda net, plan: records)
@@ -528,14 +552,10 @@ class TestPhiBases:
                 st.append((s, t))
                 expected.append(line.point_at(s, t).basis.rows)
         assert low.size and high.size
-        ops = modnum.field_ops(field)
-        enc, decode = ops["encode"], ops["decode"]
-        bases = correspondence._phi_bases(
-            ops, enc[field.one_value], oracle.codes(ops),
-            np.array([[enc[x] for x in v] for v in vs]),
-            np.array([[enc[x] for x in p] for p in st]))
-        assert [[[decode[c] for c in row] for row in b]
-                for b in bases.tolist()] == expected
+        fc = oracle.fc
+        bases = correspondence._phi_bases(fc, oracle.stack, fc.encode(vs),
+                                          fc.encode(st))
+        assert fc.decode(bases) == expected
 
 
 class TestJw1:
@@ -560,7 +580,7 @@ class TestJw1:
         jw's memoized records."""
         calls = {}
         # verify and correspondence each call _kernels under their own name
-        targets = [(verify, "_kernels", 3), (correspondence, "_kernels", 3),
+        targets = [(verify, "_kernels", 2), (correspondence, "_kernels", 2),
                    (verify, "_u_sides", 1),
                    (correspondence, "phi_fiber", None),
                    (ANet, "f_at", None), (ExactMatrix, "rref", None)]
