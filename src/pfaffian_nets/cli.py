@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -38,6 +39,7 @@ FIXTURE_SCHEMA = "pfaffian-net-fixture/1"
 REPORT_SCHEMA = "pfaffian-net-report/1"
 ENV_PREFIX = "PFAFFIAN_NETS_"
 HILBERT_CAP = 9  # the curve fit stabilizes at t = 4; margin, then stop
+MAX_TABLE_POINTS = 2_000_000  # the largest rank table a --fields entry needs
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 
@@ -159,15 +161,24 @@ def _resolve(args, attr, env, default, conv=None):
     return conv(v) if conv else v
 
 
-def _options(args):
+def _options(args, net):
+    """The run's options; a field whose rank tables over P(A) or P(V) of
+    `net` cannot be built is an input error."""
     fields_spec = _resolve(args, "fields", "FIELDS", "2,3")
-    tokens = [t for t in str(fields_spec).split(",") if t]
+    # a comma inside parentheses belongs to a name such as GF(3,2)
+    tokens = [t for t in re.split(r",(?![^()]*\))", str(fields_spec)) if t]
     fields = [_field_from_token(t) for t in tokens]
+    dim = max(net.n, net.two_m) - 1
     for tok, field in zip(tokens, fields):
         if field.order > TABLE_ORDER:
             raise ValueError("field %r: %s has more than %d elements, the "
                              "most with rank tables"
                              % (tok, field, TABLE_ORDER))
+        points = (field.order ** (dim + 1) - 1) // (field.order - 1)
+        if points > MAX_TABLE_POINTS:
+            raise ValueError("field %r: the rank table over P^%d(%s) would "
+                             "have %d points, more than %d"
+                             % (tok, dim, field, points, MAX_TABLE_POINTS))
     prime = _resolve(args, "prime", "PRIME", DEFAULT_PRIME, int)
     cap = _resolve(args, "degree_cap", "DEGREE_CAP", DEFAULT_DEGREE_CAP, int)
     samples = _resolve(args, "samples", "SAMPLES", 1000, int)
@@ -470,8 +481,7 @@ _EXIT_BY_VERDICT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
 def cmd_pipeline(args):
     try:
         doc = _read_json(args.fixture)
-        opts = _options(args)
-        net_from_fixture(doc)
+        opts = _options(args, net_from_fixture(doc))
     except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
@@ -488,8 +498,8 @@ def cmd_verify(args):
         return EXIT_INPUT
     try:
         doc = _read_json(args.fixture)
-        opts = _options(args)
         net = net_from_fixture(doc)
+        opts = _options(args, net)
     except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

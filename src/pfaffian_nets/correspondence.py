@@ -23,9 +23,8 @@ from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal)
-from .matrices import ExactMatrix, pfaffian_scalar
-from .multipoly import (MultiPoly, SkewPolyMatrix, exact_divide, minor_polys,
-                        pfaffian_poly)
+from .matrices import ExactMatrix
+from .multipoly import MultiPoly, SkewPolyMatrix, minor_polys, pfaffian_poly
 
 
 class ANet:
@@ -34,7 +33,8 @@ class ANet:
 
     A net is never changed after construction, so it owns what is derived
     from it: `derived` builds each object (the cubic, the quartic, the f_v
-    grid, point sets, reductions to other fields) once per instance."""
+    grid, point sets, reductions to other fields) once per instance, and
+    makes an array it keeps read-only, as every caller shares it."""
 
     def __init__(self, field, matrices):
         if not matrices:
@@ -63,7 +63,9 @@ class ANet:
         """The value of `build()`, built once per key for this net; a build
         that raises is not remembered and raises again on the next call."""
         if key not in self._derived:
-            self._derived[key] = build()
+            value = self._derived[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         return self._derived[key]
 
     def over(self, field):
@@ -326,10 +328,6 @@ class RankOracle:
         codes = self._codes_at(np.asarray(idx, dtype=np.int64))
         return [tuple(row) for row in self.fc.decode(codes)]
 
-    def select(self, keep):
-        """The points, in enumeration order, whose rank passes `keep`."""
-        return self.points(np.nonzero(keep(self.table))[0])
-
     def ranks(self, codes):
         """The ranks at an (N, k) array of nonzero code rows, read from the
         table when the space has at most _TABLE_POINTS points (or the table
@@ -445,37 +443,25 @@ def y_ideal(net):
     return HomogeneousIdeal(net.field, net.n, [pfaffian_hypersurface(net)])
 
 
-def kappa(net, a):
-    """Kernel of f(a) as a Plucker point, for a on Y with the expected
-    corank 2."""
-    fa = net.f_at(a)
-    if net.field.characteristic != 2:
-        if pfaffian_scalar(fa):
-            raise ValueError("point is not on the Pfaffian hypersurface")
-    rank, kern = fa.rank_kernel()
-    if rank != net.two_m - 2:
-        raise ValueError("rank f(a) = %d, expected %d (irregular point)"
-                         % (rank, net.two_m - 2))
-    return plucker_from_basis(kern.transpose())
-
-
 def y_points(net, field):
-    """All points of Y over a small finite field, in enumeration order: the
-    a with rank f(a) < 2m, because Pf^2 = det."""
+    """All points of Y over a small finite field, in enumeration order, as
+    a read-only (N, n) code array: the a with rank f(a) < 2m, as Pf^2 =
+    det."""
     def build():
         pfaffian_hypersurface(net)  # a degenerate net raises here
-        return rank_oracle(net, field, "a").select(
-            lambda rank: rank < net.two_m)
-    return list(net.derived(("y_points", field), build))
+        oracle = rank_oracle(net, field, "a")
+        return oracle._codes_at(np.nonzero(oracle.table < net.two_m)[0])
+    return net.derived(("y_points", field), build)
 
 
 # -- X side -------------------------------------------------------------------
 
 def x_points(net, field):
-    """All Grassmannian points killed by the net's linear forms over a small
-    field, in the echelon order of `enumerate_grassmannian`."""
+    """All planes of X over a small finite field, in the echelon order of
+    `enumerate_grassmannian`, as a read-only (N, 2, 2m) int64 code array of
+    their reduced echelon bases."""
     reduced = net.over(field)
-    return list(reduced.derived("x_points", lambda: _x_points(reduced)))
+    return reduced.derived("x_points", lambda: _x_points(reduced))
 
 
 def _x_points(net):
@@ -487,8 +473,8 @@ def _x_points(net):
     leading column c1 of r1, with r1 zero at the leading column of r2.  S
     is spanned by the rows of the RREF of Ker f_r1 that pivot after c1.
     So the planes are read off the points of the f_v rank table where
-    dim Ker f_v >= 2, sorted into `_echelon_pairs` order, and only they
-    become Plucker points."""
+    dim Ker f_v >= 2, and their bases are sorted into `_echelon_pairs`
+    order."""
     f = net.field
     two_m = net.two_m
     oracle = rank_oracle(net, f, "v")
@@ -514,13 +500,12 @@ def _x_points(net):
         firsts.append(first[ok])
         seconds.append(r2[ok])
     if not firsts:
-        return []
+        return np.zeros((0, 2, two_m), dtype=np.int64)
     u1, u2 = np.concatenate(firsts), np.concatenate(seconds)
     keys = np.concatenate([u2[:, ::-1], u1[:, ::-1],
                            (u2 != 0).argmax(axis=1)[:, None],
                            (u1 != 0).argmax(axis=1)[:, None]], axis=1)
-    return [plucker_from_basis(ExactMatrix(f, pair)) for pair in fc.decode(
-        np.stack([u1, u2], axis=1)[np.lexsort(keys.T)])]
+    return np.stack([u1, u2], axis=1)[np.lexsort(keys.T)]
 
 
 # -- Q and C ------------------------------------------------------------------
@@ -528,7 +513,7 @@ def _x_points(net):
 def q_quartic(net, normalize=True):
     """The quartic image of the projection from P_X(U) to P(V): each maximal
     minor of the f_v matrix factors as Delta_i = (-1)^i Q v_i, and the six
-    divisions must agree."""
+    divisions, each lowering the exponent e_i of every term, must agree."""
     return net.derived(("quartic", normalize),
                        lambda: _quartic(net, normalize))
 
@@ -538,6 +523,7 @@ def _quartic(net, normalize):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
     # the column combinations come in lexicographic order, so the one that
     # leaves out column i is at position 5 - i
+    f = net.field
     minors = minor_polys(FvMatrix(net).grid, 5)
     quotient = None
     found = 0
@@ -545,10 +531,12 @@ def _quartic(net, normalize):
         delta = minors[5 - i]
         if delta.is_zero():
             continue
-        vi = MultiPoly.variable(net.field, 6, i)
-        qi = exact_divide(delta, vi)
-        if i % 2 == 1:
-            qi = -qi
+        if not all(e[i] for e in delta.terms):
+            raise ValueError("v_%d does not divide the maximal minor "
+                             "without column %d" % (i, i))
+        qi = MultiPoly._raw(f, 6, {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                   f.neg(c) if i % 2 else c
+                                   for e, c in delta.terms.items()})
         if quotient is None:
             quotient = qi
         elif quotient != qi:
@@ -779,51 +767,56 @@ class NetClassification:
                    sorted(self.per_field)))
 
 
-def _x_masks(net, field, xs):
-    """Two masks over the planes xs of X over a small field, both read on
-    code arrays.  sing(X): the n x 2(2m-2) matrix of a |-> f(a) restricted
-    to U x (V/U), row i the products red @ F_i on U's complement columns,
-    drops below rank n.  kappa(Y): U's RREF is that of the first two kernel
-    rows of f(a) at a point of Y with rank f(a) = 2m-2 (kappa is undefined
-    at deeper degeneracies)."""
+def _x_masks(net, field, bases):
+    """Two masks over the code bases of X's planes over a small field (as
+    `x_points` gives them).  sing(X): the n x 2(2m-2) matrix of a |-> f(a)
+    restricted to U x (V/U), row i the products red @ F_i on U's complement
+    columns, drops below rank n.  kappa(Y): U's RREF is that of the first
+    two kernel rows of f(a) at a point of Y with rank f(a) = 2m-2 (kappa is
+    undefined at deeper degeneracies)."""
     oracle = rank_oracle(net, field, "a")
     fc, stack = oracle.fc, oracle.stack
-    bases = fc.encode([p.basis.rows for p in xs])
-    red, _, comp = _u_sides(fc, bases.reshape(len(xs), 2, net.two_m))
+    red, _, comp = _u_sides(fc, bases)
     products = _matmul(fc, red[:, None], stack[None])
     tangent = np.take_along_axis(products, comp[:, None, None, :], axis=3)
     sing = modnum.batch_rank_table(
-        tangent.reshape(len(xs), net.n, 2 * (net.two_m - 2)), fc) < net.n
+        tangent.reshape(len(bases), net.n, 2 * (net.two_m - 2)), fc) < net.n
     corank_two = oracle._codes_at(np.nonzero(oracle.table
                                              == net.two_m - 2)[0])
     _, _, kernel = _kernels(fc, stack, corank_two)
     _, planes, _ = modnum.batch_rref_table(kernel[:, :2], fc)
     kappa_planes = {plane.tobytes() for plane in planes}
-    return sing, [plane.tobytes() in kappa_planes for plane in red]
+    return sing, np.array([plane.tobytes() in kappa_planes for plane in red],
+                          dtype=bool)
 
 
 def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regularity, Y-smoothness over the working prime, and per-small-field
-    comparison of sing(X) with X intersect kappa(Y) by full enumeration."""
+    comparison of sing(X) with X intersect kappa(Y) by full enumeration;
+    only the planes these list, the report's rows, get Plucker coordinates."""
     from .ideals import jacobian_ideal
     regular = is_regular(net, prime=prime, cap=cap)
     y_smooth = is_empty_projective(jacobian_ideal(y_ideal(net)),
                                    prime=prime, cap=cap)
     per_field = {}
     for field in fields:
-        xs = x_points(net, field)
+        bases = x_points(net, field)
         # the cubic is taken over the original field and reduced afterwards,
         # so characteristic 2 stays reachable
         on_y = y_points(net, field)
+        sing, on_kappa = _x_masks(net, field, bases)
+        listed = np.nonzero(sing | on_kappa)[0]
+        coords = [plucker_from_basis(ExactMatrix(field, pair)).coords
+                  for pair in modnum.field_codes(field).decode(bases[listed])]
         sing_x, x_cap_kappa = (
-            sorted(tuple(p.coords) for p, hit in zip(xs, mask) if hit)
-            for mask in _x_masks(net, field, xs))
+            sorted(c for c, hit in zip(coords, mask[listed]) if hit)
+            for mask in (sing, on_kappa))
         per_field[field.name] = {
             "x_smooth": not sing_x,
             "sing_x": sing_x,
             "x_cap_kappa": x_cap_kappa,
             "sets_equal": sing_x == x_cap_kappa,
-            "x_count": len(xs),
+            "x_count": len(bases),
             "y_count": len(on_y),
         }
     return NetClassification(regular, y_smooth, per_field)

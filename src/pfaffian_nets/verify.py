@@ -191,20 +191,16 @@ class JwReport:
             self.name, self.checked, self.on_w, self.passed)
 
 
-def _plane_codes(fc, points):
-    """An (N, 2, 2m) code array of bases of Plucker points."""
-    return fc.encode([(p.basis if p.basis is not None
-                       else plane_from_plucker(p)).rows for p in points])
-
-
 def w_membership(reduced, a, point):
     """The fiber record of one pair (a, U), U given by its Plucker point,
     over the net's own field."""
     field = reduced.field
     fc = modnum.field_codes(field)
+    basis = point.basis if point.basis is not None \
+        else plane_from_plucker(point)
     only = np.zeros(1, dtype=np.int64)
     return FiberRecords(reduced, fc.encode([[field.value_of(x) for x in a]]),
-                        _plane_codes(fc, [point]), only, only)[0]
+                        fc.encode([basis.rows]), only, only)[0]
 
 
 def _jw_block(records, lo, hi, report):
@@ -265,11 +261,10 @@ def _build_pairs(net, plan):
         return FiberRecords(reduced, a_codes, bases, idx, idx)
     ys = y_points(net, field)
     xs = x_points(net, field)
-    if not ys or not xs:
+    if not len(ys) or not len(xs):
         raise ValueError("no sample points over %s: |Y| = %d, |X| = %d"
                          % (field.name, len(ys), len(xs)))
-    fc = modnum.field_codes(field)
-    return FiberRecords(reduced, fc.encode(ys), _plane_codes(fc, xs),
+    return FiberRecords(reduced, ys, xs,
                         np.repeat(np.arange(len(ys)), len(xs)),
                         np.tile(np.arange(len(xs)), len(ys)))
 

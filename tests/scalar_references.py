@@ -1,20 +1,22 @@
 """Scalar references, one point at a time on ExactMatrix and MultiPoly:
-for the line correspondence, the fiber of psi, the ideal of X with its
-certificate on a pencil, and the RREF key of a line, which the package
-reads from code arrays (`correspondence.curve_fibers`); and the random
-sampler drawing one `random.Random.choice` and one rank lookup at a time,
-which the package replays in blocks (`verify._random_pairs`).  The tests
-compare the two."""
+the kernel plane kappa(a) of a point of Y, which the package reads from
+code arrays (`correspondence._x_masks`); for the line correspondence, the
+fiber of psi, the ideal of X with its certificate on a pencil, and the
+RREF key of a line, which the package reads from code arrays
+(`correspondence.curve_fibers`); and the random sampler drawing one
+`random.Random.choice` and one rank lookup at a time, which the package
+replays in blocks (`verify._random_pairs`).  The tests compare the two."""
 
 import itertools
 import random
 
-from pfaffian_nets import verify
+from pfaffian_nets import modnum, verify
 from pfaffian_nets.correspondence import (FvMatrix, _phi_bases,
-                                          pfaffian_hypersurface, rank_oracle)
-from pfaffian_nets.grassmann import pair_indices
+                                          pfaffian_hypersurface, rank_oracle,
+                                          x_points, y_points)
+from pfaffian_nets.grassmann import pair_indices, plucker_from_basis
 from pfaffian_nets.ideals import HomogeneousIdeal
-from pfaffian_nets.matrices import ExactMatrix
+from pfaffian_nets.matrices import ExactMatrix, pfaffian_scalar
 from pfaffian_nets.multipoly import MultiPoly
 
 
@@ -33,6 +35,34 @@ def psi_fiber(net, v):
         return ("line", (tuple(cols[0]), tuple(cols[1])))
     raise ValueError("corank %d fiber: rank f_v = %d <= 2 violates the "
                      "minimal-rank bound" % (dim, rank))
+
+
+def x_plucker_points(net, field):
+    """`x_points` decoded: the Plucker point of each code basis, in order."""
+    fc = modnum.field_codes(field)
+    return [plucker_from_basis(ExactMatrix(field, basis))
+            for basis in fc.decode(x_points(net, field))]
+
+
+def y_payloads(net, field):
+    """`y_points` decoded: each point of Y as a tuple of field payloads, in
+    order."""
+    fc = modnum.field_codes(field)
+    return [tuple(a) for a in fc.decode(y_points(net, field))]
+
+
+def kappa(net, a):
+    """Kernel of f(a) as a Plucker point, for a on Y with the expected
+    corank 2."""
+    fa = net.f_at(a)
+    if net.field.characteristic != 2:
+        if pfaffian_scalar(fa):
+            raise ValueError("point is not on the Pfaffian hypersurface")
+    rank, kern = fa.rank_kernel()
+    if rank != net.two_m - 2:
+        raise ValueError("rank f(a) = %d, expected %d (irregular point)"
+                         % (rank, net.two_m - 2))
+    return plucker_from_basis(kern.transpose())
 
 
 def line_key(field, a1, a2):

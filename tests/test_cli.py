@@ -321,7 +321,7 @@ class TestErrors:
     @pytest.mark.parametrize("option, value", [
         ("samples", "0"), ("degree-cap", "-1"), ("prime", "46349"),
         ("prime", "32004"), ("prime", "1"), ("fields", "101"),
-        ("fields", "81")])
+        ("fields", "81"), ("fields", "32"), ("fields", "64")])
     @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
     def test_out_of_range_option(self, fixture_path, monkeypatch, capsys,
                                  command, option, value, from_env):
@@ -334,6 +334,38 @@ class TestErrors:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and value in err
+
+    @staticmethod
+    def _field_names(fixture_path, argv):
+        """The `parameters.fields` of a report run with these arguments."""
+        with open(fixture_path) as fh:
+            net = net_from_fixture(json.load(fh))
+        opts = cli._options(cli.make_parser().parse_args(argv), net)
+        return [f.name for f in opts["fields"]]
+
+    @pytest.mark.parametrize("value, same_as", [
+        ("GF(3,2)", "GF(3^2)"), ("2,GF(3,2)", "2,GF(3^2)")])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_field_names_with_a_comma(self, fixture_path, monkeypatch,
+                                      value, same_as, from_env):
+        # the form fixture files use; the comma inside is no separator
+        argv = ["verify", fixture_path, "regularity"]
+        if from_env:
+            monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", value)
+            given = argv
+        else:
+            given = argv + ["--fields", value]
+        assert main(given) == 0
+        assert self._field_names(fixture_path, given) \
+            == self._field_names(fixture_path, argv + ["--fields", same_as])
+
+    def test_rank_table_budget(self, fixture_path):
+        # P^5(F_q) has at most 2,000,000 points up to q = 17
+        argv = ["verify", fixture_path, "classification", "--fields"]
+        assert self._field_names(fixture_path, argv + ["16,17"]) \
+            == ["GF(2^4)", "GF(17)"]
+        with pytest.raises(ValueError, match="'19'.* 2613660 points"):
+            self._field_names(fixture_path, argv + ["2,19"])
 
 
     @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],

@@ -1,16 +1,17 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pfaffian_nets import correspondence, modnum
+from pfaffian_nets import correspondence, grassmann, modnum
 from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           c_ideal, classify, curve_fibers,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
-                                          is_regular, kappa,
+                                          is_regular,
                                           line_on_hypersurface,
                                           pfaffian_hypersurface, phi_fiber,
                                           q_quartic, random_net,
@@ -28,8 +29,10 @@ from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 
-from scalar_references import (certify_line_on_x, line_key, net_linear_forms,
-                               psi_fiber, satisfies_quadrics, x_ideal)
+from scalar_references import (certify_line_on_x, kappa, line_key,
+                               net_linear_forms, psi_fiber,
+                               satisfies_quadrics, x_ideal, x_plucker_points,
+                               y_payloads)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -195,11 +198,16 @@ class TestANet:
         fresh = ANet.from_upper_triangles(QQ, 6, pinned.upper_triangles())
         for _ in range(2):
             ys, xs = y_points(pinned, field), x_points(pinned, field)
-            assert ys == y_points(fresh, field)
-            assert xs == x_points(fresh, field)
-            assert xs == x_points(pinned.over(field), field)
-            ys.clear()  # a caller's copy: the memo keeps its own list
-            xs.clear()
+            assert np.array_equal(ys, y_points(fresh, field))
+            assert np.array_equal(xs, x_points(fresh, field))
+            assert np.array_equal(xs, x_points(pinned.over(field), field))
+            assert ys.dtype == xs.dtype == np.int64
+            assert ys.shape == (len(ys), 5) and xs.shape == (len(xs), 2, 6)
+            # the memo is shared, so no caller may write into it
+            for codes in (ys, xs):
+                assert not codes.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    codes[0] = 0
 
 
 class TestPfaffianHypersurface:
@@ -341,6 +349,44 @@ class TestQuartic:
         assert all(q == quotients[0] for q in quotients[1:])
         assert q_quartic(pinned, normalize=False) == quotients[0]
 
+    @staticmethod
+    def _faked_minors(quartic):
+        """The maximal minors of an f_v whose quotient is `quartic`, in
+        minor_polys order: Delta_i = (-1)^i Q v_i at position 5 - i."""
+        minors = [None] * 6
+        for i in range(6):
+            delta = quartic * MultiPoly.variable(QQ, 6, i)
+            minors[5 - i] = -delta if i % 2 else delta
+        return minors
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m, v, zero: m[:3] + [m[3] + v[0] ** 5] + m[4:],
+         "v_2 does not divide the maximal minor without column 2"),
+        (lambda m, v, zero: m[:1] + [m[1] + v[4] ** 5] + m[2:],
+         "minor quotients disagree between columns"),
+        (lambda m, v, zero: [zero] * 6,
+         "all maximal minors vanish: f_v is everywhere rank-deficient"),
+        (lambda m, v, zero: m[:2] + [zero] + m[3:],
+         "only 5 of 6 minors were nonzero")],
+        ids=["not-divisible", "disagree", "all-vanish", "five-of-six"])
+    def test_error_paths(self, monkeypatch, change, message):
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
+        v = [MultiPoly.variable(QQ, 6, i) for i in range(6)]
+        quartic = v[0] ** 4 + v[1] * v[2] * v[3] * v[5]
+        minors = change(self._faked_minors(quartic), v, MultiPoly.zero(QQ, 6))
+        monkeypatch.setattr(correspondence, "minor_polys",
+                            lambda grid, k: minors)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            q_quartic(net)
+
+    def test_faked_minors_give_their_quartic(self, monkeypatch):
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
+        v = [MultiPoly.variable(QQ, 6, i) for i in range(6)]
+        quartic = v[0] ** 4 - v[1] * v[2] * v[3] * v[5]
+        monkeypatch.setattr(correspondence, "minor_polys",
+                            lambda grid, k: self._faked_minors(quartic))
+        assert q_quartic(net, normalize=False) == quartic
+
     def test_quartic_cuts_rank_drop_locus(self, pinned):
         q3 = q_quartic(pinned).map_field(F3)
         net3 = pinned.map_field(F3)
@@ -406,7 +452,7 @@ class TestCurve:
 class TestKappa:
     def test_image_is_decomposable_and_injective(self, pinned):
         net7 = pinned.map_field(F7)
-        pts = y_points(pinned, F7)
+        pts = y_payloads(pinned, F7)
         sample = pts[:40]
         images = [kappa(net7, a) for a in sample]
         for a, k in zip(sample, images):
@@ -593,7 +639,7 @@ class TestLines:
 class TestXSide:
     def test_x_points_satisfy_everything(self, pinned):
         net2 = pinned.map_field(F2)
-        pts = x_points(net2, F2)
+        pts = x_plucker_points(net2, F2)
         forms = net_linear_forms(net2)
         for p in pts:
             assert satisfies_quadrics(p)
@@ -671,7 +717,7 @@ class TestRankOracle:
         expected = [a for a in enumerate_projective(F2, 4)
                     if not cubic.evaluate(list(a))]
         assert len(expected) == 15
-        assert y_points(net, F2) == expected
+        assert y_payloads(net, F2) == expected
 
     @staticmethod
     def _symbolic_lines(net, field):
@@ -700,14 +746,14 @@ class TestRankOracle:
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_x_points_are_the_filtered_grassmannian(self, pinned, field):
-        assert x_points(pinned, field) \
+        assert x_plucker_points(pinned, field) \
             == self._filtered_grassmannian(pinned, field)
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_x_points_of_a_singular_x(self, degenerate, field):
         # over GF(3) f_v of the degenerate net has rank 2 at one point, so
         # Ker f_v has dimension 4 there
-        assert x_points(degenerate, field) \
+        assert x_plucker_points(degenerate, field) \
             == self._filtered_grassmannian(degenerate, field)
 
     def test_x_points_over_gf4_are_cut_by_the_plucker_forms(self, pinned):
@@ -727,7 +773,7 @@ class TestRankOracle:
         expected = [plucker_from_basis(ExactMatrix(field, list(r)))
                     for r, off in zip(rows, forms.any(axis=1)) if not off]
         assert expected
-        assert x_points(pinned, field) == expected
+        assert x_plucker_points(pinned, field) == expected
 
 
 class TestClassification:
@@ -785,6 +831,27 @@ class TestClassification:
         assert calls["rank_kernel"] == 0
         assert calls["rref"] <= 2
 
+    @pytest.mark.parametrize("name", ["pinned", "degenerate"])
+    def test_plucker_points_only_for_report_rows(self, request, monkeypatch,
+                                                 name):
+        # the planes stay code bases: one Plucker point is made per plane
+        # that sing(X) or X cap kappa(Y) lists, over test_05b's fields
+        net = ANet.from_upper_triangles(
+            QQ, 6, request.getfixturevalue(name).upper_triangles())
+        fields = (F2, F3, GF(2, 2), GF(5), F7, GF(2, 3), GF(3, 2))
+        calls = []
+
+        def counted(basis, original=plucker_from_basis):
+            calls.append(basis)
+            return original(basis)
+        for module in (grassmann, correspondence):
+            monkeypatch.setattr(module, "plucker_from_basis", counted)
+        per_field = classify(net, fields=fields, cap=10).per_field
+        listed = sum(len(set(d["sing_x"]) | set(d["x_cap_kappa"]))
+                     for d in per_field.values())
+        assert listed >= (1 if name == "pinned" else 7)
+        assert len(calls) == listed
+
 
 # (#sing X, #X cap kappa(Y)); over GF(4) the degenerate net is singular at
 # planes that are no kernel plane
@@ -803,9 +870,9 @@ def test_classify_matches_the_scalar_tests(request, name, field):
     plane by plane and kappa point by point."""
     net = request.getfixturevalue(name)
     reduced = net.over(field)
-    xs = x_points(net, field)
+    xs = x_plucker_points(net, field)
     sing = sorted(tuple(p.coords) for p in xs if tangent_test_x(reduced, p))
-    kap = {kappa(reduced, a) for a in y_points(net, field)
+    kap = {kappa(reduced, a) for a in y_payloads(net, field)
            if reduced.f_at(a).rank() == net.two_m - 2}
     on_kappa = sorted(tuple(p.coords) for p in xs if p in kap)
     d = classify(net, fields=(field,), cap=10).per_field[field.name]
@@ -815,7 +882,8 @@ def test_classify_matches_the_scalar_tests(request, name, field):
 
 
 def test_classify_masks_of_an_empty_x(pinned):
-    sing, on_kappa = correspondence._x_masks(pinned, F3, [])
+    sing, on_kappa = correspondence._x_masks(
+        pinned, F3, np.zeros((0, 2, 6), dtype=np.int64))
     assert sing.shape == (0,) and list(on_kappa) == []
 
 
@@ -830,7 +898,8 @@ def test_subfield_descent(request, name, p):
     prime = {reduce_value(e.value, small, big) for e in small.elements()}
     per_field = classify(net, fields=(small, big), cap=10).per_field
     sets = {field: (
-        [pt.coords for pt in x_points(net, field)], y_points(net, field),
+        [pt.coords for pt in x_plucker_points(net, field)],
+        y_payloads(net, field),
         per_field[field.name]["sing_x"]) for field in (small, big)}
     for lifted, points in zip(sets[small], sets[big]):
         assert {tuple(reduce_value(c, small, big) for c in pt)

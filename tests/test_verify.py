@@ -24,6 +24,7 @@ from pfaffian_nets.verify import (
 )
 
 import scalar_references
+from scalar_references import x_plucker_points, y_payloads
 from conftest import PINNED_UPPERS
 from test_cohomology import dead_coordinate_net
 
@@ -402,8 +403,8 @@ def plan_pairs(net, plan):
     if plan.mode == "random":
         return decoded_pairs(plan.field, *verify._random_pairs(
             net.over(plan.field), plan))
-    return [(a, u) for a in y_points(net, plan.field)
-            for u in x_points(net, plan.field)]
+    return [(a, u) for a in y_payloads(net, plan.field)
+            for u in x_plucker_points(net, plan.field)]
 
 
 def reference_jw(refs, plan):
@@ -507,8 +508,8 @@ class TestBatchedRecords:
         u_idx = np.tile(np.arange(len(u_points)), len(a_points))
         fc = modnum.field_codes(field)
         records = verify.FiberRecords(
-            reduced, fc.encode(a_points), verify._plane_codes(fc, u_points),
-            a_idx, u_idx)
+            reduced, fc.encode(a_points),
+            fc.encode([u.basis.rows for u in u_points]), a_idx, u_idx)
         refs = reference_records(reduced, pairs)
         assert _rows(records) == _rows(refs)
         monkeypatch.setattr(verify, "_pairs", lambda net, plan: records)
@@ -662,12 +663,11 @@ class TestSingularNetDetection:
         assert m.on_w
 
     def test_off_w_membership(self, pinned_net):
-        from pfaffian_nets.correspondence import x_points
         field = GF(3)
         reduced = pinned_net.map_field(field)
         seen = set()
-        for a in y_points(pinned_net, field)[:5]:
-            for pt in x_points(pinned_net, field)[:5]:
+        for a in y_payloads(pinned_net, field)[:5]:
+            for pt in x_plucker_points(pinned_net, field)[:5]:
                 m = w_membership(reduced, a, pt)
                 seen.add(m.intersection_dim)
         assert 0 in seen
@@ -697,7 +697,7 @@ class TestCountPoints:
     def test_cubic_count_matches_enumeration(self, pinned_net):
         cubic = pfaffian_hypersurface(pinned_net)
         ideal = HomogeneousIdeal(QQ, 5, [cubic])
-        ys = y_points(pinned_net, GF(2))
+        ys = y_payloads(pinned_net, GF(2))
         assert count_points(ideal, GF(2)) == len(ys)
         reduced = pinned_net.map_field(GF(2))
         for a in ys:
