@@ -168,6 +168,8 @@ def _options(args, net):
     # a comma inside parentheses belongs to a name such as GF(3,2)
     tokens = [t for t in re.split(r",(?![^()]*\))", str(fields_spec)) if t]
     fields = [_field_from_token(t) for t in tokens]
+    if not fields:
+        raise ValueError("--fields names no field")
     dim = max(net.n, net.two_m) - 1
     for tok, field in zip(tokens, fields):
         if field.order > TABLE_ORDER:

@@ -261,12 +261,13 @@ class RankOracle:
     entries, so the two agree.
 
     Over a field of order <= `modnum.TABLE_ORDER` the ranks of the whole
-    space form one int8 table in `enumerate_projective` order, built in
-    chunks by `batch_rank_table`.  A point's index is the offset of the
-    block where its leading 1 sits plus the base-q code of its normalized
-    tail.  The ranks of a batch of points (`ranks`) read the table when the
-    space has at most _TABLE_POINTS points, and are computed from the stack
-    otherwise."""
+    space form one int8 table in `enumerate_projective` order.  Side "a"
+    is built in chunks by `batch_rank_table`; side "v" by one walk over the
+    kernels of f(a) at the points of Y, read off the side "a" table
+    (`_walk`).  A point's index is the offset of the block where its
+    leading 1 sits plus the base-q code of its normalized tail.  The ranks
+    of a batch of points (`ranks`) read the table when the space has at
+    most _TABLE_POINTS points, and are computed from the stack otherwise."""
 
     def __init__(self, net, field, side):
         fc = self.fc = modnum.field_codes(field)
@@ -276,7 +277,7 @@ class RankOracle:
             mats = [[F[l] for F in mats] for l in range(net.two_m)]
         elif side != "a":
             raise ValueError("side must be 'a' or 'v'")
-        self.field = field
+        self.field, self.side, self._net = field, side, net
         self.stack = fc.encode(mats)
         q, k = fc.q, len(mats)
         self.size = (q ** k - 1) // (q - 1)
@@ -293,12 +294,41 @@ class RankOracle:
         if self._table is None:
             if self.fc.q > modnum.TABLE_ORDER:
                 raise ValueError("no rank table over %s" % self.field)
-            table = np.empty(self.size, dtype=np.int8)
-            for lo in range(0, self.size, _CHUNK):
-                idx = np.arange(lo, min(self.size, lo + _CHUNK))
-                table[lo:lo + idx.size] = self._computed(self._codes_at(idx))
+            if self.side == "v":
+                table = self._walk(rank_oracle(self._net, self.field, "a"))
+            else:
+                table = np.empty(self.size, dtype=np.int8)
+                for lo in range(0, self.size, _CHUNK):
+                    idx = np.arange(lo, min(self.size, lo + _CHUNK))
+                    table[idx] = self._computed(self._codes_at(idx))
             self._table = table
         return self._table
+
+    def _walk(self, a_side):
+        """The f_v ranks from the a-side table: a^T f_v = -(f(a) v)^T, so
+        the a with v in Ker f(a) are the points of P(left kernel of f_v).
+        Over the a with rank f(a) < 2m, each v of P(Ker f(a)) is hit
+        (q^k - 1)/(q - 1) times in all, where k = n - rank f_v, and a v
+        never hit has rank n.  A count of no such form raises."""
+        fc, n, two_m = self.fc, len(a_side.stack), len(self.stack)
+        y = a_side._codes_at(np.nonzero(a_side.table < two_m)[0])
+        _, rank, kernel = _kernels(fc, a_side.stack, y)
+        hits = [np.zeros(0, dtype=np.int64)]
+        # not np.unique, which without return_counts imports numpy.ma
+        for dim in set((two_m - rank).tolist()):
+            alphas = fc.encode(list(enumerate_projective(self.field, dim - 1)))
+            vs = _matmul(fc, alphas[None], kernel[two_m - rank == dim, :dim])
+            hits.append(self.indices(vs.reshape(-1, two_m)))
+        idx, counts = np.unique(np.concatenate(hits), return_counts=True)
+        sizes = (fc.q ** np.arange(n + 1) - 1) // (fc.q - 1)
+        k = np.minimum(np.searchsorted(sizes, counts), n)
+        if (sizes[k] != counts).any():
+            raise ValueError("a point of P(V) lies in %d kernels of f(a) over"
+                             " Y, not the size of a projective space"
+                             % counts[sizes[k] != counts][0])
+        table = np.full(self.size, n, dtype=np.int8)
+        table[idx] = n - k
+        return table
 
     def _computed(self, codes):
         """The ranks of sum_j codes[k, j] C_j, from the stack."""
@@ -346,7 +376,13 @@ class RankOracle:
 
 
 def rank_oracle(net, field, side):
-    """The RankOracle of (net, field, side), built once per net."""
+    """The RankOracle of (net, field, side), built once per net; a net
+    and its reduction into `field` share one."""
+    if field != net.field:
+        try:
+            net = net.over(field)
+        except (FieldMismatchError, ValueError, ZeroDivisionError):
+            pass  # the oracle reduces the entries one by one all the same
     return net.derived(("ranks", field, side),
                        lambda: RankOracle(net, field, side))
 
@@ -472,7 +508,8 @@ def _x_points(net):
     normalized point of S, the vectors of Ker f_r1 that vanish up to the
     leading column c1 of r1, with r1 zero at the leading column of r2.  S
     is spanned by the rows of the RREF of Ker f_r1 that pivot after c1.
-    So the planes are read off the points of the f_v rank table where
+    So the planes are read off the points of the f_v rank table (walked
+    from the kernels of f(a) over Y, `RankOracle._walk`) where
     dim Ker f_v >= 2, and their bases are sorted into `_echelon_pairs`
     order."""
     f = net.field

@@ -5,13 +5,17 @@ fiber of psi, the ideal of X with its certificate on a pencil, and the
 RREF key of a line, which the package reads from code arrays
 (`correspondence.curve_fibers`); and the random sampler drawing one
 `random.Random.choice` and one rank lookup at a time, which the package
-replays in blocks (`verify._random_pairs`).  The tests compare the two."""
+replays in blocks (`verify._random_pairs`); and the f_v rank table ranked
+from the stack at every point of P(V), which the package walks from the
+kernels of f(a) over Y (`RankOracle._walk`).  The tests compare the two."""
 
 import itertools
 import random
 
+import numpy as np
+
 from pfaffian_nets import modnum, verify
-from pfaffian_nets.correspondence import (FvMatrix, _phi_bases,
+from pfaffian_nets.correspondence import (_CHUNK, FvMatrix, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
 from pfaffian_nets.grassmann import pair_indices, plucker_from_basis
@@ -49,6 +53,17 @@ def y_payloads(net, field):
     order."""
     fc = modnum.field_codes(field)
     return [tuple(a) for a in fc.decode(y_points(net, field))]
+
+
+def fv_rank_table(net, field):
+    """rank f_v at every point of P(V), in enumeration order, computed from
+    the oracle's stack _CHUNK points at a time."""
+    oracle = rank_oracle(net, field, "v")
+    table = np.empty(oracle.size, dtype=np.int8)
+    for lo in range(0, oracle.size, _CHUNK):
+        idx = np.arange(lo, min(oracle.size, lo + _CHUNK))
+        table[lo:lo + idx.size] = oracle._computed(oracle._codes_at(idx))
+    return table
 
 
 def kappa(net, a):

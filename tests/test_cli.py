@@ -367,6 +367,19 @@ class TestErrors:
         with pytest.raises(ValueError, match="'19'.* 2613660 points"):
             self._field_names(fixture_path, argv + ["2,19"])
 
+    @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_fields_naming_no_field(self, fixture_path, monkeypatch, capsys,
+                                    value, from_env):
+        # over no field, sing(X) = X cap kappa(Y) would pass vacuously
+        argv = ["pipeline", fixture_path]
+        if from_env:
+            monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", value)
+        else:
+            argv += ["--fields", value]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: --fields names no field\n"
+
 
     @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
                              ids=["pipeline", "verify"])

@@ -29,8 +29,8 @@ from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 
-from scalar_references import (certify_line_on_x, kappa, line_key,
-                               net_linear_forms, psi_fiber,
+from scalar_references import (certify_line_on_x, fv_rank_table, kappa,
+                               line_key, net_linear_forms, psi_fiber,
                                satisfies_quadrics, x_ideal, x_plucker_points,
                                y_payloads)
 
@@ -692,6 +692,21 @@ class TestRankOracle:
         assert oracle.ranks(oracle.fc.encode(scaled)).tolist() \
             == oracle.table.tolist()
 
+    @pytest.mark.parametrize("index, field", [
+        (i, GF(*q)) for i in range(3)
+        for q in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+        + [(0, GF(11))], ids=str)
+    def test_walked_table_equals_the_ranked_one(self, pinned_family, index,
+                                                field):
+        net = pinned_family[index]
+        assert np.array_equal(rank_oracle(net, field, "v").table,
+                              fv_rank_table(net, field))
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_walked_table_of_a_singular_x(self, degenerate, field):
+        assert np.array_equal(rank_oracle(degenerate, field, "v").table,
+                              fv_rank_table(degenerate, field))
+
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)
         oracle = rank_oracle(pinned, field, "a")
@@ -718,6 +733,10 @@ class TestRankOracle:
                     if not cubic.evaluate(list(a))]
         assert len(expected) == 15
         assert y_payloads(net, F2) == expected
+        # f(a) = 0 at a = e_1 + e_5, so every v lies in one of the kernels
+        table = rank_oracle(net, F2, "v").table
+        assert np.array_equal(table, fv_rank_table(net, F2))
+        assert table.max() <= 4
 
     @staticmethod
     def _symbolic_lines(net, field):

@@ -178,9 +178,10 @@ class TestSamplerOracle:
             assert (oracle._table is not None) == tabulated
 
     def test_codes_and_stacks_are_built_once(self, monkeypatch):
-        """On a fresh net, the GF(7) f_v table (10 chunks of 2048 points)
-        and the GF(7) plan's pairs build one FieldCodes and encode each
-        oracle's stack once, not once per chunk."""
+        """On a fresh net, the GF(7) f_v table (walked from the kernels of
+        f(a) over Y, which builds the f(a) table in 2 chunks of 2048
+        points) and the GF(7) plan's pairs build one FieldCodes and encode
+        each oracle's stack once, not once per chunk."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
         monkeypatch.setattr(modnum, "_field_codes", {})
         built, stacks = [], []
@@ -202,6 +203,48 @@ class TestSamplerOracle:
         assert len(verify._pairs(net, SamplePlan(field, count=100))) == 100
         assert built == [field]
         assert sorted(stacks) == [(5, 6, 6), (6, 5, 6)]
+
+    def test_fv_tables_rank_no_point(self, monkeypatch):
+        """Classification over GF(2) and GF(3), the C-point search and the
+        pipeline's GF(7) plan read every rank f_v from the walk over the
+        kernels of f(a): no point of P(V) is ranked from the stack."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        ranked = []
+        computed = correspondence.RankOracle._computed
+
+        def counted(self, codes):
+            if self.side == "v":
+                ranked.append(len(codes))
+            return computed(self, codes)
+        monkeypatch.setattr(correspondence.RankOracle, "_computed", counted)
+        correspondence.classify(net, fields=[GF(2), GF(3)])
+        assert correspondence.find_c_points(net)[0] == GF(3)
+        plan = SamplePlan(GF(7), count=1000, seed=0, mode="random")
+        assert len(verify._pairs(net, plan)) == 1000
+        for field in (GF(2), GF(3), GF(7)):
+            assert rank_oracle(net.over(field), field, "v")._table is not None
+        assert sum(ranked) == 0
+
+    def test_walk_checks_its_counts(self, monkeypatch):
+        """Dropping from the f(a) table one point of Y that lies on the line
+        M_c = P(left kernel of f_c) of a rank-3 c leaves c in q kernels,
+        not q + 1, and the walk raises."""
+        field = GF(7)
+        reduced = ANet.from_upper_triangles(
+            QQ, 6, PINNED_UPPERS[0]).over(field)
+        on_y = rank_oracle(reduced, field, "a")
+        on_q = rank_oracle(reduced, field, "v")
+        c = on_q._codes_at(np.nonzero(on_q.table == 3)[0][:1])
+        _, _, left = correspondence._kernels(
+            on_q.fc, on_q.stack.transpose(0, 2, 1), c)
+        a = left[0, :1]
+        assert on_y.ranks(a).tolist() == [4]
+        dropped = on_y.table.copy()
+        dropped[on_y.indices(a)] = 6
+        monkeypatch.setattr(on_y, "_table", dropped)
+        monkeypatch.setattr(on_q, "_table", None)
+        with pytest.raises(ValueError, match="lies in 7 kernels"):
+            on_q.table
 
 
 class TestSamplerReplay:
@@ -603,6 +646,8 @@ class TestJw1:
 
     def test_random_mode_shares_jw_pairs(self, pinned_net, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        # the f_v table's walk over Y calls _kernels once, before any pair
+        assert rank_oracle(net.over(GF(7)), GF(7), "v").table.size == 19608
         calls, streams = self._count_calls(monkeypatch)
         # a fresh plan for each check: the stream is keyed on the plan's value
         plan = lambda: SamplePlan(GF(7), count=30, seed=5, mode="random")
