@@ -29,8 +29,8 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
                              q_quartic, random_regular_net,
                              splitting_type_on_line)
 from .fields import GF, FieldElement, field_from_name
-from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME, SECOND_PRIME,
-                     fit_hilbert_polynomial)
+from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
+                     fit_hilbert_polynomial, other_prime)
 from .modnum import MAX_PRIME, TABLE_ORDER
 from .multipoly import MultiPoly
 from .verify import SamplePlan, jw1_section_check, jw_pointwise
@@ -192,11 +192,10 @@ def _options(args, net):
         raise ValueError("degree cap must be at least 0, got %d" % cap)
     if samples < 1:
         raise ValueError("sample count must be at least 1, got %d" % samples)
-    second = SECOND_PRIME if prime != SECOND_PRIME else DEFAULT_PRIME
     return {
         "fields": fields,
         "prime": prime,
-        "second_prime": second,
+        "second_prime": other_prime(prime),
         "cap": cap,
         "samples": samples,
         "seed": _resolve(args, "seed", "SEED", 0, int),

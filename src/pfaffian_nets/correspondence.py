@@ -22,7 +22,7 @@ from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
                         pencil_line, plucker_from_basis)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
-                     minors_ideal)
+                     minors_ideal, other_prime)
 from .matrices import ExactMatrix
 from .multipoly import MultiPoly, SkewPolyMatrix, minor_polys, pfaffian_poly
 
@@ -830,11 +830,23 @@ def _x_masks(net, field, bases):
 def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regularity, Y-smoothness over the working prime, and per-small-field
     comparison of sing(X) with X intersect kappa(Y) by full enumeration;
-    only the planes these list, the report's rows, get Plucker coordinates."""
+    only the planes these list, the report's rows, get Plucker coordinates.
+
+    Over QQ a NONEMPTY Jacobian verdict only says that Y mod p is singular,
+    which a bad prime makes so; it is checked again at `other_prime`, and
+    an EMPTY there is kept, since EMPTY mod any prime lifts to QQ."""
     from .ideals import jacobian_ideal
     regular = is_regular(net, prime=prime, cap=cap)
-    y_smooth = is_empty_projective(jacobian_ideal(y_ideal(net)),
-                                   prime=prime, cap=cap)
+    jacobian = jacobian_ideal(y_ideal(net))
+    y_smooth = is_empty_projective(jacobian, prime=prime, cap=cap)
+    if y_smooth.status == NONEMPTY and net.field.kind == "QQ":
+        try:
+            again = is_empty_projective(jacobian, prime=other_prime(prime),
+                                        cap=cap)
+        except ZeroDivisionError:  # no reduction mod the second prime
+            again = y_smooth
+        if again.status == EMPTY:
+            y_smooth = again
     per_field = {}
     for field in fields:
         bases = x_points(net, field)

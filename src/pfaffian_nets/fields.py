@@ -337,11 +337,14 @@ class PrimeField(Field):
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
-            den = x.denominator % self.p
+            num, den = x.numerator, x.denominator
+            if den == 1:
+                return num % self.p
+            den %= self.p
             if den == 0:
                 raise ZeroDivisionError(
                     "denominator not invertible mod %d" % self.p)
-            return x.numerator * pow(den, self.p - 2, self.p) % self.p
+            return num * pow(den, self.p - 2, self.p) % self.p
         raise TypeError("cannot coerce %r into %s" % (x, self))
 
     def add(self, a, b):

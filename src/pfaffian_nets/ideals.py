@@ -34,6 +34,12 @@ NONEMPTY = "NONEMPTY"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
+def other_prime(prime):
+    """The second working prime beside `prime`: SECOND_PRIME, or
+    DEFAULT_PRIME when `prime` is SECOND_PRIME."""
+    return SECOND_PRIME if prime != SECOND_PRIME else DEFAULT_PRIME
+
+
 def ambient_dimension(nvars, t):
     """dim of the space of degree-t forms in nvars variables."""
     if t < 0:
@@ -62,10 +68,6 @@ class HomogeneousIdeal:
     @property
     def degrees(self):
         return sorted({g.homogeneous_degree() for g in self.generators})
-
-    def map_field(self, target):
-        return HomogeneousIdeal(target, self.nvars,
-                                [g.map_field(target) for g in self.generators])
 
     def __repr__(self):
         return "HomogeneousIdeal(%s, %d gens, degrees %s)" % (
@@ -100,41 +102,67 @@ def hilbert_function(ideal, t):
     return ambient_dimension(ideal.nvars, t) - macaulay_matrix(ideal, t).rank()
 
 
+def _positions(monos, exps, d):
+    """The positions in `monos`, all degree-d exponent rows in descending
+    graded-lex order, of the degree-d exponent rows `exps` (any leading
+    shape).  Read as base-(d + 1) numbers, the rows of `monos` fall
+    strictly, so one search finds them all."""
+    weights = (d + 1) ** np.arange(monos.shape[1] - 1, -1, -1)
+    return np.searchsorted(-(monos @ weights), -(exps @ weights))
+
+
 class HilbertEngine:
     """Incremental Hilbert-function evaluator over GF(p).
 
-    Keeps the reduced basis of the current graded piece and extends it one
-    degree at a time; asking for values out of order just ladders forward.
+    The generators are read once, at construction, into int64 rows: each
+    coefficient is reduced by GF(p).coerce_value, so a QQ ideal needs no
+    reduced copy, a denominator that p divides raises ZeroDivisionError,
+    and a generator that vanishes mod p is dropped.  `degrees` lists the
+    degrees of the generators kept, largest first.
+
+    The state at degree t is (t, pivot columns, basis): the RREF of I_t
+    over the degree-t monomials in descending graded-lex order.  A step to
+    t + 1 seeds the new basis with x0 * basis, which lands already reduced,
+    then absorbs x_j * basis (j >= 1) and the new generators in blocks:
+    each block is reduced against the seed and the rows found so far by
+    two products, and row-reduced on the columns that are pivots of
+    neither, the only ones where a new pivot can appear.  Asking for
+    values out of order just ladders forward.
     """
 
     CHUNK = 1500
 
     def __init__(self, ideal, prime=DEFAULT_PRIME):
-        if ideal.field.kind == "QQ":
-            ideal = ideal.map_field(GF(prime))
-        elif ideal.field.kind != "GF(p)":
+        if ideal.field.kind not in ("QQ", "GF(p)"):
             raise ValueError("HilbertEngine needs a prime field or QQ input")
-        if ideal.field.p != prime:
+        if ideal.field.kind == "GF(p)" and ideal.field.p != prime:
             raise ValueError("ideal is over GF(%d), engine prime is %d"
                              % (ideal.field.p, prime))
         modnum._check_prime(prime)
-        self.ideal = ideal
+        fp = GF(prime)
         self.p = prime
         self.n = ideal.nvars
-        self._gens_by_degree = {}
+        self._gens_by_degree = {}  # degree: [(exponent rows, values)]
         for g in ideal.generators:
-            self._gens_by_degree.setdefault(g.homogeneous_degree(),
-                                            []).append(g)
+            vals = np.array([fp.coerce_value(c) for c in g.terms.values()],
+                            dtype=np.int64)
+            if vals.any():
+                exps = list(g.terms)  # homogeneous: every term has g's degree
+                self._gens_by_degree.setdefault(sum(exps[0]), []).append(
+                    (np.array(exps, dtype=np.int64), vals))
+        self.degrees = sorted((d for d, gens in self._gens_by_degree.items()
+                               for _ in gens), reverse=True)
         self._t0 = min(self._gens_by_degree, default=None)
         self._ranks = {}
         self._mono_cache = {}
         self._state = None  # (t, piv_cols list, basis ndarray)
 
     def _monos(self, t):
+        """The degree-t exponent rows in descending graded-lex order."""
         got = self._mono_cache.get(t)
         if got is None:
             monos = list(monomials_of_degree(self.n, t))
-            got = (monos, {e: i for i, e in enumerate(monos)})
+            got = np.array(monos, dtype=np.int64).reshape(len(monos), self.n)
             # keep the cache small: only the degrees near the frontier matter
             self._mono_cache = {k: v for k, v in self._mono_cache.items()
                                 if k >= t - 2}
@@ -144,11 +172,10 @@ class HilbertEngine:
     def _gen_rows(self, t):
         """Coefficient rows (int64) of the generators of degree exactly t."""
         gens = self._gens_by_degree.get(t, [])
-        _, index = self._monos(t)
-        rows = np.zeros((len(gens), len(index)), dtype=np.int64)
-        for i, g in enumerate(gens):
-            for exps, c in g.terms.items():
-                rows[i, index[exps]] = c
+        monos = self._monos(t)
+        rows = np.zeros((len(gens), len(monos)), dtype=np.int64)
+        for i, (exps, vals) in enumerate(gens):
+            rows[i, _positions(monos, exps, t)] = vals
         return rows
 
     def ideal_rank(self, t):
@@ -171,38 +198,47 @@ class HilbertEngine:
         t, piv, basis = self._state
         p = self.p
         t1 = t + 1
-        monos_t, _ = self._monos(t)
-        monos_t1, index_t1 = self._monos(t1)
+        monos_t = self._monos(t)
+        monos_t1 = self._monos(t1)
         D1 = len(monos_t1)
-        shift = []
-        for j in range(self.n):
-            ej = tuple(1 if i == j else 0 for i in range(self.n))
-            shift.append(np.array(
-                [index_t1[tuple(a + b for a, b in zip(e, ej))]
-                 for e in monos_t], dtype=np.int64))
+        # shift[j][i]: the position of x_j times monomial i of degree t
+        shift = _positions(monos_t1, monos_t + np.eye(self.n, dtype=np.int64)
+                           [:, None, :], t1)
         # multiplication by x0 preserves descending graded-lex positions, so
         # the pushed-forward basis is still reduced with the same pivot layout
-        assert shift[0].tolist() == list(range(len(monos_t)))
+        assert np.array_equal(shift[0], np.arange(len(monos_t)))
         r = basis.shape[0]
         seed = np.zeros((r, D1), dtype=np.int64)
-        if r:
-            seed[:, :basis.shape[1]] = basis
-        seed_piv = list(piv)
+        seed[:, :basis.shape[1]] = basis
+        # every row absorbed is first cleared on the seed's pivot columns, so
+        # the rows it adds live on the other columns, `rest`; they are kept
+        # there, with their pivots as positions in `rest`
+        rest = np.ones(D1, dtype=bool)
+        rest[piv] = False
+        rest = np.flatnonzero(rest)
+        seed_rest = seed[:, rest]
         new_piv = []
-        new_basis = np.zeros((0, D1), dtype=np.int64)
+        new_basis = np.zeros((0, rest.size), dtype=np.int64)
+        free = np.ones(rest.size, dtype=bool)
 
         def absorb(R):
             nonlocal new_piv, new_basis
-            if seed_piv:
-                coef = R[:, seed_piv]
-                if np.any(coef):
-                    modnum.addmul_mod(R, (-coef) % p, seed, p)
+            coef = R[:, piv]
+            R = R[:, rest]
+            if np.any(coef):
+                modnum.addmul_mod(R, (-coef) % p, seed_rest, p)
             if new_piv:
                 coef = R[:, new_piv]
                 if np.any(coef):
                     modnum.addmul_mod(R, (-coef) % p, new_basis, p)
-            piv_c, bas_c = modnum.rref_mod(R, p)
-            if piv_c:
+            # R is now zero on every pivot column found so far
+            cols = np.flatnonzero(free)
+            piv_f, bas_f = modnum.rref_mod(R[:, cols], p)
+            if piv_f:
+                piv_c = cols[piv_f].tolist()
+                bas_c = np.zeros((len(piv_c), rest.size), dtype=np.int64)
+                bas_c[:, cols] = bas_f
+                free[piv_c] = False
                 if new_piv:
                     coef = new_basis[:, piv_c]
                     if np.any(coef):
@@ -218,19 +254,21 @@ class HilbertEngine:
                 absorb(R)
         fresh = self._gen_rows(t1)
         if fresh.size:
-            absorb(fresh.copy())
+            absorb(fresh)
         if new_piv:
-            if r:
-                coef = seed[:, new_piv]
-                if np.any(coef):
-                    modnum.addmul_mod(seed, (-coef) % p, new_basis, p)
-            allpiv = seed_piv + new_piv
+            coef = seed_rest[:, new_piv]
+            if np.any(coef):
+                modnum.addmul_mod(seed_rest, (-coef) % p, new_basis, p)
+                seed[:, rest] = seed_rest
+            found = np.zeros((len(new_piv), D1), dtype=np.int64)
+            found[:, rest] = new_basis
+            allpiv = list(piv) + rest[new_piv].tolist()
             order = np.argsort(np.array(allpiv, dtype=np.int64))
-            merged = np.concatenate([seed, new_basis])[order]
+            merged = np.concatenate([seed, found])[order]
             piv_sorted = [allpiv[i] for i in order]
         else:
             merged = seed
-            piv_sorted = seed_piv
+            piv_sorted = list(piv)
         self._state = (t1, piv_sorted, merged)
         self._ranks[t1] = len(piv_sorted)
 
@@ -430,8 +468,7 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     else:
         raise ValueError("emptiness check needs QQ or prime-field input")
     n = engine.n
-    degrees = sorted((g.homogeneous_degree() for g in engine.ideal.generators),
-                     reverse=True)
+    degrees = engine.degrees
     bound = sum(degrees[:n]) - n + 1 if len(degrees) >= n else 0
     tail = []
     for t in range(cap + 1):

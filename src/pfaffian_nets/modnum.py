@@ -9,8 +9,16 @@ inside `rref_mod`, but up to the pivot count of a graded piece when
 
 `rref_mod` sweeps each panel of _PANEL columns once, building the transform
 T of its pivot rows alongside, and one blocked float64 update applies T - I
-to the columns outside the panel.  The RREF of a row space is unique, so the
-result is deterministic although pivot rows are picked up swap-compacted.
+to the columns right of the panel.  The RREF of a row space is unique, so
+the result is deterministic although pivot rows are picked up
+swap-compacted.  Work that cannot change a rank is skipped: zero rows are
+dropped up front, a sweep visits only the panel's nonzero columns (row
+operations keep a zero column zero), and the panels stop once the rows left
+are zero.  The sweep reduces lazily: each step reduces the searched column
+and the pivot row, and adds f times the pivot row (f and the row below p)
+to the other rows without `% p`; a panel has at most _PANEL steps, so its
+entries stay below _PANEL*(p-1)^2 + p < 2^38 and a pivot row times an
+inverse below 2^54, and the panel is reduced once at the end.
 
 Pointwise work over a small finite field runs on arrays of field codes.
 The code of an element is its index in `field.elements()`: the residue
@@ -64,33 +72,42 @@ def _panel_sweep(E, p):
     I having a 1 at (row, i) for pivot i.  When row r becomes pivot k,
     T[r, k] = 1 and each later step acts on E and T[:, :k+1] together: a
     row not yet a pivot keeps transform column e_r, which is zero in every
-    earlier pivot row, so no other column of T moves."""
+    earlier pivot row, so no other column of T moves.
+
+    Only the panel's nonzero columns are searched, and a step acts on the
+    columns from the searched one on, since the pivot row is zero left of
+    it.  Reduction is lazy, as the module docstring bounds it."""
     invtab = inverse_table(p)
-    n, w = E.shape
+    live_cols = np.flatnonzero(E.any(axis=0))
+    n, w = E.shape[0], live_cols.size
     W = np.zeros((n, w + min(n, w)), dtype=np.int64)
-    W[:, :w] = E
+    W[:, :w] = E[:, live_cols]
     found = []
-    used = np.zeros(n, dtype=bool)
+    avail = np.ones(n, dtype=bool)
     for c in range(w):
         col = W[:, c]
-        nz = np.nonzero((col != 0) & ~used)[0]
-        if nz.size == 0:
+        col %= p
+        hit = col != 0
+        hit &= avail
+        r = int(hit.argmax())
+        if not hit[r]:
             continue
-        r = int(nz[0])
-        used[r] = True
+        avail[r] = False
         k = len(found)
-        found.append((r, c))
+        found.append((r, int(live_cols[c])))
         W[r, w + k] = 1
-        live = W[:, :w + k + 1]
-        live[r] = live[r] * invtab[col[r]] % p
-        f = W[:, c].copy()
+        live = W[:, c:w + k + 1]
+        row = live[r]
+        row *= invtab[col[r]]
+        row %= p
+        f = np.negative(col)
+        f %= p
         f[r] = 0
-        rows = np.nonzero(f)[0]
-        if rows.size:
-            live[rows] = (live[rows] - f[rows, None] * live[r][None, :]) % p
-        if len(found) == min(n, w):
+        live += np.multiply.outer(f, row)
+        if k + 1 == min(n, w):
             break
-    E[:] = W[:, :w]
+    W %= p
+    E[:, live_cols] = W[:, :w]
     return found, W[:, w:w + len(found)]
 
 
@@ -117,11 +134,11 @@ def rref_mod(a, p):
     work = np.asarray(a, dtype=np.int64) % p
     if work.ndim != 2:
         raise ValueError("expected a 2d array")
-    R, C = work.shape
+    work = work[work.any(axis=1)]  # a zero row stays zero
+    nfree, C = work.shape
     piv_cols = []
     basis_rows = []
     groups = []  # (first_index_into_basis_rows, count) per panel, for backfill
-    nfree = R
     for c0 in range(0, C, _PANEL):
         if nfree == 0:
             break
@@ -134,7 +151,9 @@ def rref_mod(a, p):
         diag = (lrows, np.arange(k))
         delta[diag] = (delta[diag] - 1) % p
         old_piv = work[lrows, :].copy()
-        addmul_mod(work[:nfree], delta, old_piv, p, col_lo=c0, col_hi=c1)
+        # the rows left are zero left of the panel, so only columns right
+        # of it change
+        addmul_mod(work[:nfree], delta, old_piv, p, col_lo=0, col_hi=c1)
         groups.append((len(basis_rows), k))
         for r, c in seq:
             piv_cols.append(c0 + c)
@@ -143,6 +162,8 @@ def rref_mod(a, p):
             nfree -= 1
             if r != nfree:
                 work[r] = work[nfree]
+        if not work[:nfree, c1:].any():
+            break
     if not basis_rows:
         return [], np.zeros((0, C), dtype=np.int64)
     basis = np.array(basis_rows, dtype=np.int64)

@@ -202,6 +202,18 @@ class TestGating:
         assert regularity["verdict"] == "fail"
         assert regularity["detail"]["witness"] == [7, [1, 1, 0, 3, 2]]
 
+    def test_bad_prime_keeps_the_fiber_stages(self, fixture_path, tmp_path):
+        # Y of the pinned net is singular mod 5 but smooth over QQ, so the
+        # classification reads EMPTY from the second prime and jw and jw1 run
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", fixture_path, "-o", str(out),
+                     "--samples", "50", "--prime", "5"]) == 0
+        stages = {s["name"]: s
+                  for s in json.loads(out.read_text())["stages"]}
+        assert stages["classification"]["detail"]["y_smooth"] == "EMPTY"
+        assert stages["jw"]["verdict"] == "pass"
+        assert stages["jw1"]["verdict"] == "pass"
+
     def test_degenerate_net_report(self, degenerate_fixture, tmp_path):
         fx = tmp_path / "degen.json"
         fx.write_text(canonical_json(net_to_fixture(degenerate_fixture)))

@@ -18,14 +18,15 @@ from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           random_regular_net, rank_oracle,
                                           splitting_type_on_line,
                                           sub_pfaffian_ideal, x_points,
-                                          y_points)
+                                          y_ideal, y_points)
 from pfaffian_nets.fields import GF, QQ, FieldMismatchError, reduce_value
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      _echelon_pairs, enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
                                      pencil_line, plucker_from_basis)
 from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
-                                  fit_hilbert_polynomial)
+                                  fit_hilbert_polynomial, is_empty_projective,
+                                  jacobian_ideal)
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 
@@ -825,6 +826,26 @@ class TestClassification:
             assert not d["x_smooth"]
             lead = d["x_cap_kappa"][0]
             assert lead[0] == field.one_value
+
+    @pytest.mark.parametrize("index, prime", [(0, 5), (1, 7)])
+    def test_bad_prime_singular_cubic_is_checked_at_the_second_prime(
+            self, pinned_family, index, prime):
+        """Y mod this prime is singular, but Y over QQ is smooth: the
+        NONEMPTY Jacobian verdict gives way to EMPTY at the second prime,
+        which lifts to QQ."""
+        net = pinned_family[index]
+        jacobian = jacobian_ideal(y_ideal(net))
+        assert is_empty_projective(jacobian, prime=prime).status == NONEMPTY
+        assert classify(net, prime=prime).y_smooth.status == EMPTY
+
+    def test_singular_cubic_without_a_second_reduction_stays_nonempty(
+            self, degenerate):
+        # F_1 / 32009 spans the same net over QQ, which has no reduction
+        # mod the second prime; the first prime's verdict stands
+        tris = degenerate.upper_triangles()
+        tris[0] = [Fraction(v) / 32009 for v in tris[0]]
+        net = ANet.from_upper_triangles(QQ, 6, tris)
+        assert classify(net).y_smooth.status == NONEMPTY
 
     def test_degenerate_singular_point_is_constructed_kernel(self, degenerate):
         e1 = [1, 0, 0, 0, 0]

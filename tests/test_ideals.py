@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
+from pfaffian_nets import modnum
 from pfaffian_nets.cli import net_from_fixture
-from pfaffian_nets.correspondence import FvMatrix, sub_pfaffian_ideal
+from pfaffian_nets.correspondence import FvMatrix, c_ideal, sub_pfaffian_ideal
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   HilbertEngine, HomogeneousIdeal,
@@ -114,6 +116,83 @@ def test_engine_rejects_wrong_field():
     ideal = HomogeneousIdeal(GF(7), 2, [x(GF(7), 2, 0)])
     with pytest.raises(ValueError):
         HilbertEngine(ideal, prime=32003)
+
+
+def reduced_ideal(ideal, p):
+    """The GF(p) reduction of a QQ ideal, generator by generator."""
+    return HomogeneousIdeal(GF(p), ideal.nvars,
+                            [g.map_field(GF(p)) for g in ideal.generators])
+
+
+@pytest.mark.parametrize("prime", [7, 32003])
+def test_engine_over_qq_matches_engine_over_its_reduction(prime):
+    """Rows read straight from QQ give the engine of the reduced ideal: the
+    same ranks and the same RREF state at every degree, with a generator
+    that vanishes mod p dropped."""
+    rng = random.Random(prime + 1)
+    for trial in range(3):
+        gens = []
+        for _ in range(4):
+            monos = list(monomials_of_degree(4, rng.randrange(1, 4)))
+            gens.append(MultiPoly(QQ, 4, {
+                rng.choice(monos): Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 6))
+                for _ in range(5)}))
+        gens.append(prime * x(QQ, 4, 1) ** 2)
+        ideal = HomogeneousIdeal(QQ, 4, gens)
+        over_qq = HilbertEngine(ideal, prime=prime)
+        over_fp = HilbertEngine(reduced_ideal(ideal, prime), prime=prime)
+        assert over_qq.degrees == over_fp.degrees
+        for t in range(7):
+            assert over_qq.ideal_rank(t) == over_fp.ideal_rank(t), (trial, t)
+            if over_fp._state is None:
+                assert over_qq._state is None
+                continue
+            (t_q, piv_q, basis_q), (t_f, piv_f, basis_f) = (
+                over_qq._state, over_fp._state)
+            assert (t_q, list(piv_q)) == (t_f, list(piv_f))
+            assert np.array_equal(basis_q, basis_f)
+
+
+def test_engine_rejects_a_denominator_the_prime_divides():
+    ideal = HomogeneousIdeal(QQ, 2, [x(QQ, 2, 0) * Fraction(1, 7)
+                                     + x(QQ, 2, 1)])
+    with pytest.raises(ZeroDivisionError,
+                       match="denominator not invertible mod 7"):
+        HilbertEngine(ideal, prime=7)
+    assert HilbertEngine(ideal, prime=11).hilbert_function(1) == 1
+
+
+def test_macaulay_bound_drops_a_generator_that_vanishes_mod_p():
+    """7 x0^5 vanishes mod 7, so the bound there reads the two linear forms
+    alone: fewer than 3 of them, B = 0.  At 32003 it counts, B = 5."""
+    x0, x1, _ = variables(QQ, 3)
+    ideal = HomogeneousIdeal(QQ, 3, [7 * x0 ** 5, x0, x1])
+    assert HilbertEngine(ideal, prime=7).degrees == [1, 1]
+    assert HilbertEngine(ideal, prime=32003).degrees == [5, 1, 1]
+    res = is_empty_projective(ideal, prime=7)
+    assert (res.status, res.witness_degree, res.tail) == (NONEMPTY, 0, [1])
+    res = is_empty_projective(ideal, prime=32003)
+    assert (res.status, res.witness_degree, res.tail) == (NONEMPTY, 5,
+                                                          [1] * 6)
+
+
+def test_ladder_state_of_the_curve_matches_macaulay_rref(pinned_net):
+    """The pinned curve C mod 32003 climbs from its quartics: at t = 4, 5
+    and 6 the engine's pivots and basis are the RREF of the Macaulay
+    matrix."""
+    p = 32003
+    ideal = c_ideal(pinned_net)
+    engine = HilbertEngine(ideal, prime=p)
+    reduced = reduced_ideal(ideal, p)
+    for t in (4, 5, 6):
+        engine.ideal_rank(t)
+        state_t, piv, basis = engine._state
+        want_piv, want_basis = modnum.rref_mod(
+            np.array(macaulay_matrix(reduced, t).rows, dtype=np.int64), p)
+        assert state_t == t
+        assert list(piv) == list(want_piv)
+        assert np.array_equal(basis, want_basis)
 
 
 def test_graded_piece_monotonicity_and_growth():

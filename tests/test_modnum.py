@@ -111,6 +111,43 @@ def test_rref_matches_naive_oracle_on_ladder_shapes(p, shape):
     assert (list(piv), basis.tolist()) == naive_rref(dense.tolist(), p)
 
 
+@pytest.mark.parametrize("p", [7, 32003])
+def test_rref_matches_naive_oracle_with_dead_columns(p):
+    """All-zero columns, scattered inside panels and filling a whole panel,
+    which the sweep skips, against the textbook oracle."""
+    rng = random.Random(31 + p)
+    for nrows, rank in ((30, 12), (80, 70)):
+        a = np.array(random_matrix(rng, nrows, 230, p, rank_cap=rank),
+                     dtype=np.int64)
+        dead = list(range(64, 128)) + rng.sample(range(230), 40)
+        a[:, dead] = 0
+        piv, basis = modnum.rref_mod(a, p)
+        assert (list(piv), basis.tolist()) == naive_rref(a.tolist(), p)
+        assert not set(piv) & set(dead)
+    # the rows left after the first panel are zero but in column 64
+    a = np.zeros((3, 130), dtype=np.int64)
+    a[:, 0] = 1
+    a[1, 64] = 1
+    assert modnum.rref_mod(a, p)[0] == [0, 64]
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (100, 64), (70, 150)], ids=str)
+def test_rref_lazy_sweep_worst_case(shape):
+    """Dense panels of p - 1 entries at MAX_PRIME: every elimination step
+    adds close to (p - 1)^2 to each unreduced entry, for 64 steps."""
+    p = modnum.MAX_PRIME
+    nrows, ncols = shape
+    a = np.full(shape, p - 1, dtype=np.int64)
+    a[np.triu_indices(nrows, 1, ncols)] = 0  # p - 1 on and below the diagonal
+    rng = random.Random(ncols)
+    for i, j in rng.sample([(i, j) for i in range(nrows)
+                            for j in range(ncols)], 50):
+        a[i, j] = rng.randrange(p)
+    for m in (a, np.full(shape, p - 1, dtype=np.int64)):
+        piv, basis = modnum.rref_mod(m, p)
+        assert (list(piv), basis.tolist()) == naive_rref(m.tolist(), p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 32003, 32009, modnum.MAX_PRIME])
 def test_inverse_table_inverts_every_residue(p):
     t = modnum.inverse_table(p)
