@@ -20,14 +20,14 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from math import isqrt
 
 from .cohomology import (charge2_instanton_table, exceptional_pair_check_y,
                          h1_pattern_check, line_ideal_membership)
 from .correspondence import (ANet, c_ideal, classify, curve_fibers,
                              find_c_points, find_lines_on_y, is_regular,
-                             line_on_hypersurface, pfaffian_hypersurface,
-                             q_quartic, random_regular_net,
-                             splitting_type_on_line)
+                             lie_on_y, pfaffian_hypersurface, q_quartic,
+                             random_regular_net, splitting_types)
 from .fields import GF, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
@@ -125,27 +125,21 @@ def _write_text(path, text):
 
 
 def _field_from_token(tok):
-    tok = tok.strip()
-    if tok.upper() == "QQ":
+    name = "".join(tok.split()).upper()
+    if name == "QQ":
         raise ValueError("verification fields must be finite")
-    if tok.upper().startswith("GF"):
-        return field_from_name(tok.upper().replace(" ", ""))
-    q = int(tok)
+    if name[:3] == "GF(" and name[-1:] == ")" and name[3:-1].isdecimal():
+        name = name[3:-1]  # one integer inside GF( ) is read as the order
+    elif name.startswith("GF"):
+        return field_from_name(name)
+    q = int(name)
     if q < 2:
         raise ValueError("field size %d" % q)
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    if q % p:
-        p = q
-    k = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 1
+    while p ** k < q:
         k += 1
-    if qq != 1:
+    if p ** k != q:
         raise ValueError("%d is not a prime power" % q)
     return GF(p, k) if k > 1 else GF(p)
 
@@ -307,45 +301,33 @@ def _stage_lines(ctx):
                                           "small-field ladder"}
     field, points = found
     reduced = net.over(field)
-    cubic = pfaffian_hypersurface(reduced)
-    records = []
-    failures = 0
-    splits = {}  # the splitting type of each line M_c, by its RREF key
-    for c, (ok_x, (a1, a2), key) in zip(points,
-                                         curve_fibers(reduced, points)):
-        rec = {"c": _jsonable(tuple(c)),
-               "l_on_x": "pass" if ok_x else "fail"}
-        on_y = line_on_hypersurface(cubic, a1, a2)
-        rec["m_on_y"] = "pass" if on_y else "fail"
-        split = splits[key] = splitting_type_on_line(reduced, a1, a2)
-        rec["splitting"] = list(split)
-        rec["splitting_verdict"] = "pass" if split == (1, 3) else "fail"
-        membership = line_ideal_membership(reduced, a1, a2)
-        rec["ideal_membership"] = "pass" if membership.passed else "fail"
-        if not (ok_x and on_y and split == (1, 3) and membership.passed):
-            failures += 1
-        records.append(rec)
+    fibers = curve_fibers(reduced, points)
+    m_keys = [key for _, _, key in fibers]
+    census = find_lines_on_y(net, field) if field.order <= 3 else []
+    # each distinct line once, the lines M_c first
+    lines = list(dict.fromkeys(m_keys + census))
+    types = dict(zip(lines, splitting_types(reduced, lines)))
+
+    def verdict(ok):
+        return "pass" if ok else "fail"
+    records = [{"c": _jsonable(tuple(c)), "l_on_x": verdict(ok_x),
+                "m_on_y": verdict(on_y), "splitting": list(types[key]),
+                "splitting_verdict": verdict(types[key] == (1, 3)),
+                "ideal_membership": verdict(
+                    line_ideal_membership(reduced, a1, a2).passed)}
+               for c, (ok_x, (a1, a2), key), on_y
+               in zip(points, fibers, lie_on_y(reduced, field, m_keys))]
+    ok = all("fail" not in rec.values() for rec in records)
     payload = {"field": field.name, "count": len(points), "lines": records}
     if field.order <= 3:
-        generic = jumping = 0
-        census_ok = True
-        for a1, a2 in find_lines_on_y(net, field):
-            is_mc = (a1, a2) in splits  # lines come in RREF
-            split = splits[a1, a2] if is_mc \
-                else splitting_type_on_line(reduced, a1, a2)
-            if split == (1, 3):
-                jumping += 1
-                census_ok = census_ok and is_mc
-            elif split == (2, 2):
-                generic += 1
-                census_ok = census_ok and not is_mc
-            else:
-                census_ok = False
-        payload["census"] = {"generic": generic, "jumping": jumping,
+        # a type is (1, 3) or (2, 2); the jumping lines must be the M_c
+        jumping = {line for line in census if types[line] == (1, 3)}
+        census_ok = jumping == set(census) & set(m_keys)
+        payload["census"] = {"generic": len(census) - len(jumping),
+                             "jumping": len(jumping),
                              "matches_curve": census_ok}
-        if not census_ok or jumping != len(splits):
-            failures += 1
-    return ("pass" if failures == 0 else "fail"), payload
+        ok = ok and census_ok and len(jumping) == len(set(m_keys))
+    return verdict(ok), payload
 
 
 def _jw_plans(ctx):

@@ -28,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .correspondence import line_on_hypersurface, pfaffian_hypersurface
 from .matrices import ExactMatrix
-from .multipoly import monomials_of_degree
+from .multipoly import MultiPoly, monomials_of_degree
 
 
 def _sym_dim(nvars, d):
@@ -282,8 +283,6 @@ def line_ideal_membership(net, a1, a2):
     the restriction map to binary forms on M, h^2 and h^3 from the closed
     hypersurface rows plus line cohomology.
     """
-    from .correspondence import line_on_hypersurface, pfaffian_hypersurface
-    from .multipoly import MultiPoly
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("line ideal membership is the n=5, 2m=6 case")
     cubic = pfaffian_hypersurface(net)

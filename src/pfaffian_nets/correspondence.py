@@ -16,7 +16,6 @@ import itertools
 import numpy as np
 
 from . import modnum
-from .cohomology import mu_matrix
 from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
                         pencil_line, plucker_from_basis)
@@ -682,49 +681,12 @@ def line_on_hypersurface(poly, a1, a2):
     return poly.substitute(subs).is_zero()
 
 
-def splitting_type_on_line(net, a1, a2):
-    """Splitting type (d1, d2), d1 <= d2, d1 + d2 = 4, of the restriction
-    data of the kernel bundle on a line inside Y.
-
-    The pencil P(s, t) = s f(a1) + t f(a2) of corank-2 skew forms has a
-    rank-2 kernel bundle K = O(-e1) + O(-e2) with e1 + e2 = 2; the ladder
-    N(s) = dim ker(V x S^s -> V* x S^{s+1}) counts its twisted sections,
-    N(0) distinguishes (0,2) from (1,1), and the reported type is
-    (e1+1, e2+1): the jumping value is (1,3), the generic one (2,2).
-    """
-    cubic = pfaffian_hypersurface(net)
-    if not line_on_hypersurface(cubic, a1, a2):
-        raise ValueError("the pencil does not lie on the Pfaffian "
-                         "hypersurface")
-    pencil = ANet(net.field, [net.f_at(a1), net.f_at(a2)])
-    # corank must be exactly 2 across the pencil; probe a few parameters
-    probes = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
-    for s, t in probes:
-        r = pencil.f_at((s, t)).rank()
-        if r > net.two_m - 2:
-            raise ValueError("pencil point of full rank: line not on Y?")
-        if r < net.two_m - 2:
-            raise ValueError("pencil rank drops to %d: kernel sheaf is not "
-                             "a rank-2 bundle here" % r)
-    # N(s): the kernel of multiplication by the pencil from degree s to s+1
-    ladder = [net.two_m * (s + 1) - mu_matrix(pencil, s + 1).rank()
-              for s in range(3)]
-    profiles = {(0, 2): [1, 2, 4], (1, 1): [0, 2, 4]}
-    for (e1, e2), expect in profiles.items():
-        if ladder == expect:
-            return (e1 + 1, e2 + 1)
-    raise ValueError("section ladder %s matches no rank-2 splitting with "
-                     "e1 + e2 = 2; this is a finding to surface" % (ladder,))
-
-
-def find_lines_on_y(net, field):
-    """All lines of P(A) lying on Y over a small field, as spanning pairs in
-    `_echelon_pairs` order; exhaustive over the lines of the projective
-    space.  Pf restricted to a line is a binary form of degree m, zero or
-    with at most m zeros, so a line with more than m points lies on Y iff
-    all of them do.  Over a prime field with fewer than m elements the
-    points are read over its first extension with at least m (Y(GF(4)) for
-    the cubic over GF(2))."""
+def lie_on_y(net, field, lines):
+    """Whether each line of P(A), a spanning pair of payloads over `field`,
+    lies on Y.  Pf on a line is a binary form of degree m, zero or with at
+    most m zeros, so a line with more than m points lies on Y iff all of
+    them do.  Over a prime field with fewer than m elements the points are
+    read over its first extension with at least m (GF(4) for m = 3)."""
     pfaffian_hypersurface(net)  # a degenerate net raises here
     m = net.two_m // 2
     ext = field
@@ -732,39 +694,93 @@ def find_lines_on_y(net, field):
         if field.kind != "GF(p)":
             raise ValueError("lines over %s need an extension with at "
                              "least %d elements" % (field, m))
-        k = 2
-        while field.order ** k < m:
-            k += 1
-        ext = GF(field.p, k)
+        ext = GF(field.p, next(k for k in itertools.count(2)
+                               if field.order ** k >= m))
+        lines = [[[reduce_value(x, field, ext) for x in row] for row in pair]
+                 for pair in lines]
     oracle = rank_oracle(net, ext, "a")
     fc = oracle.fc
-    params = [(fc.one, fc.zero)] + [(x, fc.one) for x in range(fc.q)]
+    r1, r2 = np.moveaxis(fc.encode(lines).reshape(-1, 2, net.n), 1, 0)
+    on_y = np.ones(len(r1), dtype=bool)
+    for s, t in [(fc.one, fc.zero)] + [(x, fc.one) for x in range(fc.q)]:
+        on_y &= oracle.ranks(fc.add(fc.mul(s, r1), fc.mul(t, r2))) \
+            < net.two_m
+    return on_y
+
+
+_PROBES = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))
+_LADDERS = {(1, 2, 4): (1, 3), (0, 2, 4): (2, 2)}  # N(0), N(1), N(2)
+
+
+def splitting_types(net, lines):
+    """The splitting types (d1, d2), d1 <= d2, d1 + d2 = 4, of the kernel
+    bundle on lines of Y, given as spanning pairs (a1, a2) of payloads over
+    the net's small field, all at once on code arrays.  The pencil
+    s f(a1) + t f(a2) must have corank 2 at five probes (s:t).  Its kernel
+    bundle O(-e1) + O(-e2), e1 + e2 = 2, has N(s) = dim ker mu_{s+1}
+    twisted sections, mu_{s+1}: V x S^s -> V* x S^{s+1} being the block
+    matrix with f(a1) on the block diagonal and f(a2) one block below it (a
+    rank ignores row and column order); N(0), N(1), N(2) name the type
+    (e1+1, e2+1): (1,3) on a jumping line, (2,2) on a generic one.  The
+    first line that fails a check raises; a field without codes, or a pair
+    that spans no line, raises before any line."""
+    field, two_m = net.field, net.two_m
+    oracle = rank_oracle(net, field, "a")
+    fc = oracle.fc
+    pairs = fc.encode(lines).reshape(-1, 2, net.n)
+    if (modnum.batch_rank_table(pairs, fc) < 2).any():
+        raise ValueError("a line needs two independent points")
+    on_y = lie_on_y(net, field, lines)
+    probes = fc.encode([[field.value_of(x) for x in st] for st in _PROBES])
+    ranks = oracle.ranks(_matmul(fc, probes[None], pairs).reshape(-1, net.n))
+    f1, f2 = np.moveaxis(_matmul(fc, pairs, oracle.stack.reshape(
+        net.n, -1)).reshape(-1, 2, two_m, two_m), 1, 0)
+    mu = np.zeros((len(pairs), 4, two_m, 3, two_m), dtype=np.int64)
+    for c in range(3):
+        mu[:, c, :, c], mu[:, c + 1, :, c] = f1, f2
+    # mu_s, s = 1, 2, 3, is made of the top left (s+1) x s blocks of mu_3
+    mu = mu.reshape(len(pairs), 4 * two_m, 3 * two_m)
+    ladders = np.stack([two_m * s - modnum.batch_rank_table(
+        mu[:, :(s + 1) * two_m, :s * two_m], fc) for s in (1, 2, 3)],
+        axis=1).tolist()
+    for y, probe, steps in zip(on_y, ranks.reshape(-1, len(_PROBES)).tolist(),
+                               ladders):
+        if not y:
+            raise ValueError("the pencil does not lie on the Pfaffian "
+                             "hypersurface")
+        for r in probe:
+            if r > two_m - 2:
+                raise ValueError("pencil point of full rank: line not on Y?")
+            if r < two_m - 2:
+                raise ValueError("pencil rank drops to %d: kernel sheaf is "
+                                 "not a rank-2 bundle here" % r)
+        if tuple(steps) not in _LADDERS:
+            raise ValueError("section ladder %s matches no rank-2 splitting "
+                             "with e1 + e2 = 2; this is a finding to surface"
+                             % (steps,))
+    return [_LADDERS[tuple(steps)] for steps in ladders]
+
+
+def find_lines_on_y(net, field):
+    """All lines of P(A) lying on Y over a small field, as spanning pairs in
+    `_echelon_pairs` order: every line of P(A), read by `lie_on_y`."""
     out = []
     for chunk in _chunks(_echelon_pairs(net.n, field)):
-        pairs = chunk if ext == field else [
-            [[reduce_value(x, field, ext) for x in row] for row in pair]
-            for pair in chunk]
-        r1, r2 = np.moveaxis(fc.encode(pairs), 1, 0)
-        on_y = np.ones(len(chunk), dtype=bool)
-        for s, t in params:
-            pts = fc.add(fc.mul(s, r1), fc.mul(t, r2))
-            on_y &= oracle.table[oracle.indices(pts)] < net.two_m
-        out.extend((tuple(a1), tuple(a2))
-                   for (a1, a2), keep in zip(chunk, on_y) if keep)
+        out.extend((tuple(a1), tuple(a2)) for (a1, a2), keep
+                   in zip(chunk, lie_on_y(net, field, chunk)) if keep)
     return out
 
 
 # -- C-point search -----------------------------------------------------------
 
 SEARCH_LADDER = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3))
-_C_POINTS = 8  # curve points handed to the lines stage
 
 
 def find_c_points(net):
     """Climb SEARCH_LADDER until points of the curve C are found: rank f_v
-    <= 3 among all points of P(V).  Returns (field, the first _C_POINTS
-    points) or None when the whole ladder is exhausted (the caller decides
-    how loudly to complain)."""
+    <= 3 among all points of P(V).  Returns (field, every such point) or
+    None when the whole ladder is exhausted (the caller decides how loudly
+    to complain)."""
     for p, k in SEARCH_LADDER:
         field = GF(p, k)
         try:
@@ -772,12 +788,11 @@ def find_c_points(net):
         except (FieldMismatchError, ValueError, ZeroDivisionError):
             continue
         profile, low, _ = fv_rank_profile(reduced, field)
-        if any(r <= 2 for r in profile if profile[r]):
-            bad = min(r for r in profile if r <= 2 and profile[r])
+        if min(profile) <= 2:  # the profile lists the ranks that occur
             raise ValueError("rank f_v = %d point found over %s: violates "
-                             "the minimal-rank bound" % (bad, field))
+                             "the minimal-rank bound" % (min(profile), field))
         if low:
-            return field, low[:_C_POINTS]
+            return field, low
     return None
 
 

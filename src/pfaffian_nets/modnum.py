@@ -240,12 +240,14 @@ class FieldCodes:
     code of a (inv[0] = 0), and add, sub and mul, elementwise on arrays
     of codes.  Over a field of order <= TABLE_ORDER they read operation
     tables flattened, at a * q + b: one gather from a vector costs less
-    than numpy's two-index gather.  Over a larger prime they compute mod
-    p.  Any other field has no codes and raises ValueError."""
+    than numpy's two-index gather.  Over a larger prime, up to MAX_PRIME,
+    they compute mod p.  Any other field has no codes and raises
+    ValueError."""
 
     def __init__(self, field):
         q = self.q = field.order
-        if q is None or (q > TABLE_ORDER and field.kind != "GF(p)"):
+        if q is None or (q > TABLE_ORDER and (field.kind != "GF(p)"
+                                              or q > MAX_PRIME)):
             raise ValueError("no code arithmetic over %s" % field)
         self.zero = 0
         self._digits = None  # the weights of a GF(p^k) payload's digits
@@ -253,7 +255,6 @@ class FieldCodes:
             self._digits = field.p ** np.arange(field.k - 1, -1, -1)
         self.one = int(self.encode(field.one_value))
         if q > TABLE_ORDER:
-            _check_prime(q)
             self.inv = inverse_table(q)
             self.add = lambda a, b: (a + b) % q
             self.sub = lambda a, b: (a - b) % q

@@ -3,7 +3,10 @@ the kernel plane kappa(a) of a point of Y, which the package reads from
 code arrays (`correspondence._x_masks`); for the line correspondence, the
 fiber of psi, the ideal of X with its certificate on a pencil, and the
 RREF key of a line, which the package reads from code arrays
-(`correspondence.curve_fibers`); and the random sampler drawing one
+(`correspondence.curve_fibers`); the splitting type of one line from
+its pencil `ANet`, five `f_at` probes and three `mu_matrix` ranks, which
+the package reads for all lines at once (`correspondence.splitting_types`);
+and the random sampler drawing one
 `random.Random.choice` and one rank lookup at a time, which the package
 replays in blocks (`verify._random_pairs`); and the f_v rank table ranked
 from the stack at every point of P(V), which the package walks from the
@@ -15,7 +18,9 @@ import random
 import numpy as np
 
 from pfaffian_nets import modnum, verify
-from pfaffian_nets.correspondence import (_CHUNK, FvMatrix, _phi_bases,
+from pfaffian_nets.cohomology import mu_matrix
+from pfaffian_nets.correspondence import (_CHUNK, ANet, FvMatrix, _phi_bases,
+                                          line_on_hypersurface,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
 from pfaffian_nets.grassmann import pair_indices, plucker_from_basis
@@ -84,6 +89,41 @@ def line_key(field, a1, a2):
     """The RREF of the two rows spanning a line."""
     _, red = ExactMatrix(field, [list(a1), list(a2)]).rref()
     return tuple(tuple(row) for row in red.rows)
+
+
+def splitting_type_on_line(net, a1, a2):
+    """Splitting type (d1, d2), d1 <= d2, d1 + d2 = 4, of the restriction
+    data of the kernel bundle on a line inside Y.
+
+    The pencil P(s, t) = s f(a1) + t f(a2) of corank-2 skew forms has a
+    rank-2 kernel bundle K = O(-e1) + O(-e2) with e1 + e2 = 2; the ladder
+    N(s) = dim ker(V x S^s -> V* x S^{s+1}) counts its twisted sections,
+    N(0) distinguishes (0,2) from (1,1), and the reported type is
+    (e1+1, e2+1): the jumping value is (1,3), the generic one (2,2).
+    """
+    cubic = pfaffian_hypersurface(net)
+    if not line_on_hypersurface(cubic, a1, a2):
+        raise ValueError("the pencil does not lie on the Pfaffian "
+                         "hypersurface")
+    pencil = ANet(net.field, [net.f_at(a1), net.f_at(a2)])
+    # corank must be exactly 2 across the pencil; probe a few parameters
+    probes = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
+    for s, t in probes:
+        r = pencil.f_at((s, t)).rank()
+        if r > net.two_m - 2:
+            raise ValueError("pencil point of full rank: line not on Y?")
+        if r < net.two_m - 2:
+            raise ValueError("pencil rank drops to %d: kernel sheaf is not "
+                             "a rank-2 bundle here" % r)
+    # N(s): the kernel of multiplication by the pencil from degree s to s+1
+    ladder = [net.two_m * (s + 1) - mu_matrix(pencil, s + 1).rank()
+              for s in range(3)]
+    profiles = {(0, 2): [1, 2, 4], (1, 1): [0, 2, 4]}
+    for (e1, e2), expect in profiles.items():
+        if ladder == expect:
+            return (e1 + 1, e2 + 1)
+    raise ValueError("section ladder %s matches no rank-2 splitting with "
+                     "e1 + e2 = 2; this is a finding to surface" % (ladder,))
 
 
 def plucker_quadrics(two_m, field):

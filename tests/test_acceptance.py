@@ -22,7 +22,7 @@ from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           pfaffian_hypersurface, phi_fiber,
                                           q_quartic, random_net,
                                           fv_rank_profile,
-                                          splitting_type_on_line)
+                                          splitting_types)
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.ideals import (fit_hilbert_polynomial,
                                   is_empty_projective, minors_ideal)
@@ -206,13 +206,13 @@ def test_07_line_correspondences(pinned_net, found_curve_points):
                 pt = pencil.point_at(s, t)
                 assert not gen.evaluate(list(pt.coords))
         assert line_on_hypersurface(cubic, a1, a2)
-        assert splitting_type_on_line(reduced, a1, a2) == (1, 3)
+        assert splitting_types(reduced, [(a1, a2)]) == [(1, 3)]
         m_keys.add(key)
     assert field.name == "GF(3)"
     enumerated = find_lines_on_y(pinned_net, field)
     seen_jumping = set()
-    for a1, a2 in enumerated:
-        split = splitting_type_on_line(reduced, a1, a2)
+    for (a1, a2), split in zip(enumerated,
+                               splitting_types(reduced, enumerated)):
         if (a1, a2) in m_keys:
             assert split == (1, 3)
             seen_jumping.add((a1, a2))

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import pfaffian_nets
-from pfaffian_nets import cli, correspondence, grassmann
+from pfaffian_nets import cli, cohomology, correspondence, grassmann
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
 from pfaffian_nets.correspondence import ANet, FvMatrix, find_c_points
@@ -255,19 +255,51 @@ class TestLinesStage:
         assert calls == []
 
     def test_one_splitting_type_per_line(self, monkeypatch):
-        """The census reads a jumping line's splitting type back from its
-        curve point, by RREF key: one computation for each of the 18 lines
-        of Y over GF(3)."""
+        """One `splitting_types` call ranks each of the 18 lines of Y over
+        GF(3) once, the lines M_c first, with no pencil net or `mu_matrix`;
+        a line is restricted to the cubic only by the membership check."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
-        calls = []
-        real = cli.splitting_type_on_line
-        monkeypatch.setattr(cli, "splitting_type_on_line",
-                            lambda *args: calls.append(args) or real(*args))
+        batches, scalar, callers = [], [], []
+        real = cli.splitting_types
+        monkeypatch.setattr(cli, "splitting_types", lambda reduced, lines:
+                            batches.append(list(lines))
+                            or real(reduced, lines))
+        for owner, name in ((ANet, "f_at"), (cohomology, "mu_matrix")):
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                scalar.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        real_restrict = correspondence.line_on_hypersurface
+
+        def restrict(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_restrict(*args)
+        for owner in (cohomology, correspondence):
+            monkeypatch.setattr(owner, "line_on_hypersurface", restrict)
         verdict, payload = cli._stage_lines({"net": net})
         assert verdict == "pass" and payload["field"] == "GF(3)"
         assert payload["census"] == {"generic": 13, "jumping": 5,
                                      "matches_curve": True}
-        assert len(calls) == 18
+        (lines,) = batches
+        assert len(lines) == len(set(lines)) == 18
+        reduced = net.over(GF(3))
+        _, points = find_c_points(net)
+        assert lines[:5] == [key for _, _, key in
+                             correspondence.curve_fibers(reduced, points)]
+        assert scalar == []
+        assert callers == ["line_ideal_membership"] * 5
+
+    @pytest.mark.parametrize("index, count, generic", [
+        (0, 5, 13), (1, 6, 11), (2, 3, 9), (3, 2, 8), (4, 9, 23)])
+    def test_passes_on_every_pinned_net(self, index, count, generic):
+        """Every point of C over GF(3) is checked: net 4 has 9, and its
+        ninth line M_c is one of the jumping lines of the census."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[index])
+        verdict, payload = cli._stage_lines({"net": net})
+        assert verdict == "pass" and payload["field"] == "GF(3)"
+        assert payload["count"] == len(payload["lines"]) == count
+        assert payload["census"] == {"generic": generic, "jumping": count,
+                                     "matches_curve": True}
 
 
 class TestVerify:
@@ -328,6 +360,17 @@ class TestErrors:
         assert main(["verify", fixture_path, "regularity",
                      "--fields", "6"]) == 3
 
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_gf_of_a_non_prime_power(self, fixture_path, monkeypatch,
+                                     capsys, from_env):
+        argv = ["verify", fixture_path, "regularity"]
+        if from_env:
+            monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", "GF(6)")
+        else:
+            argv += ["--fields", "GF(6)"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: 6 is not a prime power\n"
+
     @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
                              ids=["pipeline", "verify"])
     @pytest.mark.parametrize("option, value", [
@@ -361,6 +404,23 @@ class TestErrors:
     def test_field_names_with_a_comma(self, fixture_path, monkeypatch,
                                       value, same_as, from_env):
         # the form fixture files use; the comma inside is no separator
+        argv = ["verify", fixture_path, "regularity"]
+        if from_env:
+            monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", value)
+            given = argv
+        else:
+            given = argv + ["--fields", value]
+        assert main(given) == 0
+        assert self._field_names(fixture_path, given) \
+            == self._field_names(fixture_path, argv + ["--fields", same_as])
+
+    @pytest.mark.parametrize("value, same_as", [
+        ("GF(4)", "4"), ("GF(9)", "9"), ("GF(7)", "7"),
+        ("2,gf( 4 )", "2,4")])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_gf_of_an_order(self, fixture_path, monkeypatch, value,
+                            same_as, from_env):
+        # GF(q) names the field of order q, as the bare q does
         argv = ["verify", fixture_path, "regularity"]
         if from_env:
             monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", value)

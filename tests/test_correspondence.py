@@ -11,12 +11,12 @@ from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           c_ideal, classify, curve_fibers,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
-                                          is_regular,
+                                          is_regular, lie_on_y,
                                           line_on_hypersurface,
                                           pfaffian_hypersurface, phi_fiber,
                                           q_quartic, random_net,
                                           random_regular_net, rank_oracle,
-                                          splitting_type_on_line,
+                                          splitting_types,
                                           sub_pfaffian_ideal, x_points,
                                           y_ideal, y_points)
 from pfaffian_nets.fields import GF, QQ, FieldMismatchError, reduce_value
@@ -32,8 +32,8 @@ from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
 
 from scalar_references import (certify_line_on_x, fv_rank_table, kappa,
                                line_key, net_linear_forms, psi_fiber,
-                               satisfies_quadrics, x_ideal, x_plucker_points,
-                               y_payloads)
+                               satisfies_quadrics, splitting_type_on_line,
+                               x_ideal, x_plucker_points, y_payloads)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -616,8 +616,9 @@ class TestLines:
     def test_jumping_lines_are_exactly_the_psi_lines(self, pinned):
         net3 = pinned.map_field(F3)
         lines = find_lines_on_y(net3, F3)
-        jumping = {(a1, a2) for a1, a2 in lines
-                   if splitting_type_on_line(net3, a1, a2) == (1, 3)}
+        jumping = {line for line, split
+                   in zip(lines, splitting_types(net3, lines))
+                   if split == (1, 3)}
 
         _, low, _ = fv_rank_profile(pinned, F3)
         psi_lines = {key for _, _, key in curve_fibers(net3, low)}
@@ -627,14 +628,115 @@ class TestLines:
     def test_generic_line_splits_evenly(self, pinned):
         net3 = pinned.map_field(F3)
         lines = find_lines_on_y(net3, F3)
-        types = {splitting_type_on_line(net3, a, b) for a, b in lines}
+        types = set(splitting_types(net3, lines))
         assert types <= {(2, 2), (1, 3)}
         assert (2, 2) in types
 
     def test_rejects_line_off_y(self, pinned):
         net3 = pinned.map_field(F3)
         with pytest.raises(ValueError, match="does not lie"):
-            splitting_type_on_line(net3, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+            splitting_types(net3, [((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))])
+
+
+class TestSplittingTypes:
+    """`splitting_types` against the per-line reference
+    `scalar_references.splitting_type_on_line`: the same types on every
+    line of Y, and the same message for the first line that fails."""
+
+    OFF_Y = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+
+    @pytest.mark.parametrize("field", [F3, GF(5)], ids=str)
+    def test_matches_the_scalar_reference(self, pinned_family, field):
+        for net in pinned_family:
+            reduced = net.over(field)
+            lines = find_lines_on_y(net, field)
+            types = splitting_types(reduced, lines)
+            assert types == [splitting_type_on_line(reduced, *line)
+                             for line in lines]
+            assert {(1, 3), (2, 2)} == set(types)
+        assert splitting_types(pinned_family[0].over(field), []) == []
+
+    @staticmethod
+    def _messages(net, lines):
+        """The ValueError messages of the batch and of the per-line loop."""
+        out = []
+        for run in (lambda: splitting_types(net, lines),
+                    lambda: [splitting_type_on_line(net, *line)
+                             for line in lines]):
+            with pytest.raises(ValueError) as err:
+                run()
+            out.append(str(err.value))
+        return out
+
+    @staticmethod
+    def _through_rank_two(pinned_family):
+        """Pinned net 1 mod 7, a bad prime (rank f(a) = 2 at a0), and a
+        line of Y through a0."""
+        net = pinned_family[1].over(F7)
+        oracle = rank_oracle(net, F7, "a")
+        (a0,) = oracle.points(np.nonzero(oracle.table <= 2)[0])
+        others = [tuple(b) for b in enumerate_projective(F7, 4)
+                  if tuple(b) != a0]
+        on_y = lie_on_y(net, F7, [(b, a0) for b in others])
+        return net, (others[int(on_y.argmax())], a0)
+
+    def test_same_message_off_y(self, pinned):
+        net3 = pinned.over(F3)
+        lines = find_lines_on_y(net3, F3)
+        assert self._messages(net3, lines[:3] + [self.OFF_Y]) \
+            == ["the pencil does not lie on the Pfaffian hypersurface"] * 2
+
+    def test_same_message_through_a_rank_two_point(self, pinned_family):
+        net, line = self._through_rank_two(pinned_family)
+        assert line_on_hypersurface(pfaffian_hypersurface(net), *line)
+        assert self._messages(net, [line]) \
+            == ["pencil rank drops to 2: kernel sheaf is not a rank-2 "
+                "bundle here"] * 2
+
+    def test_first_failing_line_in_input_order(self, pinned_family):
+        net, line = self._through_rank_two(pinned_family)
+        assert not lie_on_y(net, F7, [self.OFF_Y])[0]
+        drop, off = self._messages(net, [line, self.OFF_Y]), \
+            self._messages(net, [self.OFF_Y, line])
+        assert drop[0] == drop[1] and "drops to 2" in drop[0]
+        assert off[0] == off[1] and "does not lie" in off[0]
+
+    def test_same_message_for_a_ladder_of_no_profile(self, pinned,
+                                                     monkeypatch):
+        """mu_2 (18 x 12 for 2m = 6) ranked one short: N(1) = 3 fits
+        neither [1, 2, 4] nor [0, 2, 4]."""
+        net3 = pinned.over(F3)
+        lines = find_lines_on_y(net3, F3)
+        out = []
+        with monkeypatch.context() as patch:
+            real = modnum.batch_rank_table
+            patch.setattr(modnum, "batch_rank_table", lambda mats, fc: real(
+                mats, fc) - (mats.shape[1] == 18))
+            with pytest.raises(ValueError) as err:
+                splitting_types(net3, lines)
+            out.append(str(err.value))
+        with monkeypatch.context() as patch:
+            real_rank = ExactMatrix.rank
+            patch.setattr(ExactMatrix, "rank", lambda m: real_rank(m) - (
+                (m.nrows, m.ncols) == (18, 12)))
+            with pytest.raises(ValueError) as err:
+                [splitting_type_on_line(net3, *line) for line in lines]
+            out.append(str(err.value))
+        assert out[0] == out[1]
+        assert re.match(r"section ladder \[[01], 3, 4\] matches no", out[0])
+
+    def test_rejects_a_pair_spanning_no_line(self, pinned):
+        # the per-line loop fails on its pencil net instead
+        net3 = pinned.over(F3)
+        a = tuple(int(x) for x in y_points(net3, F3)[0])
+        with pytest.raises(ValueError, match="two independent points"):
+            splitting_types(net3, [(a, tuple(2 * x % 3 for x in a))])
+
+    @pytest.mark.parametrize("field, name", [
+        (GF(2, 7), "GF(2^7)"), (GF(46349), "GF(46349)")], ids=str)
+    def test_field_without_codes_raises(self, pinned, field, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            splitting_types(pinned.over(field), [])
 
 
 class TestXSide:
