@@ -31,7 +31,7 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
 from .fields import GF, FieldElement, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
-from .modnum import MAX_PRIME, TABLE_ORDER
+from .modnum import MAX_PRIME, TABLE_ORDER, field_codes
 from .multipoly import MultiPoly
 from .verify import SamplePlan, jw1_section_check, jw_pointwise
 
@@ -175,6 +175,7 @@ def _options(args, net):
             raise ValueError("field %r: the rank table over P^%d(%s) would "
                              "have %d points, more than %d"
                              % (tok, dim, field, points, MAX_TABLE_POINTS))
+    fields = list(dict.fromkeys(fields))  # a repeated field runs once
     prime = _resolve(args, "prime", "PRIME", DEFAULT_PRIME, int)
     cap = _resolve(args, "degree_cap", "DEGREE_CAP", DEFAULT_DEGREE_CAP, int)
     samples = _resolve(args, "samples", "SAMPLES", 1000, int)
@@ -303,6 +304,7 @@ def _stage_lines(ctx):
     reduced = net.over(field)
     fibers = curve_fibers(reduced, points)
     m_keys = [key for _, _, key in fibers]
+    m_on_y = lie_on_y(reduced, field, field_codes(field).encode(m_keys))
     census = find_lines_on_y(net, field) if field.order <= 3 else []
     # each distinct line once, the lines M_c first
     lines = list(dict.fromkeys(m_keys + census))
@@ -316,7 +318,7 @@ def _stage_lines(ctx):
                 "ideal_membership": verdict(
                     line_ideal_membership(reduced, a1, a2).passed)}
                for c, (ok_x, (a1, a2), key), on_y
-               in zip(points, fibers, lie_on_y(reduced, field, m_keys))]
+               in zip(points, fibers, m_on_y)]
     ok = all("fail" not in rec.values() for rec in records)
     payload = {"field": field.name, "count": len(points), "lines": records}
     if field.order <= 3:

@@ -28,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .correspondence import line_on_hypersurface, pfaffian_hypersurface
+from .correspondence import lie_on_y
 from .matrices import ExactMatrix
+from .modnum import field_codes
 from .multipoly import MultiPoly, monomials_of_degree
 
 
@@ -285,10 +286,9 @@ def line_ideal_membership(net, a1, a2):
     """
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("line ideal membership is the n=5, 2m=6 case")
-    cubic = pfaffian_hypersurface(net)
-    if not line_on_hypersurface(cubic, a1, a2):
-        raise ValueError("the given line does not lie on the cubic")
     f = net.field
+    if not lie_on_y(net, f, field_codes(f).encode([[a1, a2]]))[0]:
+        raise ValueError("the given line does not lie on the cubic")
     subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
     checks = []
     for t in MEMBERSHIP_TWISTS:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import modnum
 from .fields import GF, QQ, FieldMismatchError, reduce_value
-from .grassmann import (_echelon_pairs, enumerate_projective, pair_indices,
-                        pencil_line, plucker_from_basis)
+from .grassmann import (_CHUNK, echelon_pair_codes, enumerate_projective,
+                        pair_indices, pencil_line, plucker_from_basis)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal, other_prime)
@@ -172,18 +172,6 @@ class FvMatrix:
 # -- the point oracle ---------------------------------------------------------
 
 _TABLE_POINTS = 100_000  # the largest space `RankOracle.ranks` tabulates
-_CHUNK = 2048  # points, planes or lines handled per vectorized block
-
-
-def _chunks(items):
-    """Lists of up to _CHUNK consecutive items."""
-    items = iter(items)
-    while True:
-        chunk = list(itertools.islice(items, _CHUNK))
-        if not chunk:
-            return
-        yield chunk
-
 
 def _matmul(fc, x, y):
     """The products x[k] @ y[k] of two stacks of code matrices of the
@@ -509,8 +497,8 @@ def _x_points(net):
     is spanned by the rows of the RREF of Ker f_r1 that pivot after c1.
     So the planes are read off the points of the f_v rank table (walked
     from the kernels of f(a) over Y, `RankOracle._walk`) where
-    dim Ker f_v >= 2, and their bases are sorted into `_echelon_pairs`
-    order."""
+    dim Ker f_v >= 2, and their bases are sorted into the order of
+    `echelon_pair_codes`."""
     f = net.field
     two_m = net.two_m
     oracle = rank_oracle(net, f, "v")
@@ -673,20 +661,15 @@ def curve_fibers(net, points):
 
 # -- lines and splitting types ------------------------------------------------
 
-def line_on_hypersurface(poly, a1, a2):
-    """Whether the form vanishes on the whole pencil s*a1 + t*a2, via the
-    symbolic restriction to the (s, t) parameters."""
-    f = poly.field
-    subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
-    return poly.substitute(subs).is_zero()
-
-
-def lie_on_y(net, field, lines):
-    """Whether each line of P(A), a spanning pair of payloads over `field`,
-    lies on Y.  Pf on a line is a binary form of degree m, zero or with at
-    most m zeros, so a line with more than m points lies on Y iff all of
-    them do.  Over a prime field with fewer than m elements the points are
-    read over its first extension with at least m (GF(4) for m = 3)."""
+def lie_on_y(net, field, pairs):
+    """Whether each line of P(A), given by an (N, 2, n) code array of
+    spanning pairs over `field`, lies on Y.  Pf on a line is a binary form
+    of degree m, zero or with at most m zeros, so a line with more than m
+    points lies on Y iff all of them do.  Over a prime field with fewer
+    than m elements the points are read over its first extension with at
+    least m (GF(4) for m = 3), the pairs lifted by one code table.  A field
+    without codes raises."""
+    modnum.field_codes(field)  # a field without codes raises here
     pfaffian_hypersurface(net)  # a degenerate net raises here
     m = net.two_m // 2
     ext = field
@@ -696,11 +679,12 @@ def lie_on_y(net, field, lines):
                              "least %d elements" % (field, m))
         ext = GF(field.p, next(k for k in itertools.count(2)
                                if field.order ** k >= m))
-        lines = [[[reduce_value(x, field, ext) for x in row] for row in pair]
-                 for pair in lines]
+        pairs = modnum.field_codes(ext).encode(
+            [reduce_value(e.value, field, ext) for e in field.elements()]
+        )[pairs]
     oracle = rank_oracle(net, ext, "a")
     fc = oracle.fc
-    r1, r2 = np.moveaxis(fc.encode(lines).reshape(-1, 2, net.n), 1, 0)
+    r1, r2 = pairs[:, 0], pairs[:, 1]
     on_y = np.ones(len(r1), dtype=bool)
     for s, t in [(fc.one, fc.zero)] + [(x, fc.one) for x in range(fc.q)]:
         on_y &= oracle.ranks(fc.add(fc.mul(s, r1), fc.mul(t, r2))) \
@@ -730,7 +714,7 @@ def splitting_types(net, lines):
     pairs = fc.encode(lines).reshape(-1, 2, net.n)
     if (modnum.batch_rank_table(pairs, fc) < 2).any():
         raise ValueError("a line needs two independent points")
-    on_y = lie_on_y(net, field, lines)
+    on_y = lie_on_y(net, field, pairs)
     probes = fc.encode([[field.value_of(x) for x in st] for st in _PROBES])
     ranks = oracle.ranks(_matmul(fc, probes[None], pairs).reshape(-1, net.n))
     f1, f2 = np.moveaxis(_matmul(fc, pairs, oracle.stack.reshape(
@@ -763,11 +747,13 @@ def splitting_types(net, lines):
 
 def find_lines_on_y(net, field):
     """All lines of P(A) lying on Y over a small field, as spanning pairs in
-    `_echelon_pairs` order: every line of P(A), read by `lie_on_y`."""
+    the order of `echelon_pair_codes`: every line of P(A), read by
+    `lie_on_y` a block at a time; only the lines kept are decoded."""
+    fc = modnum.field_codes(field)
     out = []
-    for chunk in _chunks(_echelon_pairs(net.n, field)):
-        out.extend((tuple(a1), tuple(a2)) for (a1, a2), keep
-                   in zip(chunk, lie_on_y(net, field, chunk)) if keep)
+    for block in echelon_pair_codes(net.n, field):
+        out.extend((tuple(a1), tuple(a2)) for a1, a2
+                   in fc.decode(block[lie_on_y(net, field, block)]))
     return out
 
 

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from . import modnum
 from .matrices import ExactMatrix
 
+_CHUNK = 2048  # points, planes or lines handled per vectorized block
 _pair_cache = {}
 
 
@@ -113,41 +117,44 @@ def plane_from_plucker(point):
     return basis
 
 
-def _echelon_pairs(n, field, limit=10_000_000):
+def echelon_pair_codes(n, field, limit=10_000_000):
     """The two rows of every 2 x n reduced echelon matrix over a finite
-    field, one per 2-plane of field^n, in (pivot pair, free entries)
-    lexicographic order; at most `limit` planes."""
-    q = field.order
-    if q is None:
-        raise ValueError("enumeration needs a finite field")
+    field, one per 2-plane of field^n, as int64 code arrays of shape
+    (B, 2, n), B <= _CHUNK, one pivot pair (c1, c2) at a time.  Row 1 has
+    its 1 at c1 and row 2 at c2, and the free entries are the base-q
+    digits of a running index; as a code is its element's index in
+    `field.elements()`, the order is (pivot pair, free entries)
+    lexicographic.  At most `limit` planes; a field without codes
+    raises."""
+    fc = modnum.field_codes(field)
+    q = fc.q
     total = gaussian_binomial(n, 2, q)
     if total > limit:
         raise ValueError("Gr(2,%d) over GF(%d) has %d points, over the "
                          "limit %d" % (n, q, total, limit))
-    elements = [e.value for e in field.elements()]
-    zero, one = field.zero_value, field.one_value
     for c1 in range(n - 1):
         for c2 in range(c1 + 1, n):
             free1 = [j for j in range(c1 + 1, n) if j != c2]
-            free2 = [j for j in range(c2 + 1, n)]
-            for vals in itertools.product(elements,
-                                          repeat=len(free1) + len(free2)):
-                r1 = [zero] * n
-                r2 = [zero] * n
-                r1[c1] = one
-                r2[c2] = one
-                for j, v in zip(free1, vals):
-                    r1[j] = v
-                for j, v in zip(free2, vals[len(free1):]):
-                    r2[j] = v
-                yield r1, r2
+            free2 = list(range(c2 + 1, n))
+            k = len(free1) + len(free2)
+            weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            for lo in range(0, q ** k, _CHUNK):
+                idx = np.arange(lo, min(q ** k, lo + _CHUNK))
+                digits = idx[:, None] // weights % q
+                block = np.zeros((idx.size, 2, n), dtype=np.int64)
+                block[:, 0, c1] = block[:, 1, c2] = fc.one
+                block[:, 0, free1] = digits[:, :len(free1)]
+                block[:, 1, free2] = digits[:, len(free1):]
+                yield block
 
 
 def enumerate_grassmannian(two_m, field, limit=10_000_000):
     """One representative per 2-plane via reduced echelon canonical forms,
     streamed in (pivot pair, free entries) lexicographic order."""
-    for r1, r2 in _echelon_pairs(two_m, field, limit):
-        yield plucker_from_basis(ExactMatrix(field, [r1, r2]))
+    fc = modnum.field_codes(field)
+    for block in echelon_pair_codes(two_m, field, limit):
+        for rows in fc.decode(block):
+            yield plucker_from_basis(ExactMatrix(field, rows))
 
 
 def enumerate_projective(field, dim):

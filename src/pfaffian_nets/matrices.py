@@ -1,5 +1,4 @@
-"""Dense matrices over the exact fields, with rank/kernel certificates and
-Pfaffians of skew-symmetric matrices.
+"""Dense matrices over the exact fields, with rank/kernel certificates.
 
 Entries are stored as raw field payloads (Fraction / int / coefficient tuple);
 `m[i, j]` hands back a wrapped FieldElement.  Elimination is plain Gauss-Jordan
@@ -13,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .fields import QQ, FieldElement, FieldMismatchError
+from .fields import FieldElement, FieldMismatchError
 from . import modnum
 
 _NUMPY_CUTOVER = 1200  # entry count above which prime fields use modnum
@@ -190,13 +189,6 @@ class ExactMatrix:
     def rank(self):
         return len(self.rref()[0])
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.field.kind == "QQ":
-            return FieldElement(QQ, _det_rational(self.rows))
-        return FieldElement(self.field, _det_generic(self.field, self.rows))
-
 
 # -- elimination backends -----------------------------------------------------
 
@@ -287,104 +279,3 @@ def _rref_rational(rows, ncols):
             if fct:
                 basis[r] = [x - fct * y for x, y in zip(basis[r], basis[i])]
     return pivots, basis
-
-
-def _det_generic(field, rows):
-    work = [list(r) for r in rows]
-    n = len(work)
-    det = field.one_value
-    for c in range(n):
-        hit = None
-        for r in range(c, n):
-            if not field.is_zero_value(work[r][c]):
-                hit = r
-                break
-        if hit is None:
-            return field.zero_value
-        if hit != c:
-            work[c], work[hit] = work[hit], work[c]
-            det = field.neg(det)
-        piv = work[c][c]
-        det = field.mul(det, piv)
-        inv = field.inv(piv)
-        for r in range(c + 1, n):
-            if not field.is_zero_value(work[r][c]):
-                fct = field.mul(work[r][c], inv)
-                work[r] = [field.sub(x, field.mul(fct, y))
-                           for x, y in zip(work[r], work[c])]
-    return det
-
-
-def _det_rational(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        mult = lcm(*[f.denominator for f in row])
-        scale *= mult
-        int_rows.append([int(f * mult) for f in row])
-    sign = 1
-    work = int_rows
-    prev = 1
-    for c in range(n):
-        hit = None
-        for r in range(c, n):
-            if work[r][c]:
-                hit = r
-                break
-        if hit is None:
-            return Fraction(0)
-        if hit != c:
-            work[c], work[hit] = work[hit], work[c]
-            sign = -sign
-        piv = work[c][c]
-        for r in range(c + 1, n):
-            vc = work[r][c]
-            for j in range(c, n):
-                work[r][j] = (piv * work[r][j] - vc * work[c][j]) // prev
-        prev = piv
-    return Fraction(sign * work[n - 1][n - 1]) / scale
-
-
-# -- pfaffians ----------------------------------------------------------------
-
-MAX_PFAFFIAN_SIZE = 12
-
-
-def pfaffian_scalar(m):
-    """Pfaffian of a skew-symmetric ExactMatrix via first-row expansion.
-
-    Sizes beyond 12 are rejected (the expansion is combinatorial), as is
-    characteristic 2, where alternating and skew-symmetric part ways.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("pfaffian of a non-square matrix")
-    if m.nrows % 2 == 1:
-        raise ValueError("pfaffian of an odd-size matrix")
-    if m.nrows > MAX_PFAFFIAN_SIZE:
-        raise ValueError("pfaffian size %d beyond the expansion guard (%d)"
-                         % (m.nrows, MAX_PFAFFIAN_SIZE))
-    if m.field.characteristic == 2:
-        raise ValueError("pfaffians are not computed in characteristic 2")
-    if not m.is_skew_symmetric():
-        raise ValueError("matrix is not skew-symmetric")
-    f = m.field
-    rows = m.rows
-
-    def expand(idx):
-        if not idx:
-            return f.one_value
-        i0 = idx[0]
-        acc = f.zero_value
-        for pos in range(1, len(idx)):
-            a = rows[i0][idx[pos]]
-            if f.is_zero_value(a):
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = f.mul(a, expand(rest))
-            acc = f.add(acc, term) if pos % 2 == 1 else f.sub(acc, term)
-        return acc
-
-    return FieldElement(f, expand(tuple(range(m.nrows))))

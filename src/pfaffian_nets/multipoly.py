@@ -329,29 +329,6 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def exact_divide(num, den):
-    """Single-divisor long division under graded-lex; the remainder must
-    come out zero or a ValueError is raised."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    num._compat(den)
-    f = num.field
-    de, dc = den.leading()
-    dc_inv = f.inv(dc)
-    q_terms = {}
-    rem = num
-    while not rem.is_zero():
-        ne, nc = rem.leading()
-        step = tuple(a - b for a, b in zip(ne, de))
-        if any(e < 0 for e in step):
-            raise ValueError("nonzero remainder: %s does not divide %s"
-                             % (den.render(), num.render()))
-        c = f.mul(nc, dc_inv)
-        q_terms[step] = c
-        rem = rem - MultiPoly.monomial(f, num.nvars, step, c) * den
-    return MultiPoly._raw(f, num.nvars, q_terms)
-
-
 class SkewPolyMatrix:
     """Even-size grid of polynomials with entry[i][j] = -entry[j][i] and a
     zero diagonal, checked on construction."""

@@ -34,10 +34,10 @@ import random
 import numpy as np
 
 from . import modnum
-from .correspondence import (_CHUNK, _kernels, _matmul, _phi_bases,
-                             _u_sides, pfaffian_hypersurface, rank_oracle,
-                             x_points, y_points)
-from .grassmann import (enumerate_projective, plane_from_plucker,
+from .correspondence import (_kernels, _matmul, _phi_bases, _u_sides,
+                             pfaffian_hypersurface, rank_oracle, x_points,
+                             y_points)
+from .grassmann import (_CHUNK, enumerate_projective, plane_from_plucker,
                         plucker_from_basis)
 from .matrices import ExactMatrix
 

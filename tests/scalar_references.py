@@ -10,22 +10,29 @@ and the random sampler drawing one
 `random.Random.choice` and one rank lookup at a time, which the package
 replays in blocks (`verify._random_pairs`); and the f_v rank table ranked
 from the stack at every point of P(V), which the package walks from the
-kernels of f(a) over Y (`RankOracle._walk`).  The tests compare the two."""
+kernels of f(a) over Y (`RankOracle._walk`).  The tests compare the two.
+
+Also the symbolic restriction of a form to a line, which the package
+answers by ranks at the line's points (`correspondence.lie_on_y`), and the
+exact scalar references that only the tests read: the determinant, the
+Pfaffian by first-row expansion and polynomial long division."""
 
 import itertools
 import random
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from pfaffian_nets import modnum, verify
 from pfaffian_nets.cohomology import mu_matrix
-from pfaffian_nets.correspondence import (_CHUNK, ANet, FvMatrix, _phi_bases,
-                                          line_on_hypersurface,
+from pfaffian_nets.correspondence import (ANet, FvMatrix, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
-from pfaffian_nets.grassmann import pair_indices, plucker_from_basis
+from pfaffian_nets.fields import QQ, FieldElement
+from pfaffian_nets.grassmann import _CHUNK, pair_indices, plucker_from_basis
 from pfaffian_nets.ideals import HomogeneousIdeal
-from pfaffian_nets.matrices import ExactMatrix, pfaffian_scalar
+from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
 
 
@@ -252,3 +259,142 @@ def random_pairs(net, plan):
                                      [st for _, (_, st) in draws]))
     bases = _phi_bases(fc, on_q.stack, vs, params)
     return a_codes, bases, params
+
+
+def line_on_hypersurface(poly, a1, a2):
+    """Whether the form vanishes on the whole pencil s*a1 + t*a2, via the
+    symbolic restriction to the (s, t) parameters."""
+    f = poly.field
+    subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
+    return poly.substitute(subs).is_zero()
+
+
+def det(m):
+    """The determinant of a square ExactMatrix, as a FieldElement."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    if m.field.kind == "QQ":
+        return FieldElement(QQ, _det_rational(m.rows))
+    return FieldElement(m.field, _det_generic(m.field, m.rows))
+
+
+def _det_generic(field, rows):
+    work = [list(r) for r in rows]
+    n = len(work)
+    det = field.one_value
+    for c in range(n):
+        hit = None
+        for r in range(c, n):
+            if not field.is_zero_value(work[r][c]):
+                hit = r
+                break
+        if hit is None:
+            return field.zero_value
+        if hit != c:
+            work[c], work[hit] = work[hit], work[c]
+            det = field.neg(det)
+        piv = work[c][c]
+        det = field.mul(det, piv)
+        inv = field.inv(piv)
+        for r in range(c + 1, n):
+            if not field.is_zero_value(work[r][c]):
+                fct = field.mul(work[r][c], inv)
+                work[r] = [field.sub(x, field.mul(fct, y))
+                           for x, y in zip(work[r], work[c])]
+    return det
+
+
+def _det_rational(rows):
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    scale = Fraction(1)
+    int_rows = []
+    for row in rows:
+        mult = lcm(*[f.denominator for f in row])
+        scale *= mult
+        int_rows.append([int(f * mult) for f in row])
+    sign = 1
+    work = int_rows
+    prev = 1
+    for c in range(n):
+        hit = None
+        for r in range(c, n):
+            if work[r][c]:
+                hit = r
+                break
+        if hit is None:
+            return Fraction(0)
+        if hit != c:
+            work[c], work[hit] = work[hit], work[c]
+            sign = -sign
+        piv = work[c][c]
+        for r in range(c + 1, n):
+            vc = work[r][c]
+            for j in range(c, n):
+                work[r][j] = (piv * work[r][j] - vc * work[c][j]) // prev
+        prev = piv
+    return Fraction(sign * work[n - 1][n - 1]) / scale
+
+
+MAX_PFAFFIAN_SIZE = 12
+
+
+def pfaffian_scalar(m):
+    """Pfaffian of a skew-symmetric ExactMatrix via first-row expansion.
+
+    Sizes beyond 12 are rejected (the expansion is combinatorial), as is
+    characteristic 2, where alternating and skew-symmetric part ways.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("pfaffian of a non-square matrix")
+    if m.nrows % 2 == 1:
+        raise ValueError("pfaffian of an odd-size matrix")
+    if m.nrows > MAX_PFAFFIAN_SIZE:
+        raise ValueError("pfaffian size %d beyond the expansion guard (%d)"
+                         % (m.nrows, MAX_PFAFFIAN_SIZE))
+    if m.field.characteristic == 2:
+        raise ValueError("pfaffians are not computed in characteristic 2")
+    if not m.is_skew_symmetric():
+        raise ValueError("matrix is not skew-symmetric")
+    f = m.field
+    rows = m.rows
+
+    def expand(idx):
+        if not idx:
+            return f.one_value
+        i0 = idx[0]
+        acc = f.zero_value
+        for pos in range(1, len(idx)):
+            a = rows[i0][idx[pos]]
+            if f.is_zero_value(a):
+                continue
+            rest = idx[1:pos] + idx[pos + 1:]
+            term = f.mul(a, expand(rest))
+            acc = f.add(acc, term) if pos % 2 == 1 else f.sub(acc, term)
+        return acc
+
+    return FieldElement(f, expand(tuple(range(m.nrows))))
+
+
+def exact_divide(num, den):
+    """Single-divisor long division under graded-lex; the remainder must
+    come out zero or a ValueError is raised."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    num._compat(den)
+    f = num.field
+    de, dc = den.leading()
+    dc_inv = f.inv(dc)
+    q_terms = {}
+    rem = num
+    while not rem.is_zero():
+        ne, nc = rem.leading()
+        step = tuple(a - b for a, b in zip(ne, de))
+        if any(e < 0 for e in step):
+            raise ValueError("nonzero remainder: %s does not divide %s"
+                             % (den.render(), num.render()))
+        c = f.mul(nc, dc_inv)
+        q_terms[step] = c
+        rem = rem - MultiPoly.monomial(f, num.nvars, step, c) * den
+    return MultiPoly._raw(f, num.nvars, q_terms)

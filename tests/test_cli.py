@@ -257,9 +257,10 @@ class TestLinesStage:
     def test_one_splitting_type_per_line(self, monkeypatch):
         """One `splitting_types` call ranks each of the 18 lines of Y over
         GF(3) once, the lines M_c first, with no pencil net or `mu_matrix`;
-        a line is restricted to the cubic only by the membership check."""
+        nothing restricts the cubic to a line: the only substitutions are
+        the membership check's twist-0 restrictions, of the monomial 1."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
-        batches, scalar, callers = [], [], []
+        batches, scalar, restricted = [], [], []
         real = cli.splitting_types
         monkeypatch.setattr(cli, "splitting_types", lambda reduced, lines:
                             batches.append(list(lines))
@@ -269,13 +270,12 @@ class TestLinesStage:
                 scalar.append(_name)
                 return _real(*args)
             monkeypatch.setattr(owner, name, counted)
-        real_restrict = correspondence.line_on_hypersurface
+        real_substitute = MultiPoly.substitute
 
-        def restrict(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real_restrict(*args)
-        for owner in (cohomology, correspondence):
-            monkeypatch.setattr(owner, "line_on_hypersurface", restrict)
+        def substitute(poly, *args):
+            restricted.append(poly)
+            return real_substitute(poly, *args)
+        monkeypatch.setattr(MultiPoly, "substitute", substitute)
         verdict, payload = cli._stage_lines({"net": net})
         assert verdict == "pass" and payload["field"] == "GF(3)"
         assert payload["census"] == {"generic": 13, "jumping": 5,
@@ -287,7 +287,8 @@ class TestLinesStage:
         assert lines[:5] == [key for _, _, key in
                              correspondence.curve_fibers(reduced, points)]
         assert scalar == []
-        assert callers == ["line_ideal_membership"] * 5
+        assert [(len(p.terms), p.degree()) for p in restricted] \
+            == [(1, 0)] * 5
 
     @pytest.mark.parametrize("index, count, generic", [
         (0, 5, 13), (1, 6, 11), (2, 3, 9), (3, 2, 8), (4, 9, 23)])
@@ -335,6 +336,24 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "pipeline" in done.stdout
+
+    def test_pipeline_imports_no_optional_module(self, fixture_path,
+                                                  tmp_path):
+        # numpy.ma costs about 14 ms of import; scipy and sympy are not
+        # dependencies
+        src = os.path.dirname(os.path.dirname(pfaffian_nets.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\n"
+                  "from pfaffian_nets.cli import main\n"
+                  "main(['pipeline', sys.argv[1], '-o', sys.argv[2]])\n"
+                  "print('loaded:', *[m for m in ('numpy.ma', 'scipy', "
+                  "'sympy') if m in sys.modules])\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, fixture_path,
+             str(tmp_path / "report.json")], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded:"
 
 
 class TestErrors:
@@ -515,6 +534,28 @@ class TestOptionResolution:
                      "--fields", "3", "--samples", "12"]) == 0
         reports = json.loads(capsys.readouterr().out)["detail"]["reports"]
         assert [r["plan"]["count"] for r in reports][-1] == 12
+
+    @pytest.fixture(scope="class")
+    def gf3_report(self, fixture_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gf3") / "report.json"
+        main(["pipeline", fixture_path, "-o", str(out), "--samples", "50",
+              "--fields", "3"])
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("value", ["3,3", "3,GF(3)"])
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_repeated_field_runs_once(self, fixture_path, gf3_report,
+                                      tmp_path, monkeypatch, value,
+                                      from_env):
+        # a field named twice is one field: listed once, its plans run once
+        out = tmp_path / "report.json"
+        argv = ["pipeline", fixture_path, "-o", str(out), "--samples", "50"]
+        if from_env:
+            monkeypatch.setenv("PFAFFIAN_NETS_FIELDS", value)
+        else:
+            argv += ["--fields", value]
+        main(argv)
+        assert out.read_bytes() == gf3_report
 
     def test_field_tokens(self):
         assert cli._field_from_token("2").name == "GF(2)"

@@ -19,14 +19,13 @@ from pfaffian_nets.correspondence import (
     ANet,
     find_c_points,
     is_regular,
-    line_on_hypersurface,
     pfaffian_hypersurface,
     random_net,
 )
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
 
-from scalar_references import psi_fiber
+from scalar_references import line_on_hypersurface, psi_fiber
 
 
 # (name, cell a, cell b, offset(d, k)): each relation reads a - b = offset
@@ -297,3 +296,9 @@ class TestLineIdealMembership:
         assert not line_on_hypersurface(cubic, e0, e1)
         with pytest.raises(ValueError, match="does not lie"):
             line_ideal_membership(reduced, e0, e1)
+
+    def test_needs_a_field_with_codes(self, pinned_net):
+        # over QQ no rank table answers whether the line lies on the cubic
+        with pytest.raises(ValueError, match="no code arithmetic over QQ"):
+            line_ideal_membership(pinned_net, (1, 0, 0, 0, 0),
+                                  (0, 1, 0, 0, 0))

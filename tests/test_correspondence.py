@@ -12,7 +12,6 @@ from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
                                           is_regular, lie_on_y,
-                                          line_on_hypersurface,
                                           pfaffian_hypersurface, phi_fiber,
                                           q_quartic, random_net,
                                           random_regular_net, rank_oracle,
@@ -21,19 +20,22 @@ from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
                                           y_ideal, y_points)
 from pfaffian_nets.fields import GF, QQ, FieldMismatchError, reduce_value
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
-                                     _echelon_pairs, enumerate_grassmannian,
+                                     echelon_pair_codes,
+                                     enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
                                      pencil_line, plucker_from_basis)
 from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
                                   fit_hilbert_polynomial, is_empty_projective,
                                   jacobian_ideal)
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import MultiPoly, det_poly, exact_divide
+from pfaffian_nets.multipoly import MultiPoly, det_poly
 
-from scalar_references import (certify_line_on_x, fv_rank_table, kappa,
-                               line_key, net_linear_forms, psi_fiber,
-                               satisfies_quadrics, splitting_type_on_line,
-                               x_ideal, x_plucker_points, y_payloads)
+from scalar_references import (certify_line_on_x, exact_divide,
+                               fv_rank_table, kappa, line_key,
+                               line_on_hypersurface, net_linear_forms,
+                               psi_fiber, satisfies_quadrics,
+                               splitting_type_on_line, x_ideal,
+                               x_plucker_points, y_payloads)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -677,7 +679,8 @@ class TestSplittingTypes:
         (a0,) = oracle.points(np.nonzero(oracle.table <= 2)[0])
         others = [tuple(b) for b in enumerate_projective(F7, 4)
                   if tuple(b) != a0]
-        on_y = lie_on_y(net, F7, [(b, a0) for b in others])
+        on_y = lie_on_y(net, F7,
+                        oracle.fc.encode([(b, a0) for b in others]))
         return net, (others[int(on_y.argmax())], a0)
 
     def test_same_message_off_y(self, pinned):
@@ -695,7 +698,8 @@ class TestSplittingTypes:
 
     def test_first_failing_line_in_input_order(self, pinned_family):
         net, line = self._through_rank_two(pinned_family)
-        assert not lie_on_y(net, F7, [self.OFF_Y])[0]
+        assert not lie_on_y(net, F7,
+                            modnum.field_codes(F7).encode([self.OFF_Y]))[0]
         drop, off = self._messages(net, [line, self.OFF_Y]), \
             self._messages(net, [self.OFF_Y, line])
         assert drop[0] == drop[1] and "drops to 2" in drop[0]
@@ -841,12 +845,41 @@ class TestRankOracle:
         assert np.array_equal(table, fv_rank_table(net, F2))
         assert table.max() <= 4
 
-    @staticmethod
-    def _symbolic_lines(net, field):
-        cubic = pfaffian_hypersurface(net).map_field(field)
+    _SYMBOLIC = {}
+
+    @classmethod
+    def _symbolic_on_y(cls, net, field):
+        """The codes of every line of P(A) over `field`, in the order of
+        `echelon_pair_codes`, and whether the symbolic restriction of the
+        cubic to each line is zero; built once per net and field."""
+        key = (net, field)
+        if key not in cls._SYMBOLIC:
+            cubic = pfaffian_hypersurface(net).map_field(field)
+            codes = np.concatenate(list(echelon_pair_codes(net.n, field)))
+            cls._SYMBOLIC[key] = codes, np.array(
+                [line_on_hypersurface(cubic, *pair)
+                 for pair in modnum.field_codes(field).decode(codes)])
+        return cls._SYMBOLIC[key]
+
+    @classmethod
+    def _symbolic_lines(cls, net, field):
+        codes, on_y = cls._symbolic_on_y(net, field)
         return [(tuple(r1), tuple(r2))
-                for r1, r2 in _echelon_pairs(net.n, field)
-                if line_on_hypersurface(cubic, r1, r2)]
+                for r1, r2 in modnum.field_codes(field).decode(codes[on_y])]
+
+    @pytest.mark.parametrize("field, nets", [
+        (F2, 5), (F3, 5), (GF(2, 2), 1)], ids=str)
+    def test_lie_on_y_matches_the_symbolic_restriction(self, pinned_family,
+                                                       field, nets):
+        for net in pinned_family[:nets]:
+            codes, expected = self._symbolic_on_y(net, field)
+            assert expected.any() and not expected.all()
+            assert np.array_equal(lie_on_y(net, field, codes), expected)
+
+    def test_lie_on_y_needs_codes(self, pinned):
+        lines = np.array([[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]])
+        with pytest.raises(ValueError, match="no code arithmetic over QQ"):
+            lie_on_y(pinned, QQ, lines)
 
     @pytest.mark.parametrize("field, counts", [
         (F2, [14, 7, 12, 13, 6]), (F3, [18, 17, 12, 10, 32])], ids=str)
@@ -885,15 +918,15 @@ class TestRankOracle:
         reduced = pinned.over(field)
         fc = modnum.field_codes(field)
         pairs, _ = pair_indices(6)
-        rows = list(_echelon_pairs(6, field))
-        u1, u2 = np.moveaxis(fc.encode(rows), 1, 0)
-        forms = np.zeros((len(rows), 5), dtype=np.int64)
+        codes = np.concatenate(list(echelon_pair_codes(6, field)))
+        u1, u2 = np.moveaxis(codes, 1, 0)
+        forms = np.zeros((len(codes), 5), dtype=np.int64)
         for i, j in pairs:
             p = fc.sub(fc.mul(u1[:, i], u2[:, j]), fc.mul(u1[:, j], u2[:, i]))
             coeffs = fc.encode([F.rows[i][j] for F in reduced.matrices])
             forms = fc.add(forms, fc.mul(p[:, None], coeffs[None, :]))
-        expected = [plucker_from_basis(ExactMatrix(field, list(r)))
-                    for r, off in zip(rows, forms.any(axis=1)) if not off]
+        expected = [plucker_from_basis(ExactMatrix(field, rows))
+                    for rows in fc.decode(codes[~forms.any(axis=1)])]
         assert expected
         assert x_plucker_points(pinned, field) == expected
 

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from pfaffian_nets import modnum
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
+                                     echelon_pair_codes,
                                      enumerate_grassmannian,
                                      enumerate_projective, gaussian_binomial,
                                      pair_indices, pencil_line,
@@ -141,6 +144,41 @@ def test_enumeration_gr26_gf3_count():
 def test_enumeration_limit_guard():
     with pytest.raises(ValueError):
         list(enumerate_grassmannian(6, GF(32003), limit=10 ** 6))
+
+
+@pytest.mark.parametrize("n, field", [
+    (n, f) for n in (4, 5) for f in (GF(2), GF(3), GF(2, 2), GF(5))]
+    + [(6, GF(2)), (6, GF(3))], ids=str)
+def test_echelon_pair_codes(n, field):
+    """Every 2-plane of field^n once, as its reduced echelon pair, in
+    blocks of at most 2,048 that share one pivot pair, in increasing
+    (pivots, free entries) order."""
+    fc = modnum.field_codes(field)
+    blocks = list(echelon_pair_codes(n, field))
+    assert all(0 < len(b) <= 2048 for b in blocks)
+    pairs = np.concatenate(blocks)
+    assert len(pairs) == gaussian_binomial(n, 2, field.order)
+    rank, red, _ = modnum.batch_rref_table(pairs, fc)
+    assert (rank == 2).all() and np.array_equal(red, pairs)
+    for block in blocks:
+        pivots = (block != 0).argmax(axis=2)
+        assert (pivots == pivots[0]).all()
+    # a plane has one reduced echelon basis, so distinct pairs are distinct
+    # row spaces
+    assert len({pair.tobytes() for pair in pairs}) == len(pairs)
+    # for fixed pivots the other entries of a pair are zero, so its rows
+    # order the free entries
+    keys = [tuple(lead + row) for lead, row
+            in zip((pairs != 0).argmax(axis=2).tolist(),
+                   pairs.reshape(len(pairs), -1).tolist())]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_echelon_pair_codes_guards():
+    with pytest.raises(ValueError, match="over the limit 1000000"):
+        next(echelon_pair_codes(6, GF(32003), limit=10 ** 6))
+    with pytest.raises(ValueError, match=r"no code arithmetic over GF\(3\^5\)"):
+        next(echelon_pair_codes(4, GF(3, 5)))
 
 
 def test_projective_enumeration():

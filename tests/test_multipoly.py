@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from pfaffian_nets.fields import QQ, GF, FieldMismatchError
-from pfaffian_nets.matrices import ExactMatrix, pfaffian_scalar
+from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import (MultiPoly, SkewPolyMatrix, det_poly,
-                                     exact_divide, monomials_of_degree,
-                                     pfaffian_poly)
+                                     monomials_of_degree, pfaffian_poly)
+
+from scalar_references import exact_divide, pfaffian_scalar
 
 
 def x(field, nvars, i):
