@@ -87,19 +87,31 @@ def _entry_in(v):
 
 
 def net_from_fixture(doc):
+    """The net of a fixture document; a document it cannot read raises a
+    ValueError that names the bad key."""
+    if not isinstance(doc, dict):
+        raise ValueError("fixture is not a JSON object")
     for key in ("schema", "field", "n", "two_m", "matrices"):
         if key not in doc:
             raise ValueError("fixture is missing %r" % key)
     if doc["schema"] != FIXTURE_SCHEMA:
         raise ValueError("unsupported fixture schema %r" % doc["schema"])
+    for key, kind in (("field", str), ("n", int), ("two_m", int),
+                      ("matrices", list)):
+        if type(doc[key]) is not kind:
+            raise ValueError("fixture %r must be of type %s, got %r"
+                             % (key, kind.__name__, doc[key]))
+    if not all(isinstance(tri, list) for tri in doc["matrices"]):
+        raise ValueError("fixture 'matrices' is not a list of lists")
     field = field_from_name(doc["field"])
-    tris = [[_entry_in(v) for v in tri] for tri in doc["matrices"]]
-    if len(tris) != doc["n"]:
+    if len(doc["matrices"]) != doc["n"]:
         raise ValueError("fixture lists %d matrices but n = %d"
-                         % (len(tris), doc["n"]))
+                         % (len(doc["matrices"]), doc["n"]))
     try:
+        tris = [[_entry_in(v) for v in tri] for tri in doc["matrices"]]
         return ANet.from_upper_triangles(field, doc["two_m"], tris)
-    except TypeError as exc:  # an entry the field cannot take
+    except (TypeError, ZeroDivisionError) as exc:
+        # an entry the field cannot take, or a zero denominator in it
         raise ValueError("bad matrix entry: %s" % exc) from exc
 
 

@@ -184,7 +184,9 @@ def chi_cubic_instanton(k, t):
 def charge2_instanton_table(net):
     """H^p of the twists of the charge-2 instanton (the theta sheaf twisted
     down by one) for p in [0,3], t in [-3,1], checked cell-for-cell against
-    expected_instanton_table(3, 2): 6 at (0,1) and (3,-3), zero elsewhere."""
+    expected_instanton_table(3, 2): 6 at (0,1) and (3,-3), zero elsewhere.
+    Each twist read (t - 1 in [-4, 0]) gives `_mu_rank` a 0-dimensional
+    source, so no `mu_matrix` is built: only n and 2m enter the table."""
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the charge-2 table is the n=5, 2m=6 case")
     table = expected_instanton_table(3, 2)
@@ -203,7 +205,9 @@ def charge2_instanton_table(net):
 def h1_pattern_check(net):
     """Verify the two-spike window of the theta sheaf itself: for
     t in [-(n-1), 0], everything vanishes except h^0(0) = h^{n-2}(-(n-1))
-    = 2m.  Returns a CohomologyTable over the window."""
+    = 2m.  Returns a CohomologyTable over the window.  Its twists read
+    mu_s only at s = 0, whose source is 0-dimensional, so no `mu_matrix`
+    is built: the window follows from n and 2m alone."""
     n, two_m = net.n, net.two_m
     table = CohomologyTable(range(n), range(-(n - 1), 1))
     for t in range(-(n - 1), 1):

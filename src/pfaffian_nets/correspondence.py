@@ -534,15 +534,14 @@ def _x_points(net):
 
 # -- Q and C ------------------------------------------------------------------
 
-def q_quartic(net, normalize=True):
-    """The quartic image of the projection from P_X(U) to P(V): each maximal
-    minor of the f_v matrix factors as Delta_i = (-1)^i Q v_i, and the six
-    divisions, each lowering the exponent e_i of every term, must agree."""
-    return net.derived(("quartic", normalize),
-                       lambda: _quartic(net, normalize))
+def q_quartic(net):
+    """The normalized quartic image of the projection P_X(U) -> P(V): each
+    maximal minor of the f_v matrix factors as Delta_i = (-1)^i Q v_i, and
+    the six divisions, each lowering every term's exponent e_i, must agree."""
+    return net.derived("quartic", lambda: _quartic(net))
 
 
-def _quartic(net, normalize):
+def _quartic(net):
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
     # the column combinations come in lexicographic order, so the one that
@@ -574,7 +573,7 @@ def _quartic(net, normalize):
         # the remaining minors must vanish only together with v_i terms;
         # surface this as a degeneracy rather than guessing
         raise ValueError("only %d of 6 minors were nonzero" % found)
-    return quotient.normalized() if normalize else quotient
+    return quotient.normalized()
 
 
 def c_ideal(net):

@@ -8,11 +8,12 @@ on the field kind:
   * GF(p^k)   -- tuple of k ints in [0, p), coefficients of the residue
                  polynomial in ascending degree order
 
-Mixing elements of different fields raises FieldMismatchError; there is no
-implicit field tower.  This module is the only one that knows the payload
-shapes: `Field.value_of` turns an int, a Fraction, a tuple or an element of
-the field into its payload, and `reduce_value` moves a payload to another
-field.
+Arithmetic is on payloads only: `add`, `sub`, `mul`, `neg` and `inv` of the
+field.  This module is the only one that knows the payload shapes:
+`Field.value_of` turns an int, a Fraction, a tuple or an element of the
+field into its payload, and rejects an element of another field with
+FieldMismatchError, as there is no implicit field tower; `reduce_value`
+moves a payload to another field.
 """
 
 from __future__ import annotations
@@ -83,15 +84,6 @@ def _poly_mul(a, b, p):
     return _poly_trim(prod)
 
 
-def _poly_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _poly_trim(out)
-
-
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -140,79 +132,16 @@ def _is_prime(n):
 
 
 class FieldElement:
-    """Scalar bound to its field."""
+    """A payload tagged with its field, as `elements()`, `el` and matrix
+    and polynomial reads return it.  It compares, hashes and prints; it
+    has no arithmetic, which goes through the field's payload operations
+    (`add`, `sub`, `mul`, `neg`, `inv`)."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
         self.field = field
         self.value = value
-
-    def _rhs(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    "cannot combine %s and %s elements" % (self.field, other.field))
-            return other.value
-        if isinstance(other, int) or (self.field.kind == "QQ"
-                                      and isinstance(other, Fraction)):
-            return self.field.coerce_value(other)
-        return None
-
-    def __add__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -298,11 +227,6 @@ class RationalField(Field):
     def neg(self, a):
         return -a
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return a / b
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in QQ")
@@ -363,9 +287,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in %s" % self)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero_value(self, a):
         return a == 0
@@ -454,24 +375,16 @@ class ExtensionField(Field):
         return tuple(out)
 
     def inv(self, a):
+        """a^(q-2) by square-and-multiply, the rule of `PrimeField.inv`."""
         if all(c == 0 for c in a):
             raise ZeroDivisionError("inverse of zero in %s" % self)
-        # extended euclid: track s with  s * a = r  (mod modulus)
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # r0 is the gcd, a nonzero constant because the modulus is irreducible
-        c = pow(r0[0], p - 2, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[:self.k])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        result, e = self.one_value, self.order - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def is_zero_value(self, a):
         return all(c == 0 for c in a)

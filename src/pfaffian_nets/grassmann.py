@@ -87,36 +87,6 @@ def plucker_from_basis(b):
     return PluckerPoint(f, two_m, coords, basis=b)
 
 
-def plane_from_plucker(point):
-    """Recover a 2-plane basis; rejects non-decomposable vectors by verifying
-    the round trip."""
-    f = point.field
-    two_m = point.two_m
-    pairs, pos = pair_indices(two_m)
-    c = point.coords
-    lead = next(k for k, v in enumerate(c) if not f.is_zero_value(v))
-    i0, j0 = pairs[lead]
-
-    def signed(i, j):
-        if i == j:
-            return f.zero_value
-        if i < j:
-            return c[pos[(i, j)]]
-        return f.neg(c[pos[(j, i)]])
-
-    inv = f.inv(c[lead])
-    # with the plane in the normal form u[i0]=1, u[j0]=0, v[i0]=0, v[j0]=1:
-    # u_k = p_{k j0} / p_{i0 j0} and v_k = p_{i0 k} / p_{i0 j0}
-    u = [f.mul(inv, signed(k, j0)) for k in range(two_m)]
-    v = [f.mul(inv, signed(i0, k)) for k in range(two_m)]
-    basis = ExactMatrix(f, [u, v])
-    back = plucker_from_basis(basis)
-    if back.coords != c:
-        raise ValueError("coordinates violate the Plucker relations "
-                         "(not a decomposable 2-vector)")
-    return basis
-
-
 def echelon_pair_codes(n, field, limit=10_000_000):
     """The two rows of every 2 x n reduced echelon matrix over a finite
     field, one per 2-plane of field^n, as int64 code arrays of shape

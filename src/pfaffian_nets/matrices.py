@@ -5,6 +5,9 @@ Entries are stored as raw field payloads (Fraction / int / coefficient tuple);
 over prime and extension fields, and fraction-free (Bareiss) over QQ to keep
 intermediate numerators from exploding.  Large prime-field matrices are routed
 through the blocked numpy kernels in modnum.
+
+Batched finite-field matrix arithmetic runs on code arrays
+(`modnum.FieldCodes`); ExactMatrix keeps `@`, `transpose` and elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .fields import FieldElement, FieldMismatchError
+from .fields import FieldElement
 from . import modnum
 
 _NUMPY_CUTOVER = 1200  # entry count above which prime fields use modnum
@@ -53,10 +56,6 @@ class ExactMatrix:
         return cls(field, [[cols[j][i] for j in range(len(cols))]
                            for i in range(n)])
 
-    def copy(self):
-        return ExactMatrix(self.field, [row[:] for row in self.rows],
-                           ncols=self.ncols)
-
     # -- entry access ---------------------------------------------------------
 
     def __getitem__(self, key):
@@ -69,10 +68,6 @@ class ExactMatrix:
         return (self.field == other.field and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)
 
-    def __hash__(self):
-        return hash((self.field.key, self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.rows)))
-
     def __repr__(self):
         fmt = self.field.format_value
         body = "; ".join(" ".join(fmt(x) for x in row) for row in self.rows)
@@ -80,31 +75,6 @@ class ExactMatrix:
             self.field, self.nrows, self.ncols, body)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        self._compat(other)
-        f = self.field
-        return ExactMatrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)],
-                           ncols=self.ncols)
-
-    def __sub__(self, other):
-        self._compat(other)
-        f = self.field
-        return ExactMatrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)],
-                           ncols=self.ncols)
-
-    def __neg__(self):
-        f = self.field
-        return ExactMatrix(f, [[f.neg(a) for a in row] for row in self.rows],
-                           ncols=self.ncols)
-
-    def scale(self, c):
-        f = self.field
-        c = f.value_of(c)
-        return ExactMatrix(f, [[f.mul(c, a) for a in row] for row in self.rows],
-                           ncols=self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows or self.field != other.field:
@@ -126,12 +96,6 @@ class ExactMatrix:
     def transpose(self):
         return ExactMatrix(self.field, [list(col) for col in zip(*self.rows)],
                            ncols=self.nrows)
-
-    def _compat(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("mixed-field matrix arithmetic")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
     def is_skew_symmetric(self):
         if self.nrows != self.ncols:

@@ -37,8 +37,7 @@ from . import modnum
 from .correspondence import (_kernels, _matmul, _phi_bases, _u_sides,
                              pfaffian_hypersurface, rank_oracle, x_points,
                              y_points)
-from .grassmann import (_CHUNK, enumerate_projective, plane_from_plucker,
-                        plucker_from_basis)
+from .grassmann import _CHUNK, enumerate_projective, plucker_from_basis
 from .matrices import ExactMatrix
 
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
@@ -113,11 +112,6 @@ class FiberRecords:
     def __len__(self):
         return len(self.a_idx)
 
-    def __getitem__(self, k):
-        if not 0 <= k < len(self):
-            raise IndexError("pair %d of %d" % (k, len(self)))
-        return WMembership(self, k)
-
     def blocks(self):
         """(lo, hi) bounds of consecutive blocks of up to _CHUNK pairs."""
         return [(lo, min(len(self), lo + _CHUNK))
@@ -134,25 +128,6 @@ class FiberRecords:
 
     def fail(self, report, k, reason):
         report.fail(self.point_a(k), self.point_u(k).coords, reason)
-
-
-class WMembership:
-    """One pair of a FiberRecords: a, U's Plucker coordinates, rank f(a),
-    uf = red @ f(a) as a matrix over the field, and dim(Ker f(a) cap U)."""
-
-    def __init__(self, records, k):
-        self.a = records.point_a(k)
-        self.u_coords = records.point_u(k).coords
-        self.rank = int(records.rank[records.a_idx[k]])
-        self.uf = ExactMatrix(records.field, records.fc.decode(records.uf[k]))
-        self.intersection_dim = int(records.dim[k])
-
-    @property
-    def on_w(self):
-        return self.intersection_dim > 0
-
-    def __repr__(self):
-        return "WMembership(dim=%d)" % self.intersection_dim
 
 
 class JwReport:
@@ -189,18 +164,6 @@ class JwReport:
     def __repr__(self):
         return "JwReport(%s: %d checked, %d on W, passed=%s)" % (
             self.name, self.checked, self.on_w, self.passed)
-
-
-def w_membership(reduced, a, point):
-    """The fiber record of one pair (a, U), U given by its Plucker point,
-    over the net's own field."""
-    field = reduced.field
-    fc = modnum.field_codes(field)
-    basis = point.basis if point.basis is not None \
-        else plane_from_plucker(point)
-    only = np.zeros(1, dtype=np.int64)
-    return FiberRecords(reduced, fc.encode([[field.value_of(x) for x in a]]),
-                        fc.encode([basis.rows]), only, only)[0]
 
 
 def _jw_block(records, lo, hi, report):

@@ -365,6 +365,30 @@ class TestErrors:
         fx.write_text('{"bad": 1}\n')
         assert main(["pipeline", str(fx)]) == 3
 
+    @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
+                             ids=["pipeline", "verify"])
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: 5, "error: fixture is not a JSON object\n"),
+        (lambda doc: dict(doc, field=5),
+         "error: fixture 'field' must be of type str, got 5\n"),
+        (lambda doc: dict(doc, matrices=5),
+         "error: fixture 'matrices' must be of type list, got 5\n"),
+        (lambda doc: dict(doc, matrices=[5] * 5),
+         "error: fixture 'matrices' is not a list of lists\n"),
+        (lambda doc: dict(doc, two_m="6"),
+         "error: fixture 'two_m' must be of type int, got '6'\n"),
+        (lambda doc: dict(doc, matrices=[["1/0"] * 15] * 5),
+         "error: bad matrix entry: Fraction(1, 0)\n")],
+        ids=["top-level", "field", "matrices", "matrix", "two_m", "entry"])
+    def test_unusable_fixture_document(self, fixture_path, tmp_path, capsys,
+                                       command, change, message):
+        with open(fixture_path) as fh:
+            doc = change(json.load(fh))
+        fx = tmp_path / "bad.json"
+        fx.write_text(json.dumps(doc))
+        assert main([command[0], str(fx)] + command[1:]) == 3
+        assert capsys.readouterr().err == message
+
     def test_unparseable_json(self, tmp_path):
         fx = tmp_path / "broken.json"
         fx.write_text("{nope")

@@ -338,19 +338,22 @@ class TestFvMatrix:
                     for row in fv.grid]
             assert fv.evaluate(v).rows == grid
 
+
+def minor_quotient(net, i):
+    """(-1)^i Delta_i / v_i, the maximal minor of f_v without column i
+    divided by v_i, before normalization."""
+    fv = FvMatrix(net)
+    cols = [k for k in range(6) if k != i]
+    delta = det_poly([[fv.grid[r][k] for k in cols] for r in range(5)])
+    qi = exact_divide(delta, MultiPoly.variable(QQ, 6, i))
+    return -qi if i % 2 else qi
+
+
 class TestQuartic:
     def test_column_quotients_agree(self, pinned):
-        fv = FvMatrix(pinned)
-        quotients = []
-        for i in range(6):
-            cols = [k for k in range(6) if k != i]
-            delta = det_poly([[fv.grid[r][k] for k in cols]
-                              for r in range(5)])
-            vi = MultiPoly.variable(QQ, 6, i)
-            qi = exact_divide(delta, vi)
-            quotients.append(-qi if i % 2 else qi)
+        quotients = [minor_quotient(pinned, i) for i in range(6)]
         assert all(q == quotients[0] for q in quotients[1:])
-        assert q_quartic(pinned, normalize=False) == quotients[0]
+        assert q_quartic(pinned) == quotients[0].normalized()
 
     @staticmethod
     def _faked_minors(quartic):
@@ -388,7 +391,7 @@ class TestQuartic:
         quartic = v[0] ** 4 - v[1] * v[2] * v[3] * v[5]
         monkeypatch.setattr(correspondence, "minor_polys",
                             lambda grid, k: self._faked_minors(quartic))
-        assert q_quartic(net, normalize=False) == quartic
+        assert q_quartic(net) == quartic.normalized()
 
     def test_quartic_cuts_rank_drop_locus(self, pinned):
         q3 = q_quartic(pinned).map_field(F3)
@@ -775,7 +778,9 @@ class TestRankOracle:
     @pytest.mark.parametrize("field", [F3, GF(2, 2), GF(5)], ids=str)
     def test_table_zeros_are_the_quartic_zeros(self, pinned, field):
         # the integer quotient, so that it reduces modulo 2 as well
-        quartic = q_quartic(pinned, normalize=False).map_field(field)
+        quotient = minor_quotient(pinned, 0)
+        assert quotient.normalized() == q_quartic(pinned)
+        quartic = quotient.map_field(field)
         oracle = rank_oracle(pinned, field, "v")
         pts = list(enumerate_projective(field, 5))
         assert len(oracle.table) == len(pts)

@@ -11,45 +11,48 @@ from pfaffian_nets.fields import (
 FIELDS = [QQ, GF(2), GF(3), GF(7), GF(32003), GF(2, 2), GF(3, 2), GF(5, 3), GF(2, 4)]
 
 
-def random_elements(field, rng, count):
-    return [field.random(rng) for _ in range(count)]
+def random_values(field, rng, count):
+    return [field.random(rng).value for _ in range(count)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_field_axioms_random_triples(field):
     rng = random.Random(20240901)
+    add, mul = field.add, field.mul
     for _ in range(1000):
-        a, b, c = random_elements(field, rng, 3)
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a + field.zero == a
-        assert a * field.one == a
-        assert a - a == field.zero
-        if a:
-            assert field.mul(a.value, field.inv(a.value)) == field.one_value
-            assert (a / a) == field.one
+        a, b, c = random_values(field, rng, 3)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(a, field.zero_value) == a
+        assert mul(a, field.one_value) == a
+        assert field.sub(a, a) == field.zero_value
+        assert add(a, field.neg(a)) == field.zero_value
+        if not field.is_zero_value(a):
+            assert mul(a, field.inv(a)) == field.one_value
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_sub_div_consistency(field):
     rng = random.Random(7)
     for _ in range(200):
-        a, b = random_elements(field, rng, 2)
-        assert (a - b) + b == a
-        if b:
-            assert (a / b) * b == a
+        a, b = random_values(field, rng, 2)
+        assert field.add(field.sub(a, b), b) == a
+        if not field.is_zero_value(b):
+            assert field.mul(field.mul(a, field.inv(b)), b) == a
 
 
 def test_cross_field_ops_rejected():
     a = GF(7).el(3)
     b = GF(11).el(3)
     with pytest.raises(FieldMismatchError):
-        a + b
+        GF(11).value_of(a)
     with pytest.raises(FieldMismatchError):
-        QQ.el(1) * a
+        QQ.value_of(a)
+    with pytest.raises(FieldMismatchError):
+        GF(7).el(QQ.el(1))
     # equality across fields is just False, not an error
     assert not (a == b)
 
@@ -105,15 +108,22 @@ def test_known_moduli():
     assert GF(5, 3).modulus == GF(5, 3).modulus
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2), (2, 8)])
+# every extension field of order at most 64, and GF(2^8) and GF(3^5)
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2),
+                                 (2, 8), (2, 3), (2, 5), (7, 2), (2, 6),
+                                 (3, 5)])
 def test_extension_element_count_and_inverses(p, k):
     field = GF(p, k)
     seen = set()
     for x in field.elements():
         seen.add(x.value)
         if x:
-            assert field.mul(x.value, field.inv(x.value)) == field.one_value
+            inv = field.inv(x.value)
+            assert field.mul(x.value, inv) == field.one_value
+            assert field.mul(inv, x.value) == field.one_value
     assert len(seen) == p ** k
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero_value)
 
 
 def test_extension_frobenius_order():
@@ -121,8 +131,11 @@ def test_extension_frobenius_order():
     field = GF(3, 3)
     rng = random.Random(1)
     for _ in range(50):
-        x = field.random(rng)
-        assert x ** (3 ** 3) == x
+        x = field.random(rng).value
+        power = field.one_value
+        for _ in range(3 ** 3):
+            power = field.mul(power, x)
+        assert power == x
 
 
 def reduce_scalar(x, target):
@@ -165,14 +178,14 @@ def test_field_from_name_roundtrip():
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_prime_field_matches_int_arithmetic(a, b):
     f = GF(32003)
-    assert (f.el(a) + f.el(b)).value == (a + b) % 32003
-    assert (f.el(a) * f.el(b)).value == (a * b) % 32003
+    assert f.add(f.value_of(a), f.value_of(b)) == (a + b) % 32003
+    assert f.mul(f.value_of(a), f.value_of(b)) == (a * b) % 32003
 
 
 @given(st.fractions(max_denominator=1000), st.fractions(max_denominator=1000))
 def test_qq_matches_fraction_arithmetic(a, b):
-    assert (QQ.el(a) + QQ.el(b)).value == a + b
-    assert (QQ.el(a) * QQ.el(b)).value == a * b
+    assert QQ.add(QQ.value_of(a), QQ.value_of(b)) == a + b
+    assert QQ.mul(QQ.value_of(a), QQ.value_of(b)) == a * b
 
 
 def test_element_hash_consistency():

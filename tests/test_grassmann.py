@@ -11,7 +11,7 @@ from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      enumerate_grassmannian,
                                      enumerate_projective, gaussian_binomial,
                                      pair_indices, pencil_line,
-                                     plane_from_plucker, plucker_from_basis)
+                                     plucker_from_basis)
 from pfaffian_nets.matrices import ExactMatrix
 
 from scalar_references import plucker_quadrics, satisfies_quadrics
@@ -89,36 +89,6 @@ def test_quadrics_vanish_on_points_and_detect_impostors():
     impostor = PluckerPoint(field, 6, coords)
     assert not satisfies_quadrics(impostor)
     assert any(q.evaluate(list(impostor.coords)) for q in qs)
-
-
-def test_plane_round_trip():
-    rng = random.Random(8)
-    for field in (QQ, GF(7)):
-        for _ in range(4):
-            b = random_rank2(field, 6, rng)
-            p = plucker_from_basis(b)
-            back = plane_from_plucker(p)
-            assert plucker_from_basis(back) == p
-            # same row space: stacking adds no rank
-            stacked = ExactMatrix(field, b.rows + back.rows)
-            assert stacked.rank() == 2
-
-
-def test_plane_from_coordinate_plucker():
-    _, pos = pair_indices(6)
-    coords = [0] * 15
-    coords[pos[(1, 4)]] = 1
-    basis = plane_from_plucker(PluckerPoint(QQ, 6, coords))
-    assert plucker_from_basis(basis).coords[pos[(1, 4)]] == 1
-
-
-def test_non_decomposable_rejected():
-    _, pos = pair_indices(6)
-    coords = [0] * 15
-    coords[pos[(0, 1)]] = 1
-    coords[pos[(2, 3)]] = 1
-    with pytest.raises(ValueError):
-        plane_from_plucker(PluckerPoint(QQ, 6, coords))
 
 
 def test_enumeration_counts():

@@ -10,8 +10,7 @@ from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
                                           x_points, y_points)
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import (GrassmannLine, enumerate_grassmannian,
-                                     enumerate_projective, plane_from_plucker,
-                                     plucker_from_basis)
+                                     enumerate_projective, plucker_from_basis)
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
@@ -20,7 +19,6 @@ from pfaffian_nets.verify import (
     count_points,
     jw1_section_check,
     jw_pointwise,
-    w_membership,
 )
 
 import scalar_references
@@ -383,9 +381,7 @@ def _a_side(reduced, a):
 
 
 def _u_side(point):
-    basis = point.basis if point.basis is not None \
-        else plane_from_plucker(point)
-    piv, red = basis.rref()
+    piv, red = point.basis.rref()
     comp = [c for c in range(red.ncols) if c not in piv]
     return point.coords, red, piv, comp
 
@@ -487,9 +483,17 @@ def reference_jw1(refs, plan):
     return report
 
 
-def _rows(records):
+def _rows(refs):
     return [(m.a, m.u_coords, m.rank, m.intersection_dim, m.uf.rows, m.on_w)
-            for m in records]
+            for m in refs]
+
+
+def _record_rows(records):
+    """The rows of `_rows` read from a FiberRecords' arrays."""
+    return [(records.point_a(k), records.point_u(k).coords,
+             int(records.rank[records.a_idx[k]]), int(records.dim[k]),
+             records.fc.decode(records.uf[k]), bool(records.dim[k] > 0))
+            for k in range(len(records))]
 
 
 @pytest.fixture(scope="module", params=[
@@ -516,7 +520,7 @@ class TestBatchedRecords:
         net, plan, refs = batched_case
         records = verify._pairs(net, plan)
         assert len(records) == len(refs)
-        assert _rows(records) == _rows(refs)
+        assert _record_rows(records) == _rows(refs)
 
     def test_jw_equals_the_reference(self, batched_case):
         net, plan, refs = batched_case
@@ -554,7 +558,7 @@ class TestBatchedRecords:
             reduced, fc.encode(a_points),
             fc.encode([u.basis.rows for u in u_points]), a_idx, u_idx)
         refs = reference_records(reduced, pairs)
-        assert _rows(records) == _rows(refs)
+        assert _record_rows(records) == _rows(refs)
         monkeypatch.setattr(verify, "_pairs", lambda net, plan: records)
         plan = SamplePlan(field, seed=5, mode=mode)
         expected = reference_jw(refs, plan)
@@ -699,22 +703,26 @@ class TestSingularNetDetection:
 
     def test_w_membership_flags_the_kernel_plane(self, degenerate_fixture):
         field = GF(3)
+        fc = modnum.field_codes(field)
         reduced = degenerate_fixture.map_field(field)
-        a = (1, 0, 0, 0, 0)
-        u_basis = ExactMatrix(field, [[1, 0, 0, 0, 0, 0],
-                                      [0, 1, 0, 0, 0, 0]])
-        m = w_membership(reduced, a, plucker_from_basis(u_basis))
-        assert m.intersection_dim == 2
-        assert m.on_w
+        only = np.zeros(1, dtype=np.int64)
+        records = verify.FiberRecords(
+            reduced, fc.encode([[1, 0, 0, 0, 0]]),
+            fc.encode([[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]]), only, only)
+        assert records.dim[0] == 2
+        assert records.dim[0] > 0  # on W
 
     def test_off_w_membership(self, pinned_net):
         field = GF(3)
+        fc = modnum.field_codes(field)
         reduced = pinned_net.map_field(field)
-        seen = set()
-        for a in y_payloads(pinned_net, field)[:5]:
-            for pt in x_plucker_points(pinned_net, field)[:5]:
-                m = w_membership(reduced, a, pt)
-                seen.add(m.intersection_dim)
+        a_points = y_payloads(pinned_net, field)[:5]
+        u_points = x_plucker_points(pinned_net, field)[:5]
+        records = verify.FiberRecords(
+            reduced, fc.encode(a_points),
+            fc.encode([u.basis.rows for u in u_points]),
+            np.repeat(np.arange(5), 5), np.tile(np.arange(5), 5))
+        seen = set(records.dim.tolist())
         assert 0 in seen
         assert 2 not in seen
 
