@@ -7,7 +7,7 @@ net.  Everything is computed over exact fields (QQ, GF(p), GF(p^k)) so that
 rank, dimension and vanishing statements are certificates, not floats.
 """
 
-from .fields import QQ, GF, FieldElement, FieldMismatchError, field_from_name
+from .fields import QQ, GF, FieldMismatchError, field_from_name
 from .correspondence import ANet, classify, random_regular_net
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QQ",
     "GF",
-    "FieldElement",
     "FieldMismatchError",
     "field_from_name",
     "ANet",

@@ -28,7 +28,7 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
                              find_c_points, find_lines_on_y, is_regular,
                              lie_on_y, pfaffian_hypersurface, q_quartic,
                              random_regular_net, splitting_types)
-from .fields import GF, FieldElement, field_from_name
+from .fields import GF, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
 from .modnum import MAX_PRIME, TABLE_ORDER, field_codes
@@ -51,8 +51,6 @@ def canonical_json(obj):
 
 
 def _jsonable(x):
-    if isinstance(x, FieldElement):
-        return _jsonable(x.value)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
     if isinstance(x, (list, tuple)):
@@ -101,6 +99,9 @@ def net_from_fixture(doc):
         if type(doc[key]) is not kind:
             raise ValueError("fixture %r must be of type %s, got %r"
                              % (key, kind.__name__, doc[key]))
+    if doc["two_m"] < 2 or doc["two_m"] % 2:
+        raise ValueError("fixture 'two_m' must be an even integer >= 2, "
+                         "got %d" % doc["two_m"])
     if not all(isinstance(tri, list) for tri in doc["matrices"]):
         raise ValueError("fixture 'matrices' is not a list of lists")
     field = field_from_name(doc["field"])

@@ -679,7 +679,7 @@ def lie_on_y(net, field, pairs):
         ext = GF(field.p, next(k for k in itertools.count(2)
                                if field.order ** k >= m))
         pairs = modnum.field_codes(ext).encode(
-            [reduce_value(e.value, field, ext) for e in field.elements()]
+            [reduce_value(e, field, ext) for e in field.elements()]
         )[pairs]
     oracle = rank_oracle(net, ext, "a")
     fc = oracle.fc

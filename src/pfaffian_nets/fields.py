@@ -1,19 +1,18 @@
 """Exact coefficient fields: the rationals, prime fields and small extensions.
 
-Elements are thin wrappers (FieldElement) around a payload whose shape depends
-on the field kind:
+An element is its payload, whose shape depends on the field kind:
 
   * QQ        -- fractions.Fraction (always in lowest terms, denominator > 0)
   * GF(p)     -- int in [0, p)
   * GF(p^k)   -- tuple of k ints in [0, p), coefficients of the residue
                  polynomial in ascending degree order
 
-Arithmetic is on payloads only: `add`, `sub`, `mul`, `neg` and `inv` of the
-field.  This module is the only one that knows the payload shapes:
-`Field.value_of` turns an int, a Fraction, a tuple or an element of the
-field into its payload, and rejects an element of another field with
-FieldMismatchError, as there is no implicit field tower; `reduce_value`
-moves a payload to another field.
+The payload is the one scalar form: `elements()` yields payloads, and
+arithmetic is the field's `add`, `sub`, `mul`, `neg` and `inv` on them.
+This module is the only one that knows the payload shapes: `value_of`
+turns an int, a Fraction or a payload tuple into the field's payload, and
+`reduce_value` moves a payload to another field.  There is no implicit
+field tower, so any other pair of fields raises FieldMismatchError.
 """
 
 from __future__ import annotations
@@ -131,65 +130,10 @@ def _is_prime(n):
     return True
 
 
-class FieldElement:
-    """A payload tagged with its field, as `elements()`, `el` and matrix
-    and polynomial reads return it.  It compares, hashes and prints; it
-    has no arithmetic, which goes through the field's payload operations
-    (`add`, `sub`, `mul`, `neg`, `inv`)."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) or isinstance(other, Fraction):
-            try:
-                return self.value == self.field.coerce_value(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.key, self.value))
-
-    def __bool__(self):
-        return not self.field.is_zero_value(self.value)
-
-    def __repr__(self):
-        return "%s(%s)" % (self.field, self.field.format_value(self.value))
-
-
 class Field:
     """Common interface; concrete kinds are QQ, GF(p) and GF(p^k)."""
 
     kind = None
-
-    def value_of(self, x):
-        """This field's payload of x: an int, a Fraction, a payload tuple or
-        an element of this field.  An element of another field raises
-        FieldMismatchError; moving it is `reduce_value`'s job."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatchError(
-                    "element of %s given to %s" % (x.field, self))
-            return x.value
-        return self.coerce_value(x)
-
-    def el(self, x):
-        """x (int, Fraction, FieldElement of self) as an element."""
-        return FieldElement(self, self.value_of(x))
-
-    @property
-    def zero(self):
-        return FieldElement(self, self.zero_value)
-
-    @property
-    def one(self):
-        return FieldElement(self, self.one_value)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.key == other.key
@@ -210,7 +154,7 @@ class RationalField(Field):
     zero_value = Fraction(0)
     one_value = Fraction(1)
 
-    def coerce_value(self, x):
+    def value_of(self, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise TypeError("cannot coerce %r into QQ" % (x,))
@@ -238,11 +182,6 @@ class RationalField(Field):
     def format_value(self, a):
         return str(a)
 
-    def random(self, rng, bound=10):
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        return FieldElement(self, Fraction(num, den))
-
 
 class PrimeField(Field):
     def __init__(self, p):
@@ -257,7 +196,7 @@ class PrimeField(Field):
         self.zero_value = 0
         self.one_value = 1 % p
 
-    def coerce_value(self, x):
+    def value_of(self, x):
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
@@ -294,12 +233,8 @@ class PrimeField(Field):
     def format_value(self, a):
         return str(a)
 
-    def random(self, rng, bound=None):
-        return FieldElement(self, rng.randrange(self.p))
-
     def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
+        return iter(range(self.p))
 
 
 class ExtensionField(Field):
@@ -336,7 +271,7 @@ class ExtensionField(Field):
             self._fold.append(red)
             xq = [0] + list(red)
 
-    def coerce_value(self, x):
+    def value_of(self, x):
         p, k = self.p, self.k
         if isinstance(x, int):
             return (x % p,) + (0,) * (k - 1)
@@ -404,13 +339,8 @@ class ExtensionField(Field):
                 parts.append(g if c == 1 else "%d*%s" % (c, g))
         return "(" + "+".join(parts) + ")"
 
-    def random(self, rng, bound=None):
-        return FieldElement(self, tuple(rng.randrange(self.p)
-                                        for _ in range(self.k)))
-
     def elements(self):
-        for combo in itertools.product(range(self.p), repeat=self.k):
-            yield FieldElement(self, combo)
+        return itertools.product(range(self.p), repeat=self.k)
 
 
 QQ = RationalField()
@@ -457,10 +387,10 @@ def reduce_value(v, source, target):
     if source == target:
         return v
     if source.kind == "QQ" and target.kind == "GF(p^k)":
-        return target.coerce_value(GF(target.p).coerce_value(v))
+        return target.value_of(GF(target.p).value_of(v))
     if source.kind == "QQ" or (source.kind == "GF(p)"
                                and target.kind == "GF(p^k)"
                                and target.p == source.p):
-        return target.coerce_value(v)
+        return target.value_of(v)
     raise FieldMismatchError("no reduction from %s to %s" % (source, target))
 

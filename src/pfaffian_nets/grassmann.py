@@ -132,7 +132,7 @@ def enumerate_projective(field, dim):
     first nonzero coordinate scaled to 1."""
     if field.order is None:
         raise ValueError("enumeration needs a finite field")
-    elements = [e.value for e in field.elements()]
+    elements = list(field.elements())
     zero, one = field.zero_value, field.one_value
     n = dim + 1
     for lead in range(n):

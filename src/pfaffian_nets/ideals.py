@@ -115,7 +115,7 @@ class HilbertEngine:
     """Incremental Hilbert-function evaluator over GF(p).
 
     The generators are read once, at construction, into int64 rows: each
-    coefficient is reduced by GF(p).coerce_value, so a QQ ideal needs no
+    coefficient is reduced by GF(p).value_of, so a QQ ideal needs no
     reduced copy, a denominator that p divides raises ZeroDivisionError,
     and a generator that vanishes mod p is dropped.  `degrees` lists the
     degrees of the generators kept, largest first.
@@ -144,7 +144,7 @@ class HilbertEngine:
         self.n = ideal.nvars
         self._gens_by_degree = {}  # degree: [(exponent rows, values)]
         for g in ideal.generators:
-            vals = np.array([fp.coerce_value(c) for c in g.terms.values()],
+            vals = np.array([fp.value_of(c) for c in g.terms.values()],
                             dtype=np.int64)
             if vals.any():
                 exps = list(g.terms)  # homogeneous: every term has g's degree

@@ -1,24 +1,19 @@
 """Dense matrices over the exact fields, with rank/kernel certificates.
 
-Entries are stored as raw field payloads (Fraction / int / coefficient tuple);
-`m[i, j]` hands back a wrapped FieldElement.  Elimination is plain Gauss-Jordan
-over prime and extension fields, and fraction-free (Bareiss) over QQ to keep
-intermediate numerators from exploding.  Large prime-field matrices are routed
-through the blocked numpy kernels in modnum.
+Entries are field payloads (Fraction / int / coefficient tuple), read as
+`m.rows[i][j]`.  Elimination is plain Gauss-Jordan over prime and extension
+fields, and fraction-free (Bareiss) over QQ to keep intermediate numerators
+from exploding.
 
-Batched finite-field matrix arithmetic runs on code arrays
-(`modnum.FieldCodes`); ExactMatrix keeps `@`, `transpose` and elimination.
+Batched finite-field matrix arithmetic, and the large GF(p) eliminations
+of the Hilbert ladder, run on code arrays and int64 arrays in `modnum`;
+ExactMatrix keeps `@`, `transpose` and elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-from .fields import FieldElement
-from . import modnum
-
-_NUMPY_CUTOVER = 1200  # entry count above which prime fields use modnum
 
 
 class ExactMatrix:
@@ -56,11 +51,7 @@ class ExactMatrix:
         return cls(field, [[cols[j][i] for j in range(len(cols))]
                            for i in range(n)])
 
-    # -- entry access ---------------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        return FieldElement(self.field, self.rows[i][j])
+    # -- comparison -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -113,15 +104,6 @@ class ExactMatrix:
 
     def rref(self):
         """(pivot columns, basis matrix): unique RREF basis of the row space."""
-        if self.field.kind == "GF(p)" and \
-                self.nrows * self.ncols >= _NUMPY_CUTOVER:
-            import numpy as np
-            arr = np.array(self.rows, dtype=np.int64) if self.nrows else \
-                np.zeros((0, self.ncols), dtype=np.int64)
-            piv, basis = modnum.rref_mod(arr, self.field.p)
-            return list(piv), ExactMatrix(self.field,
-                                          [[int(x) for x in row] for row in basis],
-                                          ncols=self.ncols)
         if self.field.kind == "QQ":
             piv, rows = _rref_rational(self.rows, self.ncols)
         else:

@@ -260,7 +260,7 @@ class FieldCodes:
             self.sub = lambda a, b: (a - b) % q
             self.mul = lambda a, b: a * b % q
             return
-        values = [e.value for e in field.elements()]
+        values = list(field.elements())
         self._payloads = np.fromiter(values, dtype=object, count=q)
         tables = np.zeros((3, q, q), dtype=np.int64)
         self.inv = np.zeros(q, dtype=np.int64)

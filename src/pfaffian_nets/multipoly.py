@@ -16,7 +16,7 @@ from math import factorial, gcd, lcm, prod
 import numpy as np
 
 from . import modnum
-from .fields import FieldElement, FieldMismatchError, reduce_value
+from .fields import FieldMismatchError, reduce_value
 
 
 def grlex_key(exps):
@@ -128,8 +128,8 @@ class MultiPoly:
                       reverse=True)
 
     def coefficient(self, exps):
-        return FieldElement(self.field,
-                            self.terms.get(tuple(exps), self.field.zero_value))
+        """The payload of the term with these exponents (zero if absent)."""
+        return self.terms.get(tuple(exps), self.field.zero_value)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -180,6 +180,7 @@ class MultiPoly:
                               {e: f.neg(c) for e, c in self.terms.items()})
 
     def scale(self, c):
+        """The polynomial times c, an int, a Fraction or a payload."""
         f = self.field
         v = f.value_of(c)
         if f.is_zero_value(v):
@@ -188,7 +189,7 @@ class MultiPoly:
                               {e: f.mul(v, x) for e, x in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -239,7 +240,9 @@ class MultiPoly:
         return MultiPoly._raw(f, self.nvars, out)
 
     def evaluate(self, point):
-        """Value at a point given as payloads/FieldElements/ints."""
+        """The payload of the value at a point whose coordinates are
+        payloads or ints; test it with the field's `is_zero_value`, as a
+        GF(p^k) zero payload is a nonempty tuple."""
         f = self.field
         vals = [f.value_of(x) for x in point]
         if len(vals) != self.nvars:
@@ -252,7 +255,7 @@ class MultiPoly:
                 for _ in range(e):
                     term = f.mul(term, x)
             acc = f.add(acc, term)
-        return FieldElement(f, acc)
+        return acc
 
     def substitute(self, subs):
         """Compose: replace variable i by subs[i] (polynomials over the same
@@ -371,7 +374,7 @@ class SkewPolyMatrix:
     def evaluate(self, point):
         from .matrices import ExactMatrix
         return ExactMatrix(self.field,
-                           [[e.evaluate(point).value for e in row]
+                           [[e.evaluate(point) for e in row]
                             for row in self.entries])
 
     def entry_degree(self):

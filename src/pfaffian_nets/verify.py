@@ -43,10 +43,6 @@ from .matrices import ExactMatrix
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
 
 
-def _element_values(field):
-    return [e.value for e in field.elements()]
-
-
 class SamplePlan:
     """How to pick verification points: `enumerate` walks all of Y x X,
     `random` draws seeded samples, `auto` enumerates when the field has at
@@ -276,7 +272,7 @@ def _random_pairs(net, plan):
     on_q = rank_oracle(reduced, field, "v")
     fc = on_q.fc
     q = fc.q
-    codes = fc.encode(_element_values(field))
+    codes = fc.encode(list(field.elements()))
     zero, one = fc.zero, fc.one
     pencil = [(one, c) for c in codes.tolist()] + [(zero, one)]
     elem_shift, pencil_shift = 32 - q.bit_length(), 32 - (q + 1).bit_length()
@@ -369,7 +365,7 @@ def jw1_section_check(net, plan):
     f = plan.field
     records = _pairs(net, plan)
     fc = records.fc
-    elements = _element_values(f)
+    elements = list(f.elements())
     if plan.mode == "enumerate":
         params = [(f.one_value, f.zero_value)] \
             + [(x, f.one_value) for x in elements]
@@ -424,6 +420,6 @@ def count_points(ideal, field, limit=200000):
             for g in ideal.generators]
     count = 0
     for pt in enumerate_projective(field, n - 1):
-        if all(not g.evaluate(list(pt)) for g in gens):
+        if all(field.is_zero_value(g.evaluate(pt)) for g in gens):
             count += 1
     return count

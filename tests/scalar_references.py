@@ -29,7 +29,6 @@ from pfaffian_nets.cohomology import mu_matrix
 from pfaffian_nets.correspondence import (ANet, FvMatrix, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
-from pfaffian_nets.fields import QQ, FieldElement
 from pfaffian_nets.grassmann import _CHUNK, pair_indices, plucker_from_basis
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
@@ -190,11 +189,12 @@ def certify_line_on_x(reduced, pencil):
     deg to zero."""
     f = reduced.field
     params = [(f.one_value, f.zero_value)] \
-        + [(e.value, f.one_value) for e in f.elements()]
+        + [(e, f.one_value) for e in f.elements()]
     for gen in x_ideal(reduced).generators:
         need = gen.degree() + 1
         assert need <= len(params)
-        if any(gen.evaluate(list(pencil.point_at(s, t).coords))
+        if any(not f.is_zero_value(
+                gen.evaluate(list(pencil.point_at(s, t).coords)))
                for s, t in params[:need]):
             return False
     return True
@@ -211,7 +211,7 @@ def random_pairs(net, plan):
     reduced = net.over(field)
     on_y = rank_oracle(reduced, field, "a")
     on_q = rank_oracle(reduced, field, "v")
-    elements = [e.value for e in field.elements()]
+    elements = list(field.elements())
     zero, one = field.zero_value, field.one_value
     rng = random.Random(plan.seed)
     budget = [verify._TRY_FACTOR * plan.count * max(4, len(elements))]
@@ -270,12 +270,12 @@ def line_on_hypersurface(poly, a1, a2):
 
 
 def det(m):
-    """The determinant of a square ExactMatrix, as a FieldElement."""
+    """The determinant of a square ExactMatrix, as a payload."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     if m.field.kind == "QQ":
-        return FieldElement(QQ, _det_rational(m.rows))
-    return FieldElement(m.field, _det_generic(m.field, m.rows))
+        return _det_rational(m.rows)
+    return _det_generic(m.field, m.rows)
 
 
 def _det_generic(field, rows):
@@ -341,7 +341,8 @@ MAX_PFAFFIAN_SIZE = 12
 
 
 def pfaffian_scalar(m):
-    """Pfaffian of a skew-symmetric ExactMatrix via first-row expansion.
+    """Pfaffian of a skew-symmetric ExactMatrix via first-row expansion,
+    as a payload.
 
     Sizes beyond 12 are rejected (the expansion is combinatorial), as is
     characteristic 2, where alternating and skew-symmetric part ways.
@@ -374,7 +375,7 @@ def pfaffian_scalar(m):
             acc = f.add(acc, term) if pos % 2 == 1 else f.sub(acc, term)
         return acc
 
-    return FieldElement(f, expand(tuple(range(m.nrows))))
+    return expand(tuple(range(m.nrows)))
 
 
 def exact_divide(num, den):

@@ -1,6 +1,7 @@
 """Driver-level tests: fixture IO, exit codes, stage gating, and the
 byte-determinism of reports."""
 
+import hashlib
 import json
 import os
 import random
@@ -137,7 +138,8 @@ class TestPipeline:
 
     def test_report_identifies_fixture(self, pipeline_run, fixture_path):
         _, report, _ = pipeline_run
-        doc = json.loads(open(fixture_path).read())
+        with open(fixture_path) as fh:
+            doc = json.load(fh)
         assert report["schema"] == cli.REPORT_SCHEMA
         assert report["fingerprint"] == fingerprint(doc)
         assert report["parameters"]["samples"] == 50
@@ -154,6 +156,22 @@ class TestPipeline:
         _, _, first = pipeline_run
         with open(GOLDEN, "rb") as fh:
             assert first == fh.read()
+
+    # the only runs that build code tables over GF(4), GF(8), GF(9), GF(16)
+    @pytest.mark.parametrize("fields, digest", [
+        ("2,3,4,5,7,8,9",
+         "fbe150fa0ebe77059472230c56725861d9fa277cab1ce430196fdb91f4bfa27e"),
+        ("16,9,4",
+         "9ab2f8eada1890389f0ea2fcbf7b006f6d2731d2f7da26cf1f3f8ce9ee760ff0")])
+    def test_extension_field_report_digest(self, fixture_path, tmp_path,
+                                           monkeypatch, fields, digest):
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        out = tmp_path / "report.json"
+        assert main(["pipeline", fixture_path, "-o", str(out),
+                     "--fields", fields]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
@@ -321,8 +339,8 @@ class TestVerify:
 
     def test_stdin_fixture(self, fixture_path, capsys, monkeypatch):
         import io
-        monkeypatch.setattr("sys.stdin",
-                            io.StringIO(open(fixture_path).read()))
+        with open(fixture_path) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
         assert main(["verify", "-", "regularity"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
@@ -388,6 +406,20 @@ class TestErrors:
         fx.write_text(json.dumps(doc))
         assert main([command[0], str(fx)] + command[1:]) == 3
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
+                             ids=["pipeline", "verify"])
+    @pytest.mark.parametrize("two_m", [0, -2, 5])
+    def test_two_m_not_even_and_positive(self, fixture_path, tmp_path, capsys,
+                                         command, two_m):
+        with open(fixture_path) as fh:
+            doc = dict(json.load(fh), two_m=two_m)
+        fx = tmp_path / "bad.json"
+        fx.write_text(json.dumps(doc))
+        assert main([command[0], str(fx)] + command[1:]) == 3
+        assert capsys.readouterr().err == (
+            "error: fixture 'two_m' must be an even integer >= 2, got %d\n"
+            % two_m)
 
     def test_unparseable_json(self, tmp_path):
         fx = tmp_path / "broken.json"

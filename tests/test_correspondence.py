@@ -152,7 +152,7 @@ def scanning_witness(net, max_rank):
 class TestANet:
     def test_round_trip(self, pinned):
         assert pinned.upper_triangles() == [
-            [QQ.coerce_value(v) for v in row] for row in PINNED_UPPER]
+            [QQ.value_of(v) for v in row] for row in PINNED_UPPER]
         again = ANet.from_upper_triangles(QQ, 6, pinned.upper_triangles())
         assert [m.rows for m in again.matrices] == \
             [m.rows for m in pinned.matrices]
@@ -173,12 +173,12 @@ class TestANet:
         sym = pinned.symbolic()
         a = [1, -2, 3, 0, 5]
         direct = pinned.f_at(a)
-        point = [QQ.coerce_value(x) for x in a]
+        point = [QQ.value_of(x) for x in a]
         assert sym.evaluate(point).rows == direct.rows
 
     def test_map_field_reduces_entrywise(self, pinned):
         red = pinned.map_field(F7)
-        assert red.matrices[0].rows[0][1] == F7.coerce_value(
+        assert red.matrices[0].rows[0][1] == F7.value_of(
             pinned.matrices[0].rows[0][1])
 
     def test_over_is_memoized(self, pinned):
@@ -316,7 +316,7 @@ class TestFvMatrix:
         fv = FvMatrix(pinned)
         v = [1, 2, 0, -1, 3, 5]
         m = fv.evaluate(v)
-        vv = [QQ.coerce_value(x) for x in v]
+        vv = [QQ.value_of(x) for x in v]
         for i, F in enumerate(pinned.matrices):
             for k in range(6):
                 acc = QQ.zero_value
@@ -334,7 +334,7 @@ class TestFvMatrix:
         points += [(net3, v) for v in enumerate_projective(GF(3), 5)]
         for net, v in points:
             fv = FvMatrix(net)
-            grid = [[e.evaluate(list(v)).value for e in row]
+            grid = [[e.evaluate(list(v)) for e in row]
                     for row in fv.grid]
             assert fv.evaluate(v).rows == grid
 
@@ -587,8 +587,8 @@ class TestCurveFibers:
             curve_fibers(net7, low[:2] + r4[:1])
 
 
-# each entry point that takes scalars, fed one GF(7) element over another
-# field; an element is never read as a bare payload of the wrong field
+# each entry point that takes scalars, fed one GF(7^2) payload over a field
+# whose payloads have another shape; it is rejected, never read as a scalar
 FOREIGN_CALLS = {
     "f_at": lambda net, x: net.f_at([x, 0, 0, 0, 0]),
     "FvMatrix.evaluate": lambda net, x: FvMatrix(net.over(F3)).evaluate(
@@ -605,8 +605,8 @@ FOREIGN_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(FOREIGN_CALLS))
 def test_foreign_element_raises(pinned, call):
-    with pytest.raises(FieldMismatchError):
-        FOREIGN_CALLS[call](pinned, F7.el(5))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        FOREIGN_CALLS[call](pinned, (5, 0))
 
 
 class TestLines:
@@ -773,7 +773,7 @@ class TestRankOracle:
         pts = list(enumerate_projective(field, 4))
         assert len(oracle.table) == len(pts)
         for a, rank in zip(pts, oracle.table):
-            assert (rank < 6) == (not cubic.evaluate(list(a)))
+            assert (rank < 6) == field.is_zero_value(cubic.evaluate(a))
 
     @pytest.mark.parametrize("field", [F3, GF(2, 2), GF(5)], ids=str)
     def test_table_zeros_are_the_quartic_zeros(self, pinned, field):
@@ -785,7 +785,7 @@ class TestRankOracle:
         pts = list(enumerate_projective(field, 5))
         assert len(oracle.table) == len(pts)
         for v, rank in zip(pts, oracle.table):
-            assert (rank <= 4) == (not quartic.evaluate(list(v)))
+            assert (rank <= 4) == field.is_zero_value(quartic.evaluate(v))
 
     @pytest.mark.parametrize("field", [F3, GF(2, 2)], ids=str)
     def test_indices_follow_the_enumeration(self, pinned, field):
@@ -793,7 +793,7 @@ class TestRankOracle:
         pts = list(enumerate_projective(field, 5))
         assert oracle.points(range(len(pts))) == pts
         fv = FvMatrix(pinned.map_field(field))
-        scalars = [e.value for e in field.elements()][1:]
+        scalars = list(field.elements())[1:]
         for i, v in enumerate(pts):
             assert oracle.table[i] == fv.evaluate(v).rank()
             c = scalars[i % len(scalars)]
@@ -842,7 +842,7 @@ class TestRankOracle:
             net.over(F2)
         cubic = pfaffian_hypersurface(net).map_field(F2)
         expected = [a for a in enumerate_projective(F2, 4)
-                    if not cubic.evaluate(list(a))]
+                    if F2.is_zero_value(cubic.evaluate(a))]
         assert len(expected) == 15
         assert y_payloads(net, F2) == expected
         # f(a) = 0 at a = e_1 + e_5, so every v lies in one of the kernels
@@ -902,7 +902,8 @@ class TestRankOracle:
     def _filtered_grassmannian(net, field):
         forms = net_linear_forms(net.over(field))
         return [pt for pt in enumerate_grassmannian(6, field)
-                if not any(f.evaluate(list(pt.coords)) for f in forms)]
+                if all(field.is_zero_value(f.evaluate(pt.coords))
+                       for f in forms)]
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_x_points_are_the_filtered_grassmannian(self, pinned, field):
@@ -1075,7 +1076,7 @@ def test_subfield_descent(request, name, p):
     coordinates all lie in F_p."""
     net = request.getfixturevalue(name)
     small, big = GF(p), GF(p, 2)
-    prime = {reduce_value(e.value, small, big) for e in small.elements()}
+    prime = {reduce_value(e, small, big) for e in small.elements()}
     per_field = classify(net, fields=(small, big), cap=10).per_field
     sets = {field: (
         [pt.coords for pt in x_plucker_points(net, field)],

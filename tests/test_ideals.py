@@ -21,6 +21,7 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import (MultiPoly, minor_polys,
                                      monomials_of_degree)
 
+from conftest import random_value
 from scalar_references import det
 from test_cli import dead_fixture_text
 
@@ -44,7 +45,7 @@ def random_ideal(field, nvars, rng, ngens=3):
     for _ in range(ngens):
         d = rng.randrange(1, 4)
         monos = list(monomials_of_degree(nvars, d))
-        terms = {rng.choice(monos): field.random(rng).value for _ in range(4)}
+        terms = {rng.choice(monos): random_value(field, rng) for _ in range(4)}
         g = MultiPoly(field, nvars, terms)
         if not g.is_zero():
             gens.append(g)
@@ -447,7 +448,7 @@ def test_minors_of_rank_deficient_grid():
 
 def _random_form(field, nvars, degree, rng):
     return MultiPoly(field, nvars,
-                     {e: field.random(rng, 3).value
+                     {e: random_value(field, rng, 3)
                       for e in monomials_of_degree(nvars, degree)})
 
 
@@ -472,9 +473,9 @@ def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
     grid = _minor_test_grid(kind, field, pinned_net, rng)
     nrows, ncols = len(grid), len(grid[0])
     nvars = grid[0][0].nvars
-    points = [[field.random(rng).value for _ in range(nvars)]
+    points = [[random_value(field, rng) for _ in range(nvars)]
               for _ in range(3)]
-    values = [[[e.evaluate(pt).value for e in row] for row in grid]
+    values = [[[e.evaluate(pt) for e in row] for row in grid]
               for pt in points]
     for r in range(1, min(nrows, ncols) + 1):
         minors = minor_polys(grid, r)

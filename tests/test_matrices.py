@@ -2,18 +2,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pfaffian_nets.fields import QQ, GF, FieldMismatchError
+from pfaffian_nets import modnum
+from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.matrices import ExactMatrix
 
+from conftest import random_value
 from scalar_references import det, pfaffian_scalar
 
 FIELDS = [QQ, GF(2), GF(3), GF(7), GF(32003), GF(3, 2)]
 
 
 def random_mat(field, rng, nrows, ncols):
-    return ExactMatrix(field, [[field.random(rng).value for _ in range(ncols)]
+    return ExactMatrix(field, [[random_value(field, rng) for _ in range(ncols)]
                                for _ in range(nrows)])
 
 
@@ -88,7 +91,7 @@ def random_skew(field, rng, n):
     m = ExactMatrix.zeros(field, n, n)
     for i in range(n):
         for j in range(i + 1, n):
-            v = field.random(rng).value
+            v = random_value(field, rng)
             m.rows[i][j] = v
             m.rows[j][i] = field.neg(v)
     return m
@@ -99,8 +102,8 @@ def random_skew(field, rng, n):
 def test_constructor_and_entry_access():
     m = ExactMatrix(QQ, [[1, Fraction(1, 2)], [0, 3]])
     assert m.nrows == 2 and m.ncols == 2
-    assert m[0, 1] == Fraction(1, 2)
-    assert m.transpose()[1, 0] == Fraction(1, 2)
+    assert m.rows[0][1] == Fraction(1, 2)
+    assert m.transpose().rows[1][0] == Fraction(1, 2)
     with pytest.raises(ValueError):
         ExactMatrix(QQ, [[1, 2], [3]])
 
@@ -110,8 +113,9 @@ def test_field_mismatch_rejected():
     b = ExactMatrix(GF(7), [[1]])
     with pytest.raises(ValueError, match="field mismatch"):
         a @ b
-    with pytest.raises(FieldMismatchError):
-        ExactMatrix(GF(5), [[GF(7).el(1)]])
+    # a GF(5^2) payload is not an entry GF(5) can take
+    with pytest.raises(TypeError):
+        ExactMatrix(GF(5), [[(1, 0)]])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -172,7 +176,7 @@ def test_rref_is_canonical_under_row_scrambling():
 
 
 def test_numpy_path_agrees_with_generic():
-    # 40x40 over GF(32003) crosses the cutover to the modnum kernels
+    # 40x40 over GF(32003): Gauss-Jordan against the blocked modnum kernel
     field = GF(32003)
     rng = random.Random(31)
     left = random_mat(field, rng, 40, 11)
@@ -182,10 +186,9 @@ def test_numpy_path_agrees_with_generic():
     assert rank == naive_rank(m) == 11
     assert m @ kern == ExactMatrix.zeros(m.field, m.nrows, kern.ncols)
     piv, basis = m.rref()
-    from pfaffian_nets.matrices import _rref_generic
-    piv_g, rows_g = _rref_generic(field, m.rows, m.ncols)
-    assert piv == piv_g
-    assert basis.rows == rows_g
+    piv_n, rows_n = modnum.rref_mod(np.array(m.rows, dtype=np.int64), 32003)
+    assert piv == list(piv_n)
+    assert basis.rows == rows_n.tolist()
 
 
 def test_rational_rref_no_denominator_blowup():
@@ -197,7 +200,7 @@ def test_rational_rref_no_denominator_blowup():
     assert len(piv) == naive_rank(m)
     # unit pivots, zeros elsewhere in pivot columns
     for i, c in enumerate(piv):
-        col = [basis[r, c] for r in range(basis.nrows)]
+        col = [basis.rows[r][c] for r in range(basis.nrows)]
         assert col[i] == 1
         assert all(not col[r] for r in range(len(piv)) if r != i)
 
@@ -209,7 +212,7 @@ def test_det_against_permutation_expansion(field):
     rng = random.Random(77)
     for n in (1, 2, 3, 4):
         m = random_mat(field, rng, n, n)
-        assert det(m).value == permutation_det(m)
+        assert det(m) == permutation_det(m)
 
 
 def test_det_rational_exact():
@@ -248,7 +251,7 @@ def test_pfaffian_matches_matching_expansion(field, n):
     rng = random.Random(n * 1000 + 1)
     for _ in range(3):
         m = random_skew(field, rng, n)
-        assert pfaffian_scalar(m).value == matching_pfaffian(m)
+        assert pfaffian_scalar(m) == matching_pfaffian(m)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)])
@@ -256,8 +259,8 @@ def test_pfaffian_squared_is_det(field):
     rng = random.Random(55)
     for n in (2, 4, 6):
         m = random_skew(field, rng, n)
-        pf = pfaffian_scalar(m).value
-        assert field.mul(pf, pf) == det(m).value
+        pf = pfaffian_scalar(m)
+        assert field.mul(pf, pf) == det(m)
 
 
 def test_pfaffian_congruence_covariance():
@@ -267,7 +270,7 @@ def test_pfaffian_congruence_covariance():
     a = random_skew(field, rng, 6)
     b = random_mat(field, rng, 6, 6)
     lhs = pfaffian_scalar(b @ a @ b.transpose())
-    assert lhs.value == field.mul(det(b).value, pfaffian_scalar(a).value)
+    assert lhs == field.mul(det(b), pfaffian_scalar(a))
 
 
 def test_pfaffian_guards():

@@ -6,6 +6,8 @@ import pytest
 from pfaffian_nets import modnum
 from pfaffian_nets.fields import GF
 
+from conftest import random_value
+
 
 def naive_rref(a, p):
     """Textbook Gauss-Jordan oracle, returns (pivots, basis rows)."""
@@ -212,12 +214,12 @@ def test_batch_rank_table_matches_exact():
         rng = random.Random(7)
         mats, exact = [], []
         for _ in range(60):
-            em = ExactMatrix(field, [[field.random(rng).value
+            em = ExactMatrix(field, [[random_value(field, rng)
                                       for _ in range(6)] for _ in range(5)])
             if rng.random() < 0.5:
-                a = ExactMatrix(field, [[field.random(rng).value
+                a = ExactMatrix(field, [[random_value(field, rng)
                                          for _ in range(2)] for _ in range(5)])
-                b = ExactMatrix(field, [[field.random(rng).value
+                b = ExactMatrix(field, [[random_value(field, rng)
                                          for _ in range(6)] for _ in range(2)])
                 em = a @ b
             exact.append(em.rank())
@@ -240,13 +242,13 @@ def test_batch_rref_table_matches_exact_rref(q):
         mats = []
         for _ in range(40):
             cap = rng.choice([None, 1, 2])
-            rows = [[field.random(rng).value for _ in range(ncols)]
+            rows = [[random_value(field, rng) for _ in range(ncols)]
                     for _ in range(nrows)]
             if cap is not None:
-                a = ExactMatrix(field, [[field.random(rng).value
+                a = ExactMatrix(field, [[random_value(field, rng)
                                          for _ in range(cap)]
                                         for _ in range(nrows)])
-                b = ExactMatrix(field, [[field.random(rng).value
+                b = ExactMatrix(field, [[random_value(field, rng)
                                          for _ in range(ncols)]
                                         for _ in range(cap)])
                 rows = (a @ b).rows
@@ -305,7 +307,7 @@ def test_field_codes_match_the_field(q):
     fc = modnum.field_codes(field)
     assert fc.q == field.order and modnum.field_codes(field) is fc
     rng = random.Random(q[0] * 10 + q[1])
-    values = [field.random(rng).value for _ in range(120)]
+    values = [random_value(field, rng) for _ in range(120)]
     values += [field.zero_value, field.one_value]
     codes = fc.encode(values)
     assert fc.decode(codes) == values

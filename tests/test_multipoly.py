@@ -8,6 +8,7 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import (MultiPoly, SkewPolyMatrix, det_poly,
                                      monomials_of_degree, pfaffian_poly)
 
+from conftest import random_value
 from scalar_references import exact_divide, pfaffian_scalar
 
 
@@ -19,7 +20,7 @@ def random_poly(field, nvars, degree, rng, nterms=6):
     monos = list(monomials_of_degree(nvars, degree))
     terms = {}
     for _ in range(nterms):
-        terms[rng.choice(monos)] = field.random(rng).value
+        terms[rng.choice(monos)] = random_value(field, rng)
     return MultiPoly(field, nvars, terms)
 
 
@@ -67,7 +68,7 @@ def _parse_coeff(field, text):
         return int(text) % field.p
     # extension field: "(c*g^i+...)" or a bare integer
     if not text.startswith("("):
-        return field.coerce_value(int(text))
+        return field.value_of(int(text))
     body = text[1:-1]
     acc = field.zero_value
     for part in body.split("+"):
@@ -82,7 +83,7 @@ def _parse_coeff(field, text):
             mono[deg] = int(c_txt) % field.p
             acc = field.add(acc, tuple(mono))
         else:
-            acc = field.add(acc, field.coerce_value(int(c_txt)))
+            acc = field.add(acc, field.value_of(int(c_txt)))
     return acc
 
 
@@ -252,7 +253,7 @@ def random_skew_linear(field, nvars, size, rng):
     upper = {}
     for i in range(size):
         for j in range(i + 1, size):
-            coeffs = [field.random(rng).value for _ in range(nvars)]
+            coeffs = [random_value(field, rng) for _ in range(nvars)]
             upper[(i, j)] = MultiPoly.linear_form(field, coeffs)
     return SkewPolyMatrix.from_upper(field, nvars, size, upper)
 

@@ -117,7 +117,7 @@ def evaluating_sampler(reduced, plan):
     field = plan.field
     cubic = pfaffian_hypersurface(reduced)
     quartic = q_quartic(reduced)
-    elements = [e.value for e in field.elements()]
+    elements = list(field.elements())
     rng = random.Random(plan.seed)
 
     def draw(length):
@@ -129,13 +129,13 @@ def evaluating_sampler(reduced, plan):
     def draw_a():
         while True:
             a = draw(5)
-            if not cubic.evaluate(a):
+            if field.is_zero_value(cubic.evaluate(a)):
                 return tuple(a)
 
     def draw_u():
         while True:
             v = draw(6)
-            if quartic.evaluate(v):
+            if not field.is_zero_value(quartic.evaluate(v)):
                 continue
             u = phi_fiber(reduced, v)
             if isinstance(u, GrassmannLine):
@@ -459,7 +459,7 @@ def reference_jw(refs, plan):
 def reference_jw1(refs, plan):
     report = verify.JwReport("jw1_section_check", plan)
     f = plan.field
-    elements = [e.value for e in f.elements()]
+    elements = list(f.elements())
     every_v = [(f.one_value, f.zero_value)] \
         + [(x, f.one_value) for x in elements]
     one_v = [(f.one_value, x) for x in elements] \
@@ -584,7 +584,7 @@ class TestPhiBases:
         high = np.nonzero(ranks == 4)[0]
         if field.order > 3:
             high = high[:64]
-        elements = [e.value for e in field.elements()]
+        elements = list(field.elements())
         params = [(field.one_value, x) for x in elements] \
             + [(field.zero_value, field.one_value)]
         vs, st, expected = [], [], []
@@ -755,3 +755,13 @@ class TestCountPoints:
         reduced = pinned_net.map_field(GF(2))
         for a in ys:
             assert reduced.f_at(a).rank() == 4
+
+    @pytest.mark.parametrize("q, count", [((2, 2), 93), ((3, 2), 784)],
+                             ids=["GF(4)", "GF(9)"])
+    def test_cubic_count_over_an_extension_field(self, pinned_net, q, count):
+        # a GF(p^k) zero payload is a nonempty tuple, so a zero value must
+        # be read with is_zero_value, never by truthiness
+        field = GF(*q)
+        ideal = HomogeneousIdeal(QQ, 5, [pfaffian_hypersurface(pinned_net)])
+        assert count_points(ideal, field) == count
+        assert len(y_points(pinned_net, field)) == count
