@@ -747,12 +747,25 @@ def splitting_types(net, lines):
 def find_lines_on_y(net, field):
     """All lines of P(A) lying on Y over a small field, as spanning pairs in
     the order of `echelon_pair_codes`: every line of P(A), read by
-    `lie_on_y` a block at a time; only the lines kept are decoded."""
+    `lie_on_y` in batches of consecutive blocks of up to _CHUNK lines in
+    all; only the lines kept are decoded."""
     fc = modnum.field_codes(field)
     out = []
-    for block in echelon_pair_codes(net.n, field):
+
+    def keep(blocks):
+        batch = np.concatenate(blocks)
         out.extend((tuple(a1), tuple(a2)) for a1, a2
-                   in fc.decode(block[lie_on_y(net, field, block)]))
+                   in fc.decode(batch[lie_on_y(net, field, batch)]))
+
+    pending, size = [], 0
+    for block in echelon_pair_codes(net.n, field):
+        if size + len(block) > _CHUNK:
+            keep(pending)
+            pending, size = [], 0
+        pending.append(block)
+        size += len(block)
+    if pending:
+        keep(pending)
     return out
 
 

@@ -6,24 +6,30 @@ rank of a Macaulay matrix, and HF(t) = dim S_t - dim I_t.  Degree and genus
 claims only ever use the eventually-polynomial behavior of HF, so no
 saturation or Groebner machinery appears anywhere.
 
-Large prime-field computations run on an incremental ladder: the reduced
-basis of I_t is pushed forward to degree t+1 by multiplying with each
-variable, and multiplication by the first variable is order-preserving for
-graded-lex monomial columns, so the pushed basis lands already reduced and
-only the remaining products need elimination.
+Large prime-field computations run on an incremental ladder that pushes
+the reduced basis of I_t forward to degree t+1.  Multiplication by the
+first variable is order-preserving for graded-lex monomial columns, so
+x0 * basis lands already reduced.  The other variables need only the rows
+N_t that the step to t added (the whole basis at the first degree): as
+I_t = x0 I_{t-1} + span(N_t) and x_j I_{t-1} lies in I_t,
+x_j I_t = x0 (x_j I_{t-1}) + x_j N_t lies in x0 I_t + x_j N_t, so
+
+    I_{t+1} = x0 I_t + sum_{j >= 1} x_j N_t + span(G_{t+1}),
+
+G_{t+1} the generators of degree t+1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from . import modnum
-from .fields import GF
 from .matrices import ExactMatrix
-from .multipoly import minor_polys, monomials_of_degree
+from .multipoly import (MultiPoly, minor_level, minor_polys,
+                        monomials_of_degree)
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
@@ -48,8 +54,10 @@ def ambient_dimension(nvars, t):
 
 
 class HomogeneousIdeal:
-    """A list of homogeneous generators over one field; zero generators are
-    dropped at construction, inhomogeneous ones are rejected."""
+    """Homogeneous generators over one field, held as MultiPolys or, over
+    QQ and GF(p), as integer rows (`rows`); each form is built from the
+    other when first asked for.  Zero generators are dropped at
+    construction, inhomogeneous ones are rejected."""
 
     def __init__(self, field, nvars, generators):
         gens = []
@@ -63,11 +71,74 @@ class HomogeneousIdeal:
             gens.append(g)
         self.field = field
         self.nvars = nvars
-        self.generators = gens
+        self._generators = gens
+        self._rows = None
+
+    @classmethod
+    def from_rows(cls, field, nvars, degree, rows, scales):
+        """The ideal over QQ or GF(p) of the degree-`degree` forms
+        rows[i] / scales[i], with integer rows (int64 or object) over
+        `monomials_of_degree(nvars, degree)` and positive integer scales (1
+        over GF(p), whose rows hold residues).  Zero rows are dropped, and
+        a row and its scale are divided by their gcd, so a prime divides a
+        scale iff it divides some coefficient's reduced denominator."""
+        rows = np.asarray(rows)
+        keep = np.flatnonzero(rows.any(axis=1))
+        rows = rows[keep]
+        scales = [scales[i] for i in keep.tolist()]
+        for i, s in enumerate(scales):
+            if s != 1:
+                g = gcd(s, int(np.gcd.reduce(rows[i])))
+                rows[i] //= g
+                scales[i] = s // g
+        ideal = cls(field, nvars, [])
+        ideal._generators = None
+        ideal._rows = {degree: (rows, scales)} if len(rows) else {}
+        return ideal
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            qq = self.field.kind == "QQ"
+            gens = []
+            for d, (rows, scales) in self._rows.items():
+                monos = list(monomials_of_degree(self.nvars, d))
+                for row, s in zip(rows.tolist(), scales):
+                    gens.append(MultiPoly._raw(self.field, self.nvars, {
+                        monos[m]: Fraction(c, s) if qq else c
+                        for m, c in enumerate(row) if c}))
+            self._generators = gens
+        return self._generators
+
+    def rows(self):
+        """{degree: (rows, scales)} as `from_rows` takes them, one entry
+        per generator degree: a generator's scale is the lcm of its
+        denominators (1 for GF(p) payloads, which are ints)."""
+        if self._rows is None:
+            if self.field.kind not in ("QQ", "GF(p)"):
+                raise ValueError("integer rows need QQ or a prime field")
+            by_degree = {}
+            for g in self._generators:
+                by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+            self._rows = {}
+            for d, gens in by_degree.items():
+                index = {e: i for i, e in
+                         enumerate(monomials_of_degree(self.nvars, d))}
+                rows = np.zeros((len(gens), len(index)), dtype=object)
+                scales = []
+                for row, g in zip(rows, gens):
+                    s = lcm(*(c.denominator for c in g.terms.values()))
+                    for e, c in g.terms.items():
+                        row[index[e]] = c.numerator * (s // c.denominator)
+                    scales.append(s)
+                self._rows[d] = (rows, scales)
+        return self._rows
 
     @property
     def degrees(self):
-        return sorted({g.homogeneous_degree() for g in self.generators})
+        if self._generators is None:
+            return sorted(self._rows)
+        return sorted({g.homogeneous_degree() for g in self._generators})
 
     def __repr__(self):
         return "HomogeneousIdeal(%s, %d gens, degrees %s)" % (
@@ -114,18 +185,22 @@ def _positions(monos, exps, d):
 class HilbertEngine:
     """Incremental Hilbert-function evaluator over GF(p).
 
-    The generators are read once, at construction, into int64 rows: each
-    coefficient is reduced by GF(p).value_of, so a QQ ideal needs no
-    reduced copy, a denominator that p divides raises ZeroDivisionError,
-    and a generator that vanishes mod p is dropped.  `degrees` lists the
-    degrees of the generators kept, largest first.
+    The generators are read once, at construction, from the ideal's integer
+    `rows`, reduced mod p with numpy: a row with scale s is multiplied by
+    s^-1, so a QQ ideal needs no reduced copy, a scale that p divides
+    raises ZeroDivisionError, and a generator that vanishes mod p is
+    dropped.  `degrees` lists the degrees of the generators kept, largest
+    first.
 
-    The state at degree t is (t, pivot columns, basis): the RREF of I_t
-    over the degree-t monomials in descending graded-lex order.  A step to
-    t + 1 seeds the new basis with x0 * basis, which lands already reduced,
-    then absorbs x_j * basis (j >= 1) and the new generators in blocks:
-    each block is reduced against the seed and the rows found so far by
-    two products, and row-reduced on the columns that are pivots of
+    The state at degree t is (t, pivot columns, basis, new): the RREF of
+    I_t over the degree-t monomials in descending graded-lex order, and a
+    mask of the basis rows N_t that the step to t added (all of them at the
+    first degree).  As I_t = x0 I_{t-1} + span(N_t), and
+    x_j I_{t-1} lies in I_t, x_j I_t lies in x0 I_t + x_j N_t; so a step
+    to t + 1 seeds the new basis with x0 * basis, which lands already
+    reduced, then absorbs x_j * N_t (j >= 1) and the new generators in
+    blocks: each block is reduced against the seed and the rows found so
+    far by two products, and row-reduced on the columns that are pivots of
     neither, the only ones where a new pivot can appear.  Asking for
     values out of order just ladders forward.
     """
@@ -139,23 +214,27 @@ class HilbertEngine:
             raise ValueError("ideal is over GF(%d), engine prime is %d"
                              % (ideal.field.p, prime))
         modnum._check_prime(prime)
-        fp = GF(prime)
         self.p = prime
         self.n = ideal.nvars
-        self._gens_by_degree = {}  # degree: [(exponent rows, values)]
-        for g in ideal.generators:
-            vals = np.array([fp.value_of(c) for c in g.terms.values()],
-                            dtype=np.int64)
-            if vals.any():
-                exps = list(g.terms)  # homogeneous: every term has g's degree
-                self._gens_by_degree.setdefault(sum(exps[0]), []).append(
-                    (np.array(exps, dtype=np.int64), vals))
-        self.degrees = sorted((d for d, gens in self._gens_by_degree.items()
-                               for _ in gens), reverse=True)
+        self._gens_by_degree = {}  # degree: int64 rows over _monos(degree)
+        for d, (rows, scales) in ideal.rows().items():
+            rows = (rows % prime).astype(np.int64)
+            if any(s != 1 for s in scales):
+                if any(s % prime == 0 for s in scales):
+                    raise ZeroDivisionError(
+                        "denominator not invertible mod %d" % prime)
+                inv = np.array([pow(s, -1, prime) for s in scales],
+                               dtype=np.int64)
+                rows = rows * inv[:, None] % prime
+            rows = rows[rows.any(axis=1)]
+            if len(rows):
+                self._gens_by_degree[d] = rows
+        self.degrees = sorted((d for d, rows in self._gens_by_degree.items()
+                               for _ in rows), reverse=True)
         self._t0 = min(self._gens_by_degree, default=None)
         self._ranks = {}
         self._mono_cache = {}
-        self._state = None  # (t, piv_cols list, basis ndarray)
+        self._state = None  # (t, piv_cols list, basis ndarray, new mask)
 
     def _monos(self, t):
         """The degree-t exponent rows in descending graded-lex order."""
@@ -169,15 +248,6 @@ class HilbertEngine:
             self._mono_cache[t] = got
         return got
 
-    def _gen_rows(self, t):
-        """Coefficient rows (int64) of the generators of degree exactly t."""
-        gens = self._gens_by_degree.get(t, [])
-        monos = self._monos(t)
-        rows = np.zeros((len(gens), len(monos)), dtype=np.int64)
-        for i, (exps, vals) in enumerate(gens):
-            rows[i, _positions(monos, exps, t)] = vals
-        return rows
-
     def ideal_rank(self, t):
         got = self._ranks.get(t)
         if got is not None:
@@ -187,15 +257,15 @@ class HilbertEngine:
             self._ranks[t] = 0
             return 0
         if self._state is None or self._state[0] > t:
-            piv, basis = modnum.rref_mod(self._gen_rows(t0), self.p)
-            self._state = (t0, piv, basis)
+            piv, basis = modnum.rref_mod(self._gens_by_degree[t0], self.p)
+            self._state = (t0, piv, basis, np.ones(len(piv), dtype=bool))
             self._ranks[t0] = len(piv)
         while self._state[0] < t:
             self._step()
         return self._ranks[t]
 
     def _step(self):
-        t, piv, basis = self._state
+        t, piv, basis, new = self._state
         p = self.p
         t1 = t + 1
         monos_t = self._monos(t)
@@ -246,14 +316,15 @@ class HilbertEngine:
                 new_basis = np.concatenate([new_basis, bas_c])
                 new_piv = new_piv + piv_c
 
+        grown = basis[new]
         for j in range(1, self.n):
-            for lo in range(0, r, self.CHUNK):
-                block = basis[lo:lo + self.CHUNK]
+            for lo in range(0, len(grown), self.CHUNK):
+                block = grown[lo:lo + self.CHUNK]
                 R = np.zeros((block.shape[0], D1), dtype=np.int64)
                 R[:, shift[j]] = block
                 absorb(R)
-        fresh = self._gen_rows(t1)
-        if fresh.size:
+        fresh = self._gens_by_degree.get(t1)
+        if fresh is not None:
             absorb(fresh)
         if new_piv:
             coef = seed_rest[:, new_piv]
@@ -266,10 +337,12 @@ class HilbertEngine:
             order = np.argsort(np.array(allpiv, dtype=np.int64))
             merged = np.concatenate([seed, found])[order]
             piv_sorted = [allpiv[i] for i in order]
+            added = order >= r  # the rows that came from `found`
         else:
             merged = seed
             piv_sorted = list(piv)
-        self._state = (t1, piv_sorted, merged)
+            added = np.zeros(r, dtype=bool)
+        self._state = (t1, piv_sorted, merged, added)
         self._ranks[t1] = len(piv_sorted)
 
     def hilbert_function(self, t):
@@ -503,11 +576,18 @@ def jacobian_ideal(ideal, codim=None):
 
 def minors_ideal(entries, r):
     """All r x r minors of a grid of polynomials, as an ideal (zero minors
-    dropped by the ideal constructor)."""
+    dropped).  Over QQ and GF(p), with every entry of one degree, the
+    ideal holds the integer level of `minor_level` as its rows, already in
+    the engine's column order, and builds MultiPolys only when asked."""
     if not entries or not entries[0]:
         raise ValueError("empty matrix")
     field = entries[0][0].field
     nvars = entries[0][0].nvars
     if r > min(len(entries), len(entries[0])):
         raise ValueError("minor size exceeds matrix dimensions")
+    degrees = {sum(e) for row in entries for p in row for e in p.terms}
+    if field.kind in ("QQ", "GF(p)") and len(degrees) == 1:
+        _, level, _, scales = minor_level(entries, r)
+        return HomogeneousIdeal.from_rows(field, nvars, r * degrees.pop(),
+                                          level, scales)
     return HomogeneousIdeal(field, nvars, minor_polys(entries, r))

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .fields import FieldMismatchError
+
 
 class ExactMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -68,8 +70,10 @@ class ExactMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __matmul__(self, other):
-        if self.ncols != other.nrows or self.field != other.field:
-            raise ValueError("shape or field mismatch in matmul")
+        if self.field != other.field:
+            raise FieldMismatchError("field mismatch in matmul")
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in matmul")
         f = self.field
         ocols = list(zip(*other.rows)) if other.rows else []
         out = []

@@ -510,7 +510,31 @@ class _MinorCodes:
 
 def minor_polys(entries, r):
     """Every r x r minor of a grid of polynomials, in (row combination,
-    column combination) lexicographic order.
+    column combination) lexicographic order, built by `minor_level`; only
+    the r x r minors become MultiPolys."""
+    if r < 1:
+        raise ValueError("minor size must be positive")
+    if r > min(len(entries), len(entries[0])):
+        return []
+    field, nvars = entries[0][0].field, entries[0][0].nvars
+    codes, level, monos, scales = minor_level(entries, r)
+    terms = [{} for _ in range(len(level))]
+    keys, at = np.nonzero(codes.nonzero(level))
+    for key, m, c in zip(keys.tolist(), at.tolist(),
+                         level[keys, at].tolist()):
+        terms[key][monos[m]] = codes.value(c, scales[key])
+    return [MultiPoly._raw(field, nvars, t) for t in terms]
+
+
+def minor_level(entries, r):
+    """Every r x r minor of a grid of polynomials, 1 <= r <= min(shape), as
+    one array of exact codes: returns (codes, level, monos, scales), where
+    row i of `level` holds the codes of minor i, in (row combination,
+    column combination) lexicographic order, over the monomials `monos` of
+    degrees r * lo .. r * hi (lo, hi the least and largest entry degrees),
+    each degree in `monomials_of_degree` order; `codes` is the
+    `_MinorCodes` they are written in.  Over QQ and GF(p) the codes are
+    integers and minor i is level[i] / scales[i].
 
     A dense first-row Laplace expansion, one level k = 1..r at a time.
     Level k holds minor(rows, cols) for every k-combination of the columns
@@ -521,12 +545,8 @@ def minor_polys(entries, r):
     over its monomials mu, its coefficient times the sub-minor scattered
     through the positions of mu times each monomial, which are distinct
     because multiplication by mu is injective.  The arithmetic is exact
-    (`_MinorCodes`); only the r x r minors become MultiPolys."""
-    if r < 1:
-        raise ValueError("minor size must be positive")
+    (`_MinorCodes`)."""
     nrows, ncols = len(entries), len(entries[0])
-    if r > min(nrows, ncols):
-        return []
     field, nvars = entries[0][0].field, entries[0][0].nvars
     codes = _MinorCodes(field, entries)
     degrees = {sum(e) for row in entries for p in row for e in p.terms} \
@@ -573,14 +593,9 @@ def minor_polys(entries, r):
                 out[:, at] = combine(out[:, at],
                                      codes.mul(coef[:, mu, None], sub))
         level = codes.reduce(out)
-    nc = len(col_sets)
-    scales = [prod(codes.scales[i] for i in s) for s in row_sets]
-    terms = [{} for _ in range(len(row_sets) * nc)]
-    keys, at = np.nonzero(codes.nonzero(level))
-    for key, m, c in zip(keys.tolist(), at.tolist(),
-                         level[keys, at].tolist()):
-        terms[key][monos[m]] = codes.value(c, scales[key // nc])
-    return [MultiPoly._raw(field, nvars, t) for t in terms]
+    scales = [prod(codes.scales[i] for i in s) for s in row_sets
+              for _ in col_sets]
+    return codes, level, monos, scales
 
 
 def det_poly(entries):

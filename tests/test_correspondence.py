@@ -637,6 +637,27 @@ class TestLines:
         assert types <= {(2, 2), (1, 3)}
         assert (2, 2) in types
 
+    def test_census_ranks_every_line_in_one_batch(self, pinned_net,
+                                                  monkeypatch):
+        """Over GF(3) the 1,210 lines of P(A) fit in one _CHUNK: one
+        `lie_on_y` call keeps the lines, in the order, that one call per
+        pivot-pair block keeps."""
+        net3 = pinned_net.over(F3)
+        fc = modnum.field_codes(F3)
+        blocks = list(echelon_pair_codes(5, F3))
+        per_block = [(tuple(a1), tuple(a2)) for block in blocks
+                     for a1, a2 in fc.decode(block[lie_on_y(net3, F3, block)])]
+        assert len(blocks) == 10
+        calls = []
+
+        def counted(net, field, pairs):
+            calls.append(len(pairs))
+            return lie_on_y(net, field, pairs)
+
+        monkeypatch.setattr(correspondence, "lie_on_y", counted)
+        assert find_lines_on_y(net3, F3) == per_block
+        assert calls == [1210]
+
     def test_rejects_line_off_y(self, pinned):
         net3 = pinned.map_field(F3)
         with pytest.raises(ValueError, match="does not lie"):

@@ -18,7 +18,7 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   jacobian_ideal, macaulay_matrix,
                                   minors_ideal, _interpolate)
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import (MultiPoly, minor_polys,
+from pfaffian_nets.multipoly import (MultiPoly, minor_level, minor_polys,
                                      monomials_of_degree)
 
 from conftest import random_value
@@ -150,10 +150,11 @@ def test_engine_over_qq_matches_engine_over_its_reduction(prime):
             if over_fp._state is None:
                 assert over_qq._state is None
                 continue
-            (t_q, piv_q, basis_q), (t_f, piv_f, basis_f) = (
+            (t_q, piv_q, basis_q, new_q), (t_f, piv_f, basis_f, new_f) = (
                 over_qq._state, over_fp._state)
             assert (t_q, list(piv_q)) == (t_f, list(piv_f))
             assert np.array_equal(basis_q, basis_f)
+            assert np.array_equal(new_q, new_f)
 
 
 def test_engine_rejects_a_denominator_the_prime_divides():
@@ -189,12 +190,100 @@ def test_ladder_state_of_the_curve_matches_macaulay_rref(pinned_net):
     reduced = reduced_ideal(ideal, p)
     for t in (4, 5, 6):
         engine.ideal_rank(t)
-        state_t, piv, basis = engine._state
+        state_t, piv, basis, _ = engine._state
         want_piv, want_basis = modnum.rref_mod(
             np.array(macaulay_matrix(reduced, t).rows, dtype=np.int64), p)
         assert state_t == t
         assert list(piv) == list(want_piv)
         assert np.array_equal(basis, want_basis)
+
+
+def _staggered_ideal(field, p, rng, t0=2, nvars=4):
+    """Sparse generators entering at t0, t0 + 1 and t0 + 2; over QQ with
+    denominators prime to p, plus p * x0 x1^t0, which vanishes mod p."""
+    def value():
+        if field.kind == "QQ":
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+        return rng.randrange(1, p)
+
+    gens = []
+    for d in (t0, t0, t0 + 1, t0 + 2):
+        monos = list(monomials_of_degree(nvars, d))
+        gens.append(MultiPoly(field, nvars, {rng.choice(monos): value()
+                                             for _ in range(4)}))
+    if field.kind == "QQ":
+        gens.append(p * x(QQ, nvars, 0) * x(QQ, nvars, 1) ** t0)
+    return HomogeneousIdeal(field, nvars, gens)
+
+
+@pytest.mark.parametrize("prime", [7, 32003])
+@pytest.mark.parametrize("kind", ["QQ", "GF(p)"])
+def test_ladder_state_matches_macaulay_rref_at_every_degree(kind, prime):
+    """At every degree the engine's rank, pivots and basis are the RREF of
+    the Macaulay matrix, and its new rows are those whose pivots x0 * I_{t-1}
+    does not have."""
+    rng = random.Random(prime + len(kind))
+    field = QQ if kind == "QQ" else GF(prime)
+    for trial in range(3):
+        ideal = _staggered_ideal(field, prime, rng)
+        reduced = reduced_ideal(ideal, prime) if kind == "QQ" else ideal
+        engine = HilbertEngine(ideal, prime=prime)
+        prev_piv = None
+        for t in range(8):
+            rank = engine.ideal_rank(t)
+            want_piv, want_basis = modnum.rref_mod(
+                np.array(macaulay_matrix(reduced, t).rows,
+                         dtype=np.int64).reshape(-1, comb(t + 3, 3)), prime)
+            assert rank == len(want_piv), (trial, t)
+            if t < 2:
+                assert engine._state is None
+                continue
+            state_t, piv, basis, new = engine._state
+            assert state_t == t
+            assert list(piv) == list(want_piv), (trial, t)
+            assert np.array_equal(basis, want_basis), (trial, t)
+            grown = [c not in prev_piv for c in piv] if prev_piv is not None \
+                else [True] * len(piv)
+            assert new.tolist() == grown, (trial, t)
+            prev_piv = set(piv)
+
+
+def test_each_step_absorbs_only_the_new_rows(pinned_net, monkeypatch):
+    """A step to t + 1 row-reduces (n - 1) |N_t| + |G_{t+1}| rows, in
+    blocks of at most CHUNK: on random staggered ideals, with a small CHUNK,
+    and on the pinned curve, where the step 5 -> 6 takes 5 * 101 rows
+    instead of the 5 * 152 of the whole basis."""
+    absorbed = []
+    rref = modnum.rref_mod
+
+    def counted(matrix, p):
+        absorbed.append(matrix.shape[0])
+        return rref(matrix, p)
+
+    monkeypatch.setattr(modnum, "rref_mod", counted)
+
+    def climb(engine, top):
+        """Step to `top`, checking each step; the (|basis|, |N_t|) met."""
+        sizes = {}
+        engine.ideal_rank(engine._t0)
+        while engine._state[0] < top:
+            t, _, basis, new = engine._state
+            fresh = engine._gens_by_degree.get(t + 1)
+            fresh = 0 if fresh is None else len(fresh)
+            del absorbed[:]
+            engine._step()
+            assert sum(absorbed) == (engine.n - 1) * int(new.sum()) + fresh
+            assert max(absorbed, default=0) <= max(engine.CHUNK, fresh)
+            sizes[t] = (len(basis), int(new.sum()))
+        return sizes
+
+    rng = random.Random(4)
+    for _ in range(3):
+        engine = HilbertEngine(_staggered_ideal(QQ, 7, rng), prime=7)
+        engine.CHUNK = 5
+        climb(engine, 7)
+    sizes = climb(HilbertEngine(c_ideal(pinned_net), prime=32003), 6)
+    assert sizes[5] == (152, 101)
 
 
 def test_graded_piece_monotonicity_and_growth():
@@ -298,6 +387,67 @@ def test_fit_falls_back_to_exact_ranks_when_primes_disagree(monkeypatch):
     assert data.fitted == (1,)
     assert data.values == [1, 1]
     assert exact == [0, 1]
+
+
+def test_fit_falls_back_to_exact_ranks_on_integer_rows(monkeypatch):
+    """The same disagreement on a minors ideal held as integer rows: the
+    generators the exact fallback reads are built from the rows only
+    then."""
+    import pfaffian_nets.ideals as ideals
+    exact = []
+
+    def counted(ideal, t):
+        exact.append(t)
+        return hilbert_function(ideal, t)
+    monkeypatch.setattr(ideals, "hilbert_function", counted)
+    x0, x1, _ = variables(QQ, 3)
+    ideal = minors_ideal([[x0, x1.scale(32009)]], 1)
+    assert ideal._generators is None and ideal.degrees == [1]
+    data = fit_hilbert_polynomial(ideal, 0)
+    assert data.fitted == (1,)
+    assert data.values == [1, 1]
+    assert exact == [0, 1]
+    assert ideal.generators == [x0, x1.scale(32009)]
+
+
+def _engine_or_error(ideal, prime):
+    try:
+        return HilbertEngine(ideal, prime=prime)
+    except ZeroDivisionError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7, 11])
+def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
+    """Minors of a grid whose rows carry denominators, read one at a time
+    from the integer level and from the MultiPoly minor: the same
+    ZeroDivisionError exactly when p divides a reduced denominator, else
+    the same rows; and the whole minors ideal climbs like its MultiPolys."""
+    grid = _reference_grid("fractions", pinned_net)
+    for r in (2, 3):
+        _, level, _, scales = minor_level(grid, r)
+        for i, minor in enumerate(minor_polys(grid, r)):
+            got = _engine_or_error(HomogeneousIdeal.from_rows(
+                QQ, 3, r, level[i:i + 1], scales[i:i + 1]), prime)
+            want = _engine_or_error(HomogeneousIdeal(QQ, 3, [minor]), prime)
+            if isinstance(want, str):
+                assert got == want == \
+                    "denominator not invertible mod %d" % prime
+            else:
+                assert got.degrees == want.degrees
+                assert np.array_equal(got._gens_by_degree.get(r, []),
+                                      want._gens_by_degree.get(r, []))
+        a, b = (_engine_or_error(ideal, prime) for ideal in (
+            minors_ideal(grid, r), HomogeneousIdeal(QQ, 3,
+                                                    minor_polys(grid, r))))
+        if isinstance(b, str):
+            assert a == b
+            continue
+        assert a.degrees == b.degrees
+        for t in range(r, r + 4):
+            assert a.ideal_rank(t) == b.ideal_rank(t)
+            assert all(np.array_equal(u, v)
+                       for u, v in zip(a._state, b._state))
 
 
 def test_fit_failure_reports_cap():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfaffian_nets import modnum
-from pfaffian_nets.fields import QQ, GF
+from pfaffian_nets.fields import QQ, GF, FieldMismatchError
 from pfaffian_nets.matrices import ExactMatrix
 
 from conftest import random_value
@@ -111,8 +111,10 @@ def test_constructor_and_entry_access():
 def test_field_mismatch_rejected():
     a = ExactMatrix(GF(5), [[1]])
     b = ExactMatrix(GF(7), [[1]])
-    with pytest.raises(ValueError, match="field mismatch"):
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
         a @ b
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a @ ExactMatrix(GF(5), [[1], [1]])
     # a GF(5^2) payload is not an entry GF(5) can take
     with pytest.raises(TypeError):
         ExactMatrix(GF(5), [[(1, 0)]])
