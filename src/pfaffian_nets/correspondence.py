@@ -23,7 +23,8 @@ from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal, other_prime)
 from .matrices import ExactMatrix
-from .multipoly import MultiPoly, SkewPolyMatrix, minor_polys, pfaffian_poly
+from .multipoly import (MultiPoly, SkewPolyMatrix, minor_polys,
+                        pfaffian_level, pfaffian_poly, pfaffian_polys)
 
 
 class ANet:
@@ -397,15 +398,15 @@ class RegularityResult:
 
 def sub_pfaffian_ideal(net):
     """Ideal of all principal (2m-2)-sub-Pfaffians of the symbolic f(a);
-    its zero set is the rank <= 2m-4 locus in P(A)."""
-    sym = net.symbolic()
-    size = net.two_m
-    gens = []
-    for drop in itertools.combinations(range(size), 2):
-        keep = [i for i in range(size) if i not in drop]
-        sub = [[sym.entries[i][j] for j in keep] for i in keep]
-        gens.append(pfaffian_poly(sub))
-    return HomogeneousIdeal(net.field, net.n, gens)
+    its zero set is the rank <= 2m-4 locus in P(A).  Over QQ and GF(p) it
+    holds the integer level of `pfaffian_level` as its rows, as
+    `minors_ideal` does, and builds MultiPolys only when asked."""
+    entries, k = net.symbolic().entries, net.two_m - 2
+    if net.field.kind in ("QQ", "GF(p)"):
+        _, level, _, scales = pfaffian_level(entries, k)
+        return HomogeneousIdeal.from_rows(net.field, net.n, k // 2, level,
+                                          scales)
+    return HomogeneousIdeal(net.field, net.n, pfaffian_polys(entries, k))
 
 
 def _rank_deficient_witness(net, max_rank):

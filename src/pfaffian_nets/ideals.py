@@ -29,6 +29,7 @@ import numpy as np
 from . import modnum
 from .matrices import ExactMatrix
 from .multipoly import (MultiPoly, minor_level, minor_polys,
+                        monomial_positions, monomial_table,
                         monomials_of_degree)
 
 DEFAULT_PRIME = 32003
@@ -102,7 +103,8 @@ class HomogeneousIdeal:
             qq = self.field.kind == "QQ"
             gens = []
             for d, (rows, scales) in self._rows.items():
-                monos = list(monomials_of_degree(self.nvars, d))
+                monos = [tuple(e) for e in
+                         monomial_table(self.nvars, d).tolist()]
                 for row, s in zip(rows.tolist(), scales):
                     gens.append(MultiPoly._raw(self.field, self.nvars, {
                         monos[m]: Fraction(c, s) if qq else c
@@ -122,8 +124,8 @@ class HomogeneousIdeal:
                 by_degree.setdefault(g.homogeneous_degree(), []).append(g)
             self._rows = {}
             for d, gens in by_degree.items():
-                index = {e: i for i, e in
-                         enumerate(monomials_of_degree(self.nvars, d))}
+                index = {tuple(e): i for i, e in
+                         enumerate(monomial_table(self.nvars, d).tolist())}
                 rows = np.zeros((len(gens), len(index)), dtype=object)
                 scales = []
                 for row, g in zip(rows, gens):
@@ -173,15 +175,6 @@ def hilbert_function(ideal, t):
     return ambient_dimension(ideal.nvars, t) - macaulay_matrix(ideal, t).rank()
 
 
-def _positions(monos, exps, d):
-    """The positions in `monos`, all degree-d exponent rows in descending
-    graded-lex order, of the degree-d exponent rows `exps` (any leading
-    shape).  Read as base-(d + 1) numbers, the rows of `monos` fall
-    strictly, so one search finds them all."""
-    weights = (d + 1) ** np.arange(monos.shape[1] - 1, -1, -1)
-    return np.searchsorted(-(monos @ weights), -(exps @ weights))
-
-
 class HilbertEngine:
     """Incremental Hilbert-function evaluator over GF(p).
 
@@ -216,7 +209,7 @@ class HilbertEngine:
         modnum._check_prime(prime)
         self.p = prime
         self.n = ideal.nvars
-        self._gens_by_degree = {}  # degree: int64 rows over _monos(degree)
+        self._gens_by_degree = {}  # degree: int64 rows over its monomial_table
         for d, (rows, scales) in ideal.rows().items():
             rows = (rows % prime).astype(np.int64)
             if any(s != 1 for s in scales):
@@ -233,20 +226,7 @@ class HilbertEngine:
                                for _ in rows), reverse=True)
         self._t0 = min(self._gens_by_degree, default=None)
         self._ranks = {}
-        self._mono_cache = {}
         self._state = None  # (t, piv_cols list, basis ndarray, new mask)
-
-    def _monos(self, t):
-        """The degree-t exponent rows in descending graded-lex order."""
-        got = self._mono_cache.get(t)
-        if got is None:
-            monos = list(monomials_of_degree(self.n, t))
-            got = np.array(monos, dtype=np.int64).reshape(len(monos), self.n)
-            # keep the cache small: only the degrees near the frontier matter
-            self._mono_cache = {k: v for k, v in self._mono_cache.items()
-                                if k >= t - 2}
-            self._mono_cache[t] = got
-        return got
 
     def ideal_rank(self, t):
         got = self._ranks.get(t)
@@ -268,12 +248,11 @@ class HilbertEngine:
         t, piv, basis, new = self._state
         p = self.p
         t1 = t + 1
-        monos_t = self._monos(t)
-        monos_t1 = self._monos(t1)
-        D1 = len(monos_t1)
+        monos_t = monomial_table(self.n, t)
+        D1 = len(monomial_table(self.n, t1))
         # shift[j][i]: the position of x_j times monomial i of degree t
-        shift = _positions(monos_t1, monos_t + np.eye(self.n, dtype=np.int64)
-                           [:, None, :], t1)
+        shift = monomial_positions(
+            self.n, t1, t1, monos_t + np.eye(self.n, dtype=np.int64)[:, None])
         # multiplication by x0 preserves descending graded-lex positions, so
         # the pushed-forward basis is still reduced with the same pivot layout
         assert np.array_equal(shift[0], np.arange(len(monos_t)))

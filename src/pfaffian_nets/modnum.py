@@ -76,8 +76,9 @@ def _panel_sweep(E, p):
 
     Only the panel's nonzero columns are searched, and a step acts on the
     columns from the searched one on, since the pivot row is zero left of
-    it.  Reduction is lazy, as the module docstring bounds it."""
-    invtab = inverse_table(p)
+    it.  Each pivot is inverted on its own, by pow(x, -1, p): a panel
+    needs at most _PANEL inverses, too few to pay for `inverse_table`.
+    Reduction is lazy, as the module docstring bounds it."""
     live_cols = np.flatnonzero(E.any(axis=0))
     n, w = E.shape[0], live_cols.size
     W = np.zeros((n, w + min(n, w)), dtype=np.int64)
@@ -98,7 +99,7 @@ def _panel_sweep(E, p):
         W[r, w + k] = 1
         live = W[:, c:w + k + 1]
         row = live[r]
-        row *= invtab[col[r]]
+        row *= pow(int(col[r]), -1, p)
         row %= p
         f = np.negative(col)
         f %= p

@@ -5,13 +5,20 @@ monomial order used anywhere is graded lexicographic (total degree first,
 then exponent tuples compared left to right), which fixes leading terms,
 the text rendering, and the column order of Macaulay matrices.  Degrees in
 this package stay small, so no packing tricks are needed.
+
+Minors and Pfaffians of grids of polynomials come from one engine, not
+from MultiPoly products: `minor_level` and `pfaffian_level` expand one
+level at a time on dense arrays of exact codes (`_MinorCodes`) over the
+exponent rows of `monomial_table`, which is built once per process and
+read by the Hilbert ladder too.  `minor_polys`, `pfaffian_polys` and
+`pfaffian_poly` are the MultiPoly views of a level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -35,6 +42,55 @@ def monomials_of_degree(nvars, d):
     for e0 in range(d, -1, -1):
         for rest in monomials_of_degree(nvars - 1, d - e0):
             yield (e0,) + rest
+
+
+_monomial_tables = {}
+
+
+def monomial_table(nvars, d):
+    """The exponent rows of `monomials_of_degree(nvars, d)`, d >= 0, as a
+    read-only (N, nvars) int64 array, built once per process and shared by
+    every reader: for e0 = d..0, e0 beside the table of degree d - e0 in
+    nvars - 1 variables."""
+    table = _monomial_tables.get((nvars, d))
+    if table is None:
+        if nvars <= 1:
+            table = np.full((1 if nvars or not d else 0, nvars), d,
+                            dtype=np.int64)
+        else:
+            parts = []
+            for e0 in range(d, -1, -1):
+                rest = monomial_table(nvars - 1, d - e0)
+                part = np.empty((len(rest), nvars), dtype=np.int64)
+                part[:, 0] = e0
+                part[:, 1:] = rest
+                parts.append(part)
+            table = np.concatenate(parts)
+        table.flags.writeable = False
+        _monomial_tables[nvars, d] = table
+    return table
+
+
+def monomial_span(nvars, lo, hi):
+    """The monomials of degrees lo..hi, each degree's `monomial_table` in
+    turn."""
+    if lo == hi:
+        return monomial_table(nvars, lo)
+    return np.concatenate([monomial_table(nvars, d)
+                           for d in range(lo, hi + 1)])
+
+
+def monomial_positions(nvars, lo, hi, exps):
+    """The positions in `monomial_span(nvars, lo, hi)` of the exponent rows
+    `exps` (any leading shape) of degrees lo..hi.  Keyed by degree * B^nvars
+    minus the row read as base-B digits, B = hi + 1, the span rises
+    strictly, so one search finds them all."""
+    base = hi + 1
+    weights = base ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+
+    def key(rows):
+        return rows.sum(axis=-1) * base ** nvars - rows @ weights
+    return np.searchsorted(key(monomial_span(nvars, lo, hi)), key(exps))
 
 
 class MultiPoly:
@@ -377,82 +433,58 @@ class SkewPolyMatrix:
                            [[e.evaluate(point) for e in row]
                             for row in self.entries])
 
-    def entry_degree(self):
-        """Common homogeneous degree of the nonzero entries (None if all 0)."""
-        degs = set()
-        for row in self.entries:
-            for e in row:
-                if not e.is_zero():
-                    d = e.homogeneous_degree()
-                    degs.add(d)
-        if len(degs) > 1:
-            raise ValueError("entries are homogeneous of different degrees")
-        return degs.pop() if degs else None
-
 
 MAX_POLY_PFAFFIAN_SIZE = 8
 
 
 def pfaffian_poly(m):
-    """Pfaffian of a SkewPolyMatrix (or a raw skew grid) by first-row
-    expansion; entries must share one homogeneous degree d, and the result
-    is homogeneous of degree (size/2)*d."""
+    """Pfaffian of a SkewPolyMatrix (or a raw skew grid), sizes <= 8: the
+    top level of `pfaffian_level`.  Entries must share one homogeneous
+    degree d, and the result is homogeneous of degree (size/2)*d."""
     if not isinstance(m, SkewPolyMatrix):
         m = SkewPolyMatrix(m)
     if m.size > MAX_POLY_PFAFFIAN_SIZE:
         raise ValueError("polynomial pfaffian limited to size %d"
                          % MAX_POLY_PFAFFIAN_SIZE)
-    if m.field.characteristic == 2:
-        raise ValueError("pfaffians are not computed in characteristic 2")
-    m.entry_degree()  # raises if mixed degrees
-    entries = m.entries
-    f = m.field
-    nv = m.nvars
+    return pfaffian_polys(m.entries, m.size)[0]
 
-    def expand(idx):
-        if not idx:
-            return MultiPoly.constant(f, nv, 1)
-        i0 = idx[0]
-        acc = MultiPoly.zero(f, nv)
-        for pos in range(1, len(idx)):
-            a = entries[i0][idx[pos]]
-            if a.is_zero():
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = a * expand(rest)
-            acc = acc + term if pos % 2 == 1 else acc - term
-        return acc
 
-    return expand(tuple(range(m.size)))
+def pfaffian_polys(entries, k):
+    """Every principal k x k sub-Pfaffian of a skew grid of polynomials,
+    in `combinations` order of their index sets, built by `pfaffian_level`;
+    only level k becomes MultiPolys."""
+    return _as_polys(*pfaffian_level(entries, k))
+
+
+def _as_polys(codes, level, monos, scales):
+    """The MultiPolys level[i] / scales[i] of a level over `monos`."""
+    field, nvars = codes.field, monos.shape[1]
+    monos = [tuple(e) for e in monos.tolist()]
+    terms = [{} for _ in range(len(level))]
+    keys, at = np.nonzero(codes.nonzero(level))
+    for key, m, c in zip(keys.tolist(), at.tolist(),
+                         level[keys, at].tolist()):
+        terms[key][monos[m]] = codes.value(c, scales[key])
+    return [MultiPoly._raw(field, nvars, t) for t in terms]
 
 
 _INT64_SAFE = 1 << 62  # a bound on every code below this keeps int64 exact
 
 
-def _monomials(nvars, lo, hi):
-    """The monomials of degrees lo..hi, each degree in `monomials_of_degree`
-    order, and their positions."""
-    monos = [e for d in range(lo, hi + 1)
-             for e in monomials_of_degree(nvars, d)]
-    return monos, {e: i for i, e in enumerate(monos)}
-
-
 class _MinorCodes:
-    """The minor engine's exact arithmetic on arrays of field codes,
-    combined elementwise by add, sub and mul and reduced after each level.
+    """The minor and Pfaffian engine's exact arithmetic on arrays of field
+    codes, combined elementwise by add, sub and mul and reduced after each
+    level.
 
-    * QQ: integers, row i of the grid scaled by the lcm of its
-      denominators; a minor is divided back by its rows' scales.
+    * QQ: integers, row i of the grid scaled by the lcm s_i of its
+      denominators (and, for a Pfaffian, column j by s_j too); a minor or
+      sub-Pfaffian is divided back by the product of its rows' scales.
     * GF(p): residues, reduced mod p.
     * GF(p^k): the `modnum.field_codes` up to order 64; above that, the
       payloads themselves through the field's own operations.
 
-    Integer codes are int64 where a bound proves that no level overflows:
-    every partial sum in a k x k minor is at most k M B, with M the largest
-    1-norm of an entry's codes and B the bound of the (k-1) x (k-1) minors,
-    which is p - 1 over GF(p) once reduced; so r! M^r over QQ and
-    r M (p - 1) over GF(p).  Otherwise they are Python ints in object
-    arrays."""
+    Integer codes are int64 where a bound proves that no level overflows
+    (`narrow`); otherwise they are Python ints in object arrays."""
 
     def __init__(self, field, entries):
         self.field = field
@@ -495,17 +527,43 @@ class _MinorCodes:
     def reduce(self, x):
         return x if self.modulus is None else x % self.modulus
 
-    def narrow(self, grid, r):
-        """The grid's codes, as int64 if the bound allows it."""
+    def add_products(self, out, negate, coef, sub, shift, used):
+        """out -/+= the products of the entries `coef` (one per row of
+        `out`, codes over the entry monomials) with the rows `sub` of the
+        level below: each entry monomial mu that occurs (`used`) scatters
+        its coefficient times `sub` through the positions shift[mu] of mu
+        times each monomial of `sub`, which are distinct because
+        multiplication by mu is injective."""
+        combine = self.sub if negate else self.add
+        for mu in used:
+            at = shift[mu]
+            out[:, at] = combine(out[:, at], self.mul(coef[:, mu, None], sub))
+
+    def narrow(self, grid, counts):
+        """The grid's codes, as int64 if the bound allows it.  `counts`
+        lists how many products each level sums, the first level read
+        straight from the grid counting 1.  With M the largest 1-norm of an
+        entry's codes, every partial sum of a level summing c products is
+        at most c M B, B the bound of the level below, which is p - 1 over
+        GF(p) once reduced: so the product of the c M over QQ, and
+        max(c) M (p - 1) over GF(p).  For r x r minors the counts are
+        1..r; for k x k Pfaffians 1, 3, ..., k - 1."""
         if self.field.kind not in ("QQ", "GF(p)"):
             return grid
-        norm = int(np.abs(grid).sum(axis=2).max())
-        bound = factorial(r) * norm ** r if self.modulus is None \
-            else r * norm * (self.modulus - 1)
+        norm = int(np.abs(grid).sum(axis=2).max(initial=0))
+        bound = prod(c * norm for c in counts) if self.modulus is None \
+            else max(counts) * norm * (self.modulus - 1)
         if bound >= _INT64_SAFE:
             return grid
         self.dtype = np.int64
         return grid.astype(np.int64)
+
+
+def _entry_monomials(nvars, lo, hi):
+    """The monomials of degrees lo..hi (`monomial_span`), and the position
+    there of each entry's exponent tuple."""
+    monos = monomial_span(nvars, lo, hi)
+    return monos, {e: i for i, e in enumerate(map(tuple, monos.tolist()))}
 
 
 def minor_polys(entries, r):
@@ -516,49 +574,40 @@ def minor_polys(entries, r):
         raise ValueError("minor size must be positive")
     if r > min(len(entries), len(entries[0])):
         return []
-    field, nvars = entries[0][0].field, entries[0][0].nvars
-    codes, level, monos, scales = minor_level(entries, r)
-    terms = [{} for _ in range(len(level))]
-    keys, at = np.nonzero(codes.nonzero(level))
-    for key, m, c in zip(keys.tolist(), at.tolist(),
-                         level[keys, at].tolist()):
-        terms[key][monos[m]] = codes.value(c, scales[key])
-    return [MultiPoly._raw(field, nvars, t) for t in terms]
+    return _as_polys(*minor_level(entries, r))
 
 
 def minor_level(entries, r):
     """Every r x r minor of a grid of polynomials, 1 <= r <= min(shape), as
     one array of exact codes: returns (codes, level, monos, scales), where
     row i of `level` holds the codes of minor i, in (row combination,
-    column combination) lexicographic order, over the monomials `monos` of
-    degrees r * lo .. r * hi (lo, hi the least and largest entry degrees),
-    each degree in `monomials_of_degree` order; `codes` is the
-    `_MinorCodes` they are written in.  Over QQ and GF(p) the codes are
-    integers and minor i is level[i] / scales[i].
+    column combination) lexicographic order, over the exponent rows `monos`
+    of degrees r * lo .. r * hi (lo, hi the least and largest entry
+    degrees), as `monomial_span` lists them; `codes` is the `_MinorCodes`
+    they are written in.  Over QQ and GF(p) the codes are integers and
+    minor i is level[i] / scales[i].
 
     A dense first-row Laplace expansion, one level k = 1..r at a time.
     Level k holds minor(rows, cols) for every k-combination of the columns
     and every k-combination of the rows that an r x r minor expands down
     to, as one array of coefficient codes over the monomials of its
     degrees: minor(rows, cols) = sum_j +-entry(rows[0], cols[j])
-    minor(rows[1:], cols without cols[j]).  Multiplying by an entry sums,
-    over its monomials mu, its coefficient times the sub-minor scattered
-    through the positions of mu times each monomial, which are distinct
-    because multiplication by mu is injective.  The arithmetic is exact
-    (`_MinorCodes`)."""
+    minor(rows[1:], cols without cols[j]), each product of an entry with
+    a sub-minor scattered by `_MinorCodes.add_products`.  The arithmetic
+    is exact (`_MinorCodes`)."""
     nrows, ncols = len(entries), len(entries[0])
     field, nvars = entries[0][0].field, entries[0][0].nvars
     codes = _MinorCodes(field, entries)
     degrees = {sum(e) for row in entries for p in row for e in p.terms} \
         or {0}
     lo, hi = min(degrees), max(degrees)
-    entry_monos, entry_index = _monomials(nvars, lo, hi)
+    entry_monos, entry_index = _entry_monomials(nvars, lo, hi)
     grid = codes.zeros((nrows, ncols, len(entry_monos)))
     for i, row in enumerate(entries):
         for j, p in enumerate(row):
             for e, c in p.terms.items():
                 grid[i, j, entry_index[e]] = codes.encode(c, i)
-    grid = codes.narrow(grid, r)
+    grid = codes.narrow(grid, range(1, r + 1))
     used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
     # level 1: the entries in rows r - 1, r, ..., keyed row-major
     row_sets = [(i,) for i in range(r - 1, nrows)]
@@ -578,23 +627,79 @@ def minor_level(entries, r):
         sub_cols = np.tile(np.array(
             [[col_index[s[:j] + s[j + 1:]] for j in range(k)]
              for s in col_sets]), (nr, 1))
-        sub_monos = monos
-        monos, index = _monomials(nvars, k * lo, k * hi)
-        shift = np.array([[index[tuple(x + y for x, y in zip(mu, nu))]
-                           for nu in sub_monos] for mu in entry_monos],
-                         dtype=np.int64)
+        shift = monomial_positions(nvars, k * lo, k * hi,
+                                   entry_monos[:, None] + monos[None])
+        monos = monomial_span(nvars, k * lo, k * hi)
         out = codes.zeros((nr * nc, len(monos)))
         for j in range(k):
-            combine = codes.sub if j % 2 else codes.add
-            coef = grid[first, cols[:, j]]
-            sub = level[sub_rows + sub_cols[:, j]]
-            for mu in used:
-                at = shift[mu]
-                out[:, at] = combine(out[:, at],
-                                     codes.mul(coef[:, mu, None], sub))
+            codes.add_products(out, j % 2, grid[first, cols[:, j]],
+                               level[sub_rows + sub_cols[:, j]], shift, used)
         level = codes.reduce(out)
     scales = [prod(codes.scales[i] for i in s) for s in row_sets
               for _ in col_sets]
+    return codes, level, monos, scales
+
+
+def pfaffian_level(entries, k):
+    """Every principal k x k sub-Pfaffian of a skew grid of polynomials, k
+    even with 2 <= k <= size, as one array of exact codes: returns (codes,
+    level, monos, scales), where row i of `level` holds the codes of the
+    Pfaffian on the i-th k-subset of the indices in `combinations` order,
+    over the exponent rows `monos` of degree (k/2)*d, d the common degree
+    of the entries; `codes` is the `_MinorCodes` they are written in.  Over
+    QQ and GF(p) the codes are integers and sub-Pfaffian i is level[i] /
+    scales[i].  Only the entries above the diagonal are read.
+    Characteristic 2 and entries of mixed degrees raise ValueError.
+
+    A dense first-row expansion, one level j = 2, 4, ..., k at a time, as
+    in `minor_level`: Pf(S) = sum_pos (-1)^(pos+1) entry(S_0, S_pos)
+    Pf(S without S_0, S_pos).  A k-subset expands into subsets that have
+    lost their (k - j)/2 least indices, so level j holds every j-subset of
+    (k - j)/2 .. size - 1.  Over QQ entry (i, j) is read as s_i s_j
+    entry(i, j), which scales Pf(S) by the product of s_i over S."""
+    size = len(entries)
+    field, nvars = entries[0][0].field, entries[0][0].nvars
+    if field.characteristic == 2:
+        raise ValueError("pfaffians are not computed in characteristic 2")
+    if k < 2 or k % 2 or k > size:
+        raise ValueError("sub-Pfaffian size must be even, from 2 to %d"
+                         % size)
+    degrees = {sum(e) for i, row in enumerate(entries)
+               for p in row[i + 1:] for e in p.terms}
+    if len(degrees) > 1:
+        raise ValueError("entries are homogeneous of different degrees")
+    d = degrees.pop() if degrees else 0
+    codes = _MinorCodes(field, entries)
+    entry_monos, entry_index = _entry_monomials(nvars, d, d)
+    grid = codes.zeros((size, size, len(entry_monos)))
+    for i, row in enumerate(entries):
+        for j in range(i + 1, size):
+            for e, c in row[j].terms.items():
+                grid[i, j, entry_index[e]] = codes.encode(c, i)
+    if field.kind == "QQ":
+        grid *= np.array(codes.scales, dtype=object)[:, None]
+    grid = codes.narrow(grid, range(1, k, 2))
+    used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
+    sets = list(combinations(range((k - 2) // 2, size), 2))
+    pairs = np.array(sets)
+    level = grid[pairs[:, 0], pairs[:, 1]]
+    monos = entry_monos
+    for j in range(4, k + 1, 2):
+        index = {s: i for i, s in enumerate(sets)}
+        sets = list(combinations(range((k - j) // 2, size), j))
+        first = np.array([s[0] for s in sets])
+        partners = np.array([s[1:] for s in sets])
+        sub_sets = np.array([[index[s[1:pos] + s[pos + 1:]]
+                              for pos in range(1, j)] for s in sets])
+        shift = monomial_positions(nvars, j // 2 * d, j // 2 * d,
+                                   entry_monos[:, None] + monos[None])
+        monos = monomial_table(nvars, j // 2 * d)
+        out = codes.zeros((len(sets), len(monos)))
+        for pos in range(j - 1):
+            codes.add_products(out, pos % 2, grid[first, partners[:, pos]],
+                               level[sub_sets[:, pos]], shift, used)
+        level = codes.reduce(out)
+    scales = [prod(codes.scales[i] for i in s) for s in sets]
     return codes, level, monos, scales
 
 

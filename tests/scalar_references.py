@@ -13,9 +13,12 @@ from the stack at every point of P(V), which the package walks from the
 kernels of f(a) over Y (`RankOracle._walk`).  The tests compare the two.
 
 Also the symbolic restriction of a form to a line, which the package
-answers by ranks at the line's points (`correspondence.lie_on_y`), and the
-exact scalar references that only the tests read: the determinant, the
-Pfaffian by first-row expansion and polynomial long division."""
+answers by ranks at the line's points (`correspondence.lie_on_y`); the
+polynomial Pfaffian by recursive first-row expansion on MultiPolys, which
+the package computes for all principal sub-Pfaffians at once on code
+arrays (`multipoly.pfaffian_level`); and the exact scalar references that
+only the tests read: the determinant, the Pfaffian by first-row expansion
+and polynomial long division."""
 
 import itertools
 import random
@@ -376,6 +379,36 @@ def pfaffian_scalar(m):
         return acc
 
     return expand(tuple(range(m.nrows)))
+
+
+def pfaffian_expansion(entries):
+    """The Pfaffian of a skew grid of polynomials by recursive first-row
+    expansion on MultiPolys: Pf(S) = sum_pos (-1)^(pos+1) e(S_0, S_pos)
+    Pf(S without S_0, S_pos)."""
+    f, nv = entries[0][0].field, entries[0][0].nvars
+
+    def expand(idx):
+        if not idx:
+            return MultiPoly.constant(f, nv, 1)
+        i0 = idx[0]
+        acc = MultiPoly.zero(f, nv)
+        for pos in range(1, len(idx)):
+            a = entries[i0][idx[pos]]
+            if a.is_zero():
+                continue
+            rest = idx[1:pos] + idx[pos + 1:]
+            term = a * expand(rest)
+            acc = acc + term if pos % 2 == 1 else acc - term
+        return acc
+
+    return expand(tuple(range(len(entries))))
+
+
+def sub_pfaffians(entries, k):
+    """Every principal k x k sub-Pfaffian of a skew grid, by
+    `pfaffian_expansion`, in `combinations` order of their index sets."""
+    return [pfaffian_expansion([[entries[i][j] for j in keep] for i in keep])
+            for keep in itertools.combinations(range(len(entries)), k)]
 
 
 def exact_divide(num, den):

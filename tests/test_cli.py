@@ -173,6 +173,27 @@ class TestPipeline:
                      "--fields", fields]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("which", ["pinned", "irregular"])
+    def test_pipeline_multiplies_no_polynomials(self, which, fixture_path,
+                                                tmp_path, monkeypatch):
+        """The cubic, the sub-Pfaffians and the minors all come from code
+        arrays, so a whole pipeline multiplies no MultiPolys."""
+        fx = fixture_path
+        if which == "irregular":
+            fx = tmp_path / "dead.json"
+            fx.write_text(dead_fixture_text())
+        calls = []
+        mul = MultiPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        main(["pipeline", str(fx), "-o", str(tmp_path / "rep.json"),
+              "--samples", "50"])
+        assert len(calls) == 0
+
     def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
         doc = net_to_fixture(net)

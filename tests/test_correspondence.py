@@ -34,7 +34,8 @@ from scalar_references import (certify_line_on_x, exact_divide,
                                fv_rank_table, kappa, line_key,
                                line_on_hypersurface, net_linear_forms,
                                psi_fiber, satisfies_quadrics,
-                               splitting_type_on_line, x_ideal,
+                               splitting_type_on_line, sub_pfaffians,
+                               x_ideal,
                                x_plucker_points, y_payloads)
 
 F2 = GF(2)
@@ -299,6 +300,23 @@ class TestRegularity:
         for _ in range(2):
             with pytest.raises(ValueError, match="characteristic"):
                 is_regular(net)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003), GF(3, 2)],
+                             ids=str)
+    def test_sub_pfaffian_ideal_matches_the_expansion(self, field):
+        """Over QQ and GF(p) the ideal holds integer rows and builds its
+        MultiPolys only when asked; they are the expansion's, as a set."""
+        rng = random.Random(3)
+        tris = [[Fraction(v, rng.choice([1, 2, 4, 5])) for v in tri]
+                for tri in PINNED_UPPER]
+        net = ANet.from_upper_triangles(QQ, 6, tris).over(field)
+        ideal = sub_pfaffian_ideal(net)
+        assert (ideal._generators is None) \
+            == (field.kind in ("QQ", "GF(p)"))
+        want = [g for g in sub_pfaffians(net.symbolic().entries, 4)
+                if not g.is_zero()]
+        assert len(ideal.generators) == len(want) == 15
+        assert set(ideal.generators) == set(want)
 
     def test_sub_pfaffian_ideal_sizes(self, pinned):
         ideal = sub_pfaffian_ideal(pinned)

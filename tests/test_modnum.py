@@ -158,6 +158,15 @@ def test_inverse_table_inverts_every_residue(p):
     assert np.all(a * t[1:] % p == 1)
 
 
+def test_rref_mod_builds_no_inverse_table(monkeypatch):
+    monkeypatch.setattr(modnum, "_inv_tables", {})
+    a = np.array(random_matrix(random.Random(9), 30, 90, 32003),
+                 dtype=np.int64)
+    piv, basis = modnum.rref_mod(a, 32003)
+    assert len(piv) == 30 and np.all(basis[np.arange(30), piv] == 1)
+    assert 32003 not in modnum._inv_tables
+
+
 def test_rref_properties_and_kernel():
     p = 32003
     rng = random.Random(42)

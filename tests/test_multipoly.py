@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pfaffian_nets.fields import QQ, GF, FieldMismatchError
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import (MultiPoly, SkewPolyMatrix, det_poly,
-                                     monomials_of_degree, pfaffian_poly)
+                                     monomial_positions, monomial_span,
+                                     monomial_table, monomials_of_degree,
+                                     pfaffian_level, pfaffian_poly,
+                                     pfaffian_polys)
 
 from conftest import random_value
-from scalar_references import exact_divide, pfaffian_scalar
+from scalar_references import (exact_divide, pfaffian_expansion,
+                               pfaffian_scalar, sub_pfaffians)
 
 
 def x(field, nvars, i):
@@ -310,3 +315,102 @@ def test_pfaffian_grid_size_guards():
     mixed = {(0, 1): x(QQ, 2, 0) * x(QQ, 2, 0), (2, 3): x(QQ, 2, 1)}
     with pytest.raises(ValueError):
         pfaffian_poly(SkewPolyMatrix.from_upper(QQ, 2, 4, mixed))
+
+
+def random_skew_grid(field, nvars, size, degree, rng):
+    """A skew grid of random degree-`degree` forms, about a fifth of them
+    zero.  Over QQ entry (i, j), i < j, has the denominator i + 2, so every
+    row carries a different denominator (and a row-only scale fails)."""
+    monos = list(monomials_of_degree(nvars, degree))
+    upper = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.2:
+                continue
+            terms = {}
+            for e in rng.sample(monos, min(3, len(monos))):
+                c = random_value(field, rng)
+                if field.kind == "QQ":
+                    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                 i + 2)
+                terms[e] = c
+            upper[(i, j)] = MultiPoly(field, nvars, terms)
+    return SkewPolyMatrix.from_upper(field, nvars, size, upper).entries
+
+
+PFAFFIAN_FIELDS = [QQ, GF(7), GF(32003), GF(3, 2), GF(3, 4)]
+
+
+@pytest.mark.parametrize("field", PFAFFIAN_FIELDS, ids=str)
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_pfaffian_level_equals_the_expansion_reference(field, size):
+    rng = random.Random(size)
+    for nvars, degree in ((3, 1), (2, 2)):
+        grid = random_skew_grid(field, nvars, size, degree, rng)
+        for k in range(2, size + 1, 2):
+            got = pfaffian_polys(grid, k)
+            want = sub_pfaffians(grid, k)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.field, g.nvars) == (w.field, w.nvars)
+                assert g.terms == w.terms
+                assert all(type(c) is type(w.terms[e])
+                           for e, c in g.terms.items())
+        assert pfaffian_poly(grid) == pfaffian_expansion(grid)
+
+
+def test_pfaffian_level_rows_and_scales_over_qq():
+    """Row i of the level over QQ is scales[i] times sub-Pfaffian i, with
+    the scale the product of the row lcms of the subset."""
+    grid = random_skew_grid(QQ, 3, 6, 1, random.Random(1))
+    _, level, monos, scales = pfaffian_level(grid, 4)
+    assert np.array_equal(monos, monomial_table(3, 2))
+    for row, scale, want in zip(level.tolist(), scales,
+                                sub_pfaffians(grid, 4)):
+        assert {tuple(e): Fraction(c, scale)
+                for e, c in zip(monos.tolist(), row) if c} == want.terms
+
+
+def test_pfaffian_level_with_large_entries_uses_object_arrays():
+    """A QQ grid whose entries bound the cubic's codes above 2^62 keeps
+    Python ints; small entries run on int64."""
+    rng = random.Random(4)
+    upper = {(i, j): MultiPoly.linear_form(
+                 QQ, [rng.randint(10 ** 8, 10 ** 9) for _ in range(3)])
+             for i in range(6) for j in range(i + 1, 6)}
+    big = SkewPolyMatrix.from_upper(QQ, 3, 6, upper).entries
+    _, level, _, _ = pfaffian_level(big, 6)
+    assert level.dtype == object
+    assert pfaffian_poly(big) == pfaffian_expansion(big)
+    small = random_skew_grid(QQ, 3, 6, 1, rng)
+    assert pfaffian_level(small, 6)[1].dtype == np.int64
+
+
+def test_pfaffian_level_guards():
+    grid = random_skew_grid(GF(7), 2, 4, 1, random.Random(2))
+    for k in (0, 3, 6):
+        with pytest.raises(ValueError, match="even"):
+            pfaffian_level(grid, k)
+    grid2 = random_skew_grid(GF(2, 2), 2, 4, 1, random.Random(2))
+    with pytest.raises(ValueError, match="characteristic 2"):
+        pfaffian_level(grid2, 4)
+
+
+def test_monomial_tables_are_shared_and_read_only():
+    for nvars in range(7):
+        for d in range(9):
+            table = monomial_table(nvars, d)
+            assert table.dtype == np.int64 and table.shape[1] == nvars
+            assert list(map(tuple, table.tolist())) \
+                == list(monomials_of_degree(nvars, d))
+            assert monomial_table(nvars, d) is table
+            assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        monomial_table(5, 3)[0, 0] = 1
+
+
+def test_monomial_positions_of_mixed_degrees():
+    span = monomial_span(4, 1, 3)
+    rng = np.random.default_rng(0)
+    at = rng.integers(0, len(span), size=(7, 5))
+    assert np.array_equal(monomial_positions(4, 1, 3, span[at]), at)
