@@ -258,8 +258,11 @@ def _poly_digest(poly):
 
 
 def _stage_polynomials(ctx):
-    cubic = pfaffian_hypersurface(ctx["net"])
-    quartic = q_quartic(ctx["net"])
+    net = ctx["net"]
+    if (net.n, net.two_m) != (5, 6):
+        return "skipped", {"reason": "the quartic is the n=5, 2m=6 case"}
+    cubic = pfaffian_hypersurface(net)
+    quartic = q_quartic(net)
     payload = {"y_cubic": _poly_digest(cubic),
                "q_quartic": _poly_digest(quartic)}
     ok = payload["y_cubic"]["degree"] == 3 \

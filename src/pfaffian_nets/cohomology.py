@@ -31,7 +31,7 @@ from math import comb
 from .correspondence import lie_on_y
 from .matrices import ExactMatrix
 from .modnum import field_codes
-from .multipoly import MultiPoly, monomials_of_degree
+from .multipoly import MultiPoly, monomial_table
 
 
 def _sym_dim(nvars, d):
@@ -51,27 +51,29 @@ def _binom_poly(s, k):
 def mu_matrix(net, s):
     """The multiplication map V (x) S^{s-1}A* -> V* (x) S^s A* as a matrix;
     rows indexed by (V*-basis k, degree-s monomial), columns by (V-basis l,
-    degree-(s-1) monomial); entry sum_i [M = x_i N] (F_i)_{kl}."""
+    degree-(s-1) monomial); entry sum_i [M = x_i N] (F_i)_{kl}, F_i read
+    from the net's stack of side "a"."""
     f = net.field
     n, two_m = net.n, net.two_m
     if s < 0:
         return ExactMatrix.zeros(f, 0, 0)
-    src_monos = list(monomials_of_degree(n, s - 1)) if s >= 1 else []
-    dst_monos = list(monomials_of_degree(n, s))
-    dst_pos = {m: idx for idx, m in enumerate(dst_monos)}
+    src_monos = monomial_table(n, s - 1).tolist() if s >= 1 else []
+    dst_monos = monomial_table(n, s).tolist()
+    dst_pos = {tuple(m): idx for idx, m in enumerate(dst_monos)}
     nrows = two_m * len(dst_monos)
     ncols = two_m * len(src_monos)
     rows = [[f.zero_value] * ncols for _ in range(nrows)]
+    stack = net.stack("a")
     for cn, mono in enumerate(src_monos):
         for i in range(n):
             bumped = list(mono)
             bumped[i] += 1
             rpos = dst_pos[tuple(bumped)]
-            F = net.matrices[i]
+            F = stack[i]
             for l in range(two_m):
                 col = l * len(src_monos) + cn
                 for k in range(two_m):
-                    v = F.rows[k][l]
+                    v = F[k][l]
                     if not f.is_zero_value(v):
                         row = rows[k * len(dst_monos) + rpos]
                         row[col] = f.add(row[col], v)
@@ -296,7 +298,7 @@ def line_ideal_membership(net, a1, a2):
     subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
     checks = []
     for t in MEMBERSHIP_TWISTS:
-        ambient = list(monomials_of_degree(5, t)) if t >= 0 else []
+        ambient = monomial_table(5, t).tolist() if t >= 0 else []
         # restriction: degree-t forms on P^4 -> binary degree-t forms on M
         cols = []
         for mono in ambient:

@@ -23,8 +23,8 @@ from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal, other_prime)
 from .matrices import ExactMatrix
-from .multipoly import (MultiPoly, SkewPolyMatrix, minor_polys,
-                        pfaffian_level, pfaffian_poly, pfaffian_polys)
+from .multipoly import (MultiPoly, minor_polys, pfaffian_level,
+                        pfaffian_poly, pfaffian_polys)
 
 
 class ANet:
@@ -32,9 +32,10 @@ class ANet:
     f(a) = sum a_i F_i is the induced pencil-of-nets map A -> Lambda^2 V*.
 
     A net is never changed after construction, so it owns what is derived
-    from it: `derived` builds each object (the cubic, the quartic, the f_v
-    grid, point sets, reductions to other fields) once per instance, and
-    makes an array it keeps read-only, as every caller shares it."""
+    from it: `derived` builds each object (the cubic, the quartic, the
+    linear stack of each side, point sets, reductions to other fields) once
+    per instance, and makes an array it keeps read-only, as every caller
+    shares it."""
 
     def __init__(self, field, matrices):
         if not matrices:
@@ -129,45 +130,20 @@ class ANet:
                         orow[j] = f.add(orow[j], f.mul(c, row[j]))
         return out
 
-    def symbolic(self):
-        """f(a) as a skew matrix of linear forms in the n variables a_i."""
-        f = self.field
-        upper = {}
-        for i in range(self.two_m):
-            for j in range(i + 1, self.two_m):
-                coeffs = [F.rows[i][j] for F in self.matrices]
-                form = MultiPoly.linear_form(f, coeffs)
-                if not form.is_zero():
-                    upper[(i, j)] = form
-        return SkewPolyMatrix.from_upper(f, self.n, self.two_m, upper)
+    def stack(self, side):
+        """The matrices C_j of one side as one linear stack, nested tuples
+        of the net's payloads: side "a" is f(a) = sum_j a_j C_j, so C_j =
+        F_j; side "v" is f_v = sum_l v_l C_l (row i of f_v is v^T F_i), so
+        C_l[i][k] = (F_i)_{lk}.  Built once per net."""
+        if side not in ("a", "v"):
+            raise ValueError("side must be 'a' or 'v'")
 
-
-class FvMatrix:
-    """The n x 2m matrix of linear forms in the v-variables whose row i is
-    the functional f(e_i)(v, -); entry (i, k) = sum_l (F_i)_{lk} v_l."""
-
-    def __init__(self, net):
-        self.net = net
-        self.field = net.field
-        self.nrows = net.n
-        self.ncols = net.two_m
-
-    @property
-    def grid(self):
-        net = self.net
-        return net.derived("fv_grid", lambda: [
-            [MultiPoly.linear_form(net.field, [F.rows[l][k]
-                                               for l in range(net.two_m)])
-             for k in range(net.two_m)]
-            for F in net.matrices])
-
-    def evaluate(self, v):
-        """The matrix at a point v; row i is v^T F_i, read straight from the
-        net's matrices."""
-        f = self.field
-        vt = ExactMatrix(f, [v])
-        return ExactMatrix(f, [(vt @ F).rows[0] for F in self.net.matrices],
-                           ncols=self.ncols)
+        def build():
+            mats = [F.rows for F in self.matrices]
+            if side == "v":
+                mats = [[F[l] for F in mats] for l in range(self.two_m)]
+            return tuple(tuple(map(tuple, C)) for C in mats)
+        return self.derived(("stack", side), build)
 
 
 # -- the point oracle ---------------------------------------------------------
@@ -242,8 +218,8 @@ class RankOracle:
     """The rank of the matrix a net assigns to each point of a projective
     space over a finite field: side "a" is f(a) = sum a_i F_i on P(A), side
     "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for the
-    stack of code matrices C_j (`stack`) read from the net's entries
-    reduced into the field one by one, without the independence check of
+    stack of code matrices C_j (`stack`) read from `ANet.stack(side)`
+    reduced into the field entry by entry, without the independence check of
     `ANet`: in characteristic 2 a QQ net can reduce to a dependent family
     while its cubic stays fine, and Pf is an integer polynomial in the
     entries, so the two agree.
@@ -259,15 +235,11 @@ class RankOracle:
 
     def __init__(self, net, field, side):
         fc = self.fc = modnum.field_codes(field)
-        mats = [[[reduce_value(x, net.field, field) for x in row]
-                 for row in F.rows] for F in net.matrices]
-        if side == "v":
-            mats = [[F[l] for F in mats] for l in range(net.two_m)]
-        elif side != "a":
-            raise ValueError("side must be 'a' or 'v'")
+        self.stack = fc.encode([[[reduce_value(x, net.field, field)
+                                  for x in row] for row in C]
+                                for C in net.stack(side)])
         self.field, self.side, self._net = field, side, net
-        self.stack = fc.encode(mats)
-        q, k = fc.q, len(mats)
+        q, k = fc.q, len(self.stack)
         self.size = (q ** k - 1) // (q - 1)
         self._table = None
         # coordinate j weighs q^(k-1-j); block l (leading 1 at l) has
@@ -397,16 +369,16 @@ class RegularityResult:
 
 
 def sub_pfaffian_ideal(net):
-    """Ideal of all principal (2m-2)-sub-Pfaffians of the symbolic f(a);
-    its zero set is the rank <= 2m-4 locus in P(A).  Over QQ and GF(p) it
-    holds the integer level of `pfaffian_level` as its rows, as
-    `minors_ideal` does, and builds MultiPolys only when asked."""
-    entries, k = net.symbolic().entries, net.two_m - 2
-    if net.field.kind in ("QQ", "GF(p)"):
-        _, level, _, scales = pfaffian_level(entries, k)
-        return HomogeneousIdeal.from_rows(net.field, net.n, k // 2, level,
+    """Ideal of all principal (2m-2)-sub-Pfaffians of f(a); its zero set
+    is the rank <= 2m-4 locus in P(A).  Over QQ and GF(p) it holds the
+    integer level of `pfaffian_level` as its rows, as `minors_ideal` does,
+    and builds MultiPolys only when asked."""
+    field, stack, k = net.field, net.stack("a"), net.two_m - 2
+    if field.kind in ("QQ", "GF(p)"):
+        _, level, _, scales = pfaffian_level(field, stack, k)
+        return HomogeneousIdeal.from_rows(field, net.n, k // 2, level,
                                           scales)
-    return HomogeneousIdeal(net.field, net.n, pfaffian_polys(entries, k))
+    return HomogeneousIdeal(field, net.n, pfaffian_polys(field, stack, k))
 
 
 def _rank_deficient_witness(net, max_rank):
@@ -457,7 +429,8 @@ def _regularity(net, prime, cap):
 
 def pfaffian_hypersurface(net):
     """The form Pf(f(a)) cutting out Y in P(A); degree m in n variables."""
-    pf = net.derived("cubic", lambda: pfaffian_poly(net.symbolic()))
+    pf = net.derived("cubic",
+                     lambda: pfaffian_poly(net.field, net.stack("a")))
     if pf.is_zero():
         raise ValueError("Pf(f(a)) vanishes identically: degenerate net")
     return pf
@@ -548,7 +521,7 @@ def _quartic(net):
     # the column combinations come in lexicographic order, so the one that
     # leaves out column i is at position 5 - i
     f = net.field
-    minors = minor_polys(FvMatrix(net).grid, 5)
+    minors = minor_polys(f, net.stack("v"), 5)
     quotient = None
     found = 0
     for i in range(6):
@@ -581,7 +554,7 @@ def c_ideal(net):
     """75 quartic 4x4 minors of the f_v matrix: the rank <= 3 locus."""
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the curve construction is the n=5, 2m=6 case")
-    return minors_ideal(FvMatrix(net).grid, 4)
+    return minors_ideal(net.field, net.stack("v"), 4)
 
 
 def fv_rank_profile(net, field):
@@ -603,7 +576,9 @@ def phi_fiber(net, v):
     """The planes U with v in U inside (Im f_v)^perp: a single Grassmannian
     point over Q - C, the pencil line L_c over c in C."""
     f = net.field
-    m = FvMatrix(net).evaluate(v)
+    vt = ExactMatrix(f, [v])  # f_v: row i is v^T F_i
+    m = ExactMatrix(f, [(vt @ F).rows[0] for F in net.matrices],
+                    ncols=net.two_m)
     rank, kern = m.rank_kernel()  # kernel of v^T F: the annihilator of Im f_v
     perp_dim = kern.ncols
     if perp_dim == net.two_m - net.n:

@@ -29,8 +29,7 @@ import numpy as np
 from . import modnum
 from .matrices import ExactMatrix
 from .multipoly import (MultiPoly, minor_level, minor_polys,
-                        monomial_positions, monomial_table,
-                        monomials_of_degree)
+                        monomial_positions, monomial_table)
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
@@ -79,7 +78,7 @@ class HomogeneousIdeal:
     def from_rows(cls, field, nvars, degree, rows, scales):
         """The ideal over QQ or GF(p) of the degree-`degree` forms
         rows[i] / scales[i], with integer rows (int64 or object) over
-        `monomials_of_degree(nvars, degree)` and positive integer scales (1
+        `monomial_table(nvars, degree)` and positive integer scales (1
         over GF(p), whose rows hold residues).  Zero rows are dropped, and
         a row and its scale are divided by their gcd, so a prime divides a
         scale iff it divides some coefficient's reduced denominator."""
@@ -143,8 +142,10 @@ class HomogeneousIdeal:
         return sorted({g.homogeneous_degree() for g in self._generators})
 
     def __repr__(self):
+        count = len(self._generators) if self._generators is not None \
+            else sum(len(rows) for rows, _ in self._rows.values())
         return "HomogeneousIdeal(%s, %d gens, degrees %s)" % (
-            self.field, len(self.generators), self.degrees)
+            self.field, count, self.degrees)
 
 
 def macaulay_matrix(ideal, t):
@@ -154,14 +155,14 @@ def macaulay_matrix(ideal, t):
     if t < 0:
         raise ValueError("negative degree")
     cols = {exps: i for i, exps in
-            enumerate(monomials_of_degree(ideal.nvars, t))}
+            enumerate(map(tuple, monomial_table(ideal.nvars, t).tolist()))}
     rows = []
     f = ideal.field
     for g in ideal.generators:
         d = g.homogeneous_degree()
         if d > t:
             continue
-        for m in monomials_of_degree(ideal.nvars, t - d):
+        for m in monomial_table(ideal.nvars, t - d).tolist():
             row = [f.zero_value] * len(cols)
             for exps, c in g.terms.items():
                 shifted = tuple(a + b for a, b in zip(exps, m))
@@ -252,7 +253,7 @@ class HilbertEngine:
         D1 = len(monomial_table(self.n, t1))
         # shift[j][i]: the position of x_j times monomial i of degree t
         shift = monomial_positions(
-            self.n, t1, t1, monos_t + np.eye(self.n, dtype=np.int64)[:, None])
+            self.n, t1, monos_t + np.eye(self.n, dtype=np.int64)[:, None])
         # multiplication by x0 preserves descending graded-lex positions, so
         # the pushed-forward basis is still reduced with the same pivot layout
         assert np.array_equal(shift[0], np.arange(len(monos_t)))
@@ -535,38 +536,25 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     return EmptinessResult(INCONCLUSIVE, cap, tail)
 
 
-def jacobian_ideal(ideal, codim=None):
-    """Generators plus the minors of the Jacobian sized to the expected
-    codimension; for a single hypersurface this is the equation and its
-    first partials."""
+def jacobian_ideal(ideal):
+    """The equation of a hypersurface and its first partials."""
     gens = ideal.generators
-    if not gens:
-        return ideal
-    n = ideal.nvars
-    if len(gens) == 1:
-        g = gens[0]
-        extra = [g.partial(i) for i in range(n)]
-        return HomogeneousIdeal(ideal.field, n, gens + extra)
-    if codim is None:
-        raise ValueError("codimension required for a non-hypersurface")
-    jac = [[g.partial(i) for i in range(n)] for g in gens]
-    return HomogeneousIdeal(ideal.field, n, gens + minor_polys(jac, codim))
+    if len(gens) > 1:
+        raise ValueError("the Jacobian ideal is taken of a hypersurface")
+    return HomogeneousIdeal(ideal.field, ideal.nvars,
+                            gens + [g.partial(i) for g in gens
+                                    for i in range(ideal.nvars)])
 
 
-def minors_ideal(entries, r):
-    """All r x r minors of a grid of polynomials, as an ideal (zero minors
-    dropped).  Over QQ and GF(p), with every entry of one degree, the
-    ideal holds the integer level of `minor_level` as its rows, already in
-    the engine's column order, and builds MultiPolys only when asked."""
-    if not entries or not entries[0]:
-        raise ValueError("empty matrix")
-    field = entries[0][0].field
-    nvars = entries[0][0].nvars
-    if r > min(len(entries), len(entries[0])):
+def minors_ideal(field, stack, r):
+    """All r x r minors of a stack (`multipoly.minor_level`), as an ideal
+    (zero minors dropped).  Over QQ and GF(p) the ideal holds the integer
+    level of `minor_level` as its rows, already in the engine's column
+    order, and builds MultiPolys only when asked."""
+    if r > min(len(stack[0]), len(stack[0][0])):
         raise ValueError("minor size exceeds matrix dimensions")
-    degrees = {sum(e) for row in entries for p in row for e in p.terms}
-    if field.kind in ("QQ", "GF(p)") and len(degrees) == 1:
-        _, level, _, scales = minor_level(entries, r)
-        return HomogeneousIdeal.from_rows(field, nvars, r * degrees.pop(),
-                                          level, scales)
-    return HomogeneousIdeal(field, nvars, minor_polys(entries, r))
+    if field.kind in ("QQ", "GF(p)"):
+        _, level, _, scales = minor_level(field, stack, r)
+        return HomogeneousIdeal.from_rows(field, len(stack), r, level,
+                                          scales)
+    return HomogeneousIdeal(field, len(stack), minor_polys(field, stack, r))

@@ -6,12 +6,14 @@ then exponent tuples compared left to right), which fixes leading terms,
 the text rendering, and the column order of Macaulay matrices.  Degrees in
 this package stay small, so no packing tricks are needed.
 
-Minors and Pfaffians of grids of polynomials come from one engine, not
-from MultiPoly products: `minor_level` and `pfaffian_level` expand one
-level at a time on dense arrays of exact codes (`_MinorCodes`) over the
-exponent rows of `monomial_table`, which is built once per process and
-read by the Hilbert ladder too.  `minor_polys`, `pfaffian_polys` and
-`pfaffian_poly` are the MultiPoly views of a level.
+Minors and Pfaffians of a matrix of linear forms come from one engine, not
+from MultiPoly products.  The matrix is given as a stack: matrices C_l of
+payloads, one per variable, standing for sum_l x_l C_l.  `minor_level` and
+`pfaffian_level` expand one level at a time on dense arrays of exact codes
+(`_MinorCodes`) over the exponent rows of `monomial_table`, which is built
+once per process and read by the Hilbert ladder too.  `minor_polys`,
+`pfaffian_polys`, `pfaffian_poly` and `det_poly` are the MultiPoly views of
+a level.
 """
 
 from __future__ import annotations
@@ -30,28 +32,14 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d, in descending graded-lex order."""
-    if nvars == 0:
-        if d == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (d,)
-        return
-    for e0 in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - e0):
-            yield (e0,) + rest
-
-
 _monomial_tables = {}
 
 
 def monomial_table(nvars, d):
-    """The exponent rows of `monomials_of_degree(nvars, d)`, d >= 0, as a
-    read-only (N, nvars) int64 array, built once per process and shared by
-    every reader: for e0 = d..0, e0 beside the table of degree d - e0 in
-    nvars - 1 variables."""
+    """The exponent tuples of total degree d >= 0 in descending graded-lex
+    order, as a read-only (N, nvars) int64 array, built once per process
+    and shared by every reader: for e0 = d..0, e0 beside the table of
+    degree d - e0 in nvars - 1 variables."""
     table = _monomial_tables.get((nvars, d))
     if table is None:
         if nvars <= 1:
@@ -71,26 +59,14 @@ def monomial_table(nvars, d):
     return table
 
 
-def monomial_span(nvars, lo, hi):
-    """The monomials of degrees lo..hi, each degree's `monomial_table` in
-    turn."""
-    if lo == hi:
-        return monomial_table(nvars, lo)
-    return np.concatenate([monomial_table(nvars, d)
-                           for d in range(lo, hi + 1)])
-
-
-def monomial_positions(nvars, lo, hi, exps):
-    """The positions in `monomial_span(nvars, lo, hi)` of the exponent rows
-    `exps` (any leading shape) of degrees lo..hi.  Keyed by degree * B^nvars
-    minus the row read as base-B digits, B = hi + 1, the span rises
-    strictly, so one search finds them all."""
-    base = hi + 1
-    weights = base ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-
-    def key(rows):
-        return rows.sum(axis=-1) * base ** nvars - rows @ weights
-    return np.searchsorted(key(monomial_span(nvars, lo, hi)), key(exps))
+def monomial_positions(nvars, d, exps):
+    """The positions in `monomial_table(nvars, d)` of the degree-d exponent
+    rows `exps` (any leading shape).  The table lists the rows read as
+    base-(d + 1) digits in descending order, so one search finds them
+    all."""
+    weights = (d + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(-(monomial_table(nvars, d) @ weights),
+                           -(exps @ weights))
 
 
 class MultiPoly:
@@ -388,72 +364,23 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-class SkewPolyMatrix:
-    """Even-size grid of polynomials with entry[i][j] = -entry[j][i] and a
-    zero diagonal, checked on construction."""
-
-    __slots__ = ("field", "size", "nvars", "entries")
-
-    def __init__(self, entries):
-        size = len(entries)
-        if size == 0 or any(len(row) != size for row in entries):
-            raise ValueError("entries must form a nonempty square grid")
-        if size % 2:
-            raise ValueError("skew matrix size must be even")
-        field = entries[0][0].field
-        nvars = entries[0][0].nvars
-        for i in range(size):
-            if not entries[i][i].is_zero():
-                raise ValueError("nonzero diagonal entry at %d" % i)
-            for j in range(size):
-                e = entries[i][j]
-                if e.field != field or e.nvars != nvars:
-                    raise ValueError("entries disagree on field or nvars")
-                if j > i and e != -entries[j][i]:
-                    raise ValueError("entries are not skew-symmetric at (%d,%d)"
-                                     % (i, j))
-        self.field = field
-        self.size = size
-        self.nvars = nvars
-        self.entries = [list(row) for row in entries]
-
-    @classmethod
-    def from_upper(cls, field, nvars, size, upper):
-        """Build from a dict {(i, j): MultiPoly} over i < j."""
-        zero = MultiPoly.zero(field, nvars)
-        grid = [[zero for _ in range(size)] for _ in range(size)]
-        for (i, j), p in upper.items():
-            grid[i][j] = p
-            grid[j][i] = -p
-        return cls(grid)
-
-    def evaluate(self, point):
-        from .matrices import ExactMatrix
-        return ExactMatrix(self.field,
-                           [[e.evaluate(point) for e in row]
-                            for row in self.entries])
-
-
 MAX_POLY_PFAFFIAN_SIZE = 8
 
 
-def pfaffian_poly(m):
-    """Pfaffian of a SkewPolyMatrix (or a raw skew grid), sizes <= 8: the
-    top level of `pfaffian_level`.  Entries must share one homogeneous
-    degree d, and the result is homogeneous of degree (size/2)*d."""
-    if not isinstance(m, SkewPolyMatrix):
-        m = SkewPolyMatrix(m)
-    if m.size > MAX_POLY_PFAFFIAN_SIZE:
+def pfaffian_poly(field, stack):
+    """Pf(sum_l x_l C_l) of a skew stack, sizes <= 8: the top level of
+    `pfaffian_level`, a form of degree size/2."""
+    if len(stack[0]) > MAX_POLY_PFAFFIAN_SIZE:
         raise ValueError("polynomial pfaffian limited to size %d"
                          % MAX_POLY_PFAFFIAN_SIZE)
-    return pfaffian_polys(m.entries, m.size)[0]
+    return pfaffian_polys(field, stack, len(stack[0]))[0]
 
 
-def pfaffian_polys(entries, k):
-    """Every principal k x k sub-Pfaffian of a skew grid of polynomials,
-    in `combinations` order of their index sets, built by `pfaffian_level`;
+def pfaffian_polys(field, stack, k):
+    """Every principal k x k sub-Pfaffian of a skew stack, in
+    `combinations` order of their index sets, built by `pfaffian_level`;
     only level k becomes MultiPolys."""
-    return _as_polys(*pfaffian_level(entries, k))
+    return _as_polys(*pfaffian_level(field, stack, k))
 
 
 def _as_polys(codes, level, monos, scales):
@@ -476,7 +403,7 @@ class _MinorCodes:
     codes, combined elementwise by add, sub and mul and reduced after each
     level.
 
-    * QQ: integers, row i of the grid scaled by the lcm s_i of its
+    * QQ: integers, row i of the stack scaled by the lcm s_i of its
       denominators (and, for a Pfaffian, column j by s_j too); a minor or
       sub-Pfaffian is divided back by the product of its rows' scales.
     * GF(p): residues, reduced mod p.
@@ -486,29 +413,27 @@ class _MinorCodes:
     Integer codes are int64 where a bound proves that no level overflows
     (`narrow`); otherwise they are Python ints in object arrays."""
 
-    def __init__(self, field, entries):
+    def __init__(self, field, stack):
         self.field = field
-        self.scales = [1] * len(entries)
+        self.scales = [1] * len(stack[0])
         self.add, self.sub, self.mul = np.add, np.subtract, np.multiply
-        self.modulus = None
+        self.modulus = self.fc = None
         self.zero = 0
         self.dtype = object
         self.encode = lambda c, i: c
         self.value = lambda c, scale: c
         self.nonzero = lambda x: x != 0
         if field.kind == "QQ":
-            self.scales = [lcm(*(c.denominator for e in row
-                                 for c in e.terms.values()))
-                           for row in entries]
+            self.scales = [lcm(*(c.denominator for C in stack for c in C[i]))
+                           for i in range(len(stack[0]))]
             self.encode = lambda c, i: \
                 c.numerator * (self.scales[i] // c.denominator)
             self.value = Fraction
         elif field.kind == "GF(p)":
             self.modulus = field.p
         elif field.order <= modnum.TABLE_ORDER:
-            fc = modnum.field_codes(field)
+            fc = self.fc = modnum.field_codes(field)
             self.add, self.sub, self.mul = fc.add, fc.sub, fc.mul
-            self.encode = lambda c, i: fc.encode(c)
             self.value = lambda c, scale: fc.decode(c)
             self.dtype = np.int64
         else:
@@ -518,6 +443,19 @@ class _MinorCodes:
             self.zero = field.zero_value
             is_zero = np.frompyfunc(field.is_zero_value, 1, 1)
             self.nonzero = lambda x: ~is_zero(x).astype(bool)
+
+    def grid(self, stack):
+        """The codes of a stack's entries as a (rows, cols, nvars) array:
+        entry (i, j) holds the coefficient of x_l at l, its position in
+        `monomial_table(nvars, 1)`."""
+        if self.fc is not None:
+            return self.fc.encode(stack).transpose(1, 2, 0)
+        nvars, nrows, ncols = len(stack), len(stack[0]), len(stack[0][0])
+        return np.fromiter(
+            (self.encode(stack[l][i][j], i) for i in range(nrows)
+             for j in range(ncols) for l in range(nvars)),
+            dtype=object, count=nrows * ncols * nvars).reshape(
+                nrows, ncols, nvars)
 
     def zeros(self, shape):
         out = np.empty(shape, dtype=self.dtype)
@@ -529,11 +467,11 @@ class _MinorCodes:
 
     def add_products(self, out, negate, coef, sub, shift, used):
         """out -/+= the products of the entries `coef` (one per row of
-        `out`, codes over the entry monomials) with the rows `sub` of the
-        level below: each entry monomial mu that occurs (`used`) scatters
-        its coefficient times `sub` through the positions shift[mu] of mu
+        `out`, codes over the variables) with the rows `sub` of the level
+        below: each variable x_mu that occurs (`used`) scatters its
+        coefficient times `sub` through the positions shift[mu] of x_mu
         times each monomial of `sub`, which are distinct because
-        multiplication by mu is injective."""
+        multiplication by x_mu is injective."""
         combine = self.sub if negate else self.add
         for mu in used:
             at = shift[mu]
@@ -559,61 +497,49 @@ class _MinorCodes:
         return grid.astype(np.int64)
 
 
-def _entry_monomials(nvars, lo, hi):
-    """The monomials of degrees lo..hi (`monomial_span`), and the position
-    there of each entry's exponent tuple."""
-    monos = monomial_span(nvars, lo, hi)
-    return monos, {e: i for i, e in enumerate(map(tuple, monos.tolist()))}
-
-
-def minor_polys(entries, r):
-    """Every r x r minor of a grid of polynomials, in (row combination,
-    column combination) lexicographic order, built by `minor_level`; only
-    the r x r minors become MultiPolys."""
+def minor_polys(field, stack, r):
+    """Every r x r minor of a stack, in (row combination, column
+    combination) lexicographic order, built by `minor_level`; only the
+    r x r minors become MultiPolys."""
     if r < 1:
         raise ValueError("minor size must be positive")
-    if r > min(len(entries), len(entries[0])):
+    if r > min(len(stack[0]), len(stack[0][0])):
         return []
-    return _as_polys(*minor_level(entries, r))
+    return _as_polys(*minor_level(field, stack, r))
 
 
-def minor_level(entries, r):
-    """Every r x r minor of a grid of polynomials, 1 <= r <= min(shape), as
-    one array of exact codes: returns (codes, level, monos, scales), where
-    row i of `level` holds the codes of minor i, in (row combination,
-    column combination) lexicographic order, over the exponent rows `monos`
-    of degrees r * lo .. r * hi (lo, hi the least and largest entry
-    degrees), as `monomial_span` lists them; `codes` is the `_MinorCodes`
-    they are written in.  Over QQ and GF(p) the codes are integers and
-    minor i is level[i] / scales[i].
+def _shifts(nvars, k):
+    """shift[l]: the positions in `monomial_table(nvars, k)` of x_l times
+    each monomial of degree k - 1."""
+    return monomial_positions(nvars, k, np.eye(nvars, dtype=np.int64)[:, None]
+                              + monomial_table(nvars, k - 1)[None])
+
+
+def minor_level(field, stack, r):
+    """Every r x r minor of a stack, 1 <= r <= min(shape), as one array of
+    exact codes: returns (codes, level, monos, scales), where row i of
+    `level` holds the codes of minor i, in (row combination, column
+    combination) lexicographic order, over the exponent rows `monos` of
+    `monomial_table(nvars, r)`; `codes` is the `_MinorCodes` they are
+    written in.  Over QQ and GF(p) the codes are integers and minor i is
+    level[i] / scales[i].
 
     A dense first-row Laplace expansion, one level k = 1..r at a time.
     Level k holds minor(rows, cols) for every k-combination of the columns
     and every k-combination of the rows that an r x r minor expands down
-    to, as one array of coefficient codes over the monomials of its
-    degrees: minor(rows, cols) = sum_j +-entry(rows[0], cols[j])
+    to, as one array of coefficient codes over the monomials of degree k:
+    minor(rows, cols) = sum_j +-entry(rows[0], cols[j])
     minor(rows[1:], cols without cols[j]), each product of an entry with
     a sub-minor scattered by `_MinorCodes.add_products`.  The arithmetic
     is exact (`_MinorCodes`)."""
-    nrows, ncols = len(entries), len(entries[0])
-    field, nvars = entries[0][0].field, entries[0][0].nvars
-    codes = _MinorCodes(field, entries)
-    degrees = {sum(e) for row in entries for p in row for e in p.terms} \
-        or {0}
-    lo, hi = min(degrees), max(degrees)
-    entry_monos, entry_index = _entry_monomials(nvars, lo, hi)
-    grid = codes.zeros((nrows, ncols, len(entry_monos)))
-    for i, row in enumerate(entries):
-        for j, p in enumerate(row):
-            for e, c in p.terms.items():
-                grid[i, j, entry_index[e]] = codes.encode(c, i)
-    grid = codes.narrow(grid, range(1, r + 1))
+    nvars, nrows, ncols = len(stack), len(stack[0]), len(stack[0][0])
+    codes = _MinorCodes(field, stack)
+    grid = codes.narrow(codes.grid(stack), range(1, r + 1))
     used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
     # level 1: the entries in rows r - 1, r, ..., keyed row-major
     row_sets = [(i,) for i in range(r - 1, nrows)]
     col_sets = [(c,) for c in range(ncols)]
-    level = grid[r - 1:].reshape(-1, len(entry_monos))
-    monos = entry_monos
+    level = grid[r - 1:].reshape(-1, nvars)
     for k in range(2, r + 1):
         row_index = {s: i for i, s in enumerate(row_sets)}
         col_index = {s: i for i, s in enumerate(col_sets)}
@@ -627,29 +553,26 @@ def minor_level(entries, r):
         sub_cols = np.tile(np.array(
             [[col_index[s[:j] + s[j + 1:]] for j in range(k)]
              for s in col_sets]), (nr, 1))
-        shift = monomial_positions(nvars, k * lo, k * hi,
-                                   entry_monos[:, None] + monos[None])
-        monos = monomial_span(nvars, k * lo, k * hi)
-        out = codes.zeros((nr * nc, len(monos)))
+        shift = _shifts(nvars, k)
+        out = codes.zeros((nr * nc, len(monomial_table(nvars, k))))
         for j in range(k):
             codes.add_products(out, j % 2, grid[first, cols[:, j]],
                                level[sub_rows + sub_cols[:, j]], shift, used)
         level = codes.reduce(out)
     scales = [prod(codes.scales[i] for i in s) for s in row_sets
               for _ in col_sets]
-    return codes, level, monos, scales
+    return codes, level, monomial_table(nvars, r), scales
 
 
-def pfaffian_level(entries, k):
-    """Every principal k x k sub-Pfaffian of a skew grid of polynomials, k
-    even with 2 <= k <= size, as one array of exact codes: returns (codes,
-    level, monos, scales), where row i of `level` holds the codes of the
-    Pfaffian on the i-th k-subset of the indices in `combinations` order,
-    over the exponent rows `monos` of degree (k/2)*d, d the common degree
-    of the entries; `codes` is the `_MinorCodes` they are written in.  Over
-    QQ and GF(p) the codes are integers and sub-Pfaffian i is level[i] /
-    scales[i].  Only the entries above the diagonal are read.
-    Characteristic 2 and entries of mixed degrees raise ValueError.
+def pfaffian_level(field, stack, k):
+    """Every principal k x k sub-Pfaffian of a skew stack, k even with
+    2 <= k <= size, as one array of exact codes: returns (codes, level,
+    monos, scales), where row i of `level` holds the codes of the Pfaffian
+    on the i-th k-subset of the indices in `combinations` order, over the
+    exponent rows `monos` of `monomial_table(nvars, k/2)`; `codes` is the
+    `_MinorCodes` they are written in.  Over QQ and GF(p) the codes are
+    integers and sub-Pfaffian i is level[i] / scales[i].  Only the entries
+    above the diagonal are read.  Characteristic 2 raises ValueError.
 
     A dense first-row expansion, one level j = 2, 4, ..., k at a time, as
     in `minor_level`: Pf(S) = sum_pos (-1)^(pos+1) entry(S_0, S_pos)
@@ -657,25 +580,14 @@ def pfaffian_level(entries, k):
     lost their (k - j)/2 least indices, so level j holds every j-subset of
     (k - j)/2 .. size - 1.  Over QQ entry (i, j) is read as s_i s_j
     entry(i, j), which scales Pf(S) by the product of s_i over S."""
-    size = len(entries)
-    field, nvars = entries[0][0].field, entries[0][0].nvars
+    nvars, size = len(stack), len(stack[0])
     if field.characteristic == 2:
         raise ValueError("pfaffians are not computed in characteristic 2")
     if k < 2 or k % 2 or k > size:
         raise ValueError("sub-Pfaffian size must be even, from 2 to %d"
                          % size)
-    degrees = {sum(e) for i, row in enumerate(entries)
-               for p in row[i + 1:] for e in p.terms}
-    if len(degrees) > 1:
-        raise ValueError("entries are homogeneous of different degrees")
-    d = degrees.pop() if degrees else 0
-    codes = _MinorCodes(field, entries)
-    entry_monos, entry_index = _entry_monomials(nvars, d, d)
-    grid = codes.zeros((size, size, len(entry_monos)))
-    for i, row in enumerate(entries):
-        for j in range(i + 1, size):
-            for e, c in row[j].terms.items():
-                grid[i, j, entry_index[e]] = codes.encode(c, i)
+    codes = _MinorCodes(field, stack)
+    grid = codes.grid(stack)
     if field.kind == "QQ":
         grid *= np.array(codes.scales, dtype=object)[:, None]
     grid = codes.narrow(grid, range(1, k, 2))
@@ -683,7 +595,6 @@ def pfaffian_level(entries, k):
     sets = list(combinations(range((k - 2) // 2, size), 2))
     pairs = np.array(sets)
     level = grid[pairs[:, 0], pairs[:, 1]]
-    monos = entry_monos
     for j in range(4, k + 1, 2):
         index = {s: i for i, s in enumerate(sets)}
         sets = list(combinations(range((k - j) // 2, size), j))
@@ -691,24 +602,22 @@ def pfaffian_level(entries, k):
         partners = np.array([s[1:] for s in sets])
         sub_sets = np.array([[index[s[1:pos] + s[pos + 1:]]
                               for pos in range(1, j)] for s in sets])
-        shift = monomial_positions(nvars, j // 2 * d, j // 2 * d,
-                                   entry_monos[:, None] + monos[None])
-        monos = monomial_table(nvars, j // 2 * d)
-        out = codes.zeros((len(sets), len(monos)))
+        shift = _shifts(nvars, j // 2)
+        out = codes.zeros((len(sets), len(monomial_table(nvars, j // 2))))
         for pos in range(j - 1):
             codes.add_products(out, pos % 2, grid[first, partners[:, pos]],
                                level[sub_sets[:, pos]], shift, used)
         level = codes.reduce(out)
     scales = [prod(codes.scales[i] for i in s) for s in sets]
-    return codes, level, monos, scales
+    return codes, level, monomial_table(nvars, k // 2), scales
 
 
-def det_poly(entries):
-    """Polynomial determinant of a square grid, sizes <= 6: the single
+def det_poly(field, stack):
+    """Polynomial determinant of a square stack, sizes <= 6: the single
     maximal minor."""
-    n = len(entries)
+    n = len(stack[0])
     if n > 6:
         raise ValueError("polynomial determinant limited to size 6")
     if n == 0:
         raise ValueError("empty determinant")
-    return minor_polys(entries, n)[0]
+    return minor_polys(field, stack, n)[0]

@@ -16,9 +16,14 @@ Also the symbolic restriction of a form to a line, which the package
 answers by ranks at the line's points (`correspondence.lie_on_y`); the
 polynomial Pfaffian by recursive first-row expansion on MultiPolys, which
 the package computes for all principal sub-Pfaffians at once on code
-arrays (`multipoly.pfaffian_level`); and the exact scalar references that
-only the tests read: the determinant, the Pfaffian by first-row expansion
-and polynomial long division."""
+arrays (`multipoly.pfaffian_level`); the minors of a grid by memoized
+Laplace expansion on MultiPolys, which the package computes on code
+arrays (`multipoly.minor_level`); the matrix f_v at a point, read from
+the net's matrices; the grid of MultiPoly linear forms of a stack, which
+the MultiPoly references read; the recursive monomial enumeration that
+`multipoly.monomial_table` replaced; and the exact scalar references
+that only the tests read: the determinant, the Pfaffian by first-row
+expansion and polynomial long division."""
 
 import itertools
 import random
@@ -29,7 +34,7 @@ import numpy as np
 
 from pfaffian_nets import modnum, verify
 from pfaffian_nets.cohomology import mu_matrix
-from pfaffian_nets.correspondence import (ANet, FvMatrix, _phi_bases,
+from pfaffian_nets.correspondence import (ANet, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
 from pfaffian_nets.grassmann import _CHUNK, pair_indices, plucker_from_basis
@@ -41,8 +46,7 @@ from pfaffian_nets.multipoly import MultiPoly
 def psi_fiber(net, v):
     """P(Ker f_v) inside P(A): the a with f(a)(v, -) = 0.  One point when
     rank f_v = 4, the line M_c when rank f_v = 3."""
-    m = FvMatrix(net).evaluate(v)
-    rank, kern = m.transpose().rank_kernel()
+    rank, kern = fv_at(net, v).transpose().rank_kernel()
     dim = kern.ncols
     if dim == 0:
         raise ValueError("v is not on Q: f_v has full rank %d" % rank)
@@ -53,6 +57,35 @@ def psi_fiber(net, v):
         return ("line", (tuple(cols[0]), tuple(cols[1])))
     raise ValueError("corank %d fiber: rank f_v = %d <= 2 violates the "
                      "minimal-rank bound" % (dim, rank))
+
+
+def fv_at(net, v):
+    """The n x 2m matrix f_v at a point v, row i the product v^T F_i."""
+    vt = ExactMatrix(net.field, [v])
+    return ExactMatrix(net.field, [(vt @ F).rows[0] for F in net.matrices],
+                       ncols=net.two_m)
+
+
+def stack_grid(field, stack):
+    """The matrix sum_l x_l C_l of a stack (`ANet.stack`) as a grid of
+    MultiPoly linear forms, the input of the MultiPoly references."""
+    return [[MultiPoly.linear_form(field, [C[i][k] for C in stack])
+             for k in range(len(stack[0][0]))] for i in range(len(stack[0]))]
+
+
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of total degree d, in descending graded-lex
+    order."""
+    if nvars == 0:
+        if d == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (d,)
+        return
+    for e0 in range(d, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, d - e0):
+            yield (e0,) + rest
 
 
 def x_plucker_points(net, field):
@@ -409,6 +442,38 @@ def sub_pfaffians(entries, k):
     `pfaffian_expansion`, in `combinations` order of their index sets."""
     return [pfaffian_expansion([[entries[i][j] for j in keep] for i in keep])
             for keep in itertools.combinations(range(len(entries)), k)]
+
+
+def laplace_minors(entries, r):
+    """Every r x r minor of a grid of polynomials, in (row combination,
+    column combination) lexicographic order, by the memoized first-row
+    Laplace expansion on MultiPoly terms, one sub-minor per (rows, cols)
+    reached, skipping zero entries and zero sub-minors."""
+    memo = {}
+
+    def minor(rows, cols):
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        row = entries[rows[0]]
+        if len(rows) == 1:
+            got = row[cols[0]]
+        else:
+            got = MultiPoly.zero(row[0].field, row[0].nvars)
+            for j, c in enumerate(cols):
+                if row[c].is_zero():
+                    continue
+                sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+                if sub.is_zero():
+                    continue
+                term = row[c] * sub
+                got = got - term if j % 2 else got + term
+        memo[(rows, cols)] = got
+        return got
+
+    return [minor(rows, cols)
+            for rows in itertools.combinations(range(len(entries)), r)
+            for cols in itertools.combinations(range(len(entries[0])), r)]
 
 
 def exact_divide(num, den):

@@ -14,7 +14,7 @@ from pfaffian_nets.cohomology import (charge2_instanton_table,
                                       exceptional_pair_check_y,
                                       h1_pattern_check,
                                       line_ideal_membership)
-from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
+from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet,
                                           classify, c_ideal, curve_fibers,
                                           find_c_points,
                                           find_lines_on_y, is_regular,
@@ -89,12 +89,10 @@ def test_02_hypersurface_and_quartic_degrees(pinned_family):
         quartic = q_quartic(net)
         assert quartic.degree() == 4 and quartic.is_homogeneous()
         # all six division routes, spelled out rather than trusted
-        fv = FvMatrix(net)
         routes = []
         for i in range(6):
-            cols = [k for k in range(6) if k != i]
-            delta = det_poly([[fv.grid[r][k] for k in cols]
-                              for r in range(5)])
+            delta = det_poly(QQ, [[[e for k, e in enumerate(row) if k != i]
+                                   for row in C] for C in net.stack("v")])
             qi = exact_divide(delta, MultiPoly.variable(QQ, 6, i))
             routes.append(-qi if i % 2 else qi)
         assert all(q == routes[0] for q in routes[1:])
@@ -174,7 +172,7 @@ def test_06_minimal_rank_bound(pinned_net):
     profile, _, _ = fv_rank_profile(pinned_net, GF(7))
     assert sum(profile.values()) == 19608
     assert min(profile) >= 3
-    low_rank = minors_ideal(FvMatrix(pinned_net).grid, 3)
+    low_rank = minors_ideal(QQ, pinned_net.stack("v"), 3)
     assert len(low_rank.generators) == 200
     assert is_empty_projective(low_rank).is_empty
     _budget("rank >= 3 everywhere", 120, start)

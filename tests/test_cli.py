@@ -14,7 +14,7 @@ import pfaffian_nets
 from pfaffian_nets import cli, cohomology, correspondence, grassmann
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
-from pfaffian_nets.correspondence import ANet, FvMatrix, find_c_points
+from pfaffian_nets.correspondence import ANet, find_c_points
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import pair_indices
 from pfaffian_nets.matrices import ExactMatrix
@@ -225,6 +225,25 @@ class TestGating:
         assert all(s["verdict"] == "skipped"
                    for s in report["stages"][1:])
 
+    def test_net_of_another_shape_fails_no_stage(self, tmp_path):
+        """A regular n = 3, 2m = 4 net with Pf = a0^2 + a1^2 + a2^2: the
+        stages built for n = 5, 2m = 6, the polynomials among them, are
+        skipped with their reason, and no stage fails."""
+        net = ANet.from_upper_triangles(QQ, 4, [[1, 0, 0, 0, 0, 1],
+                                                [0, 1, 0, 0, -1, 0],
+                                                [0, 0, 1, 1, 0, 0]])
+        fx = tmp_path / "small.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 0
+        stages = {s["name"]: s for s in json.loads(out.read_text())["stages"]}
+        assert not [name for name, s in stages.items()
+                    if s["verdict"] in ("fail", "error")]
+        assert stages["regularity"]["verdict"] == "pass"
+        for name in ("polynomials", "hilbert-C", "charge2-table", "lines"):
+            assert stages[name]["verdict"] == "skipped"
+            assert "n=5, 2m=6" in stages[name]["detail"]["reason"]
+
     def test_witness_search_skips_a_field_a_denominator_blocks(self,
                                                              tmp_path):
         # matrix 0 over 3 has no reduction mod 3, so the witness search
@@ -279,7 +298,8 @@ class TestLinesStage:
         kernel, f_v matrix, polynomial value or Plucker point."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
         find_c_points(net)
-        targets = [(ExactMatrix, "rank_kernel"), (FvMatrix, "evaluate"),
+        # an f_v matrix at a point is the product v^T F_i for each i
+        targets = [(ExactMatrix, "rank_kernel"), (ExactMatrix, "__matmul__"),
                    (MultiPoly, "evaluate"),
                    (grassmann, "plucker_from_basis"),
                    (correspondence, "plucker_from_basis")]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pfaffian_nets import correspondence, grassmann, modnum
-from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, FvMatrix,
-                                          c_ideal, classify, curve_fibers,
+from pfaffian_nets.correspondence import (SEARCH_LADDER, ANet, c_ideal,
+                                          classify, curve_fibers,
                                           degenerate_net, find_c_points,
                                           find_lines_on_y, fv_rank_profile,
                                           is_regular, lie_on_y,
@@ -28,15 +28,16 @@ from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
                                   fit_hilbert_polynomial, is_empty_projective,
                                   jacobian_ideal)
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import MultiPoly, det_poly
+from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
-from scalar_references import (certify_line_on_x, exact_divide,
-                               fv_rank_table, kappa, line_key,
-                               line_on_hypersurface, net_linear_forms,
+from scalar_references import (certify_line_on_x, exact_divide, fv_at,
+                               fv_rank_table, kappa, laplace_minors,
+                               line_key, line_on_hypersurface,
+                               net_linear_forms, pfaffian_expansion,
                                psi_fiber, satisfies_quadrics,
-                               splitting_type_on_line, sub_pfaffians,
-                               x_ideal,
-                               x_plucker_points, y_payloads)
+                               splitting_type_on_line, stack_grid,
+                               sub_pfaffians, x_ideal, x_plucker_points,
+                               y_payloads)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -44,18 +45,23 @@ F7 = GF(7)
 
 
 def rank_fv(net, v):
-    return FvMatrix(net).evaluate(v).rank()
+    return fv_at(net, v).rank()
 
 
-def times_variable_vector(fv):
-    """The length-n polynomial vector (row_i . v) of an f_v grid."""
+def times_variable_vector(net):
+    """The length-n polynomial vector (row_i . v) of the f_v grid."""
     out = []
-    for row in fv.grid:
-        acc = MultiPoly.zero(fv.field, fv.ncols)
+    for row in stack_grid(net.field, net.stack("v")):
+        acc = MultiPoly.zero(net.field, net.two_m)
         for k, e in enumerate(row):
-            acc = acc + e * MultiPoly.variable(fv.field, fv.ncols, k)
+            acc = acc + e * MultiPoly.variable(net.field, net.two_m, k)
         out.append(acc)
     return out
+
+
+def grid_at(grid, point):
+    """The payload grid of a grid of polynomials at a point."""
+    return [[e.evaluate(point) for e in row] for row in grid]
 
 
 # a pinned net over QQ: regular, smooth Pfaffian cubic, and clean reductions
@@ -171,11 +177,12 @@ class TestANet:
             ANet(QQ, [m])
 
     def test_f_at_matches_symbolic(self, pinned):
-        sym = pinned.symbolic()
+        # the symbolic f(a) is the stack of side "a"
+        sym = stack_grid(QQ, pinned.stack("a"))
         a = [1, -2, 3, 0, 5]
         direct = pinned.f_at(a)
         point = [QQ.value_of(x) for x in a]
-        assert sym.evaluate(point).rows == direct.rows
+        assert grid_at(sym, point) == direct.rows
 
     def test_map_field_reduces_entrywise(self, pinned):
         red = pinned.map_field(F7)
@@ -313,7 +320,7 @@ class TestRegularity:
         ideal = sub_pfaffian_ideal(net)
         assert (ideal._generators is None) \
             == (field.kind in ("QQ", "GF(p)"))
-        want = [g for g in sub_pfaffians(net.symbolic().entries, 4)
+        want = [g for g in sub_pfaffians(stack_grid(field, net.stack("a")), 4)
                 if not g.is_zero()]
         assert len(ideal.generators) == len(want) == 15
         assert set(ideal.generators) == set(want)
@@ -327,13 +334,11 @@ class TestRegularity:
 class TestFvMatrix:
     def test_contraction_identity(self, pinned):
         # row_i(v) . v = f(e_i)(v, v) = 0 identically
-        assert all(p.is_zero()
-                   for p in times_variable_vector(FvMatrix(pinned)))
+        assert all(p.is_zero() for p in times_variable_vector(pinned))
 
     def test_evaluate_matches_bilinear_form(self, pinned):
-        fv = FvMatrix(pinned)
         v = [1, 2, 0, -1, 3, 5]
-        m = fv.evaluate(v)
+        m = fv_at(pinned, v)
         vv = [QQ.value_of(x) for x in v]
         for i, F in enumerate(pinned.matrices):
             for k in range(6):
@@ -344,26 +349,30 @@ class TestFvMatrix:
 
 
     def test_evaluate_matches_the_grid(self, pinned):
-        # every point of P^5(GF(3)) and a few rational points
+        # the stack of side "v" at every point of P^5(GF(3)) and a few
+        # rational points
         net3 = pinned.over(GF(3))
         points = [(pinned, v) for v in ([1, 0, 0, 0, 0, 0],
                                         [Fraction(1, 2), -3, 0, 7, 1, 2],
                                         [2, -1, 4, Fraction(-5, 3), 0, 1])]
         points += [(net3, v) for v in enumerate_projective(GF(3), 5)]
+        grids = {net: stack_grid(net.field, net.stack("v"))
+                 for net in (pinned, net3)}
         for net, v in points:
-            fv = FvMatrix(net)
-            grid = [[e.evaluate(list(v)) for e in row]
-                    for row in fv.grid]
-            assert fv.evaluate(v).rows == grid
+            assert fv_at(net, v).rows == grid_at(grids[net], list(v))
+
+
+def maximal_minor(net, i):
+    """The maximal minor of f_v without column i, by Laplace expansion."""
+    grid = stack_grid(net.field, net.stack("v"))
+    return laplace_minors([[e for k, e in enumerate(row) if k != i]
+                           for row in grid], 5)[0]
 
 
 def minor_quotient(net, i):
     """(-1)^i Delta_i / v_i, the maximal minor of f_v without column i
     divided by v_i, before normalization."""
-    fv = FvMatrix(net)
-    cols = [k for k in range(6) if k != i]
-    delta = det_poly([[fv.grid[r][k] for k in cols] for r in range(5)])
-    qi = exact_divide(delta, MultiPoly.variable(QQ, 6, i))
+    qi = exact_divide(maximal_minor(net, i), MultiPoly.variable(QQ, 6, i))
     return -qi if i % 2 else qi
 
 
@@ -399,7 +408,7 @@ class TestQuartic:
         quartic = v[0] ** 4 + v[1] * v[2] * v[3] * v[5]
         minors = change(self._faked_minors(quartic), v, MultiPoly.zero(QQ, 6))
         monkeypatch.setattr(correspondence, "minor_polys",
-                            lambda grid, k: minors)
+                            lambda field, stack, k: minors)
         with pytest.raises(ValueError, match=re.escape(message)):
             q_quartic(net)
 
@@ -408,7 +417,8 @@ class TestQuartic:
         v = [MultiPoly.variable(QQ, 6, i) for i in range(6)]
         quartic = v[0] ** 4 - v[1] * v[2] * v[3] * v[5]
         monkeypatch.setattr(correspondence, "minor_polys",
-                            lambda grid, k: self._faked_minors(quartic))
+                            lambda field, stack, k:
+                            self._faked_minors(quartic))
         assert q_quartic(net) == quartic.normalized()
 
     def test_quartic_cuts_rank_drop_locus(self, pinned):
@@ -424,16 +434,15 @@ class TestQuartic:
 
     def test_kernel_vector_annihilated(self, pinned):
         # M(v) . ((-1)^i Delta_i)_i = 0 is the identity behind the quotient
-        fv = FvMatrix(pinned)
+        grid = stack_grid(QQ, pinned.stack("v"))
         deltas = []
         for i in range(6):
-            cols = [k for k in range(6) if k != i]
-            d = det_poly([[fv.grid[r][k] for k in cols] for r in range(5)])
+            d = maximal_minor(pinned, i)
             deltas.append(d if i % 2 == 0 else -d)
         for r in range(5):
             acc = MultiPoly.zero(QQ, 6)
             for i in range(6):
-                acc = acc + fv.grid[r][i] * deltas[i]
+                acc = acc + grid[r][i] * deltas[i]
             assert acc.is_zero()
 
 
@@ -461,16 +470,37 @@ class TestCurve:
         assert sum(profile.values()) == (9 ** 6 - 1) // (9 - 1)
         assert set(profile) <= {3, 4, 5}
         net9 = pinned.map_field(f9)
-        fv = FvMatrix(net9)
         for v in low[:3] + r4[:3]:
-            assert fv.evaluate(v).rank() == (3 if v in low else 4)
+            assert rank_fv(net9, v) == (3 if v in low else 4)
 
     def test_find_c_points_returns_low_rank(self, pinned):
         field, pts = find_c_points(pinned)
         assert pts
         net_f = pinned.map_field(field)
         for v in pts:
-            assert FvMatrix(net_f).evaluate(v).rank() == 3
+            assert rank_fv(net_f, v) == 3
+
+
+class TestStackLevels:
+    """The engines fed by the net's stacks against the MultiPoly references
+    fed by `stack_grid`, on every pinned net and its reductions to GF(7)
+    (integer residues) and GF(9) (code tables)."""
+
+    @pytest.mark.parametrize("field", [QQ, F7, GF(3, 2)], ids=str)
+    @pytest.mark.parametrize("index", range(5))
+    def test_levels_equal_the_references(self, pinned_family, index, field):
+        net = pinned_family[index].over(field)
+        grid_a = stack_grid(field, net.stack("a"))
+        assert pfaffian_hypersurface(net) == pfaffian_expansion(grid_a)
+        assert pfaffian_polys(field, net.stack("a"), 4) \
+            == sub_pfaffians(grid_a, 4)
+        grid_v = stack_grid(field, net.stack("v"))
+        assert minor_polys(field, net.stack("v"), 5) \
+            == laplace_minors(grid_v, 5)
+        quartics = laplace_minors(grid_v, 4)
+        assert len(quartics) == 75
+        assert c_ideal(net).generators \
+            == [m for m in quartics if not m.is_zero()]
 
 
 class TestKappa:
@@ -586,7 +616,7 @@ class TestCurveFibers:
         that pencil off X."""
         net3 = pinned.over(F3)
         _, low, _ = fv_rank_profile(net3, F3)
-        fc = FvMatrix(net3).evaluate(low[0])
+        fc = fv_at(net3, low[0])
         k = next(k for k in range(6) if any(row[k] for row in fc.rows))
         real = correspondence._phi_bases
 
@@ -609,8 +639,6 @@ class TestCurveFibers:
 # whose payloads have another shape; it is rejected, never read as a scalar
 FOREIGN_CALLS = {
     "f_at": lambda net, x: net.f_at([x, 0, 0, 0, 0]),
-    "FvMatrix.evaluate": lambda net, x: FvMatrix(net.over(F3)).evaluate(
-        [x, 0, 0, 0, 0, 1]),
     "phi_fiber": lambda net, x: phi_fiber(net.over(F3), [x, 0, 0, 0, 0, 0]),
     "PluckerPoint": lambda net, x: PluckerPoint(F3, 4, [x, 0, 0, 0, 0, 1]),
     "GrassmannLine.point_at": lambda net, x: GrassmannLine(
@@ -831,10 +859,10 @@ class TestRankOracle:
         oracle = rank_oracle(pinned, field, "v")
         pts = list(enumerate_projective(field, 5))
         assert oracle.points(range(len(pts))) == pts
-        fv = FvMatrix(pinned.map_field(field))
+        reduced = pinned.map_field(field)
         scalars = list(field.elements())[1:]
         for i, v in enumerate(pts):
-            assert oracle.table[i] == fv.evaluate(v).rank()
+            assert oracle.table[i] == rank_fv(reduced, v)
             c = scalars[i % len(scalars)]
             scaled = [field.mul(c, x) for x in v]
             assert oracle.rank(scaled) == oracle.table[i]

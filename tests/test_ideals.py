@@ -9,7 +9,7 @@ import pytest
 
 from pfaffian_nets import modnum
 from pfaffian_nets.cli import net_from_fixture
-from pfaffian_nets.correspondence import FvMatrix, c_ideal, sub_pfaffian_ideal
+from pfaffian_nets.correspondence import c_ideal, sub_pfaffian_ideal
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   HilbertEngine, HomogeneousIdeal,
@@ -18,11 +18,11 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   jacobian_ideal, macaulay_matrix,
                                   minors_ideal, _interpolate)
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import (MultiPoly, minor_level, minor_polys,
-                                     monomials_of_degree)
+from pfaffian_nets.multipoly import MultiPoly, minor_level, minor_polys
 
 from conftest import random_value
-from scalar_references import det
+from scalar_references import (det, laplace_minors, monomials_of_degree,
+                               stack_grid)
 from test_cli import dead_fixture_text
 
 
@@ -34,10 +34,17 @@ def variables(field, nvars):
     return [x(field, nvars, i) for i in range(nvars)]
 
 
+def index_stack(field, nvars, index):
+    """The stack of the matrix whose entry (i, k) is the variable
+    x_{index[i][k]}."""
+    return [[[field.value_of(int(e == l)) for e in row] for row in index]
+            for l in range(nvars)]
+
+
 def twisted_cubic_ideal(field):
     """2x2 minors of [[x0,x1,x2],[x1,x2,x3]]: the standard degree-3 curve."""
-    x0, x1, x2, x3 = variables(field, 4)
-    return minors_ideal([[x0, x1, x2], [x1, x2, x3]], 2)
+    return minors_ideal(field, index_stack(field, 4, [[0, 1, 2], [1, 2, 3]]),
+                        2)
 
 
 def random_ideal(field, nvars, rng, ngens=3):
@@ -401,13 +408,22 @@ def test_fit_falls_back_to_exact_ranks_on_integer_rows(monkeypatch):
         return hilbert_function(ideal, t)
     monkeypatch.setattr(ideals, "hilbert_function", counted)
     x0, x1, _ = variables(QQ, 3)
-    ideal = minors_ideal([[x0, x1.scale(32009)]], 1)
+    ideal = minors_ideal(QQ, [[[1, 0]], [[0, 32009]], [[0, 0]]], 1)
     assert ideal._generators is None and ideal.degrees == [1]
     data = fit_hilbert_polynomial(ideal, 0)
     assert data.fitted == (1,)
     assert data.values == [1, 1]
     assert exact == [0, 1]
     assert ideal.generators == [x0, x1.scale(32009)]
+
+
+def test_repr_of_a_row_ideal_builds_no_generators(pinned_net):
+    """repr counts the rows of an ideal held as integer rows."""
+    ideal = c_ideal(pinned_net)
+    assert repr(ideal) == "HomogeneousIdeal(QQ, 75 gens, degrees [4])"
+    assert ideal._generators is None
+    assert repr(HomogeneousIdeal(QQ, 75, [])) \
+        == "HomogeneousIdeal(QQ, 0 gens, degrees [])"
 
 
 def _engine_or_error(ideal, prime):
@@ -423,10 +439,10 @@ def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
     from the integer level and from the MultiPoly minor: the same
     ZeroDivisionError exactly when p divides a reduced denominator, else
     the same rows; and the whole minors ideal climbs like its MultiPolys."""
-    grid = _reference_grid("fractions", pinned_net)
+    stack = _reference_stack("fractions", pinned_net)
     for r in (2, 3):
-        _, level, _, scales = minor_level(grid, r)
-        for i, minor in enumerate(minor_polys(grid, r)):
+        _, level, _, scales = minor_level(QQ, stack, r)
+        for i, minor in enumerate(minor_polys(QQ, stack, r)):
             got = _engine_or_error(HomogeneousIdeal.from_rows(
                 QQ, 3, r, level[i:i + 1], scales[i:i + 1]), prime)
             want = _engine_or_error(HomogeneousIdeal(QQ, 3, [minor]), prime)
@@ -438,8 +454,8 @@ def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
                 assert np.array_equal(got._gens_by_degree.get(r, []),
                                       want._gens_by_degree.get(r, []))
         a, b = (_engine_or_error(ideal, prime) for ideal in (
-            minors_ideal(grid, r), HomogeneousIdeal(QQ, 3,
-                                                    minor_polys(grid, r))))
+            minors_ideal(QQ, stack, r),
+            HomogeneousIdeal(QQ, 3, minor_polys(QQ, stack, r))))
         if isinstance(b, str):
             assert a == b
             continue
@@ -567,32 +583,29 @@ def test_jacobian_cone_singular_at_a_point():
 
 
 def test_jacobian_codim_required_for_multiple_generators():
+    # there is no codimension to size the Jacobian minors to: only a
+    # hypersurface has a Jacobian ideal
     x0, x1, x2 = variables(QQ, 3)
     ideal = HomogeneousIdeal(QQ, 3, [x0 * x1, x0 * x2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hypersurface"):
         jacobian_ideal(ideal)
-    jac = jacobian_ideal(ideal, codim=2)
-    assert len(jac.generators) > 2
 
 
 def test_minors_two_by_two():
     x0, x1, x2, x3 = variables(QQ, 4)
-    ideal = minors_ideal([[x0, x1], [x2, x3]], 2)
+    ideal = minors_ideal(QQ, index_stack(QQ, 4, [[0, 1], [2, 3]]), 2)
     assert len(ideal.generators) == 1
     assert ideal.generators[0] == x0 * x3 - x1 * x2
 
 
 def test_minors_size_one_gives_entries():
-    x0, x1, x2, x3 = variables(QQ, 4)
-    ideal = minors_ideal([[x0, x1], [x2, x3]], 1)
+    ideal = minors_ideal(QQ, index_stack(QQ, 4, [[0, 1], [2, 3]]), 1)
     assert len(ideal.generators) == 4
 
 
 def test_minors_of_rank_deficient_grid():
-    x0, x1 = variables(QQ, 2)[:2]
-    # rank-1 grid: all 2x2 minors vanish identically
-    grid = [[x0, x1], [x0, x1]]
-    ideal = minors_ideal(grid, 2)
+    # rank-1 grid [[x0, x1], [x0, x1]]: all 2x2 minors vanish identically
+    ideal = minors_ideal(QQ, index_stack(QQ, 2, [[0, 1], [0, 1]]), 2)
     assert ideal.generators == []
 
 
@@ -602,33 +615,28 @@ def _random_form(field, nvars, degree, rng):
                       for e in monomials_of_degree(nvars, degree)})
 
 
-def _minor_test_grid(kind, field, pinned_net, rng):
+def _minor_test_stack(kind, field, pinned_net, rng):
     if kind == "fv":
-        net = pinned_net if field == QQ else pinned_net.map_field(field)
-        return FvMatrix(net).grid
-    if kind == "quadrics":
-        return [[_random_form(field, 4, 2, rng) for _ in range(4)]
-                for _ in range(3)]
+        return pinned_net.over(field).stack("v")
     # zero entries in a pattern, plus a whole zero row
-    zero = MultiPoly.zero(field, 3)
-    return [[zero if i == 2 or (i + j) % 3 == 0
-             else _random_form(field, 3, 1, rng) for j in range(5)]
-            for i in range(4)]
+    return [[[field.zero_value if i == 2 or (i + j) % 3 == 0
+              else random_value(field, rng, 3) for j in range(5)]
+             for i in range(4)] for _ in range(3)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2, 2)], ids=str)
-@pytest.mark.parametrize("kind", ["fv", "quadrics", "zeros"])
+@pytest.mark.parametrize("kind", ["fv", "zeros"])
 def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
     rng = random.Random(11)
-    grid = _minor_test_grid(kind, field, pinned_net, rng)
+    stack = _minor_test_stack(kind, field, pinned_net, rng)
+    grid = stack_grid(field, stack)
     nrows, ncols = len(grid), len(grid[0])
-    nvars = grid[0][0].nvars
-    points = [[random_value(field, rng) for _ in range(nvars)]
+    points = [[random_value(field, rng) for _ in range(len(stack))]
               for _ in range(3)]
     values = [[[e.evaluate(pt) for e in row] for row in grid]
               for pt in points]
     for r in range(1, min(nrows, ncols) + 1):
-        minors = minor_polys(grid, r)
+        minors = minor_polys(field, stack, r)
         subsets = [(rows, cols) for rows in combinations(range(nrows), r)
                    for cols in combinations(range(ncols), r)]
         assert len(minors) == len(subsets)
@@ -637,64 +645,25 @@ def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
                 sub = ExactMatrix(field, [[vals[i][j] for j in cols]
                                           for i in rows])
                 assert minor.evaluate(pt) == det(sub)
-        assert minors_ideal(grid, r).generators == [
+        assert minors_ideal(field, stack, r).generators == [
             m for m in minors if not m.is_zero()]
 
 
-# -- the sparse reference: the memoized first-row Laplace expansion on
-# MultiPoly terms that the dense engine replaced, one sub-minor per
-# (rows, cols) reached, skipping zero entries and zero sub-minors
-
-def sparse_minor_polys(entries, r):
-    memo = {}
-
-    def minor(rows, cols):
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        row = entries[rows[0]]
-        if len(rows) == 1:
-            got = row[cols[0]]
-        else:
-            got = MultiPoly.zero(row[0].field, row[0].nvars)
-            for j, c in enumerate(cols):
-                if row[c].is_zero():
-                    continue
-                sub = minor(rows[1:], cols[:j] + cols[j + 1:])
-                if sub.is_zero():
-                    continue
-                term = row[c] * sub
-                got = got - term if j % 2 else got + term
-        memo[(rows, cols)] = got
-        return got
-
-    return [minor(rows, cols)
-            for rows in combinations(range(len(entries)), r)
-            for cols in combinations(range(len(entries[0])), r)]
+REFERENCE_FIELDS = {"QQ": QQ, "GF(7)": GF(7), "GF(4)": GF(2, 2),
+                    "GF(81)": GF(3, 4)}
 
 
-def _reference_grid(kind, pinned_net):
+def _reference_stack(kind, pinned_net):
     rng = random.Random(5)
     if kind.startswith("fv-"):
-        field = {"QQ": QQ, "GF(7)": GF(7), "GF(4)": GF(2, 2),
-                 "GF(81)": GF(3, 4)}[kind[3:]]
-        net = pinned_net if field == QQ else pinned_net.map_field(field)
-        return FvMatrix(net).grid
+        return pinned_net.over(REFERENCE_FIELDS[kind[3:]]).stack("v")
     if kind == "fractions":
         # one denominator set per row, so each row has its own lcm
         dens = [[1], [2, 3], [5, 7], [4, 9]]
-        return [[MultiPoly(QQ, 3, {e: Fraction(rng.randint(-5, 5),
-                                                rng.choice(row_dens))
-                                   for e in monomials_of_degree(3, 1)})
-                 for _ in range(4)] for row_dens in dens]
-    if kind == "jacobian":
-        # the grid jacobian_ideal(..., codim=2) takes minors of: rows of
-        # degrees 1 and 2
-        x0, x1, x2, x3 = variables(QQ, 4)
-        quadric = x0 * x1 - x2 * x3 + x0 * x0
-        cubic = x0 * x1 * x2 + x3 ** 3 - x1 * x1 * x2
-        return [[g.partial(i) for i in range(4)] for g in (quadric, cubic)]
-    return _minor_test_grid("zeros", QQ, pinned_net, rng)
+        return [[[Fraction(rng.randint(-5, 5), rng.choice(row_dens))
+                  for _ in range(4)] for row_dens in dens]
+                for _ in range(3)]
+    return _minor_test_stack("zeros", QQ, pinned_net, rng)
 
 
 def _exact_terms(poly):
@@ -702,13 +671,14 @@ def _exact_terms(poly):
 
 
 @pytest.mark.parametrize("kind", ["fv-QQ", "fv-GF(7)", "fv-GF(4)",
-                                  "fv-GF(81)", "fractions", "jacobian",
-                                  "zeros"])
+                                  "fv-GF(81)", "fractions", "zeros"])
 def test_minor_polys_equal_the_sparse_reference(kind, pinned_net):
-    grid = _reference_grid(kind, pinned_net)
+    stack = _reference_stack(kind, pinned_net)
+    field = REFERENCE_FIELDS[kind[3:]] if kind.startswith("fv-") else QQ
+    grid = stack_grid(field, stack)
     for r in range(1, min(len(grid), len(grid[0])) + 1):
-        dense = minor_polys(grid, r)
-        sparse = sparse_minor_polys(grid, r)
+        dense = minor_polys(field, stack, r)
+        sparse = laplace_minors(grid, r)
         assert len(dense) == len(sparse)
         for got, want in zip(dense, sparse):
             assert (got.field, got.nvars) == (want.field, want.nvars)
@@ -717,7 +687,7 @@ def test_minor_polys_equal_the_sparse_reference(kind, pinned_net):
 
 def test_minor_polys_of_the_pinned_grid_multiply_no_polynomials(
         pinned_net, monkeypatch):
-    grid = FvMatrix(pinned_net).grid
+    stack = pinned_net.stack("v")
     calls = []
     mul = MultiPoly.__mul__
 
@@ -726,6 +696,6 @@ def test_minor_polys_of_the_pinned_grid_multiply_no_polynomials(
         return mul(self, other)
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
-    assert len(minor_polys(grid, 4)) == 75
-    assert len(minor_polys(grid, 5)) == 6
+    assert len(minor_polys(QQ, stack, 4)) == 75
+    assert len(minor_polys(QQ, stack, 5)) == 6
     assert calls == []

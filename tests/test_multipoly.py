@@ -6,15 +6,14 @@ import pytest
 
 from pfaffian_nets.fields import QQ, GF, FieldMismatchError
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import (MultiPoly, SkewPolyMatrix, det_poly,
-                                     monomial_positions, monomial_span,
-                                     monomial_table, monomials_of_degree,
-                                     pfaffian_level, pfaffian_poly,
-                                     pfaffian_polys)
+from pfaffian_nets.multipoly import (MultiPoly, det_poly, monomial_positions,
+                                     monomial_table, pfaffian_level,
+                                     pfaffian_poly, pfaffian_polys)
 
 from conftest import random_value
-from scalar_references import (exact_divide, pfaffian_expansion,
-                               pfaffian_scalar, sub_pfaffians)
+from scalar_references import (exact_divide, monomials_of_degree,
+                               pfaffian_expansion, pfaffian_scalar,
+                               stack_grid, sub_pfaffians)
 
 
 def x(field, nvars, i):
@@ -244,98 +243,100 @@ def test_normalized_forms():
     assert nq.coefficient((0, 2)) == -6
 
 
-# -- skew polynomial matrices and pfaffians ----------------------------------
+# -- pfaffians of skew stacks ------------------------------------------------
 
-def three_block_matrix(field):
-    """a0 (e0^e1) + a1 (e2^e3) + a2 (e4^e5) as a 6x6 grid over 3 variables."""
-    upper = {(0, 1): x(field, 3, 0),
-             (2, 3): x(field, 3, 1),
-             (4, 5): x(field, 3, 2)}
-    return SkewPolyMatrix.from_upper(field, 3, 6, upper)
+def three_block_stack(field):
+    """a0 (e0^e1) + a1 (e2^e3) + a2 (e4^e5) as a stack of three 6 x 6
+    matrices."""
+    stack = [[[field.zero_value] * 6 for _ in range(6)] for _ in range(3)]
+    for l in range(3):
+        stack[l][2 * l][2 * l + 1] = field.one_value
+        stack[l][2 * l + 1][2 * l] = field.neg(field.one_value)
+    return stack
 
 
-def random_skew_linear(field, nvars, size, rng):
-    upper = {}
+def random_skew_stack(field, nvars, size, rng, value=None):
+    """A skew stack of random payloads, about a fifth of the entries above
+    the diagonal zero in every matrix.  Over QQ entry (i, j), i < j, has
+    the denominator i + 2, so every row carries a different denominator
+    (and a row-only scale fails).  `value(rng)`, when given, draws the
+    entries instead."""
+    def draw(i):
+        if value is not None:
+            return field.value_of(value(rng))
+        if field.kind == "QQ":
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), i + 2)
+        return random_value(field, rng)
+    stack = [[[field.zero_value] * size for _ in range(size)]
+             for _ in range(nvars)]
     for i in range(size):
         for j in range(i + 1, size):
-            coeffs = [random_value(field, rng) for _ in range(nvars)]
-            upper[(i, j)] = MultiPoly.linear_form(field, coeffs)
-    return SkewPolyMatrix.from_upper(field, nvars, size, upper)
+            if rng.random() < 0.2:
+                continue
+            for C in stack:
+                C[i][j] = draw(i)
+                C[j][i] = field.neg(C[i][j])
+    return stack
 
 
-def test_skew_matrix_validation():
-    bad = [[x(QQ, 1, 0), x(QQ, 1, 0)], [x(QQ, 1, 0), MultiPoly.zero(QQ, 1)]]
-    with pytest.raises(ValueError):
-        SkewPolyMatrix(bad)
+def at_point(field, stack, pt):
+    """sum_l pt_l C_l as an ExactMatrix."""
+    return ExactMatrix(field, [[e.evaluate(pt) for e in row]
+                               for row in stack_grid(field, stack)])
 
 
 def test_pfaffian_three_block():
-    m = three_block_matrix(QQ)
-    pf = pfaffian_poly(m)
+    pf = pfaffian_poly(QQ, three_block_stack(QQ))
     x0, x1, x2 = (x(QQ, 3, i) for i in range(3))
     assert pf == x0 * x1 * x2
 
 
 def test_pfaffian_zero_matrix():
-    z = MultiPoly.zero(QQ, 2)
-    m = [[z, z], [z, z]]
-    assert pfaffian_poly(m).is_zero()
+    assert pfaffian_poly(QQ, [[[0, 0], [0, 0]]] * 2).is_zero()
 
 
 def test_pfaffian_degree_and_homogeneity():
     rng = random.Random(13)
-    m = random_skew_linear(GF(32003), 5, 6, rng)
-    pf = pfaffian_poly(m)
+    pf = pfaffian_poly(GF(32003), random_skew_stack(GF(32003), 5, 6, rng))
     assert pf.homogeneous_degree() == 3
 
 
 def test_pfaffian_evaluation_commutes():
     rng = random.Random(3)
     field = GF(32003)
-    m = random_skew_linear(field, 5, 6, rng)
-    pf = pfaffian_poly(m)
+    stack = random_skew_stack(field, 5, 6, rng)
+    pf = pfaffian_poly(field, stack)
     for _ in range(100):
         pt = [rng.randrange(32003) for _ in range(5)]
-        scalar = pfaffian_scalar(m.evaluate(pt))
-        assert pf.evaluate(pt) == scalar
+        assert pf.evaluate(pt) == pfaffian_scalar(at_point(field, stack, pt))
 
 
 @pytest.mark.parametrize("size", [4, 6])
 def test_pfaffian_squared_is_det(size):
     rng = random.Random(size)
-    m = random_skew_linear(GF(101), 3, size, rng)
-    pf = pfaffian_poly(m)
-    assert pf * pf == det_poly(m.entries)
+    stack = random_skew_stack(GF(101), 3, size, rng)
+    pf = pfaffian_poly(GF(101), stack)
+    assert pf * pf == det_poly(GF(101), stack)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_pfaffian_squared_is_det_on_small_integer_stacks(field):
+    """Pf^2 = det across the two engines, for random skew stacks of small
+    integers in 1 to 4 variables and of sizes 2, 4 and 6."""
+    rng = random.Random(7)
+    for _ in range(12):
+        size, nvars = rng.choice([2, 4, 6]), rng.randint(1, 4)
+        stack = random_skew_stack(field, nvars, size, rng,
+                                  value=lambda rng: rng.randint(-2, 2))
+        pf = pfaffian_poly(field, stack)
+        assert pf * pf == det_poly(field, stack)
 
 
 def test_pfaffian_grid_size_guards():
-    z = MultiPoly.zero(QQ, 1)
-    with pytest.raises(ValueError):
-        pfaffian_poly([[z] * 10 for _ in range(10)])
-    mixed = {(0, 1): x(QQ, 2, 0) * x(QQ, 2, 0), (2, 3): x(QQ, 2, 1)}
-    with pytest.raises(ValueError):
-        pfaffian_poly(SkewPolyMatrix.from_upper(QQ, 2, 4, mixed))
-
-
-def random_skew_grid(field, nvars, size, degree, rng):
-    """A skew grid of random degree-`degree` forms, about a fifth of them
-    zero.  Over QQ entry (i, j), i < j, has the denominator i + 2, so every
-    row carries a different denominator (and a row-only scale fails)."""
-    monos = list(monomials_of_degree(nvars, degree))
-    upper = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.2:
-                continue
-            terms = {}
-            for e in rng.sample(monos, min(3, len(monos))):
-                c = random_value(field, rng)
-                if field.kind == "QQ":
-                    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
-                                 i + 2)
-                terms[e] = c
-            upper[(i, j)] = MultiPoly(field, nvars, terms)
-    return SkewPolyMatrix.from_upper(field, nvars, size, upper).entries
+    with pytest.raises(ValueError, match="limited to size 8"):
+        pfaffian_poly(QQ, [[[0] * 10 for _ in range(10)]])
+    with pytest.raises(ValueError, match="even"):
+        pfaffian_poly(QQ, [[[0] * 3 for _ in range(3)]])
 
 
 PFAFFIAN_FIELDS = [QQ, GF(7), GF(32003), GF(3, 2), GF(3, 4)]
@@ -345,55 +346,53 @@ PFAFFIAN_FIELDS = [QQ, GF(7), GF(32003), GF(3, 2), GF(3, 4)]
 @pytest.mark.parametrize("size", [2, 4, 6, 8])
 def test_pfaffian_level_equals_the_expansion_reference(field, size):
     rng = random.Random(size)
-    for nvars, degree in ((3, 1), (2, 2)):
-        grid = random_skew_grid(field, nvars, size, degree, rng)
-        for k in range(2, size + 1, 2):
-            got = pfaffian_polys(grid, k)
-            want = sub_pfaffians(grid, k)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert (g.field, g.nvars) == (w.field, w.nvars)
-                assert g.terms == w.terms
-                assert all(type(c) is type(w.terms[e])
-                           for e, c in g.terms.items())
-        assert pfaffian_poly(grid) == pfaffian_expansion(grid)
+    stack = random_skew_stack(field, 3, size, rng)
+    grid = stack_grid(field, stack)
+    for k in range(2, size + 1, 2):
+        got = pfaffian_polys(field, stack, k)
+        want = sub_pfaffians(grid, k)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.field, g.nvars) == (w.field, w.nvars)
+            assert g.terms == w.terms
+            assert all(type(c) is type(w.terms[e])
+                       for e, c in g.terms.items())
+    assert pfaffian_poly(field, stack) == pfaffian_expansion(grid)
 
 
 def test_pfaffian_level_rows_and_scales_over_qq():
     """Row i of the level over QQ is scales[i] times sub-Pfaffian i, with
     the scale the product of the row lcms of the subset."""
-    grid = random_skew_grid(QQ, 3, 6, 1, random.Random(1))
-    _, level, monos, scales = pfaffian_level(grid, 4)
+    stack = random_skew_stack(QQ, 3, 6, random.Random(1))
+    _, level, monos, scales = pfaffian_level(QQ, stack, 4)
     assert np.array_equal(monos, monomial_table(3, 2))
     for row, scale, want in zip(level.tolist(), scales,
-                                sub_pfaffians(grid, 4)):
+                                sub_pfaffians(stack_grid(QQ, stack), 4)):
         assert {tuple(e): Fraction(c, scale)
                 for e, c in zip(monos.tolist(), row) if c} == want.terms
 
 
 def test_pfaffian_level_with_large_entries_uses_object_arrays():
-    """A QQ grid whose entries bound the cubic's codes above 2^62 keeps
+    """A QQ stack whose entries bound the cubic's codes above 2^62 keeps
     Python ints; small entries run on int64."""
     rng = random.Random(4)
-    upper = {(i, j): MultiPoly.linear_form(
-                 QQ, [rng.randint(10 ** 8, 10 ** 9) for _ in range(3)])
-             for i in range(6) for j in range(i + 1, 6)}
-    big = SkewPolyMatrix.from_upper(QQ, 3, 6, upper).entries
-    _, level, _, _ = pfaffian_level(big, 6)
+    big = random_skew_stack(QQ, 3, 6, rng, value=lambda rng:
+                            rng.randint(10 ** 8, 10 ** 9))
+    _, level, _, _ = pfaffian_level(QQ, big, 6)
     assert level.dtype == object
-    assert pfaffian_poly(big) == pfaffian_expansion(big)
-    small = random_skew_grid(QQ, 3, 6, 1, rng)
-    assert pfaffian_level(small, 6)[1].dtype == np.int64
+    assert pfaffian_poly(QQ, big) == pfaffian_expansion(stack_grid(QQ, big))
+    small = random_skew_stack(QQ, 3, 6, rng)
+    assert pfaffian_level(QQ, small, 6)[1].dtype == np.int64
 
 
 def test_pfaffian_level_guards():
-    grid = random_skew_grid(GF(7), 2, 4, 1, random.Random(2))
+    stack = random_skew_stack(GF(7), 2, 4, random.Random(2))
     for k in (0, 3, 6):
         with pytest.raises(ValueError, match="even"):
-            pfaffian_level(grid, k)
-    grid2 = random_skew_grid(GF(2, 2), 2, 4, 1, random.Random(2))
+            pfaffian_level(GF(7), stack, k)
+    stack2 = random_skew_stack(GF(2, 2), 2, 4, random.Random(2))
     with pytest.raises(ValueError, match="characteristic 2"):
-        pfaffian_level(grid2, 4)
+        pfaffian_level(GF(2, 2), stack2, 4)
 
 
 def test_monomial_tables_are_shared_and_read_only():
@@ -409,8 +408,8 @@ def test_monomial_tables_are_shared_and_read_only():
         monomial_table(5, 3)[0, 0] = 1
 
 
-def test_monomial_positions_of_mixed_degrees():
-    span = monomial_span(4, 1, 3)
+def test_monomial_positions_round_trip():
+    table = monomial_table(4, 3)
     rng = np.random.default_rng(0)
-    at = rng.integers(0, len(span), size=(7, 5))
-    assert np.array_equal(monomial_positions(4, 1, 3, span[at]), at)
+    at = rng.integers(0, len(table), size=(7, 5))
+    assert np.array_equal(monomial_positions(4, 3, table[at]), at)
