@@ -23,8 +23,7 @@ from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal, other_prime)
 from .matrices import ExactMatrix
-from .multipoly import (MultiPoly, minor_polys, pfaffian_level,
-                        pfaffian_poly, pfaffian_polys)
+from .multipoly import MultiPoly, minor_polys, pfaffian_level, pfaffian_poly
 
 
 class ANet:
@@ -369,16 +368,13 @@ class RegularityResult:
 
 
 def sub_pfaffian_ideal(net):
-    """Ideal of all principal (2m-2)-sub-Pfaffians of f(a); its zero set
-    is the rank <= 2m-4 locus in P(A).  Over QQ and GF(p) it holds the
-    integer level of `pfaffian_level` as its rows, as `minors_ideal` does,
-    and builds MultiPolys only when asked."""
-    field, stack, k = net.field, net.stack("a"), net.two_m - 2
-    if field.kind in ("QQ", "GF(p)"):
-        _, level, _, scales = pfaffian_level(field, stack, k)
-        return HomogeneousIdeal.from_rows(field, net.n, k // 2, level,
-                                          scales)
-    return HomogeneousIdeal(field, net.n, pfaffian_polys(field, stack, k))
+    """Ideal of all principal (2m-2)-sub-Pfaffians of f(a), the integer
+    level of `pfaffian_level`; its zero set is the rank <= 2m-4 locus in
+    P(A)."""
+    _, level, _, scales = pfaffian_level(net.field, net.stack("a"),
+                                         net.two_m - 2)
+    return HomogeneousIdeal(net.field, net.n,
+                            {net.two_m // 2 - 1: (level, scales)})
 
 
 def _rank_deficient_witness(net, max_rank):
@@ -437,7 +433,12 @@ def pfaffian_hypersurface(net):
 
 
 def y_ideal(net):
-    return HomogeneousIdeal(net.field, net.n, [pfaffian_hypersurface(net)])
+    """The ideal of Y: the cubic as the top level of `pfaffian_level`."""
+    pfaffian_hypersurface(net)  # a degenerate net raises here
+    _, level, _, scales = pfaffian_level(net.field, net.stack("a"),
+                                         net.two_m)
+    return HomogeneousIdeal(net.field, net.n,
+                            {net.two_m // 2: (level, scales)})
 
 
 def y_points(net, field):

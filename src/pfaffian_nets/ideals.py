@@ -6,6 +6,12 @@ rank of a Macaulay matrix, and HF(t) = dim S_t - dim I_t.  Degree and genus
 claims only ever use the eventually-polynomial behavior of HF, so no
 saturation or Groebner machinery appears anywhere.
 
+An ideal is its integer rows, over QQ or GF(p) only: for each generator
+degree d, one row per form over `monomial_table(nvars, d)` with a scale.
+The levels of `multipoly.minor_level` and `pfaffian_level` pass straight
+in, and the Jacobian and Macaulay matrices scatter rows by
+`monomial_positions`, so no MultiPoly is built here.
+
 Large prime-field computations run on an incremental ladder that pushes
 the reduced basis of I_t forward to degree t+1.  Multiplication by the
 first variable is order-preserving for graded-lex monomial columns, so
@@ -22,14 +28,13 @@ G_{t+1} the generators of degree t+1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 import numpy as np
 
 from . import modnum
 from .matrices import ExactMatrix
-from .multipoly import (MultiPoly, minor_level, minor_polys,
-                        monomial_positions, monomial_table)
+from .multipoly import minor_level, monomial_positions, monomial_table
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 32009
@@ -54,98 +59,42 @@ def ambient_dimension(nvars, t):
 
 
 class HomogeneousIdeal:
-    """Homogeneous generators over one field, held as MultiPolys or, over
-    QQ and GF(p), as integer rows (`rows`); each form is built from the
-    other when first asked for.  Zero generators are dropped at
-    construction, inhomogeneous ones are rejected."""
+    """Homogeneous forms over QQ or GF(p), held as integer rows: `forms`
+    maps each degree d to (rows, scales), the rows an integer array (int64
+    or object) over `monomial_table(nvars, d)` and the scales positive
+    integers (1 over GF(p), whose rows hold residues), form i being
+    rows[i] / scales[i].  Zero rows are dropped, and a row and its scale
+    are divided by their gcd, so a prime divides a scale iff it divides
+    some coefficient's reduced denominator."""
 
-    def __init__(self, field, nvars, generators):
-        gens = []
-        for g in generators:
-            if g.field != field or g.nvars != nvars:
-                raise ValueError("generator field/nvars mismatch")
-            if g.is_zero():
-                continue
-            if not g.is_homogeneous():
-                raise ValueError("inhomogeneous generator %s" % g.render())
-            gens.append(g)
+    def __init__(self, field, nvars, forms):
+        if field.kind not in ("QQ", "GF(p)"):
+            raise ValueError("emptiness check needs QQ or prime-field input")
         self.field = field
         self.nvars = nvars
-        self._generators = gens
-        self._rows = None
-
-    @classmethod
-    def from_rows(cls, field, nvars, degree, rows, scales):
-        """The ideal over QQ or GF(p) of the degree-`degree` forms
-        rows[i] / scales[i], with integer rows (int64 or object) over
-        `monomial_table(nvars, degree)` and positive integer scales (1
-        over GF(p), whose rows hold residues).  Zero rows are dropped, and
-        a row and its scale are divided by their gcd, so a prime divides a
-        scale iff it divides some coefficient's reduced denominator."""
-        rows = np.asarray(rows)
-        keep = np.flatnonzero(rows.any(axis=1))
-        rows = rows[keep]
-        scales = [scales[i] for i in keep.tolist()]
-        for i, s in enumerate(scales):
-            if s != 1:
-                g = gcd(s, int(np.gcd.reduce(rows[i])))
-                rows[i] //= g
-                scales[i] = s // g
-        ideal = cls(field, nvars, [])
-        ideal._generators = None
-        ideal._rows = {degree: (rows, scales)} if len(rows) else {}
-        return ideal
-
-    @property
-    def generators(self):
-        if self._generators is None:
-            qq = self.field.kind == "QQ"
-            gens = []
-            for d, (rows, scales) in self._rows.items():
-                monos = [tuple(e) for e in
-                         monomial_table(self.nvars, d).tolist()]
-                for row, s in zip(rows.tolist(), scales):
-                    gens.append(MultiPoly._raw(self.field, self.nvars, {
-                        monos[m]: Fraction(c, s) if qq else c
-                        for m, c in enumerate(row) if c}))
-            self._generators = gens
-        return self._generators
-
-    def rows(self):
-        """{degree: (rows, scales)} as `from_rows` takes them, one entry
-        per generator degree: a generator's scale is the lcm of its
-        denominators (1 for GF(p) payloads, which are ints)."""
-        if self._rows is None:
-            if self.field.kind not in ("QQ", "GF(p)"):
-                raise ValueError("integer rows need QQ or a prime field")
-            by_degree = {}
-            for g in self._generators:
-                by_degree.setdefault(g.homogeneous_degree(), []).append(g)
-            self._rows = {}
-            for d, gens in by_degree.items():
-                index = {tuple(e): i for i, e in
-                         enumerate(monomial_table(self.nvars, d).tolist())}
-                rows = np.zeros((len(gens), len(index)), dtype=object)
-                scales = []
-                for row, g in zip(rows, gens):
-                    s = lcm(*(c.denominator for c in g.terms.values()))
-                    for e, c in g.terms.items():
-                        row[index[e]] = c.numerator * (s // c.denominator)
-                    scales.append(s)
-                self._rows[d] = (rows, scales)
-        return self._rows
+        self.forms = {}
+        for d, (rows, scales) in forms.items():
+            rows = np.asarray(rows)
+            keep = np.flatnonzero(rows.any(axis=1))
+            if not keep.size:
+                continue
+            rows = rows[keep]
+            scales = [scales[i] for i in keep.tolist()]
+            for i, s in enumerate(scales):
+                if s != 1:
+                    g = gcd(s, int(np.gcd.reduce(rows[i])))
+                    rows[i] //= g
+                    scales[i] = s // g
+            self.forms[d] = (rows, scales)
 
     @property
     def degrees(self):
-        if self._generators is None:
-            return sorted(self._rows)
-        return sorted({g.homogeneous_degree() for g in self._generators})
+        return sorted(self.forms)
 
     def __repr__(self):
-        count = len(self._generators) if self._generators is not None \
-            else sum(len(rows) for rows, _ in self._rows.values())
         return "HomogeneousIdeal(%s, %d gens, degrees %s)" % (
-            self.field, count, self.degrees)
+            self.field, sum(len(rows) for rows, _ in self.forms.values()),
+            self.degrees)
 
 
 def macaulay_matrix(ideal, t):
@@ -154,21 +103,22 @@ def macaulay_matrix(ideal, t):
     order.  The rank is dim I_t."""
     if t < 0:
         raise ValueError("negative degree")
-    cols = {exps: i for i, exps in
-            enumerate(map(tuple, monomial_table(ideal.nvars, t).tolist()))}
+    n, qq = ideal.nvars, ideal.field.kind == "QQ"
+    ncols = len(monomial_table(n, t))
     rows = []
-    f = ideal.field
-    for g in ideal.generators:
-        d = g.homogeneous_degree()
+    for d, (gens, scales) in ideal.forms.items():
         if d > t:
             continue
-        for m in monomial_table(ideal.nvars, t - d).tolist():
-            row = [f.zero_value] * len(cols)
-            for exps, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(exps, m))
-                row[cols[shifted]] = c
-            rows.append(row)
-    return ExactMatrix(f, rows, ncols=len(cols))
+        # at[k, i]: the position of monomial k of degree t - d times
+        # monomial i of degree d
+        at = monomial_positions(n, t, monomial_table(n, t - d)[:, None]
+                                + monomial_table(n, d)[None])
+        for g, s in zip(gens.tolist(), scales):
+            block = np.zeros((len(at), ncols), dtype=object)
+            block[np.arange(len(at))[:, None], at] = [
+                Fraction(c, s) if qq else c for c in g]
+            rows.extend(block.tolist())
+    return ExactMatrix(ideal.field, rows, ncols=ncols)
 
 
 def hilbert_function(ideal, t):
@@ -180,7 +130,7 @@ class HilbertEngine:
     """Incremental Hilbert-function evaluator over GF(p).
 
     The generators are read once, at construction, from the ideal's integer
-    `rows`, reduced mod p with numpy: a row with scale s is multiplied by
+    `forms`, reduced mod p with numpy: a row with scale s is multiplied by
     s^-1, so a QQ ideal needs no reduced copy, a scale that p divides
     raises ZeroDivisionError, and a generator that vanishes mod p is
     dropped.  `degrees` lists the degrees of the generators kept, largest
@@ -202,8 +152,6 @@ class HilbertEngine:
     CHUNK = 1500
 
     def __init__(self, ideal, prime=DEFAULT_PRIME):
-        if ideal.field.kind not in ("QQ", "GF(p)"):
-            raise ValueError("HilbertEngine needs a prime field or QQ input")
         if ideal.field.kind == "GF(p)" and ideal.field.p != prime:
             raise ValueError("ideal is over GF(%d), engine prime is %d"
                              % (ideal.field.p, prime))
@@ -211,7 +159,7 @@ class HilbertEngine:
         self.p = prime
         self.n = ideal.nvars
         self._gens_by_degree = {}  # degree: int64 rows over its monomial_table
-        for d, (rows, scales) in ideal.rows().items():
+        for d, (rows, scales) in ideal.forms.items():
             rows = (rows % prime).astype(np.int64)
             if any(s != 1 for s in scales):
                 if any(s % prime == 0 for s in scales):
@@ -429,7 +377,7 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
         values, stable = window_mod(ideal.field.p)
     else:
         values, stable = window_mod(primes[0])
-        if ideal.field.kind == "QQ" and len(primes) > 1:
+        if len(primes) > 1:
             if (values, stable) != window_mod(primes[1]):
                 values, stable = _hf_until_stable(
                     lambda t: hilbert_function(ideal, t), expected_dim, cap)
@@ -514,12 +462,8 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     NONEMPTY (evidence only); HF still strictly dropping stays
     INCONCLUSIVE, since it may yet reach zero a few degrees later.
     """
-    if ideal.field.kind in ("QQ", "GF(p)"):
-        engine = HilbertEngine(ideal, prime=prime) \
-            if ideal.field.kind == "QQ" or ideal.field.p == prime \
-            else HilbertEngine(ideal, prime=ideal.field.p)
-    else:
-        raise ValueError("emptiness check needs QQ or prime-field input")
+    engine = HilbertEngine(ideal, prime=prime if ideal.field.kind == "QQ"
+                           else ideal.field.p)
     n = engine.n
     degrees = engine.degrees
     bound = sum(degrees[:n]) - n + 1 if len(degrees) >= n else 0
@@ -537,24 +481,29 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
 
 
 def jacobian_ideal(ideal):
-    """The equation of a hypersurface and its first partials."""
-    gens = ideal.generators
-    if len(gens) > 1:
+    """The equation of a hypersurface and its first partials: the partial
+    by x_i moves the coefficient c of x^e, times e_i, to the position of
+    x^e / x_i.  Products are Python ints, as a QQ row may sit near 2^62."""
+    if sum(len(rows) for rows, _ in ideal.forms.values()) > 1:
         raise ValueError("the Jacobian ideal is taken of a hypersurface")
-    return HomogeneousIdeal(ideal.field, ideal.nvars,
-                            gens + [g.partial(i) for g in gens
-                                    for i in range(ideal.nvars)])
+    n, forms = ideal.nvars, dict(ideal.forms)
+    for d, (rows, scales) in ideal.forms.items():
+        exps = monomial_table(n, d)
+        partials = np.zeros((n, len(monomial_table(n, d - 1))), dtype=object)
+        for i, unit in enumerate(np.eye(n, dtype=np.int64)):
+            on = exps[:, i] > 0
+            partials[i, monomial_positions(n, d - 1, exps[on] - unit)] = \
+                rows[0, on].astype(object) * exps[on, i]
+        if ideal.field.kind == "GF(p)":
+            partials %= ideal.field.p
+        forms[d - 1] = (partials, scales * n)
+    return HomogeneousIdeal(ideal.field, n, forms)
 
 
 def minors_ideal(field, stack, r):
-    """All r x r minors of a stack (`multipoly.minor_level`), as an ideal
-    (zero minors dropped).  Over QQ and GF(p) the ideal holds the integer
-    level of `minor_level` as its rows, already in the engine's column
-    order, and builds MultiPolys only when asked."""
+    """All r x r minors of a stack, the integer level of
+    `multipoly.minor_level`, as an ideal (zero minors dropped)."""
     if r > min(len(stack[0]), len(stack[0][0])):
         raise ValueError("minor size exceeds matrix dimensions")
-    if field.kind in ("QQ", "GF(p)"):
-        _, level, _, scales = minor_level(field, stack, r)
-        return HomogeneousIdeal.from_rows(field, len(stack), r, level,
-                                          scales)
-    return HomogeneousIdeal(field, len(stack), minor_polys(field, stack, r))
+    _, level, _, scales = minor_level(field, stack, r)
+    return HomogeneousIdeal(field, len(stack), {r: (level, scales)})

@@ -501,8 +501,6 @@ def minor_polys(field, stack, r):
     """Every r x r minor of a stack, in (row combination, column
     combination) lexicographic order, built by `minor_level`; only the
     r x r minors become MultiPolys."""
-    if r < 1:
-        raise ValueError("minor size must be positive")
     if r > min(len(stack[0]), len(stack[0][0])):
         return []
     return _as_polys(*minor_level(field, stack, r))
@@ -532,6 +530,8 @@ def minor_level(field, stack, r):
     minor(rows[1:], cols without cols[j]), each product of an entry with
     a sub-minor scattered by `_MinorCodes.add_products`.  The arithmetic
     is exact (`_MinorCodes`)."""
+    if r < 1:
+        raise ValueError("minor size must be positive")
     nvars, nrows, ncols = len(stack), len(stack[0]), len(stack[0][0])
     codes = _MinorCodes(field, stack)
     grid = codes.narrow(codes.grid(stack), range(1, r + 1))

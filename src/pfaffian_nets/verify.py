@@ -37,7 +37,7 @@ from . import modnum
 from .correspondence import (_kernels, _matmul, _phi_bases, _u_sides,
                              pfaffian_hypersurface, rank_oracle, x_points,
                              y_points)
-from .grassmann import _CHUNK, enumerate_projective, plucker_from_basis
+from .grassmann import _CHUNK, plucker_from_basis
 from .matrices import ExactMatrix
 
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
@@ -405,21 +405,3 @@ def jw1_section_check(net, plan):
     report.tally(records)
     return report
 
-
-def count_points(ideal, field, limit=200000):
-    """Brute-force projective point count of V(ideal) over a finite field."""
-    order = field.order
-    if order is None:
-        raise ValueError("point counting needs a finite field")
-    n = ideal.nvars
-    total = (order ** n - 1) // (order - 1)
-    if total > limit:
-        raise ValueError("P^%d over %s has %d points, limit is %d"
-                         % (n - 1, field.name, total, limit))
-    gens = [g if g.field == field else g.map_field(field)
-            for g in ideal.generators]
-    count = 0
-    for pt in enumerate_projective(field, n - 1):
-        if all(field.is_zero_value(g.evaluate(pt)) for g in gens):
-            count += 1
-    return count

@@ -23,7 +23,10 @@ the net's matrices; the grid of MultiPoly linear forms of a stack, which
 the MultiPoly references read; the recursive monomial enumeration that
 `multipoly.monomial_table` replaced; and the exact scalar references
 that only the tests read: the determinant, the Pfaffian by first-row
-expansion and polynomial long division."""
+expansion and polynomial long division.  Last, the MultiPoly view of an
+ideal, which the package holds as integer rows (`ideal_of` builds a
+`HomogeneousIdeal` from MultiPolys, `ideal_polys` reads its forms back),
+and the brute-force point count of the zero set of MultiPoly forms."""
 
 import itertools
 import random
@@ -37,10 +40,11 @@ from pfaffian_nets.cohomology import mu_matrix
 from pfaffian_nets.correspondence import (ANet, _phi_bases,
                                           pfaffian_hypersurface, rank_oracle,
                                           x_points, y_points)
-from pfaffian_nets.grassmann import _CHUNK, pair_indices, plucker_from_basis
+from pfaffian_nets.grassmann import (_CHUNK, enumerate_projective,
+                                     pair_indices, plucker_from_basis)
 from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import MultiPoly
+from pfaffian_nets.multipoly import MultiPoly, monomial_table
 
 
 def psi_fiber(net, v):
@@ -213,10 +217,10 @@ def net_linear_forms(net):
             for F in net.matrices]
 
 
-def x_ideal(net):
-    gens = plucker_quadrics(net.two_m, net.field) + net_linear_forms(net)
-    nvars = len(pair_indices(net.two_m)[0])
-    return HomogeneousIdeal(net.field, nvars, gens)
+def x_generators(net):
+    """The generators of the ideal of X in the Plucker variables: the
+    Plucker quadrics and the net's linear forms."""
+    return plucker_quadrics(net.two_m, net.field) + net_linear_forms(net)
 
 
 def certify_line_on_x(reduced, pencil):
@@ -226,7 +230,7 @@ def certify_line_on_x(reduced, pencil):
     f = reduced.field
     params = [(f.one_value, f.zero_value)] \
         + [(e, f.one_value) for e in f.elements()]
-    for gen in x_ideal(reduced).generators:
+    for gen in x_generators(reduced):
         need = gen.degree() + 1
         assert need <= len(params)
         if any(not f.is_zero_value(
@@ -303,6 +307,65 @@ def line_on_hypersurface(poly, a1, a2):
     f = poly.field
     subs = [MultiPoly.linear_form(f, [x, y]) for x, y in zip(a1, a2)]
     return poly.substitute(subs).is_zero()
+
+
+def ideal_of(field, nvars, polys):
+    """The `HomogeneousIdeal` of MultiPoly forms over QQ or GF(p): one
+    integer row per nonzero form over its degree's `monomial_table`, its
+    scale the lcm of the form's denominators (1 for GF(p) payloads, which
+    are ints).  An inhomogeneous form raises ValueError."""
+    by_degree = {}
+    for g in polys:
+        if g.field != field or g.nvars != nvars:
+            raise ValueError("generator field/nvars mismatch")
+        if not g.is_zero():
+            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+    forms = {}
+    for d, gens in by_degree.items():
+        index = {tuple(e): i for i, e in
+                 enumerate(monomial_table(nvars, d).tolist())}
+        rows = np.zeros((len(gens), len(index)), dtype=object)
+        scales = []
+        for row, g in zip(rows, gens):
+            s = lcm(*(c.denominator for c in g.terms.values()))
+            for e, c in g.terms.items():
+                row[index[e]] = c.numerator * (s // c.denominator)
+            scales.append(s)
+        forms[d] = (rows, scales)
+    return HomogeneousIdeal(field, nvars, forms)
+
+
+def ideal_polys(ideal):
+    """The forms of an ideal as MultiPolys, degree by degree in the order
+    `forms` lists them: row / scale over the degree's `monomial_table`."""
+    qq = ideal.field.kind == "QQ"
+    polys = []
+    for d, (rows, scales) in ideal.forms.items():
+        monos = [tuple(e) for e in monomial_table(ideal.nvars, d).tolist()]
+        for row, s in zip(rows.tolist(), scales):
+            polys.append(MultiPoly._raw(ideal.field, ideal.nvars, {
+                monos[m]: Fraction(c, s) if qq else c
+                for m, c in enumerate(row) if c}))
+    return polys
+
+
+def count_points(forms, nvars, field, limit=200000):
+    """Brute-force count of the points of P^(nvars - 1) over a finite
+    field where every MultiPoly form vanishes; a form over another field
+    is moved into `field` first."""
+    order = field.order
+    if order is None:
+        raise ValueError("point counting needs a finite field")
+    total = (order ** nvars - 1) // (order - 1)
+    if total > limit:
+        raise ValueError("P^%d over %s has %d points, limit is %d"
+                         % (nvars - 1, field.name, total, limit))
+    forms = [g if g.field == field else g.map_field(field) for g in forms]
+    count = 0
+    for pt in enumerate_projective(field, nvars - 1):
+        if all(field.is_zero_value(g.evaluate(pt)) for g in forms):
+            count += 1
+    return count
 
 
 def det(m):

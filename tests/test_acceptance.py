@@ -30,7 +30,7 @@ from pfaffian_nets.multipoly import MultiPoly, det_poly
 from pfaffian_nets.verify import SamplePlan, jw1_section_check, jw_pointwise
 
 from scalar_references import (det, exact_divide, line_on_hypersurface,
-                               pfaffian_scalar, x_ideal)
+                               pfaffian_scalar, x_generators)
 
 
 def _budget(label, budget_s, start):
@@ -133,7 +133,7 @@ def test_04b_minor_engine_budget(pinned_net):
     start = time.monotonic()
     net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
     assert q_quartic(net).homogeneous_degree() == 4
-    assert len(c_ideal(net).generators) == 75
+    assert len(c_ideal(net).forms[4][0]) == 75
     _budget("quartic and curve minors over QQ", 1, start)
 
 
@@ -173,7 +173,7 @@ def test_06_minimal_rank_bound(pinned_net):
     assert sum(profile.values()) == 19608
     assert min(profile) >= 3
     low_rank = minors_ideal(QQ, pinned_net.stack("v"), 3)
-    assert len(low_rank.generators) == 200
+    assert len(low_rank.forms[3][0]) == 200
     assert is_empty_projective(low_rank).is_empty
     _budget("rank >= 3 everywhere", 120, start)
 
@@ -191,7 +191,7 @@ def test_07_line_correspondences(pinned_net, found_curve_points):
     elements = list(field.elements())
     params = [(field.one_value, field.zero_value)] \
         + [(x, field.one_value) for x in elements]
-    generators = x_ideal(reduced).generators
+    generators = x_generators(reduced)
     m_keys = set()
     for c, (on_x, (a1, a2), key) in zip(points,
                                          curve_fibers(reduced, points)):

@@ -173,26 +173,53 @@ class TestPipeline:
                      "--fields", fields]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # nets native to a finite field: over GF(9) and GF(81) the emptiness
+    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5
+    @pytest.mark.parametrize("field, regularity, digest", [
+        (GF(3, 2), ("fail", {
+            "error": "emptiness check needs QQ or prime-field input"}),
+         "e7f25bd9d765fde6aca1eef326d12b21dcf18065bbe8fdaec6f4dd4872dc50aa"),
+        (GF(3, 4), ("fail", {
+            "error": "emptiness check needs QQ or prime-field input"}),
+         "be2c0fba197c2d7f82c7a014c9c2c81c112e8aafa5204adbbec047ada1953210"),
+        (GF(5), ("pass", {"detail": None, "status": "EMPTY", "witness": 2}),
+         "c20e4123c046217ad12968142625c0a2c6866db85eadaf6f0cf3d6063de0e390")],
+        ids=["GF(9)", "GF(81)", "GF(5)"])
+    def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
+                                        regularity, digest):
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        net = correspondence.random_net(field, 5, 6, random.Random(5),
+                                        bound=1)
+        fx = tmp_path / "native.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        out = tmp_path / "report.json"
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 1
+        stage = json.loads(out.read_text())["stages"][0]
+        assert (stage["verdict"], stage["detail"]) == regularity
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("which", ["pinned", "irregular"])
     def test_pipeline_multiplies_no_polynomials(self, which, fixture_path,
                                                 tmp_path, monkeypatch):
         """The cubic, the sub-Pfaffians and the minors all come from code
-        arrays, so a whole pipeline multiplies no MultiPolys."""
+        arrays, and the Jacobian of Y is taken on the cubic's integer row,
+        so a whole pipeline multiplies and differentiates no MultiPolys."""
         fx = fixture_path
         if which == "irregular":
             fx = tmp_path / "dead.json"
             fx.write_text(dead_fixture_text())
-        calls = []
-        mul = MultiPoly.__mul__
+        calls = {"__mul__": 0, "partial": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(MultiPoly, name)):
+                calls[_name] += 1
+                return _real(*args)
 
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+            monkeypatch.setattr(MultiPoly, name, counted)
         main(["pipeline", str(fx), "-o", str(tmp_path / "rep.json"),
               "--samples", "50"])
-        assert len(calls) == 0
+        assert calls == {"__mul__": 0, "partial": 0}
 
     def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])

@@ -31,12 +31,12 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
 from scalar_references import (certify_line_on_x, exact_divide, fv_at,
-                               fv_rank_table, kappa, laplace_minors,
-                               line_key, line_on_hypersurface,
+                               fv_rank_table, ideal_polys, kappa,
+                               laplace_minors, line_key, line_on_hypersurface,
                                net_linear_forms, pfaffian_expansion,
                                psi_fiber, satisfies_quadrics,
                                splitting_type_on_line, stack_grid,
-                               sub_pfaffians, x_ideal, x_plucker_points,
+                               sub_pfaffians, x_generators, x_plucker_points,
                                y_payloads)
 
 F2 = GF(2)
@@ -287,12 +287,12 @@ class TestRegularity:
 
     def test_classify_reuses_the_regularity_verdict(self, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
-        sub_pf = sub_pfaffian_ideal(net).generators
+        sub_pf = ideal_polys(sub_pfaffian_ideal(net))
         real = correspondence.is_empty_projective
         calls = []
 
         def counting(ideal, **kw):
-            calls.append(ideal.generators == sub_pf)
+            calls.append(ideal_polys(ideal) == sub_pf)
             return real(ideal, **kw)
 
         monkeypatch.setattr(correspondence, "is_empty_projective", counting)
@@ -311,24 +311,29 @@ class TestRegularity:
     @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003), GF(3, 2)],
                              ids=str)
     def test_sub_pfaffian_ideal_matches_the_expansion(self, field):
-        """Over QQ and GF(p) the ideal holds integer rows and builds its
-        MultiPolys only when asked; they are the expansion's, as a set."""
+        """Over QQ and GF(p) the ideal's rows are the expansion's
+        sub-Pfaffians, as a set; over GF(9) the levels are, and the ideal
+        raises."""
         rng = random.Random(3)
         tris = [[Fraction(v, rng.choice([1, 2, 4, 5])) for v in tri]
                 for tri in PINNED_UPPER]
         net = ANet.from_upper_triangles(QQ, 6, tris).over(field)
-        ideal = sub_pfaffian_ideal(net)
-        assert (ideal._generators is None) \
-            == (field.kind in ("QQ", "GF(p)"))
         want = [g for g in sub_pfaffians(stack_grid(field, net.stack("a")), 4)
                 if not g.is_zero()]
-        assert len(ideal.generators) == len(want) == 15
-        assert set(ideal.generators) == set(want)
+        assert len(want) == 15
+        if field.kind == "GF(p^k)":
+            assert set(pfaffian_polys(field, net.stack("a"), 4)) == set(want)
+            with pytest.raises(ValueError, match="prime-field input"):
+                sub_pfaffian_ideal(net)
+            return
+        got = ideal_polys(sub_pfaffian_ideal(net))
+        assert len(got) == 15
+        assert set(got) == set(want)
 
     def test_sub_pfaffian_ideal_sizes(self, pinned):
         ideal = sub_pfaffian_ideal(pinned)
-        assert len(ideal.generators) == 15
-        assert all(g.homogeneous_degree() == 2 for g in ideal.generators)
+        assert ideal.degrees == [2]
+        assert len(ideal.forms[2][0]) == 15
 
 
 class TestFvMatrix:
@@ -449,9 +454,10 @@ class TestQuartic:
 class TestCurve:
     def test_minors_vanish_exactly_on_low_rank(self, pinned):
         ci = c_ideal(pinned)
-        assert len(ci.generators) == 75
+        gens = ideal_polys(ci)
+        assert len(gens) == 75
         net3 = pinned.map_field(F3)
-        gens3 = [g.map_field(F3) for g in ci.generators]
+        gens3 = [g.map_field(F3) for g in gens]
         for v in enumerate_projective(F3, 5):
             all_zero = all(F3.is_zero_value(g.evaluate(list(v)))
                            for g in gens3)
@@ -499,8 +505,13 @@ class TestStackLevels:
             == laplace_minors(grid_v, 5)
         quartics = laplace_minors(grid_v, 4)
         assert len(quartics) == 75
-        assert c_ideal(net).generators \
-            == [m for m in quartics if not m.is_zero()]
+        if field.kind == "GF(p^k)":
+            assert minor_polys(field, net.stack("v"), 4) == quartics
+            with pytest.raises(ValueError, match="prime-field input"):
+                c_ideal(net)
+        else:
+            assert ideal_polys(c_ideal(net)) \
+                == [m for m in quartics if not m.is_zero()]
 
 
 class TestKappa:
@@ -824,9 +835,8 @@ class TestXSide:
                        for f in forms)
 
     def test_x_ideal_generator_count(self, pinned):
-        ideal = x_ideal(pinned)
         # 15 Plucker quadrics plus 5 hyperplanes
-        assert len(ideal.generators) == 20
+        assert len(x_generators(pinned)) == 20
 
 
 class TestRankOracle:

@@ -21,8 +21,8 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_level, minor_polys
 
 from conftest import random_value
-from scalar_references import (det, laplace_minors, monomials_of_degree,
-                               stack_grid)
+from scalar_references import (det, ideal_of, ideal_polys, laplace_minors,
+                               monomials_of_degree, stack_grid)
 from test_cli import dead_fixture_text
 
 
@@ -56,44 +56,51 @@ def random_ideal(field, nvars, rng, ngens=3):
         g = MultiPoly(field, nvars, terms)
         if not g.is_zero():
             gens.append(g)
-    return HomogeneousIdeal(field, nvars, gens)
+    return ideal_of(field, nvars, gens)
 
 
 # -- macaulay matrices and plain hilbert values ------------------------------
 
 def test_macaulay_principal_ideal():
-    ideal = HomogeneousIdeal(QQ, 2, [x(QQ, 2, 0)])
+    ideal = ideal_of(QQ, 2, [x(QQ, 2, 0)])
     m = macaulay_matrix(ideal, 2)
     assert (m.nrows, m.ncols) == (2, 3)
     assert m.rank() == 2
 
 
 def test_macaulay_zero_ideal():
-    ideal = HomogeneousIdeal(QQ, 3, [])
+    ideal = ideal_of(QQ, 3, [])
     assert macaulay_matrix(ideal, 2).nrows == 0
     assert hilbert_function(ideal, 3) == ambient_dimension(3, 3) == 10
 
 
 def test_hilbert_zero_ideal_six_vars():
-    ideal = HomogeneousIdeal(GF(7), 6, [])
+    ideal = ideal_of(GF(7), 6, [])
     assert hilbert_function(ideal, 3) == comb(8, 5) == 56
 
 
 def test_hilbert_irrelevant_ideal():
-    ideal = HomogeneousIdeal(GF(7), 6, variables(GF(7), 6))
+    ideal = ideal_of(GF(7), 6, variables(GF(7), 6))
     for t in (1, 2, 5):
         assert hilbert_function(ideal, t) == 0
 
 
-def test_inhomogeneous_generator_rejected():
-    bad = x(QQ, 2, 0) + MultiPoly.constant(QQ, 2, 1)
-    with pytest.raises(ValueError):
-        HomogeneousIdeal(QQ, 2, [bad])
-
-
 def test_zero_generators_dropped():
-    ideal = HomogeneousIdeal(QQ, 2, [MultiPoly.zero(QQ, 2), x(QQ, 2, 1)])
-    assert len(ideal.generators) == 1
+    """Zero rows go, and a row and its scale are divided by their gcd."""
+    ideal = HomogeneousIdeal(QQ, 2, {1: (np.array([[0, 0], [4, 6]]),
+                                         [1, 10]), 2: (np.zeros((2, 3)),
+                                                       [1, 1])})
+    rows, scales = ideal.forms[1]
+    assert rows.tolist() == [[2, 3]] and scales == [5]
+    assert ideal.degrees == [1]
+    assert ideal_polys(ideal) == [x(QQ, 2, 0) * Fraction(2, 5)
+                                  + x(QQ, 2, 1) * Fraction(3, 5)]
+
+
+@pytest.mark.parametrize("field", [GF(3, 2), GF(2, 2)], ids=str)
+def test_an_extension_field_ideal_raises(field):
+    with pytest.raises(ValueError, match="needs QQ or prime-field input"):
+        HomogeneousIdeal(field, 2, {})
 
 
 # -- the incremental engine against direct ranks -----------------------------
@@ -122,15 +129,15 @@ def test_engine_deterministic_and_order_insensitive():
 
 
 def test_engine_rejects_wrong_field():
-    ideal = HomogeneousIdeal(GF(7), 2, [x(GF(7), 2, 0)])
+    ideal = ideal_of(GF(7), 2, [x(GF(7), 2, 0)])
     with pytest.raises(ValueError):
         HilbertEngine(ideal, prime=32003)
 
 
 def reduced_ideal(ideal, p):
     """The GF(p) reduction of a QQ ideal, generator by generator."""
-    return HomogeneousIdeal(GF(p), ideal.nvars,
-                            [g.map_field(GF(p)) for g in ideal.generators])
+    return ideal_of(GF(p), ideal.nvars,
+                    [g.map_field(GF(p)) for g in ideal_polys(ideal)])
 
 
 @pytest.mark.parametrize("prime", [7, 32003])
@@ -148,7 +155,7 @@ def test_engine_over_qq_matches_engine_over_its_reduction(prime):
                                             rng.randint(1, 6))
                 for _ in range(5)}))
         gens.append(prime * x(QQ, 4, 1) ** 2)
-        ideal = HomogeneousIdeal(QQ, 4, gens)
+        ideal = ideal_of(QQ, 4, gens)
         over_qq = HilbertEngine(ideal, prime=prime)
         over_fp = HilbertEngine(reduced_ideal(ideal, prime), prime=prime)
         assert over_qq.degrees == over_fp.degrees
@@ -165,8 +172,7 @@ def test_engine_over_qq_matches_engine_over_its_reduction(prime):
 
 
 def test_engine_rejects_a_denominator_the_prime_divides():
-    ideal = HomogeneousIdeal(QQ, 2, [x(QQ, 2, 0) * Fraction(1, 7)
-                                     + x(QQ, 2, 1)])
+    ideal = ideal_of(QQ, 2, [x(QQ, 2, 0) * Fraction(1, 7) + x(QQ, 2, 1)])
     with pytest.raises(ZeroDivisionError,
                        match="denominator not invertible mod 7"):
         HilbertEngine(ideal, prime=7)
@@ -177,7 +183,7 @@ def test_macaulay_bound_drops_a_generator_that_vanishes_mod_p():
     """7 x0^5 vanishes mod 7, so the bound there reads the two linear forms
     alone: fewer than 3 of them, B = 0.  At 32003 it counts, B = 5."""
     x0, x1, _ = variables(QQ, 3)
-    ideal = HomogeneousIdeal(QQ, 3, [7 * x0 ** 5, x0, x1])
+    ideal = ideal_of(QQ, 3, [7 * x0 ** 5, x0, x1])
     assert HilbertEngine(ideal, prime=7).degrees == [1, 1]
     assert HilbertEngine(ideal, prime=32003).degrees == [5, 1, 1]
     res = is_empty_projective(ideal, prime=7)
@@ -220,7 +226,7 @@ def _staggered_ideal(field, p, rng, t0=2, nvars=4):
                                              for _ in range(4)}))
     if field.kind == "QQ":
         gens.append(p * x(QQ, nvars, 0) * x(QQ, nvars, 1) ** t0)
-    return HomogeneousIdeal(field, nvars, gens)
+    return ideal_of(field, nvars, gens)
 
 
 @pytest.mark.parametrize("prime", [7, 32003])
@@ -316,7 +322,7 @@ def test_variable_multiples_stay_inside():
     from pfaffian_nets.matrices import ExactMatrix
     m_t1 = macaulay_matrix(ideal, t + 1)
     shifted_rows = []
-    for g in ideal.generators:
+    for g in ideal_polys(ideal):
         for j in range(4):
             prod = g * x(field, 4, j)
             cols = {e: i for i, e in enumerate(monomials_of_degree(4, t + 1))}
@@ -348,7 +354,7 @@ def test_fit_line_in_six_vars():
         for xi in xs:
             form = form + xi.scale(rng.randrange(1, 32003))
         gens.append(form)
-    data = fit_hilbert_polynomial(HomogeneousIdeal(field, 6, gens), 1)
+    data = fit_hilbert_polynomial(ideal_of(field, 6, gens), 1)
     assert data.fitted == (Fraction(1), Fraction(1))  # t + 1
     assert data.scheme_degree == 1
     assert data.arithmetic_genus == 0
@@ -371,7 +377,7 @@ def test_fit_single_quartic_binomial_identity():
     monos = list(monomials_of_degree(6, 4))
     q = MultiPoly(field, 6, {m: rng.randrange(1, 32003)
                              for m in rng.sample(monos, 12)})
-    ideal = HomogeneousIdeal(field, 6, [q])
+    ideal = ideal_of(field, 6, [q])
     engine = HilbertEngine(ideal, prime=32003)
     for t in range(4, 9):
         assert engine.hilbert_function(t) == comb(t + 5, 5) - comb(t + 1, 5)
@@ -389,7 +395,7 @@ def test_fit_falls_back_to_exact_ranks_when_primes_disagree(monkeypatch):
         return hilbert_function(ideal, t)
     monkeypatch.setattr(ideals, "hilbert_function", counted)
     x0, x1, _ = variables(QQ, 3)
-    ideal = HomogeneousIdeal(QQ, 3, [x0, x1.scale(32009)])
+    ideal = ideal_of(QQ, 3, [x0, x1.scale(32009)])
     data = fit_hilbert_polynomial(ideal, 0)
     assert data.fitted == (1,)
     assert data.values == [1, 1]
@@ -397,9 +403,8 @@ def test_fit_falls_back_to_exact_ranks_when_primes_disagree(monkeypatch):
 
 
 def test_fit_falls_back_to_exact_ranks_on_integer_rows(monkeypatch):
-    """The same disagreement on a minors ideal held as integer rows: the
-    generators the exact fallback reads are built from the rows only
-    then."""
+    """The same disagreement on the integer rows of a minors ideal: the
+    exact fallback reads its Macaulay matrices from the rows."""
     import pfaffian_nets.ideals as ideals
     exact = []
 
@@ -409,20 +414,19 @@ def test_fit_falls_back_to_exact_ranks_on_integer_rows(monkeypatch):
     monkeypatch.setattr(ideals, "hilbert_function", counted)
     x0, x1, _ = variables(QQ, 3)
     ideal = minors_ideal(QQ, [[[1, 0]], [[0, 32009]], [[0, 0]]], 1)
-    assert ideal._generators is None and ideal.degrees == [1]
+    assert ideal.degrees == [1]
     data = fit_hilbert_polynomial(ideal, 0)
     assert data.fitted == (1,)
     assert data.values == [1, 1]
     assert exact == [0, 1]
-    assert ideal.generators == [x0, x1.scale(32009)]
+    assert ideal_polys(ideal) == [x0, x1.scale(32009)]
 
 
 def test_repr_of_a_row_ideal_builds_no_generators(pinned_net):
-    """repr counts the rows of an ideal held as integer rows."""
-    ideal = c_ideal(pinned_net)
-    assert repr(ideal) == "HomogeneousIdeal(QQ, 75 gens, degrees [4])"
-    assert ideal._generators is None
-    assert repr(HomogeneousIdeal(QQ, 75, [])) \
+    """repr counts the rows of an ideal."""
+    assert repr(c_ideal(pinned_net)) \
+        == "HomogeneousIdeal(QQ, 75 gens, degrees [4])"
+    assert repr(HomogeneousIdeal(QQ, 75, {})) \
         == "HomogeneousIdeal(QQ, 0 gens, degrees [])"
 
 
@@ -443,9 +447,9 @@ def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
     for r in (2, 3):
         _, level, _, scales = minor_level(QQ, stack, r)
         for i, minor in enumerate(minor_polys(QQ, stack, r)):
-            got = _engine_or_error(HomogeneousIdeal.from_rows(
-                QQ, 3, r, level[i:i + 1], scales[i:i + 1]), prime)
-            want = _engine_or_error(HomogeneousIdeal(QQ, 3, [minor]), prime)
+            got = _engine_or_error(HomogeneousIdeal(
+                QQ, 3, {r: (level[i:i + 1], scales[i:i + 1])}), prime)
+            want = _engine_or_error(ideal_of(QQ, 3, [minor]), prime)
             if isinstance(want, str):
                 assert got == want == \
                     "denominator not invertible mod %d" % prime
@@ -455,7 +459,7 @@ def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
                                       want._gens_by_degree.get(r, []))
         a, b = (_engine_or_error(ideal, prime) for ideal in (
             minors_ideal(QQ, stack, r),
-            HomogeneousIdeal(QQ, 3, minor_polys(QQ, stack, r))))
+            ideal_of(QQ, 3, minor_polys(QQ, stack, r))))
         if isinstance(b, str):
             assert a == b
             continue
@@ -467,7 +471,7 @@ def test_integer_rows_reduce_like_their_coefficients(pinned_net, prime):
 
 
 def test_fit_failure_reports_cap():
-    ideal = HomogeneousIdeal(GF(7), 3, [])
+    ideal = ideal_of(GF(7), 3, [])
     with pytest.raises(ValueError, match="did not stabilize"):
         fit_hilbert_polynomial(ideal, 0, cap=6)
 
@@ -475,16 +479,16 @@ def test_fit_failure_reports_cap():
 # -- projective emptiness ----------------------------------------------------
 
 def test_empty_irrelevant():
-    ideal = HomogeneousIdeal(GF(32003), 6, variables(GF(32003), 6))
+    ideal = ideal_of(GF(32003), 6, variables(GF(32003), 6))
     res = is_empty_projective(ideal)
     assert res.status == EMPTY and res.witness_degree == 1
     assert res.is_empty
 
 
 def test_nonempty_zero_ideal_and_point():
-    res = is_empty_projective(HomogeneousIdeal(GF(7), 3, []), cap=6)
+    res = is_empty_projective(ideal_of(GF(7), 3, []), cap=6)
     assert res.status == NONEMPTY and not res.is_empty
-    point = HomogeneousIdeal(GF(7), 6, variables(GF(7), 6)[:5])
+    point = ideal_of(GF(7), 6, variables(GF(7), 6)[:5])
     res2 = is_empty_projective(point, cap=5)
     assert res2.status == NONEMPTY and res2.tail[-1] == 1
 
@@ -494,7 +498,7 @@ def test_inconclusive_surfaced_not_coerced():
     # of 4 sees 1, 2, 3, 2, 1 still strictly dropping
     field = GF(7)
     x0, x1 = variables(field, 2)
-    ideal = HomogeneousIdeal(field, 2, [x0 ** 3, x1 ** 3])
+    ideal = ideal_of(field, 2, [x0 ** 3, x1 ** 3])
     res = is_empty_projective(ideal, cap=4)
     assert res.status == INCONCLUSIVE
     assert res.tail == [1, 2, 3, 2, 1]
@@ -523,7 +527,7 @@ def test_irregular_net_certified_nonempty_at_the_bound():
 def test_constant_generator_empty_at_zero():
     field = GF(7)
     one = MultiPoly.constant(field, 3, 1)
-    res = is_empty_projective(HomogeneousIdeal(field, 3, [one]))
+    res = is_empty_projective(ideal_of(field, 3, [one]))
     assert res.status == EMPTY and res.witness_degree == 0
     assert res.tail == [0]
 
@@ -539,8 +543,8 @@ def test_stopping_at_the_bound_matches_a_longer_climb(seed):
         # a shared factor puts a hypersurface inside the zero set
         factor = _random_form(field, nvars, 1, rng)
         gens = [factor * g for g in gens[:-1]]
-    ideal = HomogeneousIdeal(field, nvars, gens)
-    degrees = sorted((g.homogeneous_degree() for g in ideal.generators),
+    ideal = ideal_of(field, nvars, gens)
+    degrees = sorted((g.homogeneous_degree() for g in ideal_polys(ideal)),
                      reverse=True)
     bound = (sum(degrees[:nvars]) - nvars + 1
              if len(degrees) >= nvars else 0)
@@ -555,9 +559,9 @@ def test_stopping_at_the_bound_matches_a_longer_climb(seed):
 def test_emptiness_stable_under_redundant_generators():
     field = GF(101)
     base = twisted_cubic_ideal(field)
-    padded = HomogeneousIdeal(field, 4, base.generators +
-                              [g * x(field, 4, j) for g in base.generators
-                               for j in (0, 2)])
+    gens = ideal_polys(base)
+    padded = ideal_of(field, 4, gens + [g * x(field, 4, j) for g in gens
+                                        for j in (0, 2)])
     a = is_empty_projective(base, cap=8)
     b = is_empty_projective(padded, cap=8)
     assert a.status == b.status == NONEMPTY
@@ -568,14 +572,14 @@ def test_emptiness_stable_under_redundant_generators():
 def test_jacobian_smooth_conic():
     x0, x1, x2 = variables(QQ, 3)
     conic = x0 * x2 - x1 * x1
-    jac = jacobian_ideal(HomogeneousIdeal(QQ, 3, [conic]))
-    assert len(jac.generators) == 4
+    jac = jacobian_ideal(ideal_of(QQ, 3, [conic]))
+    assert len(ideal_polys(jac)) == 4
     assert is_empty_projective(jac).status == EMPTY
 
 
 def test_jacobian_cone_singular_at_a_point():
     x0, x1, x2 = variables(QQ, 3)
-    jac = jacobian_ideal(HomogeneousIdeal(QQ, 3, [x0 * x1]))
+    jac = jacobian_ideal(ideal_of(QQ, 3, [x0 * x1]))
     res = is_empty_projective(jac)
     assert res.status == NONEMPTY
     engine = HilbertEngine(jac)
@@ -586,27 +590,66 @@ def test_jacobian_codim_required_for_multiple_generators():
     # there is no codimension to size the Jacobian minors to: only a
     # hypersurface has a Jacobian ideal
     x0, x1, x2 = variables(QQ, 3)
-    ideal = HomogeneousIdeal(QQ, 3, [x0 * x1, x0 * x2])
+    ideal = ideal_of(QQ, 3, [x0 * x1, x0 * x2])
     with pytest.raises(ValueError, match="hypersurface"):
         jacobian_ideal(ideal)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_jacobian_equals_the_multipoly_partials(field):
+    """On random cubics in 4 variables, over QQ with denominators and over
+    GF(7), the row Jacobian holds the cubic and its nonzero partials."""
+    rng = random.Random(8)
+    for _ in range(5):
+        cubic = MultiPoly(field, 4, {
+            e: random_value(field, rng, 9)
+            for e in rng.sample(list(monomials_of_degree(4, 3)), 8)})
+        want = [cubic] + [cubic.partial(i) for i in range(4)]
+        assert ideal_polys(jacobian_ideal(ideal_of(field, 4, [cubic]))) \
+            == [g for g in want if not g.is_zero()]
+
+
+def test_jacobian_drops_partials_that_vanish_mod_p():
+    # every partial of x0^3 + x1^3 + x2^3 is 3 x_i^2, zero over GF(3)
+    x0, x1, x2 = variables(GF(3), 3)
+    cubic = x0 ** 3 + x1 ** 3 + x2 ** 3
+    jac = jacobian_ideal(ideal_of(GF(3), 3, [cubic]))
+    assert jac.degrees == [3]
+    assert ideal_polys(jac) == [cubic]
+
+
+def test_jacobian_partials_of_large_coefficients_stay_exact():
+    # 3 * (2^62 - 1) overflows int64: the partial is taken on Python ints
+    big = (1 << 62) - 1
+    ideal = HomogeneousIdeal(QQ, 2, {3: (np.array([[big, 0, 0, 1]]), [1])})
+    rows, _ = jacobian_ideal(ideal).forms[2]
+    assert rows.tolist() == [[3 * big, 0, 0], [0, 0, 3]]
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_minor_size_must_be_positive(r):
+    stack = index_stack(QQ, 2, [[0, 1], [1, 0]])
+    for build in (minor_level, minors_ideal, minor_polys):
+        with pytest.raises(ValueError, match="minor size must be positive"):
+            build(QQ, stack, r)
 
 
 def test_minors_two_by_two():
     x0, x1, x2, x3 = variables(QQ, 4)
     ideal = minors_ideal(QQ, index_stack(QQ, 4, [[0, 1], [2, 3]]), 2)
-    assert len(ideal.generators) == 1
-    assert ideal.generators[0] == x0 * x3 - x1 * x2
+    assert len(ideal_polys(ideal)) == 1
+    assert ideal_polys(ideal)[0] == x0 * x3 - x1 * x2
 
 
 def test_minors_size_one_gives_entries():
     ideal = minors_ideal(QQ, index_stack(QQ, 4, [[0, 1], [2, 3]]), 1)
-    assert len(ideal.generators) == 4
+    assert len(ideal_polys(ideal)) == 4
 
 
 def test_minors_of_rank_deficient_grid():
     # rank-1 grid [[x0, x1], [x0, x1]]: all 2x2 minors vanish identically
     ideal = minors_ideal(QQ, index_stack(QQ, 2, [[0, 1], [0, 1]]), 2)
-    assert ideal.generators == []
+    assert ideal_polys(ideal) == []
 
 
 def _random_form(field, nvars, degree, rng):
@@ -645,8 +688,12 @@ def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
                 sub = ExactMatrix(field, [[vals[i][j] for j in cols]
                                           for i in rows])
                 assert minor.evaluate(pt) == det(sub)
-        assert minors_ideal(field, stack, r).generators == [
-            m for m in minors if not m.is_zero()]
+        if field.kind == "GF(p^k)":
+            with pytest.raises(ValueError, match="prime-field input"):
+                minors_ideal(field, stack, r)
+        else:
+            assert ideal_polys(minors_ideal(field, stack, r)) == [
+                m for m in minors if not m.is_zero()]
 
 
 REFERENCE_FIELDS = {"QQ": QQ, "GF(7)": GF(7), "GF(4)": GF(2, 2),

@@ -11,18 +11,12 @@ from pfaffian_nets.correspondence import (ANet, pfaffian_hypersurface,
 from pfaffian_nets.fields import GF, QQ
 from pfaffian_nets.grassmann import (GrassmannLine, enumerate_grassmannian,
                                      enumerate_projective, plucker_from_basis)
-from pfaffian_nets.ideals import HomogeneousIdeal
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
-from pfaffian_nets.verify import (
-    SamplePlan,
-    count_points,
-    jw1_section_check,
-    jw_pointwise,
-)
+from pfaffian_nets.verify import SamplePlan, jw1_section_check, jw_pointwise
 
 import scalar_references
-from scalar_references import x_plucker_points, y_payloads
+from scalar_references import count_points, x_plucker_points, y_payloads
 from conftest import PINNED_UPPERS
 from test_cohomology import dead_coordinate_net
 
@@ -729,29 +723,24 @@ class TestSingularNetDetection:
 
 class TestCountPoints:
     def test_hyperplane_in_p5(self):
-        ideal = HomogeneousIdeal(QQ, 6, [MultiPoly.linear_form(
-            QQ, [1, 0, 0, 0, 0, 0])])
-        assert count_points(ideal, GF(2)) == 31
+        form = MultiPoly.linear_form(QQ, [1, 0, 0, 0, 0, 0])
+        assert count_points([form], 6, GF(2)) == 31
 
     def test_empty_ideal_counts_everything(self):
-        ideal = HomogeneousIdeal(QQ, 6, [])
-        assert count_points(ideal, GF(2)) == 63
+        assert count_points([], 6, GF(2)) == 63
 
     def test_limit_guard(self):
-        ideal = HomogeneousIdeal(QQ, 6, [])
         with pytest.raises(ValueError, match="limit"):
-            count_points(ideal, GF(46337), limit=1000)
+            count_points([], 6, GF(46337), limit=1000)
 
     def test_rational_field_rejected(self):
-        ideal = HomogeneousIdeal(QQ, 3, [])
         with pytest.raises(ValueError):
-            count_points(ideal, QQ)
+            count_points([], 3, QQ)
 
     def test_cubic_count_matches_enumeration(self, pinned_net):
         cubic = pfaffian_hypersurface(pinned_net)
-        ideal = HomogeneousIdeal(QQ, 5, [cubic])
         ys = y_payloads(pinned_net, GF(2))
-        assert count_points(ideal, GF(2)) == len(ys)
+        assert count_points([cubic], 5, GF(2)) == len(ys)
         reduced = pinned_net.map_field(GF(2))
         for a in ys:
             assert reduced.f_at(a).rank() == 4
@@ -762,6 +751,6 @@ class TestCountPoints:
         # a GF(p^k) zero payload is a nonempty tuple, so a zero value must
         # be read with is_zero_value, never by truthiness
         field = GF(*q)
-        ideal = HomogeneousIdeal(QQ, 5, [pfaffian_hypersurface(pinned_net)])
-        assert count_points(ideal, field) == count
+        cubic = pfaffian_hypersurface(pinned_net)
+        assert count_points([cubic], 5, field) == count
         assert len(y_points(pinned_net, field)) == count
