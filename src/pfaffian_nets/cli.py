@@ -28,7 +28,7 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
                              find_c_points, find_lines_on_y, is_regular,
                              lie_on_y, pfaffian_hypersurface, q_quartic,
                              random_regular_net, splitting_types)
-from .fields import GF, field_from_name
+from .fields import GF, field_from_name, reduces_to
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
 from .modnum import MAX_PRIME, TABLE_ORDER, field_codes
@@ -169,8 +169,9 @@ def _resolve(args, attr, env, default, conv=None):
 
 
 def _options(args, net):
-    """The run's options; a field whose rank tables over P(A) or P(V) of
-    `net` cannot be built is an input error."""
+    """The run's options, with `net` under "net"; a field whose rank
+    tables over P(A) or P(V) of `net` cannot be built is an input
+    error."""
     fields_spec = _resolve(args, "fields", "FIELDS", "2,3")
     # a comma inside parentheses belongs to a name such as GF(3,2)
     tokens = [t for t in re.split(r",(?![^()]*\))", str(fields_spec)) if t]
@@ -201,6 +202,7 @@ def _options(args, net):
     if samples < 1:
         raise ValueError("sample count must be at least 1, got %d" % samples)
     return {
+        "net": net,
         "fields": fields,
         "prime": prime,
         "second_prime": other_prime(prime),
@@ -226,8 +228,23 @@ def _stage_regularity(ctx):
     }
 
 
+def _reachable(net, fields):
+    """The fields of `fields` that `net` reduces to, and a payload naming
+    the rest: the reason to skip a stage that keeps no field, else its
+    "skipped_fields"."""
+    kept = [f for f in fields if reduces_to(net.field, f)]
+    names = [f.name for f in fields if f not in kept]
+    if not kept:
+        return kept, {"reason": "the net over %s reduces to none of %s"
+                                % (net.field, ", ".join(names))}
+    return kept, {"skipped_fields": names} if names else {}
+
+
 def _stage_classification(ctx):
-    cls = classify(ctx["net"], fields=ctx["fields"], prime=ctx["prime"],
+    fields, skipped = _reachable(ctx["net"], ctx["fields"])
+    if not fields:
+        return "skipped", skipped
+    cls = classify(ctx["net"], fields=fields, prime=ctx["prime"],
                    cap=ctx["cap"])
     ctx["classification"] = cls
     sets_ok = all(d["sets_equal"] for d in cls.per_field.values())
@@ -242,6 +259,7 @@ def _stage_classification(ctx):
         "y_smooth": cls.y_smooth.status,
         "per_field": _jsonable(cls.per_field),
         "all_smooth": cls.all_smooth,
+        **skipped,
     }
 
 
@@ -357,14 +375,19 @@ def _jw_plans(ctx):
 
 
 def _fiber_stage(ctx, check):
-    """jw and jw1: one report of `check` per plan, on a net classified
-    smooth."""
+    """jw and jw1: one report of `check` per plan over a field the net
+    reduces to, on a net classified smooth."""
     cls = ctx.get("classification")
     if cls is not None and not cls.all_smooth:
         return "skipped", {"reason": "net is not classified smooth"}
-    reports = [check(ctx["net"], plan).as_dict() for plan in _jw_plans(ctx)]
+    plans = _jw_plans(ctx)
+    fields, skipped = _reachable(ctx["net"], [plan.field for plan in plans])
+    if not fields:
+        return "skipped", skipped
+    reports = [check(ctx["net"], plan).as_dict() for plan in plans
+               if plan.field in fields]
     ok = all(r["passed"] for r in reports)
-    return ("pass" if ok else "fail"), {"reports": reports}
+    return ("pass" if ok else "fail"), {"reports": reports, **skipped}
 
 
 def _stage_jw(ctx):
@@ -419,11 +442,10 @@ def _overall(results):
 
 
 def build_report(doc, opts):
-    """Run the whole pipeline on a parsed fixture; deterministic for fixed
-    (fixture, options)."""
-    net = net_from_fixture(doc)
+    """Run the whole pipeline on a parsed fixture and the options
+    `_options` made for its net; deterministic for fixed (fixture,
+    options)."""
     ctx = dict(opts)
-    ctx["net"] = net
     results = []
     for name in _GATED:
         results.append(_run_stage(name, _STAGE_MAP[name], ctx))
@@ -499,14 +521,11 @@ def cmd_verify(args):
         return EXIT_INPUT
     try:
         doc = _read_json(args.fixture)
-        net = net_from_fixture(doc)
-        opts = _options(args, net)
+        opts = _options(args, net_from_fixture(doc))
     except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    ctx = dict(opts)
-    ctx["net"] = net
-    result = _run_stage(args.check, _STAGE_MAP[args.check], ctx)
+    result = _run_stage(args.check, _STAGE_MAP[args.check], dict(opts))
     _write_text(None, canonical_json(result))
     return _EXIT_BY_VERDICT[result["verdict"]]
 

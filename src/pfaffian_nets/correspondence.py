@@ -23,7 +23,8 @@ from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
                      minors_ideal, other_prime)
 from .matrices import ExactMatrix
-from .multipoly import MultiPoly, minor_polys, pfaffian_level, pfaffian_poly
+from .multipoly import (MultiPoly, level_polys, minor_polys, pfaffian_level,
+                        pfaffian_top_level)
 
 
 class ANet:
@@ -423,20 +424,25 @@ def _regularity(net, prime, cap):
 
 # -- Y side -------------------------------------------------------------------
 
+def _cubic_level(net):
+    """The `pfaffian_top_level` of f(a), expanded once per net: its one row
+    is the form Pf(f(a)) cutting out Y."""
+    return net.derived("cubic level",
+                       lambda: pfaffian_top_level(net.field, net.stack("a")))
+
+
 def pfaffian_hypersurface(net):
     """The form Pf(f(a)) cutting out Y in P(A); degree m in n variables."""
-    pf = net.derived("cubic",
-                     lambda: pfaffian_poly(net.field, net.stack("a")))
+    pf = net.derived("cubic", lambda: level_polys(*_cubic_level(net))[0])
     if pf.is_zero():
         raise ValueError("Pf(f(a)) vanishes identically: degenerate net")
     return pf
 
 
 def y_ideal(net):
-    """The ideal of Y: the cubic as the top level of `pfaffian_level`."""
+    """The ideal of Y: the cubic's level as integer rows."""
     pfaffian_hypersurface(net)  # a degenerate net raises here
-    _, level, _, scales = pfaffian_level(net.field, net.stack("a"),
-                                         net.two_m)
+    _, level, _, scales = _cubic_level(net)
     return HomogeneousIdeal(net.field, net.n,
                             {net.two_m // 2: (level, scales)})
 

@@ -6,6 +6,9 @@ and `addmul_mod` sums K products plus a residue in float64, which is exact
 while K*(p-1)^2 + p < 2^53, so for K < 2^22.  K is at most the panel width
 inside `rref_mod`, but up to the pivot count of a graded piece when
 `HilbertEngine.absorb` reduces against a whole basis (185 on the pinned net).
+It runs the product in blocks of at most _ONE_THREAD_MNK = 2^18
+multiply-adds (M*N*K), the size up to which OpenBLAS keeps a GEMM on the
+calling thread (see `addmul_mod`).
 
 `rref_mod` sweeps each panel of _PANEL columns once, building the transform
 T of its pivot rows alongside, and one blocked float64 update applies T - I
@@ -38,7 +41,9 @@ from .fields import GF
 
 MAX_PRIME = 46337  # (p-1)^2 must fit comfortably; see module docstring
 _PANEL = 64  # columns per Gauss-Jordan panel in rref_mod
-_COL_CHUNK = 2048  # columns per float64 matmul in addmul_mod
+# the most M*N*K a float64 product in addmul_mod may have: OpenBLAS runs a
+# GEMM up to 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) on one thread
+_ONE_THREAD_MNK = 1 << 18
 TABLE_ORDER = 64  # the largest field whose codes read operation tables
 
 _inv_tables = {}
@@ -114,15 +119,35 @@ def _panel_sweep(E, p):
 
 def addmul_mod(target, delta, rows, p, col_lo=None, col_hi=None):
     """target[:, J] += delta @ rows[:, J] (mod p) for all column ranges J,
-    optionally skipping [col_lo, col_hi).  Exact float64 matmul inside."""
+    optionally skipping [col_lo, col_hi).  Exact float64 matmul inside.
+
+    The product runs in blocks of at most _ONE_THREAD_MNK multiply-adds
+    (M*N*K for M rows, N columns and inner dimension K): a larger GEMM
+    wakes an OpenBLAS worker thread, which spins on after it.  A block
+    takes all M rows when that leaves it at least 32 columns, and
+    otherwise as many rows as leave it 32, since narrower blocks run
+    OpenBLAS's kernels well below their speed.  delta and the rows of each
+    column range are converted to float64 once, and each range of target
+    is reduced mod p once."""
+    M, K = delta.shape
     C = target.shape[1]
     deltaf = delta.astype(np.float64)
+    mstep = max(1, min(M, _ONE_THREAD_MNK // (32 * max(K, 1))))
+    nstep = max(1, _ONE_THREAD_MNK // (mstep * max(K, 1)))
     spans = [(0, C)] if col_lo is None else [(0, col_lo), (col_hi, C)]
     for lo, hi in spans:
-        for j0 in range(lo, hi, _COL_CHUNK):
-            j1 = min(hi, j0 + _COL_CHUNK)
-            prod = deltaf @ rows[:, j0:j1].astype(np.float64)
-            target[:, j0:j1] = (target[:, j0:j1] + prod.astype(np.int64)) % p
+        if hi <= lo:
+            continue
+        rowsf = rows[:, lo:hi].astype(np.float64)
+        if M * K * (hi - lo) <= _ONE_THREAD_MNK:  # one block
+            prod = deltaf @ rowsf
+        else:
+            prod = np.empty((M, hi - lo))
+            for j0 in range(0, hi - lo, nstep):
+                for i0 in range(0, M, mstep):
+                    np.matmul(deltaf[i0:i0 + mstep], rowsf[:, j0:j0 + nstep],
+                              out=prod[i0:i0 + mstep, j0:j0 + nstep])
+        target[:, lo:hi] = (target[:, lo:hi] + prod.astype(np.int64)) % p
 
 
 def rref_mod(a, p):

@@ -13,7 +13,7 @@ payloads, one per variable, standing for sum_l x_l C_l.  `minor_level` and
 (`_MinorCodes`) over the exponent rows of `monomial_table`, which is built
 once per process and read by the Hilbert ladder too.  `minor_polys`,
 `pfaffian_polys`, `pfaffian_poly` and `det_poly` are the MultiPoly views of
-a level.
+a level, as `level_polys` makes them.
 """
 
 from __future__ import annotations
@@ -138,16 +138,6 @@ class MultiPoly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_degree(self):
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop() if degs else None
-
     def leading(self):
         """(exponent tuple, coefficient payload) of the graded-lex top term."""
         if not self.terms:
@@ -254,23 +244,6 @@ class MultiPoly:
 
     # -- calculus and evaluation ---------------------------------------------
 
-    def partial(self, i):
-        f = self.field
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            v = f.mul(f.value_of(e), c)
-            if not f.is_zero_value(v):
-                s = f.add(out.get(new, f.zero_value), v)
-                if f.is_zero_value(s):
-                    out.pop(new, None)
-                else:
-                    out[new] = s
-        return MultiPoly._raw(f, self.nvars, out)
-
     def evaluate(self, point):
         """The payload of the value at a point whose coordinates are
         payloads or ints; test it with the field's `is_zero_value`, as a
@@ -367,23 +340,28 @@ class MultiPoly:
 MAX_POLY_PFAFFIAN_SIZE = 8
 
 
-def pfaffian_poly(field, stack):
-    """Pf(sum_l x_l C_l) of a skew stack, sizes <= 8: the top level of
-    `pfaffian_level`, a form of degree size/2."""
+def pfaffian_top_level(field, stack):
+    """The top level of `pfaffian_level` for a skew stack of size <= 8:
+    its one row is Pf(sum_l x_l C_l), a form of degree size/2."""
     if len(stack[0]) > MAX_POLY_PFAFFIAN_SIZE:
         raise ValueError("polynomial pfaffian limited to size %d"
                          % MAX_POLY_PFAFFIAN_SIZE)
-    return pfaffian_polys(field, stack, len(stack[0]))[0]
+    return pfaffian_level(field, stack, len(stack[0]))
+
+
+def pfaffian_poly(field, stack):
+    """Pf(sum_l x_l C_l) as a MultiPoly, from `pfaffian_top_level`."""
+    return level_polys(*pfaffian_top_level(field, stack))[0]
 
 
 def pfaffian_polys(field, stack, k):
     """Every principal k x k sub-Pfaffian of a skew stack, in
     `combinations` order of their index sets, built by `pfaffian_level`;
     only level k becomes MultiPolys."""
-    return _as_polys(*pfaffian_level(field, stack, k))
+    return level_polys(*pfaffian_level(field, stack, k))
 
 
-def _as_polys(codes, level, monos, scales):
+def level_polys(codes, level, monos, scales):
     """The MultiPolys level[i] / scales[i] of a level over `monos`."""
     field, nvars = codes.field, monos.shape[1]
     monos = [tuple(e) for e in monos.tolist()]
@@ -503,7 +481,7 @@ def minor_polys(field, stack, r):
     r x r minors become MultiPolys."""
     if r > min(len(stack[0]), len(stack[0][0])):
         return []
-    return _as_polys(*minor_level(field, stack, r))
+    return level_polys(*minor_level(field, stack, r))
 
 
 def _shifts(nvars, k):

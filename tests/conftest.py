@@ -5,6 +5,7 @@ rejection sampler's retry budget."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pfaffian_nets.correspondence import ANet, degenerate_net
@@ -47,6 +48,24 @@ def random_value(field, rng, bound=10):
     if field.kind == "GF(p)":
         return rng.randrange(field.p)
     return tuple(rng.randrange(field.p) for _ in range(field.k))
+
+
+def recording(products):
+    """An ndarray subclass whose matmuls, as `@` or `np.matmul`, append
+    their (M, N, K) to `products`; results are plain arrays."""
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            plain = [a.view(np.ndarray) if isinstance(a, Recorded) else a
+                     for a in args]
+            if ufunc is np.matmul:
+                a, b = plain[:2]
+                products.append((a.shape[0], b.shape[1], a.shape[1]))
+            if "out" in kwargs:
+                kwargs["out"] = tuple(o.view(np.ndarray)
+                                      for o in kwargs["out"])
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return Recorded
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,9 @@ that only the tests read: the determinant, the Pfaffian by first-row
 expansion and polynomial long division.  Last, the MultiPoly view of an
 ideal, which the package holds as integer rows (`ideal_of` builds a
 `HomogeneousIdeal` from MultiPolys, `ideal_polys` reads its forms back),
-and the brute-force point count of the zero set of MultiPoly forms."""
+the brute-force point count of the zero set of MultiPoly forms, and the
+degree and partial derivatives of a MultiPoly, which the package reads
+off its integer rows (`ideals.jacobian_ideal`)."""
 
 import itertools
 import random
@@ -319,7 +321,7 @@ def ideal_of(field, nvars, polys):
         if g.field != field or g.nvars != nvars:
             raise ValueError("generator field/nvars mismatch")
         if not g.is_zero():
-            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+            by_degree.setdefault(homogeneous_degree(g), []).append(g)
     forms = {}
     for d, gens in by_degree.items():
         index = {tuple(e): i for i, e in
@@ -560,3 +562,34 @@ def exact_divide(num, den):
         q_terms[step] = c
         rem = rem - MultiPoly.monomial(f, num.nvars, step, c) * den
     return MultiPoly._raw(f, num.nvars, q_terms)
+
+
+def is_homogeneous(poly):
+    return len({sum(e) for e in poly.terms}) <= 1
+
+
+def homogeneous_degree(poly):
+    """The degree of a homogeneous MultiPoly, None for zero."""
+    degs = {sum(e) for e in poly.terms}
+    if len(degs) > 1:
+        raise ValueError("polynomial is not homogeneous")
+    return degs.pop() if degs else None
+
+
+def partial(poly, i):
+    """The MultiPoly d(poly)/dx_i."""
+    f = poly.field
+    out = {}
+    for exps, c in poly.terms.items():
+        e = exps[i]
+        if e == 0:
+            continue
+        new = exps[:i] + (e - 1,) + exps[i + 1:]
+        v = f.mul(f.value_of(e), c)
+        if not f.is_zero_value(v):
+            s = f.add(out.get(new, f.zero_value), v)
+            if f.is_zero_value(s):
+                out.pop(new, None)
+            else:
+                out[new] = s
+    return MultiPoly._raw(f, poly.nvars, out)

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import pfaffian_nets
-from pfaffian_nets import cli, cohomology, correspondence, grassmann
+from pfaffian_nets import (cli, cohomology, correspondence, grassmann,
+                           modnum)
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
 from pfaffian_nets.correspondence import ANet, find_c_points
@@ -20,7 +21,7 @@ from pfaffian_nets.grassmann import pair_indices
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
 
-from conftest import PINNED_UPPERS
+from conftest import PINNED_UPPERS, recording
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "pinned_report.json")
@@ -174,19 +175,21 @@ class TestPipeline:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # nets native to a finite field: over GF(9) and GF(81) the emptiness
-    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5
-    @pytest.mark.parametrize("field, regularity, digest", [
-        (GF(3, 2), ("fail", {
+    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5, and
+    # the stages that read GF(2), GF(3) or GF(7) skip them
+    @pytest.mark.parametrize("field, code, regularity, digest", [
+        (GF(3, 2), 1, ("fail", {
             "error": "emptiness check needs QQ or prime-field input"}),
          "e7f25bd9d765fde6aca1eef326d12b21dcf18065bbe8fdaec6f4dd4872dc50aa"),
-        (GF(3, 4), ("fail", {
+        (GF(3, 4), 1, ("fail", {
             "error": "emptiness check needs QQ or prime-field input"}),
          "be2c0fba197c2d7f82c7a014c9c2c81c112e8aafa5204adbbec047ada1953210"),
-        (GF(5), ("pass", {"detail": None, "status": "EMPTY", "witness": 2}),
-         "c20e4123c046217ad12968142625c0a2c6866db85eadaf6f0cf3d6063de0e390")],
+        (GF(5), 0, ("pass", {"detail": None, "status": "EMPTY",
+                             "witness": 2}),
+         "0880e16107f4fe85d4ce1b5a1d8c2812006f87532981360db804202c1fc7215f")],
         ids=["GF(9)", "GF(81)", "GF(5)"])
     def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
-                                        regularity, digest):
+                                        code, regularity, digest):
         for key in list(os.environ):
             if key.startswith(cli.ENV_PREFIX):
                 monkeypatch.delenv(key)
@@ -195,31 +198,112 @@ class TestPipeline:
         fx = tmp_path / "native.json"
         fx.write_text(canonical_json(net_to_fixture(net)))
         out = tmp_path / "report.json"
-        assert main(["pipeline", str(fx), "-o", str(out)]) == 1
+        assert main(["pipeline", str(fx), "-o", str(out)]) == code
         stage = json.loads(out.read_text())["stages"][0]
         assert (stage["verdict"], stage["detail"]) == regularity
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path,
+                                                       monkeypatch):
+        """A net native to GF(5) reduces to no field of another
+        characteristic: each stage names the fields it skips, and a stage
+        left with none is skipped."""
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        net = correspondence.random_net(GF(5), 5, 6, random.Random(5),
+                                        bound=1)
+        fx = tmp_path / "native.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        out = tmp_path / "report.json"
+
+        def stages(fields):
+            main(["pipeline", str(fx), "-o", str(out), "--fields", fields])
+            return {s["name"]: s
+                    for s in json.loads(out.read_text())["stages"]}
+
+        got = stages("2,3")
+        assert got["classification"] == {
+            "name": "classification", "verdict": "skipped",
+            "detail": {"reason": "the net over GF(5) reduces to none of "
+                                 "GF(2), GF(3)"}}
+        for name in ("jw", "jw1"):
+            assert got[name]["detail"] == {
+                "reason": "the net over GF(5) reduces to none of GF(2), "
+                          "GF(3), GF(7)"}
+        got = stages("5,2")
+        detail = got["classification"]["detail"]
+        assert got["classification"]["verdict"] == "pass"
+        assert list(detail["per_field"]) == ["GF(5)"]
+        assert detail["skipped_fields"] == ["GF(2)"]
+        assert got["jw"]["verdict"] == "skipped"
+
+    def test_pipeline_parses_the_fixture_once(self, fixture_path, tmp_path,
+                                              monkeypatch):
+        calls = []
+
+        def counted(doc, _real=cli.net_from_fixture):
+            calls.append(doc)
+            return _real(doc)
+
+        monkeypatch.setattr(cli, "net_from_fixture", counted)
+        main(["pipeline", fixture_path, "-o", str(tmp_path / "rep.json"),
+              "--samples", "5"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("which", ["pinned", "irregular", "singular"])
+    def test_float64_products_stay_on_one_blas_thread(
+            self, which, fixture_path, degenerate_fixture, tmp_path,
+            monkeypatch):
+        """Every float64 product `addmul_mod` makes during a pipeline has
+        M*N*K <= 2^18, the size up to which OpenBLAS runs a GEMM on the
+        calling thread.  The products of each call must add up to the
+        whole update, so none goes unrecorded."""
+        fx = {"pinned": fixture_path}.get(which, tmp_path / "fx.json")
+        if which == "irregular":
+            fx.write_text(dead_fixture_text())
+        elif which == "singular":
+            fx.write_text(canonical_json(net_to_fixture(degenerate_fixture)))
+        products = []
+        recorded_view = recording(products)
+        real = modnum.addmul_mod
+        short = []
+
+        def recorded(target, delta, rows, p, col_lo=None, col_hi=None):
+            before = len(products)
+            real(target, delta.view(recorded_view), rows, p, col_lo, col_hi)
+            cols = target.shape[1]
+            if col_lo is not None:
+                cols -= col_hi - col_lo
+            mnk = sum(m * n * k for m, n, k in products[before:])
+            if mnk != delta.shape[0] * delta.shape[1] * cols:
+                short.append((delta.shape, cols, products[before:]))
+
+        monkeypatch.setattr(modnum, "addmul_mod", recorded)
+        main(["pipeline", str(fx), "-o", str(tmp_path / "rep.json"),
+              "--samples", "5"])
+        assert products and short == []
+        assert max(m * n * k for m, n, k in products) <= 1 << 18
 
     @pytest.mark.parametrize("which", ["pinned", "irregular"])
     def test_pipeline_multiplies_no_polynomials(self, which, fixture_path,
                                                 tmp_path, monkeypatch):
         """The cubic, the sub-Pfaffians and the minors all come from code
-        arrays, and the Jacobian of Y is taken on the cubic's integer row,
-        so a whole pipeline multiplies and differentiates no MultiPolys."""
+        arrays, so a whole pipeline multiplies no MultiPolys."""
         fx = fixture_path
         if which == "irregular":
             fx = tmp_path / "dead.json"
             fx.write_text(dead_fixture_text())
-        calls = {"__mul__": 0, "partial": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(MultiPoly, name)):
-                calls[_name] += 1
-                return _real(*args)
+        calls = []
 
-            monkeypatch.setattr(MultiPoly, name, counted)
+        def counted(*args, _real=MultiPoly.__mul__):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
         main(["pipeline", str(fx), "-o", str(tmp_path / "rep.json"),
               "--samples", "50"])
-        assert calls == {"__mul__": 0, "partial": 0}
+        assert calls == []
 
     def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])

@@ -31,7 +31,8 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
 from scalar_references import (certify_line_on_x, exact_divide, fv_at,
-                               fv_rank_table, ideal_polys, kappa,
+                               fv_rank_table, homogeneous_degree,
+                               ideal_polys, kappa,
                                laplace_minors, line_key, line_on_hypersurface,
                                net_linear_forms, pfaffian_expansion,
                                psi_fiber, satisfies_quadrics,
@@ -231,7 +232,24 @@ class TestPfaffianHypersurface:
 
     def test_degree_m(self, pinned):
         pf = pfaffian_hypersurface(pinned)
-        assert pf.homogeneous_degree() == 3
+        assert homogeneous_degree(pf) == 3
+
+    def test_one_cubic_level_per_net(self, monkeypatch):
+        """`pfaffian_hypersurface` and `y_ideal` read one memoized top
+        level of the Pfaffian engine: classify and the polynomials stage
+        expand it once."""
+        from pfaffian_nets import cli, multipoly
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
+        top = []
+        for module in (correspondence, multipoly):
+            def counted(field, stack, k, _real=module.pfaffian_level):
+                top.append(k == net.two_m)
+                return _real(field, stack, k)
+
+            monkeypatch.setattr(module, "pfaffian_level", counted)
+        classify(net, fields=[F2])
+        assert cli._stage_polynomials({"net": net})[0] == "pass"
+        assert top.count(True) == 1
 
     def test_vanishes_exactly_on_corank_points(self, pinned):
         net3 = pinned.map_field(F3)
@@ -435,7 +453,7 @@ class TestQuartic:
 
     def test_degree_and_homogeneity(self, pinned):
         q = q_quartic(pinned)
-        assert q.homogeneous_degree() == 4
+        assert homogeneous_degree(q) == 4
 
     def test_kernel_vector_annihilated(self, pinned):
         # M(v) . ((-1)^i Delta_i)_i = 0 is the identity behind the quotient

@@ -15,7 +15,8 @@ from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
 from pfaffian_nets.matrices import ExactMatrix
 
 from conftest import random_value
-from scalar_references import plucker_quadrics, satisfies_quadrics
+from scalar_references import (homogeneous_degree, plucker_quadrics,
+                               satisfies_quadrics)
 
 
 def random_rank2(field, two_m, rng):
@@ -72,7 +73,7 @@ def test_quadrics_counts_and_klein():
     assert qs4[0].render() == "1*x0*x5 + -1*x1*x4 + 1*x2*x3"
     qs6 = plucker_quadrics(6, GF(7))
     assert len(qs6) == 15
-    assert all(q.homogeneous_degree() == 2 for q in qs6)
+    assert all(homogeneous_degree(q) == 2 for q in qs6)
 
 
 def test_quadrics_vanish_on_points_and_detect_impostors():

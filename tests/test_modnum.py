@@ -6,7 +6,7 @@ import pytest
 from pfaffian_nets import modnum
 from pfaffian_nets.fields import GF
 
-from conftest import random_value
+from conftest import random_value, recording
 
 
 def naive_rref(a, p):
@@ -394,3 +394,44 @@ def test_addmul_mod_exactness_near_bound():
     modnum.addmul_mod(target, delta, rows, p)
     expected = 64 * (p - 1) * (p - 1) % p
     assert np.all(target == expected)
+
+
+@pytest.mark.parametrize("M, K, C, skip, blocks", [
+    (40, 300, 150, None, 10),     # rows 27 + 13, columns 4 x 32 + 22
+    (40, 300, 150, (20, 90), 5),  # one block, then 2 x 2 past the skip
+    (40, 300, 150, (0, 37), 8),   # the panel update's skip, from column 0
+    (3, 40, 4000, (1000, 1001), 3)])  # all rows, 2184 columns a block
+def test_addmul_mod_blocks_against_python_ints(M, K, C, skip, blocks):
+    """Several row and column blocks, entries near p - 1 so that every
+    sum is near K*(p-1)^2, against Python-int arithmetic; no block passes
+    2^18 multiply-adds, and the skipped columns keep their values."""
+    p = modnum.MAX_PRIME
+    rng = np.random.default_rng(M * K + C)
+    target = rng.integers(0, p, (M, C))
+    delta = rng.integers(p - 8, p, (M, K))
+    rows = rng.integers(p - 8, p, (K, C))
+    want = (target.astype(object) + delta.astype(object)
+            @ rows.astype(object)) % p
+    col_lo, col_hi = skip or (None, None)
+    if skip:
+        want[:, col_lo:col_hi] = target[:, col_lo:col_hi]
+    products = []
+    got = target.copy()
+    modnum.addmul_mod(got, delta.view(recording(products)), rows, p,
+                      col_lo, col_hi)
+    assert np.array_equal(got, want.astype(np.int64))
+    assert len(products) == blocks
+    assert max(m * n * k for m, n, k in products) <= 1 << 18
+
+
+def test_addmul_mod_exact_for_an_inner_dimension_near_the_bound():
+    # K*(p-1)^2 is within a factor 4 of 2^53; blocks of 1 x 1 x K
+    p, K = modnum.MAX_PRIME, 1 << 20
+    delta = np.full((2, K), p - 1, dtype=np.int64)
+    delta[1, ::3] = p - 2
+    rows = np.full((K, 2), p - 1, dtype=np.int64)
+    target = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    want = [[(t + sum(int(d) * (p - 1) for d in delta[i])) % p
+             for t in target[i]] for i in range(2)]
+    modnum.addmul_mod(target, delta, rows, p)
+    assert target.tolist() == want
