@@ -28,7 +28,7 @@ from .correspondence import (ANet, c_ideal, classify, curve_fibers,
                              find_c_points, find_lines_on_y, is_regular,
                              lie_on_y, pfaffian_hypersurface, q_quartic,
                              random_regular_net, splitting_types)
-from .fields import GF, field_from_name, reduces_to
+from .fields import GF, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
 from .modnum import MAX_PRIME, TABLE_ORDER, field_codes
@@ -229,10 +229,10 @@ def _stage_regularity(ctx):
 
 
 def _reachable(net, fields):
-    """The fields of `fields` that `net` reduces to, and a payload naming
-    the rest: the reason to skip a stage that keeps no field, else its
-    "skipped_fields"."""
-    kept = [f for f in fields if reduces_to(net.field, f)]
+    """The fields of `fields` that `net` reaches (`ANet.reaches`), and a
+    payload naming the rest: the reason to skip a stage that keeps no
+    field, else its "skipped_fields"."""
+    kept = [f for f in fields if net.reaches(f)]
     names = [f.name for f in fields if f not in kept]
     if not kept:
         return kept, {"reason": "the net over %s reduces to none of %s"
@@ -303,7 +303,7 @@ def _stage_hilbert_c(ctx):
         "arithmetic_genus": data.arithmetic_genus,
         "stable_from": data.stable_from,
         "cap": HILBERT_CAP,
-        "primes": [ctx["prime"], ctx["second_prime"]],
+        "primes": data.primes,
     }
 
 

@@ -20,8 +20,8 @@ from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_CHUNK, echelon_pair_codes, enumerate_projective,
                         pair_indices, pencil_line, plucker_from_basis)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
-                     DEFAULT_PRIME, HomogeneousIdeal, is_empty_projective,
-                     minors_ideal, other_prime)
+                     DEFAULT_PRIME, HomogeneousIdeal, check_ideal_field,
+                     is_empty_projective, minors_ideal, other_prime)
 from .matrices import ExactMatrix
 from .multipoly import (MultiPoly, level_polys, minor_polys, pfaffian_level,
                         pfaffian_top_level)
@@ -75,6 +75,17 @@ class ANet:
         if field == self.field:
             return self
         return self.derived(("over", field), lambda: self.map_field(field))
+
+    def reaches(self, field):
+        """Whether this net reduces to `field`: `over(field)` builds, so
+        the field has this net's characteristic (or the net is over QQ),
+        no denominator vanishes in it, and the reduced matrices stay
+        independent."""
+        try:
+            self.over(field)
+        except (FieldMismatchError, ValueError, ZeroDivisionError):
+            return False
+        return True
 
     # -- construction and serialization --------------------------------------
 
@@ -338,11 +349,9 @@ class RankOracle:
 def rank_oracle(net, field, side):
     """The RankOracle of (net, field, side), built once per net; a net
     and its reduction into `field` share one."""
-    if field != net.field:
-        try:
-            net = net.over(field)
-        except (FieldMismatchError, ValueError, ZeroDivisionError):
-            pass  # the oracle reduces the entries one by one all the same
+    if net.reaches(field):
+        net = net.over(field)
+    # else the oracle reduces the entries one by one all the same
     return net.derived(("ranks", field, side),
                        lambda: RankOracle(net, field, side))
 
@@ -371,7 +380,8 @@ class RegularityResult:
 def sub_pfaffian_ideal(net):
     """Ideal of all principal (2m-2)-sub-Pfaffians of f(a), the integer
     level of `pfaffian_level`; its zero set is the rank <= 2m-4 locus in
-    P(A)."""
+    P(A).  The field is checked before any sub-Pfaffian is expanded."""
+    check_ideal_field(net.field)
     _, level, _, scales = pfaffian_level(net.field, net.stack("a"),
                                          net.two_m - 2)
     return HomogeneousIdeal(net.field, net.n,
@@ -385,9 +395,7 @@ def _rank_deficient_witness(net, max_rank):
     reduction) is skipped."""
     for p in (3, 7):
         fp = GF(p)
-        try:
-            net.over(fp)
-        except (FieldMismatchError, ValueError, ZeroDivisionError):
+        if not net.reaches(fp):
             continue
         oracle = rank_oracle(net, fp, "a")
         hits = np.nonzero(oracle.table <= max_rank)[0]
@@ -764,11 +772,9 @@ def find_c_points(net):
     to complain)."""
     for p, k in SEARCH_LADDER:
         field = GF(p, k)
-        try:
-            reduced = net.over(field)
-        except (FieldMismatchError, ValueError, ZeroDivisionError):
+        if not net.reaches(field):
             continue
-        profile, low, _ = fv_rank_profile(reduced, field)
+        profile, low, _ = fv_rank_profile(net.over(field), field)
         if min(profile) <= 2:  # the profile lists the ranks that occur
             raise ValueError("rank f_v = %d point found over %s: violates "
                              "the minimal-rank bound" % (min(profile), field))

@@ -379,24 +379,17 @@ def field_from_name(name):
     raise ValueError("unrecognized field name %r" % name)
 
 
-def reduces_to(source, target):
-    """Whether `reduce_value` moves payloads of `source` into `target`."""
-    return source == target or source.kind == "QQ" or (
-        source.kind == "GF(p)" and target.kind == "GF(p^k)"
-        and target.p == source.p)
-
-
 def reduce_value(v, source, target):
     """Move a payload of `source` into `target`: QQ -> GF(p) by reduction
     (a denominator that p divides raises ZeroDivisionError), QQ -> GF(p^k)
     through GF(p), and GF(p) -> GF(p^k) by the prime-subfield embedding.
     Any other pair of distinct fields raises FieldMismatchError."""
-    if not reduces_to(source, target):
-        raise FieldMismatchError("no reduction from %s to %s"
-                                 % (source, target))
     if source == target:
         return v
     if source.kind == "QQ" and target.kind == "GF(p^k)":
         return target.value_of(GF(target.p).value_of(v))
-    return target.value_of(v)
+    if source.kind == "QQ" or (source.kind == "GF(p)" and target.kind
+                               == "GF(p^k)" and target.p == source.p):
+        return target.value_of(v)
+    raise FieldMismatchError("no reduction from %s to %s" % (source, target))
 

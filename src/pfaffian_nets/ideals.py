@@ -58,6 +58,13 @@ def ambient_dimension(nvars, t):
     return comb(t + nvars - 1, nvars - 1)
 
 
+def check_ideal_field(field):
+    """Raise ValueError unless `field` is QQ or GF(p), the fields whose
+    forms a `HomogeneousIdeal` holds as integer rows."""
+    if field.kind not in ("QQ", "GF(p)"):
+        raise ValueError("emptiness check needs QQ or prime-field input")
+
+
 class HomogeneousIdeal:
     """Homogeneous forms over QQ or GF(p), held as integer rows: `forms`
     maps each degree d to (rows, scales), the rows an integer array (int64
@@ -68,8 +75,7 @@ class HomogeneousIdeal:
     some coefficient's reduced denominator."""
 
     def __init__(self, field, nvars, forms):
-        if field.kind not in ("QQ", "GF(p)"):
-            raise ValueError("emptiness check needs QQ or prime-field input")
+        check_ideal_field(field)
         self.field = field
         self.nvars = nvars
         self.forms = {}
@@ -279,13 +285,16 @@ class HilbertEngine:
 
 class HilbertData:
     """Window of Hilbert-function values plus, when found, the polynomial the
-    tail agrees with (coefficients ascending, exact rationals)."""
+    tail agrees with (coefficients ascending, exact rationals), and the
+    primes the values were computed mod."""
 
-    def __init__(self, window, values, fitted=None, stable_from=None):
+    def __init__(self, window, values, fitted=None, stable_from=None,
+                 primes=()):
         self.window = window
         self.values = list(values)
         self.fitted = fitted
         self.stable_from = stable_from
+        self.primes = list(primes)
 
     @property
     def polynomial_degree(self):
@@ -364,7 +373,7 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
 
     Rational ideals are reduced modulo two primes and the windows must agree;
     a disagreement falls back to exact rational ranks (slow, but it settles
-    the matter unconditionally).
+    the matter unconditionally).  An ideal over GF(p) is read mod p alone.
     """
     if expected_dim < 0:
         raise ValueError("expected_dim must be nonnegative")
@@ -374,13 +383,11 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
                                 expected_dim, cap)
 
     if ideal.field.kind == "GF(p)":
-        values, stable = window_mod(ideal.field.p)
-    else:
-        values, stable = window_mod(primes[0])
-        if len(primes) > 1:
-            if (values, stable) != window_mod(primes[1]):
-                values, stable = _hf_until_stable(
-                    lambda t: hilbert_function(ideal, t), expected_dim, cap)
+        primes = (ideal.field.p,)
+    values, stable = window_mod(primes[0])
+    if len(primes) > 1 and (values, stable) != window_mod(primes[1]):
+        values, stable = _hf_until_stable(
+            lambda t: hilbert_function(ideal, t), expected_dim, cap)
     if stable is None:
         raise ValueError(
             "Hilbert function did not stabilize to a degree-%d polynomial "
@@ -388,7 +395,7 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
     ts = list(range(stable, stable + expected_dim + 1))
     fitted = _interpolate(ts, [values[t] for t in ts])
     return HilbertData((0, len(values) - 1), values, fitted=fitted,
-                       stable_from=stable)
+                       stable_from=stable, primes=primes)
 
 
 def _fit_window_found(values, expected_dim, need):
@@ -502,7 +509,9 @@ def jacobian_ideal(ideal):
 
 def minors_ideal(field, stack, r):
     """All r x r minors of a stack, the integer level of
-    `multipoly.minor_level`, as an ideal (zero minors dropped)."""
+    `multipoly.minor_level`, as an ideal (zero minors dropped).  The field
+    is checked before any minor is expanded."""
+    check_ideal_field(field)
     if r > min(len(stack[0]), len(stack[0][0])):
         raise ValueError("minor size exceeds matrix dimensions")
     _, level, _, scales = minor_level(field, stack, r)

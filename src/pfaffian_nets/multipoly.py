@@ -11,7 +11,9 @@ from MultiPoly products.  The matrix is given as a stack: matrices C_l of
 payloads, one per variable, standing for sum_l x_l C_l.  `minor_level` and
 `pfaffian_level` expand one level at a time on dense arrays of exact codes
 (`_MinorCodes`) over the exponent rows of `monomial_table`, which is built
-once per process and read by the Hilbert ladder too.  `minor_polys`,
+once per process and read by the Hilbert ladder too.  The codes are scaled
+integers over QQ and the `modnum.field_codes` of a finite field; a field
+without codes raises ValueError.  `minor_polys`,
 `pfaffian_polys`, `pfaffian_poly` and `det_poly` are the MultiPoly views of
 a level, as `level_polys` makes them.
 """
@@ -366,10 +368,15 @@ def level_polys(codes, level, monos, scales):
     field, nvars = codes.field, monos.shape[1]
     monos = [tuple(e) for e in monos.tolist()]
     terms = [{} for _ in range(len(level))]
-    keys, at = np.nonzero(codes.nonzero(level))
-    for key, m, c in zip(keys.tolist(), at.tolist(),
-                         level[keys, at].tolist()):
-        terms[key][monos[m]] = codes.value(c, scales[key])
+    keys, at = np.nonzero(level != 0)
+    keys = keys.tolist()
+    if codes.fc is None:
+        values = [Fraction(c, scales[key])
+                  for key, c in zip(keys, level[keys, at].tolist())]
+    else:
+        values = codes.fc.decode(level[keys, at])
+    for key, m, v in zip(keys, at.tolist(), values):
+        terms[key][monos[m]] = v
     return [MultiPoly._raw(field, nvars, t) for t in terms]
 
 
@@ -377,71 +384,56 @@ _INT64_SAFE = 1 << 62  # a bound on every code below this keeps int64 exact
 
 
 class _MinorCodes:
-    """The minor and Pfaffian engine's exact arithmetic on arrays of field
-    codes, combined elementwise by add, sub and mul and reduced after each
-    level.
+    """The minor and Pfaffian engine's exact arithmetic on arrays of codes,
+    combined elementwise by add, sub and mul; code 0 is zero.
 
     * QQ: integers, row i of the stack scaled by the lcm s_i of its
       denominators (and, for a Pfaffian, column j by s_j too); a minor or
       sub-Pfaffian is divided back by the product of its rows' scales.
-    * GF(p): residues, reduced mod p.
-    * GF(p^k): the `modnum.field_codes` up to order 64; above that, the
-      payloads themselves through the field's own operations.
-
-    Integer codes are int64 where a bound proves that no level overflows
-    (`narrow`); otherwise they are Python ints in object arrays."""
+      They are int64 where a bound proves that no level overflows
+      (`grid`), and Python ints in object arrays otherwise.
+    * A finite field: its `modnum.field_codes`, int64, whose operations
+      keep every level reduced.  A field without codes raises ValueError.
+    """
 
     def __init__(self, field, stack):
         self.field = field
         self.scales = [1] * len(stack[0])
+        self.fc = None
         self.add, self.sub, self.mul = np.add, np.subtract, np.multiply
-        self.modulus = self.fc = None
-        self.zero = 0
-        self.dtype = object
-        self.encode = lambda c, i: c
-        self.value = lambda c, scale: c
-        self.nonzero = lambda x: x != 0
         if field.kind == "QQ":
             self.scales = [lcm(*(c.denominator for C in stack for c in C[i]))
                            for i in range(len(stack[0]))]
-            self.encode = lambda c, i: \
-                c.numerator * (self.scales[i] // c.denominator)
-            self.value = Fraction
-        elif field.kind == "GF(p)":
-            self.modulus = field.p
-        elif field.order <= modnum.TABLE_ORDER:
+        else:
             fc = self.fc = modnum.field_codes(field)
             self.add, self.sub, self.mul = fc.add, fc.sub, fc.mul
-            self.value = lambda c, scale: fc.decode(c)
-            self.dtype = np.int64
-        else:
-            self.add, self.sub, self.mul = (
-                np.frompyfunc(op, 2, 1)
-                for op in (field.add, field.sub, field.mul))
-            self.zero = field.zero_value
-            is_zero = np.frompyfunc(field.is_zero_value, 1, 1)
-            self.nonzero = lambda x: ~is_zero(x).astype(bool)
 
-    def grid(self, stack):
+    def grid(self, stack, counts, skew=False):
         """The codes of a stack's entries as a (rows, cols, nvars) array:
         entry (i, j) holds the coefficient of x_l at l, its position in
-        `monomial_table(nvars, 1)`."""
+        `monomial_table(nvars, 1)`.  Over QQ entry (i, j) is scaled by s_i,
+        and by s_j too if `skew`, and the grid is int64 if a bound allows
+        it.  `counts` lists how many products each level sums, the first
+        level read straight from the grid counting 1.  With M the largest
+        1-norm of an entry's codes, every partial sum of a level summing c
+        products is at most c M B, B the bound of the level below: so the
+        product of the c M.  For r x r minors the counts are 1..r; for
+        k x k Pfaffians 1, 3, ..., k - 1."""
         if self.fc is not None:
             return self.fc.encode(stack).transpose(1, 2, 0)
         nvars, nrows, ncols = len(stack), len(stack[0]), len(stack[0][0])
-        return np.fromiter(
-            (self.encode(stack[l][i][j], i) for i in range(nrows)
-             for j in range(ncols) for l in range(nvars)),
+        s = self.scales
+        col_scales = s if skew else [1] * ncols
+        grid = np.fromiter(
+            (c.numerator * (s[i] // c.denominator) * col_scales[j]
+             for i in range(nrows) for j in range(ncols)
+             for c in (C[i][j] for C in stack)),
             dtype=object, count=nrows * ncols * nvars).reshape(
                 nrows, ncols, nvars)
-
-    def zeros(self, shape):
-        out = np.empty(shape, dtype=self.dtype)
-        out.fill(self.zero)
-        return out
-
-    def reduce(self, x):
-        return x if self.modulus is None else x % self.modulus
+        norm = int(np.abs(grid).sum(axis=2).max(initial=0))
+        if prod(c * norm for c in counts) < _INT64_SAFE:
+            grid = grid.astype(np.int64)
+        return grid
 
     def add_products(self, out, negate, coef, sub, shift, used):
         """out -/+= the products of the entries `coef` (one per row of
@@ -454,25 +446,6 @@ class _MinorCodes:
         for mu in used:
             at = shift[mu]
             out[:, at] = combine(out[:, at], self.mul(coef[:, mu, None], sub))
-
-    def narrow(self, grid, counts):
-        """The grid's codes, as int64 if the bound allows it.  `counts`
-        lists how many products each level sums, the first level read
-        straight from the grid counting 1.  With M the largest 1-norm of an
-        entry's codes, every partial sum of a level summing c products is
-        at most c M B, B the bound of the level below, which is p - 1 over
-        GF(p) once reduced: so the product of the c M over QQ, and
-        max(c) M (p - 1) over GF(p).  For r x r minors the counts are
-        1..r; for k x k Pfaffians 1, 3, ..., k - 1."""
-        if self.field.kind not in ("QQ", "GF(p)"):
-            return grid
-        norm = int(np.abs(grid).sum(axis=2).max(initial=0))
-        bound = prod(c * norm for c in counts) if self.modulus is None \
-            else max(counts) * norm * (self.modulus - 1)
-        if bound >= _INT64_SAFE:
-            return grid
-        self.dtype = np.int64
-        return grid.astype(np.int64)
 
 
 def minor_polys(field, stack, r):
@@ -497,8 +470,9 @@ def minor_level(field, stack, r):
     `level` holds the codes of minor i, in (row combination, column
     combination) lexicographic order, over the exponent rows `monos` of
     `monomial_table(nvars, r)`; `codes` is the `_MinorCodes` they are
-    written in.  Over QQ and GF(p) the codes are integers and minor i is
-    level[i] / scales[i].
+    written in.  Over QQ minor i is level[i] / scales[i]; over a finite
+    field every scale is 1 and the codes are the field's (over GF(p), the
+    residues).
 
     A dense first-row Laplace expansion, one level k = 1..r at a time.
     Level k holds minor(rows, cols) for every k-combination of the columns
@@ -512,8 +486,8 @@ def minor_level(field, stack, r):
         raise ValueError("minor size must be positive")
     nvars, nrows, ncols = len(stack), len(stack[0]), len(stack[0][0])
     codes = _MinorCodes(field, stack)
-    grid = codes.narrow(codes.grid(stack), range(1, r + 1))
-    used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
+    grid = codes.grid(stack, range(1, r + 1))
+    used = np.flatnonzero((grid != 0).any(axis=(0, 1))).tolist()
     # level 1: the entries in rows r - 1, r, ..., keyed row-major
     row_sets = [(i,) for i in range(r - 1, nrows)]
     col_sets = [(c,) for c in range(ncols)]
@@ -532,11 +506,12 @@ def minor_level(field, stack, r):
             [[col_index[s[:j] + s[j + 1:]] for j in range(k)]
              for s in col_sets]), (nr, 1))
         shift = _shifts(nvars, k)
-        out = codes.zeros((nr * nc, len(monomial_table(nvars, k))))
+        out = np.zeros((nr * nc, len(monomial_table(nvars, k))),
+                       dtype=grid.dtype)
         for j in range(k):
             codes.add_products(out, j % 2, grid[first, cols[:, j]],
                                level[sub_rows + sub_cols[:, j]], shift, used)
-        level = codes.reduce(out)
+        level = out
     scales = [prod(codes.scales[i] for i in s) for s in row_sets
               for _ in col_sets]
     return codes, level, monomial_table(nvars, r), scales
@@ -548,9 +523,9 @@ def pfaffian_level(field, stack, k):
     monos, scales), where row i of `level` holds the codes of the Pfaffian
     on the i-th k-subset of the indices in `combinations` order, over the
     exponent rows `monos` of `monomial_table(nvars, k/2)`; `codes` is the
-    `_MinorCodes` they are written in.  Over QQ and GF(p) the codes are
-    integers and sub-Pfaffian i is level[i] / scales[i].  Only the entries
-    above the diagonal are read.  Characteristic 2 raises ValueError.
+    `_MinorCodes` they are written in, with scales as in `minor_level`.
+    Only the entries above the diagonal are read.  Characteristic 2 raises
+    ValueError.
 
     A dense first-row expansion, one level j = 2, 4, ..., k at a time, as
     in `minor_level`: Pf(S) = sum_pos (-1)^(pos+1) entry(S_0, S_pos)
@@ -565,11 +540,8 @@ def pfaffian_level(field, stack, k):
         raise ValueError("sub-Pfaffian size must be even, from 2 to %d"
                          % size)
     codes = _MinorCodes(field, stack)
-    grid = codes.grid(stack)
-    if field.kind == "QQ":
-        grid *= np.array(codes.scales, dtype=object)[:, None]
-    grid = codes.narrow(grid, range(1, k, 2))
-    used = np.nonzero(codes.nonzero(grid).any(axis=(0, 1)))[0].tolist()
+    grid = codes.grid(stack, range(1, k, 2), skew=True)
+    used = np.flatnonzero((grid != 0).any(axis=(0, 1))).tolist()
     sets = list(combinations(range((k - 2) // 2, size), 2))
     pairs = np.array(sets)
     level = grid[pairs[:, 0], pairs[:, 1]]
@@ -581,11 +553,12 @@ def pfaffian_level(field, stack, k):
         sub_sets = np.array([[index[s[1:pos] + s[pos + 1:]]
                               for pos in range(1, j)] for s in sets])
         shift = _shifts(nvars, j // 2)
-        out = codes.zeros((len(sets), len(monomial_table(nvars, j // 2))))
+        out = np.zeros((len(sets), len(monomial_table(nvars, j // 2))),
+                       dtype=grid.dtype)
         for pos in range(j - 1):
             codes.add_products(out, pos % 2, grid[first, partners[:, pos]],
                                level[sub_sets[:, pos]], shift, used)
-        level = codes.reduce(out)
+        level = out
     scales = [prod(codes.scales[i] for i in s) for s in sets]
     return codes, level, monomial_table(nvars, k // 2), scales
 

@@ -12,7 +12,7 @@ import pytest
 
 import pfaffian_nets
 from pfaffian_nets import (cli, cohomology, correspondence, grassmann,
-                           modnum)
+                           modnum, multipoly)
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
 from pfaffian_nets.correspondence import ANet, find_c_points
@@ -175,21 +175,22 @@ class TestPipeline:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # nets native to a finite field: over GF(9) and GF(81) the emptiness
-    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5, and
-    # the stages that read GF(2), GF(3) or GF(7) skip them
-    @pytest.mark.parametrize("field, code, regularity, digest", [
+    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5, the
+    # Hilbert fit of C runs mod 5 alone, and the stages that read GF(2),
+    # GF(3) or GF(7) skip them
+    @pytest.mark.parametrize("field, code, regularity, primes, digest", [
         (GF(3, 2), 1, ("fail", {
-            "error": "emptiness check needs QQ or prime-field input"}),
+            "error": "emptiness check needs QQ or prime-field input"}), None,
          "e7f25bd9d765fde6aca1eef326d12b21dcf18065bbe8fdaec6f4dd4872dc50aa"),
         (GF(3, 4), 1, ("fail", {
-            "error": "emptiness check needs QQ or prime-field input"}),
+            "error": "emptiness check needs QQ or prime-field input"}), None,
          "be2c0fba197c2d7f82c7a014c9c2c81c112e8aafa5204adbbec047ada1953210"),
         (GF(5), 0, ("pass", {"detail": None, "status": "EMPTY",
-                             "witness": 2}),
-         "0880e16107f4fe85d4ce1b5a1d8c2812006f87532981360db804202c1fc7215f")],
+                             "witness": 2}), [5],
+         "e2e5a1d190243a86c77284dadfa0c3e9b86a4ab5053f9ce8015e767f40bf7af6")],
         ids=["GF(9)", "GF(81)", "GF(5)"])
     def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
-                                        code, regularity, digest):
+                                        code, regularity, primes, digest):
         for key in list(os.environ):
             if key.startswith(cli.ENV_PREFIX):
                 monkeypatch.delenv(key)
@@ -199,9 +200,41 @@ class TestPipeline:
         fx.write_text(canonical_json(net_to_fixture(net)))
         out = tmp_path / "report.json"
         assert main(["pipeline", str(fx), "-o", str(out)]) == code
-        stage = json.loads(out.read_text())["stages"][0]
-        assert (stage["verdict"], stage["detail"]) == regularity
+        stages = json.loads(out.read_text())["stages"]
+        assert (stages[0]["verdict"], stages[0]["detail"]) == regularity
+        hilbert = {s["name"]: s for s in stages}["hilbert-C"]
+        assert hilbert["detail"].get("primes") == primes
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", [GF(3, 2), GF(3, 4)], ids=str)
+    def test_regularity_refuses_an_extension_before_expanding(
+            self, tmp_path, monkeypatch, capsys, field):
+        """Over GF(9) and GF(81) the sub-Pfaffian ideal is refused before
+        its level is built; GF(81) has no code arithmetic, so `verify
+        polynomials` fails and names that limit."""
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        net = correspondence.random_net(field, 5, 6, random.Random(5),
+                                        bound=1)
+        fx = tmp_path / "native.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        calls = []
+        for module in (correspondence, multipoly):
+            def counted(*args, _real=module.pfaffian_level):
+                calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(module, "pfaffian_level", counted)
+        assert main(["verify", str(fx), "regularity"]) == 1
+        assert calls == []
+        assert json.loads(capsys.readouterr().out)["detail"] == {
+            "error": "emptiness check needs QQ or prime-field input"}
+        if field == GF(3, 4):
+            assert main(["verify", str(fx), "polynomials"]) == 1
+            assert json.loads(capsys.readouterr().out) == {
+                "name": "polynomials", "verdict": "fail",
+                "detail": {"error": "no code arithmetic over GF(3^4)"}}
 
     def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path,
                                                        monkeypatch):
@@ -305,22 +338,46 @@ class TestPipeline:
               "--samples", "50"])
         assert calls == []
 
-    def test_unexpected_exception_is_an_error_verdict(self, tmp_path):
-        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
-        doc = net_to_fixture(net)
-        doc["matrices"][0][0] = "1/3"  # no reduction mod 3 exists
-        fx = tmp_path / "third.json"
-        fx.write_text(canonical_json(doc))
+    def test_unexpected_exception_is_an_error_verdict(self, fixture_path,
+                                                      tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("classifier broke")
+
+        monkeypatch.setattr(cli, "classify", broken)
         out = tmp_path / "rep.json"
-        assert main(["pipeline", str(fx), "-o", str(out),
+        assert main(["pipeline", fixture_path, "-o", str(out),
                      "--samples", "5"]) == 1
         report = json.loads(out.read_text())
         assert report["overall"] == "fail"
         stages = {s["name"]: s for s in report["stages"]}
         assert stages["regularity"]["verdict"] == "pass"
         assert stages["classification"]["verdict"] == "error"
-        assert stages["classification"]["detail"]["error"].startswith(
-            "ZeroDivisionError: ")
+        assert stages["classification"]["detail"] == {
+            "error": "RuntimeError: classifier broke"}
+
+    def test_a_denominator_the_prime_divides_skips_that_field(self,
+                                                             tmp_path):
+        """With 1/3 as an entry the net has no reduction mod 3: every stage
+        that reads GF(3) skips it by name and runs on the other fields."""
+        net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
+        doc = net_to_fixture(net)
+        doc["matrices"][0][0] = "1/3"
+        fx = tmp_path / "third.json"
+        fx.write_text(canonical_json(doc))
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", str(fx), "-o", str(out),
+                     "--samples", "5"]) == 0
+        report = json.loads(out.read_text())
+        assert report["overall"] == "pass"
+        stages = {s["name"]: s for s in report["stages"]}
+        assert {name for name, s in stages.items()
+                if "skipped_fields" in s["detail"]} == {
+                    "classification", "jw", "jw1"}
+        for name in ("classification", "jw", "jw1"):
+            assert stages[name]["verdict"] == "pass"
+            assert stages[name]["detail"]["skipped_fields"] == ["GF(3)"]
+        assert list(stages["classification"]["detail"]["per_field"]) == [
+            "GF(2)"]
 
 
 class TestGating:

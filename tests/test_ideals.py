@@ -697,8 +697,8 @@ def test_minor_polys_match_evaluated_determinants(kind, field, pinned_net):
                 m for m in minors if not m.is_zero()]
 
 
-REFERENCE_FIELDS = {"QQ": QQ, "GF(7)": GF(7), "GF(4)": GF(2, 2),
-                    "GF(81)": GF(3, 4)}
+REFERENCE_FIELDS = {"QQ": QQ, "GF(7)": GF(7), "GF(101)": GF(101),
+                    "GF(4)": GF(2, 2), "GF(81)": GF(3, 4)}
 
 
 def _reference_stack(kind, pinned_net):
@@ -718,13 +718,26 @@ def _exact_terms(poly):
     return [(e, type(c), c) for e, c in poly.sorted_terms()]
 
 
-@pytest.mark.parametrize("kind", ["fv-QQ", "fv-GF(7)", "fv-GF(4)",
-                                  "fv-GF(81)", "fractions", "zeros"])
+@pytest.mark.parametrize("kind", ["fv-QQ", "fv-GF(7)", "fv-GF(101)",
+                                  "fv-GF(4)", "fv-GF(81)", "fractions",
+                                  "zeros"])
 def test_minor_polys_equal_the_sparse_reference(kind, pinned_net):
+    """Each level equals the sparse Laplace reference; a finite field's
+    level is int64 codes, and GF(81), which has no code arithmetic, is
+    refused by name."""
     stack = _reference_stack(kind, pinned_net)
     field = REFERENCE_FIELDS[kind[3:]] if kind.startswith("fv-") else QQ
+    sizes = range(1, min(len(stack[0]), len(stack[0][0])) + 1)
+    if kind == "fv-GF(81)":
+        for r in sizes:
+            with pytest.raises(ValueError, match=r"^no code arithmetic "
+                                                 r"over GF\(3\^4\)$"):
+                minor_level(field, stack, r)
+        return
     grid = stack_grid(field, stack)
-    for r in range(1, min(len(grid), len(grid[0])) + 1):
+    for r in sizes:
+        if field.kind != "QQ":
+            assert minor_level(field, stack, r)[1].dtype == np.int64
         dense = minor_polys(field, stack, r)
         sparse = laplace_minors(grid, r)
         assert len(dense) == len(sparse)

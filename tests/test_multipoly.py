@@ -340,16 +340,28 @@ def test_pfaffian_grid_size_guards():
         pfaffian_poly(QQ, [[[0] * 3 for _ in range(3)]])
 
 
-PFAFFIAN_FIELDS = [QQ, GF(7), GF(32003), GF(3, 2), GF(3, 4)]
+# QQ, primes on the operation tables and above them, an extension on its
+# tables, and GF(81), which has no code arithmetic
+PFAFFIAN_FIELDS = [QQ, GF(7), GF(101), GF(32003), GF(3, 2), GF(3, 4)]
+NO_CODES_GF81 = r"^no code arithmetic over GF\(3\^4\)$"
 
 
 @pytest.mark.parametrize("field", PFAFFIAN_FIELDS, ids=str)
 @pytest.mark.parametrize("size", [2, 4, 6, 8])
 def test_pfaffian_level_equals_the_expansion_reference(field, size):
+    """Each level equals the recursive expansion; a finite field's level is
+    int64 codes, and a field without codes is refused by name."""
     rng = random.Random(size)
     stack = random_skew_stack(field, 3, size, rng)
+    if field == GF(3, 4):
+        for k in range(2, size + 1, 2):
+            with pytest.raises(ValueError, match=NO_CODES_GF81):
+                pfaffian_level(field, stack, k)
+        return
     grid = stack_grid(field, stack)
     for k in range(2, size + 1, 2):
+        if field.kind != "QQ":
+            assert pfaffian_level(field, stack, k)[1].dtype == np.int64
         got = pfaffian_polys(field, stack, k)
         want = sub_pfaffians(grid, k)
         assert len(got) == len(want)
