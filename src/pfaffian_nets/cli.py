@@ -24,10 +24,10 @@ from math import isqrt
 
 from .cohomology import (charge2_instanton_table, exceptional_pair_check_y,
                          h1_pattern_check, line_ideal_membership)
-from .correspondence import (ANet, c_ideal, classify, curve_fibers,
-                             find_c_points, find_lines_on_y, is_regular,
-                             lie_on_y, pfaffian_hypersurface, q_quartic,
-                             random_regular_net, splitting_types)
+from .correspondence import (ANet, SEARCH_LADDER, c_ideal, classify,
+                             curve_fibers, find_c_points, find_lines_on_y,
+                             is_regular, lie_on_y, pfaffian_hypersurface,
+                             q_quartic, random_regular_net, splitting_types)
 from .fields import GF, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
@@ -332,6 +332,9 @@ def _stage_lines(ctx):
                                      "2m=6 case"}
     found = find_c_points(net)
     if found is None:
+        fields, skipped = _reachable(net, [GF(*q) for q in SEARCH_LADDER])
+        if not fields:
+            return "skipped", skipped
         return "inconclusive", {"reason": "no curve points found on the "
                                           "small-field ladder"}
     field, points = found
@@ -479,8 +482,10 @@ def cmd_generate(args):
     if args.bound < 1:
         print("error: --bound must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    if args.n < 1 or args.two_m < 4 or args.two_m % 2:
-        print("error: need n >= 1 and even 2m >= 4", file=sys.stderr)
+    limit = args.two_m * (args.two_m - 1) // 2  # most independent forms
+    if not 1 <= args.n <= limit or args.two_m < 4 or args.two_m % 2:
+        print("error: need even 2m >= 4 and 1 <= n <= m(2m - 1) = %d"
+              % limit, file=sys.stderr)
         return EXIT_INPUT
     try:
         net, tries = random_regular_net(args.net_seed, bound=args.bound,

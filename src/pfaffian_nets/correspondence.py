@@ -877,10 +877,14 @@ def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
 
 def random_net(field, n, two_m, rng, bound=3):
     """One integer-entried candidate net (not yet checked for anything
-    beyond independence, which the constructor enforces by retry)."""
+    beyond independence, which the constructor enforces by retry); where
+    none can exist, ValueError before any draw."""
+    npairs = len(pair_indices(two_m)[0])
+    if two_m % 2 or not 1 <= n <= npairs or bound < 1:
+        raise ValueError("need even 2m, 1 <= n <= m(2m - 1) and bound >= 1;"
+                         " got 2m = %d, n = %d, bound = %d" % (two_m, n, bound))
     while True:
-        tris = [[rng.randint(-bound, bound)
-                 for _ in range(two_m * (two_m - 1) // 2)]
+        tris = [[rng.randint(-bound, bound) for _ in range(npairs)]
                 for _ in range(n)]
         try:
             return ANet.from_upper_triangles(field, two_m, tris)

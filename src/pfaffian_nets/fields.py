@@ -17,6 +17,7 @@ field tower, so any other pair of fields raises FieldMismatchError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -345,21 +346,15 @@ class ExtensionField(Field):
 
 QQ = RationalField()
 
-_prime_cache = {}
-_ext_cache = {}
-
 
 def GF(p, k=1):
-    """The finite field with p^k elements (p prime, k <= 8)."""
-    if k == 1:
-        f = _prime_cache.get(p)
-        if f is None:
-            f = _prime_cache[p] = PrimeField(p)
-        return f
-    f = _ext_cache.get((p, k))
-    if f is None:
-        f = _ext_cache[(p, k)] = ExtensionField(p, k)
-    return f
+    """The finite field with p^k elements (p prime, k <= 8), one per (p, k)."""
+    return _finite_field(p, k)
+
+
+@functools.cache
+def _finite_field(p, k):
+    return PrimeField(p) if k == 1 else ExtensionField(p, k)
 
 
 def field_from_name(name):

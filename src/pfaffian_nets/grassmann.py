@@ -8,6 +8,7 @@ to 1, so equal points compare equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,16 +17,12 @@ from . import modnum
 from .matrices import ExactMatrix
 
 _CHUNK = 2048  # points, planes or lines handled per vectorized block
-_pair_cache = {}
 
 
+@functools.cache
 def pair_indices(two_m):
-    got = _pair_cache.get(two_m)
-    if got is None:
-        pairs = [(i, j) for i in range(two_m) for j in range(i + 1, two_m)]
-        got = (pairs, {p: k for k, p in enumerate(pairs)})
-        _pair_cache[two_m] = got
-    return got
+    pairs = [(i, j) for i in range(two_m) for j in range(i + 1, two_m)]
+    return pairs, {p: k for k, p in enumerate(pairs)}
 
 
 def gaussian_binomial(n, k, q):

@@ -191,7 +191,7 @@ class HilbertEngine:
         if t0 is None or t < t0:
             self._ranks[t] = 0
             return 0
-        if self._state is None or self._state[0] > t:
+        if self._state is None:
             piv, basis = modnum.rref_mod(self._gens_by_degree[t0], self.p)
             self._state = (t0, piv, basis, np.ones(len(piv), dtype=bool))
             self._ranks[t0] = len(piv)
@@ -398,35 +398,19 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
                        stable_from=stable, primes=primes)
 
 
-def _fit_window_found(values, expected_dim, need):
-    """First t0 with `need` consecutive values on one poly of the right
-    degree, or None."""
-    top = len(values) - 1
-    for t0 in range(0, top - need + 2):
-        ts = list(range(t0, t0 + expected_dim + 1))
-        fitted = _interpolate(ts, [values[t] for t in ts])
-        if len(fitted) - 1 > expected_dim:
-            continue
-        ok = all(
-            sum(c * Fraction(t) ** e for e, c in enumerate(fitted))
-            == values[t]
-            for t in range(t0, t0 + need))
-        if ok:
-            return t0
-    return None
-
-
 def _hf_until_stable(hf, expected_dim, cap):
-    """HF(0), HF(1), ... from the function `hf` until `_fit_window_found`
-    sees a window or t passes cap; returns (values, window start or None)."""
+    """HF(0), HF(1), ... from the function `hf` until t passes cap or the
+    newest d + 2 values (d = expected_dim) have (d + 1)-th difference 0, so
+    lie on one polynomial of degree <= d; returns (values, window start or
+    None).  Each earlier window was tested when its last value came in."""
     need = expected_dim + 2
+    signs = [(-1) ** (need - 1 - i) * comb(need - 1, i) for i in range(need)]
     values = []
     for t in range(cap + 1):
         values.append(hf(t))
-        if len(values) >= need:
-            t0 = _fit_window_found(values, expected_dim, need)
-            if t0 is not None:
-                return values, t0
+        if len(values) >= need and not sum(
+                s * v for s, v in zip(signs, values[-need:])):
+            return values, len(values) - need
     return values, None
 
 

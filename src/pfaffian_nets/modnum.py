@@ -29,11 +29,13 @@ itself over GF(p), and over GF(p^k) the coefficient tuple read as base-p
 digits, first coefficient most significant; zero is code 0.  A field has
 codes when its order is at most TABLE_ORDER, or when it is a prime up to
 MAX_PRIME.  `FieldCodes` holds the arithmetic on codes and converts
-payloads to codes and back, and `_batch_rref` row-reduces stacks of small
-code matrices with it.
+payloads to codes and back, and `batch_rref_table` row-reduces stacks of
+small code matrices with it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -46,22 +48,18 @@ _PANEL = 64  # columns per Gauss-Jordan panel in rref_mod
 _ONE_THREAD_MNK = 1 << 18
 TABLE_ORDER = 64  # the largest field whose codes read operation tables
 
-_inv_tables = {}
 
-
+@functools.cache
 def inverse_table(p):
     """Array t with t[a] = a^-1 mod p (t[0] = 0): a^(p-2) for all residues at
     once, by square-and-multiply on int64 arrays (products below 2^31)."""
-    t = _inv_tables.get(p)
-    if t is None:
-        a = np.arange(p, dtype=np.int64)
-        t = np.ones(p, dtype=np.int64)
-        for bit in bin(p - 2)[2:]:
-            t = t * t % p
-            if bit == "1":
-                t = t * a % p
-        t[0] = 0
-        _inv_tables[p] = t
+    a = np.arange(p, dtype=np.int64)
+    t = np.ones(p, dtype=np.int64)
+    for bit in bin(p - 2)[2:]:
+        t = t * t % p
+        if bit == "1":
+            t = t * a % p
+    t[0] = 0
     return t
 
 
@@ -204,20 +202,20 @@ def rref_mod(a, p):
     return piv_cols, basis
 
 
-def _batch_rref(m, codes):
+def batch_rref_table(mats, codes):
     """Reduced row echelon forms of a stack of small matrices (N x r x c)
-    of codes, by one vectorized pivot loop in the FieldCodes `codes`.
-    Returns (ranks, reduced, pivots): the first ranks[k] rows of
-    reduced[k] are the RREF of matrix k with unit pivots, the rest are
-    zero, and pivots[k] marks its pivot columns.
+    whose entries are codes of the FieldCodes `codes`, by one vectorized
+    pivot loop in its arithmetic.  Returns (ranks, reduced, pivots): the
+    first ranks[k] rows of reduced[k] are the RREF of matrix k with unit
+    pivots, the rest are zero, and pivots[k] marks its pivot columns.
 
     At column col the rows from rank[k] down are zero in every earlier
     column, so the swap, the scaling and the elimination act on columns
     col onwards only; when every matrix has a pivot there, they act on the
     stack in place rather than on a gathered copy."""
+    m = np.array(mats, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError("expected a 3d stack of matrices")
-    m = m.copy()
     N, r, c = m.shape
     mul, sub, inv = codes.mul, codes.sub, codes.inv
     rank = np.zeros(N, dtype=np.int64)
@@ -256,8 +254,8 @@ def _batch_rref(m, codes):
 
 def batch_rank(mats, p):
     """Ranks of a stack of small matrices (N x r x c) mod p."""
-    return _batch_rref(np.asarray(mats, dtype=np.int64) % p,
-                       field_codes(GF(p)))[0]
+    return batch_rref_table(np.asarray(mats, dtype=np.int64) % p,
+                            field_codes(GF(p)))[0]
 
 
 class FieldCodes:
@@ -315,21 +313,10 @@ class FieldCodes:
         return out.tolist() if isinstance(out, np.ndarray) else out
 
 
-_field_codes = {}
-
-
+@functools.cache
 def field_codes(field):
     """The FieldCodes of a finite field, built once per field."""
-    codes = _field_codes.get(field)
-    if codes is None:
-        codes = _field_codes[field] = FieldCodes(field)
-    return codes
-
-
-def batch_rref_table(mats, codes):
-    """`_batch_rref` of a stack of small matrices whose entries are codes
-    of the FieldCodes `codes`."""
-    return _batch_rref(np.asarray(mats, dtype=np.int64), codes)
+    return FieldCodes(field)
 
 
 def batch_rank_table(mats, codes):

@@ -20,6 +20,7 @@ a level, as `level_polys` makes them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -34,30 +35,25 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-_monomial_tables = {}
-
-
+@functools.cache
 def monomial_table(nvars, d):
     """The exponent tuples of total degree d >= 0 in descending graded-lex
     order, as a read-only (N, nvars) int64 array, built once per process
     and shared by every reader: for e0 = d..0, e0 beside the table of
     degree d - e0 in nvars - 1 variables."""
-    table = _monomial_tables.get((nvars, d))
-    if table is None:
-        if nvars <= 1:
-            table = np.full((1 if nvars or not d else 0, nvars), d,
-                            dtype=np.int64)
-        else:
-            parts = []
-            for e0 in range(d, -1, -1):
-                rest = monomial_table(nvars - 1, d - e0)
-                part = np.empty((len(rest), nvars), dtype=np.int64)
-                part[:, 0] = e0
-                part[:, 1:] = rest
-                parts.append(part)
-            table = np.concatenate(parts)
-        table.flags.writeable = False
-        _monomial_tables[nvars, d] = table
+    if nvars <= 1:
+        table = np.full((1 if nvars or not d else 0, nvars), d,
+                        dtype=np.int64)
+    else:
+        parts = []
+        for e0 in range(d, -1, -1):
+            rest = monomial_table(nvars - 1, d - e0)
+            part = np.empty((len(rest), nvars), dtype=np.int64)
+            part[:, 0] = e0
+            part[:, 1:] = rest
+            parts.append(part)
+        table = np.concatenate(parts)
+    table.flags.writeable = False
     return table
 
 

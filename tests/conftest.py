@@ -3,6 +3,8 @@ a smooth Pfaffian cubic, and clean enumerated behavior over GF(2) and
 GF(3).  Frozen rather than regenerated so the suite never depends on the
 rejection sampler's retry budget."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +68,22 @@ def recording(products):
             return getattr(ufunc, method)(*plain, **kwargs)
 
     return Recorded
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` of wall
+    time, so that a loop that never ends fails the test instead of
+    hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

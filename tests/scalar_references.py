@@ -28,7 +28,10 @@ ideal, which the package holds as integer rows (`ideal_of` builds a
 `HomogeneousIdeal` from MultiPolys, `ideal_polys` reads its forms back),
 the brute-force point count of the zero set of MultiPoly forms, and the
 degree and partial derivatives of a MultiPoly, which the package reads
-off its integer rows (`ideals.jacobian_ideal`)."""
+off its integer rows (`ideals.jacobian_ideal`).  And the Hilbert fit's
+window search that interpolates every window on each new value, which
+the package replaced by one finite difference per value
+(`ideals._hf_until_stable`)."""
 
 import itertools
 import random
@@ -44,7 +47,7 @@ from pfaffian_nets.correspondence import (ANet, _phi_bases,
                                           x_points, y_points)
 from pfaffian_nets.grassmann import (_CHUNK, enumerate_projective,
                                      pair_indices, plucker_from_basis)
-from pfaffian_nets.ideals import HomogeneousIdeal
+from pfaffian_nets.ideals import HomogeneousIdeal, _interpolate
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, monomial_table
 
@@ -593,3 +596,35 @@ def partial(poly, i):
             else:
                 out[new] = s
     return MultiPoly._raw(f, poly.nvars, out)
+
+
+def _fit_window_found(values, expected_dim, need):
+    """First t0 with `need` consecutive values on one poly of the right
+    degree, or None."""
+    top = len(values) - 1
+    for t0 in range(0, top - need + 2):
+        ts = list(range(t0, t0 + expected_dim + 1))
+        fitted = _interpolate(ts, [values[t] for t in ts])
+        if len(fitted) - 1 > expected_dim:
+            continue
+        ok = all(
+            sum(c * Fraction(t) ** e for e, c in enumerate(fitted))
+            == values[t]
+            for t in range(t0, t0 + need))
+        if ok:
+            return t0
+    return None
+
+
+def fit_window_reference(hf, expected_dim, cap):
+    """HF(0), HF(1), ... from the function `hf` until `_fit_window_found`
+    sees a window or t passes cap; returns (values, window start or None)."""
+    need = expected_dim + 2
+    values = []
+    for t in range(cap + 1):
+        values.append(hf(t))
+        if len(values) >= need:
+            t0 = _fit_window_found(values, expected_dim, need)
+            if t0 is not None:
+                return values, t0
+    return values, None

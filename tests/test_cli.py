@@ -21,7 +21,7 @@ from pfaffian_nets.grassmann import pair_indices
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
 
-from conftest import PINNED_UPPERS, recording
+from conftest import PINNED_UPPERS, deadline, recording
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "pinned_report.json")
@@ -123,6 +123,16 @@ class TestGenerate:
 
     def test_odd_size_is_input_error(self):
         assert main(["generate", "--two-m", "5"]) == 3
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["--n", "16"], 15), (["--two-m", "4", "--n", "7"], 6)], ids=str)
+    def test_more_forms_than_independent_ones_is_input_error(
+            self, capsys, argv, limit):
+        """C(2m, 2) = m(2m - 1) skew forms on a 2m-space are independent
+        at most, so a larger n is refused by name, not searched for."""
+        with deadline(10):
+            assert main(["generate"] + argv) == 3
+        assert "n <= m(2m - 1) = %d" % limit in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -270,6 +280,33 @@ class TestPipeline:
         assert list(detail["per_field"]) == ["GF(5)"]
         assert detail["skipped_fields"] == ["GF(2)"]
         assert got["jw"]["verdict"] == "skipped"
+
+    def test_lines_skip_a_ladder_the_net_cannot_reach(self, tmp_path,
+                                                      monkeypatch, pinned_net):
+        """A net native to GF(101) reaches no field of the C-point ladder:
+        the lines stage is skipped and names them, and the run passes.  A
+        ladder that reaches a field and finds no point stays
+        inconclusive."""
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        net = correspondence.random_net(GF(101), 5, 6, random.Random(5),
+                                        bound=1)
+        fx = tmp_path / "native.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        out = tmp_path / "report.json"
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 0
+        lines = {s["name"]: s
+                 for s in json.loads(out.read_text())["stages"]}["lines"]
+        assert lines == {"name": "lines", "verdict": "skipped", "detail": {
+            "reason": "the net over GF(101) reduces to none of GF(3), GF(5),"
+                      " GF(7), GF(3^2), GF(5^2), GF(3^3)"}}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d530ea9f5a218a3a2c0ff99112778b8f8e817396233b6d5cbb087c4d68d5a443")
+        monkeypatch.setattr(cli, "find_c_points", lambda net: None)
+        assert cli._stage_lines({"net": pinned_net}) == (
+            "inconclusive",
+            {"reason": "no curve points found on the small-field ladder"})
 
     def test_pipeline_parses_the_fixture_once(self, fixture_path, tmp_path,
                                               monkeypatch):

@@ -30,6 +30,7 @@ from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
+from conftest import deadline
 from scalar_references import (certify_line_on_x, exact_divide, fv_at,
                                fv_rank_table, homogeneous_degree,
                                ideal_polys, kappa,
@@ -1185,6 +1186,23 @@ def test_subfield_descent(request, name, p):
 
 
 class TestFixtureGeneration:
+    @pytest.mark.parametrize("field, n, two_m, bound", [
+        (QQ, 5, 5, 3), (QQ, 16, 6, 3), (GF(7), 7, 4, 3), (QQ, 0, 6, 3),
+        (QQ, 1, -2, 3), (QQ, 5, 6, 0)], ids=str)
+    def test_random_net_refuses_a_family_that_cannot_exist(
+            self, field, n, two_m, bound):
+        """Odd 2m, n = 0 or n > m(2m - 1), and bound 0 admit no
+        independent family: ValueError before any draw, not a retry loop
+        that never ends."""
+        rng = random.Random(0)
+        with deadline(10), pytest.raises(ValueError, match="need even 2m"):
+            random_net(field, n, two_m, rng, bound=bound)
+        assert rng.getstate() == random.Random(0).getstate()
+
+    def test_random_net_draws_the_largest_family(self):
+        net = random_net(GF(7), 6, 4, random.Random(0), bound=1)
+        assert (net.n, net.two_m) == (6, 4)
+
     def test_seeded_search_is_deterministic(self):
         net_a, tries_a = random_regular_net(104, bound=3, max_tries=8)
         net_b, tries_b = random_regular_net(104, bound=3, max_tries=8)

@@ -6,9 +6,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pfaffian_nets import modnum
-from pfaffian_nets.cli import net_from_fixture
+from pfaffian_nets import ideals, modnum
+from pfaffian_nets.cli import HILBERT_CAP, net_from_fixture
 from pfaffian_nets.correspondence import c_ideal, sub_pfaffian_ideal
 from pfaffian_nets.fields import QQ, GF
 from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
@@ -16,13 +17,14 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   ambient_dimension, fit_hilbert_polynomial,
                                   hilbert_function, is_empty_projective,
                                   jacobian_ideal, macaulay_matrix,
-                                  minors_ideal, _interpolate)
+                                  minors_ideal, _hf_until_stable,
+                                  _interpolate)
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_level, minor_polys
 
 from conftest import random_value
-from scalar_references import (det, homogeneous_degree, ideal_of,
-                               ideal_polys, laplace_minors,
+from scalar_references import (det, fit_window_reference, homogeneous_degree,
+                               ideal_of, ideal_polys, laplace_minors,
                                monomials_of_degree, partial, stack_grid)
 from test_cli import dead_fixture_text
 
@@ -343,6 +345,48 @@ def test_variable_multiples_stay_inside():
 def test_interpolate_recovers_polynomial():
     coeffs = _interpolate([2, 3, 4], [4 * t * t - t + 1 for t in (2, 3, 4)])
     assert coeffs == (Fraction(1), Fraction(-1), Fraction(4))
+
+
+@st.composite
+def hf_sequences(draw):
+    """(d, cap, values): values[t] for t = 0..cap, either noise from a
+    small range (so that some windows fit by chance) or a noisy prefix
+    followed by a polynomial tail of degree up to d + 1."""
+    d = draw(st.integers(0, 3))
+    cap = draw(st.integers(0, 16))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        return d, cap, draw(st.lists(small, min_size=cap + 1,
+                                     max_size=cap + 1))
+    prefix = draw(st.lists(small, max_size=cap + 1))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=d + 2))
+    tail = [sum(c * t ** e for e, c in enumerate(coeffs))
+            for t in range(len(prefix), cap + 1)]
+    return d, cap, prefix + tail
+
+
+@given(hf_sequences())
+def test_window_test_matches_the_interpolating_search(case):
+    """One finite difference per new value finds the window that
+    interpolating every window on each value finds, or neither does."""
+    d, cap, values = case
+    assert _hf_until_stable(values.__getitem__, d, cap) \
+        == fit_window_reference(values.__getitem__, d, cap)
+
+
+def test_pinned_curve_fit_interpolates_once(pinned_net, monkeypatch):
+    """The hilbert-C fit of the pinned net, mod both primes, interpolates
+    only the polynomial it reports."""
+    calls = []
+
+    def counted(ts, vals, _real=ideals._interpolate):
+        calls.append(ts)
+        return _real(ts, vals)
+    monkeypatch.setattr(ideals, "_interpolate", counted)
+    data = fit_hilbert_polynomial(c_ideal(pinned_net), expected_dim=1,
+                                  cap=HILBERT_CAP, primes=(32003, 32009))
+    assert data.fitted == (Fraction(-25), Fraction(25))
+    assert calls == [[data.stable_from, data.stable_from + 1]]
 
 
 def test_fit_line_in_six_vars():

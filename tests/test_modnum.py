@@ -158,13 +158,14 @@ def test_inverse_table_inverts_every_residue(p):
     assert np.all(a * t[1:] % p == 1)
 
 
-def test_rref_mod_builds_no_inverse_table(monkeypatch):
-    monkeypatch.setattr(modnum, "_inv_tables", {})
+def test_rref_mod_builds_no_inverse_table():
+    modnum.inverse_table.cache_clear()
     a = np.array(random_matrix(random.Random(9), 30, 90, 32003),
                  dtype=np.int64)
     piv, basis = modnum.rref_mod(a, 32003)
     assert len(piv) == 30 and np.all(basis[np.arange(30), piv] == 1)
-    assert 32003 not in modnum._inv_tables
+    info = modnum.inverse_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_rref_properties_and_kernel():
@@ -295,7 +296,7 @@ def test_batch_rref_matches_naive_oracle(p, shape):
     eyes = [(full + np.triu(rng.randrange(p) * np.ones_like(full), 1)) % p
             for _ in range(8)]
     for stack in (np.array(mats, dtype=np.int64), np.array(eyes)):
-        ranks, reduced, pivots = modnum._batch_rref(
+        ranks, reduced, pivots = modnum.batch_rref_table(
             stack, modnum.field_codes(GF(p)))
         for mat, rank, red, mask in zip(stack, ranks, reduced, pivots):
             piv, basis = naive_rref(mat.tolist(), p)

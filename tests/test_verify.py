@@ -175,7 +175,7 @@ class TestSamplerOracle:
         points) and the GF(7) plan's pairs build one FieldCodes and encode
         each oracle's stack once, not once per chunk."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
-        monkeypatch.setattr(modnum, "_field_codes", {})
+        modnum.field_codes.cache_clear()
         built, stacks = [], []
         init, encode = modnum.FieldCodes.__init__, modnum.FieldCodes.encode
 
@@ -194,6 +194,7 @@ class TestSamplerOracle:
         assert rank_oracle(net.over(field), field, "v").table.size == 19608
         assert len(verify._pairs(net, SamplePlan(field, count=100))) == 100
         assert built == [field]
+        assert modnum.field_codes.cache_info().currsize == 1
         assert sorted(stacks) == [(5, 6, 6), (6, 5, 6)]
 
     def test_fv_tables_rank_no_point(self, monkeypatch):
