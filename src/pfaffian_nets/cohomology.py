@@ -26,16 +26,12 @@ rational path would crawl).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .correspondence import lie_on_y
+from .ideals import ambient_dimension
 from .matrices import ExactMatrix
 from .modnum import field_codes
 from .multipoly import MultiPoly, monomial_table
-
-
-def _sym_dim(nvars, d):
-    return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
 
 
 def _binom_poly(s, k):
@@ -84,8 +80,8 @@ def _mu_rank(net, s):
     """(source dim, target dim, rank) of mu_s; raises when the map has a
     kernel, which breaks left exactness of the section sequence."""
     n, two_m = net.n, net.two_m
-    src = two_m * _sym_dim(n, s - 1)
-    dst = two_m * _sym_dim(n, s)
+    src = two_m * ambient_dimension(n, s - 1)
+    dst = two_m * ambient_dimension(n, s)
     if src == 0:
         return 0, dst, 0
     rank = mu_matrix(net, s).rank()
@@ -229,19 +225,11 @@ def hypersurface_line_bundle_cohomology(d, n, t):
     if n < 3:
         raise ValueError("ambient P^{n-1} with n >= 3 expected")
     row = [0] * (n - 1)
-    row[0] = max(0, _clamped(t + n - 1, n - 1) - _clamped(t - d + n - 1,
-                                                         n - 1))
-    row[n - 2] += _top_dim(t - d, n) - _top_dim(t, n)
+    row[0] = max(0, ambient_dimension(n, t) - ambient_dimension(n, t - d))
+    # h^{n-1}(P^{n-1}, O(s)) = h^0(O(-s-n)) by Serre duality
+    row[n - 2] += (ambient_dimension(n, d - t - n)
+                   - ambient_dimension(n, -t - n))
     return tuple(row)
-
-
-def _clamped(a, b):
-    return comb(a, b) if a >= 0 else 0
-
-
-def _top_dim(s, n):
-    """dim H^{n-1}(P^{n-1}, O(s)) = C(-s-1, n-1) for s <= -n, else 0."""
-    return comb(-s - 1, n - 1) if s <= -n else 0
 
 
 class PairVerdict:

@@ -30,6 +30,8 @@ from .multipoly import (MultiPoly, level_polys, minor_polys, pfaffian_level,
 class ANet:
     """n linearly independent skew 2m x 2m matrices F_1..F_n over one field;
     f(a) = sum a_i F_i is the induced pencil-of-nets map A -> Lambda^2 V*.
+    Stored as a fixture stores it, per form the C(2m, 2) entries (F)_{ij},
+    i < j, in `pair_indices` order: every F_i is skew by construction.
 
     A net is never changed after construction, so it owns what is derived
     from it: `derived` builds each object (the cubic, the quartic, the
@@ -37,28 +39,27 @@ class ANet:
     per instance, and makes an array it keeps read-only, as every caller
     shares it."""
 
-    def __init__(self, field, matrices):
-        if not matrices:
+    def __init__(self, field, two_m, triangles):
+        if not triangles:
             raise ValueError("a net needs at least one matrix")
-        self.field = field
-        self.matrices = list(matrices)
-        self.n = len(self.matrices)
-        self.two_m = self.matrices[0].nrows
-        if self.two_m % 2:
+        if two_m % 2:
             raise ValueError("V must be even-dimensional")
-        for F in self.matrices:
-            if F.field != field:
-                raise FieldMismatchError("net matrices over mixed fields")
-            if (F.nrows, F.ncols) != (self.two_m, self.two_m):
-                raise ValueError("net matrices of mixed sizes")
-            if not F.is_skew_symmetric():
-                raise ValueError("net matrix is not skew-symmetric")
-        pairs, _ = pair_indices(self.two_m)
-        coeff = ExactMatrix(field, [[F.rows[i][j] for i, j in pairs]
-                                    for F in self.matrices])
+        npairs = len(pair_indices(two_m)[0])
+        for tri in triangles:
+            if len(tri) != npairs:
+                raise ValueError("expected %d upper entries, got %d"
+                                 % (npairs, len(tri)))
+        coeff = ExactMatrix(field, triangles)
+        self.field, self.n, self.two_m = field, len(triangles), two_m
+        self.triangles = tuple(map(tuple, coeff.rows))
         if coeff.rank() != self.n:
             raise ValueError("net matrices are linearly dependent")
         self._derived = {}
+
+    @classmethod
+    def from_upper_triangles(cls, field, two_m, triangles):
+        """The same as `ANet(field, two_m, triangles)`."""
+        return cls(field, two_m, triangles)
 
     def derived(self, key, build):
         """The value of `build()`, built once per key for this net; a build
@@ -70,11 +71,13 @@ class ANet:
         return self._derived[key]
 
     def over(self, field):
-        """This net with its entries reduced into `field`: the net itself
-        when it is already over `field`, else one memoized reduction."""
+        """This net with its entries moved into `field` by `reduce_value`:
+        itself when it is already over `field`, else one memoized net."""
         if field == self.field:
             return self
-        return self.derived(("over", field), lambda: self.map_field(field))
+        return self.derived(("over", field), lambda: ANet(
+            field, self.two_m, [[reduce_value(v, self.field, field)
+                                 for v in tri] for tri in self.triangles]))
 
     def reaches(self, field):
         """Whether this net reduces to `field`: `over(field)` builds, so
@@ -87,37 +90,6 @@ class ANet:
             return False
         return True
 
-    # -- construction and serialization --------------------------------------
-
-    @classmethod
-    def from_upper_triangles(cls, field, two_m, triangles):
-        """Each triangle: the C(2m,2) entries (F)_{ij}, i<j, row-major."""
-        pairs, _ = pair_indices(two_m)
-        mats = []
-        for tri in triangles:
-            if len(tri) != len(pairs):
-                raise ValueError("expected %d upper entries, got %d"
-                                 % (len(pairs), len(tri)))
-            m = ExactMatrix.zeros(field, two_m, two_m)
-            for (i, j), v in zip(pairs, tri):
-                val = field.value_of(v)
-                m.rows[i][j] = val
-                m.rows[j][i] = field.neg(val)
-            mats.append(m)
-        return cls(field, mats)
-
-    def upper_triangles(self):
-        pairs, _ = pair_indices(self.two_m)
-        return [[F.rows[i][j] for i, j in pairs] for F in self.matrices]
-
-    def map_field(self, target):
-        mats = []
-        for F in self.matrices:
-            rows = [[reduce_value(v, self.field, target) for v in row]
-                    for row in F.rows]
-            mats.append(ExactMatrix(target, rows))
-        return ANet(target, mats)
-
     def __repr__(self):
         return "ANet(n=%d, 2m=%d over %s)" % (self.n, self.two_m, self.field)
 
@@ -125,21 +97,7 @@ class ANet:
 
     def f_at(self, a):
         """The skew matrix f(a) = sum a_i F_i at a coefficient vector a."""
-        f = self.field
-        vals = [f.value_of(x) for x in a]
-        if len(vals) != self.n:
-            raise ValueError("expected %d coefficients" % self.n)
-        out = ExactMatrix.zeros(f, self.two_m, self.two_m)
-        for c, F in zip(vals, self.matrices):
-            if f.is_zero_value(c):
-                continue
-            for i in range(self.two_m):
-                row = F.rows[i]
-                orow = out.rows[i]
-                for j in range(self.two_m):
-                    if not f.is_zero_value(row[j]):
-                        orow[j] = f.add(orow[j], f.mul(c, row[j]))
-        return out
+        return _combination(self.field, self.stack("a"), a)
 
     def stack(self, side):
         """The matrices C_j of one side as one linear stack, nested tuples
@@ -150,11 +108,31 @@ class ANet:
             raise ValueError("side must be 'a' or 'v'")
 
         def build():
-            mats = [F.rows for F in self.matrices]
             if side == "v":
-                mats = [[F[l] for F in mats] for l in range(self.two_m)]
-            return tuple(tuple(map(tuple, C)) for C in mats)
+                return tuple(zip(*self.stack("a")))
+            f, pairs = self.field, pair_indices(self.two_m)[0]
+            mats = []
+            for tri in self.triangles:
+                F = [[f.zero_value] * self.two_m for _ in range(self.two_m)]
+                for (i, j), v in zip(pairs, tri):
+                    F[i][j], F[j][i] = v, f.neg(v)
+                mats.append(tuple(map(tuple, F)))
+            return tuple(mats)
         return self.derived(("stack", side), build)
+
+
+def _combination(f, stack, x):
+    """The ExactMatrix sum_j x_j C_j of a stack (`ANet.stack`)."""
+    vals = [f.value_of(c) for c in x]
+    if len(vals) != len(stack):
+        raise ValueError("expected %d coefficients" % len(stack))
+    out = ExactMatrix.zeros(f, len(stack[0]), len(stack[0][0]))
+    for c, C in zip(vals, stack):
+        if not f.is_zero_value(c):
+            for row, orow in zip(C, out.rows):
+                for j, v in enumerate(row):
+                    orow[j] = f.add(orow[j], f.mul(c, v))
+    return out
 
 
 # -- the point oracle ---------------------------------------------------------
@@ -591,9 +569,7 @@ def phi_fiber(net, v):
     """The planes U with v in U inside (Im f_v)^perp: a single Grassmannian
     point over Q - C, the pencil line L_c over c in C."""
     f = net.field
-    vt = ExactMatrix(f, [v])  # f_v: row i is v^T F_i
-    m = ExactMatrix(f, [(vt @ F).rows[0] for F in net.matrices],
-                    ncols=net.two_m)
+    m = _combination(f, net.stack("v"), v)  # f_v: row i is v^T F_i
     rank, kern = m.rank_kernel()  # kernel of v^T F: the annihilator of Im f_v
     perp_dim = kern.ncols
     if perp_dim == net.two_m - net.n:
@@ -944,7 +920,7 @@ def degenerate_net(seed=0, bound=3):
         # may not drop modulo the enumeration primes (and the reduced net
         # must still be a net at all)
         try:
-            if any(net.map_field(GF(p)).f_at(e1).rank() != 4
+            if any(net.over(GF(p)).f_at(e1).rank() != 4
                    for p in (2, 3)):
                 continue
         except ValueError:

@@ -92,18 +92,6 @@ class ExactMatrix:
         return ExactMatrix(self.field, [list(col) for col in zip(*self.rows)],
                            ncols=self.nrows)
 
-    def is_skew_symmetric(self):
-        if self.nrows != self.ncols:
-            return False
-        f = self.field
-        for i in range(self.nrows):
-            if not f.is_zero_value(self.rows[i][i]):
-                return False
-            for j in range(i + 1, self.ncols):
-                if self.rows[i][j] != f.neg(self.rows[j][i]):
-                    return False
-        return True
-
     # -- elimination ----------------------------------------------------------
 
     def rref(self):

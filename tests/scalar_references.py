@@ -71,8 +71,8 @@ def psi_fiber(net, v):
 def fv_at(net, v):
     """The n x 2m matrix f_v at a point v, row i the product v^T F_i."""
     vt = ExactMatrix(net.field, [v])
-    return ExactMatrix(net.field, [(vt @ F).rows[0] for F in net.matrices],
-                       ncols=net.two_m)
+    return ExactMatrix(net.field, [(vt @ ExactMatrix(net.field, F)).rows[0]
+                                   for F in net.stack("a")], ncols=net.two_m)
 
 
 def stack_grid(field, stack):
@@ -156,7 +156,10 @@ def splitting_type_on_line(net, a1, a2):
     if not line_on_hypersurface(cubic, a1, a2):
         raise ValueError("the pencil does not lie on the Pfaffian "
                          "hypersurface")
-    pencil = ANet(net.field, [net.f_at(a1), net.f_at(a2)])
+    pairs, _ = pair_indices(net.two_m)
+    pencil = ANet(net.field, net.two_m, [[F.rows[i][j] for i, j in pairs]
+                                         for F in (net.f_at(a1),
+                                                   net.f_at(a2))])
     # corank must be exactly 2 across the pencil; probe a few parameters
     probes = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]
     for s, t in probes:
@@ -216,10 +219,7 @@ def satisfies_quadrics(point):
 def net_linear_forms(net):
     """The n linear forms l_i(p) = sum_{j<k} (F_i)_{jk} p_{jk} in Plucker
     variables; X = Gr(2,V) cut by all of them."""
-    pairs, _ = pair_indices(net.two_m)
-    return [MultiPoly.linear_form(net.field,
-                                  [F.rows[i][j] for i, j in pairs])
-            for F in net.matrices]
+    return [MultiPoly.linear_form(net.field, tri) for tri in net.triangles]
 
 
 def x_generators(net):
@@ -444,6 +444,20 @@ def _det_rational(rows):
 MAX_PFAFFIAN_SIZE = 12
 
 
+def is_skew_symmetric(m):
+    """Whether an ExactMatrix is square with zero diagonal and m^T = -m."""
+    if m.nrows != m.ncols:
+        return False
+    f = m.field
+    for i in range(m.nrows):
+        if not f.is_zero_value(m.rows[i][i]):
+            return False
+        for j in range(i + 1, m.ncols):
+            if m.rows[i][j] != f.neg(m.rows[j][i]):
+                return False
+    return True
+
+
 def pfaffian_scalar(m):
     """Pfaffian of a skew-symmetric ExactMatrix via first-row expansion,
     as a payload.
@@ -460,7 +474,7 @@ def pfaffian_scalar(m):
                          % (m.nrows, MAX_PFAFFIAN_SIZE))
     if m.field.characteristic == 2:
         raise ValueError("pfaffians are not computed in characteristic 2")
-    if not m.is_skew_symmetric():
+    if not is_skew_symmetric(m):
         raise ValueError("matrix is not skew-symmetric")
     f = m.field
     rows = m.rows

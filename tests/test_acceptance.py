@@ -132,7 +132,7 @@ def test_04_curve_hilbert_polynomial(pinned_net):
 
 def test_04b_minor_engine_budget(pinned_net):
     start = time.monotonic()
-    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
     assert homogeneous_degree(q_quartic(net)) == 4
     assert len(c_ideal(net).forms[4][0]) == 75
     _budget("quartic and curve minors over QQ", 1, start)
@@ -156,7 +156,7 @@ def test_05_singular_locus_enumeration(pinned_family, degenerate_fixture):
 
 def test_05b_classification_over_seven_fields(pinned_net):
     start = time.monotonic()
-    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
     fields = (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2))
     cls = classify(net, fields=fields)
     for name, data in cls.per_field.items():
@@ -187,7 +187,7 @@ def test_07_line_correspondences(pinned_net, found_curve_points):
     assert all(p ** k <= 2704 for p, k in SEARCH_LADDER)
     field, points = found_curve_points
     assert points
-    reduced = pinned_net.map_field(field)
+    reduced = pinned_net.over(field)
     cubic = pfaffian_hypersurface(reduced)
     elements = list(field.elements())
     params = [(field.one_value, field.zero_value)] \
@@ -225,7 +225,7 @@ def test_08_pair_and_ideal_membership(pinned_net, found_curve_points):
     start = time.monotonic()
     assert exceptional_pair_check_y().passed
     field, points = found_curve_points
-    reduced = pinned_net.map_field(field)
+    reduced = pinned_net.over(field)
     for _, (a1, a2), _ in curve_fibers(reduced, points):
         verdict = line_ideal_membership(reduced, a1, a2)
         assert verdict.passed
@@ -254,7 +254,7 @@ def test_09b_exhaustive_fiber_checks_over_gf7(pinned_net):
     # all of Y x X over F_7, where the pipeline samples 1,000 pairs; a
     # fresh net, so the 183,184 records are not kept for the session
     start = time.monotonic()
-    net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+    net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
     plan = SamplePlan(GF(7), mode="enumerate")
     pointwise = jw_pointwise(net, plan)
     sections = jw1_section_check(net, plan)

@@ -57,7 +57,14 @@ class TestFixtureRoundtrip:
         doc = net_to_fixture(pinned_net)
         back = net_from_fixture(json.loads(canonical_json(doc)))
         assert back.field.name == "QQ"
-        assert back.upper_triangles() == pinned_net.upper_triangles()
+        assert back.triangles == pinned_net.triangles
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(7, 2)], ids=str)
+    def test_roundtrip_writes_identical_bytes(self, pinned_net, field):
+        text = canonical_json(net_to_fixture(pinned_net.over(field)))
+        back = net_from_fixture(json.loads(text))
+        assert back.field == field
+        assert canonical_json(net_to_fixture(back)) == text
 
     def test_rational_entries_survive(self):
         from fractions import Fraction
@@ -65,7 +72,7 @@ class TestFixtureRoundtrip:
         net = ANet.from_upper_triangles(QQ, 4, tris)
         back = net_from_fixture(json.loads(canonical_json(
             net_to_fixture(net))))
-        assert back.matrices[0].rows[0][1] == Fraction(1, 2)
+        assert back.triangles[0][0] == Fraction(1, 2)
 
     def test_extension_field_entries(self):
         f = GF(3, 2)
@@ -75,7 +82,7 @@ class TestFixtureRoundtrip:
         back = net_from_fixture(json.loads(canonical_json(
             net_to_fixture(net))))
         assert back.field.name == "GF(3^2)"
-        assert back.matrices[0].rows[0][1] == (1, 2)
+        assert back.triangles[0][0] == (1, 2)
 
     def test_fingerprint_ignores_provenance(self, pinned_net):
         plain = net_to_fixture(pinned_net)
@@ -449,12 +456,32 @@ class TestGating:
             assert stages[name]["verdict"] == "skipped"
             assert "n=5, 2m=6" in stages[name]["detail"]["reason"]
 
+    def test_smooth_net_of_another_shape_runs_the_enumerations(self,
+                                                               tmp_path):
+        """On a smooth n = 3, 2m = 8 net jw and jw1 pass on the GF(2)
+        enumeration; the GF(7) draws, which the quartic makes on an
+        n = 5, 2m = 6 net only, are left out and named."""
+        fx, out = tmp_path / "g.json", tmp_path / "rep.json"
+        assert main(["generate", "--n", "3", "--two-m", "8", "--seed", "2",
+                     "--bound", "2", "--out", str(fx)]) == 0
+        assert main(["pipeline", str(fx), "--fields", "2",
+                     "-o", str(out)]) == 0
+        stages = {s["name"]: s for s in json.loads(out.read_text())["stages"]}
+        for name, checked in (("jw", 3969), ("jw1", 11907)):
+            assert stages[name]["verdict"] == "pass"
+            detail = stages[name]["detail"]
+            assert [(r["checked"], r["on_w"]) for r in detail["reports"]] \
+                == [(checked, 279)]
+            assert [(p["field"], p["mode"]) for p in detail["skipped_plans"]] \
+                == [("GF(7)", "random")]
+            assert "n=5, 2m=6" in detail["skipped_plans"][0]["reason"]
+
     def test_witness_search_skips_a_field_a_denominator_blocks(self,
                                                              tmp_path):
         # matrix 0 over 3 has no reduction mod 3, so the witness search
         # skips GF(3) and finds its point over GF(7)
         net = net_from_fixture(json.loads(dead_fixture_text()))
-        tris = net.upper_triangles()
+        tris = list(net.triangles)
         tris[0] = [x / 3 for x in tris[0]]
         fx = tmp_path / "thirds.json"
         fx.write_text(canonical_json(net_to_fixture(
@@ -655,7 +682,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", [["pipeline"], ["verify", "jw"]],
                              ids=["pipeline", "verify"])
-    @pytest.mark.parametrize("two_m", [0, -2, 5])
+    @pytest.mark.parametrize("two_m", [0, -2, 2, 5])
     def test_two_m_not_even_and_positive(self, fixture_path, tmp_path, capsys,
                                          command, two_m):
         with open(fixture_path) as fh:
@@ -664,7 +691,7 @@ class TestErrors:
         fx.write_text(json.dumps(doc))
         assert main([command[0], str(fx)] + command[1:]) == 3
         assert capsys.readouterr().err == (
-            "error: fixture 'two_m' must be an even integer >= 2, got %d\n"
+            "error: fixture 'two_m' must be an even integer >= 4, got %d\n"
             % two_m)
 
     def test_unparseable_json(self, tmp_path):

@@ -87,7 +87,7 @@ class TestMuMatrix:
         for l in range(6):
             col = [m1.rows[r][l] for r in range(30)]
             for i in range(5):
-                expected = [pinned_net.matrices[i].rows[k][l]
+                expected = [pinned_net.stack("a")[i][k][l]
                             for k in range(6)]
                 got = [col[k * 5 + i] for k in range(6)]
                 assert got == expected
@@ -107,7 +107,7 @@ class TestTheta:
 
     def test_section_growth_matches_binomial_differences(self, pinned_net):
         # once mu_t is injective, h^0(t) = 6 (C(t+4,4) - C(t+3,4))
-        reduced = pinned_net.map_field(GF(32003))
+        reduced = pinned_net.over(GF(32003))
         assert theta_cohomology(reduced, 2)[0] == 60
         assert theta_cohomology(reduced, 3)[0] == 120
         assert theta_cohomology(reduced, -6)[3] == 60
@@ -115,13 +115,13 @@ class TestTheta:
     def test_two_prime_agreement(self, pinned_net):
         rows = []
         for p in (32003, 32009):
-            reduced = pinned_net.map_field(GF(p))
+            reduced = pinned_net.over(GF(p))
             rows.append([theta_cohomology(reduced, t)
                          for t in (3, 2, 1, 0, -4, -5, -6)])
         assert rows[0] == rows[1]
 
     def test_top_degree_always_vanishes(self, pinned_net):
-        reduced = pinned_net.map_field(GF(32003))
+        reduced = pinned_net.over(GF(32003))
         for t in range(-6, 3):
             assert theta_cohomology(reduced, t)[4] == 0
 
@@ -268,7 +268,7 @@ class TestExceptionalPair:
 @pytest.fixture(scope="module")
 def jumping_lines(pinned_net):
     field, points = find_c_points(pinned_net)
-    reduced = pinned_net.map_field(field)
+    reduced = pinned_net.over(field)
     lines = []
     for c in points:
         kind, line = psi_fiber(reduced, c)

@@ -127,13 +127,13 @@ def tangent_test_x(net, point):
     piv, red = point.basis.rref()
     comp_cols = [c for c in range(net.two_m) if c not in piv]
     rows = []
-    for F in net.matrices:
+    for F in net.stack("a"):
         row = []
         for u in red.rows:
             for c in comp_cols:
                 acc = f.zero_value
                 for l in range(net.two_m):
-                    acc = f.add(acc, f.mul(u[l], F.rows[l][c]))
+                    acc = f.add(acc, f.mul(u[l], F[l][c]))
                 row.append(acc)
         rows.append(row)
     m = ExactMatrix(f, rows, ncols=2 * (net.two_m - 2))
@@ -160,23 +160,28 @@ def scanning_witness(net, max_rank):
 
 class TestANet:
     def test_round_trip(self, pinned):
-        assert pinned.upper_triangles() == [
-            [QQ.value_of(v) for v in row] for row in PINNED_UPPER]
-        again = ANet.from_upper_triangles(QQ, 6, pinned.upper_triangles())
-        assert [m.rows for m in again.matrices] == \
-            [m.rows for m in pinned.matrices]
+        assert pinned.triangles == tuple(
+            tuple(QQ.value_of(v) for v in row) for row in PINNED_UPPER)
+        again = ANet.from_upper_triangles(QQ, 6, pinned.triangles)
+        assert again.triangles == pinned.triangles
+        assert again.stack("a") == pinned.stack("a")
+
+    def test_forms_are_skew(self, pinned):
+        for F in pinned.stack("a"):
+            for i in range(6):
+                assert F[i][i] == 0
+                for j in range(6):
+                    assert F[i][j] == -F[j][i]
+
+    def test_rejects_a_triangle_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 15 upper entries"):
+            ANet(QQ, 6, [tri({(0, 1): 1}), [1, 2, 3]])
 
     def test_rejects_dependent(self):
         a = tri({(0, 1): 1, (2, 3): 2})
         b = tri({(0, 1): 2, (2, 3): 4})
         with pytest.raises(ValueError, match="dependent"):
             ANet.from_upper_triangles(QQ, 6, [a, b])
-
-    def test_rejects_non_skew(self):
-        m = ExactMatrix(QQ, [[int(i == j) for j in range(6)]
-                             for i in range(6)])
-        with pytest.raises(ValueError, match="skew"):
-            ANet(QQ, [m])
 
     def test_f_at_matches_symbolic(self, pinned):
         # the symbolic f(a) is the stack of side "a"
@@ -186,18 +191,37 @@ class TestANet:
         point = [QQ.value_of(x) for x in a]
         assert grid_at(sym, point) == direct.rows
 
-    def test_map_field_reduces_entrywise(self, pinned):
-        red = pinned.map_field(F7)
-        assert red.matrices[0].rows[0][1] == F7.value_of(
-            pinned.matrices[0].rows[0][1])
+    def test_over_reduces_entrywise(self, pinned):
+        red = pinned.over(F7)
+        assert red.triangles[0][0] == F7.value_of(pinned.triangles[0][0])
+        for field in (F2, F7, GF(7, 2)):
+            red = pinned.over(field)
+            assert red.triangles == tuple(
+                tuple(reduce_value(v, QQ, field) for v in tri)
+                for tri in pinned.triangles)
+            assert red.stack("a") == tuple(
+                tuple(tuple(reduce_value(v, QQ, field) for v in row)
+                      for row in F) for F in pinned.stack("a"))
+
+    def test_reaches_is_false_where_the_reduction_fails(self):
+        # a denominator 3 divides, and forms dependent mod 2
+        thirds = ANet(QQ, 4, [tri({(0, 1): Fraction(1, 3)}, 4),
+                              tri({(2, 3): 1}, 4)])
+        assert not thirds.reaches(F3)
+        assert thirds.reaches(F2) and thirds.reaches(F7)
+        dependent = ANet(QQ, 4, [tri({(0, 1): 1}, 4),
+                                 tri({(0, 1): 1, (2, 3): 2}, 4)])
+        assert not dependent.reaches(F2)
+        assert dependent.reaches(F3)
+        assert not dependent.over(F7).reaches(GF(11))
 
     def test_over_is_memoized(self, pinned):
         assert pinned.over(QQ) is pinned
         red = pinned.over(F7)
         assert red is pinned.over(F7)
         assert red.over(F7) is red
-        assert [m.rows for m in red.matrices] == \
-            [m.rows for m in pinned.map_field(F7).matrices]
+        assert red.triangles == ANet.from_upper_triangles(
+            F7, 6, pinned.triangles).triangles
 
     def test_failed_reduction_raises_every_time(self):
         net = ANet.from_upper_triangles(QQ, 4, [
@@ -208,7 +232,7 @@ class TestANet:
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_memoized_points_match_a_fresh_net(self, pinned, field):
-        fresh = ANet.from_upper_triangles(QQ, 6, pinned.upper_triangles())
+        fresh = ANet.from_upper_triangles(QQ, 6, pinned.triangles)
         for _ in range(2):
             ys, xs = y_points(pinned, field), x_points(pinned, field)
             assert np.array_equal(ys, y_points(fresh, field))
@@ -253,7 +277,7 @@ class TestPfaffianHypersurface:
         assert top.count(True) == 1
 
     def test_vanishes_exactly_on_corank_points(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         cubic = pfaffian_hypersurface(net3)
         for a in enumerate_projective(F3, 4):
             on_y = F3.is_zero_value(cubic.evaluate(list(a)))
@@ -278,7 +302,7 @@ class TestRegularity:
         assert res.status == NONEMPTY
         p, point = res.witness
         fp = GF(p)
-        assert net.map_field(fp).f_at(point).rank() <= 2
+        assert net.over(fp).f_at(point).rank() <= 2
 
     def test_witness_of_the_irregular_fixture(self):
         net = ANet.from_upper_triangles(QQ, 6, kernel_e5_triangles(7))
@@ -364,11 +388,11 @@ class TestFvMatrix:
         v = [1, 2, 0, -1, 3, 5]
         m = fv_at(pinned, v)
         vv = [QQ.value_of(x) for x in v]
-        for i, F in enumerate(pinned.matrices):
+        for i, F in enumerate(pinned.stack("a")):
             for k in range(6):
                 acc = QQ.zero_value
                 for l in range(6):
-                    acc = QQ.add(acc, QQ.mul(vv[l], F.rows[l][k]))
+                    acc = QQ.add(acc, QQ.mul(vv[l], F[l][k]))
                 assert m.rows[i][k] == acc
 
 
@@ -447,7 +471,7 @@ class TestQuartic:
 
     def test_quartic_cuts_rank_drop_locus(self, pinned):
         q3 = q_quartic(pinned).map_field(F3)
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         for v in enumerate_projective(F3, 5):
             vanishes = F3.is_zero_value(q3.evaluate(list(v)))
             assert vanishes == (rank_fv(net3, v) <= 4)
@@ -475,7 +499,7 @@ class TestCurve:
         ci = c_ideal(pinned)
         gens = ideal_polys(ci)
         assert len(gens) == 75
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         gens3 = [g.map_field(F3) for g in gens]
         for v in enumerate_projective(F3, 5):
             all_zero = all(F3.is_zero_value(g.evaluate(list(v)))
@@ -494,14 +518,14 @@ class TestCurve:
         profile, low, r4 = fv_rank_profile(pinned, f9)
         assert sum(profile.values()) == (9 ** 6 - 1) // (9 - 1)
         assert set(profile) <= {3, 4, 5}
-        net9 = pinned.map_field(f9)
+        net9 = pinned.over(f9)
         for v in low[:3] + r4[:3]:
             assert rank_fv(net9, v) == (3 if v in low else 4)
 
     def test_find_c_points_returns_low_rank(self, pinned):
         field, pts = find_c_points(pinned)
         assert pts
-        net_f = pinned.map_field(field)
+        net_f = pinned.over(field)
         for v in pts:
             assert rank_fv(net_f, v) == 3
 
@@ -535,7 +559,7 @@ class TestStackLevels:
 
 class TestKappa:
     def test_image_is_decomposable_and_injective(self, pinned):
-        net7 = pinned.map_field(F7)
+        net7 = pinned.over(F7)
         pts = y_payloads(pinned, F7)
         sample = pts[:40]
         images = [kappa(net7, a) for a in sample]
@@ -552,7 +576,7 @@ class TestKappa:
         assert len(set(images)) == len(sample)
 
     def test_rejects_off_hypersurface_points(self, pinned):
-        net7 = pinned.map_field(F7)
+        net7 = pinned.over(F7)
         cubic = pfaffian_hypersurface(net7)
         off = next(a for a in enumerate_projective(F7, 4)
                    if not F7.is_zero_value(cubic.evaluate(list(a))))
@@ -562,7 +586,7 @@ class TestKappa:
 
 class TestFibers:
     def test_point_fiber_solves_kernel_equation(self, pinned):
-        net7 = pinned.map_field(F7)
+        net7 = pinned.over(F7)
         _, _, r4 = fv_rank_profile(pinned, F7)
         v = r4[0]
         kind, a = psi_fiber(net7, v)
@@ -575,7 +599,7 @@ class TestFibers:
         assert all(F7.is_zero_value(x) for x in out)
 
     def test_line_fiber_at_curve_point(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         _, low, _ = fv_rank_profile(pinned, F3)
         assert low
         kind, (a1, a2) = psi_fiber(net3, low[0])
@@ -584,7 +608,7 @@ class TestFibers:
         assert line_on_hypersurface(cubic, a1, a2)
 
     def test_off_quartic_raises(self, pinned):
-        net7 = pinned.map_field(F7)
+        net7 = pinned.over(F7)
         q7 = q_quartic(pinned).map_field(F7)
         off = next(v for v in enumerate_projective(F7, 5)
                    if not F7.is_zero_value(q7.evaluate(list(v))))
@@ -594,7 +618,7 @@ class TestFibers:
             phi_fiber(net7, off)
 
     def test_plane_fiber_lies_on_x(self, pinned):
-        net7 = pinned.map_field(F7)
+        net7 = pinned.over(F7)
         _, _, r4 = fv_rank_profile(pinned, F7)
         forms = net_linear_forms(net7)
         for v in r4[:10]:
@@ -607,7 +631,7 @@ class TestFibers:
             assert stacked.rank() == 2
 
     def test_pencil_fiber_at_curve_point(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         _, low, _ = fv_rank_profile(pinned, F3)
         line = phi_fiber(net3, low[0])
         assert isinstance(line, GrassmannLine)
@@ -687,7 +711,7 @@ def test_foreign_element_raises(pinned, call):
 
 class TestLines:
     def test_line_enumeration_is_canonical(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         lines = find_lines_on_y(net3, F3)
         assert len(lines) == len(set(lines))
         cubic = pfaffian_hypersurface(net3)
@@ -695,7 +719,7 @@ class TestLines:
             assert line_on_hypersurface(cubic, a1, a2)
 
     def test_jumping_lines_are_exactly_the_psi_lines(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         lines = find_lines_on_y(net3, F3)
         jumping = {line for line, split
                    in zip(lines, splitting_types(net3, lines))
@@ -707,7 +731,7 @@ class TestLines:
         assert len(jumping) == len(low)
 
     def test_generic_line_splits_evenly(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         lines = find_lines_on_y(net3, F3)
         types = set(splitting_types(net3, lines))
         assert types <= {(2, 2), (1, 3)}
@@ -735,7 +759,7 @@ class TestLines:
         assert calls == [1210]
 
     def test_rejects_line_off_y(self, pinned):
-        net3 = pinned.map_field(F3)
+        net3 = pinned.over(F3)
         with pytest.raises(ValueError, match="does not lie"):
             splitting_types(net3, [((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))])
 
@@ -845,7 +869,7 @@ class TestSplittingTypes:
 
 class TestXSide:
     def test_x_points_satisfy_everything(self, pinned):
-        net2 = pinned.map_field(F2)
+        net2 = pinned.over(F2)
         pts = x_plucker_points(net2, F2)
         forms = net_linear_forms(net2)
         for p in pts:
@@ -888,7 +912,7 @@ class TestRankOracle:
         oracle = rank_oracle(pinned, field, "v")
         pts = list(enumerate_projective(field, 5))
         assert oracle.points(range(len(pts))) == pts
-        reduced = pinned.map_field(field)
+        reduced = pinned.over(field)
         scalars = list(field.elements())[1:]
         for i, v in enumerate(pts):
             assert oracle.table[i] == rank_fv(reduced, v)
@@ -918,7 +942,7 @@ class TestRankOracle:
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)
         oracle = rank_oracle(pinned, field, "a")
-        net = pinned.map_field(field)
+        net = pinned.over(field)
         points = [[1, 2, 3, 4, 5], [0, 0, 7, 100, 1], [0, 0, 0, 0, 9]]
         for a in points:
             assert oracle.rank(a) == net.f_at(a).rank()
@@ -1023,9 +1047,9 @@ class TestRankOracle:
         codes = np.concatenate(list(echelon_pair_codes(6, field)))
         u1, u2 = np.moveaxis(codes, 1, 0)
         forms = np.zeros((len(codes), 5), dtype=np.int64)
-        for i, j in pairs:
+        for k, (i, j) in enumerate(pairs):
             p = fc.sub(fc.mul(u1[:, i], u2[:, j]), fc.mul(u1[:, j], u2[:, i]))
-            coeffs = fc.encode([F.rows[i][j] for F in reduced.matrices])
+            coeffs = fc.encode([tri[k] for tri in reduced.triangles])
             forms = fc.add(forms, fc.mul(p[:, None], coeffs[None, :]))
         expected = [plucker_from_basis(ExactMatrix(field, rows))
                     for rows in fc.decode(codes[~forms.any(axis=1)])]
@@ -1079,7 +1103,7 @@ class TestClassification:
             self, degenerate):
         # F_1 / 32009 spans the same net over QQ, which has no reduction
         # mod the second prime; the first prime's verdict stands
-        tris = degenerate.upper_triangles()
+        tris = list(degenerate.triangles)
         tris[0] = [Fraction(v) / 32009 for v in tris[0]]
         net = ANet.from_upper_triangles(QQ, 6, tris)
         assert classify(net).y_smooth.status == NONEMPTY
@@ -1114,7 +1138,7 @@ class TestClassification:
         # the planes stay code bases: one Plucker point is made per plane
         # that sing(X) or X cap kappa(Y) lists, over test_05b's fields
         net = ANet.from_upper_triangles(
-            QQ, 6, request.getfixturevalue(name).upper_triangles())
+            QQ, 6, request.getfixturevalue(name).triangles)
         fields = (F2, F3, GF(2, 2), GF(5), F7, GF(2, 3), GF(3, 2))
         calls = []
 
@@ -1207,5 +1231,5 @@ class TestFixtureGeneration:
         net_a, tries_a = random_regular_net(104, bound=3, max_tries=8)
         net_b, tries_b = random_regular_net(104, bound=3, max_tries=8)
         assert tries_a == tries_b
-        assert net_a.upper_triangles() == net_b.upper_triangles()
+        assert net_a.triangles == net_b.triangles
         assert is_regular(net_a).is_regular

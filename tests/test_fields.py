@@ -8,7 +8,6 @@ from pfaffian_nets.correspondence import ANet
 from pfaffian_nets.fields import (
     QQ, GF, FieldMismatchError, field_from_name, reduce_value,
 )
-from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly
 
 from conftest import random_value
@@ -58,9 +57,8 @@ def test_cross_field_ops_rejected():
         reduce_value(3, GF(7), QQ)
     with pytest.raises(FieldMismatchError):
         MultiPoly.constant(GF(7), 1, 3) + MultiPoly.constant(GF(11), 1, 3)
-    skew = [[0, 1], [-1, 0]]
     with pytest.raises(FieldMismatchError):
-        ANet(GF(7), [ExactMatrix(GF(7), skew), ExactMatrix(GF(11), skew)])
+        ANet(GF(7), 2, [[1]]).over(GF(11))
 
 
 def test_prime_field_canonical_residues():

@@ -156,7 +156,7 @@ class TestSamplerOracle:
     def test_draws_equal_the_evaluating_sampler(self, pinned_net, q, count,
                                                 tabulated):
         field = GF(*q)
-        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
         reduced = net.over(field)
         plan = SamplePlan(field, count=count, seed=4, mode="random")
         drawn = decoded_pairs(field, *verify._random_pairs(reduced, plan))
@@ -502,7 +502,7 @@ def _record_rows(records):
 def batched_case(request, pinned_net, degenerate_fixture):
     name, q, mode, count = request.param
     net = pinned_net if name == "pinned" else degenerate_fixture
-    net = ANet.from_upper_triangles(QQ, net.two_m, net.upper_triangles())
+    net = ANet.from_upper_triangles(QQ, net.two_m, net.triangles)
     plan = SamplePlan(GF(*q), count=count, seed=3, mode=mode)
     refs = reference_records(net.over(plan.field), plan_pairs(net, plan))
     return net, plan, refs
@@ -644,7 +644,7 @@ class TestJw1:
         return calls, streams
 
     def test_random_mode_shares_jw_pairs(self, pinned_net, monkeypatch):
-        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
         # the f_v table's walk over Y calls _kernels once, before any pair
         assert rank_oracle(net.over(GF(7)), GF(7), "v").table.size == 19608
         calls, streams = self._count_calls(monkeypatch)
@@ -665,7 +665,7 @@ class TestJw1:
 
     def test_enumerate_mode_builds_each_side_once(self, pinned_net,
                                                    monkeypatch):
-        net = ANet.from_upper_triangles(QQ, 6, pinned_net.upper_triangles())
+        net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
         ys, xs = y_points(net, GF(2)), x_points(net, GF(2))
         calls, streams = self._count_calls(monkeypatch)
         pointwise = jw_pointwise(net, SamplePlan(GF(2)))
@@ -699,7 +699,7 @@ class TestSingularNetDetection:
     def test_w_membership_flags_the_kernel_plane(self, degenerate_fixture):
         field = GF(3)
         fc = modnum.field_codes(field)
-        reduced = degenerate_fixture.map_field(field)
+        reduced = degenerate_fixture.over(field)
         only = np.zeros(1, dtype=np.int64)
         records = verify.FiberRecords(
             reduced, fc.encode([[1, 0, 0, 0, 0]]),
@@ -710,7 +710,7 @@ class TestSingularNetDetection:
     def test_off_w_membership(self, pinned_net):
         field = GF(3)
         fc = modnum.field_codes(field)
-        reduced = pinned_net.map_field(field)
+        reduced = pinned_net.over(field)
         a_points = y_payloads(pinned_net, field)[:5]
         u_points = x_plucker_points(pinned_net, field)[:5]
         records = verify.FiberRecords(
@@ -742,7 +742,7 @@ class TestCountPoints:
         cubic = pfaffian_hypersurface(pinned_net)
         ys = y_payloads(pinned_net, GF(2))
         assert count_points([cubic], 5, GF(2)) == len(ys)
-        reduced = pinned_net.map_field(GF(2))
+        reduced = pinned_net.over(GF(2))
         for a in ys:
             assert reduced.f_at(a).rank() == 4
 
