@@ -27,7 +27,8 @@ from .cohomology import (charge2_instanton_table, exceptional_pair_check_y,
 from .correspondence import (ANet, SEARCH_LADDER, c_ideal, classify,
                              curve_fibers, find_c_points, find_lines_on_y,
                              is_regular, lie_on_y, pfaffian_hypersurface,
-                             q_quartic, random_regular_net, splitting_types)
+                             q_quartic, random_regular_net, splitting_types,
+                             x_points, y_points)
 from .fields import GF, field_from_name
 from .ideals import (DEFAULT_DEGREE_CAP, DEFAULT_PRIME,
                      fit_hilbert_polynomial, other_prime)
@@ -315,6 +316,9 @@ def _stage_charge2(ctx):
 
 
 def _stage_h1_window(ctx):
+    if ctx["net"].n < 2:  # `theta_cohomology` refuses it
+        return "skipped", {"reason": "the theta sheaf's cohomology rows "
+                                     "need n >= 2, got n = %d" % ctx["net"].n}
     table = h1_pattern_check(ctx["net"])
     return ("pass" if table.all_pass else "fail"), table.as_dict()
 
@@ -386,18 +390,39 @@ def _jw_plans(ctx):
 
 def _fiber_stage(ctx, check):
     """jw and jw1: one report of `check` per plan over a field the net
-    reduces to, on a net classified smooth."""
+    reduces to, on a net classified smooth.  An enumeration over a field
+    where Y or X has no point checks nothing, so it is left out and named
+    with its counts."""
+    net = ctx["net"]
     cls = ctx.get("classification")
     if cls is not None and not cls.all_smooth:
         return "skipped", {"reason": "net is not classified smooth"}
     plans, left_out = _jw_plans(ctx)
     if not plans:
         return "skipped", {"reason": "no plan applies", **left_out}
-    fields, skipped = _reachable(ctx["net"], [plan.field for plan in plans])
+    fields, skipped = _reachable(net, [plan.field for plan in plans])
     if not fields:
         return "skipped", {**skipped, **left_out}
-    reports = [check(ctx["net"], plan).as_dict() for plan in plans
-               if plan.field in fields]
+    kept, empty = [], []
+    for plan in plans:
+        if plan.field not in fields:
+            continue
+        if plan.mode == "enumerate":
+            counts = (len(y_points(net, plan.field)),
+                      len(x_points(net, plan.field)))
+            if 0 in counts:
+                empty.append(dict(plan.describe(), reason="Y or X has no "
+                                  "point over %s" % plan.field.name,
+                                  y_count=counts[0], x_count=counts[1]))
+                continue
+        kept.append(plan)
+    if empty:
+        left_out = {"skipped_plans": empty + left_out.get("skipped_plans",
+                                                          [])}
+    if not kept:
+        return "skipped", {"reason": "no plan applies", **skipped,
+                           **left_out}
+    reports = [check(net, plan).as_dict() for plan in kept]
     ok = all(r["passed"] for r in reports)
     return ("pass" if ok else "fail"), {"reports": reports, **skipped,
                                         **left_out}

@@ -95,8 +95,12 @@ def _mu_rank(net, s):
 def theta_cohomology(net, t):
     """Dimension row (h^0, ..., h^{n-1}) of the twist-t sheaf cut out by
     the net on P^{n-1}; the middle range 1 <= p <= n-3 vanishes by the
-    two-term resolution."""
+    two-term resolution.  The row has the two cells h^{n-2} and h^{n-1}
+    apart only for n >= 2; n < 2 raises ValueError."""
     n = net.n
+    if n < 2:
+        raise ValueError("the theta sheaf's cohomology rows need n >= 2, "
+                         "got n = %d" % n)
     row = [0] * n
     if t >= 0:
         src, dst, rank = _mu_rank(net, t)

@@ -37,7 +37,9 @@ class ANet:
     from it: `derived` builds each object (the cubic, the quartic, the
     linear stack of each side, point sets, reductions to other fields) once
     per instance, and makes an array it keeps read-only, as every caller
-    shares it."""
+    shares it.  A net that `over` made names the net it was reduced from
+    as `source` (None otherwise), whose Pfaffian levels reduce to its
+    own."""
 
     def __init__(self, field, two_m, triangles):
         if not triangles:
@@ -55,6 +57,7 @@ class ANet:
         if coeff.rank() != self.n:
             raise ValueError("net matrices are linearly dependent")
         self._derived = {}
+        self.source = None
 
     @classmethod
     def from_upper_triangles(cls, field, two_m, triangles):
@@ -75,9 +78,14 @@ class ANet:
         itself when it is already over `field`, else one memoized net."""
         if field == self.field:
             return self
-        return self.derived(("over", field), lambda: ANet(
-            field, self.two_m, [[reduce_value(v, self.field, field)
-                                 for v in tri] for tri in self.triangles]))
+
+        def build():
+            net = ANet(field, self.two_m, [[reduce_value(v, self.field, field)
+                                            for v in tri]
+                                           for tri in self.triangles])
+            net.source = self.source or self
+            return net
+        return self.derived(("over", field), build)
 
     def reaches(self, field):
         """Whether this net reduces to `field`: `over(field)` builds, so
@@ -148,6 +156,12 @@ def _matmul(fc, x, y):
     return out
 
 
+def _combine(fc, stack, coeffs):
+    """sum_j coeffs[k, j] stack[j] for each row k of coeffs."""
+    return _matmul(fc, coeffs, stack.reshape(len(stack), -1)).reshape(
+        (len(coeffs),) + stack.shape[1:])
+
+
 def _u_sides(fc, bases):
     """U's RREF basis, its pivot columns and its complement columns (both
     ascending), for a stack of 2 x 2m bases."""
@@ -163,8 +177,7 @@ def _kernels(fc, stack, coeffs):
     column of the RREF, ascending, with the unit there and minus the
     reduced rows' entries in that column at the pivot columns.  Kernels
     are zero-padded to the largest nullity."""
-    mats = _matmul(fc, coeffs, stack.reshape(len(stack), -1)).reshape(
-        (len(coeffs),) + stack.shape[1:])
+    mats = _combine(fc, stack, coeffs)
     rank, red, piv = modnum.batch_rref_table(mats, fc)
     n, r, c = red.shape
     row_of = np.clip(np.cumsum(piv, axis=1) - 1, 0, r - 1)
@@ -179,6 +192,11 @@ def _kernels(fc, stack, coeffs):
     kernel = np.where(
         np.arange(width)[None, :, None] < nullity[:, None, None], rows, 0)
     return mats, rank, kernel
+
+
+def _blocks(idx):
+    """An index array in consecutive blocks of _CHUNK, at least one."""
+    return np.array_split(idx, range(_CHUNK, len(idx), _CHUNK))
 
 
 def _phi_bases(fc, stack, vs, params):
@@ -215,8 +233,15 @@ class RankOracle:
 
     Over a field of order <= `modnum.TABLE_ORDER` the ranks of the whole
     space form one int8 table in `enumerate_projective` order.  Side "a"
-    is built in chunks by `batch_rank_table`; side "v" by one walk over the
-    kernels of f(a) at the points of Y, read off the side "a" table
+    is screened by the cubic: Pf(f(a))^2 = det f(a), so rank f(a) < 2m
+    exactly at the zeros of Pf, and only they are row-reduced
+    (`_kernels`); the table reads 2m everywhere else.  The cubic is the
+    level of the net this one was reduced from (`ANet.source`), its integer
+    rows brought into the field, so a QQ net is screened in characteristic
+    2 too; where `pfaffian_level` cannot expand it (a net native to
+    characteristic 2), every point is row-reduced.  The rank and kernel
+    rows of f(a) at each point of Y are kept with the table (`on_y`), and
+    `kernels` reads them.  Side "v" is built by one walk over those kernels
     (`_walk`).  A point's index is the offset of the block where its
     leading 1 sits plus the base-q code of its normalized tail.  The ranks
     of a batch of points (`ranks`) read the table when the space has at
@@ -231,6 +256,7 @@ class RankOracle:
         q, k = fc.q, len(self.stack)
         self.size = (q ** k - 1) // (q - 1)
         self._table = None
+        self._on_y = None
         # coordinate j weighs q^(k-1-j); block l (leading 1 at l) has
         # q^(k-1-l) points, and its tail is the coordinates after l
         self._weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -246,22 +272,99 @@ class RankOracle:
             if self.side == "v":
                 table = self._walk(rank_oracle(self._net, self.field, "a"))
             else:
-                table = np.empty(self.size, dtype=np.int8)
-                for lo in range(0, self.size, _CHUNK):
-                    idx = np.arange(lo, min(self.size, lo + _CHUNK))
-                    table[idx] = self._computed(self._codes_at(idx))
+                table = self._screened()
             self._table = table
         return self._table
 
+    @property
+    def on_y(self):
+        """Side "a": the indices of the points of Y, with the ranks and the
+        kernels `_kernels` gives there, zero-padded to the largest nullity;
+        built with the table."""
+        self.table
+        return self._on_y
+
+    def _screened(self):
+        """The side "a" table, and `on_y`."""
+        two_m = self.stack.shape[1]
+        try:
+            cubic = _cubic_level(self._net.source or self._net)
+        except ValueError:  # characteristic 2, or above size 8
+            cubic = None
+        if cubic is not None:
+            y = self.zeros(cubic)
+        else:  # rank every point
+            ranks = [self._computed(self._codes_at(idx))
+                     for idx in _blocks(np.arange(self.size))]
+            y = np.flatnonzero(np.concatenate(ranks) < two_m)
+        parts = [_kernels(self.fc, self.stack, self._codes_at(idx))[1:]
+                 for idx in _blocks(y)]
+        width = max(kernel.shape[1] for _, kernel in parts)
+        rank = np.concatenate([rank for rank, _ in parts])
+        kernel = np.concatenate([np.pad(k, ((0, 0), (0, width - k.shape[1]),
+                                            (0, 0))) for _, k in parts])
+        self._on_y = (y, rank, kernel)
+        table = np.full(self.size, two_m, dtype=np.int8)
+        table[y] = rank
+        return table
+
+    def zeros(self, level):
+        """The indices of the points where every form of a level of
+        `pfaffian_level` (of a net over any field this one reduces from)
+        vanishes, its integer rows or its field's codes brought into this
+        field by `reduce_value`.
+
+        Block j of the enumeration is x_0 = ... = x_(j-1) = 0, x_j = 1, its
+        tail x_(j+1), ..., x_(k-1) running over the grid F^(k-1-j) in
+        base-q order.  The variables are summed out over the whole field
+        from the last one on: `values` holds, per distinct exponent prefix
+        over x_0, ..., x_j, its coefficient's values on the grid of the
+        variables summed out, and summing out x_j merges the prefixes that
+        differ only there, each times x_j^e.  Before x_j is summed out, the
+        rows whose prefix is zero before x_j, added up, are block j."""
+        codes, rows, monos, _ = level
+        payloads = rows.tolist() if codes.fc is None \
+            else codes.fc.decode(rows)
+        fc = self.fc
+        forms = fc.encode([[reduce_value(v, codes.field, self.field)
+                            for v in row] for row in payloads])
+        used = forms.any(axis=0)
+        if not used.any():  # a zero form
+            return np.arange(self.size)
+        monos, values = monos[used], forms[:, used, None]
+        powers = [np.full(fc.q, fc.one)]
+        for _ in range(monos.max()):
+            powers.append(fc.mul(powers[-1], np.arange(fc.q)))
+        hits = []
+        for j in range(monos.shape[1] - 1, -1, -1):
+            block = np.zeros((len(forms), values.shape[2]), dtype=np.int64)
+            for row in np.flatnonzero(~monos[:, :j].any(axis=1)):
+                block = fc.add(block, values[:, row])
+            hits.append(self._offsets[j] + np.flatnonzero(~block.any(axis=0)))
+            if not j:
+                break
+            keys = monos[:, :j] @ len(powers) ** np.arange(j)
+            _, first, group = np.unique(keys, return_index=True,
+                                        return_inverse=True)
+            merged = np.zeros((len(forms), len(first), fc.q,
+                               values.shape[2]), dtype=np.int64)
+            for e, power in enumerate(powers):
+                at = monos[:, j] == e
+                merged[:, group[at]] = fc.add(merged[:, group[at]], fc.mul(
+                    power[:, None], values[:, at, None]))
+            monos, values = monos[first, :j], merged.reshape(
+                len(forms), len(first), -1)
+        return np.concatenate(hits[::-1])
+
     def _walk(self, a_side):
-        """The f_v ranks from the a-side table: a^T f_v = -(f(a) v)^T, so
-        the a with v in Ker f(a) are the points of P(left kernel of f_v).
-        Over the a with rank f(a) < 2m, each v of P(Ker f(a)) is hit
-        (q^k - 1)/(q - 1) times in all, where k = n - rank f_v, and a v
-        never hit has rank n.  A count of no such form raises."""
+        """The f_v ranks from the kernels of f(a) kept with the a-side
+        table: a^T f_v = -(f(a) v)^T, so the a with v in Ker f(a) are the
+        points of P(left kernel of f_v).  Over the a with rank f(a) < 2m,
+        each v of P(Ker f(a)) is hit (q^k - 1)/(q - 1) times in all, where
+        k = n - rank f_v, and a v never hit has rank n.  A count of no such
+        form raises."""
         fc, n, two_m = self.fc, len(a_side.stack), len(self.stack)
-        y = a_side._codes_at(np.nonzero(a_side.table < two_m)[0])
-        _, rank, kernel = _kernels(fc, a_side.stack, y)
+        _, rank, kernel = a_side.on_y
         hits = [np.zeros(0, dtype=np.int64)]
         # not np.unique, which without return_counts imports numpy.ma
         for dim in set((two_m - rank).tolist()):
@@ -281,10 +384,8 @@ class RankOracle:
 
     def _computed(self, codes):
         """The ranks of sum_j codes[k, j] C_j, from the stack."""
-        mats = _matmul(self.fc, codes,
-                       self.stack.reshape(len(self.stack), -1)).reshape(
-            (len(codes),) + self.stack.shape[1:])
-        return modnum.batch_rank_table(mats, self.fc)
+        return modnum.batch_rank_table(_combine(self.fc, self.stack, codes),
+                                       self.fc)
 
     def _codes_at(self, idx):
         """The normalized points at the given indices, as code rows."""
@@ -300,24 +401,46 @@ class RankOracle:
         lead = (codes != 0).argmax(axis=1)
         scale = self.fc.inv[codes[np.arange(len(codes)), lead]]
         normal = self.fc.mul(scale[:, None], codes)
-        return self._offsets[lead] + (normal * self._tail[lead]).sum(axis=1)
+        # normal is 0 before its lead and `one` there; the tail is the rest
+        return self._offsets[lead] - self.fc.one * self._weights[lead] \
+            + normal @ self._weights
 
     def points(self, idx):
         """The points at the given indices, as payload tuples."""
         codes = self._codes_at(np.asarray(idx, dtype=np.int64))
         return [tuple(row) for row in self.fc.decode(codes)]
 
+    def _tabulated(self):
+        """Whether `ranks` and `kernels` read the table."""
+        return self._table is not None or (self.fc.q <= modnum.TABLE_ORDER
+                                           and self.size <= _TABLE_POINTS)
+
     def ranks(self, codes):
         """The ranks at an (N, k) array of nonzero code rows, read from the
         table when the space has at most _TABLE_POINTS points (or the table
         is built), else computed _CHUNK points at a time."""
-        if self._table is not None or (self.fc.q <= modnum.TABLE_ORDER
-                                       and self.size <= _TABLE_POINTS):
+        if self._tabulated():
             return self.table[self.indices(codes)]
         out = np.empty(len(codes), dtype=np.int8)
         for lo in range(0, len(codes), _CHUNK):
             out[lo:lo + _CHUNK] = self._computed(codes[lo:lo + _CHUNK])
         return out
+
+    def kernels(self, codes):
+        """Side "a": rank f(a) and the kernel rows of `_kernels` at an
+        (N, n) array of nonzero code rows, which scaling a point changes
+        neither of.  Where `ranks` reads the table they are read from
+        `on_y` (rank 2m and no kernel row off Y), else computed."""
+        if not self._tabulated():
+            _, rank, kernel = _kernels(self.fc, self.stack, codes)
+            return rank, kernel
+        idx = self.indices(codes)
+        y_idx, _, y_kernel = self.on_y
+        rank = self.table[idx].astype(np.int64)
+        on_y = rank < self.stack.shape[1]
+        kernel = np.zeros((len(codes),) + y_kernel.shape[1:], dtype=np.int64)
+        kernel[on_y] = y_kernel[np.searchsorted(y_idx, idx[on_y])]
+        return rank, kernel
 
     def rank(self, x):
         """The rank at one nonzero point x, given by field payloads."""
@@ -355,28 +478,36 @@ class RegularityResult:
         return "RegularityResult(%s, witness=%r)" % (self.status, self.witness)
 
 
+def _sub_pfaffians(net, k):
+    """The `pfaffian_level` of f(a) at size k, expanded once per net."""
+    return net.derived(("sub-Pfaffians", k), lambda: pfaffian_level(
+        net.field, net.stack("a"), k))
+
+
 def sub_pfaffian_ideal(net):
     """Ideal of all principal (2m-2)-sub-Pfaffians of f(a), the integer
     level of `pfaffian_level`; its zero set is the rank <= 2m-4 locus in
     P(A).  The field is checked before any sub-Pfaffian is expanded."""
     check_ideal_field(net.field)
-    _, level, _, scales = pfaffian_level(net.field, net.stack("a"),
-                                         net.two_m - 2)
+    _, level, _, scales = _sub_pfaffians(net, net.two_m - 2)
     return HomogeneousIdeal(net.field, net.n,
                             {net.two_m // 2 - 1: (level, scales)})
 
 
 def _rank_deficient_witness(net, max_rank):
     """The first point of P(A) over GF(3), then GF(7), with rank f(a) <=
-    max_rank, read from the rank table; (prime, point) or None.  A field
-    the net does not reduce to (a denominator p divides, or a dependent
-    reduction) is skipped."""
+    max_rank (even): the first common zero of the principal (max_rank +
+    2)-sub-Pfaffians, as the rank of a skew matrix is the largest size of
+    a principal sub-Pfaffian that does not vanish.  (prime, point) or
+    None; no rank table is built.  A field the net does not reduce to (a
+    denominator p divides, or a dependent reduction) is skipped."""
+    level = _sub_pfaffians(net, max_rank + 2)
     for p in (3, 7):
         fp = GF(p)
         if not net.reaches(fp):
             continue
         oracle = rank_oracle(net, fp, "a")
-        hits = np.nonzero(oracle.table <= max_rank)[0]
+        hits = oracle.zeros(level)
         if hits.size:
             return p, oracle.points(hits[:1])[0]
     return None
@@ -788,7 +919,7 @@ def _x_masks(net, field, bases):
     restricted to U x (V/U), row i the products red @ F_i on U's complement
     columns, drops below rank n.  kappa(Y): U's RREF is that of the first
     two kernel rows of f(a) at a point of Y with rank f(a) = 2m-2 (kappa is
-    undefined at deeper degeneracies)."""
+    undefined at deeper degeneracies), kept with the rank table."""
     oracle = rank_oracle(net, field, "a")
     fc, stack = oracle.fc, oracle.stack
     red, _, comp = _u_sides(fc, bases)
@@ -796,10 +927,9 @@ def _x_masks(net, field, bases):
     tangent = np.take_along_axis(products, comp[:, None, None, :], axis=3)
     sing = modnum.batch_rank_table(
         tangent.reshape(len(bases), net.n, 2 * (net.two_m - 2)), fc) < net.n
-    corank_two = oracle._codes_at(np.nonzero(oracle.table
-                                             == net.two_m - 2)[0])
-    _, _, kernel = _kernels(fc, stack, corank_two)
-    _, planes, _ = modnum.batch_rref_table(kernel[:, :2], fc)
+    _, rank, kernel = oracle.on_y
+    _, planes, _ = modnum.batch_rref_table(
+        kernel[rank == net.two_m - 2, :2], fc)
     kappa_planes = {plane.tobytes() for plane in planes}
     return sing, np.array([plane.tobytes() in kappa_planes for plane in red],
                           dtype=bool)

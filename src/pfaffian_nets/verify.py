@@ -34,7 +34,7 @@ import random
 import numpy as np
 
 from . import modnum
-from .correspondence import (_kernels, _matmul, _phi_bases, _u_sides,
+from .correspondence import (_combine, _matmul, _phi_bases, _u_sides,
                              pfaffian_hypersurface, rank_oracle, x_points,
                              y_points)
 from .grassmann import _CHUNK, plucker_from_basis
@@ -76,16 +76,19 @@ class FiberRecords:
     """The fiber records of a list of pairs (a in Y, U in X), read by every
     check, as arrays of field codes (`modnum.FieldCodes`).  The points a
     come as code rows `a_codes`, the planes U as 2 x 2m code bases
-    `bases`.  The a-sides are rank f(a) and the kernel rows of f(a)
-    (`_kernels`); the U-sides are U's RREF basis `red`, its pivot columns
-    `piv` and complement columns `comp`.  Each side is built once per
-    point; pair k reads a-side a_idx[k] and U-side u_idx[k].  Per pair,
-    built in blocks of _CHUNK pairs: `uf` = red @ f(a), row b the
-    functional u_b^T f(a), and `dim` = dim(Ker f(a) cap U).  The pair lies
-    on the incidence locus W exactly when that dimension is positive, and 2
-    would mean U is the whole kernel plane, a singular point of X.  Field
-    payloads and Plucker points are made only for a pair that is reported
-    (`point_a`, `point_u`)."""
+    `bases`.  The a-sides are rank f(a) and the kernel rows of f(a), read
+    from the a-side rank oracle (`RankOracle.kernels`, which keeps them
+    for the points of Y), and f(a) itself, made from the a given; the
+    U-sides are U's RREF basis `red`, its pivot columns `piv` and
+    complement columns `comp`.  Each side is built once per point; pair k
+    reads a-side a_idx[k] and U-side u_idx[k].  Per pair, built in blocks
+    of _CHUNK pairs: `uf` = red @ f(a), row b the functional u_b^T f(a),
+    and `dim` = dim(Ker f(a) cap U) = 2 - rank uf, as the left and right
+    kernels of the skew f(a) agree.  The pair lies on the incidence locus W
+    exactly when that dimension is positive, and 2 would mean U is the
+    whole kernel plane, a singular point of X.  Field payloads and Plucker
+    points are made only for a pair that is reported (`point_a`,
+    `point_u`)."""
 
     def __init__(self, net, a_codes, bases, a_idx, u_idx):
         field = self.field = net.field
@@ -93,17 +96,16 @@ class FiberRecords:
         two_m = net.two_m
         self.a_codes = a_codes
         self.a_idx, self.u_idx = a_idx, u_idx
-        fa, self.rank, self.kernel = _kernels(
-            fc, rank_oracle(net, field, "a").stack, a_codes)
+        oracle = rank_oracle(net, field, "a")
+        self.rank, self.kernel = oracle.kernels(a_codes)
+        fa = _combine(fc, oracle.stack, a_codes)
         self.red, self.piv, self.comp = _u_sides(fc, bases)
         self.uf = np.empty((len(a_idx), 2, two_m), dtype=np.int64)
         self.dim = np.empty(len(a_idx), dtype=np.int64)
         for lo, hi in self.blocks():
             ai, ui = a_idx[lo:hi], u_idx[lo:hi]
             self.uf[lo:hi] = _matmul(fc, self.red[ui], fa[ai])
-            stacked = np.concatenate([self.kernel[ai], self.red[ui]], axis=1)
-            self.dim[lo:hi] = two_m - self.rank[ai] + 2 \
-                - modnum.batch_rank_table(stacked, fc)
+            self.dim[lo:hi] = 2 - modnum.batch_rank_table(self.uf[lo:hi], fc)
 
     def __len__(self):
         return len(self.a_idx)

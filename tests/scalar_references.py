@@ -8,9 +8,11 @@ its pencil `ANet`, five `f_at` probes and three `mu_matrix` ranks, which
 the package reads for all lines at once (`correspondence.splitting_types`);
 and the random sampler drawing one
 `random.Random.choice` and one rank lookup at a time, which the package
-replays in blocks (`verify._random_pairs`); and the f_v rank table ranked
-from the stack at every point of P(V), which the package walks from the
-kernels of f(a) over Y (`RankOracle._walk`).  The tests compare the two.
+replays in blocks (`verify._random_pairs`); and the rank tables ranked
+from the stack at every point: of P(V), which the package walks from the
+kernels of f(a) over Y (`RankOracle._walk`), and of P(A), which the
+package ranks only at the zeros of the cubic (`RankOracle._screened`).
+The tests compare the two.
 
 Also the symbolic restriction of a form to a line, which the package
 answers by ranks at the line's points (`correspondence.lie_on_y`); the
@@ -111,15 +113,25 @@ def y_payloads(net, field):
     return [tuple(a) for a in fc.decode(y_points(net, field))]
 
 
-def fv_rank_table(net, field):
-    """rank f_v at every point of P(V), in enumeration order, computed from
-    the oracle's stack _CHUNK points at a time."""
-    oracle = rank_oracle(net, field, "v")
+def _ranked_table(net, field, side):
+    """The rank at every point of one side's space, in enumeration order,
+    computed from the oracle's stack _CHUNK points at a time."""
+    oracle = rank_oracle(net, field, side)
     table = np.empty(oracle.size, dtype=np.int8)
     for lo in range(0, oracle.size, _CHUNK):
         idx = np.arange(lo, min(oracle.size, lo + _CHUNK))
         table[lo:lo + idx.size] = oracle._computed(oracle._codes_at(idx))
     return table
+
+
+def fv_rank_table(net, field):
+    """rank f_v at every point of P(V), ranked from the stack."""
+    return _ranked_table(net, field, "v")
+
+
+def a_rank_table(net, field):
+    """rank f(a) at every point of P(A), ranked from the stack."""
+    return _ranked_table(net, field, "a")
 
 
 def kappa(net, a):

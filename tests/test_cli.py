@@ -12,7 +12,7 @@ import pytest
 
 import pfaffian_nets
 from pfaffian_nets import (cli, cohomology, correspondence, grassmann,
-                           modnum, multipoly)
+                           modnum, multipoly, verify)
 from pfaffian_nets.cli import (canonical_json, fingerprint, main,
                                net_from_fixture, net_to_fixture)
 from pfaffian_nets.correspondence import ANet, find_c_points
@@ -362,6 +362,40 @@ class TestPipeline:
         assert products and short == []
         assert max(m * n * k for m, n, k in products) <= 1 << 18
 
+    def test_side_a_row_reduces_each_point_of_y_once(self, fixture_path,
+                                                     tmp_path, monkeypatch):
+        """The a-side tables row-reduce only the zeros of the cubic, each
+        point of Y once per field: 19 over GF(2), 46 over GF(3) and 428 over
+        GF(7).  The fiber records read the kernels those tables keep, and
+        rank no pair on a stacked 4 x 6 matrix."""
+        reduced, shapes = {}, set()
+        real = modnum.batch_rref_table
+
+        def counted(mats, codes):
+            shapes.add(mats.shape[1:])
+            if mats.shape[1:] == (6, 6):
+                reduced[codes.q] = reduced.get(codes.q, 0) + len(mats)
+            return real(mats, codes)
+        monkeypatch.setattr(modnum, "batch_rref_table", counted)
+        building, in_records = [], []
+        init, kernels = verify.FiberRecords.__init__, correspondence._kernels
+
+        def records_init(self, *args):
+            building.append(True)
+            init(self, *args)
+            building.pop()
+
+        def counted_kernels(fc, stack, coeffs):
+            if building:
+                in_records.append(len(coeffs))
+            return kernels(fc, stack, coeffs)
+        monkeypatch.setattr(verify.FiberRecords, "__init__", records_init)
+        monkeypatch.setattr(correspondence, "_kernels", counted_kernels)
+        assert main(["pipeline", fixture_path,
+                     "-o", str(tmp_path / "rep.json")]) == 0
+        assert reduced == {2: 19, 3: 46, 7: 428}
+        assert (4, 6) not in shapes and in_records == []
+
     @pytest.mark.parametrize("which", ["pinned", "irregular"])
     def test_pipeline_multiplies_no_polynomials(self, which, fixture_path,
                                                 tmp_path, monkeypatch):
@@ -475,6 +509,33 @@ class TestGating:
             assert [(p["field"], p["mode"]) for p in detail["skipped_plans"]] \
                 == [("GF(7)", "random")]
             assert "n=5, 2m=6" in detail["skipped_plans"][0]["reason"]
+
+    def test_net_of_one_form_skips_what_it_cannot_check(self, tmp_path):
+        """n = 1, 2m = 6, the one form e12 + e34 + e56: f(a) has rank 6 at
+        the one point of P(A), so Y is empty over every field and the
+        enumerations have no pair to check, and the h1 window has no row
+        at n = 1.  h1-window, jw and jw1 are skipped with their reasons,
+        each empty plan named with its counts, and no stage fails."""
+        pairs, _ = pair_indices(6)
+        net = ANet.from_upper_triangles(QQ, 6, [[
+            int(p in ((0, 1), (2, 3), (4, 5))) for p in pairs]])
+        fx, out = tmp_path / "one.json", tmp_path / "rep.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 0
+        stages = {s["name"]: s for s in json.loads(out.read_text())["stages"]}
+        assert not [name for name, s in stages.items()
+                    if s["verdict"] in ("fail", "error")]
+        for name in ("h1-window", "jw", "jw1"):
+            assert stages[name]["verdict"] == "skipped"
+        assert "n >= 2" in stages["h1-window"]["detail"]["reason"]
+        for name in ("jw", "jw1"):
+            detail = stages[name]["detail"]
+            assert detail["reason"] == "no plan applies"
+            assert [(p["field"], p["mode"], p.get("y_count"),
+                     p.get("x_count")) for p in detail["skipped_plans"]] \
+                == [("GF(2)", "enumerate", 0, 315),
+                    ("GF(3)", "enumerate", 0, 3640),
+                    ("GF(7)", "random", None, None)]
 
     def test_witness_search_skips_a_field_a_denominator_blocks(self,
                                                              tmp_path):

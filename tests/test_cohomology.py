@@ -129,6 +129,14 @@ class TestTheta:
         with pytest.raises(ValueError, match="degenerate"):
             theta_cohomology(dead_coordinate_net(), 1)
 
+    def test_one_form_is_refused(self):
+        # at n = 1 the cells h^{n-2} and h^{n-1} of the row would be one
+        pairs, _ = pair_indices(6)
+        net = ANet.from_upper_triangles(QQ, 6, [[
+            int(p in ((0, 1), (2, 3), (4, 5))) for p in pairs]])
+        with pytest.raises(ValueError, match="need n >= 2, got n = 1"):
+            theta_cohomology(net, 0)
+
     def test_window_is_formal_for_singular_nets(self, degenerate_fixture):
         # the vanishing window only needs an injective sheaf map, so even
         # nets with singular X keep the formal spike h^0 = 6

@@ -31,9 +31,9 @@ from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
 from conftest import deadline
-from scalar_references import (certify_line_on_x, exact_divide, fv_at,
-                               fv_rank_table, homogeneous_degree,
-                               ideal_polys, kappa,
+from scalar_references import (a_rank_table, certify_line_on_x,
+                               exact_divide, fv_at, fv_rank_table,
+                               homogeneous_degree, ideal_polys, kappa,
                                laplace_minors, line_key, line_on_hypersurface,
                                net_linear_forms, pfaffian_expansion,
                                psi_fiber, satisfies_quadrics,
@@ -85,6 +85,14 @@ def pinned():
 @pytest.fixture(scope="module")
 def degenerate():
     return degenerate_net(seed=2)
+
+
+@pytest.fixture(scope="module")
+def screening_nets():
+    """30 random integer nets of bound 2, then 4 `degenerate_net` seeds."""
+    rng = random.Random(8)
+    return [random_net(QQ, 5, 6, rng, bound=2) for _ in range(30)] \
+        + [degenerate_net(seed=seed) for seed in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +322,29 @@ class TestRegularity:
         net = ANet.from_upper_triangles(QQ, 6, kernel_e5_triangles(seed))
         found = correspondence._rank_deficient_witness(net, 2)
         assert found is not None and found == scanning_witness(net, 2)
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_witness_equals_the_scan_on_random_nets(self, p):
+        """10 random bound-1 nets native to GF(p): 5 drawn freely, which
+        rarely meet the rank <= 2 locus, and 5 whose forms all kill e_5,
+        which lie in it along a curve; the search builds no rank table."""
+        rng = random.Random(p)
+        pairs, _ = pair_indices(6)
+        nets = [random_net(GF(p), 5, 6, rng, bound=1) for _ in range(5)]
+        while len(nets) < 10:
+            try:
+                nets.append(ANet.from_upper_triangles(GF(p), 6, [
+                    [rng.randint(-1, 1) if j < 5 else 0 for i, j in pairs]
+                    for _ in range(5)]))
+            except ValueError:  # dependent forms
+                continue
+        found = []
+        for net in nets:
+            witness = correspondence._rank_deficient_witness(net, 2)
+            assert witness == scanning_witness(net, 2)
+            assert rank_oracle(net, GF(p), "a")._table is None
+            found.append(witness is not None)
+        assert found[5:] == [True] * 5
 
     def test_witness_skips_a_dependent_reduction(self):
         # F_5 = F_1 + 3 G: independent over QQ, F_5 = F_1 over GF(3), where
@@ -938,6 +969,43 @@ class TestRankOracle:
     def test_walked_table_of_a_singular_x(self, degenerate, field):
         assert np.array_equal(rank_oracle(degenerate, field, "v").table,
                               fv_rank_table(degenerate, field))
+
+    @staticmethod
+    def _screened_equals_the_ranked_table(net, field):
+        """The screened a-side table equals the one ranked at every point,
+        and the kernels it keeps are those `_kernels` gives at Y."""
+        oracle = rank_oracle(net, field, "a")
+        assert np.array_equal(oracle.table, a_rank_table(net, field))
+        idx, rank, kernel = oracle.on_y
+        assert np.array_equal(idx, np.nonzero(oracle.table < 6)[0])
+        _, ranked, expected = correspondence._kernels(
+            oracle.fc, oracle.stack, oracle._codes_at(idx))
+        assert np.array_equal(rank, ranked)
+        assert np.array_equal(kernel, expected)
+
+    @pytest.mark.parametrize("field", [
+        F2, GF(2, 2), F3, GF(5), F7, GF(3, 2), GF(11), GF(13)], ids=str)
+    def test_screened_table_equals_the_ranked_one(self, screening_nets,
+                                                  field):
+        """30 random integer nets (bound 2) and 4 `degenerate_net` seeds;
+        over GF(2) and GF(4) the cubic is the QQ net's, reduced.  The
+        reference ranks every point, so the fields above GF(9) take the
+        first 3 random nets and 1 degenerate one."""
+        nets = screening_nets if field.order <= 9 \
+            else screening_nets[:3] + screening_nets[-1:]
+        for net in nets:
+            self._screened_equals_the_ranked_table(net, field)
+
+    @pytest.mark.parametrize("field", [F2, GF(2, 2)], ids=str)
+    def test_characteristic_two_nets_rank_every_point(self, field):
+        """A net native to characteristic 2 has no Pfaffian level to screen
+        by, so the a-side table row-reduces every point."""
+        rng = random.Random(6)
+        for _ in range(5):
+            net = random_net(field, 5, 6, rng, bound=1)
+            with pytest.raises(ValueError, match="characteristic 2"):
+                correspondence._cubic_level(net)
+            self._screened_equals_the_ranked_table(net, field)
 
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)

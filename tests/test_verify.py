@@ -171,9 +171,10 @@ class TestSamplerOracle:
 
     def test_codes_and_stacks_are_built_once(self, monkeypatch):
         """On a fresh net, the GF(7) f_v table (walked from the kernels of
-        f(a) over Y, which builds the f(a) table in 2 chunks of 2048
-        points) and the GF(7) plan's pairs build one FieldCodes and encode
-        each oracle's stack once, not once per chunk."""
+        f(a) over Y, which the f(a) table screens by the cubic in 2 chunks
+        of 2048 points and keeps) and the GF(7) plan's pairs build one
+        FieldCodes and encode each oracle's stack once, not once per
+        chunk."""
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[0])
         modnum.field_codes.cache_clear()
         built, stacks = [], []
@@ -219,9 +220,9 @@ class TestSamplerOracle:
         assert sum(ranked) == 0
 
     def test_walk_checks_its_counts(self, monkeypatch):
-        """Dropping from the f(a) table one point of Y that lies on the line
-        M_c = P(left kernel of f_c) of a rank-3 c leaves c in q kernels,
-        not q + 1, and the walk raises."""
+        """Dropping from the kernels of f(a) kept with the a-side table one
+        point of Y that lies on the line M_c = P(left kernel of f_c) of a
+        rank-3 c leaves c in q kernels, not q + 1, and the walk raises."""
         field = GF(7)
         reduced = ANet.from_upper_triangles(
             QQ, 6, PINNED_UPPERS[0]).over(field)
@@ -232,9 +233,11 @@ class TestSamplerOracle:
             on_q.fc, on_q.stack.transpose(0, 2, 1), c)
         a = left[0, :1]
         assert on_y.ranks(a).tolist() == [4]
-        dropped = on_y.table.copy()
-        dropped[on_y.indices(a)] = 6
-        monkeypatch.setattr(on_y, "_table", dropped)
+        y_idx, rank, kernel = on_y.on_y
+        kept = y_idx != on_y.indices(a)[0]
+        assert np.count_nonzero(~kept) == 1
+        monkeypatch.setattr(on_y, "_on_y",
+                            (y_idx[kept], rank[kept], kernel[kept]))
         monkeypatch.setattr(on_q, "_table", None)
         with pytest.raises(ValueError, match="lies in 7 kernels"):
             on_q.table
@@ -496,9 +499,11 @@ def _record_rows(records):
     ("pinned", (3, 1), "enumerate", 1000),
     ("pinned", (7, 1), "random", 200),
     ("pinned", (3, 2), "random", 50),
+    ("pinned", (101, 1), "random", 6),
     ("degenerate", (2, 1), "enumerate", 1000)],
     ids=["pinned-GF(2)", "pinned-GF(3)", "pinned-GF(7)-random",
-         "pinned-GF(9)-random", "degenerate-GF(2)"])
+         "pinned-GF(9)-random", "pinned-GF(101)-random",
+         "degenerate-GF(2)"])
 def batched_case(request, pinned_net, degenerate_fixture):
     name, q, mode, count = request.param
     net = pinned_net if name == "pinned" else degenerate_fixture
@@ -622,9 +627,10 @@ class TestJw1:
         points each builds; jw1 should make none of them, because it reads
         jw's memoized records."""
         calls = {}
-        # verify and correspondence each call _kernels under their own name
-        targets = [(verify, "_kernels", 2), (correspondence, "_kernels", 2),
-                   (verify, "_u_sides", 1),
+        # the a-sides are read from the a-side oracle (`kernels`), which
+        # keeps them for the points of Y; `_kernels` row-reduces
+        targets = [(correspondence.RankOracle, "kernels", 1),
+                   (correspondence, "_kernels", 2), (verify, "_u_sides", 1),
                    (correspondence, "phi_fiber", None),
                    (ANet, "f_at", None), (ExactMatrix, "rref", None)]
         for owner, name, arg in targets:
@@ -645,15 +651,17 @@ class TestJw1:
 
     def test_random_mode_shares_jw_pairs(self, pinned_net, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, pinned_net.triangles)
-        # the f_v table's walk over Y calls _kernels once, before any pair
+        # the f(a) table row-reduces the points of Y, before any pair
         assert rank_oracle(net.over(GF(7)), GF(7), "v").table.size == 19608
         calls, streams = self._count_calls(monkeypatch)
         # a fresh plan for each check: the stream is keyed on the plan's value
         plan = lambda: SamplePlan(GF(7), count=30, seed=5, mode="random")
         pointwise = jw_pointwise(net, plan())
-        # one batch of 30 fibers f_v, one of 30 a-sides f(a), one of 30
-        # U-sides; no fiber is built one pair at a time
-        assert calls["_kernels"] == [30, 30] and calls["_u_sides"] == [30]
+        # one batch of 30 fibers f_v row-reduced, one of 30 a-sides f(a)
+        # read from the oracle, one of 30 U-sides; no fiber is built one
+        # pair at a time
+        assert calls["_kernels"] == [30] and calls["kernels"] == [30]
+        assert calls["_u_sides"] == [30]
         assert "phi_fiber" not in calls and "f_at" not in calls
         calls.clear()
         sections = jw1_section_check(net, plan())
@@ -669,9 +677,10 @@ class TestJw1:
         ys, xs = y_points(net, GF(2)), x_points(net, GF(2))
         calls, streams = self._count_calls(monkeypatch)
         pointwise = jw_pointwise(net, SamplePlan(GF(2)))
-        # one a-side per point of Y and one U-side per point of X, shared
-        # by all pairs through it
-        assert len(ys) == 19 and calls["_kernels"] == [19]
+        # one a-side per point of Y, read from the oracle, and one U-side
+        # per point of X, shared by all pairs through it
+        assert len(ys) == 19 and calls["kernels"] == [19]
+        assert "_kernels" not in calls
         assert len(xs) == 19 and calls["_u_sides"] == [19]
         assert "f_at" not in calls
         calls.clear()
