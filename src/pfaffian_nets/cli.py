@@ -487,10 +487,13 @@ def build_report(doc, opts):
     results = []
     for name in _GATED:
         results.append(_run_stage(name, _STAGE_MAP[name], ctx))
-        if name == "regularity" and results[-1]["verdict"] != "pass":
+        verdict = results[-1]["verdict"]
+        if name == "regularity" and verdict != "pass":
+            reason = ("net is not regular" if verdict == "fail"
+                      else "regularity is undecided")
             for later, _fn in STAGES[1:]:
                 results.append({"name": later, "verdict": "skipped",
-                                "detail": {"reason": "net is not regular"}})
+                                "detail": {"reason": reason}})
             break
     else:
         results.extend(_run_stage(name, fn, ctx)

@@ -471,7 +471,8 @@ class RegularityResult:
     @property
     def is_regular(self):
         if self.status == INCONCLUSIVE:
-            raise ValueError("regularity inconclusive at the degree cap")
+            raise ValueError("regularity inconclusive: %s"
+                             % (self.detail or "at the degree cap"))
         return self.status == EMPTY
 
     def __repr__(self):
@@ -517,10 +518,16 @@ def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regular means rank f(a) >= 2m-2 away from a = 0, i.e. the principal
     sub-Pfaffian ideal has empty projective zero set.  Over QQ the emptiness
     certificate modulo one prime lifts (ranks only drop under reduction).
-    The verdict is memoized on the net per (prime, cap)."""
+    A net native to characteristic 2 or to GF(p^k) is INCONCLUSIVE, its
+    detail naming the limit, before any sub-Pfaffian is expanded.  The
+    verdict is memoized on the net per (prime, cap)."""
     if net.field.characteristic == 2:
-        raise ValueError("regularity needs characteristic != 2 "
-                         "(sub-Pfaffians are taken)")
+        return RegularityResult(INCONCLUSIVE, detail=(
+            "regularity needs characteristic != 2 (sub-Pfaffians are taken)"))
+    try:
+        check_ideal_field(net.field)
+    except ValueError as exc:
+        return RegularityResult(INCONCLUSIVE, detail=str(exc))
     return net.derived(("regular", prime, cap),
                        lambda: _regularity(net, prime, cap))
 

@@ -15,14 +15,20 @@ in, and the Jacobian and Macaulay matrices scatter rows by
 Large prime-field computations run on an incremental ladder that pushes
 the reduced basis of I_t forward to degree t+1.  Multiplication by the
 first variable is order-preserving for graded-lex monomial columns, so
-x0 * basis lands already reduced.  The other variables need only the rows
-N_t that the step to t added (the whole basis at the first degree): as
-I_t = x0 I_{t-1} + span(N_t) and x_j I_{t-1} lies in I_t,
-x_j I_t = x0 (x_j I_{t-1}) + x_j N_t lies in x0 I_t + x_j N_t, so
+x0 * basis lands already reduced.  The other variables need only part of
+the basis, by the multiplicative-variable idea of involutive bases
+(Gerdt-Blinkov 1998).  Each basis row has a class: 0 for the rows of
+x0 I_{t-1}, j for a row the step to t found while absorbing x_j's block,
+n for a fresh generator and for every row at the first degree.  With
+F_j = x_0 I_{t-1} + ... + x_{j-1} I_{t-1}, the rows C_j of class >= j
+span I_t modulo F_j, so x_j I_t lies in x_j C_j + x_j F_j, and x_j F_j
+lies in x_0 I_t + ... + x_{j-1} I_t; by induction on j,
 
-    I_{t+1} = x0 I_t + sum_{j >= 1} x_j N_t + span(G_{t+1}),
+    I_{t+1} = x0 I_t + sum_{j >= 1} x_j C_j + span(G_{t+1}),
 
-G_{t+1} the generators of degree t+1.
+G_{t+1} the generators of degree t+1.  The invariant carries over to t+1:
+the rows found before x_j's block lie in F_j at t+1, and back-reduction
+only adds rows of a higher class to a row.
 """
 
 from __future__ import annotations
@@ -142,17 +148,18 @@ class HilbertEngine:
     dropped.  `degrees` lists the degrees of the generators kept, largest
     first.
 
-    The state at degree t is (t, pivot columns, basis, new): the RREF of
-    I_t over the degree-t monomials in descending graded-lex order, and a
-    mask of the basis rows N_t that the step to t added (all of them at the
-    first degree).  As I_t = x0 I_{t-1} + span(N_t), and
-    x_j I_{t-1} lies in I_t, x_j I_t lies in x0 I_t + x_j N_t; so a step
-    to t + 1 seeds the new basis with x0 * basis, which lands already
-    reduced, then absorbs x_j * N_t (j >= 1) and the new generators in
-    blocks: each block is reduced against the seed and the rows found so
-    far by two products, and row-reduced on the columns that are pivots of
-    neither, the only ones where a new pivot can appear.  Asking for
-    values out of order just ladders forward.
+    The state at degree t is (t, pivot columns, basis, classes): the RREF
+    of I_t over the degree-t monomials in descending graded-lex order, and
+    each basis row's class, 0 for a row of x0 * I_{t-1}, j for a row found
+    in x_j's block, n for a fresh generator and at the first degree.  The
+    rows C_j of class >= j span I_t modulo x_0 I_{t-1} + ... +
+    x_{j-1} I_{t-1} (module docstring), so a step to t + 1 seeds the new
+    basis with x0 * basis, which lands already reduced, then absorbs
+    x_j * C_j for j = 1 .. n-1 and the new generators in blocks: each block
+    is reduced against the seed and the rows found so far by two products,
+    and row-reduced on the columns that are pivots of neither, the only
+    ones where a new pivot can appear.  Asking for values out of order just
+    ladders forward.
     """
 
     CHUNK = 1500
@@ -181,7 +188,7 @@ class HilbertEngine:
                                for _ in rows), reverse=True)
         self._t0 = min(self._gens_by_degree, default=None)
         self._ranks = {}
-        self._state = None  # (t, piv_cols list, basis ndarray, new mask)
+        self._state = None  # (t, piv_cols list, basis ndarray, row classes)
 
     def ideal_rank(self, t):
         got = self._ranks.get(t)
@@ -193,14 +200,15 @@ class HilbertEngine:
             return 0
         if self._state is None:
             piv, basis = modnum.rref_mod(self._gens_by_degree[t0], self.p)
-            self._state = (t0, piv, basis, np.ones(len(piv), dtype=bool))
+            self._state = (t0, piv, basis,
+                           np.full(len(piv), self.n, dtype=np.int64))
             self._ranks[t0] = len(piv)
         while self._state[0] < t:
             self._step()
         return self._ranks[t]
 
     def _step(self):
-        t, piv, basis, new = self._state
+        t, piv, basis, cls = self._state
         p = self.p
         t1 = t + 1
         monos_t = monomial_table(self.n, t)
@@ -221,11 +229,11 @@ class HilbertEngine:
         rest[piv] = False
         rest = np.flatnonzero(rest)
         seed_rest = seed[:, rest]
-        new_piv = []
+        new_piv, new_cls = [], []
         new_basis = np.zeros((0, rest.size), dtype=np.int64)
         free = np.ones(rest.size, dtype=bool)
 
-        def absorb(R):
+        def absorb(R, c):
             nonlocal new_piv, new_basis
             coef = R[:, piv]
             R = R[:, rest]
@@ -249,17 +257,18 @@ class HilbertEngine:
                         modnum.addmul_mod(new_basis, (-coef) % p, bas_c, p)
                 new_basis = np.concatenate([new_basis, bas_c])
                 new_piv = new_piv + piv_c
+                new_cls.extend([c] * len(piv_c))
 
-        grown = basis[new]
         for j in range(1, self.n):
+            grown = basis[cls >= j]
             for lo in range(0, len(grown), self.CHUNK):
                 block = grown[lo:lo + self.CHUNK]
                 R = np.zeros((block.shape[0], D1), dtype=np.int64)
                 R[:, shift[j]] = block
-                absorb(R)
+                absorb(R, j)
         fresh = self._gens_by_degree.get(t1)
         if fresh is not None:
-            absorb(fresh)
+            absorb(fresh, self.n)
         if new_piv:
             coef = seed_rest[:, new_piv]
             if np.any(coef):
@@ -271,12 +280,13 @@ class HilbertEngine:
             order = np.argsort(np.array(allpiv, dtype=np.int64))
             merged = np.concatenate([seed, found])[order]
             piv_sorted = [allpiv[i] for i in order]
-            added = order >= r  # the rows that came from `found`
+            classes = np.concatenate([np.zeros(r, dtype=np.int64),
+                                      new_cls])[order]
         else:
             merged = seed
             piv_sorted = list(piv)
-            added = np.zeros(r, dtype=bool)
-        self._state = (t1, piv_sorted, merged, added)
+            classes = np.zeros(r, dtype=np.int64)
+        self._state = (t1, piv_sorted, merged, classes)
         self._ranks[t1] = len(piv_sorted)
 
     def hilbert_function(self, t):
@@ -448,10 +458,9 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     (Lazard 1983); with fewer than n the zero set is never empty, B = 0.
     So HF(t) > 0 at t = B certifies NONEMPTY over the closure of GF(p).
 
-    Only a cap below B leaves the climb short of a certificate.  There HF
-    positive and no longer strictly decreasing at the cap is reported
-    NONEMPTY (evidence only); HF still strictly dropping stays
-    INCONCLUSIVE, since it may yet reach zero a few degrees later.
+    Only a cap below B leaves the climb short of a certificate, and the
+    answer is then INCONCLUSIVE: HF may reach zero at any degree up to B,
+    after a plateau or a rise, so no shape of the tail is evidence.
     """
     engine = HilbertEngine(ideal, prime=prime if ideal.field.kind == "QQ"
                            else ideal.field.p)
@@ -466,8 +475,6 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
             return EmptinessResult(EMPTY, t, tail)
         if t >= bound:
             return EmptinessResult(NONEMPTY, t, tail)
-    if len(tail) >= 2 and tail[-1] >= tail[-2]:
-        return EmptinessResult(NONEMPTY, cap, tail)
     return EmptinessResult(INCONCLUSIVE, cap, tail)
 
 

@@ -192,16 +192,19 @@ class TestPipeline:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # nets native to a finite field: over GF(9) and GF(81) the emptiness
-    # ladder refuses the sub-Pfaffian ideal; over GF(5) it runs mod 5, the
+    # ladder cannot take the sub-Pfaffian ideal, so regularity is
+    # inconclusive, naming that limit; over GF(5) it runs mod 5, the
     # Hilbert fit of C runs mod 5 alone, and the stages that read GF(2),
     # GF(3) or GF(7) skip them
     @pytest.mark.parametrize("field, code, regularity, primes, digest", [
-        (GF(3, 2), 1, ("fail", {
-            "error": "emptiness check needs QQ or prime-field input"}), None,
-         "e7f25bd9d765fde6aca1eef326d12b21dcf18065bbe8fdaec6f4dd4872dc50aa"),
-        (GF(3, 4), 1, ("fail", {
-            "error": "emptiness check needs QQ or prime-field input"}), None,
-         "be2c0fba197c2d7f82c7a014c9c2c81c112e8aafa5204adbbec047ada1953210"),
+        (GF(3, 2), 2, ("inconclusive", {
+            "detail": "emptiness check needs QQ or prime-field input",
+            "status": "INCONCLUSIVE", "witness": None}), None,
+         "e98719f9e70b7cd6c52cd02a12855b93936a1c771cfa1b75fe4b16598c513561"),
+        (GF(3, 4), 2, ("inconclusive", {
+            "detail": "emptiness check needs QQ or prime-field input",
+            "status": "INCONCLUSIVE", "witness": None}), None,
+         "b2b686c0ff895e1c4ae22069248f30369cf0b54ec9e39872dee30b671f6257fc"),
         (GF(5), 0, ("pass", {"detail": None, "status": "EMPTY",
                              "witness": 2}), [5],
          "e2e5a1d190243a86c77284dadfa0c3e9b86a4ab5053f9ce8015e767f40bf7af6")],
@@ -226,9 +229,10 @@ class TestPipeline:
     @pytest.mark.parametrize("field", [GF(3, 2), GF(3, 4)], ids=str)
     def test_regularity_refuses_an_extension_before_expanding(
             self, tmp_path, monkeypatch, capsys, field):
-        """Over GF(9) and GF(81) the sub-Pfaffian ideal is refused before
-        its level is built; GF(81) has no code arithmetic, so `verify
-        polynomials` fails and names that limit."""
+        """Over GF(9) and GF(81) regularity is inconclusive, naming the
+        emptiness check's limit, before the sub-Pfaffian level is built;
+        GF(81) has no code arithmetic, so `verify polynomials` fails and
+        names that limit."""
         for key in list(os.environ):
             if key.startswith(cli.ENV_PREFIX):
                 monkeypatch.delenv(key)
@@ -243,15 +247,50 @@ class TestPipeline:
                 return _real(*args)
 
             monkeypatch.setattr(module, "pfaffian_level", counted)
-        assert main(["verify", str(fx), "regularity"]) == 1
+        assert main(["verify", str(fx), "regularity"]) == 2
         assert calls == []
         assert json.loads(capsys.readouterr().out)["detail"] == {
-            "error": "emptiness check needs QQ or prime-field input"}
+            "detail": "emptiness check needs QQ or prime-field input",
+            "status": "INCONCLUSIVE", "witness": None}
         if field == GF(3, 4):
             assert main(["verify", str(fx), "polynomials"]) == 1
             assert json.loads(capsys.readouterr().out) == {
                 "name": "polynomials", "verdict": "fail",
                 "detail": {"error": "no code arithmetic over GF(3^4)"}}
+
+    @pytest.mark.parametrize("field", [GF(2), GF(2, 2)], ids=str)
+    def test_characteristic_two_leaves_regularity_undecided(
+            self, tmp_path, monkeypatch, field):
+        """A net native to characteristic 2 has no sub-Pfaffian ladder:
+        regularity is inconclusive, naming that limit, before any level is
+        built; every later stage is skipped as undecided, and the run exits
+        2 with no stage failed."""
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        net = correspondence.random_net(field, 5, 6, random.Random(5),
+                                        bound=1)
+        fx = tmp_path / "native.json"
+        fx.write_text(canonical_json(net_to_fixture(net)))
+        calls = []
+        for module in (correspondence, multipoly):
+            def counted(*args, _real=module.pfaffian_level):
+                calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(module, "pfaffian_level", counted)
+        out = tmp_path / "report.json"
+        assert main(["pipeline", str(fx), "-o", str(out)]) == 2
+        assert calls == []
+        report = json.loads(out.read_text())
+        assert report["overall"] == "inconclusive"
+        first, *later = report["stages"]
+        assert (first["verdict"], first["detail"]) == ("inconclusive", {
+            "detail": "regularity needs characteristic != 2 "
+                      "(sub-Pfaffians are taken)",
+            "status": "INCONCLUSIVE", "witness": None})
+        assert all(s["verdict"] == "skipped" and s["detail"] == {
+            "reason": "regularity is undecided"} for s in later)
 
     def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path,
                                                        monkeypatch):
@@ -470,6 +509,37 @@ class TestGating:
         assert report["stages"][0]["detail"]["witness"] is not None
         assert all(s["verdict"] == "skipped"
                    for s in report["stages"][1:])
+        assert all(s["detail"] == {"reason": "net is not regular"}
+                   for s in report["stages"][1:])
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_a_cap_below_the_macaulay_bound_is_inconclusive(
+            self, fixture_path, tmp_path, monkeypatch, cap):
+        """The pinned net is regular with Y smooth.  A --degree-cap of 1
+        stops the regularity ladder short of its Macaulay bound 6, and one
+        of 3 stops the Jacobian ladder short of its bound 7: neither is a
+        certificate, so the run exits 2 and no stage fails."""
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", fixture_path, "-o", str(out), "--samples",
+                     "50", "--degree-cap", str(cap)]) == 2
+        report = json.loads(out.read_text())
+        assert report["overall"] == "inconclusive"
+        stages = {s["name"]: s for s in report["stages"]}
+        assert not [name for name, s in stages.items()
+                    if s["verdict"] in ("fail", "error")]
+        if cap == 1:
+            assert stages["regularity"]["verdict"] == "inconclusive"
+            assert stages["regularity"]["detail"]["status"] == "INCONCLUSIVE"
+            assert all(s["detail"] == {"reason": "regularity is undecided"}
+                       for s in report["stages"][1:])
+        else:
+            assert stages["regularity"]["verdict"] == "pass"
+            assert stages["classification"]["verdict"] == "inconclusive"
+            assert stages["classification"]["detail"]["y_smooth"] == \
+                "INCONCLUSIVE"
 
     def test_net_of_another_shape_fails_no_stage(self, tmp_path):
         """A regular n = 3, 2m = 4 net with Pf = a0^2 + a1^2 + a2^2: the

@@ -24,9 +24,9 @@ from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      enumerate_grassmannian,
                                      enumerate_projective, pair_indices,
                                      pencil_line, plucker_from_basis)
-from pfaffian_nets.ideals import (EMPTY, NONEMPTY, HilbertEngine,
-                                  fit_hilbert_polynomial, is_empty_projective,
-                                  jacobian_ideal)
+from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
+                                  HilbertEngine, fit_hilbert_polynomial,
+                                  is_empty_projective, jacobian_ideal)
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
@@ -376,11 +376,19 @@ class TestRegularity:
         assert cls.regular.status == EMPTY
         assert calls == [True, False]  # only the Jacobian ladder of Y
 
-    def test_characteristic_two_raises_every_time(self):
+    def test_characteristic_two_is_inconclusive_every_time(self):
+        """Characteristic 2 takes no sub-Pfaffian ladder: every call is
+        INCONCLUSIVE, naming that limit, and is no regularity verdict."""
         net = ANet.from_upper_triangles(F2, 6, PINNED_UPPER)
         for _ in range(2):
-            with pytest.raises(ValueError, match="characteristic"):
-                is_regular(net)
+            res = is_regular(net)
+            assert (res.status, res.detail) == (
+                INCONCLUSIVE,
+                "regularity needs characteristic != 2 (sub-Pfaffians are "
+                "taken)")
+            with pytest.raises(ValueError, match="inconclusive: regularity "
+                               "needs characteristic"):
+                res.is_regular
 
     @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003), GF(3, 2)],
                              ids=str)

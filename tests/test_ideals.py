@@ -20,7 +20,8 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
                                   minors_ideal, _hf_until_stable,
                                   _interpolate)
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import MultiPoly, minor_level, minor_polys
+from pfaffian_nets.multipoly import (MultiPoly, minor_level, minor_polys,
+                                     monomial_positions, monomial_table)
 
 from conftest import random_value
 from scalar_references import (det, fit_window_reference, homogeneous_degree,
@@ -236,8 +237,8 @@ def _staggered_ideal(field, p, rng, t0=2, nvars=4):
 @pytest.mark.parametrize("kind", ["QQ", "GF(p)"])
 def test_ladder_state_matches_macaulay_rref_at_every_degree(kind, prime):
     """At every degree the engine's rank, pivots and basis are the RREF of
-    the Macaulay matrix, and its new rows are those whose pivots x0 * I_{t-1}
-    does not have."""
+    the Macaulay matrix, and its rows of class > 0 are those whose pivots
+    x0 * I_{t-1} does not have."""
     rng = random.Random(prime + len(kind))
     field = QQ if kind == "QQ" else GF(prime)
     for trial in range(3):
@@ -254,21 +255,58 @@ def test_ladder_state_matches_macaulay_rref_at_every_degree(kind, prime):
             if t < 2:
                 assert engine._state is None
                 continue
-            state_t, piv, basis, new = engine._state
+            state_t, piv, basis, cls = engine._state
             assert state_t == t
             assert list(piv) == list(want_piv), (trial, t)
             assert np.array_equal(basis, want_basis), (trial, t)
             grown = [c not in prev_piv for c in piv] if prev_piv is not None \
                 else [True] * len(piv)
-            assert new.tolist() == grown, (trial, t)
+            assert (cls > 0).tolist() == grown, (trial, t)
             prev_piv = set(piv)
 
 
+@pytest.mark.parametrize("prime", [7, 32003])
+@pytest.mark.parametrize("kind", ["QQ", "GF(p)"])
+def test_rows_of_class_at_least_j_span_the_ideal_modulo_x_below_j(kind,
+                                                                  prime):
+    """The ladder's invariant, against Macaulay matrices: at every degree t
+    and for j = 0, ..., n, the rows of class >= j stacked with the rows of
+    x_0 I_{t-1}, ..., x_{j-1} I_{t-1} have rank dim I_t."""
+    rng = random.Random(3 * prime + len(kind))
+    field = QQ if kind == "QQ" else GF(prime)
+    for trial in range(3):
+        ideal = _staggered_ideal(field, prime, rng)
+        reduced = reduced_ideal(ideal, prime) if kind == "QQ" else ideal
+        engine = HilbertEngine(ideal, prime=prime)
+        n = ideal.nvars
+        for t in range(2, 8):
+            rank = engine.ideal_rank(t)
+            _, _, basis, cls = engine._state
+            assert cls.min() >= 0 and cls.max() <= n
+            monos = monomial_table(n, t - 1)
+            below = np.array(macaulay_matrix(reduced, t - 1).rows,
+                             dtype=np.int64).reshape(-1, len(monos))
+            # shift[i][k]: the position of x_i times monomial k of degree t-1
+            shift = monomial_positions(
+                n, t, monos + np.eye(n, dtype=np.int64)[:, None])
+            for j in range(n + 1):
+                lifted = np.zeros((j * len(below), basis.shape[1]),
+                                  dtype=np.int64)
+                for i in range(j):
+                    lifted[i * len(below):(i + 1) * len(below),
+                           shift[i]] = below
+                stacked = np.concatenate([basis[cls >= j], lifted])
+                got = len(modnum.rref_mod(stacked, prime)[0])
+                assert got == rank, (trial, t, j)
+
+
 def test_each_step_absorbs_only_the_new_rows(pinned_net, monkeypatch):
-    """A step to t + 1 row-reduces (n - 1) |N_t| + |G_{t+1}| rows, in
-    blocks of at most CHUNK: on random staggered ideals, with a small CHUNK,
-    and on the pinned curve, where the step 5 -> 6 takes 5 * 101 rows
-    instead of the 5 * 152 of the whole basis."""
+    """A step to t + 1 row-reduces, for each j >= 1, x_j times the rows of
+    class >= j, and |G_{t+1}| rows, in blocks of at most CHUNK: on random
+    staggered ideals, with a small CHUNK, and on the pinned curve, where
+    the step 5 -> 6 takes 186 rows for its 185 new pivots, not the
+    5 * 101 of x_j N_t, N_t the 101 rows of class > 0, nor the 5 * 152 of
+    the whole basis."""
     absorbed = []
     rref = modnum.rref_mod
 
@@ -279,18 +317,20 @@ def test_each_step_absorbs_only_the_new_rows(pinned_net, monkeypatch):
     monkeypatch.setattr(modnum, "rref_mod", counted)
 
     def climb(engine, top):
-        """Step to `top`, checking each step; the (|basis|, |N_t|) met."""
+        """Step to `top`, checking each step; the (|basis|, |N_t|, rows
+        absorbed) met."""
         sizes = {}
         engine.ideal_rank(engine._t0)
         while engine._state[0] < top:
-            t, _, basis, new = engine._state
+            t, _, basis, cls = engine._state
             fresh = engine._gens_by_degree.get(t + 1)
             fresh = 0 if fresh is None else len(fresh)
             del absorbed[:]
             engine._step()
-            assert sum(absorbed) == (engine.n - 1) * int(new.sum()) + fresh
+            want = sum(int((cls >= j).sum()) for j in range(1, engine.n))
+            assert sum(absorbed) == want + fresh
             assert max(absorbed, default=0) <= max(engine.CHUNK, fresh)
-            sizes[t] = (len(basis), int(new.sum()))
+            sizes[t] = (len(basis), int((cls > 0).sum()), sum(absorbed))
         return sizes
 
     rng = random.Random(4)
@@ -299,7 +339,7 @@ def test_each_step_absorbs_only_the_new_rows(pinned_net, monkeypatch):
         engine.CHUNK = 5
         climb(engine, 7)
     sizes = climb(HilbertEngine(c_ideal(pinned_net), prime=32003), 6)
-    assert sizes[5] == (152, 101)
+    assert sizes[5] == (152, 101, 186)
 
 
 def test_graded_piece_monotonicity_and_growth():
@@ -550,6 +590,9 @@ def test_inconclusive_surfaced_not_coerced():
     with pytest.raises(ValueError):
         res.is_empty
     assert is_empty_projective(ideal, cap=6).status == EMPTY
+    # HF rising at a cap below the bound B = 5 is no evidence either
+    res = is_empty_projective(ideal, cap=2)
+    assert (res.status, res.tail) == (INCONCLUSIVE, [1, 2, 3])
 
 
 def test_curve_judged_nonempty_at_cap():
@@ -608,8 +651,12 @@ def test_emptiness_stable_under_redundant_generators():
     padded = ideal_of(field, 4, gens + [g * x(field, 4, j) for g in gens
                                         for j in (0, 2)])
     a = is_empty_projective(base, cap=8)
-    b = is_empty_projective(padded, cap=8)
-    assert a.status == b.status == NONEMPTY
+    assert a.status == NONEMPTY
+    # the padding raises the Macaulay bound to 3 * 4 - 4 + 1 = 9: a cap of 8
+    # stops short of a certificate, and 9 reaches it
+    assert is_empty_projective(padded, cap=8).status == INCONCLUSIVE
+    b = is_empty_projective(padded, cap=9)
+    assert (b.status, b.witness_degree) == (NONEMPTY, 9)
 
 
 # -- jacobian and minors -----------------------------------------------------
