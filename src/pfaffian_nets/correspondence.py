@@ -23,8 +23,7 @@ from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, check_ideal_field,
                      is_empty_projective, minors_ideal, other_prime)
 from .matrices import ExactMatrix
-from .multipoly import (MultiPoly, level_polys, minor_polys, pfaffian_level,
-                        pfaffian_top_level)
+from .multipoly import MultiPoly, level_polys, minor_polys, pfaffian_level
 
 
 class ANet:
@@ -38,8 +37,8 @@ class ANet:
     linear stack of each side, point sets, reductions to other fields) once
     per instance, and makes an array it keeps read-only, as every caller
     shares it.  A net that `over` made names the net it was reduced from
-    as `source` (None otherwise), whose Pfaffian levels reduce to its
-    own."""
+    as `source` (None otherwise), so that a net and its reductions share
+    one expansion of the cubic."""
 
     def __init__(self, field, two_m, triangles):
         if not triangles:
@@ -227,9 +226,9 @@ class RankOracle:
     "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for the
     stack of code matrices C_j (`stack`) read from `ANet.stack(side)`
     reduced into the field entry by entry, without the independence check of
-    `ANet`: in characteristic 2 a QQ net can reduce to a dependent family
-    while its cubic stays fine, and Pf is an integer polynomial in the
-    entries, so the two agree.
+    `ANet`: modulo a prime a QQ net can reduce to a dependent family while
+    its cubic stays fine, and Pf is an integer polynomial in the entries,
+    so the two agree.
 
     Over a field of order <= `modnum.TABLE_ORDER` the ranks of the whole
     space form one int8 table in `enumerate_projective` order.  Side "a"
@@ -237,15 +236,14 @@ class RankOracle:
     exactly at the zeros of Pf, and only they are row-reduced
     (`_kernels`); the table reads 2m everywhere else.  The cubic is the
     level of the net this one was reduced from (`ANet.source`), its integer
-    rows brought into the field, so a QQ net is screened in characteristic
-    2 too; where `pfaffian_level` cannot expand it (a net native to
-    characteristic 2), every point is row-reduced.  The rank and kernel
-    rows of f(a) at each point of Y are kept with the table (`on_y`), and
-    `kernels` reads them.  Side "v" is built by one walk over those kernels
-    (`_walk`).  A point's index is the offset of the block where its
-    leading 1 sits plus the base-q code of its normalized tail.  The ranks
-    of a batch of points (`ranks`) read the table when the space has at
-    most _TABLE_POINTS points, and are computed from the stack otherwise."""
+    rows or codes brought into the field, so one expansion serves a net and
+    all its reductions.  The rank and kernel rows of f(a) at each point of
+    Y are kept with the table (`on_y`), and `kernels` reads them.  Side "v"
+    is built by one walk over those kernels (`_walk`).  A point's index is
+    the offset of the block where its leading 1 sits plus the base-q code
+    of its normalized tail.  The ranks of a batch of points (`ranks`) read
+    the table when the space has at most _TABLE_POINTS points, and are
+    computed from the stack otherwise."""
 
     def __init__(self, net, field, side):
         fc = self.fc = modnum.field_codes(field)
@@ -287,16 +285,7 @@ class RankOracle:
     def _screened(self):
         """The side "a" table, and `on_y`."""
         two_m = self.stack.shape[1]
-        try:
-            cubic = _cubic_level(self._net.source or self._net)
-        except ValueError:  # characteristic 2, or above size 8
-            cubic = None
-        if cubic is not None:
-            y = self.zeros(cubic)
-        else:  # rank every point
-            ranks = [self._computed(self._codes_at(idx))
-                     for idx in _blocks(np.arange(self.size))]
-            y = np.flatnonzero(np.concatenate(ranks) < two_m)
+        y = self.zeros(_pfaffians(self._net.source or self._net, two_m))
         parts = [_kernels(self.fc, self.stack, self._codes_at(idx))[1:]
                  for idx in _blocks(y)]
         width = max(kernel.shape[1] for _, kernel in parts)
@@ -471,17 +460,17 @@ class RegularityResult:
     @property
     def is_regular(self):
         if self.status == INCONCLUSIVE:
-            raise ValueError("regularity inconclusive: %s"
-                             % (self.detail or "at the degree cap"))
+            raise ValueError("regularity inconclusive: %s" % self.detail)
         return self.status == EMPTY
 
     def __repr__(self):
         return "RegularityResult(%s, witness=%r)" % (self.status, self.witness)
 
 
-def _sub_pfaffians(net, k):
-    """The `pfaffian_level` of f(a) at size k, expanded once per net."""
-    return net.derived(("sub-Pfaffians", k), lambda: pfaffian_level(
+def _pfaffians(net, k):
+    """The `pfaffian_level` of f(a) at size k, expanded once per net; at k
+    = 2m its one row is the cubic Pf(f(a)) cutting out Y."""
+    return net.derived(("Pfaffians", k), lambda: pfaffian_level(
         net.field, net.stack("a"), k))
 
 
@@ -490,7 +479,7 @@ def sub_pfaffian_ideal(net):
     level of `pfaffian_level`; its zero set is the rank <= 2m-4 locus in
     P(A).  The field is checked before any sub-Pfaffian is expanded."""
     check_ideal_field(net.field)
-    _, level, _, scales = _sub_pfaffians(net, net.two_m - 2)
+    _, level, _, scales = _pfaffians(net, net.two_m - 2)
     return HomogeneousIdeal(net.field, net.n,
                             {net.two_m // 2 - 1: (level, scales)})
 
@@ -502,7 +491,7 @@ def _rank_deficient_witness(net, max_rank):
     a principal sub-Pfaffian that does not vanish.  (prime, point) or
     None; no rank table is built.  A field the net does not reduce to (a
     denominator p divides, or a dependent reduction) is skipped."""
-    level = _sub_pfaffians(net, max_rank + 2)
+    level = _pfaffians(net, max_rank + 2)
     for p in (3, 7):
         fp = GF(p)
         if not net.reaches(fp):
@@ -517,13 +506,11 @@ def _rank_deficient_witness(net, max_rank):
 def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regular means rank f(a) >= 2m-2 away from a = 0, i.e. the principal
     sub-Pfaffian ideal has empty projective zero set.  Over QQ the emptiness
-    certificate modulo one prime lifts (ranks only drop under reduction).
-    A net native to characteristic 2 or to GF(p^k) is INCONCLUSIVE, its
-    detail naming the limit, before any sub-Pfaffian is expanded.  The
-    verdict is memoized on the net per (prime, cap)."""
-    if net.field.characteristic == 2:
-        return RegularityResult(INCONCLUSIVE, detail=(
-            "regularity needs characteristic != 2 (sub-Pfaffians are taken)"))
+    certificate modulo one prime lifts (ranks only drop under reduction);
+    over GF(p) the ladder runs mod p.  INCONCLUSIVE names its limit: a net
+    native to GF(p^k), before any sub-Pfaffian is expanded, or a cap below
+    the Macaulay bound, with no witness.  The verdict is memoized on the
+    net per (prime, cap)."""
     try:
         check_ideal_field(net.field)
     except ValueError as exc:
@@ -543,21 +530,16 @@ def _regularity(net, prime, cap):
     if res.status == NONEMPTY:
         return RegularityResult(NONEMPTY, witness=res.witness_degree,
                                 detail="no small-field point located")
-    return RegularityResult(INCONCLUSIVE, witness=res.witness_degree)
+    return RegularityResult(INCONCLUSIVE, detail=(
+        "degree cap %d is below the Macaulay bound" % cap))
 
 
 # -- Y side -------------------------------------------------------------------
 
-def _cubic_level(net):
-    """The `pfaffian_top_level` of f(a), expanded once per net: its one row
-    is the form Pf(f(a)) cutting out Y."""
-    return net.derived("cubic level",
-                       lambda: pfaffian_top_level(net.field, net.stack("a")))
-
-
 def pfaffian_hypersurface(net):
     """The form Pf(f(a)) cutting out Y in P(A); degree m in n variables."""
-    pf = net.derived("cubic", lambda: level_polys(*_cubic_level(net))[0])
+    pf = net.derived("cubic", lambda: level_polys(
+        *_pfaffians(net, net.two_m))[0])
     if pf.is_zero():
         raise ValueError("Pf(f(a)) vanishes identically: degenerate net")
     return pf
@@ -566,7 +548,7 @@ def pfaffian_hypersurface(net):
 def y_ideal(net):
     """The ideal of Y: the cubic's level as integer rows."""
     pfaffian_hypersurface(net)  # a degenerate net raises here
-    _, level, _, scales = _cubic_level(net)
+    _, level, _, scales = _pfaffians(net, net.two_m)
     return HomogeneousIdeal(net.field, net.n,
                             {net.two_m // 2: (level, scales)})
 
@@ -965,8 +947,6 @@ def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     per_field = {}
     for field in fields:
         bases = x_points(net, field)
-        # the cubic is taken over the original field and reduced afterwards,
-        # so characteristic 2 stays reachable
         on_y = y_points(net, field)
         sing, on_kappa = _x_masks(net, field, bases)
         listed = np.nonzero(sing | on_kappa)[0]
@@ -1029,7 +1009,10 @@ def random_regular_net(seed, bound=3, n=5, two_m=6, max_tries=400):
 def degenerate_net(seed=0, bound=3):
     """A constructed singular fixture: U0 = <e1, e2> sits inside Ker F_1
     (rank-4 skew form supported on e3..e6) and every other F_i vanishes on
-    U0 x U0, which forces U0 into both sing(X) and X intersect kappa(Y)."""
+    U0 x U0, which forces U0 into both sing(X) and X intersect kappa(Y).
+    Modulo 2 and 3 the net must stay a net with rank f(e1) = 4, so U0
+    stays visible there.  No other point and no other prime is checked,
+    so a reduction can be irregular: seed 2 has rank-2 points mod 2."""
     import random as _random
     rng = _random.Random(seed)
     while True:
@@ -1053,9 +1036,6 @@ def degenerate_net(seed=0, bound=3):
         e1 = [1, 0, 0, 0, 0]
         if net.f_at(e1).rank() != 4:
             continue
-        # the kernel plane must stay visible after reduction, so the rank
-        # may not drop modulo the enumeration primes (and the reduced net
-        # must still be a net at all)
         try:
             if any(net.over(GF(p)).f_at(e1).rank() != 4
                    for p in (2, 3)):

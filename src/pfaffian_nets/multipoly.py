@@ -335,21 +335,9 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-MAX_POLY_PFAFFIAN_SIZE = 8
-
-
-def pfaffian_top_level(field, stack):
-    """The top level of `pfaffian_level` for a skew stack of size <= 8:
-    its one row is Pf(sum_l x_l C_l), a form of degree size/2."""
-    if len(stack[0]) > MAX_POLY_PFAFFIAN_SIZE:
-        raise ValueError("polynomial pfaffian limited to size %d"
-                         % MAX_POLY_PFAFFIAN_SIZE)
-    return pfaffian_level(field, stack, len(stack[0]))
-
-
 def pfaffian_poly(field, stack):
-    """Pf(sum_l x_l C_l) as a MultiPoly, from `pfaffian_top_level`."""
-    return level_polys(*pfaffian_top_level(field, stack))[0]
+    """Pf(sum_l x_l C_l) as a MultiPoly, the top level of `pfaffian_level`."""
+    return level_polys(*pfaffian_level(field, stack, len(stack[0])))[0]
 
 
 def pfaffian_polys(field, stack, k):
@@ -520,8 +508,8 @@ def pfaffian_level(field, stack, k):
     on the i-th k-subset of the indices in `combinations` order, over the
     exponent rows `monos` of `monomial_table(nvars, k/2)`; `codes` is the
     `_MinorCodes` they are written in, with scales as in `minor_level`.
-    Only the entries above the diagonal are read.  Characteristic 2 raises
-    ValueError.
+    Only the entries above the diagonal are read, and Pf is an integer
+    polynomial in them, so the expansion holds over every field.
 
     A dense first-row expansion, one level j = 2, 4, ..., k at a time, as
     in `minor_level`: Pf(S) = sum_pos (-1)^(pos+1) entry(S_0, S_pos)
@@ -530,8 +518,6 @@ def pfaffian_level(field, stack, k):
     (k - j)/2 .. size - 1.  Over QQ entry (i, j) is read as s_i s_j
     entry(i, j), which scales Pf(S) by the product of s_i over S."""
     nvars, size = len(stack), len(stack[0])
-    if field.characteristic == 2:
-        raise ValueError("pfaffians are not computed in characteristic 2")
     if k < 2 or k % 2 or k > size:
         raise ValueError("sub-Pfaffian size must be even, from 2 to %d"
                          % size)

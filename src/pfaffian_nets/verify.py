@@ -245,10 +245,10 @@ def _random_pairs(net, plan):
     is drawn by rejection against the cubic, U by rejection against the
     quartic followed by the fiber of phi (every plane of X through a
     vector v arises that way).  The net is checked for degeneracy where it
-    was given, as `y_points` does, since Pfaffians are not computed in
-    characteristic 2.  Both tests read the rank oracle: Pf(f(a)) = 0 iff
-    rank f(a) < 6, and for v != 0, Q(v) = 0 iff rank f_v < 5, because
-    f_v v = 0 makes the maximal minors of f_v the products +-v_i Q(v).
+    was given, as `y_points` does.  Both tests read the rank oracle:
+    Pf(f(a)) = 0 iff rank f(a) < 6, and for v != 0, Q(v) = 0 iff rank f_v
+    < 5, because f_v v = 0 makes the maximal minors of f_v the products
+    +-v_i Q(v).
 
     The draws are those of a loop on random.Random(plan.seed) that picks
     each coordinate by `choice` over the field's elements, and the report

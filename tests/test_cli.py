@@ -195,7 +195,8 @@ class TestPipeline:
     # ladder cannot take the sub-Pfaffian ideal, so regularity is
     # inconclusive, naming that limit; over GF(5) it runs mod 5, the
     # Hilbert fit of C runs mod 5 alone, and the stages that read GF(2),
-    # GF(3) or GF(7) skip them
+    # GF(3) or GF(7) skip them; over GF(2) it runs mod 2 and reads NONEMPTY
+    # at the Macaulay bound, so every later stage is skipped
     @pytest.mark.parametrize("field, code, regularity, primes, digest", [
         (GF(3, 2), 2, ("inconclusive", {
             "detail": "emptiness check needs QQ or prime-field input",
@@ -207,8 +208,11 @@ class TestPipeline:
          "b2b686c0ff895e1c4ae22069248f30369cf0b54ec9e39872dee30b671f6257fc"),
         (GF(5), 0, ("pass", {"detail": None, "status": "EMPTY",
                              "witness": 2}), [5],
-         "e2e5a1d190243a86c77284dadfa0c3e9b86a4ab5053f9ce8015e767f40bf7af6")],
-        ids=["GF(9)", "GF(81)", "GF(5)"])
+         "e2e5a1d190243a86c77284dadfa0c3e9b86a4ab5053f9ce8015e767f40bf7af6"),
+        (GF(2), 1, ("fail", {"detail": "no small-field point located",
+                             "status": "NONEMPTY", "witness": 6}), None,
+         "2355c5ba04803168252a1f576d75bf6b50a6be266a760f0305c8f5938e64da2b")],
+        ids=["GF(9)", "GF(81)", "GF(5)", "GF(2)"])
     def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
                                         code, regularity, primes, digest):
         for key in list(os.environ):
@@ -261,10 +265,13 @@ class TestPipeline:
     @pytest.mark.parametrize("field", [GF(2), GF(2, 2)], ids=str)
     def test_characteristic_two_leaves_regularity_undecided(
             self, tmp_path, monkeypatch, field):
-        """A net native to characteristic 2 has no sub-Pfaffian ladder:
-        regularity is inconclusive, naming that limit, before any level is
-        built; every later stage is skipped as undecided, and the run exits
-        2 with no stage failed."""
+        """Characteristic 2 is no limit of its own.  A net native to GF(2)
+        climbs the sub-Pfaffian ladder mod 2 and reads NONEMPTY at degree 6,
+        its Macaulay bound, with no point located, as GF(2) reaches neither
+        GF(3) nor GF(7): the run exits 1 and every later stage is skipped.
+        A net native to GF(4) is left undecided by the emptiness check's
+        limit, GF(p^k), before any level is built: every later stage is
+        skipped as undecided, and the run exits 2 with no stage failed."""
         for key in list(os.environ):
             if key.startswith(cli.ENV_PREFIX):
                 monkeypatch.delenv(key)
@@ -280,17 +287,25 @@ class TestPipeline:
 
             monkeypatch.setattr(module, "pfaffian_level", counted)
         out = tmp_path / "report.json"
-        assert main(["pipeline", str(fx), "-o", str(out)]) == 2
-        assert calls == []
+        code = main(["pipeline", str(fx), "-o", str(out)])
         report = json.loads(out.read_text())
-        assert report["overall"] == "inconclusive"
         first, *later = report["stages"]
-        assert (first["verdict"], first["detail"]) == ("inconclusive", {
-            "detail": "regularity needs characteristic != 2 "
-                      "(sub-Pfaffians are taken)",
-            "status": "INCONCLUSIVE", "witness": None})
+        if field == GF(2):
+            assert (code, report["overall"]) == (1, "fail")
+            assert [k for _, _, k in calls] == [4]  # the sub-Pfaffians
+            assert (first["verdict"], first["detail"]) == ("fail", {
+                "detail": "no small-field point located",
+                "status": "NONEMPTY", "witness": 6})
+            reason = "net is not regular"
+        else:
+            assert (code, report["overall"]) == (2, "inconclusive")
+            assert calls == []
+            assert (first["verdict"], first["detail"]) == ("inconclusive", {
+                "detail": "emptiness check needs QQ or prime-field input",
+                "status": "INCONCLUSIVE", "witness": None})
+            reason = "regularity is undecided"
         assert all(s["verdict"] == "skipped" and s["detail"] == {
-            "reason": "regularity is undecided"} for s in later)
+            "reason": reason} for s in later)
 
     def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path,
                                                        monkeypatch):
@@ -518,7 +533,8 @@ class TestGating:
         """The pinned net is regular with Y smooth.  A --degree-cap of 1
         stops the regularity ladder short of its Macaulay bound 6, and one
         of 3 stops the Jacobian ladder short of its bound 7: neither is a
-        certificate, so the run exits 2 and no stage fails."""
+        certificate, so the run exits 2 and no stage fails.  The cap is no
+        witness: the regularity detail names it as below the bound."""
         for key in list(os.environ):
             if key.startswith(cli.ENV_PREFIX):
                 monkeypatch.delenv(key)
@@ -532,7 +548,9 @@ class TestGating:
                     if s["verdict"] in ("fail", "error")]
         if cap == 1:
             assert stages["regularity"]["verdict"] == "inconclusive"
-            assert stages["regularity"]["detail"]["status"] == "INCONCLUSIVE"
+            assert stages["regularity"]["detail"] == {
+                "status": "INCONCLUSIVE", "witness": None,
+                "detail": "degree cap 1 is below the Macaulay bound"}
             assert all(s["detail"] == {"reason": "regularity is undecided"}
                        for s in report["stages"][1:])
         else:

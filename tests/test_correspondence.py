@@ -30,7 +30,7 @@ from pfaffian_nets.ideals import (EMPTY, INCONCLUSIVE, NONEMPTY,
 from pfaffian_nets.matrices import ExactMatrix
 from pfaffian_nets.multipoly import MultiPoly, minor_polys, pfaffian_polys
 
-from conftest import deadline
+from conftest import PINNED_UPPERS, deadline
 from scalar_references import (a_rank_table, certify_line_on_x,
                                exact_divide, fv_at, fv_rank_table,
                                homogeneous_degree, ideal_polys, kappa,
@@ -376,19 +376,32 @@ class TestRegularity:
         assert cls.regular.status == EMPTY
         assert calls == [True, False]  # only the Jacobian ladder of Y
 
-    def test_characteristic_two_is_inconclusive_every_time(self):
-        """Characteristic 2 takes no sub-Pfaffian ladder: every call is
-        INCONCLUSIVE, naming that limit, and is no regularity verdict."""
-        net = ANet.from_upper_triangles(F2, 6, PINNED_UPPER)
-        for _ in range(2):
+    def test_characteristic_two_nets_climb_the_ladder(self):
+        """Read natively over GF(2), the pinned nets climb the sub-Pfaffian
+        ladder mod 2: nets 0, 2, 3 and 4 are EMPTY, and net 1, which has a
+        point of rank 2 mod 2, is NONEMPTY at its Macaulay bound 6, with no
+        witness point, since GF(2) reaches neither GF(3) nor GF(7)."""
+        for i, upper in enumerate(PINNED_UPPERS):
+            net = ANet.from_upper_triangles(F2, 6, upper)
             res = is_regular(net)
-            assert (res.status, res.detail) == (
-                INCONCLUSIVE,
-                "regularity needs characteristic != 2 (sub-Pfaffians are "
-                "taken)")
-            with pytest.raises(ValueError, match="inconclusive: regularity "
-                               "needs characteristic"):
-                res.is_regular
+            if i != 1:
+                assert res.status == EMPTY and res.is_regular
+                continue
+            assert (res.status, res.witness, res.detail) == (
+                NONEMPTY, 6, "no small-field point located")
+            assert not res.is_regular
+            assert a_rank_table(net, F2).min() == 2
+
+    def test_a_cap_below_the_bound_witnesses_nothing(self, pinned):
+        """A cap of 1 stops the ladder short of its Macaulay bound 6: the
+        verdict is INCONCLUSIVE with no witness, its detail names the cap,
+        and it is no regularity verdict."""
+        res = is_regular(pinned, cap=1)
+        assert (res.status, res.witness, res.detail) == (
+            INCONCLUSIVE, None, "degree cap 1 is below the Macaulay bound")
+        with pytest.raises(ValueError, match=r"^regularity inconclusive: "
+                           r"degree cap 1 is below the Macaulay bound$"):
+            res.is_regular
 
     @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003), GF(3, 2)],
                              ids=str)
@@ -1004,16 +1017,15 @@ class TestRankOracle:
         for net in nets:
             self._screened_equals_the_ranked_table(net, field)
 
-    @pytest.mark.parametrize("field", [F2, GF(2, 2)], ids=str)
-    def test_characteristic_two_nets_rank_every_point(self, field):
-        """A net native to characteristic 2 has no Pfaffian level to screen
-        by, so the a-side table row-reduces every point."""
+    @pytest.mark.parametrize("field", [F2, GF(2, 2), GF(2, 3)], ids=str)
+    def test_screened_equals_ranked_in_characteristic_two(self, field):
+        """A net native to characteristic 2 is screened by its own cubic,
+        expanded over that field, as any other net is."""
         rng = random.Random(6)
-        for _ in range(5):
+        for _ in range(10):
             net = random_net(field, 5, 6, rng, bound=1)
-            with pytest.raises(ValueError, match="characteristic 2"):
-                correspondence._cubic_level(net)
             self._screened_equals_the_ranked_table(net, field)
+            assert ("Pfaffians", 6) in net._derived
 
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)

@@ -6,9 +6,10 @@ import pytest
 
 from pfaffian_nets.fields import QQ, GF, FieldMismatchError
 from pfaffian_nets.matrices import ExactMatrix
-from pfaffian_nets.multipoly import (MultiPoly, det_poly, monomial_positions,
-                                     monomial_table, pfaffian_level,
-                                     pfaffian_poly, pfaffian_polys)
+from pfaffian_nets.multipoly import (MultiPoly, det_poly, minor_polys,
+                                     monomial_positions, monomial_table,
+                                     pfaffian_level, pfaffian_poly,
+                                     pfaffian_polys)
 
 from conftest import random_value
 from scalar_references import (exact_divide, homogeneous_degree,
@@ -334,8 +335,13 @@ def test_pfaffian_squared_is_det_on_small_integer_stacks(field):
 
 
 def test_pfaffian_grid_size_guards():
-    with pytest.raises(ValueError, match="limited to size 8"):
-        pfaffian_poly(QQ, [[[0] * 10 for _ in range(10)]])
+    """No size is refused: a 10 x 10 Pfaffian squares to its determinant,
+    the one 10 x 10 minor.  An odd size is refused."""
+    stack = random_skew_stack(QQ, 2, 10, random.Random(10),
+                              value=lambda rng: rng.randint(-2, 2))
+    pf = pfaffian_poly(QQ, stack)
+    assert pf.degree() == 5
+    assert pf * pf == minor_polys(QQ, stack, 10)[0]
     with pytest.raises(ValueError, match="even"):
         pfaffian_poly(QQ, [[[0] * 3 for _ in range(3)]])
 
@@ -403,9 +409,16 @@ def test_pfaffian_level_guards():
     for k in (0, 3, 6):
         with pytest.raises(ValueError, match="even"):
             pfaffian_level(GF(7), stack, k)
-    stack2 = random_skew_stack(GF(2, 2), 2, 4, random.Random(2))
-    with pytest.raises(ValueError, match="characteristic 2"):
-        pfaffian_level(GF(2, 2), stack2, 4)
+    # characteristic 2 is no exception: Pf is an integer polynomial in the
+    # entries above the diagonal
+    for field in (GF(2), GF(2, 2)):
+        rng = random.Random(2)
+        pfs = []
+        for _ in range(4):
+            stack2 = random_skew_stack(field, 2, 4, rng)
+            pfs.append(pfaffian_poly(field, stack2))
+            assert pfs[-1] * pfs[-1] == minor_polys(field, stack2, 4)[0]
+        assert not all(pf.is_zero() for pf in pfs)
 
 
 def test_monomial_tables_are_shared_and_read_only():
