@@ -148,7 +148,12 @@ _TABLE_POINTS = 100_000  # the largest space `RankOracle.ranks` tabulates
 
 def _matmul(fc, x, y):
     """The products x[k] @ y[k] of two stacks of code matrices of the
-    FieldCodes `fc`, the stack dimensions broadcast against each other."""
+    FieldCodes `fc`, the stack dimensions broadcast against each other.
+    Over GF(p) a code is its residue and K (p-1)^2 < 2^63 for an inner
+    dimension K and p <= MAX_PRIME, so one integer matmul mod p is exact;
+    over GF(p^k) the products are summed in the table arithmetic."""
+    if fc.prime:
+        return np.matmul(x, y) % fc.q
     out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=np.int64)
     for l in range(x.shape[-1]):
         out = fc.add(out, fc.mul(x[..., :, l, None], y[..., l, None, :]))
@@ -242,8 +247,11 @@ class RankOracle:
     is built by one walk over those kernels (`_walk`).  A point's index is
     the offset of the block where its leading 1 sits plus the base-q code
     of its normalized tail.  The ranks of a batch of points (`ranks`) read
-    the table when the space has at most _TABLE_POINTS points, and are
-    computed from the stack otherwise."""
+    the table's copy by code (`by_code`) when the space has at most
+    _TABLE_POINTS points: one int8 entry per code vector x, at
+    x @ (q^(k-1), ..., q, 1), so no point is normalized.  Otherwise they
+    read the table at `indices` if it is built, and are computed from the
+    stack if not."""
 
     def __init__(self, net, field, side):
         fc = self.fc = modnum.field_codes(field)
@@ -255,6 +263,8 @@ class RankOracle:
         self.size = (q ** k - 1) // (q - 1)
         self._table = None
         self._on_y = None
+        self._by_code = None
+        self._small = q <= modnum.TABLE_ORDER and self.size <= _TABLE_POINTS
         # coordinate j weighs q^(k-1-j); block l (leading 1 at l) has
         # q^(k-1-l) points, and its tail is the coordinates after l
         self._weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -273,6 +283,28 @@ class RankOracle:
                 table = self._screened()
             self._table = table
         return self._table
+
+    @property
+    def by_code(self):
+        """The rank at every code vector x, at x @ (q^(k-1), ..., q, 1)
+        (0 at x = 0): block l's table entries written at s times each
+        normalized tail, for every nonzero scalar s, the tails of width d
+        scaled digit by digit through the mul table."""
+        if self._by_code is None:
+            fc, q = self.fc, self.fc.q
+            table = self.table
+            out = np.zeros(q * self._weights[0], dtype=np.int8)
+            scalars = np.arange(1, q)[:, None]
+            # tails[s - 1, t]: the code number of s times tail t of width d
+            tails = np.zeros((q - 1, 1), dtype=np.int64)
+            for l in range(len(self._weights) - 1, -1, -1):
+                w, lo = self._weights[l], self._offsets[l]
+                out[scalars * w + tails] = table[lo:lo + w]
+                if l:
+                    tails = (fc.mul(scalars, np.arange(q))[:, :, None] * w
+                             + tails[:, None, :]).reshape(q - 1, -1)
+            self._by_code = out
+        return self._by_code
 
     @property
     def on_y(self):
@@ -401,14 +433,16 @@ class RankOracle:
 
     def _tabulated(self):
         """Whether `ranks` and `kernels` read the table."""
-        return self._table is not None or (self.fc.q <= modnum.TABLE_ORDER
-                                           and self.size <= _TABLE_POINTS)
+        return self._table is not None or self._small
 
     def ranks(self, codes):
-        """The ranks at an (N, k) array of nonzero code rows, read from the
-        table when the space has at most _TABLE_POINTS points (or the table
-        is built), else computed _CHUNK points at a time."""
-        if self._tabulated():
+        """The ranks at an (N, k) array of code rows, read by code when
+        the space has at most _TABLE_POINTS points, from the table if it
+        is built, else computed _CHUNK points at a time.  A zero row's
+        entry means nothing."""
+        if self._small:
+            return self.by_code[codes @ self._weights]
+        if self._table is not None:
             return self.table[self.indices(codes)]
         out = np.empty(len(codes), dtype=np.int8)
         for lo in range(0, len(codes), _CHUNK):
@@ -485,14 +519,19 @@ def sub_pfaffian_ideal(net):
 
 
 def _rank_deficient_witness(net, max_rank):
-    """The first point of P(A) over GF(3), then GF(7), with rank f(a) <=
-    max_rank (even): the first common zero of the principal (max_rank +
-    2)-sub-Pfaffians, as the rank of a skew matrix is the largest size of
-    a principal sub-Pfaffian that does not vanish.  (prime, point) or
-    None; no rank table is built.  A field the net does not reduce to (a
-    denominator p divides, or a dependent reduction) is skipped."""
+    """The first point of P(A) with rank f(a) <= max_rank (even), over
+    GF(3), then GF(7), for a net over QQ, and over GF(p) itself for a net
+    native to GF(p), p <= 7: the first common zero of the principal
+    (max_rank + 2)-sub-Pfaffians, as the rank of a skew matrix is the
+    largest size of a principal sub-Pfaffian that does not vanish.
+    (prime, point) or None; no rank table is built.  A field the net does
+    not reduce to (a denominator p divides, or a dependent reduction) is
+    skipped."""
     level = _pfaffians(net, max_rank + 2)
-    for p in (3, 7):
+    f = net.field
+    primes = (3, 7) if f.kind == "QQ" else \
+        (f.order,) if f.kind == "GF(p)" and f.order <= 7 else ()
+    for p in primes:
         fp = GF(p)
         if not net.reaches(fp):
             continue

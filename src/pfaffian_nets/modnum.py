@@ -262,11 +262,11 @@ class FieldCodes:
     """The code arithmetic of one finite field (see the module docstring):
     `q` codes, the codes `zero` and `one`, `inv` with inv[a] the inverse
     code of a (inv[0] = 0), and add, sub and mul, elementwise on arrays
-    of codes.  Over a field of order <= TABLE_ORDER they read operation
-    tables flattened, at a * q + b: one gather from a vector costs less
-    than numpy's two-index gather.  Over a larger prime, up to MAX_PRIME,
-    they compute mod p.  Any other field has no codes and raises
-    ValueError."""
+    of codes; `prime` says the codes are residues mod q.  Over a field
+    of order <= TABLE_ORDER they read operation tables flattened, at
+    a * q + b: one gather from a vector costs less than numpy's two-index
+    gather.  Over a larger prime, up to MAX_PRIME, they compute mod p.
+    Any other field has no codes and raises ValueError."""
 
     def __init__(self, field):
         q = self.q = field.order
@@ -274,6 +274,7 @@ class FieldCodes:
                                               or q > MAX_PRIME)):
             raise ValueError("no code arithmetic over %s" % field)
         self.zero = 0
+        self.prime = field.kind == "GF(p)"
         self._digits = None  # the weights of a GF(p^k) payload's digits
         if field.kind == "GF(p^k)":
             self._digits = field.p ** np.arange(field.k - 1, -1, -1)
@@ -320,5 +321,14 @@ def field_codes(field):
 
 
 def batch_rank_table(mats, codes):
-    """The ranks of `batch_rref_table`."""
+    """The ranks of `batch_rref_table`.  A stack of 2-row matrices is
+    ranked by its 2 x 2 minors instead: rank 2 where one of them is
+    nonzero, else 1 where the matrix is nonzero."""
+    mats = np.asarray(mats)
+    if mats.ndim == 3 and mats.shape[1] == 2:
+        a, b = mats[:, 0], mats[:, 1]
+        i, j = np.triu_indices(mats.shape[2], 1)
+        full = (codes.mul(a[:, i], b[:, j])
+                != codes.mul(a[:, j], b[:, i])).any(axis=1)
+        return np.where(full, 2, mats.any(axis=(1, 2)))
     return batch_rref_table(mats, codes)[0]

@@ -23,12 +23,15 @@ digest pins those draws, so `_random_pairs` replays that stream exactly:
 it takes the generator's 32-bit words in blocks and decodes each `choice`
 by CPython's `_randbelow_with_getrandbits` rule (the top
 len(seq).bit_length() bits of a word, the word skipped while they are
->= len(seq)).  A test fails if the interpreter's rule changes.
+>= len(seq)).  A block's trials are ranked by code, in one
+`RankOracle.ranks` call per side, and the walk jumps from one kept
+trial to the next.  jw1's probes, one `choice` per pair on
+random.Random(seed + 1), are decoded by the same rule (`_choices`).  A
+test fails if the interpreter's rule changes.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 
 import numpy as np
@@ -239,6 +242,41 @@ def _stream_words(rng, n):
                          dtype="<u4").astype(np.int64)
 
 
+def _choices(rng, n, count):
+    """The indices that `count` calls of rng.choice over a sequence of
+    length n pick, decoded from the stream by the module docstring's rule
+    in blocks; rng may be left past the last word those calls take."""
+    shift = 32 - n.bit_length()
+    picks = np.empty(0, dtype=np.int64)
+    while len(picks) < count:
+        words = _stream_words(rng, 2 * (count - len(picks))) >> shift
+        picks = np.concatenate([picks, words[words < n]])
+    return picks[:count]
+
+
+def _stops(stream, width, oracle, accept):
+    """The trials of one width over a block's stream S of codes, for the
+    jumps of `_random_pairs`: the window at each start j of S, ranked by
+    one `oracle.ranks` call, is live when nonzero and stops the walk when
+    live and `accept` holds for its rank.  Starts congruent mod width form
+    a chain, which the walk runs along.  Returns, over the starts up to
+    one chain row past the last whole window, `stop` (the next start on
+    j's chain that stops the walk, or is past the last whole window),
+    `before` (the live windows on j's chain before j) and the ranks."""
+    windows = np.lib.stride_tricks.sliding_window_view(stream, width)
+    rank = oracle.ranks(windows)
+    nonzero = np.concatenate([[0], np.cumsum(stream != 0)])
+    live = nonzero[width:] > nonzero[:-width]
+    size = (len(windows) // width + 2) * width
+    pad = size - len(windows)
+    ends = np.concatenate([live & accept(rank), np.ones(pad, dtype=bool)])
+    stop = np.where(ends, np.arange(size), size).reshape(-1, width)
+    stop = np.minimum.accumulate(stop[::-1], axis=0)[::-1].ravel()
+    live = np.concatenate([live, np.zeros(pad, dtype=bool)])
+    before = np.cumsum(live.reshape(-1, width), axis=0).ravel() - live
+    return stop, before, rank
+
+
 def _random_pairs(net, plan):
     """plan.count random pairs (a, U) over the plan's field: the code rows
     of the a, and the code bases of the U that the fiber of phi gives.  a
@@ -263,8 +301,11 @@ def _random_pairs(net, plan):
     docstring.  The element picks form one stream S of codes, read in
     windows of 5 and 6; the pencil pick decodes the raw words, with its
     own bit width, where the walk reaches it, and S resumes after the word
-    it took.  The ranks of every window of S in a block come from one
-    `RankOracle.ranks` call per side."""
+    it took.  Each side ranks every window of S in a block by code, in one
+    `RankOracle.ranks` call (`_stops`).  The walk then jumps: from a start
+    of S it goes straight to the next window on its chain that it keeps
+    (or refuses), spending one try per live window passed, so it loops
+    once per kept trial and pencil pick."""
     field = plan.field
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
@@ -288,51 +329,45 @@ def _random_pairs(net, plan):
         picks = words >> elem_shift
         pos = np.flatnonzero(picks < q)
         stream = codes[picks[pos]]
-        ranks = {}
-        for width, oracle in ((5, on_y), (6, on_q)):
-            windows = np.lib.stride_tricks.sliding_window_view(stream, width)
-            live = windows.any(axis=1)
-            rank = np.full(len(windows), -1, dtype=np.int64)
-            rank[live] = oracle.ranks(windows[live])
-            ranks[width] = rank.tolist()
-        on_line = np.flatnonzero(words >> pencil_shift <= q).tolist()
-        pos, stream = pos.tolist(), stream.tolist()
+        trials = {"a": _stops(stream, 5, on_y, lambda r: r < 6),
+                  "v": _stops(stream, 6, on_q, lambda r: r != 5)}
+        on_line = np.flatnonzero(words >> pencil_shift <= q)
         j = 0  # the next value of S
         cursor = 0  # the next raw word
         while len(params) < plan.count:
             if phase == "pencil":
-                k = bisect.bisect_left(on_line, cursor)
+                k = int(np.searchsorted(on_line, cursor))
                 if k == len(on_line):
                     break
-                cursor = on_line[k] + 1
+                cursor = int(on_line[k]) + 1
                 params.append(pencil[int(words[cursor - 1]) >> pencil_shift])
-                j = bisect.bisect_left(pos, cursor)
+                j = int(np.searchsorted(pos, cursor))
                 phase = "a"
                 continue
             width = 5 if phase == "a" else 6
-            if j + width > len(stream):
-                break
-            rank = ranks[width][j]
-            j += width
-            cursor = pos[j - 1] + 1
-            if rank < 0:
-                continue
-            budget -= 1
+            stop, before, ranks = trials[phase]
+            k = int(stop[j])
+            end = k + width > len(stream)  # no window kept on j's chain
+            budget -= int(before[k] - before[j]) + (not end)
             if budget < 0:
                 raise ValueError("rejection budget exhausted over %s"
                                  % field.name)
+            if end:
+                if k > j:
+                    cursor = int(pos[k - 1]) + 1
+                break
+            j = k + width
+            cursor = int(pos[j - 1]) + 1
+            rank = int(ranks[k])
             if phase == "a":
-                if rank < 6:
-                    a_rows.append(stream[j - 5:j])
-                    phase = "v"
-                continue
-            if rank == 5:
+                a_rows.append(stream[k:j])
+                phase = "v"
                 continue
             if rank < 3:
                 raise ValueError(
                     "(Im f_v)^perp has dimension %d; rank f_v = %d <= 2 "
                     "violates the minimal-rank bound" % (6 - rank, rank))
-            v_rows.append(stream[j - 6:j])
+            v_rows.append(stream[k:j])
             if rank == 4:
                 params.append((zero, zero))
                 phase = "a"
@@ -369,14 +404,13 @@ def jw1_section_check(net, plan):
     fc = records.fc
     elements = list(f.elements())
     if plan.mode == "enumerate":
-        params = [(f.one_value, f.zero_value)] \
-            + [(x, f.one_value) for x in elements]
+        params = fc.encode([(f.one_value, f.zero_value)]
+                           + [(x, f.one_value) for x in elements])
     else:
-        one_v = [(f.one_value, x) for x in elements] \
-            + [(f.zero_value, f.one_value)]
-        rng = random.Random(plan.seed + 1)
-        params = [rng.choice(one_v) for _ in range(len(records))]
-    params = fc.encode(params)
+        one_v = fc.encode([(f.one_value, x) for x in elements]
+                          + [(f.zero_value, f.one_value)])
+        params = one_v[_choices(random.Random(plan.seed + 1), len(one_v),
+                                len(records))]
     probes = len(params) if plan.mode == "enumerate" else 1
     for lo, hi in records.blocks():
         # st[k, j]: probe j of pair k; one probe list for all when enumerating

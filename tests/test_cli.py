@@ -195,8 +195,9 @@ class TestPipeline:
     # ladder cannot take the sub-Pfaffian ideal, so regularity is
     # inconclusive, naming that limit; over GF(5) it runs mod 5, the
     # Hilbert fit of C runs mod 5 alone, and the stages that read GF(2),
-    # GF(3) or GF(7) skip them; over GF(2) it runs mod 2 and reads NONEMPTY
-    # at the Macaulay bound, so every later stage is skipped
+    # GF(3) or GF(7) skip them; over GF(2) it runs mod 2, reads NONEMPTY
+    # and locates a rank-2 witness over GF(2), so every later stage is
+    # skipped
     @pytest.mark.parametrize("field, code, regularity, primes, digest", [
         (GF(3, 2), 2, ("inconclusive", {
             "detail": "emptiness check needs QQ or prime-field input",
@@ -209,9 +210,9 @@ class TestPipeline:
         (GF(5), 0, ("pass", {"detail": None, "status": "EMPTY",
                              "witness": 2}), [5],
          "e2e5a1d190243a86c77284dadfa0c3e9b86a4ab5053f9ce8015e767f40bf7af6"),
-        (GF(2), 1, ("fail", {"detail": "no small-field point located",
-                             "status": "NONEMPTY", "witness": 6}), None,
-         "2355c5ba04803168252a1f576d75bf6b50a6be266a760f0305c8f5938e64da2b")],
+        (GF(2), 1, ("fail", {"detail": None, "status": "NONEMPTY",
+                             "witness": [2, [0, 1, 1, 1, 0]]}), None,
+         "ae70a0e5f67f801b97c193874917d16dc71c1ff4ad9196139515255727af7b65")],
         ids=["GF(9)", "GF(81)", "GF(5)", "GF(2)"])
     def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
                                         code, regularity, primes, digest):
@@ -266,9 +267,9 @@ class TestPipeline:
     def test_characteristic_two_leaves_regularity_undecided(
             self, tmp_path, monkeypatch, field):
         """Characteristic 2 is no limit of its own.  A net native to GF(2)
-        climbs the sub-Pfaffian ladder mod 2 and reads NONEMPTY at degree 6,
-        its Macaulay bound, with no point located, as GF(2) reaches neither
-        GF(3) nor GF(7): the run exits 1 and every later stage is skipped.
+        climbs the sub-Pfaffian ladder mod 2, reads NONEMPTY, and the
+        witness search over GF(2) itself locates a point of rank 2: the run
+        exits 1 and every later stage is skipped.
         A net native to GF(4) is left undecided by the emptiness check's
         limit, GF(p^k), before any level is built: every later stage is
         skipped as undecided, and the run exits 2 with no stage failed."""
@@ -294,8 +295,8 @@ class TestPipeline:
             assert (code, report["overall"]) == (1, "fail")
             assert [k for _, _, k in calls] == [4]  # the sub-Pfaffians
             assert (first["verdict"], first["detail"]) == ("fail", {
-                "detail": "no small-field point located",
-                "status": "NONEMPTY", "witness": 6})
+                "detail": None, "status": "NONEMPTY",
+                "witness": [2, [0, 1, 1, 1, 0]]})
             reason = "net is not regular"
         else:
             assert (code, report["overall"]) == (2, "inconclusive")

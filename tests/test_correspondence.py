@@ -150,9 +150,12 @@ def tangent_test_x(net, point):
 
 def scanning_witness(net, max_rank):
     """The rank-deficient witness search as it was written before the rank
-    tables: every point of P(A) over GF(3), then GF(7), through f_at and
-    batch_rank, skipping a field the net does not reduce to."""
-    for p in (3, 7):
+    tables: every point of P(A) over GF(3), then GF(7), for a net over QQ,
+    or over its own GF(p), p <= 7, through f_at and batch_rank, skipping a
+    field the net does not reduce to."""
+    primes = (3, 7) if net.field == QQ else \
+        (net.field.p,) if net.field in (GF(2), GF(3), GF(5), GF(7)) else ()
+    for p in primes:
         fp = GF(p)
         try:
             reduced = net.over(fp)
@@ -323,7 +326,7 @@ class TestRegularity:
         found = correspondence._rank_deficient_witness(net, 2)
         assert found is not None and found == scanning_witness(net, 2)
 
-    @pytest.mark.parametrize("p", [3, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_witness_equals_the_scan_on_random_nets(self, p):
         """10 random bound-1 nets native to GF(p): 5 drawn freely, which
         rarely meet the rank <= 2 locus, and 5 whose forms all kill e_5,
@@ -378,9 +381,8 @@ class TestRegularity:
 
     def test_characteristic_two_nets_climb_the_ladder(self):
         """Read natively over GF(2), the pinned nets climb the sub-Pfaffian
-        ladder mod 2: nets 0, 2, 3 and 4 are EMPTY, and net 1, which has a
-        point of rank 2 mod 2, is NONEMPTY at its Macaulay bound 6, with no
-        witness point, since GF(2) reaches neither GF(3) nor GF(7)."""
+        ladder mod 2: nets 0, 2, 3 and 4 are EMPTY, and net 1 is NONEMPTY,
+        witnessed by a point of rank 2 over GF(2) itself."""
         for i, upper in enumerate(PINNED_UPPERS):
             net = ANet.from_upper_triangles(F2, 6, upper)
             res = is_regular(net)
@@ -388,8 +390,9 @@ class TestRegularity:
                 assert res.status == EMPTY and res.is_regular
                 continue
             assert (res.status, res.witness, res.detail) == (
-                NONEMPTY, 6, "no small-field point located")
+                NONEMPTY, (2, (1, 1, 1, 1, 0)), None)
             assert not res.is_regular
+            assert net.f_at(res.witness[1]).rank() == 2
             assert a_rank_table(net, F2).min() == 2
 
     def test_a_cap_below_the_bound_witnesses_nothing(self, pinned):
@@ -1026,6 +1029,35 @@ class TestRankOracle:
             net = random_net(field, 5, 6, rng, bound=1)
             self._screened_equals_the_ranked_table(net, field)
             assert ("Pfaffians", 6) in net._derived
+
+    @pytest.mark.parametrize("field", [
+        F2, F3, GF(2, 2), GF(5), F7, GF(2, 3), GF(3, 2)], ids=str)
+    def test_ranks_by_code_equal_the_table(self, pinned, field):
+        """Read by code, the ranks at every nonzero code vector, on both
+        sides, are the table's ranks at its normalized point."""
+        for side in ("a", "v"):
+            oracle = rank_oracle(pinned, field, side)
+            codes = np.array(list(itertools.product(
+                range(field.order), repeat=len(oracle.stack))))[1:]
+            assert np.array_equal(oracle.ranks(codes),
+                                  oracle.table[oracle.indices(codes)])
+
+    @pytest.mark.parametrize("field", [F2, F7, GF(101)], ids=str)
+    def test_prime_matmul_equals_the_table_sums(self, field):
+        """Over GF(p) `_matmul` is one integer matmul mod p; it equals the
+        products summed term by term in the code arithmetic, on stacks
+        whose leading dimensions broadcast."""
+        fc = modnum.field_codes(field)
+        rng = np.random.default_rng(field.order)
+        for xs, ys in [((4, 1, 3, 5), (6, 5, 2)), ((2, 7), (7, 4)),
+                       ((3, 2, 6), (1, 6, 6))]:
+            x = rng.integers(0, fc.q, xs)
+            y = rng.integers(0, fc.q, ys)
+            summed = 0
+            for l in range(x.shape[-1]):
+                summed = fc.add(summed, fc.mul(x[..., :, l, None],
+                                               y[..., l, None, :]))
+            assert np.array_equal(correspondence._matmul(fc, x, y), summed)
 
     def test_direct_ranks_beyond_the_table(self, pinned):
         field = GF(101)

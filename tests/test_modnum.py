@@ -274,6 +274,23 @@ def test_batch_rref_table_matches_exact_rref(q):
             assert not red[rank:].any()
 
 
+@pytest.mark.parametrize("q", [(2, 1), (2, 2), (7, 1), (3, 2), (101, 1)],
+                         ids=str)
+def test_two_row_ranks_equal_the_reduction(q):
+    """Ranked by their 2 x 2 minors, stacks of 2-row matrices of every
+    width from 0 to 6, zero, rank 1 and generic, read the ranks of
+    `batch_rref_table`."""
+    fc = modnum.field_codes(GF(*q))
+    rng = np.random.default_rng(q[0] ** q[1])
+    for width in range(7):
+        rows = rng.integers(0, fc.q, (90, 2, width))
+        rows[::3, 1] = fc.mul(rng.integers(0, fc.q, (30, 1)), rows[::3, 0])
+        rows[::5, 0] = 0
+        rows[::7] = 0
+        assert modnum.batch_rank_table(rows, fc).tolist() \
+            == modnum.batch_rref_table(rows, fc)[0].tolist()
+
+
 @pytest.mark.parametrize("p", [2, 7])
 @pytest.mark.parametrize("shape", [(5, 6), (6, 6), (8, 6), (2, 6), (3, 1)],
                          ids=str)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,12 +274,73 @@ class TestSamplerReplay:
                 "_randbelow_with_getrandbits: verify._random_pairs replays "
                 "Random.choice by that rule, so under this interpreter its "
                 "draws, and every report digest, would differ")
-        for n in (2, 3, 7, 8, 9, 26, 101):
-            drawn = random.Random(n)
+        for n, seed in itertools.product((2, 3, 7, 8, 9, 26, 101), range(3)):
+            drawn = random.Random(seed)
             expected = [drawn.choice(range(n)) for _ in range(200)]
-            words = verify._stream_words(random.Random(n), 800)
-            picks = words >> (32 - n.bit_length())
-            assert picks[picks < n][:200].tolist() == expected
+            assert verify._choices(random.Random(seed), n, 200).tolist() \
+                == expected
+
+    @pytest.mark.parametrize("block", [verify._BLOCK, 64])
+    @pytest.mark.parametrize("q", [(7, 1), (2, 1)], ids=str)
+    def test_budget_runs_out_as_in_the_reference(self, pinned_net,
+                                                 monkeypatch, q, block):
+        """With 1 to 3 tries per sample and seeds 0-9 the jumps spend the
+        budget as the one-at-a-time loop does: both samplers raise, or
+        both give the same draws.  GF(2) meets all-zero trials, which
+        cost nothing, and runs out only on 2 samples; 64-word blocks carry
+        trials across blocks."""
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        outcomes = set()
+        for factor, count, seed in itertools.product((1, 2, 3), (2, 20),
+                                                     range(10)):
+            monkeypatch.setattr(verify, "_TRY_FACTOR", factor)
+            plan = SamplePlan(GF(*q), count=count, seed=seed, mode="random")
+            try:
+                want = scalar_references.random_pairs(pinned_net, plan)
+            except ValueError as exc:
+                assert "budget" in str(exc)
+                with pytest.raises(ValueError) as info:
+                    verify._random_pairs(pinned_net, plan)
+                assert str(info.value) == str(exc)
+                outcomes.add("raised")
+                continue
+            a_codes, bases = verify._random_pairs(pinned_net, plan)
+            assert a_codes.tolist() == want[0].tolist()
+            assert bases.tolist() == want[1].tolist()
+            outcomes.add("drawn")
+        assert outcomes == {"raised", "drawn"}
+
+    @pytest.mark.parametrize("q", [(7, 1), (2, 1)], ids=str)
+    def test_budget_is_the_tries_the_reference_spends(self, pinned_net,
+                                                      monkeypatch, q):
+        """A budget of exactly the tries the one-at-a-time loop spends
+        draws, and one try fewer raises, over 64-word blocks: every live
+        trial passed costs one try and an all-zero one none."""
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        field = GF(*q)
+        plan = SamplePlan(field, count=20, mode="random")
+        unit = plan.count * max(4, field.order)
+
+        def runs(sampler, tries):
+            monkeypatch.setattr(verify, "_TRY_FACTOR", Fraction(tries, unit))
+            try:
+                sampler(pinned_net, plan)
+            except ValueError:
+                return False
+            return True
+
+        for seed in range(5):
+            plan.seed = seed
+            lo, hi = 0, 4 * unit  # the reference raises at lo, draws at hi
+            assert runs(scalar_references.random_pairs, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if runs(scalar_references.random_pairs, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            assert runs(verify._random_pairs, hi)
+            assert not runs(verify._random_pairs, hi - 1)
 
     def test_refused_rank_raises_as_the_reference(self, pinned_net,
                                                   monkeypatch):
@@ -310,8 +372,8 @@ class TestSamplerReplay:
         return net
 
     def test_pairs_make_no_scalar_objects(self, monkeypatch):
-        """The pipeline's GF(7) plan draws, ranks and records its pairs on
-        code arrays only."""
+        """The pipeline's GF(7) plan draws, ranks and records its pairs,
+        and jw1 draws its probes, on code arrays only."""
         plan = SamplePlan(GF(7), count=1000, seed=0, mode="random")
         net = self._fresh_gf7(plan)
         calls = []
@@ -324,6 +386,7 @@ class TestSamplerReplay:
                 return _real(*args)
             monkeypatch.setattr(owner, name, counted)
         assert len(verify._pairs(net, plan)) == 1000
+        assert jw1_section_check(net, plan).passed
         assert calls == []
 
     def test_failure_row_renders_the_payloads(self):
