@@ -545,11 +545,14 @@ def _rank_deficient_witness(net, max_rank):
 def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     """Regular means rank f(a) >= 2m-2 away from a = 0, i.e. the principal
     sub-Pfaffian ideal has empty projective zero set.  Over QQ the emptiness
-    certificate modulo one prime lifts (ranks only drop under reduction);
-    over GF(p) the ladder runs mod p.  INCONCLUSIVE names its limit: a net
-    native to GF(p^k), before any sub-Pfaffian is expanded, or a cap below
-    the Macaulay bound, with no witness.  The verdict is memoized on the
-    net per (prime, cap)."""
+    certificate modulo one prime lifts (ranks only drop under reduction),
+    so a ladder that is not EMPTY at `prime` climbs again at
+    `other_prime(prime)`, and an EMPTY there makes the net regular; over
+    GF(p) the ladder runs mod p only.  Only a net that neither prime
+    certifies is searched for a rank-deficient point.  INCONCLUSIVE names
+    its limit: a net native to GF(p^k), before any sub-Pfaffian is
+    expanded, or a cap that no certificate reaches, with no witness.  The
+    verdict is memoized on the net per (prime, cap)."""
     try:
         check_ideal_field(net.field)
     except ValueError as exc:
@@ -558,9 +561,24 @@ def is_regular(net, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
                        lambda: _regularity(net, prime, cap))
 
 
-def _regularity(net, prime, cap):
-    ideal = sub_pfaffian_ideal(net)
+def _emptiness(ideal, prime, cap):
+    """`is_empty_projective` at `prime`.  Over QQ a verdict other than
+    EMPTY may only say that the ideal mod p has zeros, which a bad prime
+    makes so; it is checked again at `other_prime`, and an EMPTY there is
+    kept, since EMPTY mod any prime lifts to QQ.  An ideal with no
+    reduction mod the second prime keeps the first verdict."""
     res = is_empty_projective(ideal, prime=prime, cap=cap)
+    if res.status == EMPTY or ideal.field.kind != "QQ":
+        return res
+    try:
+        again = is_empty_projective(ideal, prime=other_prime(prime), cap=cap)
+    except ZeroDivisionError:
+        return res
+    return again if again.status == EMPTY else res
+
+
+def _regularity(net, prime, cap):
+    res = _emptiness(sub_pfaffian_ideal(net), prime, cap)
     if res.status == EMPTY:
         return RegularityResult(EMPTY, witness=res.witness_degree)
     witness = _rank_deficient_witness(net, net.two_m - 4)
@@ -968,21 +986,13 @@ def classify(net, fields=(), prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
     comparison of sing(X) with X intersect kappa(Y) by full enumeration;
     only the planes these list, the report's rows, get Plucker coordinates.
 
-    Over QQ a NONEMPTY Jacobian verdict only says that Y mod p is singular,
-    which a bad prime makes so; it is checked again at `other_prime`, and
-    an EMPTY there is kept, since EMPTY mod any prime lifts to QQ."""
+    Over QQ a Jacobian verdict other than EMPTY only says that Y mod p
+    may be singular, which a bad prime makes so; it is checked again at
+    `other_prime` (`_emptiness`)."""
     from .ideals import jacobian_ideal
     regular = is_regular(net, prime=prime, cap=cap)
     jacobian = jacobian_ideal(y_ideal(net))
-    y_smooth = is_empty_projective(jacobian, prime=prime, cap=cap)
-    if y_smooth.status == NONEMPTY and net.field.kind == "QQ":
-        try:
-            again = is_empty_projective(jacobian, prime=other_prime(prime),
-                                        cap=cap)
-        except ZeroDivisionError:  # no reduction mod the second prime
-            again = y_smooth
-        if again.status == EMPTY:
-            y_smooth = again
+    y_smooth = _emptiness(jacobian, prime, cap)
     per_field = {}
     for field in fields:
         bases = x_points(net, field)

@@ -64,6 +64,14 @@ def ambient_dimension(nvars, t):
     return comb(t + nvars - 1, nvars - 1)
 
 
+def complete_intersection_hf(nvars, degree, t):
+    """HF(t) of n forms of one degree d that form a regular sequence in n
+    variables: the coefficient of s^t in ((1 - s^d) / (1 - s))^n."""
+    return sum((-1) ** k * comb(nvars, k)
+               * ambient_dimension(nvars, t - k * degree)
+               for k in range(nvars + 1))
+
+
 def check_ideal_field(field):
     """Raise ValueError unless `field` is QQ or GF(p), the fields whose
     forms a `HomogeneousIdeal` holds as integer rows."""
@@ -425,7 +433,10 @@ def _hf_until_stable(hf, expected_dim, cap):
 
 
 class EmptinessResult:
-    """Tri-state answer for projective emptiness, with the witness degree."""
+    """Tri-state answer for projective emptiness.  The witness degree is
+    the degree of the certificate: where HF reached 0 (EMPTY), where it
+    reached the Macaulay bound or first exceeded a complete intersection's
+    (NONEMPTY), or the cap (INCONCLUSIVE).  `tail` is HF up to it."""
 
     def __init__(self, status, witness_degree, tail):
         self.status = status
@@ -449,18 +460,25 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
 
     HF(t) = 0 at any t certifies EMPTY: every degree-t monomial lies in the
     ideal.  For a rational ideal the certificate lifts to QQ, since ranks
-    only drop under reduction mod p.
+    only drop under reduction mod p.  It is checked first at every t.
 
-    The climb also stops at the Macaulay bound B.  Take the generators the
-    engine works on (reduced mod p, so those that vanish there are gone),
-    in n variables, with degrees d_1 >= d_2 >= ...  With at least n of them,
-    B = d_1 + ... + d_n - n + 1, and the zero set is empty iff HF(B) = 0
-    (Lazard 1983); with fewer than n the zero set is never empty, B = 0.
-    So HF(t) > 0 at t = B certifies NONEMPTY over the closure of GF(p).
+    Two certificates say NONEMPTY over the closure of GF(p).  Take the
+    generators the engine works on (reduced mod p, so those that vanish
+    there are gone), in n variables, with degrees d_1 >= d_2 >= ...
 
-    Only a cap below B leaves the climb short of a certificate, and the
-    answer is then INCONCLUSIVE: HF may reach zero at any degree up to B,
-    after a plateau or a rise, so no shape of the tail is evidence.
+    - The Macaulay bound B.  With at least n generators, B = d_1 + ... +
+      d_n - n + 1, and the zero set is empty iff HF(B) = 0 (Lazard 1983);
+      with fewer than n it is never empty, B = 0.  So HF(t) > 0 at t = B.
+    - A complete intersection's HF, HF_CI(n, d_1, t) from
+      `complete_intersection_hf`, exceeded at any t.  If the zero set is
+      empty, I_{d_1} generates an m-primary ideal, so n general forms of
+      I_{d_1} are a regular sequence Q inside I, and HF_{S/I}(t) <=
+      HF_{S/Q}(t) = HF_CI(n, d_1, t) in every degree.
+
+    The climb stops at the first certificate.  Only a cap that neither
+    NONEMPTY certificate reaches leaves the answer INCONCLUSIVE: HF may
+    still reach zero at any degree up to B, so no other shape of the tail
+    is evidence.
     """
     engine = HilbertEngine(ideal, prime=prime if ideal.field.kind == "QQ"
                            else ideal.field.p)
@@ -473,7 +491,8 @@ def is_empty_projective(ideal, prime=DEFAULT_PRIME, cap=DEFAULT_DEGREE_CAP):
         tail.append(hf)
         if hf == 0:
             return EmptinessResult(EMPTY, t, tail)
-        if t >= bound:
+        # t < bound only with at least n generators kept, so degrees[0] exists
+        if t >= bound or hf > complete_intersection_hf(n, degrees[0], t):
             return EmptinessResult(NONEMPTY, t, tail)
     return EmptinessResult(INCONCLUSIVE, cap, tail)
 

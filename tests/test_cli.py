@@ -528,6 +528,16 @@ class TestGating:
         assert all(s["detail"] == {"reason": "net is not regular"}
                    for s in report["stages"][1:])
 
+    def test_a_bad_working_prime_passes_regularity(self, tmp_path, capsys):
+        # pinned net 1 has a rank-2 point mod 7, but its sub-Pfaffian
+        # ideal is EMPTY at the second prime, which certifies it over QQ
+        fx = tmp_path / "net1.json"
+        fx.write_text(canonical_json(net_to_fixture(
+            ANet.from_upper_triangles(QQ, 6, PINNED_UPPERS[1]))))
+        assert main(["verify", str(fx), "regularity", "--prime", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["detail"] == {
+            "status": "EMPTY", "witness": 2, "detail": None}
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_a_cap_below_the_macaulay_bound_is_inconclusive(
             self, fixture_path, tmp_path, monkeypatch, cap):
@@ -795,6 +805,37 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "loaded:"
+
+    @pytest.mark.parametrize("workload", ["pinned", "irregular"])
+    def test_build_report_imports_no_module(self, fixture_path, tmp_path,
+                                            workload):
+        # a first call that imports (np.setdiff1d loads numpy.ma, about
+        # 20 ms) costs more than the whole irregular pipeline
+        if workload == "irregular":
+            fixture_path = str(tmp_path / "dead.json")
+            with open(fixture_path, "w") as fh:
+                fh.write(dead_fixture_text())
+        src = os.path.dirname(os.path.dirname(pfaffian_nets.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\n"
+                  "from pfaffian_nets import cli\n"
+                  "build, loaded = cli.build_report, []\n"
+                  "def wrapped(doc, opts):\n"
+                  "    before = set(sys.modules)\n"
+                  "    report = build(doc, opts)\n"
+                  "    loaded.extend(sorted(set(sys.modules) - before))\n"
+                  "    return report\n"
+                  "cli.build_report = wrapped\n"
+                  "code = cli.main(['pipeline', sys.argv[1], '-o', "
+                  "sys.argv[2]])\n"
+                  "print('exit', code, 'imported:', *loaded)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, fixture_path,
+             str(tmp_path / "report.json")], env=env,
+            capture_output=True, text=True, timeout=120)
+        code = 0 if workload == "pinned" else 1
+        assert done.stdout.splitlines()[-1] == "exit %d imported:" % code, \
+            done.stderr
 
 
 class TestErrors:

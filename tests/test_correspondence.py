@@ -362,6 +362,30 @@ class TestRegularity:
         assert found == scanning_witness(net, 2)
         assert found[0] == 7
 
+    def test_bad_working_prime_is_checked_at_the_second_prime(
+            self, pinned_family):
+        """Pinned net 1 mod 7 has one point of rank 2, so its sub-Pfaffian
+        ideal is NONEMPTY there; at the second prime it is EMPTY at t = 2,
+        which lifts to QQ, and the GF(7) point is no witness."""
+        net = pinned_family[1]
+        ideal = sub_pfaffian_ideal(net)
+        assert is_empty_projective(ideal, prime=7).status == NONEMPTY
+        res = is_regular(net, prime=7)
+        assert (res.status, res.witness, res.detail) == (EMPTY, 2, None)
+
+    def test_irregular_net_without_a_second_reduction(self):
+        # F_1 / 32009 spans the same net over QQ, which has no reduction
+        # mod the second prime; the first ladder's NONEMPTY stands, and the
+        # GF(3) point witnesses it
+        tris = kernel_e5_triangles(7)
+        tris[0] = [Fraction(v) / 32009 for v in tris[0]]
+        net = ANet.from_upper_triangles(QQ, 6, tris)
+        with pytest.raises(ZeroDivisionError):
+            is_empty_projective(sub_pfaffian_ideal(net), prime=32009)
+        res = is_regular(net)
+        assert res.status == NONEMPTY and res.witness[0] == 3
+        assert net.over(F3).f_at(res.witness[1]).rank() <= 2
+
     def test_classify_reuses_the_regularity_verdict(self, monkeypatch):
         net = ANet.from_upper_triangles(QQ, 6, PINNED_UPPER)
         sub_pf = ideal_polys(sub_pfaffian_ideal(net))

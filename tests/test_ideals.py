@@ -604,12 +604,15 @@ def test_curve_judged_nonempty_at_cap():
 
 
 def test_irregular_net_certified_nonempty_at_the_bound():
-    # 15 quadric sub-Pfaffians in 5 variables: bound 2*5 - 5 + 1 = 6, and
-    # HF never reaches 0, so the climb stops at 6 instead of the cap
+    # 5 nonzero quadric sub-Pfaffians in 5 variables: the Macaulay bound is
+    # 2*5 - 5 + 1 = 6, but HF 1, 5, 10, 15 already exceeds a complete
+    # intersection's 1, 5, 10, 10 at t = 3, so the climb stops there
     net = net_from_fixture(json.loads(dead_fixture_text()))
-    res = is_empty_projective(sub_pfaffian_ideal(net), cap=16)
-    assert res.status == NONEMPTY and res.witness_degree == 6
-    assert len(res.tail) == 7 and all(v > 0 for v in res.tail)
+    for prime in (ideals.DEFAULT_PRIME, ideals.SECOND_PRIME):
+        res = is_empty_projective(sub_pfaffian_ideal(net), prime=prime,
+                                  cap=16)
+        assert res.status == NONEMPTY and res.witness_degree == 3
+        assert res.tail == [1, 5, 10, 15]
 
 
 def test_constant_generator_empty_at_zero():
@@ -652,11 +655,75 @@ def test_emptiness_stable_under_redundant_generators():
                                         for j in (0, 2)])
     a = is_empty_projective(base, cap=8)
     assert a.status == NONEMPTY
-    # the padding raises the Macaulay bound to 3 * 4 - 4 + 1 = 9: a cap of 8
-    # stops short of a certificate, and 9 reaches it
-    assert is_empty_projective(padded, cap=8).status == INCONCLUSIVE
-    b = is_empty_projective(padded, cap=9)
-    assert (b.status, b.witness_degree) == (NONEMPTY, 9)
+    # the padding raises the Macaulay bound to 3 * 4 - 4 + 1 = 9, but HF
+    # 3t + 1 exceeds the cubic complete intersection's 1, 4, 10, 16, 19,
+    # 16, 10 first at t = 6 (19 > 10); a cap of 5 reaches no certificate
+    res = is_empty_projective(padded, cap=5)
+    assert (res.status, res.tail) == (INCONCLUSIVE, [1, 4, 7, 10, 13, 16])
+    for cap in (8, 9):
+        b = is_empty_projective(padded, cap=cap)
+        assert (b.status, b.witness_degree) == (NONEMPTY, 6)
+        assert b.tail[-1] == 19
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_complete_intersection_hf_is_the_power_ideal(nvars, degree):
+    # x_0^d, ..., x_{n-1}^d is a complete intersection: HF equals HF_CI in
+    # every degree, and reaches 0 at n(d - 1) + 1, so equality never fires
+    field = GF(101)
+    ideal = ideal_of(field, nvars, [g ** degree
+                                    for g in variables(field, nvars)])
+    engine = HilbertEngine(ideal, prime=101)
+    top = nvars * (degree - 1) + 1
+    assert [engine.hilbert_function(t) for t in range(top + 3)] == [
+        ideals.complete_intersection_hf(nvars, degree, t)
+        for t in range(top + 3)]
+    res = is_empty_projective(ideal, prime=101)
+    assert (res.status, res.witness_degree) == (EMPTY, top)
+
+
+def test_complete_intersection_certificate_is_sound():
+    # 150 seeded ideals over GF(7), GF(101) and GF(32003), n = 2..4, n to
+    # n + 2 forms of degrees 1 and 2: generic (mostly empty), vanishing at
+    # e_0, or with a common linear factor.  Wherever HF exceeds HF_CI the
+    # climb to the Macaulay bound says NONEMPTY, and the verdict with the
+    # early exit is the climb's
+    fired = early = empty = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        field = GF((7, 101, 32003)[seed % 3])
+        nvars = rng.randint(2, 4)
+        mode = seed // 3 % 3
+        degrees = [rng.choice((1, 2, 2)) if seed % 2 else 2
+                   for _ in range(rng.randint(nvars, nvars + 2))]
+        if mode == 2:
+            factor = _random_form(field, nvars, 1, rng)
+            gens = [factor * _random_form(field, nvars, 1, rng)
+                    for _ in degrees]
+        else:
+            gens = [_random_form(field, nvars, d, rng,
+                                 avoid=0 if mode == 1 else None)
+                    for d in degrees]
+        ideal = ideal_of(field, nvars, gens)
+        engine = HilbertEngine(ideal, prime=field.p)
+        kept = engine.degrees
+        bound = sum(kept[:nvars]) - nvars + 1
+        climb = [engine.hilbert_function(t) for t in range(bound + 1)]
+        expected = EMPTY if 0 in climb else NONEMPTY
+        over = [t for t, v in enumerate(climb)
+                if v > ideals.complete_intersection_hf(nvars, kept[0], t)]
+        if over:
+            assert expected == NONEMPTY, seed
+            fired += 1
+            early += over[0] < bound
+        empty += expected == EMPTY
+        res = is_empty_projective(ideal, prime=field.p, cap=bound)
+        assert res.status == expected, seed
+        assert res.tail == climb[:len(res.tail)]
+        assert res.witness_degree == min(over + [bound]) or expected == EMPTY
+    # the sweep exercises the certificate, below the bound too, and EMPTY
+    assert fired >= 50 and early >= 20 and empty >= 30
 
 
 # -- jacobian and minors -----------------------------------------------------
@@ -744,10 +811,14 @@ def test_minors_of_rank_deficient_grid():
     assert ideal_polys(ideal) == []
 
 
-def _random_form(field, nvars, degree, rng):
-    return MultiPoly(field, nvars,
-                     {e: random_value(field, rng, 3)
-                      for e in monomials_of_degree(nvars, degree)})
+def _random_form(field, nvars, degree, rng, avoid=None):
+    """A random form; with `avoid`, its x_avoid^degree term is dropped, so
+    it vanishes at that coordinate point."""
+    terms = {e: random_value(field, rng, 3)
+             for e in monomials_of_degree(nvars, degree)}
+    if avoid is not None:
+        terms.pop(tuple(degree * (i == avoid) for i in range(nvars)), None)
+    return MultiPoly(field, nvars, terms)
 
 
 def _minor_test_stack(kind, field, pinned_net, rng):
