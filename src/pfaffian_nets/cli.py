@@ -449,7 +449,6 @@ STAGES = (
     ("jw1", _stage_jw1),
 )
 _STAGE_MAP = dict(STAGES)
-_GATED = ("regularity", "classification")
 
 
 def _run_stage(name, fn, ctx):
@@ -482,22 +481,19 @@ def _overall(results):
 def build_report(doc, opts):
     """Run the whole pipeline on a parsed fixture and the options
     `_options` made for its net; deterministic for fixed (fixture,
-    options)."""
+    options).  Regularity gates every later stage: unless it passes they
+    are written as skipped, with its reason."""
     ctx = dict(opts)
-    results = []
-    for name in _GATED:
-        results.append(_run_stage(name, _STAGE_MAP[name], ctx))
-        verdict = results[-1]["verdict"]
-        if name == "regularity" and verdict != "pass":
-            reason = ("net is not regular" if verdict == "fail"
-                      else "regularity is undecided")
-            for later, _fn in STAGES[1:]:
-                results.append({"name": later, "verdict": "skipped",
-                                "detail": {"reason": reason}})
-            break
+    results = [_run_stage("regularity", _stage_regularity, ctx)]
+    verdict = results[0]["verdict"]
+    if verdict == "pass":
+        results.extend(_run_stage(name, fn, ctx) for name, fn in STAGES[1:])
     else:
-        results.extend(_run_stage(name, fn, ctx)
-                       for name, fn in STAGES[len(_GATED):])
+        reason = ("net is not regular" if verdict == "fail"
+                  else "regularity is undecided")
+        results.extend({"name": name, "verdict": "skipped",
+                        "detail": {"reason": reason}}
+                       for name, _ in STAGES[1:])
     return {
         "schema": REPORT_SCHEMA,
         "fingerprint": fingerprint(doc),

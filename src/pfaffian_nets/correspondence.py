@@ -18,7 +18,8 @@ import numpy as np
 from . import modnum
 from .fields import GF, QQ, FieldMismatchError, reduce_value
 from .grassmann import (_CHUNK, echelon_pair_codes, enumerate_projective,
-                        pair_indices, pencil_line, plucker_from_basis)
+                        pair_indices, pencil_line, plucker_from_basis,
+                        projective_line)
 from .ideals import (EMPTY, INCONCLUSIVE, NONEMPTY, DEFAULT_DEGREE_CAP,
                      DEFAULT_PRIME, HomogeneousIdeal, check_ideal_field,
                      is_empty_projective, minors_ideal, other_prime)
@@ -226,14 +227,12 @@ def _phi_bases(fc, stack, vs, params):
 
 
 class RankOracle:
-    """The rank of the matrix a net assigns to each point of a projective
-    space over a finite field: side "a" is f(a) = sum a_i F_i on P(A), side
-    "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j for the
-    stack of code matrices C_j (`stack`) read from `ANet.stack(side)`
-    reduced into the field entry by entry, without the independence check of
-    `ANet`: modulo a prime a QQ net can reduce to a dependent family while
-    its cubic stays fine, and Pf is an integer polynomial in the entries,
-    so the two agree.
+    """The rank of the matrix a net over a finite field assigns to each
+    point of a projective space: side "a" is f(a) = sum a_i F_i on P(A),
+    side "v" is f_v (row i = v^T F_i) on P(V).  Either is sum_j x_j C_j
+    for the stack of code matrices C_j (`stack`), `ANet.stack(side)`
+    encoded.  An oracle belongs to one net over its own field; a net over
+    another field is asked through its reduction (`rank_oracle`).
 
     Over a field of order <= `modnum.TABLE_ORDER` the ranks of the whole
     space form one int8 table in `enumerate_projective` order.  Side "a"
@@ -253,12 +252,10 @@ class RankOracle:
     read the table at `indices` if it is built, and are computed from the
     stack if not."""
 
-    def __init__(self, net, field, side):
-        fc = self.fc = modnum.field_codes(field)
-        self.stack = fc.encode([[[reduce_value(x, net.field, field)
-                                  for x in row] for row in C]
-                                for C in net.stack(side)])
-        self.field, self.side, self._net = field, side, net
+    def __init__(self, net, side):
+        fc = self.fc = modnum.field_codes(net.field)
+        self.stack = fc.encode(net.stack(side))
+        self.field, self.side, self._net = net.field, side, net
         q, k = fc.q, len(self.stack)
         self.size = (q ** k - 1) // (q - 1)
         self._table = None
@@ -269,7 +266,6 @@ class RankOracle:
         # q^(k-1-l) points, and its tail is the coordinates after l
         self._weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(self._weights)[:-1]))
-        self._tail = np.triu(np.tile(self._weights, (k, 1)), 1)
 
     @property
     def table(self):
@@ -409,11 +405,12 @@ class RankOracle:
                                        self.fc)
 
     def _codes_at(self, idx):
-        """The normalized points at the given indices, as code rows."""
+        """The normalized points at the given indices, as code rows: the
+        offset in a block is below the weight of its lead, so its base-q
+        digits are 0 up to the lead."""
         lead = np.searchsorted(self._offsets, idx, side="right") - 1
-        digits = (idx - self._offsets[lead])[:, None] // self._weights \
+        codes = (idx - self._offsets[lead])[:, None] // self._weights \
             % self.fc.q
-        codes = np.where(self._tail[lead] > 0, digits, 0)
         codes[np.arange(idx.size), lead] = self.fc.one
         return codes
 
@@ -430,10 +427,6 @@ class RankOracle:
         """The points at the given indices, as payload tuples."""
         codes = self._codes_at(np.asarray(idx, dtype=np.int64))
         return [tuple(row) for row in self.fc.decode(codes)]
-
-    def _tabulated(self):
-        """Whether `ranks` and `kernels` read the table."""
-        return self._table is not None or self._small
 
     def ranks(self, codes):
         """The ranks at an (N, k) array of code rows, read by code when
@@ -454,7 +447,7 @@ class RankOracle:
         (N, n) array of nonzero code rows, which scaling a point changes
         neither of.  Where `ranks` reads the table they are read from
         `on_y` (rank 2m and no kernel row off Y), else computed."""
-        if not self._tabulated():
+        if self._table is None and not self._small:
             _, rank, kernel = _kernels(self.fc, self.stack, codes)
             return rank, kernel
         idx = self.indices(codes)
@@ -471,13 +464,11 @@ class RankOracle:
 
 
 def rank_oracle(net, field, side):
-    """The RankOracle of (net, field, side), built once per net; a net
-    and its reduction into `field` share one."""
-    if net.reaches(field):
-        net = net.over(field)
-    # else the oracle reduces the entries one by one all the same
-    return net.derived(("ranks", field, side),
-                       lambda: RankOracle(net, field, side))
+    """The RankOracle of one side of `net.over(field)`, built once per
+    reduced net, so a net and its reduction share one.  A field the net
+    does not reach raises as `ANet.over` does."""
+    net = net.over(field)
+    return net.derived(("ranks", side), lambda: RankOracle(net, side))
 
 
 # -- regularity ---------------------------------------------------------------
@@ -613,11 +604,11 @@ def y_ideal(net):
 def y_points(net, field):
     """All points of Y over a small finite field, in enumeration order, as
     a read-only (N, n) code array: the a with rank f(a) < 2m, as Pf^2 =
-    det."""
+    det, which the a-side oracle lists with its table (`on_y`)."""
     def build():
         pfaffian_hypersurface(net)  # a degenerate net raises here
         oracle = rank_oracle(net, field, "a")
-        return oracle._codes_at(np.nonzero(oracle.table < net.two_m)[0])
+        return oracle._codes_at(oracle.on_y[0])
     return net.derived(("y_points", field), build)
 
 
@@ -808,10 +799,11 @@ def lie_on_y(net, field, pairs):
     """Whether each line of P(A), given by an (N, 2, n) code array of
     spanning pairs over `field`, lies on Y.  Pf on a line is a binary form
     of degree m, zero or with at most m zeros, so a line with more than m
-    points lies on Y iff all of them do.  Over a prime field with fewer
-    than m elements the points are read over its first extension with at
-    least m (GF(4) for m = 3), the pairs lifted by one code table.  A field
-    without codes raises."""
+    points lies on Y iff all of them do: the points (s : t) of
+    `projective_line` of every line are ranked in one `ranks` call.  Over
+    a prime field with fewer than m elements the points are read over its
+    first extension with at least m (GF(4) for m = 3), the pairs lifted by
+    one code table.  A field without codes raises."""
     modnum.field_codes(field)  # a field without codes raises here
     pfaffian_hypersurface(net)  # a degenerate net raises here
     m = net.two_m // 2
@@ -826,13 +818,9 @@ def lie_on_y(net, field, pairs):
             [reduce_value(e, field, ext) for e in field.elements()]
         )[pairs]
     oracle = rank_oracle(net, ext, "a")
-    fc = oracle.fc
-    r1, r2 = pairs[:, 0], pairs[:, 1]
-    on_y = np.ones(len(r1), dtype=bool)
-    for s, t in [(fc.one, fc.zero)] + [(x, fc.one) for x in range(fc.q)]:
-        on_y &= oracle.ranks(fc.add(fc.mul(s, r1), fc.mul(t, r2))) \
-            < net.two_m
-    return on_y
+    points = _matmul(oracle.fc, projective_line(ext)[None], pairs)
+    ranks = oracle.ranks(points.reshape(-1, net.n)).reshape(points.shape[:2])
+    return (ranks < net.two_m).all(axis=1)
 
 
 _PROBES = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))

@@ -137,6 +137,17 @@ def enumerate_projective(field, dim):
             yield (zero,) * lead + (one,) + tail
 
 
+def projective_line(field):
+    """The q + 1 points of P^1 over a field with codes, in the order of
+    `enumerate_projective(field, 1)`: (1 : x) for each code x, then
+    (0 : 1), as a (q + 1, 2) int64 code array."""
+    fc = modnum.field_codes(field)
+    points = np.full((fc.q + 1, 2), fc.one, dtype=np.int64)
+    points[:-1, 1] = np.arange(fc.q)
+    points[-1, 0] = fc.zero
+    return points
+
+
 class GrassmannLine:
     """Pencil {U : v in U inside W} for a 3-dim W containing v, seen as a
     line in P(Lambda^2 V) spanned by v ^ w1 and v ^ w2."""

@@ -302,13 +302,11 @@ class HilbertEngine:
 
 
 class HilbertData:
-    """Window of Hilbert-function values plus, when found, the polynomial the
-    tail agrees with (coefficients ascending, exact rationals), and the
-    primes the values were computed mod."""
+    """Hilbert-function values HF(0), HF(1), ... plus, when found, the
+    polynomial the tail agrees with (coefficients ascending, exact
+    rationals), and the primes the values were computed mod."""
 
-    def __init__(self, window, values, fitted=None, stable_from=None,
-                 primes=()):
-        self.window = window
+    def __init__(self, values, fitted=None, stable_from=None, primes=()):
         self.values = list(values)
         self.fitted = fitted
         self.stable_from = stable_from
@@ -340,25 +338,8 @@ class HilbertData:
             raise ValueError("non-integral constant term")
         return 1 - int(const)
 
-    def polynomial_string(self):
-        if not self.fitted:
-            return "none"
-        parts = []
-        for e in range(len(self.fitted) - 1, -1, -1):
-            c = self.fitted[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("%s*t" % c)
-            else:
-                parts.append("%s*t^%d" % (c, e))
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self):
-        return "HilbertData(window=%s, fit=%s)" % (self.window,
-                                                   self.polynomial_string())
+        return "HilbertData(fit=(%s))" % ", ".join(map(str, self.fitted or ()))
 
 
 def _interpolate(ts, vals):
@@ -387,7 +368,7 @@ def _interpolate(ts, vals):
 def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
                            primes=(DEFAULT_PRIME, SECOND_PRIME)):
     """Walk HF(t) upward until expected_dim + 2 consecutive values lie on one
-    polynomial of degree expected_dim; return the full window and the fit.
+    polynomial of degree expected_dim; return the values and the fit.
 
     Rational ideals are reduced modulo two primes and the windows must agree;
     a disagreement falls back to exact rational ranks (slow, but it settles
@@ -412,8 +393,8 @@ def fit_hilbert_polynomial(ideal, expected_dim, cap=DEFAULT_DEGREE_CAP,
             "by t = %d" % (expected_dim, cap))
     ts = list(range(stable, stable + expected_dim + 1))
     fitted = _interpolate(ts, [values[t] for t in ts])
-    return HilbertData((0, len(values) - 1), values, fitted=fitted,
-                       stable_from=stable, primes=primes)
+    return HilbertData(values, fitted=fitted, stable_from=stable,
+                       primes=primes)
 
 
 def _hf_until_stable(hf, expected_dim, cap):

@@ -26,8 +26,10 @@ len(seq).bit_length() bits of a word, the word skipped while they are
 >= len(seq)).  A block's trials are ranked by code, in one
 `RankOracle.ranks` call per side, and the walk jumps from one kept
 trial to the next.  jw1's probes, one `choice` per pair on
-random.Random(seed + 1), are decoded by the same rule (`_choices`).  A
-test fails if the interpreter's rule changes.
+random.Random(seed + 1), are decoded by the same rule (`_choices`).  The
+pencil pick and the probes both index one list of the points of P^1,
+`grassmann.projective_line`.  A test fails if the interpreter's rule
+changes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from . import modnum
 from .correspondence import (_combine, _matmul, _phi_bases, _u_sides,
                              pfaffian_hypersurface, rank_oracle, x_points,
                              y_points)
-from .grassmann import _CHUNK, plucker_from_basis
+from .grassmann import _CHUNK, plucker_from_basis, projective_line
 from .matrices import ExactMatrix
 
 _TRY_FACTOR = 400  # random-mode rejection budget per requested sample
@@ -295,7 +297,9 @@ def _random_pairs(net, plan):
     drawn again and costs none of the _TRY_FACTOR tries per sample that
     any other spends.  a is kept when rank f(a) < 6.  v is rejected at
     rank f_v = 5 and refused at rank <= 2; at rank 3 the fiber is a line,
-    and one more `choice` over its q + 1 points (1 : x), (0 : 1) picks U.
+    and one more `choice` over its q + 1 points, `projective_line`'s
+    (1 : x) and (0 : 1), picks U.  As a code is its element's index in
+    `field.elements()`, an element pick is its code.
 
     The replay decodes _BLOCK words at a time by the rule in the module
     docstring.  The element picks form one stream S of codes, read in
@@ -310,14 +314,11 @@ def _random_pairs(net, plan):
     if (net.n, net.two_m) != (5, 6):
         raise ValueError("the quartic construction is the n=5, 2m=6 case")
     pfaffian_hypersurface(net)  # a degenerate net raises here
-    reduced = net.over(field)
-    on_y = rank_oracle(reduced, field, "a")
-    on_q = rank_oracle(reduced, field, "v")
+    on_y = rank_oracle(net, field, "a")
+    on_q = rank_oracle(net, field, "v")
     fc = on_q.fc
     q = fc.q
-    codes = fc.encode(list(field.elements()))
-    zero, one = fc.zero, fc.one
-    pencil = [(one, c) for c in codes.tolist()] + [(zero, one)]
+    pencil = projective_line(field)
     elem_shift, pencil_shift = 32 - q.bit_length(), 32 - (q + 1).bit_length()
     budget = _TRY_FACTOR * plan.count * max(4, q)
     rng = random.Random(plan.seed)
@@ -328,7 +329,7 @@ def _random_pairs(net, plan):
         words = np.concatenate([words, _stream_words(rng, _BLOCK)])
         picks = words >> elem_shift
         pos = np.flatnonzero(picks < q)
-        stream = codes[picks[pos]]
+        stream = picks[pos]
         trials = {"a": _stops(stream, 5, on_y, lambda r: r < 6),
                   "v": _stops(stream, 6, on_q, lambda r: r != 5)}
         on_line = np.flatnonzero(words >> pencil_shift <= q)
@@ -369,7 +370,7 @@ def _random_pairs(net, plan):
                     "violates the minimal-rank bound" % (6 - rank, rank))
             v_rows.append(stream[k:j])
             if rank == 4:
-                params.append((zero, zero))
+                params.append((fc.zero, fc.zero))
                 phase = "a"
             else:
                 phase = "pencil"
@@ -396,21 +397,16 @@ def jw1_section_check(net, plan):
     membership predicates.  hf(a, U, v) for v = s u1 + t u2 reads the
     functional s (u1^T f(a)) + t (u2^T f(a)) on the complement lifts; it
     must vanish exactly when v lies in Ker f(a), where the whole functional
-    (-f(a) v, as f(a) is skew) vanishes.  Enumeration tries every v in U;
-    random mode one seeded v per pair."""
+    (-f(a) v, as f(a) is skew) vanishes.  The v are the points (s : t)
+    of `projective_line`: enumeration tries every v in U, random mode one
+    seeded v per pair."""
     report = JwReport("jw1_section_check", plan)
-    f = plan.field
     records = _pairs(net, plan)
     fc = records.fc
-    elements = list(f.elements())
-    if plan.mode == "enumerate":
-        params = fc.encode([(f.one_value, f.zero_value)]
-                           + [(x, f.one_value) for x in elements])
-    else:
-        one_v = fc.encode([(f.one_value, x) for x in elements]
-                          + [(f.zero_value, f.one_value)])
-        params = one_v[_choices(random.Random(plan.seed + 1), len(one_v),
-                                len(records))]
+    params = projective_line(plan.field)
+    if plan.mode == "random":
+        params = params[_choices(random.Random(plan.seed + 1), len(params),
+                                 len(records))]
     probes = len(params) if plan.mode == "enumerate" else 1
     for lo, hi in records.blocks():
         # st[k, j]: probe j of pair k; one probe list for all when enumerating

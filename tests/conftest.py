@@ -4,12 +4,14 @@ GF(3).  Frozen rather than regenerated so the suite never depends on the
 rejection sampler's retry budget."""
 
 import contextlib
+import os
 import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pfaffian_nets.cli import ENV_PREFIX
 from pfaffian_nets.correspondence import ANet, degenerate_net
 from pfaffian_nets.fields import QQ
 
@@ -40,6 +42,18 @@ PINNED_UPPERS = [
      [-3, 2, 0, 2, 2, 2, -3, 2, -3, 0, -3, 2, 3, -3, 0],
      [-2, 3, 1, -2, -2, 2, 0, -3, 0, -3, -3, 0, 2, 2, 0]],
 ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_option_variables():
+    """Every test runs without the caller's PFAFFIAN_NETS_* variables,
+    which the CLI reads as option defaults, module-scoped fixtures too; a
+    test that needs one sets it with `monkeypatch.setenv`."""
+    with pytest.MonkeyPatch.context() as patch:
+        for key in list(os.environ):
+            if key.startswith(ENV_PREFIX):
+                patch.delenv(key)
+        yield
 
 
 def random_value(field, rng, bound=10):

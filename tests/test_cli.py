@@ -182,10 +182,7 @@ class TestPipeline:
         ("16,9,4",
          "9ab2f8eada1890389f0ea2fcbf7b006f6d2731d2f7da26cf1f3f8ce9ee760ff0")])
     def test_extension_field_report_digest(self, fixture_path, tmp_path,
-                                           monkeypatch, fields, digest):
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
+                                           fields, digest):
         out = tmp_path / "report.json"
         assert main(["pipeline", fixture_path, "-o", str(out),
                      "--fields", fields]) == 0
@@ -214,11 +211,8 @@ class TestPipeline:
                              "witness": [2, [0, 1, 1, 1, 0]]}), None,
          "ae70a0e5f67f801b97c193874917d16dc71c1ff4ad9196139515255727af7b65")],
         ids=["GF(9)", "GF(81)", "GF(5)", "GF(2)"])
-    def test_native_field_report_digest(self, tmp_path, monkeypatch, field,
-                                        code, regularity, primes, digest):
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
+    def test_native_field_report_digest(self, tmp_path, field, code,
+                                        regularity, primes, digest):
         net = correspondence.random_net(field, 5, 6, random.Random(5),
                                         bound=1)
         fx = tmp_path / "native.json"
@@ -238,9 +232,6 @@ class TestPipeline:
         emptiness check's limit, before the sub-Pfaffian level is built;
         GF(81) has no code arithmetic, so `verify polynomials` fails and
         names that limit."""
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
         net = correspondence.random_net(field, 5, 6, random.Random(5),
                                         bound=1)
         fx = tmp_path / "native.json"
@@ -273,9 +264,6 @@ class TestPipeline:
         A net native to GF(4) is left undecided by the emptiness check's
         limit, GF(p^k), before any level is built: every later stage is
         skipped as undecided, and the run exits 2 with no stage failed."""
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
         net = correspondence.random_net(field, 5, 6, random.Random(5),
                                         bound=1)
         fx = tmp_path / "native.json"
@@ -308,14 +296,10 @@ class TestPipeline:
         assert all(s["verdict"] == "skipped" and s["detail"] == {
             "reason": reason} for s in later)
 
-    def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path,
-                                                       monkeypatch):
+    def test_stages_skip_the_fields_a_net_cannot_reach(self, tmp_path):
         """A net native to GF(5) reduces to no field of another
         characteristic: each stage names the fields it skips, and a stage
         left with none is skipped."""
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
         net = correspondence.random_net(GF(5), 5, 6, random.Random(5),
                                         bound=1)
         fx = tmp_path / "native.json"
@@ -349,9 +333,6 @@ class TestPipeline:
         the lines stage is skipped and names them, and the run passes.  A
         ladder that reaches a field and finds no point stays
         inconclusive."""
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
         net = correspondence.random_net(GF(101), 5, 6, random.Random(5),
                                         bound=1)
         fx = tmp_path / "native.json"
@@ -540,15 +521,12 @@ class TestGating:
 
     @pytest.mark.parametrize("cap", [1, 3])
     def test_a_cap_below_the_macaulay_bound_is_inconclusive(
-            self, fixture_path, tmp_path, monkeypatch, cap):
+            self, fixture_path, tmp_path, cap):
         """The pinned net is regular with Y smooth.  A --degree-cap of 1
         stops the regularity ladder short of its Macaulay bound 6, and one
         of 3 stops the Jacobian ladder short of its bound 7: neither is a
         certificate, so the run exits 2 and no stage fails.  The cap is no
         witness: the regularity detail names it as below the bound."""
-        for key in list(os.environ):
-            if key.startswith(cli.ENV_PREFIX):
-                monkeypatch.delenv(key)
         out = tmp_path / "rep.json"
         assert main(["pipeline", fixture_path, "-o", str(out), "--samples",
                      "50", "--degree-cap", str(cap)]) == 2

@@ -1096,23 +1096,20 @@ class TestRankOracle:
             oracle.table
 
     def test_characteristic_two_reads_the_reduced_entries(self):
-        # F_5 = F_1 + 2 G: independent over QQ, dependent modulo 2
+        # F_5 = F_1 + 2 G: independent over QQ, dependent modulo 2, so no
+        # net over GF(2) exists to rank, and the oracle raises as `over`
         rng = random.Random(1)
         tris = [[rng.randint(-3, 3) for _ in range(15)] for _ in range(4)]
         g = [rng.randint(-3, 3) for _ in range(15)]
         tris.append([x + 2 * y for x, y in zip(tris[0], g)])
         net = ANet.from_upper_triangles(QQ, 6, tris)
-        with pytest.raises(ValueError, match="linearly dependent"):
-            net.over(F2)
-        cubic = pfaffian_hypersurface(net).map_field(F2)
-        expected = [a for a in enumerate_projective(F2, 4)
-                    if F2.is_zero_value(cubic.evaluate(a))]
-        assert len(expected) == 15
-        assert y_payloads(net, F2) == expected
-        # f(a) = 0 at a = e_1 + e_5, so every v lies in one of the kernels
-        table = rank_oracle(net, F2, "v").table
-        assert np.array_equal(table, fv_rank_table(net, F2))
-        assert table.max() <= 4
+        for build in (lambda: net.over(F2),
+                      lambda: rank_oracle(net, F2, "a"),
+                      lambda: rank_oracle(net, F2, "v"),
+                      lambda: y_points(net, F2)):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                build()
+        assert not net.reaches(F2)
 
     _SYMBOLIC = {}
 
@@ -1144,6 +1141,26 @@ class TestRankOracle:
             codes, expected = self._symbolic_on_y(net, field)
             assert expected.any() and not expected.all()
             assert np.array_equal(lie_on_y(net, field, codes), expected)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_lie_on_y_ranks_once(self, pinned, field, monkeypatch):
+        """Every point of every line is ranked in one `ranks` call, over
+        the field or over the extension it is read in; no line, no
+        point."""
+        codes, expected = self._symbolic_on_y(pinned, field)
+        ranks, calls = correspondence.RankOracle.ranks, []
+
+        def counted(self, codes):
+            calls.append(len(codes))
+            return ranks(self, codes)
+
+        monkeypatch.setattr(correspondence.RankOracle, "ranks", counted)
+        q = {2: 4, 3: 3}[field.order]  # GF(2) is read over GF(4)
+        assert np.array_equal(lie_on_y(pinned, field, codes), expected)
+        assert calls == [len(codes) * (q + 1)]
+        empty = lie_on_y(pinned, field, codes[:0])
+        assert empty.shape == (0,) and empty.dtype == bool
+        assert calls[1:] == [0]
 
     def test_lie_on_y_needs_codes(self, pinned):
         lines = np.array([[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]])

@@ -11,7 +11,7 @@ from pfaffian_nets.grassmann import (GrassmannLine, PluckerPoint,
                                      enumerate_grassmannian,
                                      enumerate_projective, gaussian_binomial,
                                      pair_indices, pencil_line,
-                                     plucker_from_basis)
+                                     plucker_from_basis, projective_line)
 from pfaffian_nets.matrices import ExactMatrix
 
 from conftest import random_value
@@ -162,6 +162,18 @@ def test_projective_enumeration():
         lead = next(v for v in p if v)
         assert lead == 1
     assert len(list(enumerate_projective(GF(2), 4))) == 31
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(3, 2),
+                                   GF(101)], ids=str)
+def test_projective_line_is_the_enumeration(field):
+    """(1 : x) for each code x, then (0 : 1): the order of
+    `enumerate_projective(field, 1)`."""
+    fc = modnum.field_codes(field)
+    line = projective_line(field)
+    assert line.shape == (field.order + 1, 2) and line.dtype == np.int64
+    assert [tuple(p) for p in fc.decode(line)] \
+        == list(enumerate_projective(field, 1))
 
 
 def test_pencil_line_coordinate_case():

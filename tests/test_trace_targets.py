@@ -45,9 +45,6 @@ def test_default_reports_match_the_benchmark_digests(monkeypatch, tmp_path,
                                                      name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(PERFBENCH)  # restores sys.path afterwards
-    for key in list(os.environ):
-        if key.startswith("PFAFFIAN_NETS_"):
-            monkeypatch.delenv(key)
     workloads = importlib.import_module("workloads")
     with open(os.path.join(PERFBENCH, "reference.json")) as fh:
         reference = json.load(fh)
